@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-allocs vet fmt fuzz cover examples experiments quick-experiments clean
+.PHONY: all build test race bench bench-allocs bench-check vet fmt fuzz cover examples experiments quick-experiments clean
 
 all: build test
 
@@ -36,15 +36,32 @@ bench-allocs:
 vet:
 	$(GO) vet ./...
 
-# Fuzz the graph codec and the wire protocol (both ends). FUZZTIME is per
-# target; bump it for longer campaigns, e.g. make fuzz FUZZTIME=10m.
+# The benchmark under benchmark/ is a module of its own, so the root
+# `go test ./...` never compiles it — yet it calls the request-path API
+# (client gets, group and store loads, the cache's ref calls, serveboot)
+# directly. Vet and test it here so a signature change that breaks it
+# fails before the benchmark driver finds out.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Fuzz every decoder that reads bytes from outside the process: the graph
+# codec, the wire protocol (both ends, request framing, batch framing, the
+# timing trailer), the trace context, the shard map, and the CFF part
+# index. FUZZTIME is per target; bump it for longer campaigns, e.g.
+# make fuzz FUZZTIME=10m. The -fuzz patterns are anchored because a
+# pattern matching two targets in one package is an error.
 FUZZTIME ?= 15s
 
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeGraph -fuzztime=$(FUZZTIME) ./internal/graph
-	$(GO) test -run='^$$' -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/transport
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeGetBatch -fuzztime=$(FUZZTIME) ./internal/transport
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/obs/tracectx
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeGraph$$' -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePrefix$$' -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzServerRequest$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeGetBatch$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTimingTrailer$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/obs/tracectx
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeShardMap$$' -fuzztime=$(FUZZTIME) ./internal/shardmap
+	$(GO) test -run='^$$' -fuzz='^FuzzReadPartIndex$$' -fuzztime=$(FUZZTIME) ./internal/cff
 
 # Coverage gates. internal/fetch is the one pipeline both data planes ride
 # (engine unit tests + cross-plane conformance); internal/obs is the

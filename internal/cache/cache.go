@@ -77,10 +77,7 @@ func ParsePolicy(s string) (Policy, error) {
 // and the cache releases it when the entry is evicted, replaced, or Reset.
 // ClaimRef hits and WaitRef hand the caller its own reference (retained
 // under the shard lock), which the caller must Release when done with the
-// bytes. The legacy Put/Get/Claim/Deliver/Wait API is the ref-free
-// degenerate case and must not be used to read entries inserted with a
-// non-nil Ref — it returns bytes without taking a reference, so the buffer
-// may be recycled under the reader.
+// bytes.
 type Ref interface {
 	Retain()
 	Release()
@@ -190,39 +187,11 @@ func (c *Cache) shardFor(id int64) *shard {
 	return c.shards[h%uint64(len(c.shards))]
 }
 
-// Get returns the cached bytes for id, if present, updating the policy's
-// recency state. It records a hit or a miss. Get takes no buffer
-// reference; it is only valid for entries inserted ref-free (Put/Deliver).
-func (c *Cache) Get(id int64) ([]byte, bool) {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	e, ok := s.get(id)
-	var val []byte
-	if ok {
-		val = e.val
-		s.hits++
-	} else {
-		s.misses++
-	}
-	s.mu.Unlock()
-	if ok {
-		c.counters.Inc(CounterHits, 1)
-	} else {
-		c.counters.Inc(CounterMisses, 1)
-	}
-	return val, ok
-}
-
-// Put inserts (or refreshes) id, evicting entries as needed to hold the
-// byte budget. A value larger than the shard budget is not cached at all.
-func (c *Cache) Put(id int64, val []byte) {
-	c.PutRef(id, val, nil)
-}
-
-// PutRef is Put for pooled values: the cache takes ownership of one
-// reference on the buffer backing val and releases it when the entry is
-// evicted, replaced, or Reset — including immediately, if the value is
-// over budget and never cached at all.
+// PutRef inserts (or refreshes) id, evicting entries as needed to hold the
+// byte budget. The cache takes ownership of one reference on the buffer
+// backing val (nil for plain GC-owned bytes) and releases it when the entry
+// is evicted, replaced, or Reset — including immediately, if the value is
+// larger than the shard budget and never cached at all.
 func (c *Cache) PutRef(id int64, val []byte, ref Ref) {
 	s := c.shardFor(id)
 	s.mu.Lock()
@@ -231,9 +200,9 @@ func (c *Cache) PutRef(id int64, val []byte, ref Ref) {
 }
 
 // Flight is a claim on a cache miss. Exactly one claimant per id is the
-// leader (Leader() == true) and must complete the flight with Deliver or
+// leader (Leader() == true) and must complete the flight with DeliverRef or
 // Fail; every other concurrent claimant is a follower and receives the
-// leader's result from Wait.
+// leader's result from WaitRef.
 type Flight struct {
 	s      *shard
 	cnt    Counters
@@ -256,27 +225,17 @@ type flight struct {
 	err       error
 }
 
-// Claim looks up id. On a hit it returns (bytes, nil). On a miss it
-// returns (nil, *Flight): the caller checks Leader() to learn whether it
-// must perform the fetch (and then Deliver/Fail) or wait for someone
-// else's (Wait). This is the batch-friendly form of GetOrFetch — a loader
-// can claim a whole batch, fetch all its leader misses in one round trip,
-// deliver them, and only then wait on the followers.
-//
-// Claim drops the hit-path buffer reference ClaimRef would hand out (the
-// backing buffer stays pinned rather than recycled), so it is safe — just
-// wasteful — on ref-backed entries; pooled callers use ClaimRef.
-func (c *Cache) Claim(id int64) ([]byte, *Flight) {
-	val, _, f := c.ClaimRef(id)
-	return val, f
-}
-
-// ClaimRef is Claim with buffer-reference handoff. On a hit the caller
-// receives its own reference on the entry's backing buffer (retained
-// under the shard lock, nil for ref-free entries) and must Release it when
-// done with the bytes. On a miss the flight's result carries references
-// the same way: the leader transfers ownership with DeliverRef, and each
-// follower receives its own reference from WaitRef.
+// ClaimRef looks up id. On a hit it returns the bytes, the caller's own
+// reference on the entry's backing buffer (retained under the shard lock,
+// nil for ref-free entries) which the caller must Release when done with
+// the bytes, and a nil flight. On a miss it returns a *Flight: the caller
+// checks Leader() to learn whether it must perform the fetch (and then
+// DeliverRef/Fail) or wait for someone else's (WaitRef). This is the
+// batch-friendly form of GetOrFetch — a loader can claim a whole batch,
+// fetch all its leader misses in one round trip, deliver them, and only
+// then wait on the followers. The flight's result carries references the
+// same way a hit does: the leader transfers ownership with DeliverRef, and
+// each follower receives its own reference from WaitRef.
 func (c *Cache) ClaimRef(id int64) ([]byte, Ref, *Flight) {
 	s := c.shardFor(id)
 	s.mu.Lock()
@@ -308,15 +267,12 @@ func (c *Cache) ClaimRef(id int64) ([]byte, Ref, *Flight) {
 // Leader reports whether this claimant must perform the fetch.
 func (f *Flight) Leader() bool { return f.leader }
 
-// Deliver completes a leader's flight: the value is cached and every
-// follower waiting on the same id is woken with it.
-func (f *Flight) Deliver(val []byte) { f.DeliverRef(val, nil) }
-
-// DeliverRef completes a leader's flight with a pooled value. The cache
-// takes ownership of the caller's reference for the cached entry, and —
-// under the same shard lock that removes the flight from the coalescing
-// table — retains one additional reference per follower, so every WaitRef
-// returns bytes with an independent lifetime.
+// DeliverRef completes a leader's flight: the value is cached and every
+// follower waiting on the same id is woken with it. The cache takes
+// ownership of the caller's reference (nil for plain GC-owned bytes) for
+// the cached entry, and — under the same shard lock that removes the flight
+// from the coalescing table — retains one additional reference per
+// follower, so every WaitRef returns bytes with an independent lifetime.
 func (f *Flight) DeliverRef(val []byte, ref Ref) {
 	f.fl.val = val
 	f.s.mu.Lock()
@@ -347,19 +303,10 @@ func (f *Flight) Fail(err error) {
 	close(f.fl.done)
 }
 
-// Wait blocks until the flight's leader calls Deliver or Fail and returns
-// the result. A follower of a DeliverRef flight that uses Wait leaks its
-// reference (the buffer stays pinned, never recycled); pooled callers use
-// WaitRef.
-func (f *Flight) Wait() ([]byte, error) {
-	<-f.fl.done
-	return f.fl.val, f.fl.err
-}
-
-// WaitRef is Wait with buffer-reference handoff: each follower receives
-// one reference of its own (retained by the leader's DeliverRef) and must
-// Release it when done with the bytes. The reference is nil for ref-free
-// deliveries and on error.
+// WaitRef blocks until the flight's leader calls DeliverRef or Fail and
+// returns the result. Each follower receives one reference of its own
+// (retained by the leader's DeliverRef) and must Release it when done with
+// the bytes. The reference is nil for ref-free deliveries and on error.
 func (f *Flight) WaitRef() ([]byte, Ref, error) {
 	<-f.fl.done
 	return f.fl.val, f.fl.ref, f.fl.err
@@ -368,21 +315,24 @@ func (f *Flight) WaitRef() ([]byte, Ref, error) {
 // GetOrFetch returns the cached bytes for id, fetching (and caching) them
 // with fetch on a miss. Concurrent calls for the same id are coalesced
 // into a single fetch; a fetch error is propagated to every coalesced
-// caller and nothing is cached.
+// caller and nothing is cached. It serves plain GC-owned bytes: the cache
+// must hold no ref-backed entries, because the bytes are returned without
+// a reference on them.
 func (c *Cache) GetOrFetch(id int64, fetch func() ([]byte, error)) ([]byte, error) {
-	val, f := c.Claim(id)
+	val, _, f := c.ClaimRef(id)
 	if f == nil {
 		return val, nil
 	}
 	if !f.Leader() {
-		return f.Wait()
+		val, _, err := f.WaitRef()
+		return val, err
 	}
 	val, err := fetch()
 	if err != nil {
 		f.Fail(err)
 		return nil, err
 	}
-	f.Deliver(val)
+	f.DeliverRef(val, nil)
 	return val, nil
 }
 
@@ -421,12 +371,6 @@ func (c *Cache) Reset() {
 		s.mu.Unlock()
 	}
 }
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int { return c.Stats().Entries }
-
-// Bytes returns the total cached value bytes.
-func (c *Cache) Bytes() int64 { return c.Stats().Bytes }
 
 // shard is one independently locked slice of the cache. The linked list
 // orders entries head (newest / most recently used) to tail (eviction

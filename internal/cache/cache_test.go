@@ -8,6 +8,23 @@ import (
 	"testing"
 )
 
+// lookup probes id the way every reader does — ClaimRef — and reports
+// whether it hit, dropping the hit's buffer reference. A miss opens a leader
+// flight; the probe abandons it with Fail so the id stays claimable.
+func lookup(c *Cache, id int64) ([]byte, bool) {
+	v, ref, f := c.ClaimRef(id)
+	if f != nil {
+		if f.Leader() {
+			f.Fail(errors.New("lookup probe"))
+		}
+		return nil, false
+	}
+	if ref != nil {
+		ref.Release()
+	}
+	return v, true
+}
+
 // val returns a distinguishable payload of the given size for id.
 func val(id int64, size int) []byte {
 	b := make([]byte, size)
@@ -50,15 +67,15 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-func TestGetPutAndStats(t *testing.T) {
+func TestLookupPutAndStats(t *testing.T) {
 	c := New(Options{MaxBytes: 1 << 20, Shards: 4})
-	if _, ok := c.Get(7); ok {
+	if _, ok := lookup(c, 7); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(7, val(7, 100))
-	got, ok := c.Get(7)
+	c.PutRef(7, val(7, 100), nil)
+	got, ok := lookup(c, 7)
 	if !ok || len(got) != 100 || got[0] != val(7, 100)[0] {
-		t.Fatalf("Get(7) = %v, %v after Put", got, ok)
+		t.Fatalf("lookup(7) = %v, %v after PutRef", got, ok)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 100 {
@@ -77,8 +94,8 @@ func TestByteBudgetBound(t *testing.T) {
 			const budget = 4096
 			c := New(Options{MaxBytes: budget, Shards: 4, Policy: pol})
 			for id := int64(0); id < 500; id++ {
-				c.Put(id, val(id, 64))
-				if b := c.Bytes(); b > budget {
+				c.PutRef(id, val(id, 64), nil)
+				if b := c.Stats().Bytes; b > budget {
 					t.Fatalf("after Put(%d): %d bytes cached, budget %d", id, b, budget)
 				}
 			}
@@ -93,12 +110,12 @@ func TestByteBudgetBound(t *testing.T) {
 // not cached and does not flush existing entries.
 func TestOversizeEntrySkipped(t *testing.T) {
 	c := New(Options{MaxBytes: 1000, Shards: 1})
-	c.Put(1, val(1, 100))
-	c.Put(2, val(2, 5000)) // larger than the whole budget
-	if _, ok := c.Get(2); ok {
+	c.PutRef(1, val(1, 100), nil)
+	c.PutRef(2, val(2, 5000), nil) // larger than the whole budget
+	if _, ok := lookup(c, 2); ok {
 		t.Fatal("oversize entry was cached")
 	}
-	if _, ok := c.Get(1); !ok {
+	if _, ok := lookup(c, 1); !ok {
 		t.Fatal("oversize Put flushed an existing entry")
 	}
 	if c.Stats().Evictions != 0 {
@@ -110,8 +127,8 @@ func TestOversizeEntrySkipped(t *testing.T) {
 // coalesces concurrent fetches.
 func TestZeroBudget(t *testing.T) {
 	c := New(Options{MaxBytes: 0, Shards: 2})
-	c.Put(1, val(1, 10))
-	if _, ok := c.Get(1); ok {
+	c.PutRef(1, val(1, 10), nil)
+	if _, ok := lookup(c, 1); ok {
 		t.Fatal("zero-budget cache retained an entry")
 	}
 	var fetches atomic.Int64
@@ -144,16 +161,16 @@ func TestZeroBudget(t *testing.T) {
 // TestEvictionOrderLRU: touching an entry saves it; the coldest goes first.
 func TestEvictionOrderLRU(t *testing.T) {
 	c := New(Options{MaxBytes: 300, Shards: 1, Policy: LRU})
-	c.Put(1, val(1, 100))
-	c.Put(2, val(2, 100))
-	c.Put(3, val(3, 100))
-	c.Get(1)              // 1 is now most recent; 2 is coldest
-	c.Put(4, val(4, 100)) // evicts 2
-	if _, ok := c.Get(2); ok {
+	c.PutRef(1, val(1, 100), nil)
+	c.PutRef(2, val(2, 100), nil)
+	c.PutRef(3, val(3, 100), nil)
+	lookup(c, 1)                  // 1 is now most recent; 2 is coldest
+	c.PutRef(4, val(4, 100), nil) // evicts 2
+	if _, ok := lookup(c, 2); ok {
 		t.Fatal("LRU kept the least-recently-used entry")
 	}
 	for _, id := range []int64{1, 3, 4} {
-		if _, ok := c.Get(id); !ok {
+		if _, ok := lookup(c, id); !ok {
 			t.Fatalf("LRU evicted %d, which was more recent than 2", id)
 		}
 	}
@@ -162,16 +179,16 @@ func TestEvictionOrderLRU(t *testing.T) {
 // TestEvictionOrderFIFO: use does not save an entry; insertion order rules.
 func TestEvictionOrderFIFO(t *testing.T) {
 	c := New(Options{MaxBytes: 300, Shards: 1, Policy: FIFO})
-	c.Put(1, val(1, 100))
-	c.Put(2, val(2, 100))
-	c.Put(3, val(3, 100))
-	c.Get(1)              // does not matter under FIFO
-	c.Put(4, val(4, 100)) // evicts 1, the oldest insert
-	if _, ok := c.Get(1); ok {
+	c.PutRef(1, val(1, 100), nil)
+	c.PutRef(2, val(2, 100), nil)
+	c.PutRef(3, val(3, 100), nil)
+	lookup(c, 1)                  // does not matter under FIFO
+	c.PutRef(4, val(4, 100), nil) // evicts 1, the oldest insert
+	if _, ok := lookup(c, 1); ok {
 		t.Fatal("FIFO kept the oldest insert despite a Get")
 	}
 	for _, id := range []int64{2, 3, 4} {
-		if _, ok := c.Get(id); !ok {
+		if _, ok := lookup(c, id); !ok {
 			t.Fatalf("FIFO evicted %d out of order", id)
 		}
 	}
@@ -181,15 +198,15 @@ func TestEvictionOrderFIFO(t *testing.T) {
 // unreferenced one is evicted.
 func TestEvictionOrderClock(t *testing.T) {
 	c := New(Options{MaxBytes: 300, Shards: 1, Policy: Clock})
-	c.Put(1, val(1, 100))
-	c.Put(2, val(2, 100))
-	c.Put(3, val(3, 100))
-	c.Get(1)              // sets 1's reference bit
-	c.Put(4, val(4, 100)) // clock hand passes 1 (referenced), evicts 2
-	if _, ok := c.Get(1); !ok {
+	c.PutRef(1, val(1, 100), nil)
+	c.PutRef(2, val(2, 100), nil)
+	c.PutRef(3, val(3, 100), nil)
+	lookup(c, 1)                  // sets 1's reference bit
+	c.PutRef(4, val(4, 100), nil) // clock hand passes 1 (referenced), evicts 2
+	if _, ok := lookup(c, 1); !ok {
 		t.Fatal("clock evicted a referenced entry without a second chance")
 	}
-	if _, ok := c.Get(2); ok {
+	if _, ok := lookup(c, 2); ok {
 		t.Fatal("clock kept the unreferenced eviction candidate")
 	}
 }
@@ -233,7 +250,7 @@ func TestCoalescing(t *testing.T) {
 	if st.Misses != 1 || st.Coalesced != workers-1 {
 		t.Fatalf("stats = %+v; want 1 miss, %d coalesced", st, workers-1)
 	}
-	if _, ok := c.Get(99); !ok {
+	if _, ok := lookup(c, 99); !ok {
 		t.Fatal("delivered value was not cached")
 	}
 }
@@ -272,7 +289,7 @@ func TestFlightFailure(t *testing.T) {
 			t.Fatalf("waiter got %v, want boom", err)
 		}
 	}
-	if _, ok := c.Get(5); ok {
+	if _, ok := lookup(c, 5); ok {
 		t.Fatal("failed fetch left a cached value")
 	}
 	// A later claim leads a fresh flight and can succeed.
@@ -288,13 +305,13 @@ func TestFlightFailure(t *testing.T) {
 // one batch must yield one leader and one follower — never a self-deadlock.
 func TestClaimBatchStyle(t *testing.T) {
 	c := New(Options{MaxBytes: 1 << 20, Shards: 4})
-	c.Put(1, val(1, 10))
+	c.PutRef(1, val(1, 10), nil)
 	ids := []int64{1, 2, 2, 3} // 1 is a hit; the duplicate 2 coalesces
 	out := make([][]byte, len(ids))
 	leaders := map[int]*Flight{}
 	followers := map[int]*Flight{}
 	for i, id := range ids {
-		v, f := c.Claim(id)
+		v, _, f := c.ClaimRef(id)
 		switch {
 		case f == nil:
 			out[i] = v
@@ -309,10 +326,10 @@ func TestClaimBatchStyle(t *testing.T) {
 	}
 	for i, f := range leaders {
 		out[i] = val(ids[i], 20)
-		f.Deliver(out[i])
+		f.DeliverRef(out[i], nil)
 	}
 	for i, f := range followers {
-		v, err := f.Wait()
+		v, _, err := f.WaitRef()
 		if err != nil {
 			t.Fatalf("follower %d: %v", i, err)
 		}
@@ -353,7 +370,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if b := c.Bytes(); b > 1<<14 {
+	if b := c.Stats().Bytes; b > 1<<14 {
 		t.Fatalf("budget exceeded: %d", b)
 	}
 }
@@ -376,10 +393,10 @@ func (r *recordingCounters) Inc(name string, delta int64) {
 func TestCountersSink(t *testing.T) {
 	rc := &recordingCounters{}
 	c := New(Options{MaxBytes: 150, Shards: 1, Counters: rc})
-	c.Put(1, val(1, 100))
-	c.Get(1)              // hit
-	c.Get(2)              // miss
-	c.Put(2, val(2, 100)) // evicts 1
+	c.PutRef(1, val(1, 100), nil)
+	lookup(c, 1)                  // hit
+	lookup(c, 2)                  // miss
+	c.PutRef(2, val(2, 100), nil) // evicts 1
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.m[CounterHits] != 1 || rc.m[CounterMisses] != 1 || rc.m[CounterEvictions] != 1 {

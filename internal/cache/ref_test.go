@@ -97,7 +97,7 @@ func TestCacheNeverReadsAfterRelease(t *testing.T) {
 		buf.Bytes()[i] = 0xAA
 	}
 	c.PutRef(1, buf.Bytes(), buf)
-	got, ok := c.Get(1)
+	got, ok := lookup(c, 1)
 	if !ok || got[0] != 0xAA {
 		t.Fatal("entry not served before eviction")
 	}
@@ -105,7 +105,7 @@ func TestCacheNeverReadsAfterRelease(t *testing.T) {
 	// poisoned at this instant. A cache that kept serving the old slice
 	// would now hand out poison — assert it does not serve it at all.
 	c.PutRef(2, val(2, 200), nil)
-	if _, ok := c.Get(1); ok {
+	if _, ok := lookup(c, 1); ok {
 		t.Fatal("cache served an entry after releasing its buffer")
 	}
 	for i, b := range buf.Bytes() {

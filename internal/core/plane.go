@@ -8,6 +8,7 @@ import (
 	"ddstore/internal/comm"
 	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 )
 
 // storePlane adapts the Store to the shared fetch engine: owner arithmetic
@@ -49,7 +50,10 @@ func (p storePlane) EndEpoch(owner int) error {
 	return s.unlockSharedRef(owner)
 }
 
-func (p storePlane) FetchOwner(owner int, ids []int64, deliver fetch.Deliver) error {
+// FetchOwner has no wire to carry a trace context over — an RMA Get
+// involves no server-side CPU — so tc is ignored; the engine's own
+// per-owner span is the whole trace of an RMA transfer.
+func (p storePlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver fetch.Deliver) error {
 	s := p.s
 	if owner == s.group.Rank() {
 		return s.fetchLocal(ids, deliver)

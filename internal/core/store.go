@@ -31,6 +31,7 @@ import (
 	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/shardmap"
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
@@ -467,7 +468,7 @@ func (s *Store) ShardMap() *shardmap.Store { return s.maps }
 // whole pipeline — dedup, cache claims, per-owner fan-out, coalesced-fetch
 // waits — runs in the shared engine (internal/fetch).
 func (s *Store) Load(ids []int64) ([]*graph.Graph, error) {
-	out, _, err := s.load(ids, false)
+	out, _, err := s.LoadTimed(ids)
 	return out, err
 }
 
@@ -475,39 +476,38 @@ func (s *Store) Load(ids []int64) ([]*graph.Graph, error) {
 // CDF experiments. The owner-lock cost lands on the first sample fetched
 // from that owner, mirroring how a real per-batch lock amortizes.
 func (s *Store) LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	return s.load(ids, true)
-}
-
-func (s *Store) load(ids []int64, timed bool) ([]*graph.Graph, []time.Duration, error) {
 	start := clockNow(s.world)
 	out, lat, err := s.engine.Load(ids)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s.prof != nil && s.opts.Framework == FrameworkRMA {
-		s.prof.Add(trace.RegionRMA, clockNow(s.world)-start)
-	}
-	if !timed {
-		lat = nil
-	}
+	s.chargeRMA(start)
 	return out, lat, nil
 }
 
-// LoadLazy is LoadTimed without tensor materialization: each sample comes
-// back as a header-validated graph.Lazy view over its wire buffer, and the
-// float/int tensors are built only if the caller asks for the Graph. A
-// consumer that just re-encodes (a prefetch stash, a proxy) never pays the
-// decode. The caller owns the returned views and must either materialize
-// (Graph releases the buffer reference) or Release each one.
-func (s *Store) LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
-	start := clockNow(s.world)
-	out, lat, err := s.engine.LoadLazy(ids)
-	if err != nil {
-		return nil, nil, err
-	}
+// chargeRMA books a load that began at start to the profiler's RMA region.
+func (s *Store) chargeRMA(start time.Duration) {
 	if s.prof != nil && s.opts.Framework == FrameworkRMA {
 		s.prof.Add(trace.RegionRMA, clockNow(s.world)-start)
 	}
+}
+
+// LoadLazyTraced is LoadTimed without tensor materialization: each sample
+// comes back as a header-validated graph.Lazy view over its wire buffer,
+// and the float/int tensors are built only if the caller asks for the
+// Graph. A consumer that just re-encodes (a prefetch stash, a proxy) never
+// pays the decode. The caller owns the returned views and must either
+// materialize (Graph releases the buffer reference) or Release each one.
+// tc is the caller's span in a distributed trace — the engine's per-owner
+// spans hang off it — and the zero Context means untraced; the same
+// contract holds on the TCP plane (transport.Group.LoadLazyTraced).
+func (s *Store) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
+	start := clockNow(s.world)
+	out, lat, err := s.engine.LoadLazy(ids, tc)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.chargeRMA(start)
 	return out, lat, nil
 }
 

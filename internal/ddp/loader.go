@@ -22,22 +22,16 @@ type Loader interface {
 // DataPlane is the batch-loading surface both DDStore planes expose: the
 // in-process RMA store (core.Store) and the TCP client group
 // (transport.Group) satisfy it identically, because both route Load
-// through the shared fetch engine (internal/fetch). LoadLazy is the
+// through the shared fetch engine (internal/fetch). LoadLazyTraced is the
 // zero-copy variant: header-validated views over the pooled wire buffers,
-// with tensor decode deferred to first touch.
+// with tensor decode deferred to first touch, under the caller's trace
+// context — the zero Context when the load is untraced.
 type DataPlane interface {
 	Len() int
 	LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error)
-	LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error)
+	LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error)
 	CacheStats() cache.Stats
 	LatencyStats() fetch.LatencySummary
-}
-
-// TracedDataPlane is a DataPlane whose lazy loads can carry a distributed
-// trace context down the fan-out (transport.Group implements it).
-type TracedDataPlane interface {
-	DataPlane
-	LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error)
 }
 
 // PlaneLoader serves batches from either DDStore data plane. It replaces
@@ -45,10 +39,10 @@ type TracedDataPlane interface {
 // planes.
 type PlaneLoader struct {
 	Plane DataPlane
-	// Trace opens a sampled root trace per lazy batch when the plane
-	// supports traced loads: every per-owner wire request propagates a
-	// child context to the servers, whose timing trailers come back as
-	// nested "server" spans.
+	// Trace opens a sampled root trace per lazy batch: the engine's
+	// per-owner spans hang off it, and on the TCP plane every per-owner
+	// wire request propagates a child context to the servers, whose timing
+	// trailers come back as nested "server" spans.
 	Trace bool
 	// Spans, when non-nil with Trace set, receives one client-side root
 	// span per traced batch ("load-batch", category "train"), the parent of
@@ -70,14 +64,13 @@ func (l *PlaneLoader) LoadBatch(ids []int64) ([]*graph.Graph, []time.Duration, e
 // once: Graph() to materialize (which releases the underlying buffer
 // reference) or Release() to drop it.
 func (l *PlaneLoader) LoadBatchLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
-	tp, ok := l.Plane.(TracedDataPlane)
-	if !l.Trace || !ok {
-		return l.Plane.LoadLazy(ids)
+	var tc tracectx.Context
+	if l.Trace {
+		tc = tracectx.New(true)
 	}
-	tc := tracectx.New(true)
 	start := obs.EpochNow()
-	out, lat, err := tp.LoadLazyTraced(ids, tc)
-	if l.Spans != nil {
+	out, lat, err := l.Plane.LoadLazyTraced(ids, tc)
+	if l.Trace && l.Spans != nil {
 		l.Spans.Record(obs.Span{
 			Name: "load-batch", Cat: "train", Owner: -1, Samples: len(ids),
 			Start: start, Dur: obs.EpochNow() - start,

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 )
 
 // genPlane serves ids [0, n) striped over members (member = id % members),
@@ -67,7 +68,7 @@ func (p *genPlane) takeGate() chan error {
 	return g
 }
 
-func (p *genPlane) FetchOwner(owner int, ids []int64, deliver Deliver) error {
+func (p *genPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
 	if p.entered != nil {
 		select {
 		case p.entered <- struct{}{}:

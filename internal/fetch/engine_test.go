@@ -12,6 +12,7 @@ import (
 	"ddstore/internal/cache"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
+	"ddstore/internal/obs/tracectx"
 )
 
 // testGraph builds a tiny valid graph for sample id.
@@ -71,7 +72,7 @@ func (p *mockPlane) OwnerOf(id int64) (int, error) {
 
 func (p *mockPlane) Local(owner int) bool { return owner == p.local }
 
-func (p *mockPlane) FetchOwner(owner int, ids []int64, deliver Deliver) error {
+func (p *mockPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
 	fly := atomic.AddInt32(&p.inFlight, 1)
 	for {
 		max := atomic.LoadInt32(&p.maxFly)
@@ -198,7 +199,7 @@ func TestOutOfRangeIDFailsBeforeAnyClaim(t *testing.T) {
 		t.Error("fetch ran despite validation failure")
 	}
 	// No flight may be stranded: a fresh claim on id 1 must lead.
-	_, f := c.Claim(1)
+	_, _, f := c.ClaimRef(1)
 	if f == nil || !f.Leader() {
 		t.Fatal("claim after failed validation did not lead — a flight leaked")
 	}
@@ -383,7 +384,7 @@ func TestPartialDeliveryFailsFlights(t *testing.T) {
 	// Both ids must be claimable again as leaders (delivered id 2's flight
 	// completed; failed id 3's flight was failed, not leaked).
 	for _, id := range []int64{2, 3} {
-		val, f := c.Claim(id)
+		val, _, f := c.ClaimRef(id)
 		if f == nil {
 			if id != 2 {
 				t.Fatalf("sample %d resolved from cache after a failed load", id)
@@ -413,7 +414,7 @@ func TestUndeliveredSampleIsAnError(t *testing.T) {
 // silentPlane claims success without delivering anything.
 type silentPlane struct{ *mockPlane }
 
-func (p silentPlane) FetchOwner(int, []int64, Deliver) error { return nil }
+func (p silentPlane) FetchOwner(int, []int64, tracectx.Context, Deliver) error { return nil }
 
 func TestEpochBracketing(t *testing.T) {
 	base := newMockPlane(12, 3)
@@ -519,26 +520,30 @@ func TestLowestOwnerErrorWins(t *testing.T) {
 }
 
 func TestLatencyWindowAndPercentiles(t *testing.T) {
-	p := newMockPlane(100, 1)
+	p := newMockPlane(2*latencyWindow, 1)
 	var now atomic.Int64
 	e := New(Config{
-		Plane:      p,
-		WindowSize: 8,
-		Now:        func() time.Duration { return time.Duration(now.Load()) },
+		Plane: p,
+		Now:   func() time.Duration { return time.Duration(now.Load()) },
 	})
-	// 16 unique samples: the window keeps the last 8 (ids 8..15, whose mock
-	// latencies are 8..15µs).
-	for id := int64(0); id < 16; id++ {
-		if _, _, err := e.Load([]int64{id}); err != nil {
+	// Two windows' worth of unique samples, the slow half first (the mock's
+	// latency is id µs): the window keeps only the fast second half, ids
+	// [0, latencyWindow).
+	for _, lo := range []int64{latencyWindow, 0} {
+		ids := make([]int64, latencyWindow)
+		for i := range ids {
+			ids[i] = lo + int64(i)
+		}
+		if _, _, err := e.Load(ids); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := e.LatencyStats()
-	if s.Count != 16 {
-		t.Errorf("Count = %d, want 16", s.Count)
+	if s.Count != 2*latencyWindow {
+		t.Errorf("Count = %d, want %d", s.Count, 2*latencyWindow)
 	}
-	if s.P50 < 8*time.Microsecond || s.P50 > 15*time.Microsecond {
-		t.Errorf("P50 = %v, outside the retained window [8µs,15µs]", s.P50)
+	if s.P99 >= latencyWindow*time.Microsecond {
+		t.Errorf("P99 = %v, outside the retained window [0µs,%dµs)", s.P99, latencyWindow)
 	}
 	if s.P99 < s.P50 || s.P95 < s.P50 || s.P99 < s.P95 {
 		t.Errorf("percentiles not monotone: p50=%v p95=%v p99=%v", s.P50, s.P95, s.P99)
@@ -710,5 +715,68 @@ func TestEngineMetricsAndSpans(t *testing.T) {
 	}
 	if hitSpans != 1 {
 		t.Fatalf("cache-hits spans = %d, want 1", hitSpans)
+	}
+}
+
+// ctxPlane records the trace context each FetchOwner call was handed.
+type ctxPlane struct {
+	*mockPlane
+	mu  sync.Mutex
+	tcs []tracectx.Context
+}
+
+func (p *ctxPlane) FetchOwner(owner int, ids []int64, tc tracectx.Context, deliver Deliver) error {
+	p.mu.Lock()
+	p.tcs = append(p.tcs, tc)
+	p.mu.Unlock()
+	return p.mockPlane.FetchOwner(owner, ids, tc, deliver)
+}
+
+// TestTraceContextReachesEveryOwner pins the one-path contract: a traced
+// load hands every owner fan-out its own child of the caller's context
+// (same trace, distinct span ids, matching the engine's fetch-owner
+// spans), and an untraced load — the zero context — hands every owner the
+// zero context through the very same call.
+func TestTraceContextReachesEveryOwner(t *testing.T) {
+	p := &ctxPlane{mockPlane: newMockPlane(12, 3)}
+	ring := obs.NewSpanRing(64, 5)
+	e := New(Config{Plane: p, Spans: ring})
+	root := tracectx.New(true)
+	lzs, _, err := e.LoadLazy([]int64{0, 1, 2, 3}, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lz := range lzs {
+		lz.Release()
+	}
+	if len(p.tcs) != 3 {
+		t.Fatalf("FetchOwner calls = %d, want 3", len(p.tcs))
+	}
+	spanIDs := map[uint64]bool{}
+	for _, s := range ring.Spans() {
+		if s.Name == "fetch-owner" {
+			if s.TraceID != root.TraceID || s.ParentID != root.SpanID {
+				t.Errorf("fetch-owner span %+v not parented on the root context", s)
+			}
+			spanIDs[s.SpanID] = true
+		}
+	}
+	for _, tc := range p.tcs {
+		if tc.TraceID != root.TraceID || !tc.Sampled || tc.SpanID == root.SpanID || !spanIDs[tc.SpanID] {
+			t.Errorf("owner context %+v is not a recorded child of %+v", tc, root)
+		}
+	}
+	if len(spanIDs) != 3 {
+		t.Errorf("distinct child span ids = %d, want 3", len(spanIDs))
+	}
+
+	p.tcs = nil
+	if _, _, err := e.Load([]int64{4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range p.tcs {
+		if tc != (tracectx.Context{}) {
+			t.Errorf("untraced load handed an owner the context %+v", tc)
+		}
 	}
 }

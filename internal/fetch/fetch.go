@@ -63,8 +63,12 @@ type Plane interface {
 	// memory. Local ids bypass the cache — they are already memory reads.
 	Local(owner int) bool
 	// FetchOwner transfers the given ids from one owner, calling deliver
-	// once per id with header-validated bytes.
-	FetchOwner(owner int, ids []int64, deliver Deliver) error
+	// once per id with header-validated bytes. tc is the child trace context
+	// the engine minted for this owner's sub-request — the zero Context when
+	// the load is untraced. A plane with a wire propagates it and merges the
+	// server's timing feedback into the span tree; a plane without one
+	// ignores it.
+	FetchOwner(owner int, ids []int64, tc tracectx.Context, deliver Deliver) error
 }
 
 // EpochPlane is the optional lock hook: when a plane implements it, the
@@ -79,19 +83,6 @@ type EpochPlane interface {
 	BeginEpoch(owner int) (time.Duration, error)
 	// EndEpoch closes the epoch opened by BeginEpoch.
 	EndEpoch(owner int) error
-}
-
-// TracedPlane is the optional distributed-tracing hook: when a plane
-// implements it and a load carries a valid trace context, the engine mints
-// a child context per owner fan-out and hands it to FetchOwnerTraced, so
-// the plane can propagate it over the wire and merge the server's timing
-// feedback into the span tree. Planes without the hook (or loads without a
-// context) use plain FetchOwner and tracing stays off.
-type TracedPlane interface {
-	Plane
-	// FetchOwnerTraced is FetchOwner carrying the child trace context the
-	// engine minted for this owner's sub-request.
-	FetchOwnerTraced(owner int, ids []int64, tc tracectx.Context, deliver Deliver) error
 }
 
 // Config assembles an Engine.
@@ -119,9 +110,6 @@ type Config struct {
 	// ErrPrefix tags engine-originated errors with the owning plane's
 	// package name ("core", "transport").
 	ErrPrefix string
-	// WindowSize bounds the per-sample latency window LatencyStats
-	// summarizes (default 4096).
-	WindowSize int
 	// Metrics, when non-nil, receives every per-sample latency into the
 	// canonical ddstore_fetch_latency_seconds histogram.
 	Metrics *obs.Registry
@@ -130,9 +118,13 @@ type Config struct {
 	Spans *obs.SpanRing
 }
 
+// latencyWindow is how many recent per-sample latencies LatencyStats
+// summarizes.
+const latencyWindow = 4096
+
 // LatencySummary is a percentile digest of recent per-sample load
 // latencies. Count is the total number of samples ever recorded; the
-// percentiles cover the most recent WindowSize of them.
+// percentiles cover the most recent latencyWindow of them.
 type LatencySummary struct {
 	Count         int64
 	P50, P95, P99 time.Duration
@@ -142,8 +134,7 @@ type LatencySummary struct {
 // concurrent Loads.
 type Engine struct {
 	plane   Plane
-	epochs  EpochPlane  // nil when the plane has no lock hooks
-	traced  TracedPlane // nil when the plane has no tracing hook
+	epochs  EpochPlane // nil when the plane has no lock hooks
 	cache   *cache.Cache
 	par     int
 	serial  bool
@@ -183,9 +174,6 @@ func New(cfg Config) *Engine {
 	if ep, ok := cfg.Plane.(EpochPlane); ok {
 		e.epochs = ep
 	}
-	if tp, ok := cfg.Plane.(TracedPlane); ok {
-		e.traced = tp
-	}
 	if e.now == nil {
 		// Real-time engines record on the shared wall-clock epoch, so span
 		// rings from different processes merge into one aligned Chrome
@@ -195,11 +183,7 @@ func New(cfg Config) *Engine {
 	if e.prefix == "" {
 		e.prefix = "fetch"
 	}
-	n := cfg.WindowSize
-	if n <= 0 {
-		n = 4096
-	}
-	e.window = make([]time.Duration, n)
+	e.window = make([]time.Duration, latencyWindow)
 	return e
 }
 
@@ -271,7 +255,7 @@ func (r *results) releaseAll() {
 // per-position latencies, both in request order. Duplicate ids share one
 // fetch (and one graph pointer).
 func (e *Engine) Load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	lzs, lats, err := e.LoadLazy(ids)
+	lzs, lats, err := e.LoadLazy(ids, tracectx.Context{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -305,20 +289,11 @@ func (e *Engine) Load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
 // Release instead. Duplicate ids share one fetch, but every position gets
 // its own independent view (each holding its own buffer reference), so
 // callers consume strictly by position.
-func (e *Engine) LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
-	return e.loadLazy(ids, tracectx.Context{})
-}
-
-// LoadLazyTraced is LoadLazy under a distributed trace: tc is the caller's
-// span (the batch's root, or an intermediate), and when the plane
-// implements TracedPlane every per-owner fan-out propagates a child
-// context minted from it. With an invalid context this is exactly
-// LoadLazy.
-func (e *Engine) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
-	return e.loadLazy(ids, tc)
-}
-
-func (e *Engine) loadLazy(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
+//
+// tc is the caller's span in a distributed trace (the batch's root, or an
+// intermediate): every per-owner fan-out hands the plane a child context
+// minted from it. The zero Context means the load is untraced.
+func (e *Engine) LoadLazy(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
 	out := make([]*graph.Lazy, len(ids))
 	lats := make([]time.Duration, len(ids))
 	if len(ids) == 0 {
@@ -502,12 +477,10 @@ func (e *Engine) loadLazy(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []ti
 // span tracing on, the whole owner transfer becomes one "fetch-owner" span
 // carrying the owner token, sample count, and delivered byte volume. Under
 // a distributed trace, each owner's sub-request gets its own child context
-// — the span id the server's segments hang off in the merged trace.
+// — the span id the server's segments hang off in the merged trace (the
+// child of an untraced load's zero context is the zero context).
 func (e *Engine) fetchOwner(owner int, ids []int64, res *results, tc tracectx.Context) error {
-	child := tracectx.Context{}
-	if tc.Valid() && e.traced != nil {
-		child = tc.Child()
-	}
+	child := tc.Child()
 	var start time.Duration
 	var fetchedBytes int64 // written only by this owner's deliver chain
 	if e.spans != nil {
@@ -530,12 +503,7 @@ func (e *Engine) fetchOwner(owner int, ids []int64, res *results, tc tracectx.Co
 		fetchedBytes += int64(len(raw))
 		res.deliver(id, raw, lz, lat)
 	}
-	var err error
-	if child.Valid() {
-		err = e.traced.FetchOwnerTraced(owner, ids, child, deliver)
-	} else {
-		err = e.plane.FetchOwner(owner, ids, deliver)
-	}
+	err := e.plane.FetchOwner(owner, ids, child, deliver)
 	if e.epochs != nil {
 		if uerr := e.epochs.EndEpoch(owner); uerr != nil && err == nil {
 			err = uerr

@@ -519,12 +519,7 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 						ids[i] = t.lo + rng.Int63n(span)
 					}
 					var lzs []*graph.Lazy
-					if traced {
-						lzs, _, err = group.LoadLazyTraced(ids, tc)
-					} else {
-						lzs, _, err = group.LoadLazy(ids)
-					}
-					if err == nil {
+					if lzs, _, err = group.LoadLazyTraced(ids, tc); err == nil {
 						for _, lz := range lzs {
 							nbytes += int64(lz.EncodedSize())
 							lz.Release()
@@ -546,34 +541,18 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 						for i := range ids {
 							ids[i] = t.lo + rng.Int63n(span)
 						}
-						if traced {
-							var buf *bufarena.Buf
-							var parts [][]byte
-							if buf, parts, timing, err = cl.GetBatchBufsTraced(ids, tc); err == nil {
-								for _, p := range parts {
-									nbytes += int64(len(p))
-								}
-								nsamples = int64(len(parts))
-								buf.Release()
+						var buf *bufarena.Buf
+						var parts [][]byte
+						if buf, parts, timing, err = cl.GetBatchBufsTraced(ids, tc); err == nil {
+							for _, p := range parts {
+								nbytes += int64(len(p))
 							}
-						} else {
-							var parts [][]byte
-							if parts, err = cl.GetBatchRaw(ids); err == nil {
-								for _, p := range parts {
-									nbytes += int64(len(p))
-								}
-								nsamples = int64(len(parts))
-							}
+							nsamples = int64(len(parts))
+							buf.Release()
 						}
 					} else {
-						id := t.lo + rng.Int63n(span)
 						var raw []byte
-						if traced {
-							raw, timing, err = cl.GetRawTraced(id, tc)
-						} else {
-							raw, err = cl.GetRaw(id)
-						}
-						if err == nil {
+						if raw, timing, err = cl.GetRawTraced(t.lo+rng.Int63n(span), tc); err == nil {
 							nbytes = int64(len(raw))
 							nsamples = 1
 						}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ddstore/internal/bufarena"
 	"ddstore/internal/datasets"
 	"ddstore/internal/obs"
 	"ddstore/internal/serveboot"
@@ -293,12 +294,58 @@ func TestPoolReuseAcrossRuns(t *testing.T) {
 	if c1 != c2 {
 		t.Error("pool dialed a fresh client with one idle")
 	}
-	if _, err := c2.Get(3); err != nil {
+	if _, err := c2.GetRaw(3); err != nil {
 		t.Fatalf("pooled client get: %v", err)
 	}
 	pool.Put(c2)
 	if st := pool.Stats(); st.Dials != 1 || st.Reuses != 1 {
 		t.Errorf("pool stats %+v, want 1 dial / 1 reuse", st)
+	}
+}
+
+// TestUntracedBatchPhaseRecyclesBuffers pins the memory behaviour of the
+// untraced batch path: it rides the same pooled call as the traced one and
+// releases every response buffer, so over a warm phase the arena keeps
+// handing buffers out (gets rise) without allocating new ones (news stop
+// growing) — what the trace-smoke overhead gate needs to compare like with
+// like. Before the paths were unified the untraced path never released, so
+// every get was a new.
+func TestUntracedBatchPhaseRecyclesBuffers(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 100})
+	inst, err := serveboot.Boot(serveboot.Config{Source: ds, Lo: 0, Hi: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+
+	const measured = 400
+	var gets0, news0 int64
+	batches := func(name string, n int64) Phase {
+		return Phase{Name: name, Mode: Closed, Workers: 1, MaxRequests: n, Mix: 1, BatchSize: 8}
+	}
+	warm := batches("measured", measured)
+	warm.Before = func() { gets0, news0, _ = bufarena.Stats() }
+	res, err := Run(context.Background(), Config{
+		Addrs:  []string{inst.Addr()},
+		Seed:   7,
+		Phases: []Phase{batches("warm-up", 100), warm},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets1, news1, _ := bufarena.Stats()
+	if ph := res.Phases[1]; ph.Errors != 0 || ph.Requests != measured {
+		t.Fatalf("measured phase: %d requests, %d errors", ph.Requests, ph.Errors)
+	}
+	gets, news := gets1-gets0, news1-news0
+	if gets < measured {
+		t.Fatalf("arena gets rose by %d over %d batch requests", gets, measured)
+	}
+	// A GC cycle may empty the pool mid-phase, and under the race detector
+	// sync.Pool drops a quarter of what it is given, so some news are
+	// tolerated; an unreleased path shows one per get.
+	if news*2 > gets {
+		t.Errorf("arena news rose by %d over %d gets: the untraced batch path is not recycling its buffers", news, gets)
 	}
 }
 

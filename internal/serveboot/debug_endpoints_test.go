@@ -59,10 +59,13 @@ func TestDebugEndpointsLivenessReadinessAndBuildInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Get(99); err == nil {
+	if _, err := cl.GetRaw(99); err == nil {
 		t.Fatal("out-of-range get succeeded")
 	}
 	cl.Close()
+	// The server records a request after writing its response, so the
+	// client can be back here before the record lands.
+	waitFor(t, "the flight record", func() bool { return len(inst.FlightRecorder().Records()) > 0 })
 	_, frBody := httpGet(t, base+"/debug/flightrecorder")
 	var doc struct {
 		Records []struct {
@@ -115,12 +118,13 @@ func TestBootFlightRecDirSnapshotsOnSpike(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Get(3); err != nil {
+	if _, err := cl.GetRaw(3); err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.FlightRecorder().Len(); got == 0 {
-		t.Fatal("no flight records after a slow-thresholded request")
-	}
+	// The record lands after the response is written, so wait for it.
+	waitFor(t, "a flight record after a slow-thresholded request", func() bool {
+		return inst.FlightRecorder().Len() > 0
+	})
 
 	// The watcher snapshots on shed/stale spikes, not slow ones; verify the
 	// watcher plumbing by snapshotting directly into the configured dir.

@@ -13,6 +13,15 @@ import (
 	"ddstore/internal/transport"
 )
 
+// getGraph fetches one sample over the raw request path and decodes it.
+func getGraph(cl *transport.Client, id int64) (*graph.Graph, error) {
+	raw, err := cl.GetRaw(id)
+	if err != nil {
+		return nil, err
+	}
+	return graph.Decode(raw)
+}
+
 // TestLazyChunkServes drives the CacheBytes serving mode end to end: a
 // lazyChunk behind a real TCP server answers repeated Gets correctly, the
 // second pass over the ids is all cache hits, and ids outside the served
@@ -36,7 +45,7 @@ func TestLazyChunkServes(t *testing.T) {
 
 	for pass := 0; pass < 2; pass++ {
 		for id := int64(10); id < 40; id++ {
-			g, err := cl.Get(id)
+			g, err := getGraph(cl, id)
 			if err != nil {
 				t.Fatalf("pass %d get %d: %v", pass, id, err)
 			}
@@ -57,7 +66,7 @@ func TestLazyChunkServes(t *testing.T) {
 	}
 
 	for _, id := range []int64{9, 40} {
-		if _, err := cl.Get(id); err == nil {
+		if _, err := cl.GetRaw(id); err == nil {
 			t.Fatalf("get %d outside the served range succeeded", id)
 		}
 	}
@@ -69,7 +78,7 @@ func TestLazyChunkServes(t *testing.T) {
 	// again on the next pass — the warm/cold phase seam the load
 	// generator relies on.
 	inst.ResetCache()
-	if _, err := cl.Get(15); err != nil {
+	if _, err := cl.GetRaw(15); err != nil {
 		t.Fatalf("get after reset: %v", err)
 	}
 	if after, _ := inst.CacheStats(); after.Misses != st.Misses+1 {
@@ -101,7 +110,7 @@ func TestDebugMetricsExposition(t *testing.T) {
 	defer cl.Close()
 	for pass := 0; pass < 2; pass++ {
 		for id := int64(0); id < 5; id++ {
-			if _, err := cl.Get(id); err != nil {
+			if _, err := cl.GetRaw(id); err != nil {
 				t.Fatalf("get %d: %v", id, err)
 			}
 		}
@@ -202,7 +211,7 @@ func TestBootPreloadMode(t *testing.T) {
 	if err != nil || lo != 0 || hi != 20 {
 		t.Fatalf("Meta() = %d,%d,%v", lo, hi, err)
 	}
-	if g, err := cl.Get(7); err != nil || g.ID != 7 {
+	if g, err := getGraph(cl, 7); err != nil || g.ID != 7 {
 		t.Fatalf("Get(7) = %v, %v", g, err)
 	}
 }
@@ -270,7 +279,7 @@ func TestCloseDrainsGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Get(3); err != nil {
+	if _, err := cl.GetRaw(3); err != nil {
 		t.Fatalf("warmup get: %v", err)
 	}
 
@@ -280,7 +289,7 @@ func TestCloseDrainsGracefully(t *testing.T) {
 	}
 	inflight := make(chan getResult, 1)
 	go func() {
-		g, err := cl.Get(7) // blocks in ReadSample until release closes
+		g, err := getGraph(cl, 7) // blocks in ReadSample until release closes
 		inflight <- getResult{g, err}
 	}()
 	waitFor(t, "request in flight", func() bool {
@@ -313,7 +322,7 @@ func TestCloseDrainsGracefully(t *testing.T) {
 		t.Fatalf("dial during drain: %v", err)
 	}
 	defer cl2.Close()
-	if _, err := cl2.Get(3); !errors.Is(err, transport.ErrOverloaded) {
+	if _, err := cl2.GetRaw(3); !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("get during drain: %v, want ErrOverloaded", err)
 	}
 
@@ -357,10 +366,10 @@ func TestFrontendShedsOverRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Get(3); err != nil {
+	if _, err := cl.GetRaw(3); err != nil {
 		t.Fatalf("budgeted get: %v", err)
 	}
-	if _, err := cl.Get(4); !errors.Is(err, transport.ErrOverloaded) {
+	if _, err := cl.GetRaw(4); !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("over-budget get: %v, want ErrOverloaded", err)
 	}
 	st, ok := inst.FrontendStats()
@@ -372,5 +381,27 @@ func TestFrontendShedsOverRate(t *testing.T) {
 	}
 	if st.AdmittedByClass[transport.ClassLookup] != 1 { // hello is not a data op
 		t.Fatalf("admitted = %+v, want exactly one lookup", st.AdmittedByClass)
+	}
+}
+
+// TestCloseAfterDrainReportsNoError pins a clean front-end shutdown: Close
+// drains first, and the drain already closed the listener, so the server's
+// own Close finding it closed is success, not an error to report.
+func TestCloseAfterDrainReportsNoError(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 10})
+	inst, err := Boot(Config{Source: ds, Hi: -1, Tenants: "alpha"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := transport.DialOptions(inst.Addr(), transport.ClientOptions{Tenant: "alpha"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err := getGraph(cl, 3); err != nil || g.ID != 3 {
+		t.Fatalf("get = %v, %v; want sample 3", g, err)
+	}
+	cl.Close()
+	if err := inst.Close(); err != nil {
+		t.Fatalf("Close after a clean drain = %v, want nil", err)
 	}
 }

@@ -3,8 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-
-	"ddstore/internal/wire"
 )
 
 // Multi-get framing. A batch request is the fixed 17-byte header
@@ -19,11 +17,6 @@ import (
 // (4096 ids = a 32 KiB request body).
 const maxBatchIDs = 4096
 
-// encodeBatchIDs packs ids into the batch request body.
-func encodeBatchIDs(ids []int64) []byte {
-	return wire.AppendIDs(make([]byte, 0, wire.IDsSize(len(ids))), ids)
-}
-
 // decodeBatchIDs unpacks a batch request body. The body length has
 // already been fixed by the validated count, so this cannot fail.
 func decodeBatchIDs(body []byte, count int) []int64 {
@@ -32,22 +25,6 @@ func decodeBatchIDs(body []byte, count int) []int64 {
 		ids[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 	}
 	return ids
-}
-
-// encodeBatchPayload frames each part as u32 length + bytes.
-func encodeBatchPayload(parts [][]byte) []byte {
-	total := 0
-	for _, p := range parts {
-		total += 4 + len(p)
-	}
-	payload := make([]byte, 0, total)
-	var lenBuf [4]byte
-	for _, p := range parts {
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(p)))
-		payload = append(payload, lenBuf[:]...)
-		payload = append(payload, p...)
-	}
-	return payload
 }
 
 // decodeBatchPayload splits a batch response back into its parts. Every

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"ddstore/internal/wire"
 )
 
 // FuzzDecodeGetBatch fuzzes both directions of the multi-get framing:
@@ -18,7 +20,7 @@ func FuzzDecodeGetBatch(f *testing.F) {
 	f.Add([]byte{255, 255, 255, 255, 1, 2, 3}) // length overruns payload
 	f.Add([]byte{1, 2})                        // truncated entry header
 	f.Add(encodeBatchPayload([][]byte{{1}, {}, {2, 3}}))
-	f.Add(encodeBatchIDs([]int64{-1, 0, 1 << 40}))
+	f.Add(wire.AppendIDs(nil, []int64{-1, 0, 1 << 40}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Hostile payload: decode must stay in bounds and keep every part
@@ -64,7 +66,7 @@ func FuzzDecodeGetBatch(f *testing.F) {
 			for i := range ids {
 				ids[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
 			}
-			got := decodeBatchIDs(encodeBatchIDs(ids), count)
+			got := decodeBatchIDs(wire.AppendIDs(nil, ids), count)
 			for i := range ids {
 				if got[i] != ids[i] {
 					t.Fatalf("id %d corrupted: %d != %d", i, got[i], ids[i])
@@ -72,4 +74,23 @@ func FuzzDecodeGetBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// encodeBatchPayload frames each part as u32 length + bytes: the batch
+// response framing rendered flat, the reference decodeBatchPayload is
+// fuzzed and tested against (the server itself writes the same bytes as a
+// part list, never concatenated).
+func encodeBatchPayload(parts [][]byte) []byte {
+	total := 0
+	for _, p := range parts {
+		total += 4 + len(p)
+	}
+	payload := make([]byte, 0, total)
+	var lenBuf [4]byte
+	for _, p := range parts {
+		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(p)))
+		payload = append(payload, lenBuf[:]...)
+		payload = append(payload, p...)
+	}
+	return payload
 }

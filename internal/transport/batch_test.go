@@ -13,6 +13,7 @@ import (
 
 	"ddstore/internal/cache"
 	"ddstore/internal/trace"
+	"ddstore/internal/wire"
 )
 
 // fastPolicy keeps retry schedules short so failure paths don't stall tests.
@@ -38,7 +39,7 @@ func TestGetBatchRoundTrip(t *testing.T) {
 	defer cl.Close()
 
 	ids := []int64{27, 10, 29, 15, 15, 10}
-	gs, err := cl.GetBatch(ids)
+	gs, err := GetBatchGraphs(cl, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +73,13 @@ func TestGetBatchRejectsOutOfRange(t *testing.T) {
 	}
 	defer cl.Close()
 
-	_, err = cl.GetBatch([]int64{12, 25})
+	_, err = GetBatchGraphs(cl, []int64{12, 25})
 	var rerr *RemoteError
 	if !errors.As(err, &rerr) || !strings.Contains(err.Error(), "outside chunk") {
 		t.Fatalf("out-of-range batch: %v, want remote out-of-chunk error", err)
 	}
 	// Same connection, next request still works: the body was consumed.
-	gs, err := cl.GetBatch([]int64{12, 13})
+	gs, err := GetBatchGraphs(cl, []int64{12, 13})
 	if err != nil || len(gs) != 2 {
 		t.Fatalf("batch after rejection: %v, %v", gs, err)
 	}
@@ -419,7 +420,7 @@ func TestBatchPayloadHelpers(t *testing.T) {
 	}
 
 	ids := []int64{-1, 0, 1 << 50}
-	got := decodeBatchIDs(encodeBatchIDs(ids), len(ids))
+	got := decodeBatchIDs(wire.AppendIDs(nil, ids), len(ids))
 	for i := range ids {
 		if got[i] != ids[i] {
 			t.Fatalf("id %d: %d != %d", i, got[i], ids[i])

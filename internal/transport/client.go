@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"ddstore/internal/bufarena"
-	"ddstore/internal/graph"
 	"ddstore/internal/obs/tracectx"
+	"ddstore/internal/wire"
 )
 
 // ErrChecksum marks a response whose payload failed CRC32 verification.
@@ -86,10 +86,10 @@ type ClientOptions struct {
 	// Tracing opts this client into distributed tracing: the hello
 	// handshake advertises the tracing feature, and when the server
 	// advertises it back, requests carrying a valid sampled trace context
-	// (the *Traced methods) use the traced wire ops and return the server's
-	// timing trailer. Against an older server the feature never activates
-	// and the same calls silently run untraced. Tracing with no Tenant
-	// declares DefaultTracedTenant, since negotiation rides on hello.
+	// use the traced wire ops and return the server's timing trailer.
+	// Against an older server the feature never activates and the same
+	// calls silently run untraced. Tracing with no Tenant declares
+	// DefaultTracedTenant, since negotiation rides on hello.
 	Tracing bool
 }
 
@@ -174,12 +174,20 @@ func (c *Client) Close() error {
 	return err
 }
 
-// roundTrip performs one request with the client's retry policy: each
+// do performs one request with the client's retry policy: each
 // transport-level failure (broken conn, deadline, checksum reject) drops
 // the connection, backs off, re-dials, and retries. Remote application
 // errors are returned immediately. All ops are idempotent reads, so a
-// retry is always safe. extra is the request body following the header
+// retry is always safe. ids is the request body following the header
 // (batch ids); nil for body-less ops.
+//
+// tc is the request's trace context, and the zero Context means untraced.
+// When it is valid and sampled, the client negotiated the tracing feature
+// on this connection, and the op has a traced twin, the request goes out
+// as the traced op carrying the context, and the server's timing trailer
+// is stripped from the payload and returned. Otherwise the request runs
+// untraced and timing is nil — including mid-call, if a reconnect lands on
+// a server that does not advertise tracing.
 //
 // Each call counts as one logical round trip (retries are tallied
 // separately under CounterRetries) — the counter the batching tests use to
@@ -189,19 +197,7 @@ func (c *Client) Close() error {
 // Callers that consume the bytes immediately (decode, parse) Release it;
 // callers that hand plain []byte to the outside world keep it alive by
 // simply never releasing (the buffer degrades to ordinary GC-owned memory).
-func (c *Client) roundTrip(op byte, a, b int64, extra []byte) (*bufarena.Buf, error) {
-	buf, _, err := c.do(op, a, b, extra, tracectx.Context{})
-	return buf, err
-}
-
-// do is roundTrip plus tracing: when tc is a valid sampled context, the
-// client negotiated the tracing feature on this connection, and the op has
-// a traced variant, the request goes out as the traced op carrying the
-// context, and the server's timing trailer is stripped from the payload
-// and returned. Otherwise the request runs untraced and timing is nil —
-// including mid-call, if a reconnect lands on a server that does not
-// advertise tracing.
-func (c *Client) do(op byte, a, b int64, extra []byte, tc tracectx.Context) (*bufarena.Buf, *ServerTiming, error) {
+func (c *Client) do(op byte, a, b int64, ids []int64, tc tracectx.Context) (*bufarena.Buf, *ServerTiming, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.counters.Inc(CounterRoundTrips, 1)
@@ -234,12 +230,13 @@ func (c *Client) do(op byte, a, b int64, extra []byte, tc tracectx.Context) (*bu
 		// request, so admission control charges the right quota. The b
 		// field advertises this client's feature bits; the ack payload is
 		// the server's feature word (empty from an older server).
-		if c.tenant != "" && !c.helloed && op != opHello {
+		if c.tenant != "" && !c.helloed {
 			var feats uint64
 			if c.tracing {
 				feats = featureTracing
 			}
-			ack, err := c.exchange(opHello, int64(len(c.tenant)), int64(feats), []byte(c.tenant))
+			hello := frameRequest(opHello, int64(len(c.tenant)), int64(feats), tracectx.Context{}, nil)
+			ack, err := c.exchange(append(hello, c.tenant...))
 			if err != nil {
 				if herr := c.classify(err, &lastErr); herr != nil {
 					return nil, nil, herr
@@ -254,14 +251,14 @@ func (c *Client) do(op byte, a, b int64, extra []byte, tc tracectx.Context) (*bu
 		}
 		// The traced-op decision is per attempt: negotiation is per
 		// connection, and a retry may have reconnected to an older server.
-		sendOp, sendExtra, traced := op, extra, false
-		if top := tracedOp(op); top != 0 && tc.Valid() && tc.Sampled &&
+		sendOp := op
+		if top := opTable[op].traced; top != 0 && tc.Valid() && tc.Sampled &&
 			c.tracing && c.features&featureTracing != 0 {
-			sendOp, sendExtra, traced = top, tracedBody(tc, extra), true
+			sendOp = top
 		}
-		payload, err := c.exchange(sendOp, a, b, sendExtra)
+		payload, err := c.exchange(frameRequest(sendOp, a, b, tc, ids))
 		if err == nil {
-			if !traced {
+			if sendOp == op {
 				return payload, nil, nil
 			}
 			dataLen, timing, terr := parseTimingTrailer(payload.Bytes())
@@ -279,6 +276,24 @@ func (c *Client) do(op byte, a, b int64, extra []byte, tc tracectx.Context) (*bu
 	c.counters.Inc(CounterGiveUps, 1)
 	return nil, nil, fmt.Errorf("transport: op %d to %s failed after %d attempts: %w",
 		op, c.addr, c.policy.MaxAttempts, lastErr)
+}
+
+// frameRequest renders one request frame in a single allocation: the fixed
+// header, then tc when the op's body starts with a trace context, then the
+// body ids.
+func frameRequest(op byte, a, b int64, tc tracectx.Context, ids []int64) []byte {
+	n := reqHeaderSize + wire.IDsSize(len(ids))
+	if opTable[op].ctx {
+		n += tracectx.Size
+	}
+	req := make([]byte, reqHeaderSize, n)
+	req[0] = op
+	binary.LittleEndian.PutUint64(req[1:], uint64(a))
+	binary.LittleEndian.PutUint64(req[9:], uint64(b))
+	if opTable[op].ctx {
+		req = tc.AppendTo(req)
+	}
+	return wire.AppendIDs(req, ids)
 }
 
 // classify sorts one failed exchange into the retry taxonomy. A non-nil
@@ -320,18 +335,13 @@ func (c *Client) classify(err error, lastErr *error) error {
 }
 
 // exchange performs one framed request/response on the live connection,
-// with per-operation deadlines and CRC verification. Header and body go
-// out in a single write so a retried request never leaves a half frame
-// behind counters or fault injectors that account per write. The payload
-// lands in a pooled buffer, read once off the socket; on success the
-// caller owns its single reference, on any error the reference is already
-// released.
-func (c *Client) exchange(op byte, a, b int64, extra []byte) (*bufarena.Buf, error) {
-	req := make([]byte, reqHeaderSize+len(extra))
-	req[0] = op
-	binary.LittleEndian.PutUint64(req[1:], uint64(a))
-	binary.LittleEndian.PutUint64(req[9:], uint64(b))
-	copy(req[reqHeaderSize:], extra)
+// with per-operation deadlines and CRC verification. The request frame
+// (header and body) goes out in a single write so a retried request never
+// leaves a half frame behind counters or fault injectors that account per
+// write. The payload lands in a pooled buffer, read once off the socket; on
+// success the caller owns its single reference, on any error the reference
+// is already released.
+func (c *Client) exchange(req []byte) (*bufarena.Buf, error) {
 	if c.policy.WriteTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.policy.WriteTimeout))
 	}
@@ -410,7 +420,7 @@ func (c *Client) exchange(op byte, a, b int64, extra []byte) (*bufarena.Buf, err
 // seed peer this way; servers without a shard map answer with a remote
 // error.
 func (c *Client) ShardMap() ([]byte, error) {
-	buf, err := c.roundTrip(opShardMap, 0, 0, nil)
+	buf, _, err := c.do(opShardMap, 0, 0, nil, tracectx.Context{})
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +431,7 @@ func (c *Client) ShardMap() ([]byte, error) {
 
 // Meta fetches the server's chunk range.
 func (c *Client) Meta() (lo, hi int64, err error) {
-	buf, err := c.roundTrip(opMeta, 0, 0, nil)
+	buf, _, err := c.do(opMeta, 0, 0, nil, tracectx.Context{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -434,65 +444,15 @@ func (c *Client) Meta() (lo, hi int64, err error) {
 		int64(binary.LittleEndian.Uint64(payload[8:])), nil
 }
 
-// Get fetches and decodes one sample.
-func (c *Client) Get(id int64) (*graph.Graph, error) {
-	buf, err := c.roundTrip(opGet, id, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	g, err := graph.Decode(buf.Bytes())
-	buf.Release()
-	return g, err
-}
-
-// GetRaw fetches the encoded bytes of one sample without decoding. Load
-// generators and relays use it to measure or move wire bytes without
+// GetRawTraced fetches the encoded bytes of one sample without decoding.
+// Load generators and relays use it to measure or move wire bytes without
 // paying (or perturbing the measurement with) graph materialization. The
 // returned bytes are plain GC-owned memory (the pooled buffer's reference
 // is intentionally never released, so it is never recycled under the
-// caller).
-func (c *Client) GetRaw(id int64) ([]byte, error) {
-	buf, err := c.roundTrip(opGet, id, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GetBatchBufs fetches the encoded bytes of an arbitrary id list in one
-// round trip, returning the pooled response buffer and the per-id parts
-// aliasing it. Every id must be in this server's chunk; parts is aligned
-// with ids. The caller owns the buffer's single reference and must keep
-// it (or a Retain of it) alive for as long as it reads any part, then
-// Release.
-func (c *Client) GetBatchBufs(ids []int64) (*bufarena.Buf, [][]byte, error) {
-	if len(ids) == 0 {
-		return nil, nil, nil
-	}
-	if len(ids) > maxBatchIDs {
-		return nil, nil, fmt.Errorf("transport: batch of %d ids exceeds the %d-id limit", len(ids), maxBatchIDs)
-	}
-	buf, err := c.roundTrip(opGetBatch, int64(len(ids)), 0, encodeBatchIDs(ids))
-	if err != nil {
-		return nil, nil, err
-	}
-	parts, err := decodeBatchPayload(buf.Bytes())
-	if err != nil {
-		buf.Release()
-		return nil, nil, err
-	}
-	if len(parts) != len(ids) {
-		buf.Release()
-		return nil, nil, fmt.Errorf("transport: got %d payloads for %d requested ids", len(parts), len(ids))
-	}
-	return buf, parts, nil
-}
-
-// GetRawTraced is GetRaw carrying a trace context: when tracing is
-// negotiated on the connection and tc is valid and sampled, the returned
-// timing holds the server's breakdown for this request; otherwise the
-// request runs untraced and timing is nil. The bytes follow GetRaw's
-// ownership rules.
+// caller). tc is the request's trace context: when tracing is negotiated on
+// the connection and tc is valid and sampled, the returned timing holds
+// the server's breakdown for this request; otherwise — always, for the
+// zero Context — the request runs untraced and timing is nil.
 func (c *Client) GetRawTraced(id int64, tc tracectx.Context) ([]byte, *ServerTiming, error) {
 	buf, timing, err := c.do(opGet, id, 0, nil, tc)
 	if err != nil {
@@ -501,11 +461,22 @@ func (c *Client) GetRawTraced(id int64, tc tracectx.Context) ([]byte, *ServerTim
 	return buf.Bytes(), timing, nil
 }
 
-// GetBatchBufsTraced is GetBatchBufs carrying a trace context: when
-// tracing is negotiated and tc is valid and sampled, timing holds the
-// server's breakdown (queue wait, service, chunk-source time, tenant,
-// generation) for the whole batch; otherwise the request runs untraced
-// and timing is nil. Buffer ownership follows GetBatchBufs.
+// GetRaw is GetRawTraced without a trace.
+func (c *Client) GetRaw(id int64) ([]byte, error) {
+	raw, _, err := c.GetRawTraced(id, tracectx.Context{})
+	return raw, err
+}
+
+// GetBatchBufsTraced fetches the encoded bytes of an arbitrary id list in
+// one round trip, returning the pooled response buffer and the per-id
+// parts aliasing it. Every id must be in this server's chunk; parts is
+// aligned with ids. The caller owns the buffer's single reference and must
+// keep it (or a Retain of it) alive for as long as it reads any part, then
+// Release. tc is the request's trace context: when tracing is negotiated
+// and tc is valid and sampled, timing holds the server's breakdown (queue
+// wait, service, chunk-source time, tenant, generation) for the whole
+// batch; otherwise — always, for the zero Context — the request runs
+// untraced and timing is nil.
 func (c *Client) GetBatchBufsTraced(ids []int64, tc tracectx.Context) (*bufarena.Buf, [][]byte, *ServerTiming, error) {
 	if len(ids) == 0 {
 		return nil, nil, nil, nil
@@ -513,7 +484,7 @@ func (c *Client) GetBatchBufsTraced(ids []int64, tc tracectx.Context) (*bufarena
 	if len(ids) > maxBatchIDs {
 		return nil, nil, nil, fmt.Errorf("transport: batch of %d ids exceeds the %d-id limit", len(ids), maxBatchIDs)
 	}
-	buf, timing, err := c.do(opGetBatch, int64(len(ids)), 0, encodeBatchIDs(ids), tc)
+	buf, timing, err := c.do(opGetBatch, int64(len(ids)), 0, ids, tc)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -529,50 +500,16 @@ func (c *Client) GetBatchBufsTraced(ids []int64, tc tracectx.Context) (*bufarena
 	return buf, parts, timing, nil
 }
 
-// GetBatchRaw fetches the encoded bytes of an arbitrary id list in one
-// round trip. Every id must be in this server's chunk; the result is
-// aligned with ids. The raw form exists so callers that cache or relay
-// encoded bytes avoid a decode/re-encode cycle; the parts are plain
-// GC-owned memory (see GetRaw). Pooled callers use GetBatchBufs.
+// GetBatchBufs is GetBatchBufsTraced without a trace.
+func (c *Client) GetBatchBufs(ids []int64) (*bufarena.Buf, [][]byte, error) {
+	buf, parts, _, err := c.GetBatchBufsTraced(ids, tracectx.Context{})
+	return buf, parts, err
+}
+
+// GetBatchRaw is GetBatchBufs for callers that cache or relay the encoded
+// bytes beyond the request: the parts are plain GC-owned memory (the
+// pooled buffer's reference is never released; see GetRawTraced).
 func (c *Client) GetBatchRaw(ids []int64) ([][]byte, error) {
 	_, parts, err := c.GetBatchBufs(ids)
 	return parts, err
-}
-
-// GetBatch fetches and decodes an arbitrary id list in one round trip.
-func (c *Client) GetBatch(ids []int64) ([]*graph.Graph, error) {
-	buf, parts, err := c.GetBatchBufs(ids)
-	if err != nil {
-		return nil, err
-	}
-	defer buf.Release()
-	out := make([]*graph.Graph, len(parts))
-	for i, p := range parts {
-		if out[i], err = graph.Decode(p); err != nil {
-			return nil, fmt.Errorf("transport: sample %d: %w", ids[i], err)
-		}
-	}
-	return out, nil
-}
-
-// GetRange fetches and decodes samples [lo, hi).
-func (c *Client) GetRange(lo, hi int64) ([]*graph.Graph, error) {
-	buf, err := c.roundTrip(opMulti, lo, hi, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer buf.Release()
-	out := make([]*graph.Graph, 0, hi-lo)
-	rest := buf.Bytes()
-	for len(rest) > 0 {
-		var g *graph.Graph
-		if g, rest, err = graph.DecodePrefix(rest); err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	if int64(len(out)) != hi-lo {
-		return nil, fmt.Errorf("transport: got %d samples for range [%d,%d)", len(out), lo, hi)
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/shardmap"
 	"ddstore/internal/trace"
 )
@@ -125,7 +126,7 @@ func TestStaleGenerationCarriesCurrentMap(t *testing.T) {
 	defer cl.Close()
 
 	// Owned sample: served normally.
-	if _, err := cl.Get(10); err != nil {
+	if _, err := GetGraph(cl, 10); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,7 +136,7 @@ func TestStaleGenerationCarriesCurrentMap(t *testing.T) {
 	next.Shards[0].Owners = []int{1}
 	apply(next)
 
-	_, err = cl.Get(10)
+	_, err = GetGraph(cl, 10)
 	if !errors.Is(err, ErrStaleGeneration) {
 		t.Fatalf("err = %v, want ErrStaleGeneration", err)
 	}
@@ -155,7 +156,7 @@ func TestStaleGenerationCarriesCurrentMap(t *testing.T) {
 	if _, err := cl.GetBatchRaw([]int64{10, 11}); !errors.Is(err, ErrStaleGeneration) {
 		t.Fatalf("batch err = %v, want ErrStaleGeneration", err)
 	}
-	if _, err := cl.GetRange(10, 12); !errors.Is(err, ErrStaleGeneration) {
+	if _, err := GetRangeGraphs(cl, 10, 12); !errors.Is(err, ErrStaleGeneration) {
 		t.Fatalf("range err = %v, want ErrStaleGeneration", err)
 	}
 }
@@ -238,31 +239,6 @@ func TestElasticGroupRefreshesOnStaleGeneration(t *testing.T) {
 	}
 }
 
-func TestElasticGroupManualRefresh(t *testing.T) {
-	a, _, stores, apply := elasticPair(t)
-	g, err := NewElasticGroup([]string{a.Addr()}, GroupOptions{Client: ClientOptions{Policy: fastPolicy()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	next := stores[0].Current().Clone()
-	next.Gen = 2
-	apply(next)
-	if err := g.Refresh(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if g.Generation() != 2 {
-		t.Fatalf("Generation = %d, want 2", g.Generation())
-	}
-	// Refresh with an older map is a no-op, never a rollback.
-	if err := g.Refresh(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if g.Generation() != 2 {
-		t.Fatalf("Generation rolled to %d", g.Generation())
-	}
-}
-
 func TestElasticGroupBootstrapFailure(t *testing.T) {
 	_, err := NewElasticGroup(nil, GroupOptions{})
 	if err == nil {
@@ -336,7 +312,7 @@ func TestStaticGroupPinsGenerationAcrossMidFlightApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[int64]bool{}
-	err = groupPlane{g: g}.FetchOwner(tok, []int64{10, 11}, func(id int64, raw []byte, lz *graph.Lazy, lat time.Duration) {
+	err = groupPlane{g: g}.FetchOwner(tok, []int64{10, 11}, tracectx.Context{}, func(id int64, raw []byte, lz *graph.Lazy, lat time.Duration) {
 		got[id] = true
 		lz.Release()
 	})

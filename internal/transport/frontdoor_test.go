@@ -87,7 +87,7 @@ func TestAcceptCapRejectsExcessConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A completed round trip proves the server-side handler owns the slot.
-	if _, err := c1.Get(3); err != nil {
+	if _, err := transport.GetGraph(c1, 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +113,7 @@ func TestAcceptCapRejectsExcessConns(t *testing.T) {
 			return false
 		}
 		defer c2.Close()
-		_, err = c2.Get(3)
+		_, err = transport.GetGraph(c2, 3)
 		return err == nil
 	})
 }
@@ -137,7 +137,7 @@ func TestAdmissionConnRefusalSpeaksOverloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Get(3); !errors.Is(err, transport.ErrOverloaded) {
+	if _, err := transport.GetGraph(c, 3); !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("Get on refused conn = %v, want ErrOverloaded", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestHelloDeclaresTenantToGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Get(3); err != nil {
+	if _, err := transport.GetGraph(c, 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,7 +204,7 @@ func TestGateOverloadRetriesOnSameConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Get(3); err != nil {
+	if _, err := transport.GetGraph(c, 3); err != nil {
 		t.Fatal(err) // establish the conn and its gate
 	}
 	adm.mu.Lock()
@@ -214,14 +214,14 @@ func TestGateOverloadRetriesOnSameConn(t *testing.T) {
 	g.mu.Lock()
 	g.refuse = fmt.Errorf("queue full: %w", transport.ErrOverloaded)
 	g.mu.Unlock()
-	if _, err := c.Get(4); !errors.Is(err, transport.ErrOverloaded) {
+	if _, err := transport.GetGraph(c, 4); !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("Get while shedding = %v, want ErrOverloaded", err)
 	}
 
 	g.mu.Lock()
 	g.refuse = nil
 	g.mu.Unlock()
-	if _, err := c.Get(4); err != nil {
+	if _, err := transport.GetGraph(c, 4); err != nil {
 		t.Fatalf("Get after shedding cleared: %v", err)
 	}
 	adm.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"ddstore/internal/bufarena"
 	"ddstore/internal/cache"
 	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
@@ -341,44 +340,18 @@ func (g *Group) Replicas() int {
 
 // Len returns the total number of samples in the dataset.
 func (g *Group) Len() int {
-	if g.maps == nil {
-		return 0
-	}
 	lo, hi := g.maps.Current().Range()
 	return int(hi - lo)
 }
 
 // Range returns the [lo, hi) sample keyspace of the current generation.
 func (g *Group) Range() (int64, int64) {
-	if g.maps == nil {
-		return 0, 0
-	}
 	return g.maps.Current().Range()
 }
 
 // Generation returns the shard map generation the group currently routes
 // against.
 func (g *Group) Generation() uint64 { return g.maps.Generation() }
-
-// Refresh re-fetches the shard map from the given peer and installs it if
-// newer. The fetch path refreshes itself from stale-generation responses;
-// Refresh exists for control planes that want to converge eagerly.
-func (g *Group) Refresh(addr string) error {
-	cl, err := g.clientFor(addr)
-	if err != nil {
-		return err
-	}
-	mb, err := cl.ShardMap()
-	if err != nil {
-		return err
-	}
-	m, err := shardmap.Decode(mb)
-	if err != nil {
-		return err
-	}
-	_, err = g.maps.ApplyIfNewer(m)
-	return err
-}
 
 // refreshFromSurvivors polls the current generation's members — skipping
 // the ones that just failed at the transport level — for a newer shard
@@ -440,34 +413,28 @@ func (g *Group) Load(ids []int64) ([]*graph.Graph, error) {
 // LoadTimed is Load plus per-sample wall-clock fetch latencies, the same
 // contract core.Store.LoadTimed has on the RMA plane.
 func (g *Group) LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	if g.maps == nil {
-		return nil, nil, errors.New("transport: group has no replicas")
-	}
 	return g.engine.Load(ids)
 }
 
-// LoadLazy is LoadTimed without tensor materialization: samples come back
-// as header-validated graph.Lazy views over their pooled wire buffers. The
-// caller owns the views — materialize via Graph() or Release() each one —
-// and the same contract holds on the RMA plane (core.Store.LoadLazy).
-func (g *Group) LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
-	if g.maps == nil {
-		return nil, nil, errors.New("transport: group has no replicas")
-	}
-	return g.engine.LoadLazy(ids)
+// LoadLazyTraced is LoadTimed without tensor materialization: samples come
+// back as header-validated graph.Lazy views over their pooled wire buffers.
+// The caller owns the views — materialize via Graph() or Release() each
+// one — and the same contract holds on the RMA plane
+// (core.Store.LoadLazyTraced).
+//
+// tc is the caller's span in a distributed trace, and the zero Context
+// means untraced: each per-owner fan-out propagates a child context over
+// the wire (when the peers negotiated tracing —
+// GroupOptions.Client.Tracing), and the servers' timing trailers come back
+// as "server" category spans in the group's span ring, nested inside the
+// request window.
+func (g *Group) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
+	return g.engine.LoadLazy(ids, tc)
 }
 
-// LoadLazyTraced is LoadLazy under a distributed trace: tc is the caller's
-// span, each per-owner fan-out propagates a child context over the wire
-// (when the peers negotiated tracing — GroupOptions.Client.Tracing), and
-// the servers' timing trailers come back as "server" category spans in the
-// group's span ring, nested inside the request window. With an invalid
-// context this is exactly LoadLazy.
-func (g *Group) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
-	if g.maps == nil {
-		return nil, nil, errors.New("transport: group has no replicas")
-	}
-	return g.engine.LoadLazyTraced(ids, tc)
+// LoadLazy is LoadLazyTraced without a trace.
+func (g *Group) LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
+	return g.LoadLazyTraced(ids, tracectx.Context{})
 }
 
 // groupPlane adapts the Group to the shared fetch engine. The owner token
@@ -490,21 +457,12 @@ func (p groupPlane) Local(int) bool { return false }
 
 // FetchOwner fetches one (generation, member) group's ids in
 // maxBatch-sized chunks; each chunk keeps its own retry/failover/refresh
-// sequence. The token's generation pins the chunk to the map its batch
-// was planned under; a generation that has aged out of the history falls
-// back to the current one (and the stale-generation protocol corrects any
-// resulting misroute).
-func (p groupPlane) FetchOwner(owner int, ids []int64, deliver fetch.Deliver) error {
-	return p.fetchOwner(owner, ids, tracectx.Context{}, deliver)
-}
-
-// FetchOwnerTraced implements fetch.TracedPlane: the engine-minted child
-// context rides every wire chunk of this owner's transfer.
-func (p groupPlane) FetchOwnerTraced(owner int, ids []int64, tc tracectx.Context, deliver fetch.Deliver) error {
-	return p.fetchOwner(owner, ids, tc, deliver)
-}
-
-func (p groupPlane) fetchOwner(owner int, ids []int64, tc tracectx.Context, deliver fetch.Deliver) error {
+// sequence, and the engine-minted child context tc rides every wire chunk
+// of this owner's transfer. The token's generation pins the chunk to the
+// map its batch was planned under; a generation that has aged out of the
+// history falls back to the current one (and the stale-generation protocol
+// corrects any resulting misroute).
+func (p groupPlane) FetchOwner(owner int, ids []int64, tc tracectx.Context, deliver fetch.Deliver) error {
 	g := p.g
 	gen, _, err := shardmap.UnpackOwner(owner)
 	if err != nil {
@@ -591,14 +549,7 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 					continue
 				}
 				before := time.Now()
-				var buf *bufarena.Buf
-				var raws [][]byte
-				var timing *ServerTiming
-				if tc.Valid() {
-					buf, raws, timing, err = cl.GetBatchBufsTraced(want, tc)
-				} else {
-					buf, raws, err = cl.GetBatchBufs(want)
-				}
+				buf, raws, timing, err := cl.GetBatchBufsTraced(want, tc)
 				per := time.Since(before) / time.Duration(len(want))
 				if timing != nil {
 					g.recordServerSpans(tc, timing, m, mi, want)

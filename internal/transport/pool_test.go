@@ -88,14 +88,14 @@ func TestClientPoolClose(t *testing.T) {
 	}
 	// The idle client was closed by the pool; the checked-out one still
 	// works until we return it.
-	if _, err := idle.Get(1); err == nil {
+	if _, err := transport.GetGraph(idle, 1); err == nil {
 		t.Error("idle client survived pool Close")
 	}
-	if _, err := out.Get(1); err != nil {
+	if _, err := transport.GetGraph(out, 1); err != nil {
 		t.Errorf("checked-out client broken by pool Close: %v", err)
 	}
 	pool.Put(out)
-	if _, err := out.Get(1); err == nil {
+	if _, err := transport.GetGraph(out, 1); err == nil {
 		t.Error("client returned to a closed pool was not closed")
 	}
 }
@@ -122,7 +122,7 @@ func TestClientPoolServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(3); err != nil {
+	if _, err := transport.GetGraph(c, 3); err != nil {
 		t.Fatal(err)
 	}
 	pool.Put(c)
@@ -144,7 +144,7 @@ func TestClientPoolServerRestart(t *testing.T) {
 	if c2 != c {
 		t.Fatal("pool dialed fresh instead of reusing the parked client")
 	}
-	s, err := c2.Get(3)
+	s, err := transport.GetGraph(c2, 3)
 	if err != nil {
 		t.Fatalf("Get through restarted server: %v", err)
 	}

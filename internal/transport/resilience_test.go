@@ -61,7 +61,7 @@ func TestClientConcurrentUseRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				id := int64((w*13 + i*5) % 40)
-				g, err := cl.Get(id)
+				g, err := transport.GetGraph(cl, id)
 				if err != nil {
 					errs[w] = err
 					return
@@ -104,13 +104,13 @@ func TestClientReconnectsAfterBrokenConn(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if _, err := cl.Get(1); err != nil {
+	if _, err := transport.GetGraph(cl, 1); err != nil {
 		t.Fatalf("healthy get: %v", err)
 	}
 	if n := in.BreakAll(); n == 0 {
 		t.Fatal("no live connections to break")
 	}
-	if _, err := cl.Get(2); err != nil {
+	if _, err := transport.GetGraph(cl, 2); err != nil {
 		t.Fatalf("get after broken conn: %v", err)
 	}
 	if prof.Counter(transport.CounterReconnects) == 0 {
@@ -140,7 +140,7 @@ func TestClientRejectsCorruptPayloads(t *testing.T) {
 	defer cl.Close()
 
 	for id := int64(0); id < 10; id++ {
-		g, err := cl.Get(id)
+		g, err := transport.GetGraph(cl, id)
 		if err != nil {
 			t.Fatalf("get %d under corruption: %v", id, err)
 		}
@@ -178,7 +178,7 @@ func TestClientTimesOutOnStall(t *testing.T) {
 	defer cl.Close()
 
 	start := time.Now()
-	_, err = cl.Get(0)
+	_, err = transport.GetGraph(cl, 0)
 	if err == nil {
 		t.Fatal("stalled get succeeded")
 	}

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
-
-	"ddstore/internal/obs/tracectx"
 )
 
 // Feature bits exchanged in the hello handshake. The client sends its
@@ -116,23 +114,4 @@ func parseTimingTrailer(p []byte) (dataLen int, t ServerTiming, err error) {
 		return 0, t, fmt.Errorf("transport: timing trailer byte count %d does not match %d payload bytes", t.Bytes, dataLen)
 	}
 	return dataLen, t, nil
-}
-
-// tracedOp maps an op to its traced variant (0 when the op has none).
-func tracedOp(op byte) byte {
-	switch op {
-	case opGet:
-		return opGetTraced
-	case opGetBatch:
-		return opGetBatchTraced
-	default:
-		return 0
-	}
-}
-
-// tracedBody prepends the encoded trace context to an op body.
-func tracedBody(tc tracectx.Context, extra []byte) []byte {
-	body := make([]byte, 0, tracectx.Size+len(extra))
-	body = tc.AppendTo(body)
-	return append(body, extra...)
 }

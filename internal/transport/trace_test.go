@@ -126,7 +126,7 @@ func TestTracingOffClientAgainstNewServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	gs, err := cl.GetBatch([]int64{1, 4, 6})
+	gs, err := transport.GetBatchGraphs(cl, []int64{1, 4, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +333,13 @@ func TestServerFlightRecorderCapturesSlowAndError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rerr *transport.RemoteError
-	if _, err := cl.Get(99); !errors.As(err, &rerr) {
+	if _, err := transport.GetGraph(cl, 99); !errors.As(err, &rerr) {
 		t.Fatalf("out-of-range get: %v", err)
 	}
 
+	// The server records a request after writing its response, so the
+	// client can be back here before the second record lands.
+	waitUntil(t, "both flight records", func() bool { return len(rec.Records()) >= 2 })
 	var slow, errored *flightrec.Record
 	for _, r := range rec.Records() {
 		r := r

@@ -97,37 +97,89 @@ func (c Class) String() string {
 	return "lookup"
 }
 
-// classOf maps a wire op to its priority class.
-func classOf(op byte) Class {
-	if op == opMulti || op == opGetBatch || op == opGetBatchTraced {
-		return ClassBulk
-	}
-	return ClassLookup
+// opSpec is one row of the wire-op table: every per-op fact either end of
+// the protocol needs, stated once. The server's metrics, admission class,
+// body framing, header validation and dispatch are all read from here, and
+// so is the client's choice of a traced twin.
+type opSpec struct {
+	// name is the label value the op is metered and flight-recorded under.
+	name string
+	// class is the priority class admission control schedules the op on.
+	class Class
+	// traced is the op's traced twin (0 when it has none): the same request
+	// with a trace context in front of its body, served by the same func.
+	traced byte
+	// ctx marks a body that starts with a tracectx.Size-byte trace context.
+	ctx bool
+	// unit and max describe a counted body: header field a carries a count
+	// in [1, max] and the body holds unit bytes per count. A count outside
+	// the bounds leaves the body length unknown, so the stream cannot be
+	// resynchronized and the server drops the connection after answering.
+	// unit 0 means the op has no counted body.
+	unit, max int64
+	// control marks connection control (hello): it changes who the
+	// connection is rather than reading data, so it bypasses admission and
+	// the flight recorder.
+	control bool
+	// check validates the header against the served chunk before any
+	// admission or payload work — a malformed or hostile header must not
+	// make the server queue, allocate or touch the source. Nil when the
+	// header holds nothing to check.
+	check func(s *Server, a, b int64) error
+	// serve produces the response as payload parts written with one
+	// vectored write (the source's cached sample slices are referenced in
+	// place, never concatenated into a scratch payload), plus the number of
+	// samples the request asked for.
+	serve func(s *Server, rq request) (parts [][]byte, samples int, err error)
+}
+
+// request is what an op's serve func sees of one request: the header
+// fields, the body after any trace context, and the connection it came in
+// on.
+type request struct {
+	a, b int64
+	body []byte
+	st   *connState
+}
+
+// opTable is indexed by wire op. It has a row for every value the op byte
+// can take; a row with an empty name is an op this build does not know: it
+// has no body, so the stream stays aligned, and nothing to serve — the
+// handler answers it with an error status.
+var opTable = [256]opSpec{
+	opMeta:           {name: "meta", class: ClassLookup, serve: serveMeta},
+	opGet:            {name: "get", class: ClassLookup, traced: opGetTraced, check: checkGet, serve: serveGet},
+	opMulti:          {name: "multi", class: ClassBulk, check: checkMulti, serve: serveMulti}, // no current client sends it; served for old peers
+	opGetBatch:       {name: "getbatch", class: ClassBulk, traced: opGetBatchTraced, unit: 8, max: maxBatchIDs, serve: serveBatch},
+	opHello:          {name: "hello", class: ClassLookup, unit: 1, max: maxTenantName, control: true, serve: serveHello},
+	opShardMap:       {name: "shardmap", class: ClassLookup, check: checkShardMap, serve: serveShardMap},
+	opGetTraced:      {name: "get-traced", class: ClassLookup, ctx: true, check: checkGet, serve: serveGet},
+	opGetBatchTraced: {name: "getbatch-traced", class: ClassBulk, ctx: true, unit: 8, max: maxBatchIDs, serve: serveBatch},
 }
 
 // opName returns the label value an op is metered and flight-recorded
 // under.
 func opName(op byte) string {
-	switch op {
-	case opMeta:
-		return "meta"
-	case opGet:
-		return "get"
-	case opMulti:
-		return "multi"
-	case opGetBatch:
-		return "getbatch"
-	case opHello:
-		return "hello"
-	case opShardMap:
-		return "shardmap"
-	case opGetTraced:
-		return "get-traced"
-	case opGetBatchTraced:
-		return "getbatch-traced"
-	default:
-		return fmt.Sprintf("op-%d", op)
+	if name := opTable[op].name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("op-%d", op)
+}
+
+// bodyLen returns how many body bytes follow a request header whose count
+// field is a, or an error when the count is outside the op's bounds.
+func (sp *opSpec) bodyLen(a int64) (int64, error) {
+	var n int64
+	if sp.ctx {
+		n = tracectx.Size
+	}
+	if sp.unit == 0 {
+		return n, nil
+	}
+	if a < 1 || a > sp.max {
+		return 0, fmt.Errorf("%s count %d outside [1,%d]", sp.name, a, sp.max)
+	}
+	return n + sp.unit*a, nil
 }
 
 // ConnGate is the per-connection handle a serving front end returns from
@@ -173,7 +225,7 @@ type ShardMapSource interface {
 }
 
 // staleGenError is the server-internal signal that a request touched a
-// sample this server no longer owns: writeFrame turns it into a
+// sample this server no longer owns: statusOf turns it into a
 // stale-generation response carrying the current map.
 type staleGenError struct{ mapBytes []byte }
 
@@ -253,7 +305,7 @@ type ServerOptions struct {
 // serverMetrics holds the server's pre-resolved instrument handles so the
 // request loop never touches the registry's lookup path.
 type serverMetrics struct {
-	reqs        [9]*obs.Counter // indexed by op; 0 unused
+	reqs        [256]*obs.Counter // indexed by op, like opTable; nil for unknown ops
 	errors      *obs.Counter
 	bytes       *obs.Counter
 	stales      *obs.Counter
@@ -277,27 +329,29 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 	reg.Help(obs.MetricAcceptRejected, "Accepted connections closed because the MaxConns goroutine cap was reached.")
 	reg.Help(obs.MetricConnRejected, "Connections refused by admission control with an overloaded status.")
-	for _, op := range []byte{opMeta, opGet, opMulti, opGetBatch, opHello, opShardMap, opGetTraced, opGetBatchTraced} {
-		m.reqs[op] = reg.Counter("ddstore_serve_requests_total", "op", opName(op))
+	for op := range opTable {
+		if name := opTable[op].name; name != "" {
+			m.reqs[op] = reg.Counter("ddstore_serve_requests_total", "op", name)
+		}
 	}
 	return m
 }
 
-// observe records one handled request.
-func (m *serverMetrics) observe(op byte, payload int, err error, dur time.Duration) {
+// observe records one handled request by the status it was answered with.
+func (m *serverMetrics) observe(op, status byte, payload int, dur time.Duration) {
 	if m == nil {
 		return
 	}
-	if int(op) < len(m.reqs) && m.reqs[op] != nil {
+	if m.reqs[op] != nil {
 		m.reqs[op].Inc()
 	}
-	var sg *staleGenError
-	switch {
-	case errors.As(err, &sg):
+	switch status {
+	case statusOK:
+	case statusStaleGen:
 		// A stale-generation answer is migration working as designed, not
 		// a server fault — metered separately from the error counter.
 		m.stales.Inc()
-	case err != nil:
+	default:
 		m.errors.Inc()
 	}
 	m.bytes.Add(int64(payload))
@@ -306,9 +360,12 @@ func (m *serverMetrics) observe(op byte, payload int, err error, dur time.Durati
 
 // connState tracks one live connection: busy is set while its handler is
 // executing a request (vs. blocked waiting for the next header), so Drain
-// can wake idle handlers without cutting an in-flight request short.
+// can wake idle handlers without cutting an in-flight request short. gate
+// and tenant belong to the handler goroutine alone.
 type connState struct {
-	busy atomic.Bool
+	busy   atomic.Bool
+	gate   ConnGate // nil without ServerOptions.Admission
+	tenant string   // declared by the connection's most recent hello
 }
 
 // Server serves one chunk over TCP.
@@ -411,7 +468,11 @@ func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		close(s.done)
-		err = s.ln.Close()
+		// Drain already closed the listener; closing it again is not a
+		// failure of this shutdown.
+		if err = s.ln.Close(); errors.Is(err, net.ErrClosed) {
+			err = nil
+		}
 		s.mu.Lock()
 		for c := range s.conns {
 			c.Close()
@@ -465,10 +526,9 @@ func (s *Server) acceptLoop() {
 					return
 				}
 				defer gate.Close()
-				s.handle(conn, st, gate)
-				return
+				st.gate = gate
 			}
-			s.handle(conn, st, nil)
+			s.handle(conn, st)
 		}()
 	}
 }
@@ -498,87 +558,106 @@ func (s *Server) rejectConn(conn net.Conn, cause error) {
 		a := int64(binary.LittleEndian.Uint64(header[1:]))
 		// Drain the body without buffering it: the bytes are discarded
 		// anyway, and an error path must not allocate proportional to an
-		// attacker-supplied length.
-		switch {
-		case op == opGetBatch && a >= 1 && a <= maxBatchIDs:
-			if _, err := io.CopyN(io.Discard, conn, 8*a); err != nil {
-				return
-			}
-		case op == opGetBatchTraced && a >= 1 && a <= maxBatchIDs:
-			if _, err := io.CopyN(io.Discard, conn, tracectx.Size+8*a); err != nil {
-				return
-			}
-		case op == opGetTraced:
-			if _, err := io.CopyN(io.Discard, conn, tracectx.Size); err != nil {
-				return
-			}
-		case op == opHello && a >= 1 && a <= maxTenantName:
-			if _, err := io.CopyN(io.Discard, conn, a); err != nil {
+		// attacker-supplied length. A count outside the op's bounds has no
+		// known body to drain.
+		sp := &opTable[op]
+		if n, err := sp.bodyLen(a); err == nil && n > 0 {
+			if _, err := io.CopyN(io.Discard, conn, n); err != nil {
 				return
 			}
 		}
-		if s.rec() != nil && op != opHello {
-			s.rec().Add(flightrec.Record{Kind: flightrec.KindShed, Op: opName(op), Err: cause.Error()})
+		if rec := s.opts.FlightRecorder; rec != nil && !sp.control {
+			rec.Add(flightrec.Record{Kind: flightrec.KindShed, Op: opName(op), Err: cause.Error()})
 		}
-		if s.writeFrame(conn, nil, cause) != nil {
+		if _, werr := s.writeFrame(conn, nil, cause); werr != nil {
 			return
 		}
 	}
 }
 
-// checkHeader validates a request header against the served chunk before
-// any payload work happens — a malformed or hostile header must not make
-// the server allocate or touch the source.
-func (s *Server) checkHeader(op byte, a, b int64) error {
-	lo, hi := s.src.LocalRange()
-	switch op {
-	case opMeta:
-		return nil
-	case opGet, opGetTraced:
-		if a < 0 {
-			return fmt.Errorf("negative sample id %d", a)
-		}
-		if a < lo || a >= hi {
-			return fmt.Errorf("sample %d outside chunk [%d,%d)", a, lo, hi)
-		}
-		return nil
-	case opMulti:
-		if a < 0 || b < 0 {
-			return fmt.Errorf("negative range [%d,%d)", a, b)
-		}
-		if b < a {
-			return fmt.Errorf("inverted range [%d,%d)", a, b)
-		}
-		if a < lo || b > hi {
-			return fmt.Errorf("range [%d,%d) outside chunk [%d,%d)", a, b, lo, hi)
-		}
-		return nil
-	case opGetBatch, opGetBatchTraced:
-		// a is the id count; the ids themselves follow the header and are
-		// range-checked after they are read. b is reserved.
-		if a < 1 || a > maxBatchIDs {
-			return fmt.Errorf("batch count %d outside [1,%d]", a, maxBatchIDs)
-		}
-		return nil
-	case opHello:
-		// a is the tenant-name byte count; the name follows the header.
-		if a < 1 || a > maxTenantName {
-			return fmt.Errorf("tenant name length %d outside [1,%d]", a, maxTenantName)
-		}
-		return nil
-	case opShardMap:
-		if s.opts.ShardMap == nil {
-			return errors.New("server does not serve a shard map")
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown op %d", op)
+func checkGet(s *Server, a, _ int64) error {
+	if a < 0 {
+		return fmt.Errorf("negative sample id %d", a)
 	}
+	if lo, hi := s.src.LocalRange(); a < lo || a >= hi {
+		return fmt.Errorf("sample %d outside chunk [%d,%d)", a, lo, hi)
+	}
+	return nil
 }
 
-func (s *Server) handle(conn net.Conn, st *connState, gate ConnGate) {
+func checkMulti(s *Server, a, b int64) error {
+	if a < 0 || b < 0 {
+		return fmt.Errorf("negative range [%d,%d)", a, b)
+	}
+	if b < a {
+		return fmt.Errorf("inverted range [%d,%d)", a, b)
+	}
+	if lo, hi := s.src.LocalRange(); a < lo || b > hi {
+		return fmt.Errorf("range [%d,%d) outside chunk [%d,%d)", a, b, lo, hi)
+	}
+	return nil
+}
+
+func checkShardMap(s *Server, _, _ int64) error {
+	if s.opts.ShardMap == nil {
+		return errors.New("server does not serve a shard map")
+	}
+	return nil
+}
+
+func serveMeta(s *Server, _ request) ([][]byte, int, error) {
+	lo, hi := s.src.LocalRange()
+	meta := make([]byte, 16)
+	binary.LittleEndian.PutUint64(meta[0:], uint64(lo))
+	binary.LittleEndian.PutUint64(meta[8:], uint64(hi))
+	return [][]byte{meta}, 0, nil
+}
+
+func serveGet(s *Server, rq request) ([][]byte, int, error) {
+	return s.sampleParts([]int64{rq.a}, false)
+}
+
+func serveMulti(s *Server, rq request) ([][]byte, int, error) {
+	ids := make([]int64, rq.b-rq.a) // bounded by the chunk: checkMulti ran
+	for i := range ids {
+		ids[i] = rq.a + int64(i)
+	}
+	return s.sampleParts(ids, false)
+}
+
+// serveBatch trusts the body length because the count was validated, so
+// the connection stays usable even if an id is out of range.
+func serveBatch(s *Server, rq request) ([][]byte, int, error) {
+	return s.sampleParts(decodeBatchIDs(rq.body, int(rq.a)), true)
+}
+
+// serveHello switches the connection's tenant identity and acknowledges
+// with the server's feature word, so both sides know which protocol
+// extensions are safe to use on this connection. Old clients release the
+// payload unread.
+func serveHello(s *Server, rq request) ([][]byte, int, error) {
+	name := string(rq.body)
+	if rq.st.gate != nil {
+		if err := rq.st.gate.Hello(name); err != nil {
+			return nil, 0, err
+		}
+	}
+	rq.st.tenant = name
+	feat := make([]byte, 8)
+	binary.LittleEndian.PutUint64(feat, featureTracing)
+	return [][]byte{feat}, 0, nil
+}
+
+func serveShardMap(s *Server, _ request) ([][]byte, int, error) {
+	mb, err := s.opts.ShardMap.Encoded()
+	if err != nil {
+		return nil, 0, err
+	}
+	return [][]byte{mb}, 0, nil
+}
+
+func (s *Server) handle(conn net.Conn, st *connState) {
 	var header [reqHeaderSize]byte
-	tenant := "" // declared by the connection's most recent hello
 	for {
 		if s.draining.Load() {
 			return
@@ -594,41 +673,42 @@ func (s *Server) handle(conn net.Conn, st *connState, gate ConnGate) {
 		a := int64(binary.LittleEndian.Uint64(header[1:]))
 		b := int64(binary.LittleEndian.Uint64(header[9:]))
 		start := time.Now()
-		err := s.checkHeader(op, a, b)
-		if err != nil && (op == opGetBatch || op == opGetBatchTraced || op == opHello) {
-			// An invalid body count means the length of the request body is
-			// unknown, so the stream cannot be resynchronized: report the
-			// error, then drop the connection.
-			s.writeFrame(conn, nil, err)
-			s.metrics.observe(op, 0, err, time.Since(start))
+		sp := &opTable[op]
+		var err error
+		if sp.name == "" {
+			err = fmt.Errorf("unknown op %d", op)
+		}
+		bodyLen, cerr := sp.bodyLen(a)
+		if cerr != nil {
+			// The length of the request body is unknown, so the stream
+			// cannot be resynchronized: report the error, then drop the
+			// connection.
+			status, _ := s.writeFrame(conn, nil, cerr)
+			s.metrics.observe(op, status, 0, time.Since(start))
 			return
 		}
-		// Ops with a body consume it before admission, so a shed response
-		// leaves the stream aligned on the next request header. The traced
-		// single-get's body is fixed-size, so it is drained even when the
-		// header was invalid and the request will answer with an error.
+		// Ops with a body consume it before validation and admission, so an
+		// error or shed response leaves the stream aligned on the next
+		// request header.
 		var body []byte
-		switch {
-		case op == opGetTraced:
-			body = make([]byte, tracectx.Size)
-		case err == nil && op == opGetBatchTraced:
-			body = make([]byte, tracectx.Size+8*a)
-		case err == nil && op == opGetBatch:
-			body = make([]byte, 8*a)
-		case err == nil && op == opHello:
-			body = make([]byte, a)
-		}
-		if len(body) > 0 {
+		if bodyLen > 0 {
+			body = make([]byte, bodyLen)
 			if _, rerr := io.ReadFull(conn, body); rerr != nil {
 				return
 			}
+		}
+		if err == nil && sp.check != nil {
+			err = sp.check(s, a, b)
 		}
 		// A corrupt or truncated trace context never fails the request: it
 		// decodes invalid and merely disables tracing for it (tracectx's
 		// documented contract, pinned by its fuzz test).
 		var tc tracectx.Context
-		if err == nil && (op == opGetTraced || op == opGetBatchTraced) {
-			tc, _ = tracectx.Decode(body)
+		if sp.ctx {
+			if err == nil {
+				tc, _ = tracectx.Decode(body)
+			}
+			body = body[tracectx.Size:]
 		}
 		// The request is fully read: an idle-timeout deadline (or a Drain
 		// nudge that raced the header) must not cut the in-flight request
@@ -636,86 +716,22 @@ func (s *Server) handle(conn net.Conn, st *connState, gate ConnGate) {
 		if s.opts.IdleTimeout > 0 || s.draining.Load() {
 			conn.SetReadDeadline(time.Time{})
 		}
-		// Admission: hello switches tenant identity; data ops pass through
-		// the front end's rate limits and priority queues, blocking here
-		// while queued and failing with an overloaded status when shed. The
-		// queue wait is measured here and reported in the timing trailer.
+		// Admission: data ops pass through the front end's rate limits and
+		// priority queues, blocking here while queued and failing with an
+		// overloaded status when shed. The queue wait is measured here and
+		// reported in the timing trailer.
 		var release func(int64)
 		var queueWait time.Duration
-		if err == nil && gate != nil && op != opHello {
+		if err == nil && st.gate != nil && !sp.control {
 			admitStart := time.Now()
-			release, err = gate.Admit(classOf(op))
+			release, err = st.gate.Admit(sp.class)
 			queueWait = time.Since(admitStart)
 		}
-		if err == nil && op == opHello {
-			if gate != nil {
-				err = gate.Hello(string(body))
-			}
-			if err == nil {
-				tenant = string(body)
-			}
-		}
-		// Each op produces a list of payload parts that are written with one
-		// vectored write — the source's cached sample slices are referenced
-		// in place, never concatenated into a scratch payload.
 		var parts [][]byte
 		samples := 0
 		srcStart := time.Now()
 		if err == nil {
-			switch op {
-			case opMeta:
-				lo, hi := s.src.LocalRange()
-				meta := make([]byte, 16)
-				binary.LittleEndian.PutUint64(meta[0:], uint64(lo))
-				binary.LittleEndian.PutUint64(meta[8:], uint64(hi))
-				parts = [][]byte{meta}
-			case opGet, opGetTraced:
-				samples = 1
-				if err = s.ownsAll(a, a+1); err == nil {
-					var one []byte
-					if one, err = s.src.LocalSampleBytes(a); err == nil {
-						parts = [][]byte{one}
-					}
-				}
-			case opMulti:
-				if err = s.ownsAll(a, b); err != nil {
-					break
-				}
-				samples = int(b - a)
-				parts = make([][]byte, 0, b-a)
-				for id := a; id < b; id++ {
-					var one []byte
-					if one, err = s.src.LocalSampleBytes(id); err != nil {
-						parts = nil
-						break
-					}
-					parts = append(parts, one)
-				}
-			case opGetBatch, opGetBatchTraced:
-				// The count is validated, so the body length is trusted and
-				// the connection stays usable even if an id is out of range.
-				idBytes := body
-				if op == opGetBatchTraced {
-					idBytes = body[tracectx.Size:]
-				}
-				ids := decodeBatchIDs(idBytes, int(a))
-				samples = len(ids)
-				if err = s.ownsBatch(ids); err == nil {
-					parts, err = s.batchParts(ids)
-				}
-			case opHello:
-				// Acknowledge with the server's feature word, so both sides
-				// know which protocol extensions are safe to use on this
-				// connection. Old clients release the payload unread.
-				feat := make([]byte, 8)
-				binary.LittleEndian.PutUint64(feat, featureTracing)
-				parts = [][]byte{feat}
-			case opShardMap:
-				var mb []byte
-				if mb, err = s.opts.ShardMap.Encoded(); err == nil {
-					parts = [][]byte{mb}
-				}
-			}
+			parts, samples, err = sp.serve(s, request{a: a, b: b, body: body, st: st})
 		}
 		sourceTime := time.Since(srcStart)
 		var total int
@@ -736,18 +752,20 @@ func (s *Server) handle(conn net.Conn, st *connState, gate ConnGate) {
 				Source:     sourceTime,
 				Bytes:      int64(total),
 				Generation: gen,
-				Tenant:     tenant,
+				Tenant:     st.tenant,
 			})
 			parts = append(parts, trailer)
 			total += len(trailer)
 		}
-		werr := s.writeFrame(conn, parts, err)
+		status, werr := s.writeFrame(conn, parts, err)
 		if release != nil {
 			release(int64(total))
 		}
 		dur := time.Since(start)
-		s.metrics.observe(op, total, err, dur)
-		s.recordRequest(op, tenant, tc, samples, total, queueWait, sourceTime, dur, err)
+		s.metrics.observe(op, status, total, dur)
+		if !sp.control {
+			s.recordRequest(op, status, st.tenant, tc, samples, total, queueWait, sourceTime, dur, err)
+		}
 		st.busy.Store(false)
 		if werr != nil {
 			return
@@ -755,26 +773,21 @@ func (s *Server) handle(conn net.Conn, st *connState, gate ConnGate) {
 	}
 }
 
-// rec returns the configured flight recorder (nil when absent).
-func (s *Server) rec() *flightrec.Recorder { return s.opts.FlightRecorder }
-
 // recordRequest feeds the flight recorder: errored, shed, and
 // stale-answered requests always, successful ones only when they exceeded
-// the slow threshold. Hello handshakes are administrative and never
-// recorded.
-func (s *Server) recordRequest(op byte, tenant string, tc tracectx.Context, samples, total int, queueWait, source, dur time.Duration, err error) {
-	rec := s.rec()
-	if rec == nil || op == opHello {
+// the slow threshold.
+func (s *Server) recordRequest(op, status byte, tenant string, tc tracectx.Context, samples, total int, queueWait, source, dur time.Duration, err error) {
+	rec := s.opts.FlightRecorder
+	if rec == nil {
 		return
 	}
 	var kind flightrec.Kind
-	var sg *staleGenError
 	switch {
-	case errors.As(err, &sg):
+	case status == statusStaleGen:
 		kind = flightrec.KindStale
-	case errors.Is(err, ErrOverloaded):
+	case status == statusOverloaded:
 		kind = flightrec.KindShed
-	case err != nil:
+	case status != statusOK:
 		kind = flightrec.KindError
 	case s.opts.SlowThreshold > 0 && dur >= s.opts.SlowThreshold:
 		kind = flightrec.KindSlow
@@ -801,97 +814,101 @@ func (s *Server) recordRequest(op byte, tenant string, tc tracectx.Context, samp
 	rec.Add(r)
 }
 
-// ownsAll checks every id in [lo, hi) against the shard map (a no-op
-// without one): the first id this server does not own under the current
-// generation turns the whole request into a stale-generation answer
-// carrying the current map. Migration keeps data addressable throughout —
-// the old owner answers stale only after it has applied the generation
-// that moved the chunk, by which point the new owner serves it.
-func (s *Server) ownsAll(lo, hi int64) error {
-	sm := s.opts.ShardMap
-	if sm == nil {
-		return nil
-	}
-	for id := lo; id < hi; id++ {
-		if !sm.Owns(id) {
-			return s.staleErr()
-		}
-	}
-	return nil
-}
-
-// ownsBatch is ownsAll over an id list.
-func (s *Server) ownsBatch(ids []int64) error {
+// ownsAll checks every id against the shard map (a no-op without one):
+// the first id this server does not own under the current generation turns
+// the whole request into a stale-generation answer carrying the current
+// map. Migration keeps data addressable throughout — the old owner answers
+// stale only after it has applied the generation that moved the chunk, by
+// which point the new owner serves it.
+func (s *Server) ownsAll(ids []int64) error {
 	sm := s.opts.ShardMap
 	if sm == nil {
 		return nil
 	}
 	for _, id := range ids {
 		if !sm.Owns(id) {
-			return s.staleErr()
+			mb, err := sm.Encoded()
+			if err != nil {
+				return err
+			}
+			return &staleGenError{mapBytes: mb}
 		}
 	}
 	return nil
 }
 
-func (s *Server) staleErr() error {
-	mb, err := s.opts.ShardMap.Encoded()
-	if err != nil {
-		return err
+// sampleParts gathers the requested samples as a part list, each sample's
+// cached bytes referenced directly, so the reply costs zero per-sample
+// copies. prefixed selects the batch response framing: every sample is
+// preceded by its 4-byte length, all prefixes sharing one slab; otherwise
+// the samples are simply concatenated. Any un-owned or out-of-range id
+// fails the whole request — the client grouped the ids by owner, so a
+// stray id is a routing or protocol error, not a partial-result situation.
+func (s *Server) sampleParts(ids []int64, prefixed bool) ([][]byte, int, error) {
+	if err := s.ownsAll(ids); err != nil {
+		return nil, len(ids), err
 	}
-	return &staleGenError{mapBytes: mb}
-}
-
-// batchParts gathers the requested samples into the length-prefixed batch
-// response framing as a part list: one shared slab holds every 4-byte
-// length prefix, and each sample's cached bytes are referenced directly,
-// so the reply costs zero per-chunk copies. Any out-of-range id fails the
-// whole batch — the client grouped the ids by owner, so a stray id is a
-// protocol error, not a partial-result situation.
-func (s *Server) batchParts(ids []int64) ([][]byte, error) {
 	lo, hi := s.src.LocalRange()
-	parts := make([][]byte, 0, 2*len(ids))
-	prefixes := make([]byte, 4*len(ids))
+	n := len(ids)
+	var prefixes []byte
+	if prefixed {
+		n *= 2
+		prefixes = make([]byte, 4*len(ids))
+	}
+	parts := make([][]byte, 0, n)
 	for i, id := range ids {
 		if id < lo || id >= hi {
-			return nil, fmt.Errorf("sample %d outside chunk [%d,%d)", id, lo, hi)
+			return nil, len(ids), fmt.Errorf("sample %d outside chunk [%d,%d)", id, lo, hi)
 		}
 		one, err := s.src.LocalSampleBytes(id)
 		if err != nil {
-			return nil, err
+			return nil, len(ids), err
 		}
-		pre := prefixes[4*i : 4*i+4 : 4*i+4]
-		binary.LittleEndian.PutUint32(pre, uint32(len(one)))
-		parts = append(parts, pre, one)
+		if prefixed {
+			pre := prefixes[4*i : 4*i+4 : 4*i+4]
+			binary.LittleEndian.PutUint32(pre, uint32(len(one)))
+			parts = append(parts, pre)
+		}
+		parts = append(parts, one)
 	}
-	return parts, nil
+	return parts, len(ids), nil
 }
 
-// writeFrame sends one response frame — status byte, total length, CRC —
-// followed by the payload parts in a single vectored write (writev on TCP
-// connections; net.Buffers falls back to sequential writes elsewhere).
-// The CRC is computed incrementally over the parts, so the wire format is
-// byte-identical to the old single-payload framing and existing clients
-// need no changes. On err the parts are ignored and the error text is the
-// payload.
-func (s *Server) writeFrame(conn net.Conn, parts [][]byte, err error) error {
-	var head [respHeaderSize]byte
+// statusOf maps a request's outcome to the status it is answered with and,
+// for a failure, the payload that stands in for the response parts. It is
+// the one place an error is sorted into the wire's taxonomy; metrics and
+// the flight recorder go by the status it returns.
+func statusOf(err error) (status byte, payload []byte) {
+	if err == nil {
+		return statusOK, nil
+	}
 	var sg *staleGenError
 	switch {
 	case errors.As(err, &sg):
 		// The refresh is the payload: the client installs this map and
 		// retries the right owner without an extra round trip.
-		head[0] = statusStaleGen
-		parts = [][]byte{sg.mapBytes}
+		return statusStaleGen, sg.mapBytes
 	case errors.Is(err, ErrOverloaded):
-		head[0] = statusOverloaded
-		parts = [][]byte{[]byte(err.Error())}
-	case err != nil:
-		head[0] = statusError
-		parts = [][]byte{[]byte(err.Error())}
+		return statusOverloaded, []byte(err.Error())
 	default:
-		head[0] = statusOK
+		return statusError, []byte(err.Error())
 	}
+}
+
+// writeFrame sends one response frame — status byte, total length, CRC —
+// followed by the payload parts in a single vectored write (writev on TCP
+// connections; net.Buffers falls back to sequential writes elsewhere), and
+// returns the status it answered with. The CRC is computed incrementally
+// over the parts, so the wire format is byte-identical to the old
+// single-payload framing and existing clients need no changes. On err the
+// parts are ignored and the error's payload (statusOf) is sent instead.
+func (s *Server) writeFrame(conn net.Conn, parts [][]byte, err error) (byte, error) {
+	var head [respHeaderSize]byte
+	status, fail := statusOf(err)
+	if err != nil {
+		parts = [][]byte{fail}
+	}
+	head[0] = status
 	total := 0
 	crc := uint32(0)
 	for _, p := range parts {
@@ -911,5 +928,5 @@ func (s *Server) writeFrame(conn net.Conn, parts [][]byte, err error) error {
 		}
 	}
 	_, werr := bufs.WriteTo(conn)
-	return werr
+	return status, werr
 }

@@ -49,7 +49,7 @@ func TestServerClientGet(t *testing.T) {
 		t.Fatalf("meta = [%d,%d)", lo, hi)
 	}
 	for _, id := range []int64{0, 7, 19} {
-		g, err := cl.Get(id)
+		g, err := transport.GetGraph(cl, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +72,11 @@ func TestGetOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Get(99); err == nil || !strings.Contains(err.Error(), "remote error") {
+	if _, err := transport.GetGraph(cl, 99); err == nil || !strings.Contains(err.Error(), "remote error") {
 		t.Fatalf("out-of-range Get: err = %v", err)
 	}
 	// The connection must survive a remote error.
-	if _, err := cl.Get(2); err != nil {
+	if _, err := transport.GetGraph(cl, 2); err != nil {
 		t.Fatalf("connection broken after error: %v", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestGetRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	gs, err := cl.GetRange(3, 9)
+	gs, err := transport.GetRangeGraphs(cl, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestGetRange(t *testing.T) {
 			t.Fatalf("sample %d has id %d", i, g.ID)
 		}
 	}
-	if _, err := cl.GetRange(5, 20); err == nil {
+	if _, err := transport.GetRangeGraphs(cl, 5, 20); err == nil {
 		t.Fatal("bad range accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer cl.Close()
 			for i := 0; i < 50; i++ {
 				id := int64((w*7 + i*3) % 50)
-				g, err := cl.Get(id)
+				g, err := transport.GetGraph(cl, id)
 				if err != nil {
 					errs[w] = err
 					return
