@@ -359,7 +359,7 @@ func runLoadgen(f loadgenFlags) {
 // owner count as the middle phase starts, and report the steady-state
 // throughput delta. The acceptance bound is a <= 5% regression.
 func runReshard(f loadgenFlags, owners, samples int) {
-	c, err := serveboot.BootCluster(serveboot.ElasticConfig{
+	c, err := serveboot.BootCluster(serveboot.Config{
 		Source:    datasets.HomoLumo(datasets.Config{NumGraphs: samples}),
 		Owners:    2,
 		DebugAddr: "127.0.0.1:0",

@@ -2,15 +2,19 @@ package serveboot
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"ddstore/internal/datasets"
+	"ddstore/internal/graph"
+	"ddstore/internal/obs"
 	"ddstore/internal/transport"
 )
 
@@ -28,68 +32,321 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestDebugEndpointsLivenessReadinessAndBuildInfo pins the debug surface:
-// /healthz is pure liveness (200 even while draining), /readyz flips to
-// 503 the moment shutdown starts, /metrics carries the build-info and
-// uptime gauges, and /debug/flightrecorder serves the anomaly ring.
-func TestDebugEndpointsLivenessReadinessAndBuildInfo(t *testing.T) {
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 16})
-	inst, err := Boot(Config{Source: ds, Hi: -1, DebugAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	base := "http://" + inst.DebugAddr()
+// shapes are the two ways a cluster boots. There is one boot path behind
+// both, so every debug endpoint and the close order are asserted on each:
+// a test over shapes fails if a feature exists on only one of them.
+var shapes = []struct {
+	name string
+	boot func(Config) (*Cluster, error)
+}{
+	{"1 owner via Boot", Boot},
+	{"2 owners via BootCluster", func(cfg Config) (*Cluster, error) {
+		cfg.Owners = 2
+		return BootCluster(cfg)
+	}},
+}
 
-	if code, body := httpGet(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
-		t.Fatalf("/healthz = %d %q", code, body)
+// TestDebugEndpoints pins the debug surface on both shapes: /healthz is
+// pure liveness (200 even while draining), /readyz answers 503 with the
+// reason while the cluster migrates or drains, /metrics carries the
+// build-info and uptime gauges, and /debug/flightrecorder serves the
+// anomaly ring.
+func TestDebugEndpoints(t *testing.T) {
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ds := datasets.HomoLumo(datasets.Config{NumGraphs: 16})
+			c, err := sh.boot(Config{Source: ds, DebugAddr: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			base := "http://" + c.DebugAddr()
+
+			if code, body := httpGet(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
+				t.Fatalf("/healthz = %d %q", code, body)
+			}
+			if code, body := httpGet(t, base+"/readyz"); code != 200 || !strings.Contains(body, "ok") {
+				t.Fatalf("/readyz = %d %q", code, body)
+			}
+			_, metrics := httpGet(t, base+"/metrics")
+			for _, want := range []string{"ddstore_build_info{", "ddstore_process_uptime_seconds"} {
+				if !strings.Contains(metrics, want) {
+					t.Errorf("/metrics missing %s", want)
+				}
+			}
+
+			// Provoke one flight record (an out-of-range get errors server-side).
+			cl, err := transport.Dial(c.Addrs()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.GetRaw(99); err == nil {
+				t.Fatal("out-of-range get succeeded")
+			}
+			cl.Close()
+			// The server records a request after writing its response, so the
+			// client can be back here before the record lands.
+			waitFor(t, "the flight record", func() bool { return len(c.FlightRecorder().Records()) > 0 })
+			_, frBody := httpGet(t, base+"/debug/flightrecorder")
+			var doc struct {
+				Records []struct {
+					Kind       string `json:"kind"`
+					Generation uint64 `json:"generation"`
+				} `json:"records"`
+			}
+			if err := json.Unmarshal([]byte(frBody), &doc); err != nil {
+				t.Fatalf("/debug/flightrecorder body: %v", err)
+			}
+			if len(doc.Records) == 0 || doc.Records[0].Kind != "error" || doc.Records[0].Generation != 1 {
+				t.Fatalf("flight recorder records = %+v, want an error at generation 1", doc.Records)
+			}
+
+			// Readiness dips while a membership transition is in flight and
+			// from the moment Close starts; liveness never does. The latches
+			// are poked directly because an idle migration or drain completes
+			// faster than an HTTP poll can observe it
+			// (TestHostileTenantThroughReshard watches the real ones).
+			c.migrating.Add(1)
+			if code, body := httpGet(t, base+"/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "migrating") {
+				t.Fatalf("/readyz while migrating = %d %q, want 503 migrating", code, body)
+			}
+			c.migrating.Add(-1)
+			if code, _ := httpGet(t, base+"/readyz"); code != 200 {
+				t.Fatalf("/readyz after the migration = %d, want 200", code)
+			}
+			c.closing.Store(true)
+			if code, body := httpGet(t, base+"/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
+				t.Fatalf("/readyz while draining = %d %q, want 503 draining", code, body)
+			}
+			if code, _ := httpGet(t, base+"/healthz"); code != 200 {
+				t.Fatalf("/healthz while draining = %d, want 200 (liveness is not readiness)", code)
+			}
+			c.closing.Store(false) // or the deferred Close takes the cluster for closed already
+		})
 	}
-	if code, body := httpGet(t, base+"/readyz"); code != 200 || !strings.Contains(body, "ok") {
-		t.Fatalf("/readyz = %d %q", code, body)
+}
+
+// TestDebugMetricsAndAdminReshard boots both shapes the way ddstore-serve
+// -debug-addr -cache-bytes does — server metrics, cache collector,
+// pre-registered resilience counters — drives a little traffic, checks
+// /metrics serves a scrape containing the full schema, then grows the
+// cluster by one owner through /admin/reshard and reads the published
+// generation back from /metrics.
+func TestDebugMetricsAndAdminReshard(t *testing.T) {
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ds := datasets.HomoLumo(datasets.Config{NumGraphs: 50})
+			c, err := sh.boot(Config{
+				Source: ds, CacheBytes: 1 << 20, WriteTimeout: time.Second,
+				DebugAddr: "127.0.0.1:0", Net: fastNet(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			owners := c.OwnerCount()
+
+			// Ids 0..4 belong to the first owner on either shape.
+			cl, err := transport.Dial(c.Addrs()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for pass := 0; pass < 2; pass++ {
+				for id := int64(0); id < 5; id++ {
+					if _, err := cl.GetRaw(id); err != nil {
+						t.Fatalf("get %d: %v", id, err)
+					}
+				}
+			}
+			if url := c.MetricsURL(); !strings.HasSuffix(url, "/metrics") {
+				t.Fatalf("MetricsURL = %q", url)
+			}
+			// The server meters a request after writing its response, so the
+			// last get may not be counted when the first scrape lands.
+			scrapeFor(t, c.MetricsURL(),
+				"ddstore_fetch_latency_seconds_bucket",
+				"ddstore_fetch_latency_seconds_count 10",
+				`ddstore_serve_requests_total{op="get"} 10`,
+				`ddstore_events_total{event="cache-hits"} 5`,
+				`ddstore_events_total{event="cache-misses"} 5`,
+				`ddstore_events_total{event="net-retries"} 0`,
+				`ddstore_events_total{event="net-failovers"} 0`,
+				"ddstore_cache_hit_rate 0.5",
+				obs.MetricShardMapGeneration+" 1",
+				"go_goroutines",
+			)
+
+			code, body := httpGet(t, "http://"+c.DebugAddr()+"/admin/reshard?owners="+strconv.Itoa(owners+1))
+			if code != http.StatusOK {
+				t.Fatalf("reshard endpoint: %d %s", code, body)
+			}
+			var out struct {
+				Generation uint64   `json:"generation"`
+				Owners     []string `json:"owners"`
+				Addrs      []string `json:"addrs"`
+			}
+			if err := json.Unmarshal([]byte(body), &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.Generation != 2 || len(out.Owners) != owners+1 || len(out.Addrs) != owners+1 {
+				t.Fatalf("reshard response %+v", out)
+			}
+			scrapeFor(t, c.MetricsURL(), obs.MetricShardMapGeneration+" 2")
+
+			if code, _ := httpGet(t, "http://"+c.DebugAddr()+"/admin/reshard?owners=0"); code != http.StatusBadRequest {
+				t.Fatalf("owners=0 answered %d, want 400", code)
+			}
+		})
 	}
-	_, metrics := httpGet(t, base+"/metrics")
-	for _, want := range []string{"ddstore_build_info{", "ddstore_process_uptime_seconds"} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %s", want)
+}
+
+// scrapeFor polls a /metrics URL until one scrape contains every wanted
+// line, and fails with the last scrape when it never does.
+func scrapeFor(t *testing.T, url string, want ...string) {
+	t.Helper()
+	var body string
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, body = httpGet(t, url)
+		missing := ""
+		for _, w := range want {
+			if !strings.Contains(body, w) {
+				missing = w
+				break
+			}
 		}
+		if missing == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics missing %q; last scrape:\n%s", missing, body)
+		}
+		time.Sleep(time.Millisecond)
 	}
+}
 
-	// Provoke one flight record (an out-of-range get errors server-side).
-	cl, err := transport.Dial(inst.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.GetRaw(99); err == nil {
-		t.Fatal("out-of-range get succeeded")
-	}
-	cl.Close()
-	// The server records a request after writing its response, so the
-	// client can be back here before the record lands.
-	waitFor(t, "the flight record", func() bool { return len(inst.FlightRecorder().Records()) > 0 })
-	_, frBody := httpGet(t, base+"/debug/flightrecorder")
-	var doc struct {
-		Records []struct {
-			Kind string `json:"kind"`
-		} `json:"records"`
-	}
-	if err := json.Unmarshal([]byte(frBody), &doc); err != nil {
-		t.Fatalf("/debug/flightrecorder body: %v", err)
-	}
-	if len(doc.Records) == 0 || doc.Records[0].Kind != "error" {
-		t.Fatalf("flight recorder records = %+v", doc.Records)
-	}
+// blockingSource stalls reads of one sample id until release is closed,
+// and says on entered when a read has started to wait, so a test can hold
+// a request in flight server-side at will.
+type blockingSource struct {
+	SampleSource
+	block   int64
+	entered chan struct{}
+	release chan struct{}
+}
 
-	// Draining must flip readiness to 503 while liveness stays 200 —
-	// Close sets this latch first and tears the debug endpoint down last,
-	// so a balancer sees "alive but not ready" for the whole drain. The
-	// latch is poked directly because a front-end-less drain completes
-	// faster than an HTTP poll loop can observe it.
-	inst.draining.Store(true)
-	if code, body := httpGet(t, base+"/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
-		t.Fatalf("/readyz while draining = %d %q, want 503 draining", code, body)
+func (b *blockingSource) ReadSample(id int64) (*graph.Graph, error) {
+	if id == b.block {
+		b.entered <- struct{}{}
+		<-b.release
 	}
-	if code, _ := httpGet(t, base+"/healthz"); code != 200 {
-		t.Fatalf("/healthz while draining = %d, want 200 (liveness is not readiness)", code)
+	return b.SampleSource.ReadSample(id)
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCloseDrainsGracefully is the drain regression test, on both shapes:
+// with the front end enabled, Close must let an in-flight request finish
+// while new work is refused — on every owner, listeners still open — with
+// the overloaded/draining wire status, and the debug endpoint must stay
+// scrapeable, with the draining gauge raised and /readyz at 503, for the
+// whole drain (it used to be torn down alongside the server).
+func TestCloseDrainsGracefully(t *testing.T) {
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ds := datasets.HomoLumo(datasets.Config{NumGraphs: 50})
+			// Sample 7 belongs to the first owner on either shape.
+			src := &blockingSource{SampleSource: ds, block: 7, entered: make(chan struct{}, 1), release: make(chan struct{})}
+			c, err := sh.boot(Config{
+				Source: src, CacheBytes: 1 << 20, WriteTimeout: time.Second,
+				DebugAddr:  "127.0.0.1:0",
+				QueueDepth: 8, FrontendWorkers: 2, DrainTimeout: 10 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if code, body := httpGet(t, c.MetricsURL()); code != 200 || !strings.Contains(body, "ddstore_serve_draining 0") {
+				t.Fatalf("/metrics before Close = %d, draining gauge not 0", code)
+			}
+
+			cl, err := transport.Dial(c.Addrs()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			type getResult struct {
+				g   *graph.Graph
+				err error
+			}
+			inflight := make(chan getResult, 1)
+			go func() {
+				g, err := getGraph(cl, 7) // blocks in ReadSample until release closes
+				inflight <- getResult{g, err}
+			}()
+			<-src.entered
+
+			closed := make(chan error, 1)
+			go func() { closed <- c.Close() }()
+			waitFor(t, "drain to start", func() bool {
+				st, _ := c.FrontendStats()
+				return st.Draining
+			})
+
+			// Mid-drain: the control plane still answers, and says so.
+			if code, body := httpGet(t, c.MetricsURL()); code != http.StatusOK {
+				t.Fatalf("/metrics during drain: status %d", code)
+			} else if !strings.Contains(body, "ddstore_serve_draining 1") {
+				t.Fatal("/metrics during drain missing ddstore_serve_draining 1")
+			}
+			if code, body := httpGet(t, "http://"+c.DebugAddr()+"/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
+				t.Fatalf("/readyz during drain = %d %q, want 503 draining", code, body)
+			}
+
+			// Mid-drain: every owner still admits connections at the socket
+			// but refuses every request with the overloaded status, so
+			// clients back off instead of failing over.
+			for _, addr := range c.Addrs() {
+				cl2, err := transport.Dial(addr)
+				if err != nil {
+					t.Fatalf("dial %s during drain: %v", addr, err)
+				}
+				if _, err := cl2.GetRaw(3); !errors.Is(err, transport.ErrOverloaded) {
+					t.Fatalf("get from %s during drain: %v, want ErrOverloaded", addr, err)
+				}
+				cl2.Close()
+			}
+
+			// The in-flight request completes once the source unblocks, and
+			// Close then finishes.
+			close(src.release)
+			res := <-inflight
+			if res.err != nil || res.g.ID != 7 {
+				t.Fatalf("in-flight get = %v, %v; want sample 7", res.g, res.err)
+			}
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("Close after a clean drain = %v, want nil", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close did not return after the drain finished")
+			}
+			st, ok := c.FrontendStats()
+			if !ok || st.InFlight != 0 || st.Queued != 0 {
+				t.Fatalf("front end not empty after Close: %+v", st)
+			}
+		})
 	}
 }
 
@@ -137,50 +394,5 @@ func TestBootFlightRecDirSnapshotsOnSpike(t *testing.T) {
 	}
 	if fi, err := os.Stat(matches[0]); err != nil || fi.Size() == 0 {
 		t.Fatalf("snapshot %s unreadable: %v", matches[0], err)
-	}
-}
-
-// TestClusterReadyzDipsDuringMigration pins the elastic readiness rule: a
-// cluster mid-migration answers 503 on /readyz and recovers to 200 once
-// the new generation is published.
-func TestClusterReadyzDipsDuringMigration(t *testing.T) {
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 64})
-	c, err := BootCluster(ElasticConfig{
-		Source: ds, Owners: 2, DebugAddr: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	base := "http://" + c.DebugAddr()
-
-	if code, _ := httpGet(t, base+"/readyz"); code != 200 {
-		t.Fatalf("/readyz before migration = %d", code)
-	}
-
-	// Run AddOwner in the background and poll readiness while the
-	// migration holds the cluster lock.
-	done := make(chan error, 1)
-	go func() { _, err := c.AddOwner(); done <- err }()
-	sawMigrating := false
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			if code, _ := httpGet(t, base+"/readyz"); code != 200 {
-				t.Fatalf("/readyz after migration = %d", code)
-			}
-			if !sawMigrating {
-				t.Skip("migration completed between readiness polls (too fast to observe)")
-			}
-			return
-		default:
-			code, body := httpGet(t, base+"/readyz")
-			if code == http.StatusServiceUnavailable && strings.Contains(body, "migrating") {
-				sawMigrating = true
-			}
-		}
 	}
 }

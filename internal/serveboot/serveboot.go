@@ -1,26 +1,30 @@
-// Package serveboot assembles a complete ddstore-serve instance — data
-// source, preload-or-lazy chunk, metrics registry, debug endpoint, and
-// optional chaos injection — from one Config. cmd/ddstore-serve is a thin
-// flag-parsing shell over Boot; tests and the load-generator harness call
-// Boot directly to spin a real TCP server on a loopback port inside the
-// test process.
+// Package serveboot assembles a serving cluster — data source, owners,
+// shard map, front end, cache, flight recorder, metrics registry, debug
+// endpoint, and optional chaos injection — from one Config.
+// cmd/ddstore-serve is a thin flag-parsing shell over BootCluster; tests
+// and the load-generator harness boot the same cluster in-process.
+//
+// A Cluster is a set of in-process owners routing every request through a
+// versioned shard map (internal/shardmap). Owners can join, leave, or
+// crash while clients keep loading: a membership transition plans the
+// minimal chunk moves, the gaining owners pull the moved chunks over the
+// batched fetch path while the old owners keep serving, and the next
+// generation is published gainers-first so every sample stays addressable
+// throughout — a client that lands on the wrong owner gets a
+// stale-generation answer carrying the new map and retries, never a hard
+// error. There is one boot path: a static server is a one-owner cluster
+// that never resharded (it stays at generation 1), so tenants, lazy
+// serving, graceful drain and resharding exist on every shape.
 package serveboot
 
 import (
 	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"ddstore/internal/cache"
 	"ddstore/internal/cff"
 	"ddstore/internal/datasets"
 	"ddstore/internal/faultnet"
-	"ddstore/internal/frontend"
 	"ddstore/internal/graph"
-	"ddstore/internal/obs"
-	"ddstore/internal/obs/flightrec"
 	"ddstore/internal/pff"
 	"ddstore/internal/transport"
 )
@@ -31,46 +35,60 @@ type SampleSource interface {
 	ReadSample(id int64) (*graph.Graph, error)
 }
 
-// Config describes one serving process. Exactly one of CFFDir, PFFDir,
-// Dataset, or Source selects the backing data.
+// Config describes one cluster: Owners owners serving the keyspace
+// [Lo, Hi) of one data source. Exactly one of CFFDir, PFFDir, Dataset, or
+// Source selects the durable backing data (what owners preload or fault
+// in from, and the source of last resort when no surviving owner holds a
+// moved chunk).
 type Config struct {
-	// Addr is the TCP listen address; default "127.0.0.1:0" (ephemeral
-	// loopback port, resolved by Instance.Addr).
-	Addr string
+	// Addrs are the listen addresses of the initial owners, in order;
+	// owners beyond the list — and every owner added later — bind an
+	// ephemeral loopback port.
+	Addrs []string
 
 	// CFFDir / PFFDir serve from an on-disk dataset directory.
-	CFFDir string
-	PFFDir string
+	CFFDir, PFFDir string
 	// Dataset names a synthetic dataset: ising, homolumo, discrete, smooth.
 	Dataset string
 	// N and Bins size the synthetic dataset.
-	N    int
-	Bins int
+	N, Bins int
 	// Source serves a caller-provided dataset directly (tests).
 	Source SampleSource
 
-	// Lo and Hi bound the served id range [Lo, Hi); Hi < 0 means the
+	// Lo and Hi bound the served keyspace [Lo, Hi); Hi <= 0 means the
 	// dataset end.
 	Lo, Hi int64
 
-	// WriteTimeout / IdleTimeout are the server's defensive limits.
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
+	// Owners is the initial owner count (default 1).
+	Owners int
+	// Width is the per-shard replica width the planner maintains
+	// (default 1).
+	Width int
+
+	// WriteTimeout / IdleTimeout are each owner's defensive limits.
+	WriteTimeout, IdleTimeout time.Duration
+	// Net is the retry/deadline policy of the migration pull clients.
+	Net transport.RetryPolicy
 
 	// CacheBytes switches from eager preload to lazy on-demand serving
-	// through a byte-budgeted hot-sample cache of this size.
+	// through one byte-budgeted hot-sample cache of this size, shared by
+	// the cluster's owners.
 	CacheBytes  int64
 	CachePolicy string
 
-	// DebugAddr enables the /metrics, /healthz, /debug/pprof endpoint on
+	// DebugAddr enables the debug endpoint — /metrics, /healthz, /readyz,
+	// /debug/flightrecorder, /debug/pprof, /admin/reshard?owners=N — on
 	// this address ("" = disabled; "127.0.0.1:0" for an ephemeral port).
+	// It also decides whether the request path is metered, see
+	// BootCluster.
 	DebugAddr string
 
 	// Tenants enables the multi-tenant serving front end (admission
 	// control, per-tenant budgets, priority queues, load shedding) with
 	// the budgets it describes; see frontend.ParseTenants for the
 	// syntax. Setting any of Tenants, MaxConns, QueueDepth, or
-	// FrontendWorkers enables the front end.
+	// FrontendWorkers enables the front end; the cluster's owners share
+	// it.
 	Tenants string
 	// MaxConns caps concurrent admitted connections (0 = unlimited).
 	MaxConns int
@@ -84,14 +102,14 @@ type Config struct {
 	// front end is enabled (default 5s).
 	DrainTimeout time.Duration
 
-	// Chaos, when non-nil, wraps the listener in a faultnet injector so
-	// the instance misbehaves deterministically (resilience drills and
-	// the fault-mix load tests).
+	// Chaos, when non-nil, wraps every owner's listener in one faultnet
+	// injector, so both client traffic and migration pulls cross a faulty
+	// fabric (resilience drills and the fault-mix load tests).
 	Chaos *faultnet.Scenario
 
 	// FlightRecCap sizes the always-on flight recorder's bounded ring of
-	// slow/errored/shed/stale request records (0 = default 256, negative
-	// disables the recorder entirely).
+	// slow/errored/shed/stale request records, shared by every owner
+	// (0 = default 256, negative disables the recorder entirely).
 	FlightRecCap int
 	// SlowThreshold is the service time above which a successful request
 	// is flight-recorded as slow (0 = default 250ms, negative disables
@@ -103,52 +121,16 @@ type Config struct {
 	FlightRecDir string
 }
 
-// Instance is a booted server and its attached subsystems.
-type Instance struct {
-	srv          *transport.Server
-	fe           *frontend.Frontend
-	dbg          *obs.DebugServer
-	reg          *obs.Registry
-	hot          *cache.Cache
-	injector     *faultnet.Injector
-	rec          *flightrec.Recorder
-	stopWatch    func()
-	draining     atomic.Bool
-	lo, hi       int64
-	drainTimeout time.Duration
-	closers      []func() error
-	closeOnce    sync.Once
-	closeErr     error
+// ElasticConfig is Config under its former elastic-path name (benchmark/ uses it).
+type ElasticConfig = Config
+
+var synthetic = map[string]func(datasets.Config) *datasets.Dataset{
+	"ising": datasets.Ising, "homolumo": datasets.HomoLumo,
+	"discrete": datasets.AISDExDiscrete, "smooth": datasets.AISDExSmooth,
 }
 
-// lazyChunk is a ChunkSource that encodes samples on demand through a
-// byte-budgeted cache instead of preloading the whole range — the
-// CacheBytes serving mode for ranges too large to hold encoded in
-// memory. Concurrent requests for the same cold sample are coalesced into
-// one backing read.
-type lazyChunk struct {
-	src    SampleSource
-	lo, hi int64
-	c      *cache.Cache
-}
-
-func (l *lazyChunk) LocalRange() (int64, int64) { return l.lo, l.hi }
-
-func (l *lazyChunk) LocalSampleBytes(id int64) ([]byte, error) {
-	if id < l.lo || id >= l.hi {
-		return nil, fmt.Errorf("sample %d not in chunk [%d,%d)", id, l.lo, l.hi)
-	}
-	return l.c.GetOrFetch(id, func() ([]byte, error) {
-		g, err := l.src.ReadSample(id)
-		if err != nil {
-			return nil, err
-		}
-		return g.Encode(), nil
-	})
-}
-
-// openSource resolves the configured data backing.
-func openSource(cfg Config) (SampleSource, []func() error, error) {
+// openSource resolves the configured data backing and what closes it.
+func openSource(cfg Config) (SampleSource, func() error, error) {
 	switch {
 	case cfg.Source != nil:
 		return cfg.Source, nil, nil
@@ -157,7 +139,7 @@ func openSource(cfg Config) (SampleSource, []func() error, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return st, []func() error{st.Close}, nil
+		return st, st.Close, nil
 	case cfg.PFFDir != "":
 		src, err := pff.Open(cfg.PFFDir)
 		if err != nil {
@@ -165,291 +147,21 @@ func openSource(cfg Config) (SampleSource, []func() error, error) {
 		}
 		return src, nil, nil
 	case cfg.Dataset != "":
-		dcfg := datasets.Config{NumGraphs: cfg.N, SpectrumBins: cfg.Bins}
-		switch cfg.Dataset {
-		case "ising":
-			return datasets.Ising(dcfg), nil, nil
-		case "homolumo":
-			return datasets.HomoLumo(dcfg), nil, nil
-		case "discrete":
-			return datasets.AISDExDiscrete(dcfg), nil, nil
-		case "smooth":
-			return datasets.AISDExSmooth(dcfg), nil, nil
-		default:
+		build := synthetic[cfg.Dataset]
+		if build == nil {
 			return nil, nil, fmt.Errorf("serveboot: unknown dataset %q", cfg.Dataset)
 		}
+		return build(datasets.Config{NumGraphs: cfg.N, SpectrumBins: cfg.Bins}), nil, nil
 	default:
 		return nil, nil, fmt.Errorf("serveboot: one of CFFDir, PFFDir, Dataset, or Source is required")
 	}
 }
 
-// Boot starts a server from cfg. The returned Instance owns every
-// resource it started; Close releases them all.
+// Instance is a Cluster under the name static callers know it by.
+type Instance = Cluster
+
+// Boot starts a one-owner cluster from cfg.
 func Boot(cfg Config) (*Instance, error) {
-	src, closers, err := openSource(cfg)
-	if err != nil {
-		return nil, err
-	}
-	closeAll := func() {
-		for _, c := range closers {
-			c()
-		}
-	}
-
-	end := cfg.Hi
-	if end < 0 {
-		end = int64(src.Len())
-	}
-	if cfg.Lo < 0 || end > int64(src.Len()) || cfg.Lo >= end {
-		closeAll()
-		return nil, fmt.Errorf("serveboot: bad range [%d,%d) for %d samples", cfg.Lo, end, src.Len())
-	}
-
-	inst := &Instance{lo: cfg.Lo, hi: end, closers: closers}
-	var chunk transport.ChunkSource
-	if cfg.CacheBytes > 0 {
-		// Lazy mode: no preload; samples are read and encoded on first
-		// request and held under the cache's byte budget.
-		pol, err := cache.ParsePolicy(cfg.CachePolicy)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		inst.hot = cache.New(cache.Options{MaxBytes: cfg.CacheBytes, Policy: pol})
-		chunk = &lazyChunk{src: src, lo: cfg.Lo, hi: end, c: inst.hot}
-	} else {
-		// Materialize the served chunk (encoded) so requests are memory
-		// reads — the same preload step a DDStore rank performs.
-		graphs := make([]*graph.Graph, 0, end-cfg.Lo)
-		for id := cfg.Lo; id < end; id++ {
-			g, err := src.ReadSample(id)
-			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("serveboot: preload %d: %w", id, err)
-			}
-			graphs = append(graphs, g)
-		}
-		chunk = transport.NewMemChunk(cfg.Lo, graphs)
-	}
-
-	opts := transport.ServerOptions{WriteTimeout: cfg.WriteTimeout, IdleTimeout: cfg.IdleTimeout}
-
-	// The flight recorder runs whether or not the debug endpoint does —
-	// always-on means the last window of anomalies is in memory the moment
-	// anyone asks, not only after someone enabled debugging.
-	if cfg.FlightRecCap >= 0 {
-		inst.rec = flightrec.New(cfg.FlightRecCap)
-		opts.FlightRecorder = inst.rec
-		slow := cfg.SlowThreshold
-		if slow == 0 {
-			slow = 250 * time.Millisecond
-		}
-		if slow > 0 {
-			opts.SlowThreshold = slow
-		}
-		if cfg.FlightRecDir != "" {
-			inst.stopWatch = inst.rec.Watch(flightrec.WatchConfig{Dir: cfg.FlightRecDir})
-		}
-	}
-
-	// The debug endpoint exports the server's request/latency metrics plus
-	// cache and runtime gauges. Known resilience counters are pre-registered
-	// at zero so a scrape shows the full schema before any traffic.
-	if cfg.DebugAddr != "" {
-		inst.reg = obs.NewRegistry()
-		obs.NewCounterSink(inst.reg, obs.MetricEvents, "event",
-			cache.CounterHits, cache.CounterMisses, cache.CounterCoalesced, cache.CounterEvictions,
-			transport.CounterRoundTrips, transport.CounterRetries, transport.CounterReconnects,
-			transport.CounterTimeouts, transport.CounterChecksumErrors,
-			transport.CounterFailovers, transport.CounterGiveUps, transport.CounterOverloads)
-		obs.FetchLatencyHistogram(inst.reg)
-		obs.CollectGoRuntime(inst.reg)
-		obs.CollectBuildInfo(inst.reg)
-		obs.DrainingGauge(inst.reg)
-		if inst.hot != nil {
-			obs.CollectCache(inst.reg, inst.hot.Stats)
-		}
-		opts.Metrics = inst.reg
-	}
-
-	if cfg.Tenants != "" || cfg.MaxConns > 0 || cfg.QueueDepth > 0 || cfg.FrontendWorkers > 0 {
-		tenants, err := frontend.ParseTenants(cfg.Tenants)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		fe, err := frontend.New(frontend.Options{
-			Tenants:    tenants,
-			MaxConns:   cfg.MaxConns,
-			QueueDepth: cfg.QueueDepth,
-			Workers:    cfg.FrontendWorkers,
-			Reg:        inst.reg,
-		})
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		inst.fe = fe
-		opts.Admission = fe
-		if cfg.MaxConns > 0 {
-			// Raw accept-loop backstop a little above the front end's cap:
-			// ordinary refusals come from the front end with the overloaded
-			// wire status, and the semaphore only stops a socket flood.
-			opts.MaxConns = cfg.MaxConns + 64
-		}
-	}
-	inst.drainTimeout = cfg.DrainTimeout
-	if inst.drainTimeout == 0 {
-		inst.drainTimeout = 5 * time.Second
-	}
-
-	addr := cfg.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		closeAll()
-		return nil, fmt.Errorf("serveboot: %w", err)
-	}
-	if cfg.Chaos != nil {
-		inst.injector = faultnet.New(*cfg.Chaos)
-		ln = inst.injector.Listener(ln)
-	}
-	inst.srv = transport.ServeListener(ln, chunk, opts)
-
-	if inst.reg != nil {
-		mux := obs.NewDebugMux(inst.reg, nil)
-		// Liveness stays /healthz inside the mux; readiness flips to 503
-		// the moment Close begins draining, so balancers steer away while
-		// in-flight work finishes.
-		obs.AddReadyz(mux, func() (bool, string) {
-			if inst.draining.Load() {
-				return false, "draining"
-			}
-			return true, ""
-		})
-		if inst.rec != nil {
-			mux.Handle("/debug/flightrecorder", inst.rec.Handler())
-		}
-		dbg, err := obs.StartDebugHandler(cfg.DebugAddr, mux)
-		if err != nil {
-			inst.srv.Close()
-			closeAll()
-			return nil, err
-		}
-		inst.dbg = dbg
-	}
-	return inst, nil
-}
-
-// Addr returns the resolved TCP listen address.
-func (i *Instance) Addr() string { return i.srv.Addr() }
-
-// Range returns the served id range [lo, hi).
-func (i *Instance) Range() (lo, hi int64) { return i.lo, i.hi }
-
-// DebugAddr returns the debug endpoint's address, or "" if disabled.
-func (i *Instance) DebugAddr() string {
-	if i.dbg == nil {
-		return ""
-	}
-	return i.dbg.Addr()
-}
-
-// MetricsURL returns the full /metrics scrape URL, or "" if disabled.
-func (i *Instance) MetricsURL() string {
-	if i.dbg == nil {
-		return ""
-	}
-	return "http://" + i.dbg.Addr() + "/metrics"
-}
-
-// Registry returns the metrics registry, or nil when DebugAddr is unset.
-func (i *Instance) Registry() *obs.Registry { return i.reg }
-
-// CacheStats reports the lazy-mode hot cache's stats; ok is false in
-// preload mode, which has no cache.
-func (i *Instance) CacheStats() (st cache.Stats, ok bool) {
-	if i.hot == nil {
-		return cache.Stats{}, false
-	}
-	return i.hot.Stats(), true
-}
-
-// CachePolicy returns the lazy-mode eviction policy name, or "".
-func (i *Instance) CachePolicy() string {
-	if i.hot == nil {
-		return ""
-	}
-	return i.hot.Policy().String()
-}
-
-// ResetCache drops every cached entry so the next phase of a load run
-// starts cold. It is a no-op in preload mode.
-func (i *Instance) ResetCache() {
-	if i.hot != nil {
-		i.hot.Reset()
-	}
-}
-
-// FaultStats reports the chaos injector's tally; ok is false when the
-// instance was booted without Chaos.
-func (i *Instance) FaultStats() (st faultnet.Stats, ok bool) {
-	if i.injector == nil {
-		return faultnet.Stats{}, false
-	}
-	return i.injector.Stats(), true
-}
-
-// FlightRecorder returns the instance's always-on flight recorder, or nil
-// when Config.FlightRecCap was negative.
-func (i *Instance) FlightRecorder() *flightrec.Recorder { return i.rec }
-
-// FrontendStats snapshots the serving front end; ok is false when the
-// instance was booted without one.
-func (i *Instance) FrontendStats() (st frontend.Stats, ok bool) {
-	if i.fe == nil {
-		return frontend.Stats{}, false
-	}
-	return i.fe.Stats(), true
-}
-
-// Close shuts down the instance: with the front end enabled it first
-// drains gracefully — new connections and requests are refused with the
-// overloaded/draining wire status while queued and in-flight work
-// finishes (bounded by DrainTimeout) — then the TCP server stops, and the
-// debug endpoint closes LAST so /metrics stays scrapeable (with the
-// draining gauge at 1) through the whole drain. Opened dataset files are
-// released at the end. Idempotent.
-func (i *Instance) Close() error {
-	i.closeOnce.Do(func() {
-		i.draining.Store(true) // /readyz flips to 503 before the drain starts
-		if i.stopWatch != nil {
-			i.stopWatch()
-		}
-		if i.reg != nil {
-			obs.DrainingGauge(i.reg).Set(1)
-		}
-		if i.fe != nil {
-			// The listener stays open during the drain so refusals reach
-			// clients as a wire status instead of a connection reset.
-			i.fe.Drain(i.drainTimeout)
-			i.srv.Drain(time.Second)
-		}
-		err := i.srv.Close()
-		if i.fe != nil {
-			i.fe.Close()
-		}
-		if i.dbg != nil {
-			i.dbg.Close()
-		}
-		for _, c := range i.closers {
-			if cerr := c(); err == nil {
-				err = cerr
-			}
-		}
-		i.closeErr = err
-	})
-	return i.closeErr
+	cfg.Owners = 1
+	return BootCluster(cfg)
 }

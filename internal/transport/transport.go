@@ -845,10 +845,17 @@ func (s *Server) ownsAll(ids []int64) error {
 // fails the whole request — the client grouped the ids by owner, so a
 // stray id is a routing or protocol error, not a partial-result situation.
 func (s *Server) sampleParts(ids []int64, prefixed bool) ([][]byte, int, error) {
+	// Range before ownership: an id outside the keyspace is a bad request,
+	// not a moved chunk, and must not be answered with a map to retry under.
+	lo, hi := s.src.LocalRange()
+	for _, id := range ids {
+		if id < lo || id >= hi {
+			return nil, len(ids), fmt.Errorf("sample %d outside chunk [%d,%d)", id, lo, hi)
+		}
+	}
 	if err := s.ownsAll(ids); err != nil {
 		return nil, len(ids), err
 	}
-	lo, hi := s.src.LocalRange()
 	n := len(ids)
 	var prefixes []byte
 	if prefixed {
@@ -857,9 +864,6 @@ func (s *Server) sampleParts(ids []int64, prefixed bool) ([][]byte, int, error) 
 	}
 	parts := make([][]byte, 0, n)
 	for i, id := range ids {
-		if id < lo || id >= hi {
-			return nil, len(ids), fmt.Errorf("sample %d outside chunk [%d,%d)", id, lo, hi)
-		}
 		one, err := s.src.LocalSampleBytes(id)
 		if err != nil {
 			return nil, len(ids), err
