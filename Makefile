@@ -18,20 +18,32 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Allocation budget gate for the zero-allocation wire/decode path: the
-# header-validation decode (graph.DecodeSizes) must stay at or below
-# DECODE_ALLOC_MAX allocs/op for every graph size. A regression here means
-# a copy or per-tensor allocation crept back into the hot read path.
+# Allocation budget gate for the wire/decode path, one budget per stage a
+# served sample crosses after it arrives: header validation
+# (graph.DecodeSizes: the Lazy), full materialization
+# (graph.MaterializeSizes: Lazy + Graph + one tensor slab) and batch
+# assembly (graph.NewBatch128: Batch + float slab + index slab + IDs), each
+# for every size it runs at. A regression here means a copy or per-tensor
+# allocation crept back into the hot read path.
 DECODE_ALLOC_MAX ?= 1
+MATERIALIZE_ALLOC_MAX ?= 3
+BATCH_ALLOC_MAX ?= 4
 
 bench-allocs:
-	@$(GO) test -run='^$$' -bench=BenchmarkDecodeSizes -benchtime=100x -benchmem ./internal/graph | tee decode-allocs.txt
-	@awk -v max="$(DECODE_ALLOC_MAX)" ' \
-		/^BenchmarkDecodeSizes/ { \
+	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128)$$' -benchtime=100x -benchmem ./internal/graph | tee decode-allocs.txt
+	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" ' \
+		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch } \
+		/^Benchmark/ { \
+			name = $$1; sub(/[\/-].*/, "", name); \
+			if (!(name in max)) next; \
+			ran[name] = 1; \
 			for (i = 1; i <= NF; i++) if ($$(i) == "allocs/op") a = $$(i-1); \
-			if (a + 0 > max + 0) { printf "FAIL: %s allocates %s allocs/op (budget %s)\n", $$1, a, max; bad = 1 } \
+			if (a + 0 > max[name] + 0) { printf "FAIL: %s allocates %s allocs/op (budget %s)\n", $$1, a, max[name]; bad = 1 } \
 		} \
-		END { if (bad) exit 1; print "decode alloc budget ok (<= " max " allocs/op)" }' decode-allocs.txt
+		END { \
+			for (name in max) if (!ran[name]) { printf "FAIL: %s did not run\n", name; bad = 1 } \
+			if (bad) exit 1; \
+			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s allocs/op)\n", decode, materialize, batch }' decode-allocs.txt
 
 vet:
 	$(GO) vet ./...

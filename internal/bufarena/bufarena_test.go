@@ -1,6 +1,7 @@
 package bufarena
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -49,19 +50,49 @@ func TestRetainReleaseCounting(t *testing.T) {
 }
 
 // TestPoisonOnFinalRelease is the mutate-after-release canary: the final
-// Release overwrites the payload, so any consumer still reading a released
-// buffer sees poison, not stale-but-plausible data.
+// Release overwrites the whole visible payload, so any consumer still
+// reading a released buffer sees poison, not stale-but-plausible data. The
+// lengths sit on and around the fill's doubling steps and the size classes,
+// up to an oversize (unpooled) buffer; a truncated buffer is poisoned to
+// its visible length.
 func TestPoisonOnFinalRelease(t *testing.T) {
-	b := Get(128)
-	data := b.Bytes()
-	for i := range data {
-		data[i] = byte(i)
-	}
-	b.Release()
-	for i, v := range data {
-		if v != Poison {
-			t.Fatalf("byte %d = %#x after final release, want poison %#x", i, v, Poison)
+	check := func(t *testing.T, b *Buf) {
+		t.Helper()
+		data := b.Bytes()
+		for i := range data {
+			data[i] = byte(i)
+			if data[i] == Poison {
+				data[i] = 0
+			}
 		}
+		b.Release()
+		for i, v := range data {
+			if v != Poison {
+				t.Fatalf("byte %d of %d = %#x after final release, want poison %#x", i, len(data), v, Poison)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 2, 3, 7, 255, 256, 257, 1400, 23000, 1 << 20, 1<<20 + 1} {
+		check(t, Get(n))
+	}
+	for _, n := range []int{0, 1, 100, 1399} {
+		b := Get(1400)
+		b.Truncate(n)
+		check(t, b)
+	}
+}
+
+// BenchmarkGetRelease is the arena's whole per-buffer cost — a pool get, a
+// final release and the canary fill between them — at a single sample's
+// size and at a 64-batch response's.
+func BenchmarkGetRelease(b *testing.B) {
+	for _, n := range []int{1400, 23000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				Get(n).Release()
+			}
+		})
 	}
 }
 

@@ -65,7 +65,8 @@ func BenchmarkDecodeSizes(b *testing.B) {
 // BenchmarkMaterializeSizes is the honest other half: header validation
 // plus full tensor materialization (what Decode used to measure), so the
 // lazy split can't hide the decode cost — it only defers it to first
-// touch. Two slab allocations back all six tensors.
+// touch. One slab allocation backs all six tensors, so the whole decode is
+// three (Lazy, Graph, slab): `make bench-allocs` holds it to that.
 func BenchmarkMaterializeSizes(b *testing.B) {
 	rng := vtime.NewRNG(11)
 	for _, nodes := range []int{8, 64, 256} {

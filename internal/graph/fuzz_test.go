@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// fuzzCorpus returns valid encodings to seed the fuzzer: with and without
-// positions, empty edges, multi-target Y.
+// fuzzCorpus returns valid encodings to seed the fuzzer — with and without
+// positions, empty edges, multi-target Y — followed by the header-only
+// samples whose payload length wraps to zero.
 func fuzzCorpus() [][]byte {
 	gs := []*Graph{
 		{ID: 0, NumNodes: 1, NodeFeatDim: 1, NodeFeat: []float32{1}, Y: []float32{0}},
@@ -19,6 +20,9 @@ func fuzzCorpus() [][]byte {
 	out := make([][]byte, len(gs))
 	for i, g := range gs {
 		out[i] = g.Encode()
+	}
+	for _, c := range overflowHeaders() {
+		out = append(out, c.data)
 	}
 	return out
 }

@@ -12,7 +12,6 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Graph is one atomistic sample.
@@ -111,7 +110,9 @@ func (g *Graph) Encode() []byte {
 // AppendTo serializes the graph onto buf and returns the extended slice.
 // Layout (little endian): u16 magic, u16 version, i64 id, u32 numNodes,
 // u32 nodeFeatDim, u32 numEdges, u32 edgeFeatDim, u32 hasPos, u32 lenY,
-// then the float32/int32 payloads in declaration order.
+// then the float32/int32 payloads in declaration order. Each tensor is
+// appended as its bytes (words.go); a big-endian host then swaps the
+// appended words in place.
 func (g *Graph) AppendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, codecMagic)
 	buf = binary.LittleEndian.AppendUint16(buf, codecVersion)
@@ -126,25 +127,15 @@ func (g *Graph) AppendTo(buf []byte) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, hasPos)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(g.Y)))
-	buf = appendFloat32s(buf, g.NodeFeat)
-	buf = appendInt32s(buf, g.EdgeSrc)
-	buf = appendInt32s(buf, g.EdgeDst)
-	buf = appendFloat32s(buf, g.EdgeFeat)
-	buf = appendFloat32s(buf, g.Pos)
-	buf = appendFloat32s(buf, g.Y)
-	return buf
-}
-
-func appendFloat32s(buf []byte, xs []float32) []byte {
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
-	}
-	return buf
-}
-
-func appendInt32s(buf []byte, xs []int32) []byte {
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+	payload := len(buf)
+	buf = append(buf, wordBytes(g.NodeFeat)...)
+	buf = append(buf, wordBytes(g.EdgeSrc)...)
+	buf = append(buf, wordBytes(g.EdgeDst)...)
+	buf = append(buf, wordBytes(g.EdgeFeat)...)
+	buf = append(buf, wordBytes(g.Pos)...)
+	buf = append(buf, wordBytes(g.Y)...)
+	if !hostLittleEndian {
+		swapWords(buf[payload:])
 	}
 	return buf
 }
@@ -171,6 +162,11 @@ type header struct {
 // parseHeader validates and reads the codec header at the front of data,
 // including the payload-length guard against corrupt headers requesting
 // absurd allocations. It allocates nothing.
+//
+// The header is the only bounds authority materialize has, so the payload
+// length is summed where it cannot wrap: every count is a u32, so a product
+// of two fits a uint64, and the sum of the five terms is believed only once
+// each product is known to be within the words actually present.
 func parseHeader(data []byte) (header, error) {
 	var h header
 	if len(data) < headerSize {
@@ -183,28 +179,43 @@ func parseHeader(data []byte) (header, error) {
 		return h, fmt.Errorf("graph: unsupported codec version %d", v)
 	}
 	h.id = int64(binary.LittleEndian.Uint64(data[4:]))
-	h.numNodes = int(binary.LittleEndian.Uint32(data[12:]))
-	h.nodeFeatDim = int(binary.LittleEndian.Uint32(data[16:]))
-	h.numEdges = int(binary.LittleEndian.Uint32(data[20:]))
-	h.edgeFeatDim = int(binary.LittleEndian.Uint32(data[24:]))
+	numNodes := uint64(binary.LittleEndian.Uint32(data[12:]))
+	nodeFeatDim := uint64(binary.LittleEndian.Uint32(data[16:]))
+	numEdges := uint64(binary.LittleEndian.Uint32(data[20:]))
+	edgeFeatDim := uint64(binary.LittleEndian.Uint32(data[24:]))
 	h.hasPos = binary.LittleEndian.Uint32(data[28:]) != 0
-	h.lenY = int(binary.LittleEndian.Uint32(data[32:]))
+	lenY := uint64(binary.LittleEndian.Uint32(data[32:]))
 
-	h.want = headerSize + 4*(h.numNodes*h.nodeFeatDim+2*h.numEdges+h.numEdges*h.edgeFeatDim+h.lenY)
+	nodeWords, edgeFeatWords, posWords := numNodes*nodeFeatDim, numEdges*edgeFeatDim, uint64(0)
 	if h.hasPos {
-		h.want += 4 * h.numNodes * 3
+		posWords = 3 * numNodes
 	}
-	if h.numNodes < 0 || h.numEdges < 0 || h.lenY < 0 || h.want < headerSize || len(data) < h.want {
-		return h, fmt.Errorf("graph: payload needs %d bytes, have %d", h.want, len(data))
+	// present is under 2^61, so three products within it plus two u32
+	// counts cannot wrap either.
+	present := uint64(len(data)-headerSize) / 4
+	words := nodeWords + 2*numEdges + edgeFeatWords + posWords + lenY
+	if max(nodeWords, edgeFeatWords, posWords) > present || words > present {
+		return h, fmt.Errorf("graph: header (%d nodes × %d, %d edges × %d, pos %t, %d targets) needs more than the %d bytes present",
+			numNodes, nodeFeatDim, numEdges, edgeFeatDim, h.hasPos, lenY, len(data))
+	}
+	h.numNodes, h.nodeFeatDim = int(numNodes), int(nodeFeatDim)
+	h.numEdges, h.edgeFeatDim = int(numEdges), int(edgeFeatDim)
+	h.lenY = int(lenY)
+	h.want = headerSize + 4*int(words)
+	// A count that contributes no words (a zero feature width) is bounded
+	// only by its u32, which a 32-bit int cannot hold.
+	if h.numNodes < 0 || h.nodeFeatDim < 0 || h.edgeFeatDim < 0 {
+		return h, fmt.Errorf("graph: header count overflows int (%d nodes × %d, edge width %d)", numNodes, nodeFeatDim, edgeFeatDim)
 	}
 	return h, nil
 }
 
-// materialize builds the Graph for a validated header. All float tensors
-// share one slab and both edge-index tensors share another, so a full
-// decode costs three allocations (Graph + two slabs) instead of one per
-// tensor. Subslices are capacity-clipped so appending to one tensor can
-// never scribble over its slab neighbors, and zero-length tensors stay
+// materialize builds the Graph for a validated header: one slab allocation
+// and one bulk copy of the payload, with the six tensors as typed views of
+// that slab (words.go), so a full decode costs two allocations (Graph +
+// slab). The slab is the codec's own, never the wire bytes, so the Graph
+// owns its memory. Views are capacity-clipped so appending to one tensor
+// can never scribble over its slab neighbors, and zero-length tensors stay
 // nil exactly as the per-tensor decoder produced them.
 func (h *header) materialize(data []byte) *Graph {
 	g := &Graph{
@@ -219,55 +230,18 @@ func (h *header) materialize(data []byte) *Graph {
 	if h.hasPos {
 		nPos = h.numNodes * 3
 	}
-	floats := make([]float32, nNode+nEdgeFeat+nPos+h.lenY)
-	ints := make([]int32, 2*h.numEdges)
-
-	p := data[headerSize:]
-	fillFloat32s(floats[:nNode], p)
-	p = p[4*nNode:]
-	fillInt32s(ints[:h.numEdges], p)
-	p = p[4*h.numEdges:]
-	fillInt32s(ints[h.numEdges:], p)
-	p = p[4*h.numEdges:]
-	fillFloat32s(floats[nNode:nNode+nEdgeFeat], p)
-	p = p[4*nEdgeFeat:]
-	fillFloat32s(floats[nNode+nEdgeFeat:nNode+nEdgeFeat+nPos], p)
-	p = p[4*nPos:]
-	fillFloat32s(floats[nNode+nEdgeFeat+nPos:], p)
-
-	g.NodeFeat = subFloats(floats, 0, nNode)
-	g.EdgeSrc = subInts(ints, 0, h.numEdges)
-	g.EdgeDst = subInts(ints, h.numEdges, 2*h.numEdges)
-	g.EdgeFeat = subFloats(floats, nNode, nNode+nEdgeFeat)
-	g.Pos = subFloats(floats, nNode+nEdgeFeat, nNode+nEdgeFeat+nPos)
-	g.Y = subFloats(floats, nNode+nEdgeFeat+nPos, len(floats))
+	slab := make([]uint32, (h.want-headerSize)/4)
+	copy(wordBytes(slab), data[headerSize:h.want])
+	if !hostLittleEndian {
+		swapWords(wordBytes(slab))
+	}
+	g.NodeFeat, slab = viewWords[float32](slab[:nNode]), slab[nNode:]
+	g.EdgeSrc, slab = viewWords[int32](slab[:h.numEdges]), slab[h.numEdges:]
+	g.EdgeDst, slab = viewWords[int32](slab[:h.numEdges]), slab[h.numEdges:]
+	g.EdgeFeat, slab = viewWords[float32](slab[:nEdgeFeat]), slab[nEdgeFeat:]
+	g.Pos, slab = viewWords[float32](slab[:nPos]), slab[nPos:]
+	g.Y = viewWords[float32](slab[:h.lenY])
 	return g
-}
-
-func subFloats(s []float32, lo, hi int) []float32 {
-	if lo == hi {
-		return nil
-	}
-	return s[lo:hi:hi]
-}
-
-func subInts(s []int32, lo, hi int) []int32 {
-	if lo == hi {
-		return nil
-	}
-	return s[lo:hi:hi]
-}
-
-func fillFloat32s(dst []float32, data []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-	}
-}
-
-func fillInt32s(dst []int32, data []byte) {
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
-	}
 }
 
 // Decode deserializes one graph from data, which must contain exactly one
@@ -316,7 +290,9 @@ type Batch struct {
 }
 
 // NewBatch assembles graphs into one batch. All graphs must share feature
-// and target dimensions.
+// and target dimensions. The float tensors (NodeFeat, EdgeFeat, Y) share
+// one slab and the index tensors (EdgeSrc, EdgeDst, GraphIndex) another,
+// each view capacity-clipped so appending to one cannot overwrite the next.
 func NewBatch(graphs []*Graph) (*Batch, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("graph: empty batch")
@@ -327,7 +303,7 @@ func NewBatch(graphs []*Graph) (*Batch, error) {
 		EdgeFeatDim: graphs[0].EdgeFeatDim,
 		YDim:        len(graphs[0].Y),
 	}
-	var totalNodes, totalEdges int
+	var nNode, nEdge, nEdgeFeat int
 	for _, g := range graphs {
 		if g.NodeFeatDim != b.NodeFeatDim {
 			return nil, fmt.Errorf("graph: batch mixes node feature dims %d and %d", b.NodeFeatDim, g.NodeFeatDim)
@@ -338,34 +314,61 @@ func NewBatch(graphs []*Graph) (*Batch, error) {
 		if len(g.Y) != b.YDim {
 			return nil, fmt.Errorf("graph: batch mixes target dims %d and %d", b.YDim, len(g.Y))
 		}
-		totalNodes += g.NumNodes
-		totalEdges += g.NumEdges()
+		b.NumNodes += g.NumNodes
+		nNode += len(g.NodeFeat)
+		nEdge += len(g.EdgeSrc)
+		nEdgeFeat += len(g.EdgeFeat)
 	}
-	b.NumNodes = totalNodes
-	b.NodeFeat = make([]float32, 0, totalNodes*b.NodeFeatDim)
-	b.EdgeSrc = make([]int32, 0, totalEdges)
-	b.EdgeDst = make([]int32, 0, totalEdges)
-	b.EdgeFeat = make([]float32, 0, totalEdges*b.EdgeFeatDim)
-	b.GraphIndex = make([]int32, 0, totalNodes)
-	b.Y = make([]float32, 0, len(graphs)*b.YDim)
-	b.IDs = make([]int64, 0, len(graphs))
+	nY := len(graphs) * b.YDim
+	floats := make([]float32, nNode+nEdgeFeat+nY)
+	b.NodeFeat, floats = floats[:nNode:nNode], floats[nNode:]
+	b.EdgeFeat, floats = floats[:nEdgeFeat:nEdgeFeat], floats[nEdgeFeat:]
+	b.Y = floats[:nY:nY]
+	ints := make([]int32, 2*nEdge+b.NumNodes)
+	b.EdgeSrc, ints = ints[:nEdge:nEdge], ints[nEdge:]
+	b.EdgeDst, ints = ints[:nEdge:nEdge], ints[nEdge:]
+	b.GraphIndex = ints[:b.NumNodes:b.NumNodes]
+	b.IDs = make([]int64, len(graphs))
 
+	nodeFeat, edgeFeat, y := b.NodeFeat, b.EdgeFeat, b.Y
+	edgeSrc, edgeDst, graphIndex := b.EdgeSrc, b.EdgeDst, b.GraphIndex
 	offset := int32(0)
 	for gi, g := range graphs {
-		b.NodeFeat = append(b.NodeFeat, g.NodeFeat...)
-		for i := range g.EdgeSrc {
-			b.EdgeSrc = append(b.EdgeSrc, g.EdgeSrc[i]+offset)
-			b.EdgeDst = append(b.EdgeDst, g.EdgeDst[i]+offset)
+		nodeFeat = nodeFeat[copy(nodeFeat, g.NodeFeat):]
+		edgeFeat = edgeFeat[copy(edgeFeat, g.EdgeFeat):]
+		y = y[copy(y, g.Y):]
+		b.IDs[gi] = g.ID
+
+		n := len(g.EdgeSrc)
+		addOffset(edgeSrc, g.EdgeSrc, offset)
+		addOffset(edgeDst, g.EdgeDst[:n], offset)
+		edgeSrc, edgeDst = edgeSrc[n:], edgeDst[n:]
+
+		index := graphIndex[:g.NumNodes]
+		for i := range index {
+			index[i] = int32(gi)
 		}
-		b.EdgeFeat = append(b.EdgeFeat, g.EdgeFeat...)
-		for i := 0; i < g.NumNodes; i++ {
-			b.GraphIndex = append(b.GraphIndex, int32(gi))
-		}
-		b.Y = append(b.Y, g.Y...)
-		b.IDs = append(b.IDs, g.ID)
+		graphIndex = graphIndex[g.NumNodes:]
 		offset += int32(g.NumNodes)
 	}
 	return b, nil
+}
+
+// addOffset writes src[i]+offset to dst[i] for every element of src; dst is
+// at least as long. It takes four elements a step, each indexed below a
+// re-sliced length, so no element pays a bounds check and the loop's own
+// bookkeeping — which the compiler neither unrolls nor vectorizes away — is
+// paid once in four.
+func addOffset(dst, src []int32, offset int32) {
+	dst = dst[:len(src)]
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		s, d := src[i:i+4:i+4], dst[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = s[0]+offset, s[1]+offset, s[2]+offset, s[3]+offset
+	}
+	for ; i < len(src); i++ {
+		dst[i] = src[i] + offset
+	}
 }
 
 // NumEdges returns the number of directed edges in the batch.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -213,6 +214,43 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(huge); err == nil {
 		t.Error("absurd node count accepted")
 	}
+	// Headers whose payload length wraps to zero must error in every
+	// decoder, not pass as a 36-byte sample and panic in materialize.
+	for _, c := range overflowHeaders() {
+		if _, err := Decode(c.data); err == nil {
+			t.Errorf("%s: accepted by Decode", c.name)
+		}
+		if _, _, err := DecodePrefix(c.data); err == nil {
+			t.Errorf("%s: accepted by DecodePrefix", c.name)
+		}
+		if lz, err := DecodeLazy(c.data, nil); err == nil {
+			t.Errorf("%s: accepted by DecodeLazy", c.name)
+			lz.Graph()
+		}
+	}
+}
+
+// overflowHeaders returns header-only samples whose counts make the payload
+// length, summed in wrapping 64-bit arithmetic, come to exactly zero: one
+// for each product in the sum.
+func overflowHeaders() []namedBytes {
+	mk := func(numNodes, nodeFeatDim, numEdges, edgeFeatDim, hasPos uint32) []byte {
+		data := (&Graph{ID: 1}).Encode()
+		for i, v := range []uint32{numNodes, nodeFeatDim, numEdges, edgeFeatDim, hasPos} {
+			binary.LittleEndian.PutUint32(data[12+4*i:], v)
+		}
+		return data
+	}
+	return []namedBytes{
+		{"numNodes*nodeFeatDim wraps", mk(1<<31, 1<<31, 0, 0, 0)},
+		{"numEdges*(2+edgeFeatDim) wraps", mk(0, 0, 1<<31, 1<<31-2, 0)},
+		{"numNodes*(nodeFeatDim+3) wraps", mk(1<<31, 1<<31-3, 0, 0, 1)},
+	}
+}
+
+type namedBytes struct {
+	name string
+	data []byte
 }
 
 func TestDecodeRandomBytesNeverPanics(t *testing.T) {
@@ -363,6 +401,7 @@ func BenchmarkNewBatch128(b *testing.B) {
 		gs[i] = g
 	}
 	b.ReportAllocs()
+	b.ResetTimer() // the alloc gate runs 100 iterations: keep the set-up's allocations out of them
 	for i := 0; i < b.N; i++ {
 		if _, err := NewBatch(gs); err != nil {
 			b.Fatal(err)

@@ -15,10 +15,13 @@ type Ref interface {
 // been fully checked (magic, version, counts, exact payload length) but
 // the tensors still live in the encoded wire bytes. This is what the hot
 // read path produces per sample — validation costs one allocation (the
-// Lazy itself) instead of one per tensor — and materialization is deferred
-// to the first Graph call, typically batch assembly in the training loop.
-// Samples that are fetched for cache warming, prefetched speculatively, or
-// re-encoded verbatim never pay decode cost at all.
+// Lazy itself) — and materialization is deferred to the first Graph call,
+// typically batch assembly in the training loop: two more allocations (the
+// Graph and one slab) and one copy of the payload out of the wire bytes,
+// never a view of them. Samples that are fetched for cache warming,
+// prefetched speculatively, or re-encoded verbatim never pay decode cost at
+// all, which is why the Lazy holds only a pointer to the Graph: most of
+// them on a cache-heavy path never grow one (TestLazySize).
 //
 // A Lazy may hold one reference on the buffer backing data (ref != nil
 // when the bytes came from the pooled arena). The reference is released as

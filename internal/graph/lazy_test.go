@@ -60,6 +60,9 @@ func TestDecodeLazyRejectsCorruptHeaderBeforeMaterialize(t *testing.T) {
 		append([]byte{}, enc...), // bad magic (patched below)
 	}
 	corrupt[2][0] ^= 0xFF
+	for _, c := range overflowHeaders() { // payload length wraps to zero
+		corrupt = append(corrupt, c.data)
+	}
 	for i, data := range corrupt {
 		ref := &testRef{}
 		lz, err := DecodeLazy(data, ref)
