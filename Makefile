@@ -18,23 +18,34 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Allocation budget gate for the wire/decode path, one budget per stage a
-# served sample crosses after it arrives: header validation
-# (graph.DecodeSizes: the Lazy), full materialization
-# (graph.MaterializeSizes: Lazy + Graph + one tensor slab) and batch
-# assembly (graph.NewBatch128: Batch + float slab + index slab + IDs), each
-# for every size it runs at. A regression here means a copy or per-tensor
-# allocation crept back into the hot read path.
+# Allocation budget gate, one budget per stage. A served sample after it
+# arrives: header validation (graph.DecodeSizes: the Lazy), full
+# materialization (graph.MaterializeSizes: Lazy + Graph + one tensor slab)
+# and batch assembly (graph.NewBatch128: Batch + float slab + index slab +
+# IDs), each for every size it runs at. A served message: a single get
+# through a booted server, front end included (serveboot.ServedGet: the
+# caller's result slice, with one allocation of slack), the admit that
+# never binds (frontend.Admit: nothing) and a 16-id batch over a bare
+# server (transport.OpGetBatch/batch16: the pinned response buffer and its
+# part list). A budget on a benchmark covers every sub-benchmark it runs; a
+# budget on one sub-benchmark names it in full. A regression here means a
+# copy or a per-request allocation crept back into the hot path.
 DECODE_ALLOC_MAX ?= 1
 MATERIALIZE_ALLOC_MAX ?= 3
 BATCH_ALLOC_MAX ?= 4
+SERVED_GET_ALLOC_MAX ?= 2
+ADMIT_ALLOC_MAX ?= 0
+GETBATCH16_ALLOC_MAX ?= 8
 
 bench-allocs:
-	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128)$$' -benchtime=100x -benchmem ./internal/graph | tee decode-allocs.txt
-	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" ' \
-		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch } \
+	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport | tee decode-allocs.txt
+	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" \
+		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" ' \
+		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; \
+			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16 } \
 		/^Benchmark/ { \
-			name = $$1; sub(/[\/-].*/, "", name); \
+			name = $$1; sub(/-[0-9]+$$/, "", name); \
+			if (!(name in max)) sub(/\/.*/, "", name); \
 			if (!(name in max)) next; \
 			ran[name] = 1; \
 			for (i = 1; i <= NF; i++) if ($$(i) == "allocs/op") a = $$(i-1); \
@@ -43,7 +54,7 @@ bench-allocs:
 		END { \
 			for (name in max) if (!ran[name]) { printf "FAIL: %s did not run\n", name; bad = 1 } \
 			if (bad) exit 1; \
-			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s allocs/op)\n", decode, materialize, batch }' decode-allocs.txt
+			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16 }' decode-allocs.txt
 
 vet:
 	$(GO) vet ./...

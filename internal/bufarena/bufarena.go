@@ -1,9 +1,10 @@
 // Package bufarena provides ref-counted pooled byte buffers for the data
-// plane's hot read path. A response payload is read once off the socket
-// into a pooled buffer and then aliased — by cache entries, by batch parts,
-// by lazy graph decodes — without copying; each alias holds a reference,
-// and the buffer returns to its pool only when the last reference is
-// released.
+// plane's hot read path. A response payload is read off the socket into a
+// pooled buffer (through the connection's buffered reader, which copies at
+// most what arrived with the response head) and then aliased — by cache
+// entries, by batch parts, by lazy graph decodes — without copying; each
+// alias holds a reference, and the buffer returns to its pool only when the
+// last reference is released.
 //
 // Ownership discipline:
 //
@@ -18,8 +19,10 @@
 // A buffer that is never released is not a leak: its memory stays ordinary
 // garbage-collected heap, it just never gets recycled. That makes it safe
 // to hand a buffer's bytes to callers outside the refcount discipline
-// (public APIs returning plain []byte) — the pool merely loses one
-// recycling opportunity.
+// (transport's GetBatchRaw returns parts of one as plain []byte) — the pool
+// merely loses one recycling opportunity. A public API that returns a
+// single sample copies it out and releases instead (GetRaw), so the
+// smallest request still recycles its buffer.
 //
 // Poisoning is the aliasing canary: the final Release overwrites the
 // buffer's whole visible payload with a fixed pattern before pooling it,

@@ -79,14 +79,52 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ticket is one request waiting for a worker permit.
+// ticket is one request from the moment it queues for a worker permit
+// until the permit is released. Tickets are recycled through ticketPool:
+// Admit takes one, and it goes back either when Admit learns the ticket was
+// shed or when the transport calls release after the response is written —
+// always with fe and t cleared and the grant channel empty.
 type ticket struct {
+	fe    *Frontend
 	t     *tenant
 	class transport.Class
 	enq   time.Time
+	// start is when the permit was granted: the start of the service time
+	// release observes.
+	start time.Time
 	// grant receives nil when a permit is assigned, or the shed error
-	// when the frontend closes with the ticket still queued.
+	// when the frontend closes with the ticket still queued. It is made
+	// once per ticket; every send is matched by Admit's one receive.
 	grant chan error
+	// release is tk.done bound once, when the ticket is made: the func
+	// Admit hands out, so admitting allocates no closure.
+	release func(payloadBytes int64)
+}
+
+// ticketPool recycles tickets across every Frontend: a ticket carries its
+// Frontend, so the pool needs no owner. It is a pool rather than a field of
+// Conn because nothing stops one gate admitting from several goroutines.
+var ticketPool sync.Pool
+
+func newTicket() *ticket {
+	if tk, ok := ticketPool.Get().(*ticket); ok {
+		return tk
+	}
+	tk := &ticket{grant: make(chan error, 1)}
+	tk.release = tk.done
+	return tk
+}
+
+// done is the release Admit returned: it hands the worker permit back and
+// recycles the ticket.
+func (tk *ticket) done(payloadBytes int64) {
+	tk.fe.release(tk, payloadBytes)
+	tk.recycle()
+}
+
+func (tk *ticket) recycle() {
+	tk.fe, tk.t = nil, nil
+	ticketPool.Put(tk)
 }
 
 // Frontend implements transport.Admission. Create with New.
@@ -272,17 +310,18 @@ func (c *Conn) Admit(class transport.Class) (func(payloadBytes int64), error) {
 		fe.mu.Unlock()
 		return nil, overloadedf("%s queue full (%d deep)", class, fe.opts.QueueDepth)
 	}
-	tk := &ticket{t: t, class: class, enq: now, grant: make(chan error, 1)}
+	tk := newTicket()
+	tk.fe, tk.t, tk.class, tk.enq = fe, t, class, now
 	fe.queues[ci] = append(fe.queues[ci], tk)
 	fe.m.queueDepth(class, len(fe.queues[ci]))
-	fe.scheduleLocked()
+	fe.scheduleLocked(now)
 	fe.mu.Unlock()
 
 	if err := <-tk.grant; err != nil {
+		tk.recycle()
 		return nil, err
 	}
-	start := fe.opts.Now()
-	return func(payloadBytes int64) { fe.release(t, class, payloadBytes, start) }, nil
+	return tk.release, nil
 }
 
 // Close implements the gate's end-of-connection hook.
@@ -298,15 +337,15 @@ func (c *Conn) Close() {
 	fe.mu.Unlock()
 }
 
-// release returns a worker permit and settles the byte quota.
-func (fe *Frontend) release(t *tenant, class transport.Class, payloadBytes int64, start time.Time) {
+// release returns tk's worker permit and settles the byte quota.
+func (fe *Frontend) release(tk *ticket, payloadBytes int64) {
 	fe.mu.Lock()
 	now := fe.opts.Now()
 	fe.free++
 	fe.inflight--
-	t.chargeBytes(now, payloadBytes)
-	fe.m.service(class, now.Sub(start))
-	fe.scheduleLocked()
+	tk.t.chargeBytes(now, payloadBytes)
+	fe.m.service(tk.class, now.Sub(tk.start))
+	fe.scheduleLocked(now)
 	if fe.draining {
 		fe.cond.Broadcast()
 	}
@@ -315,8 +354,10 @@ func (fe *Frontend) release(t *tenant, class transport.Class, payloadBytes int64
 
 // scheduleLocked hands free worker permits to queued tickets in weighted
 // round-robin order: LookupWeight interactive grants per BulkWeight bulk
-// grants, work-conserving when one class is idle.
-func (fe *Frontend) scheduleLocked() {
+// grants, work-conserving when one class is idle. now is the clock reading
+// its caller (an admit or a release) already took: a ticket's queue wait
+// ends, and its service time starts, at the grant.
+func (fe *Frontend) scheduleLocked(now time.Time) {
 	for fe.free > 0 {
 		tk := fe.nextLocked()
 		if tk == nil {
@@ -326,7 +367,8 @@ func (fe *Frontend) scheduleLocked() {
 		fe.inflight++
 		fe.admitted[tk.class]++
 		fe.m.admitted(tk.t.cfg.Name, tk.class)
-		fe.m.queueWait(tk.class, fe.opts.Now().Sub(tk.enq))
+		fe.m.queueWait(tk.class, now.Sub(tk.enq))
+		tk.start = now
 		tk.grant <- nil
 	}
 }
@@ -352,10 +394,16 @@ func (fe *Frontend) nextLocked() *ticket {
 	}
 }
 
+// popLocked takes the head of a class queue, shifting the rest down in
+// place (a queue is at most QueueDepth long) so the next append reuses the
+// backing array instead of growing a new one behind a resliced front.
 func (fe *Frontend) popLocked(ci int) *ticket {
-	tk := fe.queues[ci][0]
-	fe.queues[ci] = fe.queues[ci][1:]
-	fe.m.queueDepth(transport.Class(ci), len(fe.queues[ci]))
+	q := fe.queues[ci]
+	tk := q[0]
+	n := copy(q, q[1:])
+	q[n] = nil
+	fe.queues[ci] = q[:n]
+	fe.m.queueDepth(transport.Class(ci), n)
 	return tk
 }
 

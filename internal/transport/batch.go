@@ -17,14 +17,14 @@ import (
 // (4096 ids = a 32 KiB request body).
 const maxBatchIDs = 4096
 
-// decodeBatchIDs unpacks a batch request body. The body length has
-// already been fixed by the validated count, so this cannot fail.
-func decodeBatchIDs(body []byte, count int) []int64 {
-	ids := make([]int64, count)
-	for i := range ids {
-		ids[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
+// decodeBatchIDs unpacks a batch request body onto dst (the connection's
+// id scratch). The body length has already been fixed by the validated
+// count, so this cannot fail.
+func decodeBatchIDs(dst []int64, body []byte, count int) []int64 {
+	for i := 0; i < count; i++ {
+		dst = append(dst, int64(binary.LittleEndian.Uint64(body[8*i:])))
 	}
-	return ids
+	return dst
 }
 
 // decodeBatchPayload splits a batch response back into its parts. Every

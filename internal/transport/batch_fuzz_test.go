@@ -66,7 +66,7 @@ func FuzzDecodeGetBatch(f *testing.F) {
 			for i := range ids {
 				ids[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
 			}
-			got := decodeBatchIDs(wire.AppendIDs(nil, ids), count)
+			got := decodeBatchIDs(nil, wire.AppendIDs(nil, ids), count)
 			for i := range ids {
 				if got[i] != ids[i] {
 					t.Fatalf("id %d corrupted: %d != %d", i, got[i], ids[i])

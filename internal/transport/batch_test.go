@@ -420,7 +420,7 @@ func TestBatchPayloadHelpers(t *testing.T) {
 	}
 
 	ids := []int64{-1, 0, 1 << 50}
-	got := decodeBatchIDs(wire.AppendIDs(nil, ids), len(ids))
+	got := decodeBatchIDs(nil, wire.AppendIDs(nil, ids), len(ids))
 	for i := range ids {
 		if got[i] != ids[i] {
 			t.Fatalf("id %d: %d != %d", i, got[i], ids[i])

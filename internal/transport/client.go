@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -106,8 +107,10 @@ type Client struct {
 
 	mu       sync.Mutex
 	conn     net.Conn
-	helloed  bool   // tenant declared on the current connection
-	features uint64 // server feature word from the current connection's hello
+	br       *bufio.Reader // buffered reads of conn; Reset by connect on every (re)dial
+	req      []byte        // request frame scratch, reused under mu
+	helloed  bool          // tenant declared on the current connection
+	features uint64        // server feature word from the current connection's hello
 	rng      *rand.Rand
 	closed   bool
 }
@@ -118,8 +121,11 @@ func Dial(addr string) (*Client, error) {
 }
 
 // DialOptions connects to a server with explicit resilience options. The
-// initial connection is established eagerly so configuration errors
-// surface immediately; later reconnects are transparent.
+// initial connection is established eagerly, under the same retry policy as
+// every later reconnect, so configuration errors surface immediately (the
+// last dial error, once the attempts are spent) while a connection a faulty
+// fabric resets mid-handshake is simply dialed again; later reconnects are
+// transparent.
 func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 	if len(opts.Tenant) > maxTenantName {
 		return nil, fmt.Errorf("transport: tenant name %q exceeds %d bytes", opts.Tenant, maxTenantName)
@@ -150,12 +156,46 @@ func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 		}
 	}
 	c.rng = rand.New(rand.NewSource(c.policy.Seed))
-	conn, err := c.dialer(addr)
+	c.br = bufio.NewReader(nil)
+	var err error
+	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
+		if err = c.connect(attempt); err == nil {
+			return c, nil
+		}
+	}
+	return nil, fmt.Errorf("transport: %w", err)
+}
+
+// connect opens attempt number attempt of an operation: every attempt after
+// the first is counted as a retry and waits out the policy's backoff, and a
+// missing connection is (re)dialed. It is the only place a connection is
+// installed, so it is also where the buffered reader is Reset: bytes a
+// broken stream left behind can never be parsed as the next response. A
+// dial that succeeds on a retry attempt counts as a reconnect. The caller
+// holds c.mu, or owns a client nobody else has seen yet.
+func (c *Client) connect(attempt int) error {
+	if attempt > 0 {
+		c.counters.Inc(CounterRetries, 1)
+		time.Sleep(c.policy.delay(attempt, c.rng))
+	}
+	if c.closed {
+		return ErrClosed
+	}
+	if c.conn != nil {
+		return nil
+	}
+	conn, err := c.dialer(c.addr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
+		return err
 	}
 	c.conn = conn
-	return c, nil
+	c.br.Reset(conn)
+	c.helloed = false
+	c.features = 0
+	if attempt > 0 {
+		c.counters.Inc(CounterReconnects, 1)
+	}
+	return nil
 }
 
 // Addr returns the server address this client targets.
@@ -194,37 +234,22 @@ func (c *Client) Close() error {
 // prove B samples cost ⌈B/maxBatch⌉ round trips instead of B.
 //
 // The returned payload buffer carries one reference owned by the caller.
-// Callers that consume the bytes immediately (decode, parse) Release it;
-// callers that hand plain []byte to the outside world keep it alive by
-// simply never releasing (the buffer degrades to ordinary GC-owned memory).
+// Callers that consume the bytes immediately (decode, parse, copy out)
+// Release it; GetBatchRaw, which hands parts of it to the outside world as
+// plain []byte, keeps it alive by never releasing (the buffer degrades to
+// ordinary GC-owned memory).
 func (c *Client) do(op byte, a, b int64, ids []int64, tc tracectx.Context) (*bufarena.Buf, *ServerTiming, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.counters.Inc(CounterRoundTrips, 1)
 	var lastErr error
 	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
-		if c.closed {
-			return nil, nil, ErrClosed
-		}
-		if attempt > 0 {
-			c.counters.Inc(CounterRetries, 1)
-			time.Sleep(c.policy.delay(attempt, c.rng))
-			if c.closed {
-				return nil, nil, ErrClosed
+		if err := c.connect(attempt); err != nil {
+			if errors.Is(err, ErrClosed) {
+				return nil, nil, err
 			}
-		}
-		if c.conn == nil {
-			conn, err := c.dialer(c.addr)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			c.conn = conn
-			c.helloed = false
-			c.features = 0
-			if attempt > 0 {
-				c.counters.Inc(CounterReconnects, 1)
-			}
+			lastErr = err
+			continue
 		}
 		// Declare the tenant once per connection before the first real
 		// request, so admission control charges the right quota. The b
@@ -235,8 +260,9 @@ func (c *Client) do(op byte, a, b int64, ids []int64, tc tracectx.Context) (*buf
 			if c.tracing {
 				feats = featureTracing
 			}
-			hello := frameRequest(opHello, int64(len(c.tenant)), int64(feats), tracectx.Context{}, nil)
-			ack, err := c.exchange(append(hello, c.tenant...))
+			c.req = appendRequest(c.req[:0], opHello, int64(len(c.tenant)), int64(feats), tracectx.Context{}, nil)
+			c.req = append(c.req, c.tenant...)
+			ack, err := c.exchange(c.req)
 			if err != nil {
 				if herr := c.classify(err, &lastErr); herr != nil {
 					return nil, nil, herr
@@ -256,7 +282,8 @@ func (c *Client) do(op byte, a, b int64, ids []int64, tc tracectx.Context) (*buf
 			c.tracing && c.features&featureTracing != 0 {
 			sendOp = top
 		}
-		payload, err := c.exchange(frameRequest(sendOp, a, b, tc, ids))
+		c.req = appendRequest(c.req[:0], sendOp, a, b, tc, ids)
+		payload, err := c.exchange(c.req)
 		if err == nil {
 			if sendOp == op {
 				return payload, nil, nil
@@ -278,22 +305,19 @@ func (c *Client) do(op byte, a, b int64, ids []int64, tc tracectx.Context) (*buf
 		op, c.addr, c.policy.MaxAttempts, lastErr)
 }
 
-// frameRequest renders one request frame in a single allocation: the fixed
-// header, then tc when the op's body starts with a trace context, then the
-// body ids.
-func frameRequest(op byte, a, b int64, tc tracectx.Context, ids []int64) []byte {
-	n := reqHeaderSize + wire.IDsSize(len(ids))
+// appendRequest renders one request frame onto dst: the fixed header, then
+// tc when the op's body starts with a trace context, then the body ids. The
+// client renders every frame into the scratch slice it keeps under c.mu,
+// so a request costs no allocation once that slice has grown to the
+// largest frame the connection has sent.
+func appendRequest(dst []byte, op byte, a, b int64, tc tracectx.Context, ids []int64) []byte {
+	dst = append(dst, op)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(a))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(b))
 	if opTable[op].ctx {
-		n += tracectx.Size
+		dst = tc.AppendTo(dst)
 	}
-	req := make([]byte, reqHeaderSize, n)
-	req[0] = op
-	binary.LittleEndian.PutUint64(req[1:], uint64(a))
-	binary.LittleEndian.PutUint64(req[9:], uint64(b))
-	if opTable[op].ctx {
-		req = tc.AppendTo(req)
-	}
-	return wire.AppendIDs(req, ids)
+	return wire.AppendIDs(dst, ids)
 }
 
 // classify sorts one failed exchange into the retry taxonomy. A non-nil
@@ -338,9 +362,12 @@ func (c *Client) classify(err error, lastErr *error) error {
 // with per-operation deadlines and CRC verification. The request frame
 // (header and body) goes out in a single write so a retried request never
 // leaves a half frame behind counters or fault injectors that account per
-// write. The payload lands in a pooled buffer, read once off the socket; on
-// success the caller owns its single reference, on any error the reference
-// is already released.
+// write. The response is read through the connection's buffered reader: the
+// head is parsed in place, a small payload is copied out of the same read
+// that brought its head, and a large one is read straight into the pooled
+// buffer once the reader-full that arrived with the head has been copied.
+// On success the caller owns the buffer's single reference, on any error
+// the reference is already released.
 func (c *Client) exchange(req []byte) (*bufarena.Buf, error) {
 	if c.policy.WriteTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.policy.WriteTimeout))
@@ -351,15 +378,17 @@ func (c *Client) exchange(req []byte) (*bufarena.Buf, error) {
 	if c.policy.ReadTimeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.policy.ReadTimeout))
 	}
-	var head [respHeaderSize]byte
-	if _, err := io.ReadFull(c.conn, head[:]); err != nil {
+	head, err := c.br.Peek(respHeaderSize)
+	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
+	status := head[0]
 	n := int(binary.LittleEndian.Uint32(head[1:]))
+	wantCRC := binary.LittleEndian.Uint32(head[5:])
+	c.br.Discard(respHeaderSize) // cannot fail: Peek buffered these bytes
 	if n > maxPayload {
 		return nil, fmt.Errorf("transport: oversized response (%d bytes)", n)
 	}
-	wantCRC := binary.LittleEndian.Uint32(head[5:])
 	// Grow the buffer as bytes arrive rather than trusting the advertised
 	// length: a corrupt or hostile head must not make us allocate gigabytes
 	// for data that never comes.
@@ -370,7 +399,7 @@ func (c *Client) exchange(req []byte) (*bufarena.Buf, error) {
 	buf := bufarena.Get(size)
 	read := 0
 	for {
-		if _, err := io.ReadFull(c.conn, buf.Bytes()[read:]); err != nil {
+		if _, err := io.ReadFull(c.br, buf.Bytes()[read:]); err != nil {
 			buf.Release()
 			return nil, fmt.Errorf("transport: %w", err)
 		}
@@ -392,7 +421,7 @@ func (c *Client) exchange(req []byte) (*bufarena.Buf, error) {
 		buf.Release()
 		return nil, ErrChecksum
 	}
-	switch head[0] {
+	switch status {
 	case statusOK:
 		return buf, nil
 	case statusError:
@@ -411,7 +440,7 @@ func (c *Client) exchange(req []byte) (*bufarena.Buf, error) {
 		return nil, &StaleGenerationError{MapBytes: mb}
 	default:
 		buf.Release()
-		return nil, fmt.Errorf("transport: unknown response status %d", head[0])
+		return nil, fmt.Errorf("transport: unknown response status %d", status)
 	}
 }
 
@@ -447,18 +476,22 @@ func (c *Client) Meta() (lo, hi int64, err error) {
 // GetRawTraced fetches the encoded bytes of one sample without decoding.
 // Load generators and relays use it to measure or move wire bytes without
 // paying (or perturbing the measurement with) graph materialization. The
-// returned bytes are plain GC-owned memory (the pooled buffer's reference
-// is intentionally never released, so it is never recycled under the
-// caller). tc is the request's trace context: when tracing is negotiated on
-// the connection and tc is valid and sampled, the returned timing holds
-// the server's breakdown for this request; otherwise — always, for the
-// zero Context — the request runs untraced and timing is nil.
+// returned bytes are plain GC-owned memory, valid for as long as the caller
+// holds them: the payload is copied into an exact-size slice and the pooled
+// buffer goes back to its pool. tc is the request's trace context: when
+// tracing is negotiated on the connection and tc is valid and sampled, the
+// returned timing holds the server's breakdown for this request; otherwise
+// — always, for the zero Context — the request runs untraced and timing is
+// nil.
 func (c *Client) GetRawTraced(id int64, tc tracectx.Context) ([]byte, *ServerTiming, error) {
 	buf, timing, err := c.do(opGet, id, 0, nil, tc)
 	if err != nil {
 		return nil, nil, err
 	}
-	return buf.Bytes(), timing, nil
+	raw := make([]byte, buf.Len())
+	copy(raw, buf.Bytes())
+	buf.Release()
+	return raw, timing, nil
 }
 
 // GetRaw is GetRawTraced without a trace.
@@ -507,8 +540,9 @@ func (c *Client) GetBatchBufs(ids []int64) (*bufarena.Buf, [][]byte, error) {
 }
 
 // GetBatchRaw is GetBatchBufs for callers that cache or relay the encoded
-// bytes beyond the request: the parts are plain GC-owned memory (the
-// pooled buffer's reference is never released; see GetRawTraced).
+// bytes beyond the request: the parts are plain GC-owned memory, because
+// the pooled buffer's reference is never released and so the buffer is
+// never recycled under the caller.
 func (c *Client) GetBatchRaw(ids []int64) ([][]byte, error) {
 	_, parts, err := c.GetBatchBufs(ids)
 	return parts, err

@@ -21,12 +21,14 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,11 +128,12 @@ type opSpec struct {
 	// make the server queue, allocate or touch the source. Nil when the
 	// header holds nothing to check.
 	check func(s *Server, a, b int64) error
-	// serve produces the response as payload parts written with one
-	// vectored write (the source's cached sample slices are referenced in
-	// place, never concatenated into a scratch payload), plus the number of
+	// serve appends the response's payload parts to the connection's part
+	// list (rq.st.parts), to be written with one vectored write (the
+	// source's cached sample slices are referenced in place, never
+	// concatenated into a scratch payload), and returns the number of
 	// samples the request asked for.
-	serve func(s *Server, rq request) (parts [][]byte, samples int, err error)
+	serve func(s *Server, rq request) (samples int, err error)
 }
 
 // request is what an op's serve func sees of one request: the header
@@ -360,12 +363,46 @@ func (m *serverMetrics) observe(op, status byte, payload int, dur time.Duration)
 
 // connState tracks one live connection: busy is set while its handler is
 // executing a request (vs. blocked waiting for the next header), so Drain
-// can wake idle handlers without cutting an in-flight request short. gate
-// and tenant belong to the handler goroutine alone.
+// can wake idle handlers without cutting an in-flight request short.
+// Everything else belongs to the handler goroutine alone.
 type connState struct {
 	busy   atomic.Bool
 	gate   ConnGate // nil without ServerOptions.Admission
 	tenant string   // declared by the connection's most recent hello
+
+	// Request scratch. A connection serves one request at a time and
+	// nothing here outlives the response write, so every request reuses
+	// what the last one left instead of allocating its own. Growth is
+	// bounded by the counts the op table validates before a byte of body
+	// is read (maxBatchIDs, maxTenantName); see reset for the one list a
+	// request can grow past them.
+	body     []byte   // request body: trace context, then ids or a tenant name
+	ids      []int64  // the sample ids the request names
+	prefixes []byte   // batch framing: one 4-byte length per sample, in one slab
+	parts    [][]byte // response payload; aliases the source's sample slices until reset
+	trailer  []byte   // timing trailer of a traced response
+	head     [respHeaderSize]byte
+	iov      [][]byte    // backing array of bufs: the head, then the non-empty parts
+	bufs     net.Buffers // the value the vectored write consumes
+}
+
+// maxScratchParts is the largest part list a connection keeps between
+// requests. A counted body asks for at most a length prefix and a sample
+// per id of the largest batch, and a timing trailer; append at most doubles
+// a list on its way there.
+const maxScratchParts = 2 * (2*maxBatchIDs + 1)
+
+// reset ends a request's use of the scratch once its response is written:
+// every reference to a source sample slice is cleared, so the scratch never
+// pins an entry the lazy chunk cache has evicted, and a part list only an
+// opMulti range can have grown (it is bounded by the chunk, not by the op
+// table) is dropped rather than kept.
+func (st *connState) reset() {
+	clear(st.parts)
+	st.parts = st.parts[:0]
+	if cap(st.parts) > maxScratchParts {
+		st.parts, st.iov = nil, nil
+	}
 }
 
 // Server serves one chunk over TCP.
@@ -522,7 +559,7 @@ func (s *Server) acceptLoop() {
 			if s.opts.Admission != nil {
 				gate, err := s.opts.Admission.AdmitConn(conn.RemoteAddr().String())
 				if err != nil {
-					s.rejectConn(conn, err)
+					s.rejectConn(conn, st, err)
 					return
 				}
 				defer gate.Close()
@@ -544,32 +581,34 @@ const rejectReadTimeout = 2 * time.Second
 // connection keeps seeing the status instead of a broken pipe. It
 // returns — and the caller closes the connection — once the client goes
 // quiet for rejectReadTimeout or hangs up.
-func (s *Server) rejectConn(conn net.Conn, cause error) {
+func (s *Server) rejectConn(conn net.Conn, st *connState, cause error) {
 	if s.metrics != nil {
 		s.metrics.connRejects.Inc()
 	}
-	var header [reqHeaderSize]byte
+	br := bufio.NewReader(conn)
 	for {
 		conn.SetReadDeadline(time.Now().Add(rejectReadTimeout))
-		if _, err := io.ReadFull(conn, header[:]); err != nil {
+		header, err := br.Peek(reqHeaderSize)
+		if err != nil {
 			return
 		}
 		op := header[0]
 		a := int64(binary.LittleEndian.Uint64(header[1:]))
-		// Drain the body without buffering it: the bytes are discarded
+		br.Discard(reqHeaderSize) // cannot fail: Peek buffered these bytes
+		// Drain the body without keeping it: the bytes are discarded
 		// anyway, and an error path must not allocate proportional to an
 		// attacker-supplied length. A count outside the op's bounds has no
 		// known body to drain.
 		sp := &opTable[op]
 		if n, err := sp.bodyLen(a); err == nil && n > 0 {
-			if _, err := io.CopyN(io.Discard, conn, n); err != nil {
+			if _, err := br.Discard(int(n)); err != nil {
 				return
 			}
 		}
 		if rec := s.opts.FlightRecorder; rec != nil && !sp.control {
 			rec.Add(flightrec.Record{Kind: flightrec.KindShed, Op: opName(op), Err: cause.Error()})
 		}
-		if _, werr := s.writeFrame(conn, nil, cause); werr != nil {
+		if _, werr := s.writeFrame(conn, st, cause); werr != nil {
 			return
 		}
 	}
@@ -605,59 +644,69 @@ func checkShardMap(s *Server, _, _ int64) error {
 	return nil
 }
 
-func serveMeta(s *Server, _ request) ([][]byte, int, error) {
+func serveMeta(s *Server, rq request) (int, error) {
 	lo, hi := s.src.LocalRange()
 	meta := make([]byte, 16)
 	binary.LittleEndian.PutUint64(meta[0:], uint64(lo))
 	binary.LittleEndian.PutUint64(meta[8:], uint64(hi))
-	return [][]byte{meta}, 0, nil
+	rq.st.parts = append(rq.st.parts, meta)
+	return 0, nil
 }
 
-func serveGet(s *Server, rq request) ([][]byte, int, error) {
-	return s.sampleParts([]int64{rq.a}, false)
+func serveGet(s *Server, rq request) (int, error) {
+	rq.st.ids = append(rq.st.ids[:0], rq.a)
+	return s.sampleParts(rq.st, rq.st.ids, false)
 }
 
-func serveMulti(s *Server, rq request) ([][]byte, int, error) {
-	ids := make([]int64, rq.b-rq.a) // bounded by the chunk: checkMulti ran
+// serveMulti keeps its id list out of the connection's scratch: the range
+// is bounded by the chunk (checkMulti ran), not by the op table.
+func serveMulti(s *Server, rq request) (int, error) {
+	ids := make([]int64, rq.b-rq.a)
 	for i := range ids {
 		ids[i] = rq.a + int64(i)
 	}
-	return s.sampleParts(ids, false)
+	return s.sampleParts(rq.st, ids, false)
 }
 
 // serveBatch trusts the body length because the count was validated, so
 // the connection stays usable even if an id is out of range.
-func serveBatch(s *Server, rq request) ([][]byte, int, error) {
-	return s.sampleParts(decodeBatchIDs(rq.body, int(rq.a)), true)
+func serveBatch(s *Server, rq request) (int, error) {
+	rq.st.ids = decodeBatchIDs(rq.st.ids[:0], rq.body, int(rq.a))
+	return s.sampleParts(rq.st, rq.st.ids, true)
 }
 
 // serveHello switches the connection's tenant identity and acknowledges
 // with the server's feature word, so both sides know which protocol
 // extensions are safe to use on this connection. Old clients release the
 // payload unread.
-func serveHello(s *Server, rq request) ([][]byte, int, error) {
+func serveHello(s *Server, rq request) (int, error) {
 	name := string(rq.body)
 	if rq.st.gate != nil {
 		if err := rq.st.gate.Hello(name); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
 	rq.st.tenant = name
 	feat := make([]byte, 8)
 	binary.LittleEndian.PutUint64(feat, featureTracing)
-	return [][]byte{feat}, 0, nil
+	rq.st.parts = append(rq.st.parts, feat)
+	return 0, nil
 }
 
-func serveShardMap(s *Server, _ request) ([][]byte, int, error) {
+func serveShardMap(s *Server, rq request) (int, error) {
 	mb, err := s.opts.ShardMap.Encoded()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return [][]byte{mb}, 0, nil
+	rq.st.parts = append(rq.st.parts, mb)
+	return 0, nil
 }
 
 func (s *Server) handle(conn net.Conn, st *connState) {
-	var header [reqHeaderSize]byte
+	// One buffered reader per connection: a request's header and body (a
+	// batch's ids, a traced get's context) arrive in one read, and
+	// pipelined requests in as few reads as the kernel delivers them in.
+	br := bufio.NewReader(conn)
 	for {
 		if s.draining.Load() {
 			return
@@ -665,13 +714,18 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		if _, err := io.ReadFull(conn, header[:]); err != nil {
+		header, rerr := br.Peek(reqHeaderSize)
+		if rerr != nil {
 			return
 		}
 		st.busy.Store(true)
 		op := header[0]
 		a := int64(binary.LittleEndian.Uint64(header[1:]))
 		b := int64(binary.LittleEndian.Uint64(header[9:]))
+		br.Discard(reqHeaderSize) // cannot fail: Peek buffered these bytes
+		// The request's clock reads are chained — start, admit start, source
+		// start, source end, end — so each interval's end is the next one's
+		// start and the trailer's parts can never sum past its whole.
 		start := time.Now()
 		sp := &opTable[op]
 		var err error
@@ -683,7 +737,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 			// The length of the request body is unknown, so the stream
 			// cannot be resynchronized: report the error, then drop the
 			// connection.
-			status, _ := s.writeFrame(conn, nil, cerr)
+			status, _ := s.writeFrame(conn, st, cerr)
 			s.metrics.observe(op, status, 0, time.Since(start))
 			return
 		}
@@ -692,8 +746,9 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		// request header.
 		var body []byte
 		if bodyLen > 0 {
-			body = make([]byte, bodyLen)
-			if _, rerr := io.ReadFull(conn, body); rerr != nil {
+			st.body = slices.Grow(st.body[:0], int(bodyLen))
+			body = st.body[:bodyLen]
+			if _, rerr := io.ReadFull(br, body); rerr != nil {
 				return
 			}
 		}
@@ -721,22 +776,24 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		// overloaded status when shed. The queue wait is measured here and
 		// reported in the timing trailer.
 		var release func(int64)
-		var queueWait time.Duration
+		admitStart := time.Now()
+		srcStart := admitStart
 		if err == nil && st.gate != nil && !sp.control {
-			admitStart := time.Now()
 			release, err = st.gate.Admit(sp.class)
-			queueWait = time.Since(admitStart)
+			srcStart = time.Now()
 		}
-		var parts [][]byte
+		queueWait := srcStart.Sub(admitStart)
 		samples := 0
-		srcStart := time.Now()
 		if err == nil {
-			parts, samples, err = sp.serve(s, request{a: a, b: b, body: body, st: st})
+			samples, err = sp.serve(s, request{a: a, b: b, body: body, st: st})
 		}
-		sourceTime := time.Since(srcStart)
-		var total int
-		for _, p := range parts {
-			total += len(p)
+		srcEnd := time.Now()
+		sourceTime := srcEnd.Sub(srcStart)
+		total := 0
+		if err == nil {
+			for _, p := range st.parts {
+				total += len(p)
+			}
 		}
 		// Traced success responses carry the server's timing breakdown as a
 		// trailer inside the same frame; its bytes ride the existing
@@ -746,18 +803,27 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 			if s.opts.ShardMap != nil {
 				gen = s.opts.ShardMap.Generation()
 			}
-			trailer := appendTimingTrailer(nil, ServerTiming{
+			st.trailer = appendTimingTrailer(st.trailer[:0], ServerTiming{
 				QueueWait:  queueWait,
-				Service:    time.Since(start),
+				Service:    srcEnd.Sub(start),
 				Source:     sourceTime,
 				Bytes:      int64(total),
 				Generation: gen,
 				Tenant:     st.tenant,
 			})
-			parts = append(parts, trailer)
-			total += len(trailer)
+			st.parts = append(st.parts, st.trailer)
+			total += len(st.trailer)
 		}
-		status, werr := s.writeFrame(conn, parts, err)
+		// The part lengths are summed before the frame writer's CRC pass: a
+		// reply the frame's length field and the client's response bound
+		// cannot carry is answered as an error with the stream still
+		// aligned, never as a length that wraps.
+		if total > maxPayload {
+			err = fmt.Errorf("response of %d bytes exceeds the %d-byte frame limit", total, maxPayload)
+			total = 0
+		}
+		status, werr := s.writeFrame(conn, st, err)
+		st.reset()
 		if release != nil {
 			release(int64(total))
 		}
@@ -837,45 +903,42 @@ func (s *Server) ownsAll(ids []int64) error {
 	return nil
 }
 
-// sampleParts gathers the requested samples as a part list, each sample's
-// cached bytes referenced directly, so the reply costs zero per-sample
-// copies. prefixed selects the batch response framing: every sample is
-// preceded by its 4-byte length, all prefixes sharing one slab; otherwise
-// the samples are simply concatenated. Any un-owned or out-of-range id
-// fails the whole request — the client grouped the ids by owner, so a
-// stray id is a routing or protocol error, not a partial-result situation.
-func (s *Server) sampleParts(ids []int64, prefixed bool) ([][]byte, int, error) {
+// sampleParts gathers the requested samples onto the connection's part
+// list, each sample's cached bytes referenced directly, so the reply costs
+// zero per-sample copies. prefixed selects the batch response framing: every
+// sample is preceded by its 4-byte length, all prefixes sharing one slab;
+// otherwise the samples are simply concatenated. Any un-owned or
+// out-of-range id fails the whole request — the client grouped the ids by
+// owner, so a stray id is a routing or protocol error, not a partial-result
+// situation.
+func (s *Server) sampleParts(st *connState, ids []int64, prefixed bool) (int, error) {
 	// Range before ownership: an id outside the keyspace is a bad request,
 	// not a moved chunk, and must not be answered with a map to retry under.
 	lo, hi := s.src.LocalRange()
 	for _, id := range ids {
 		if id < lo || id >= hi {
-			return nil, len(ids), fmt.Errorf("sample %d outside chunk [%d,%d)", id, lo, hi)
+			return len(ids), fmt.Errorf("sample %d outside chunk [%d,%d)", id, lo, hi)
 		}
 	}
 	if err := s.ownsAll(ids); err != nil {
-		return nil, len(ids), err
+		return len(ids), err
 	}
-	n := len(ids)
-	var prefixes []byte
 	if prefixed {
-		n *= 2
-		prefixes = make([]byte, 4*len(ids))
+		st.prefixes = slices.Grow(st.prefixes[:0], 4*len(ids))[:4*len(ids)]
 	}
-	parts := make([][]byte, 0, n)
 	for i, id := range ids {
 		one, err := s.src.LocalSampleBytes(id)
 		if err != nil {
-			return nil, len(ids), err
+			return len(ids), err
 		}
 		if prefixed {
-			pre := prefixes[4*i : 4*i+4 : 4*i+4]
+			pre := st.prefixes[4*i : 4*i+4 : 4*i+4]
 			binary.LittleEndian.PutUint32(pre, uint32(len(one)))
-			parts = append(parts, pre)
+			st.parts = append(st.parts, pre)
 		}
-		parts = append(parts, one)
+		st.parts = append(st.parts, one)
 	}
-	return parts, len(ids), nil
+	return len(ids), nil
 }
 
 // statusOf maps a request's outcome to the status it is answered with and,
@@ -900,37 +963,39 @@ func statusOf(err error) (status byte, payload []byte) {
 }
 
 // writeFrame sends one response frame — status byte, total length, CRC —
-// followed by the payload parts in a single vectored write (writev on TCP
-// connections; net.Buffers falls back to sequential writes elsewhere), and
-// returns the status it answered with. The CRC is computed incrementally
-// over the parts, so the wire format is byte-identical to the old
-// single-payload framing and existing clients need no changes. On err the
-// parts are ignored and the error's payload (statusOf) is sent instead.
-func (s *Server) writeFrame(conn net.Conn, parts [][]byte, err error) (byte, error) {
-	var head [respHeaderSize]byte
+// followed by the connection's payload parts in a single vectored write
+// (writev on TCP connections; net.Buffers falls back to sequential writes
+// elsewhere), and returns the status it answered with. The CRC is computed
+// incrementally over the parts, so the wire format is byte-identical to the
+// old single-payload framing and existing clients need no changes. On err
+// the parts are ignored and the error's payload (statusOf) is sent instead.
+// The head, the iovec list and the net.Buffers value the write consumes all
+// live in the connection's scratch; the list is cleared once the write
+// returns, however much of it the write consumed.
+func (s *Server) writeFrame(conn net.Conn, st *connState, err error) (byte, error) {
 	status, fail := statusOf(err)
 	if err != nil {
-		parts = [][]byte{fail}
+		clear(st.parts)
+		st.parts = append(st.parts[:0], fail)
 	}
-	head[0] = status
+	st.head[0] = status
+	st.iov = append(st.iov[:0], st.head[:])
 	total := 0
 	crc := uint32(0)
-	for _, p := range parts {
-		total += len(p)
-		crc = crc32.Update(crc, crc32.IEEETable, p)
+	for _, p := range st.parts {
+		if len(p) > 0 {
+			total += len(p)
+			crc = crc32.Update(crc, crc32.IEEETable, p)
+			st.iov = append(st.iov, p)
+		}
 	}
-	binary.LittleEndian.PutUint32(head[1:], uint32(total))
-	binary.LittleEndian.PutUint32(head[5:], crc)
+	binary.LittleEndian.PutUint32(st.head[1:], uint32(total))
+	binary.LittleEndian.PutUint32(st.head[5:], crc)
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 	}
-	bufs := make(net.Buffers, 0, 1+len(parts))
-	bufs = append(bufs, head[:])
-	for _, p := range parts {
-		if len(p) > 0 {
-			bufs = append(bufs, p)
-		}
-	}
-	_, werr := bufs.WriteTo(conn)
+	st.bufs = st.iov
+	_, werr := st.bufs.WriteTo(conn)
+	clear(st.iov)
 	return status, werr
 }
