@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-allocs bench-check vet fmt fuzz cover examples experiments quick-experiments clean
+.PHONY: all build test race bench bench-allocs bench-check smoke vet fmt fuzz cover examples experiments quick-experiments clean
 
 all: build test
 
@@ -37,8 +37,13 @@ SERVED_GET_ALLOC_MAX ?= 2
 ADMIT_ALLOC_MAX ?= 0
 GETBATCH16_ALLOC_MAX ?= 8
 
+# Build products (alloc tables, cover profiles, smoke binaries and
+# artifacts) go under the ignored .bench_build/, never beside the sources.
+OUT := .bench_build
+
 bench-allocs:
-	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport | tee decode-allocs.txt
+	@mkdir -p $(OUT)
+	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport | tee $(OUT)/decode-allocs.txt
 	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" \
 		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" ' \
 		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; \
@@ -54,7 +59,7 @@ bench-allocs:
 		END { \
 			for (name in max) if (!ran[name]) { printf "FAIL: %s did not run\n", name; bad = 1 } \
 			if (bad) exit 1; \
-			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16 }' decode-allocs.txt
+			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16 }' $(OUT)/decode-allocs.txt
 
 vet:
 	$(GO) vet ./...
@@ -86,45 +91,32 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeShardMap$$' -fuzztime=$(FUZZTIME) ./internal/shardmap
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPartIndex$$' -fuzztime=$(FUZZTIME) ./internal/cff
 
-# Coverage gates. internal/fetch is the one pipeline both data planes ride
-# (engine unit tests + cross-plane conformance); internal/obs is the
-# metrics/span/telemetry surface every layer now feeds; internal/loadgen is
-# the live-serve latency harness whose e2e suite drives real TCP;
+# Coverage gates, one pkg:floor per line. internal/fetch is the one
+# pipeline both data planes ride (engine unit tests + cross-plane
+# conformance); internal/obs is the metrics/span/telemetry surface every
+# layer feeds; internal/loadgen drives real TCP servers in its e2e suite;
 # internal/frontend is the multi-tenant admission/queueing/shedding layer
 # in front of the serving data plane; internal/shardmap is the versioned
 # ownership map every elastic route resolves through.
-COVER_MIN ?= 85
-OBS_COVER_MIN ?= 75
-LOADGEN_COVER_MIN ?= 85
-FRONTEND_COVER_MIN ?= 85
-SHARDMAP_COVER_MIN ?= 85
+COVER_FLOORS ?= fetch:85 obs:75 loadgen:85 frontend:85 shardmap:85
 
 cover:
-	$(GO) test -coverprofile=fetch.cover -coverpkg=./internal/fetch/ ./internal/fetch/
-	@total=$$($(GO) tool cover -func=fetch.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/fetch coverage: $$total% (floor $(COVER_MIN)%)"; \
-	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 < min+0) ? 1 : 0 }' || \
-		{ echo "coverage $$total% is below the $(COVER_MIN)% floor" >&2; exit 1; }
-	$(GO) test -coverprofile=obs.cover -coverpkg=./internal/obs/ ./internal/obs/
-	@total=$$($(GO) tool cover -func=obs.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/obs coverage: $$total% (floor $(OBS_COVER_MIN)%)"; \
-	awk -v t="$$total" -v min="$(OBS_COVER_MIN)" 'BEGIN { exit (t+0 < min+0) ? 1 : 0 }' || \
-		{ echo "coverage $$total% is below the $(OBS_COVER_MIN)% floor" >&2; exit 1; }
-	$(GO) test -coverprofile=loadgen.cover -coverpkg=./internal/loadgen/ ./internal/loadgen/
-	@total=$$($(GO) tool cover -func=loadgen.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/loadgen coverage: $$total% (floor $(LOADGEN_COVER_MIN)%)"; \
-	awk -v t="$$total" -v min="$(LOADGEN_COVER_MIN)" 'BEGIN { exit (t+0 < min+0) ? 1 : 0 }' || \
-		{ echo "coverage $$total% is below the $(LOADGEN_COVER_MIN)% floor" >&2; exit 1; }
-	$(GO) test -coverprofile=frontend.cover -coverpkg=./internal/frontend/ ./internal/frontend/
-	@total=$$($(GO) tool cover -func=frontend.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/frontend coverage: $$total% (floor $(FRONTEND_COVER_MIN)%)"; \
-	awk -v t="$$total" -v min="$(FRONTEND_COVER_MIN)" 'BEGIN { exit (t+0 < min+0) ? 1 : 0 }' || \
-		{ echo "coverage $$total% is below the $(FRONTEND_COVER_MIN)% floor" >&2; exit 1; }
-	$(GO) test -coverprofile=shardmap.cover -coverpkg=./internal/shardmap/ ./internal/shardmap/
-	@total=$$($(GO) tool cover -func=shardmap.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/shardmap coverage: $$total% (floor $(SHARDMAP_COVER_MIN)%)"; \
-	awk -v t="$$total" -v min="$(SHARDMAP_COVER_MIN)" 'BEGIN { exit (t+0 < min+0) ? 1 : 0 }' || \
-		{ echo "coverage $$total% is below the $(SHARDMAP_COVER_MIN)% floor" >&2; exit 1; }
+	@mkdir -p $(OUT)
+	@for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%%:*}; min=$${pf##*:}; \
+		$(GO) test -coverprofile=$(OUT)/$$pkg.cover -coverpkg=./internal/$$pkg/ ./internal/$$pkg/ || exit 1; \
+		total=$$($(GO) tool cover -func=$(OUT)/$$pkg.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
+		echo "internal/$$pkg coverage: $$total% (floor $$min%)"; \
+		awk -v t="$$total" -v min="$$min" 'BEGIN { exit (t+0 < min+0) ? 1 : 0 }' || \
+			{ echo "internal/$$pkg coverage $$total% is below the $$min% floor" >&2; exit 1; }; \
+	done
+
+# The process-level smokes: the real binaries over loopback, asserting by
+# count only (CI runs the same two scripts). Numbers — tail ratios, steady
+# state, tracing overhead — are the ledger's: benchmark/run.sh.
+smoke:
+	bash scripts/smoke-static.sh
+	bash scripts/smoke-elastic.sh
 
 fmt:
 	gofmt -w .

@@ -288,6 +288,11 @@ func runOne(spec runSpec) (*runOut, error) {
 	if err != nil {
 		return nil, err
 	}
+	if spec.metrics != nil {
+		// The ranks' profilers are the one writer of region and event
+		// counts; the suite's registry accumulates them run by run.
+		obs.AddProfiler(spec.metrics, out.Prof)
+	}
 	out.MeanThroughput = res.MeanThroughput
 	var durSum time.Duration
 	for _, e := range res.Epochs {

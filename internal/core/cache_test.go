@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"ddstore/internal/cache"
 	"ddstore/internal/cluster"
 	"ddstore/internal/comm"
 	"ddstore/internal/datasets"
+	"ddstore/internal/obs"
 	"ddstore/internal/trace"
 )
 
@@ -256,5 +258,68 @@ func TestCacheEvictionPoliciesLoad(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestEventsHaveOneWriter: a store opened with both a profiler and a
+// registry counts its cache events once. ddstore-train and the bench suite
+// fold every rank's profiler into their registry when the run is over; when
+// Open also teed each Inc live into the registry, the fold counted every
+// event a second time (-metrics-json read 514 hits where the profiler had
+// 257). After a cached multi-rank run the registry equals the merged
+// profiler, and a store with a registry and no profiler still counts live.
+func TestEventsHaveOneWriter(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 32})
+	ids := make([]int64, 32)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	twoEpochs := func(opts func() Options) {
+		runWorld(t, 4, cluster.Laptop(), func(c *comm.Comm) error {
+			s, err := Open(c, ds, opts())
+			if err != nil {
+				return err
+			}
+			for epoch := 0; epoch < 2; epoch++ {
+				if _, err := s.Load(ids); err != nil {
+					return err
+				}
+			}
+			return c.Barrier()
+		})
+	}
+	event := func(reg *obs.Registry, name string) int64 {
+		return reg.Counter(obs.MetricEvents, "event", name).Value()
+	}
+
+	reg, merged := obs.NewRegistry(), trace.New()
+	var mu sync.Mutex
+	var profs []*trace.Profiler
+	twoEpochs(func() Options {
+		prof := trace.New()
+		mu.Lock()
+		profs = append(profs, prof)
+		mu.Unlock()
+		return Options{CacheBytes: 1 << 20, Profiler: prof, Metrics: reg}
+	})
+	for _, p := range profs {
+		merged.Merge(p)
+	}
+	obs.AddProfiler(reg, merged)
+	// 4 ranks x 24 remote ids: all misses in epoch 1, all hits in epoch 2.
+	if merged.Counter(cache.CounterHits) != 96 || merged.Counter(cache.CounterMisses) != 96 {
+		t.Fatalf("profilers: %d hits / %d misses, want 96 / 96",
+			merged.Counter(cache.CounterHits), merged.Counter(cache.CounterMisses))
+	}
+	for _, name := range []string{cache.CounterHits, cache.CounterMisses} {
+		if got, want := event(reg, name), merged.Counter(name); got != want {
+			t.Errorf("registry %s = %d, merged profilers = %d", name, got, want)
+		}
+	}
+
+	live := obs.NewRegistry()
+	twoEpochs(func() Options { return Options{CacheBytes: 1 << 20, Metrics: live} })
+	if hits, misses := event(live, cache.CounterHits), event(live, cache.CounterMisses); hits != 96 || misses != 96 {
+		t.Errorf("registry without a profiler: %d hits / %d misses, want 96 / 96", hits, misses)
 	}
 }

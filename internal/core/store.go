@@ -90,13 +90,28 @@ type Options struct {
 	// deterministic virtual clock. The same budget is threaded into
 	// DialGroup for the TCP plane.
 	FetchParallelism int
-	// Metrics, if set, receives the engine's fetch-latency histogram and
-	// live cache event counters (alongside the Profiler, when both are
-	// set). Threaded into DialGroup for the TCP plane.
+	// Metrics, if set, receives the engine's fetch-latency histogram, and
+	// the cache and transport event counters when there is no Profiler to
+	// take them (see eventSink). Threaded into DialGroup for the TCP plane.
 	Metrics *obs.Registry
 	// Spans, if set, receives per-owner fetch spans for the Chrome trace.
 	// Threaded into DialGroup for the TCP plane.
 	Spans *obs.SpanRing
+}
+
+// eventSink is the one place this store's cache and transport events are
+// counted: the rank's Profiler when there is one — whoever owns it folds it
+// into a registry when the run is over (obs.AddProfiler) — else the
+// registry's event family directly, else nowhere. Never both: an event
+// counted live and folded again would read double.
+func (o Options) eventSink() transport.Counters {
+	switch {
+	case o.Profiler != nil:
+		return o.Profiler
+	case o.Metrics != nil:
+		return obs.EventSink(o.Metrics)
+	}
+	return nil
 }
 
 // entry locates one sample inside its replica group.
@@ -234,20 +249,9 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 		prof:      opts.Profiler,
 	}
 	if opts.CacheBytes > 0 {
-		copts := cache.Options{MaxBytes: opts.CacheBytes, Policy: opts.CachePolicy}
-		var sinks []obs.IncSink
-		if s.prof != nil {
-			sinks = append(sinks, s.prof)
-		}
-		if opts.Metrics != nil {
-			sinks = append(sinks, obs.EventSink(opts.Metrics))
-		}
-		if len(sinks) == 1 {
-			copts.Counters = sinks[0]
-		} else if len(sinks) > 1 {
-			copts.Counters = obs.TeeCounters(sinks...)
-		}
-		s.cache = cache.New(copts)
+		s.cache = cache.New(cache.Options{
+			MaxBytes: opts.CacheBytes, Policy: opts.CachePolicy, Counters: opts.eventSink(),
+		})
 	}
 
 	// Replica groups: w consecutive ranks per group, matching node-packed
@@ -544,24 +548,12 @@ func (s *Store) ServeTCP(addr string) (*transport.Server, error) {
 // plane's retry/failover/timeout counters into the store's profiler.
 func (s *Store) DialGroup(replicas [][]string) (*transport.Group, error) {
 	opts := transport.GroupOptions{
-		Client:           transport.ClientOptions{Policy: s.opts.Net},
+		Client:           transport.ClientOptions{Policy: s.opts.Net, Counters: s.opts.eventSink()},
 		CacheBytes:       s.opts.CacheBytes,
 		CachePolicy:      s.opts.CachePolicy,
 		FetchParallelism: s.opts.FetchParallelism,
 		Metrics:          s.opts.Metrics,
 		Spans:            s.opts.Spans,
-	}
-	var sinks []obs.IncSink
-	if s.prof != nil {
-		sinks = append(sinks, s.prof)
-	}
-	if s.opts.Metrics != nil {
-		sinks = append(sinks, obs.EventSink(s.opts.Metrics))
-	}
-	if len(sinks) == 1 {
-		opts.Client.Counters = sinks[0]
-	} else if len(sinks) > 1 {
-		opts.Client.Counters = obs.TeeCounters(sinks...)
 	}
 	return transport.NewGroupReplicas(replicas, opts)
 }

@@ -2,11 +2,13 @@ package loadgen
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"ddstore/internal/datasets"
 	"ddstore/internal/faultnet"
+	"ddstore/internal/graph"
 	"ddstore/internal/serveboot"
 	"ddstore/internal/transport"
 )
@@ -118,5 +120,55 @@ func TestFaultGiveUpsSurfaceAsErrors(t *testing.T) {
 	}
 	if ph.Errors+int64(0) > 0 && ph.AchievedQPS < 0 {
 		t.Errorf("achieved QPS went negative")
+	}
+}
+
+// offByOne answers id k with sample k+1's bytes: well-formed, CRC-clean,
+// and wrong.
+type offByOne struct{ *transport.MemChunk }
+
+func (o offByOne) LocalSampleBytes(id int64) ([]byte, error) {
+	return o.MemChunk.LocalSampleBytes(o.Lo + (id-o.Lo+1)%(o.Hi-o.Lo))
+}
+
+// TestWrongSampleCountsAsError: the frame CRC covers bytes in flight, not
+// whether the server answered the question. The generator decodes every
+// sample's header and compares its id with the one it asked for, on the
+// single-get and the batch path alike, so "errors == 0" in a smoke also
+// means "no wrong sample" — and the first mismatch is reported verbatim.
+func TestWrongSampleCountsAsError(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 64})
+	graphs := make([]*graph.Graph, ds.Len())
+	for i := range graphs {
+		g, err := ds.ReadSample(int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[i] = g
+	}
+	srv, err := transport.Serve("127.0.0.1:0", offByOne{transport.NewMemChunk(0, graphs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for _, mix := range []float64{0, 1} {
+		res, err := Run(context.Background(), Config{
+			Addrs:  []string{srv.Addr()},
+			Phases: []Phase{{Name: "wrong", Mode: Closed, Workers: 2, MaxRequests: 40, Mix: mix, BatchSize: 4}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph := res.Phases[0]
+		if ph.Requests != 40 || ph.Errors != ph.Requests {
+			t.Errorf("mix %g: %d errors of %d requests against a server that answers every id with its neighbour", mix, ph.Errors, ph.Requests)
+		}
+		if ph.Samples != 0 || ph.Bytes != 0 {
+			t.Errorf("mix %g: %d samples / %d bytes counted as served", mix, ph.Samples, ph.Bytes)
+		}
+		if rep := res.Report().String(); !strings.Contains(rep, "server answered with sample") {
+			t.Errorf("mix %g: report does not print the first wrong sample:\n%s", mix, rep)
+		}
 	}
 }

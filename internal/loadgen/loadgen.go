@@ -1,17 +1,17 @@
-// Package loadgen is the closed-loop load generator and latency harness
-// for a live ddstore-serve cluster: N concurrent workers drive the real
-// TCP data plane in open-loop (fixed-QPS token bucket, measuring
+// Package loadgen drives remote ddstore-serve processes — the one job the
+// in-process ledger under benchmark/ cannot do: N concurrent workers on the
+// real TCP data plane in open-loop (fixed-QPS token bucket, measuring
 // queue-induced latency) or closed-loop (back-to-back, measuring maximum
-// sustainable throughput) phases, with a configurable mix of single
-// OpGet lookups vs OpGetBatch bulk fetches to model interactive vs
-// training traffic.
+// sustainable throughput) phases, with a configurable mix of single OpGet
+// lookups vs OpGetBatch bulk fetches, every answer checked against the id
+// asked for.
 //
-// A run is a sequence of Phases — concurrency or QPS ramps, warm vs cold
-// cache passes — each producing a PhaseResult with p50/p95/p99/max
-// latency, achieved QPS, error/retry counts, and bytes moved, plus an
-// optional scrape of the server's /metrics endpoint. Results render as a
-// bench.Report table or a versioned JSON artifact diffable across PRs
-// (see report.go).
+// One runner (Run) and one result (Result): a run is a sequence of Phases,
+// each producing a PhaseResult with latency percentiles, achieved QPS,
+// error/shed/retry counts and bytes moved, plus an optional scrape of the
+// server's /metrics. A scenario is several runs at once — one per tenant,
+// a reshard fired from a Phase.Before or a curl (scripts/smoke-elastic.sh).
+// Results render as a bench.Report table or a versioned JSON artifact.
 package loadgen
 
 import (
@@ -19,7 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +29,7 @@ import (
 	"ddstore/internal/obs"
 	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/stats"
+	"ddstore/internal/trace"
 	"ddstore/internal/transport"
 )
 
@@ -73,8 +74,8 @@ type Phase struct {
 	// sequence, so warm-vs-cold isolates the server cache.
 	Seed uint64
 	// Before, if set, runs just before the phase starts — the hook a
-	// harness uses to reset server caches for a cold phase. Not part of
-	// the artifact.
+	// harness uses to reset a server cache for a cold phase or to fire a
+	// reshard under the phase. Not part of the artifact.
 	Before func()
 }
 
@@ -98,9 +99,6 @@ type Config struct {
 	// MetricsURL, when set, is scraped after every phase and the
 	// ddstore_* families attached to the PhaseResult.
 	MetricsURL string
-	// Registry, when set, carries the in-flight worker gauge
-	// (obs.MetricLoadgenInFlight) while phases run.
-	Registry *obs.Registry
 	// Tenant, when set, is declared to the server on every connection
 	// (the hello frame), so a front-end-enabled server charges this
 	// run's traffic to that tenant's budget.
@@ -117,8 +115,7 @@ type Config struct {
 	// negotiate tracing at hello, every request carries a fresh root
 	// context over the wire, and the servers' timing trailers come back
 	// as merged "server" spans (see TraceSpans). Slowest exemplars in the
-	// artifact then carry trace ids, so a tail-latency outlier in
-	// BENCH_*.json links straight to its spans in the Chrome trace.
+	// artifact then carry trace ids that link to spans in the Chrome trace.
 	Trace bool
 	// TraceSpans, when non-nil with Trace set, receives the client root
 	// span of every traced request plus the synthesized server segments —
@@ -127,8 +124,8 @@ type Config struct {
 }
 
 // PhaseResult is the measured outcome of one phase. Field names and types
-// are pinned by the artifact golden test: BENCH_*.json files must stay
-// comparable across PRs, so additions are fine but renames are not.
+// are pinned by the artifact golden test: scripts read them, so additions
+// are fine but renames are not.
 type PhaseResult struct {
 	Name      string  `json:"name"`
 	Mode      string  `json:"mode"`
@@ -169,6 +166,8 @@ type PhaseResult struct {
 	// trace id and the server's reported service time, so the artifact's
 	// tail links straight to spans in the merged Chrome trace.
 	Slowest []SlowRequest `json:"slowest,omitempty"`
+	// firstErr is the first of Errors, for the report to print verbatim.
+	firstErr error
 }
 
 // SlowRequest is one tail-latency exemplar in a phase artifact.
@@ -199,31 +198,6 @@ type Result struct {
 type target struct {
 	addr   string
 	lo, hi int64
-}
-
-// counterSink aggregates the transport's resilience events across every
-// pooled client; phases report deltas between snapshots.
-type counterSink struct {
-	retries, reconnects, giveups, stale atomic.Int64
-}
-
-func (s *counterSink) Inc(name string, delta int64) {
-	switch name {
-	case transport.CounterRetries:
-		s.retries.Add(delta)
-	case transport.CounterReconnects:
-		s.reconnects.Add(delta)
-	case transport.CounterGiveUps:
-		s.giveups.Add(delta)
-	case transport.CounterStaleRefreshes:
-		s.stale.Add(delta)
-	}
-}
-
-type counterSnap struct{ retries, reconnects, giveups, stale int64 }
-
-func (s *counterSink) snapshot() counterSnap {
-	return counterSnap{s.retries.Load(), s.reconnects.Load(), s.giveups.Load(), s.stale.Load()}
 }
 
 func validate(cfg Config) error {
@@ -271,14 +245,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		seed = 1
 	}
 
-	sink := &counterSink{}
-	pool := transport.NewClientPool(transport.ClientOptions{
-		Policy:   cfg.Policy,
-		Counters: sink,
-		Dialer:   cfg.Dialer,
-		Tenant:   cfg.Tenant,
-		Tracing:  cfg.Trace,
-	})
+	// One profiler counts the transport's resilience events across every
+	// client; phases report the difference between two readings.
+	sink := trace.New()
+	copts := transport.ClientOptions{
+		Policy: cfg.Policy, Counters: sink, Dialer: cfg.Dialer, Tenant: cfg.Tenant, Tracing: cfg.Trace,
+	}
+	pool := transport.NewClientPool(copts)
 	defer pool.Close()
 
 	// Elastic mode: one shared group routes every worker's requests via
@@ -287,13 +260,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	var targets []target
 	if cfg.Elastic {
 		var err error
-		group, err = transport.NewElasticGroup(cfg.Addrs, transport.GroupOptions{
-			Client: transport.ClientOptions{
-				Policy: cfg.Policy, Counters: sink, Dialer: cfg.Dialer, Tenant: cfg.Tenant,
-				Tracing: cfg.Trace,
-			},
-			Spans: cfg.TraceSpans,
-		})
+		group, err = transport.NewElasticGroup(cfg.Addrs, transport.GroupOptions{Client: copts, Spans: cfg.TraceSpans})
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: elastic bootstrap: %w", err)
 		}
@@ -311,36 +278,29 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		// that the target actually owns. An explicit Lo/Hi skips the probes.
 		targets = make([]target, len(cfg.Addrs))
 		for i, addr := range cfg.Addrs {
-			if cfg.Hi > cfg.Lo {
-				targets[i] = target{addr: addr, lo: cfg.Lo, hi: cfg.Hi}
-				continue
-			}
-			cl, err := pool.Get(addr)
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
-			}
-			lo, hi, err := cl.Meta()
-			pool.Put(cl)
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: meta %s: %w", addr, err)
-			}
+			lo, hi := cfg.Lo, cfg.Hi
 			if hi <= lo {
-				return nil, fmt.Errorf("loadgen: %s advertises empty range [%d,%d)", addr, lo, hi)
+				cl, err := pool.Get(addr)
+				if err != nil {
+					return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
+				}
+				lo, hi, err = cl.Meta()
+				pool.Put(cl)
+				if err != nil {
+					return nil, fmt.Errorf("loadgen: meta %s: %w", addr, err)
+				}
+				if hi <= lo {
+					return nil, fmt.Errorf("loadgen: %s advertises empty range [%d,%d)", addr, lo, hi)
+				}
 			}
 			targets[i] = target{addr: addr, lo: lo, hi: hi}
 		}
 	}
 
-	var gauge *obs.Gauge
-	if cfg.Registry != nil {
-		gauge = obs.LoadgenWorkersGauge(cfg.Registry)
-	}
-
 	res := &Result{Addrs: cfg.Addrs, Seed: seed}
 	for i, ph := range cfg.Phases {
-		if err := ctx.Err(); err != nil {
-			res.Pool = pool.Stats()
-			return res, err
+		if ctx.Err() != nil {
+			break
 		}
 		if ph.Before != nil {
 			ph.Before()
@@ -349,7 +309,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if ph.Seed != 0 {
 			phaseSeed = ph.Seed
 		}
-		pr := runPhase(ctx, ph, targets, pool, group, sink, gauge, phaseSeed, cfg.Trace, cfg.TraceSpans)
+		pr := runPhase(ctx, ph, targets, pool, group, sink, phaseSeed, cfg.Trace, cfg.TraceSpans)
 		pr.Tenant = cfg.Tenant
 		if cfg.MetricsURL != "" {
 			if m, err := ScrapeMetrics(cfg.MetricsURL); err == nil {
@@ -371,6 +331,20 @@ type workerStats struct {
 	bytes   int64
 	samples int64
 	slow    []SlowRequest // worst-first, at most slowestPerPhase
+	failed  error         // the first error that was not a shed
+}
+
+// fail tallies one unsuccessful request. Overload refusals are the server's
+// admission control doing its job — counted apart from real failures.
+func (ws *workerStats) fail(err error) {
+	if errors.Is(err, transport.ErrOverloaded) {
+		ws.shed++
+		return
+	}
+	ws.errors++
+	if ws.failed == nil {
+		ws.failed = err
+	}
 }
 
 // noteSlow offers one finished request as a tail exemplar, keeping the
@@ -393,26 +367,24 @@ func (ws *workerStats) noteSlow(sr SlowRequest) {
 
 // mergeSlow folds every worker's exemplars into one worst-first list.
 func mergeSlow(perWorker []workerStats) []SlowRequest {
-	var all []SlowRequest
+	var all workerStats
 	for i := range perWorker {
-		all = append(all, perWorker[i].slow...)
+		for _, sr := range perWorker[i].slow {
+			all.noteSlow(sr)
+		}
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].LatencyMs > all[b].LatencyMs })
-	if len(all) > slowestPerPhase {
-		all = all[:slowestPerPhase]
-	}
-	return all
+	return all.slow
 }
 
 func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.ClientPool,
-	group *transport.Group, sink *counterSink, gauge *obs.Gauge, seed uint64,
+	group *transport.Group, sink *trace.Profiler, seed uint64,
 	traced bool, spans *obs.SpanRing) PhaseResult {
 
 	batch := ph.BatchSize
 	if batch <= 0 {
 		batch = 8
 	}
-	before := sink.snapshot()
+	before := sink.Counters()
 
 	// Open loop: a dispatcher issues tokens carrying their scheduled time;
 	// the bounded queue models the arrival queue, and a full queue drops
@@ -424,12 +396,10 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 	if ph.Duration > 0 {
 		deadline = start.Add(ph.Duration)
 	}
-	dispatchDone := make(chan struct{})
 	if ph.Mode == Open {
 		tokens = make(chan time.Time, tokenQueueCap)
 		go func() {
 			defer close(tokens)
-			defer close(dispatchDone)
 			interval := time.Duration(float64(time.Second) / ph.TargetQPS)
 			if interval <= 0 {
 				interval = time.Nanosecond
@@ -461,8 +431,6 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 				next = next.Add(interval)
 			}
 		}()
-	} else {
-		close(dispatchDone)
 	}
 
 	// Closed loop with MaxRequests: a shared ticket counter makes the
@@ -475,10 +443,6 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if gauge != nil {
-				gauge.Add(1)
-				defer gauge.Add(-1)
-			}
 			rng := rand.New(rand.NewSource(int64(seed) + int64(w)*7919))
 			ws := &perWorker[w]
 
@@ -492,9 +456,17 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 				}
 			}()
 
+			ids := make([]int64, 0, batch)
 			one := func(issuedAt time.Time) {
 				t := targets[rng.Intn(len(targets))]
-				span := t.hi - t.lo
+				bulk := rng.Float64() < ph.Mix
+				ids = ids[:1]
+				if bulk {
+					ids = ids[:batch]
+				}
+				for i := range ids {
+					ids[i] = t.lo + rng.Int63n(t.hi-t.lo)
+				}
 				var nbytes, nsamples int64
 				var err error
 				var tc tracectx.Context
@@ -504,68 +476,48 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 				}
 				op := "get"
 				reqStart := obs.EpochNow()
-				switch {
-				case group != nil:
+				if group != nil {
 					// Elastic: the group resolves each id's owner under the
 					// live map, coalesces, fails over, and refreshes on stale
 					// generations; the worker only draws ids.
 					op = "elastic-load"
-					n := int64(1)
-					if rng.Float64() < ph.Mix {
-						n = int64(batch)
-					}
-					ids := make([]int64, n)
-					for i := range ids {
-						ids[i] = t.lo + rng.Int63n(span)
-					}
 					var lzs []*graph.Lazy
-					if lzs, _, err = group.LoadLazyTraced(ids, tc); err == nil {
-						for _, lz := range lzs {
-							nbytes += int64(lz.EncodedSize())
-							lz.Release()
+					lzs, _, err = group.LoadLazyTraced(ids, tc)
+					for i, lz := range lzs {
+						if lz.ID() != ids[i] && err == nil {
+							err = wrongSample(ids[i], lz.ID())
 						}
-						nsamples = int64(len(lzs))
+						nbytes += int64(lz.EncodedSize())
+						lz.Release()
 					}
-				default:
+					nsamples = int64(len(lzs))
+				} else {
 					cl, ok := clients[t.addr]
 					if !ok {
 						if cl, err = pool.Get(t.addr); err != nil {
-							ws.errors++
+							ws.fail(err)
 							return
 						}
 						clients[t.addr] = cl
 					}
-					if rng.Float64() < ph.Mix {
+					if bulk {
 						op = "batch"
-						ids := make([]int64, batch)
-						for i := range ids {
-							ids[i] = t.lo + rng.Int63n(span)
-						}
 						var buf *bufarena.Buf
 						var parts [][]byte
 						if buf, parts, timing, err = cl.GetBatchBufsTraced(ids, tc); err == nil {
-							for _, p := range parts {
-								nbytes += int64(len(p))
-							}
-							nsamples = int64(len(parts))
+							nbytes, err = checkSamples(parts, ids)
 							buf.Release()
 						}
 					} else {
 						var raw []byte
-						if raw, timing, err = cl.GetRawTraced(t.lo+rng.Int63n(span), tc); err == nil {
-							nbytes = int64(len(raw))
-							nsamples = 1
+						if raw, timing, err = cl.GetRawTraced(ids[0], tc); err == nil {
+							nbytes, err = checkSamples([][]byte{raw}, ids)
 						}
 					}
+					nsamples = int64(len(ids))
 				}
 				if err != nil {
-					// Overload refusals are the server's admission control
-					// doing its job — tallied apart from real failures.
-					if errors.Is(err, transport.ErrOverloaded) {
-						ws.shed++
-					} else {
-						ws.errors++
-					}
+					ws.fail(err)
 					return
 				}
 				lat := time.Since(issuedAt)
@@ -594,7 +546,7 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 					// The elastic group records its own server segments; the
 					// pooled-client paths surface theirs here.
 					if timing != nil {
-						recordServerSpans(spans, tc, timing, end)
+						spans.RecordAll(timing.Spans(tc, obs.Span{Owner: -1}, end)...)
 					}
 				}
 			}
@@ -630,10 +582,10 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 			}
 		}(w)
 	}
-	wg.Wait()
-	<-dispatchDone
+	wg.Wait() // Open workers leave when the dispatcher closes tokens
 	elapsed := time.Since(start)
-	delta := sink.snapshot()
+	after := sink.Counters()
+	delta := func(event string) int64 { return after[event] - before[event] }
 
 	pr := PhaseResult{
 		Name:      ph.Name,
@@ -652,16 +604,19 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 		ws := &perWorker[i]
 		all = append(all, ws.lats...)
 		pr.Errors += ws.errors
+		if pr.firstErr == nil {
+			pr.firstErr = ws.failed
+		}
 		pr.Shed += ws.shed
 		pr.Bytes += ws.bytes
 		pr.Samples += ws.samples
 	}
 	pr.Slowest = mergeSlow(perWorker)
 	pr.Requests = int64(len(all)) + pr.Errors + pr.Shed
-	pr.Retries = delta.retries - before.retries
-	pr.Reconnects = delta.reconnects - before.reconnects
-	pr.GiveUps = delta.giveups - before.giveups
-	pr.StaleRetries = delta.stale - before.stale
+	pr.Retries = delta(transport.CounterRetries)
+	pr.Reconnects = delta(transport.CounterReconnects)
+	pr.GiveUps = delta(transport.CounterGiveUps)
+	pr.StaleRetries = delta(transport.CounterStaleRefreshes)
 	if secs := elapsed.Seconds(); secs > 0 {
 		pr.AchievedQPS = float64(len(all)) / secs
 		pr.SamplesPerS = float64(pr.Samples) / secs
@@ -671,45 +626,33 @@ func runPhase(ctx context.Context, ph Phase, targets []target, pool *transport.C
 		pr.P50ms = msOf(stats.DurationPercentile(all, 50))
 		pr.P95ms = msOf(stats.DurationPercentile(all, 95))
 		pr.P99ms = msOf(stats.DurationPercentile(all, 99))
-		max := all[0]
-		for _, d := range all[1:] {
-			if d > max {
-				max = d
-			}
-		}
-		pr.MaxMs = msOf(max)
+		pr.MaxMs = msOf(slices.Max(all))
 	}
 	return pr
 }
 
-// recordServerSpans merges one timing trailer into the span ring, anchored
-// to the client's view of the request end (the trailer carries durations,
-// so clocks need not agree) — the same synthesis the transport group does
-// for its per-owner chunks, here for the pooled single-client paths.
-func recordServerSpans(r *obs.SpanRing, tc tracectx.Context, t *transport.ServerTiming, reqEnd time.Duration) {
-	serverStart := reqEnd - t.Service
-	sub := tc.Child()
-	base := obs.Span{
-		Cat: "server", Owner: -1, Tenant: t.Tenant, Gen: t.Generation,
-		TraceID: sub.TraceID, SpanID: sub.SpanID, ParentID: tc.SpanID,
+// checkSamples holds a response to what was asked: one well-formed encoded
+// sample per id, each carrying the id requested. The frame CRC vouches for
+// the bytes in flight; this vouches that the server answered the question.
+func checkSamples(parts [][]byte, ids []int64) (nbytes int64, err error) {
+	if len(parts) != len(ids) {
+		return 0, fmt.Errorf("loadgen: %d samples answered for %d ids", len(parts), len(ids))
 	}
-	req := base
-	req.Name, req.Start, req.Dur, req.Bytes = "server-request", serverStart, t.Service, t.Bytes
-	spans := make([]obs.Span, 1, 3)
-	spans[0] = req
-	if t.QueueWait > 0 {
-		qw := base
-		qw.SpanID, qw.ParentID = tc.Child().SpanID, sub.SpanID
-		qw.Name, qw.Start, qw.Dur = "server-queue-wait", serverStart, t.QueueWait
-		spans = append(spans, qw)
+	for i, p := range parts {
+		lz, err := graph.DecodeLazy(p, nil)
+		if err != nil {
+			return 0, fmt.Errorf("loadgen: sample %d: %w", ids[i], err)
+		}
+		if lz.ID() != ids[i] {
+			return 0, wrongSample(ids[i], lz.ID())
+		}
+		nbytes += int64(len(p))
 	}
-	if t.Source > 0 {
-		src := base
-		src.SpanID, src.ParentID = tc.Child().SpanID, sub.SpanID
-		src.Name, src.Start, src.Dur = "server-chunk-source", serverStart+t.QueueWait, t.Source
-		spans = append(spans, src)
-	}
-	r.RecordAll(spans...)
+	return nbytes, nil
+}
+
+func wrongSample(asked, got int64) error {
+	return fmt.Errorf("loadgen: asked for sample %d, server answered with sample %d", asked, got)
 }
 
 // tokenQueueCap bounds the open-loop arrival queue. A server that falls

@@ -26,19 +26,8 @@ type Host struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
-// CurrentHost describes the running process's host.
-func CurrentHost() Host {
-	return Host{
-		GoVersion:  runtime.Version(),
-		OS:         runtime.GOOS,
-		Arch:       runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
-// Artifact is the versioned on-disk form of a load run — the BENCH_*.json
-// trajectory started in PR 3, now with per-phase serving profiles.
+// Artifact is the versioned on-disk form of a load run: one serving
+// profile per phase, from the host it was measured on.
 type Artifact struct {
 	Schema    int                 `json:"schema"`
 	Kind      string              `json:"kind"`
@@ -49,34 +38,6 @@ type Artifact struct {
 	Seed      uint64              `json:"seed"`
 	Pool      transport.PoolStats `json:"pool"`
 	Phases    []PhaseResult       `json:"phases"`
-	// Reshard is the migration block a RunReshard artifact attaches; nil
-	// for plain sweeps (an addition, so the schema version holds).
-	Reshard *ReshardInfo `json:"reshard,omitempty"`
-}
-
-// ReshardInfo summarizes the membership change a reshard bench performed
-// while its middle phase ran.
-type ReshardInfo struct {
-	TargetOwners  int     `json:"target_owners"`
-	PreGen        uint64  `json:"pre_generation"`
-	PostGen       uint64  `json:"post_generation"`
-	MigrationS    float64 `json:"migration_s"`
-	RegressionPct float64 `json:"steady_state_regression_pct"`
-}
-
-// Artifact packages a reshard run for writing: the three phases plus the
-// migration block, under kind "reshard".
-func (r *ReshardResult) Artifact(title string) *Artifact {
-	a := r.Result.Artifact(title)
-	a.Kind = "reshard"
-	a.Reshard = &ReshardInfo{
-		TargetOwners:  r.TargetOwners,
-		PreGen:        r.PreGen,
-		PostGen:       r.PostGen,
-		MigrationS:    r.MigrationS,
-		RegressionPct: r.RegressionPct,
-	}
-	return a
 }
 
 // Artifact packages the result for writing, stamping schema, host, and
@@ -87,11 +48,14 @@ func (r *Result) Artifact(title string) *Artifact {
 		Kind:      "loadgen",
 		Title:     title,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		Host:      CurrentHost(),
-		Addrs:     r.Addrs,
-		Seed:      r.Seed,
-		Pool:      r.Pool,
-		Phases:    r.Phases,
+		Host: Host{
+			GoVersion: runtime.Version(), OS: runtime.GOOS, Arch: runtime.GOARCH,
+			CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		},
+		Addrs:  r.Addrs,
+		Seed:   r.Seed,
+		Pool:   r.Pool,
+		Phases: r.Phases,
 	}
 }
 
@@ -133,6 +97,9 @@ func (r *Result) Report() *bench.Report {
 			rep.AddNote("%s: dropped %d open-loop tokens (server saturated beyond the %d-deep arrival queue)",
 				ph.Name, ph.Dropped, tokenQueueCap)
 		}
+		if ph.firstErr != nil {
+			rep.AddNote("%s: first of %d errors: %v", ph.Name, ph.Errors, ph.firstErr)
+		}
 		if len(ph.Slowest) > 0 {
 			worst := ph.Slowest[0]
 			if worst.TraceID != "" {
@@ -143,32 +110,30 @@ func (r *Result) Report() *bench.Report {
 			}
 		}
 	}
-	rep.AddNote("pool: %d dials, %d reuses across %d phases", r.Pool.Dials, r.Pool.Reuses, len(r.Phases))
+	if r.Pool.Dials > 0 { // elastic runs go through the group's own clients
+		rep.AddNote("pool: %d dials, %d reuses across %d phases", r.Pool.Dials, r.Pool.Reuses, len(r.Phases))
+	}
 	return rep
 }
 
 // SweepOptions shape the standard phase plan built by Sweep — the plan
-// behind `ddstore-bench -loadgen`.
+// behind `ddstore-bench -loadgen`, whose flags are where the defaults live.
 type SweepOptions struct {
 	// Quick runs a deterministic, seconds-long plan: closed phases issue
 	// exactly QuickClosedRequests requests and the open phase runs for
 	// under a second.
 	Quick bool
-	// Clients is the worker count (default 4) for non-ramped phases.
+	// Clients is the worker count of the open phase, and of the closed
+	// pair when there is no Ramp.
 	Clients int
 	// Ramp, when set, runs the closed-loop pair once per client count.
 	Ramp []int
-	// QPS is the open-loop target rate (default 200).
+	// QPS is the open-loop target rate.
 	QPS float64
-	// Duration is the per-phase wall budget in full mode (default 5s).
+	// Duration is the per-phase wall budget in full mode.
 	Duration time.Duration
-	// Mix is the OpGetBatch fraction (default 0.25).
+	// Mix is the OpGetBatch fraction.
 	Mix float64
-	// BatchSize is the ids per batch request (default 8).
-	BatchSize int
-	// ColdStart, if set, runs before each cold phase (e.g. the server's
-	// cache reset) so cold numbers are honest on a warm process.
-	ColdStart func()
 }
 
 // QuickClosedRequests is the exact request count of each quick-mode
@@ -176,57 +141,34 @@ type SweepOptions struct {
 const QuickClosedRequests = 256
 
 // Sweep builds the standard phase plan: for each ramp step, a cold then a
-// warm closed-loop phase (ColdStart runs before the cold one), followed
-// by one open-loop phase at the target QPS. Warm-vs-cold pairs quantify
-// the server cache; the open-loop tail measures queue-induced latency at
-// a fixed arrival rate.
+// warm closed-loop phase, followed by one open-loop phase at the target
+// QPS. Warm-vs-cold pairs quantify the server cache (on a server started
+// for the run, or one whose cache the cold phase's Before resets); the
+// open-loop tail measures queue-induced latency at a fixed arrival rate.
 func Sweep(o SweepOptions) []Phase {
-	clients := o.Clients
-	if clients <= 0 {
-		clients = 4
-	}
-	qps := o.QPS
-	if qps <= 0 {
-		qps = 200
-	}
-	dur := o.Duration
-	if dur <= 0 {
-		dur = 5 * time.Second
-	}
-	mix := o.Mix
-	if mix == 0 {
-		mix = 0.25
-	}
 	ramp := o.Ramp
 	if len(ramp) == 0 {
-		ramp = []int{clients}
+		ramp = []int{o.Clients}
 	}
-
 	var phases []Phase
 	for step, c := range ramp {
 		// Cold and warm share a pinned seed (and worker count), so the warm
 		// phase replays the cold phase's exact request stream: the delta
 		// between the pair isolates the server's cache.
-		pairSeed := uint64(0x5eed) + uint64(step+1)*7919
 		cold := Phase{
 			Name: fmt.Sprintf("closed-cold-c%d", c), Mode: Closed, Workers: c,
-			Mix: mix, BatchSize: o.BatchSize, Seed: pairSeed, Before: o.ColdStart,
-		}
-		warm := Phase{
-			Name: fmt.Sprintf("closed-warm-c%d", c), Mode: Closed, Workers: c,
-			Mix: mix, BatchSize: o.BatchSize, Seed: pairSeed,
+			Mix: o.Mix, Seed: uint64(0x5eed) + uint64(step+1)*7919, Duration: o.Duration,
 		}
 		if o.Quick {
-			cold.MaxRequests, warm.MaxRequests = QuickClosedRequests, QuickClosedRequests
-			cold.Duration, warm.Duration = 30*time.Second, 30*time.Second // safety cap
-		} else {
-			cold.Duration, warm.Duration = dur, dur
+			cold.MaxRequests, cold.Duration = QuickClosedRequests, 30*time.Second // safety cap
 		}
+		warm := cold
+		warm.Name = fmt.Sprintf("closed-warm-c%d", c)
 		phases = append(phases, cold, warm)
 	}
 	open := Phase{
-		Name: fmt.Sprintf("open-qps%g", qps), Mode: Open, Workers: clients,
-		TargetQPS: qps, Duration: dur, Mix: mix, BatchSize: o.BatchSize,
+		Name: fmt.Sprintf("open-qps%g", o.QPS), Mode: Open, Workers: o.Clients,
+		TargetQPS: o.QPS, Duration: o.Duration, Mix: o.Mix,
 	}
 	if o.Quick {
 		open.Duration = 800 * time.Millisecond

@@ -95,14 +95,11 @@ func TestArtifactRoundTripsThroughFile(t *testing.T) {
 }
 
 // TestSweepPlan checks the standard phase plan: one cold+warm closed pair
-// per ramp step with ColdStart wired to cold phases only, then a single
-// open-loop tail; quick mode pins the deterministic request count.
+// per ramp step, then a single open-loop tail; quick mode pins the
+// deterministic request count, and every value is the caller's (the
+// defaults live with the ddstore-bench flags, so -mix 0 means 0).
 func TestSweepPlan(t *testing.T) {
-	var resets int
-	phases := Sweep(SweepOptions{
-		Quick: true, Ramp: []int{1, 8}, Mix: 0.5,
-		ColdStart: func() { resets++ },
-	})
+	phases := Sweep(SweepOptions{Quick: true, Clients: 4, Ramp: []int{1, 8}, QPS: 200, Mix: 0.5})
 	if len(phases) != 5 {
 		t.Fatalf("%d phases for a 2-step ramp, want 5 (2×cold+warm, 1×open)", len(phases))
 	}
@@ -110,6 +107,9 @@ func TestSweepPlan(t *testing.T) {
 	for i, ph := range phases {
 		if ph.Name != wantNames[i] {
 			t.Errorf("phase %d named %q, want %q", i, ph.Name, wantNames[i])
+		}
+		if ph.Mix != 0.5 {
+			t.Errorf("%s: mix %g, want the caller's 0.5", ph.Name, ph.Mix)
 		}
 	}
 	for _, ph := range phases[:4] {
@@ -125,26 +125,22 @@ func TestSweepPlan(t *testing.T) {
 	if phases[2].Seed != phases[3].Seed || phases[0].Seed == phases[2].Seed {
 		t.Errorf("ramp-step seeds %d/%d/%d: want per-pair pinning", phases[0].Seed, phases[2].Seed, phases[3].Seed)
 	}
-	if open := phases[4]; open.Mode != Open || open.TargetQPS != 200 || open.Duration <= 0 {
+	if open := phases[4]; open.Mode != Open || open.TargetQPS != 200 || open.Workers != 4 || open.Duration <= 0 {
 		t.Errorf("open phase misbuilt: %+v", open)
 	}
-	for _, ph := range phases {
-		if ph.Before != nil {
-			ph.Before()
-		}
-	}
-	if resets != 2 {
-		t.Errorf("ColdStart wired to %d phases, want the 2 cold ones", resets)
-	}
 
-	// Full mode uses durations, not request caps.
-	full := Sweep(SweepOptions{Clients: 2, Duration: 3 * time.Second})
+	// Full mode uses durations, not request caps, and a zero mix stays zero.
+	full := Sweep(SweepOptions{Clients: 2, QPS: 50, Duration: 3 * time.Second})
 	if len(full) != 3 {
-		t.Fatalf("%d default phases, want 3", len(full))
+		t.Fatalf("%d phases without a ramp, want 3", len(full))
 	}
-	for _, ph := range full[:2] {
-		if ph.MaxRequests != 0 || ph.Duration != 3*time.Second {
-			t.Errorf("%s: max=%d dur=%v, want duration-bounded", ph.Name, ph.MaxRequests, ph.Duration)
+	for _, ph := range full {
+		if ph.MaxRequests != 0 || ph.Duration != 3*time.Second || ph.Workers != 2 || ph.Mix != 0 {
+			t.Errorf("%s: max=%d dur=%v workers=%d mix=%g, want duration-bounded, 2 workers, all single gets",
+				ph.Name, ph.MaxRequests, ph.Duration, ph.Workers, ph.Mix)
 		}
+	}
+	if err := validate(Config{Addrs: []string{"x"}, Phases: full}); err != nil {
+		t.Errorf("full plan does not validate: %v", err)
 	}
 }

@@ -1,7 +1,9 @@
 // Bridges from DDStore's existing signal sources into the registry: the
 // region profiler (internal/trace), the hot-sample cache (internal/cache),
 // fetch-latency summaries, the Go runtime, and the Inc(name, delta) counter
-// sinks the transport and cache packages emit events through.
+// sinks the transport and cache packages emit events through. A process
+// gives each event one way into the registry — a live CounterSink, or a
+// profiler folded in by AddProfiler when its run is over — never two.
 package obs
 
 import (
@@ -27,11 +29,6 @@ const (
 	// time survives) and occurrence count.
 	MetricRegionSeconds = "ddstore_region_seconds_total"
 	MetricRegionSteps   = "ddstore_region_steps_total"
-	// MetricLoadgenInFlight gauges load-generator workers currently driving
-	// requests at a live server (internal/loadgen); it rises to the phase's
-	// worker count while a phase runs and drains back to zero between
-	// phases, so a scrape distinguishes "idle harness" from "mid-phase".
-	MetricLoadgenInFlight = "ddstore_loadgen_workers_inflight"
 
 	// Serving front-end metrics (internal/frontend + transport server).
 	// MetricAcceptRejected counts connections turned away at the accept
@@ -134,13 +131,6 @@ func MigrationSecondsHistogram(reg *Registry) *Histogram {
 	return h
 }
 
-// LoadgenWorkersGauge returns the canonical in-flight load-generator
-// worker gauge of a registry, registering its help text on first use.
-func LoadgenWorkersGauge(reg *Registry) *Gauge {
-	reg.Help(MetricLoadgenInFlight, "Load-generator workers currently issuing requests.")
-	return reg.Gauge(MetricLoadgenInFlight)
-}
-
 // FetchLatencyHistogram returns the canonical fetch-latency histogram of a
 // registry (creating it with the default bucket spread).
 func FetchLatencyHistogram(reg *Registry) *Histogram {
@@ -149,16 +139,11 @@ func FetchLatencyHistogram(reg *Registry) *Histogram {
 	return h
 }
 
-// IncSink is the structural counter-sink interface shared by
-// trace.Profiler, cache.Counters, and transport.Counters: named monotonic
-// event counts.
-type IncSink interface {
-	Inc(name string, delta int64)
-}
-
-// CounterSink adapts a labeled registry counter family to the IncSink
-// interface, so cache/transport event counters flow live into the
-// registry: Inc("cache-hits", 1) bumps metric{labelKey="cache-hits"}.
+// CounterSink adapts a labeled registry counter family to the
+// Inc(name, delta) interface cache.Counters and transport.Counters share
+// (trace.Profiler is the other implementation), so event counters flow
+// live into the registry: Inc("cache-hits", 1) bumps
+// metric{labelKey="cache-hits"}.
 type CounterSink struct {
 	reg      *Registry
 	metric   string
@@ -187,18 +172,6 @@ func EventSink(reg *Registry) *CounterSink {
 	return NewCounterSink(reg, MetricEvents, "event")
 }
 
-// TeeCounters fans one Inc out to several sinks (e.g. a trace.Profiler and
-// a registry EventSink receiving the same cache events).
-func TeeCounters(sinks ...IncSink) IncSink { return teeSink(sinks) }
-
-type teeSink []IncSink
-
-func (t teeSink) Inc(name string, delta int64) {
-	for _, s := range t {
-		s.Inc(name, delta)
-	}
-}
-
 // AddProfiler folds a finished run's profiler into the registry with Add
 // semantics, so several runs accumulate (the bench suite's registry).
 func AddProfiler(reg *Registry, p *trace.Profiler) {
@@ -209,28 +182,6 @@ func AddProfiler(reg *Registry, p *trace.Profiler) {
 	for name, v := range p.Counters() {
 		reg.Counter(MetricEvents, "event", name).Add(v)
 	}
-}
-
-// CollectProfiler registers a collector that mirrors the profiler's region
-// totals and event counters into the registry on every scrape. get is
-// called per scrape to produce the profiler to read — the hook
-// ddstore-train uses to fold per-rank profilers into one on demand.
-func CollectProfiler(reg *Registry, get func() *trace.Profiler) {
-	reg.Help(MetricRegionSeconds, "Accumulated per-region time in seconds (virtual time under a machine model).")
-	reg.Help(MetricRegionSteps, "Per-region occurrence count.")
-	reg.AddCollector(func() {
-		p := get()
-		if p == nil {
-			return
-		}
-		for _, r := range p.Regions() {
-			reg.Gauge(MetricRegionSeconds, "region", r.Name).Set(r.Total.Seconds())
-			reg.Counter(MetricRegionSteps, "region", r.Name).Set(r.Count)
-		}
-		for name, v := range p.Counters() {
-			reg.Counter(MetricEvents, "event", name).Set(v)
-		}
-	})
 }
 
 // CollectCache registers a collector that mirrors a cache's statistics

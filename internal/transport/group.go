@@ -652,53 +652,22 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 	return nil
 }
 
-// recordServerSpans merges one timing trailer into the span ring as
-// "server" category spans nested inside the client's request window. The
-// trailer carries durations, not timestamps — server and client clocks
-// need not agree — so the server window is anchored to the client's view
-// of the request end: it ended Service ago, from which the queue-wait and
-// chunk-source segments lay out in order.
+// recordServerSpans merges one timing trailer into the span ring
+// (ServerTiming.Spans has the layout), attributed to the owner, shard and
+// generation the client routed the chunk under.
 func (g *Group) recordServerSpans(tc tracectx.Context, t *ServerTiming, m *shardmap.Map, mi int, want []int64) {
 	if g.spans == nil {
 		return
 	}
-	reqEnd := obs.EpochNow()
-	serverStart := reqEnd - t.Service
-	gen := t.Generation
-	if gen == 0 {
-		// A standalone chunk server carries no shard map; attribute the
-		// request to the generation the client routed it under.
-		gen = m.Gen
-	}
-	var shardLo int64
+	// A standalone chunk server carries no shard map and reports
+	// generation 0; the span then keeps the one routed under.
+	base := obs.Span{Owner: mi, Samples: len(want), Gen: m.Gen}
 	if len(want) > 0 {
 		if sh, err := m.ShardOf(want[0]); err == nil {
-			shardLo = sh.Lo
+			base.ShardLo = sh.Lo
 		}
 	}
-	sub := tc.Child()
-	base := obs.Span{
-		Cat: "server", Owner: mi, Samples: len(want), Tenant: t.Tenant,
-		Gen: gen, ShardLo: shardLo,
-		TraceID: sub.TraceID, SpanID: sub.SpanID, ParentID: tc.SpanID,
-	}
-	req := base
-	req.Name, req.Start, req.Dur, req.Bytes = "server-request", serverStart, t.Service, t.Bytes
-	spans := make([]obs.Span, 1, 3)
-	spans[0] = req
-	if t.QueueWait > 0 {
-		qw := base
-		qw.SpanID, qw.ParentID = tc.Child().SpanID, sub.SpanID
-		qw.Name, qw.Start, qw.Dur = "server-queue-wait", serverStart, t.QueueWait
-		spans = append(spans, qw)
-	}
-	if t.Source > 0 {
-		src := base
-		src.SpanID, src.ParentID = tc.Child().SpanID, sub.SpanID
-		src.Name, src.Start, src.Dur = "server-chunk-source", serverStart+t.QueueWait, t.Source
-		spans = append(spans, src)
-	}
-	g.spans.RecordAll(spans...)
+	g.spans.RecordAll(t.Spans(tc, base, obs.EpochNow())...)
 }
 
 // CacheStats returns the group's cache counters; the zero Stats when the

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
+
+	"ddstore/internal/obs"
+	"ddstore/internal/obs/tracectx"
 )
 
 // Feature bits exchanged in the hello handshake. The client sends its
@@ -66,6 +69,41 @@ type ServerTiming struct {
 	// Tenant is the tenant queue the request was charged to ("" when the
 	// server runs no front end).
 	Tenant string
+}
+
+// Spans lays the trailer out as "server" category spans nested inside the
+// client's request: server-request under tc's span, with server-queue-wait
+// and server-chunk-source under it when they took time. The trailer carries
+// durations, not timestamps — server and client clocks need not agree — so
+// the server window is anchored to reqEnd, the client's view of the request
+// end: it ended Service ago, and the segments lay out from there in order.
+// base carries what only the caller knows (Owner, Samples, ShardLo, and the
+// generation it routed under, used when the server reports none).
+func (t *ServerTiming) Spans(tc tracectx.Context, base obs.Span, reqEnd time.Duration) []obs.Span {
+	serverStart := reqEnd - t.Service
+	sub := tc.Child()
+	base.Cat, base.Tenant = "server", t.Tenant
+	if t.Generation != 0 {
+		base.Gen = t.Generation
+	}
+	base.TraceID, base.SpanID, base.ParentID = sub.TraceID, sub.SpanID, tc.SpanID
+	req := base
+	req.Name, req.Start, req.Dur, req.Bytes = "server-request", serverStart, t.Service, t.Bytes
+	spans := make([]obs.Span, 1, 3)
+	spans[0] = req
+	if t.QueueWait > 0 {
+		qw := base
+		qw.SpanID, qw.ParentID = tc.Child().SpanID, sub.SpanID
+		qw.Name, qw.Start, qw.Dur = "server-queue-wait", serverStart, t.QueueWait
+		spans = append(spans, qw)
+	}
+	if t.Source > 0 {
+		src := base
+		src.SpanID, src.ParentID = tc.Child().SpanID, sub.SpanID
+		src.Name, src.Start, src.Dur = "server-chunk-source", serverStart+t.QueueWait, t.Source
+		spans = append(spans, src)
+	}
+	return spans
 }
 
 // appendTimingTrailer renders a trailer for a traced response.
