@@ -26,8 +26,14 @@ bench:
 # through a booted server, front end included (serveboot.ServedGet: the
 # caller's result slice, with one allocation of slack), the admit that
 # never binds (frontend.Admit: nothing) and a 16-id batch over a bare
-# server (transport.OpGetBatch/batch16: the pinned response buffer and its
-# part list). A budget on a benchmark covers every sub-benchmark it runs; a
+# server (transport.OpGetBatch/batch16: the pinned response buffer, its
+# handle and its part list). A load, stated per load and not per id: the
+# fetch engine over a stub plane (fetch.LoadLazy64: the load, its two
+# results, the view slab, the slot table, the index lists, the grouped ids
+# and the deliver closure, for 64 positions with or without repeats; with a
+# cold cache one flight per miss on top) and the group's share of a healthy
+# 16-id round trip (transport.FetchChunk16: the pick list and the part
+# list). A budget on a benchmark covers every sub-benchmark it runs; a
 # budget on one sub-benchmark names it in full. A regression here means a
 # copy or a per-request allocation crept back into the hot path.
 DECODE_ALLOC_MAX ?= 1
@@ -35,7 +41,10 @@ MATERIALIZE_ALLOC_MAX ?= 3
 BATCH_ALLOC_MAX ?= 4
 SERVED_GET_ALLOC_MAX ?= 2
 ADMIT_ALLOC_MAX ?= 0
-GETBATCH16_ALLOC_MAX ?= 8
+GETBATCH16_ALLOC_MAX ?= 3
+LOADLAZY64_ALLOC_MAX ?= 8
+LOADLAZY64_COLD_ALLOC_MAX ?= 72
+FETCHCHUNK16_ALLOC_MAX ?= 2
 
 # Build products (alloc tables, cover profiles, smoke binaries and
 # artifacts) go under the ignored .bench_build/, never beside the sources.
@@ -43,11 +52,13 @@ OUT := .bench_build
 
 bench-allocs:
 	@mkdir -p $(OUT)
-	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport | tee $(OUT)/decode-allocs.txt
+	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|FetchChunk16)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch | tee $(OUT)/decode-allocs.txt
 	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" \
-		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" ' \
+		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" \
+		-v load="$(LOADLAZY64_ALLOC_MAX)" -v loadcold="$(LOADLAZY64_COLD_ALLOC_MAX)" -v chunk16="$(FETCHCHUNK16_ALLOC_MAX)" ' \
 		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; \
-			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16 } \
+			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16; \
+			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkFetchChunk16"] = chunk16 } \
 		/^Benchmark/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (!(name in max)) sub(/\/.*/, "", name); \
@@ -59,7 +70,7 @@ bench-allocs:
 		END { \
 			for (name in max) if (!ran[name]) { printf "FAIL: %s did not run\n", name; bad = 1 } \
 			if (bad) exit 1; \
-			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16 }' $(OUT)/decode-allocs.txt
+			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, chunk16 <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, chunk16 }' $(OUT)/decode-allocs.txt
 
 vet:
 	$(GO) vet ./...

@@ -170,7 +170,7 @@ func New(opts Options) *Cache {
 			max:      max,
 			policy:   opts.Policy,
 			entries:  map[int64]*entry{},
-			flights:  map[int64]*flight{},
+			flights:  map[int64]*Flight{},
 			counters: cnt,
 		})
 	}
@@ -201,23 +201,23 @@ func (c *Cache) PutRef(id int64, val []byte, ref Ref) {
 
 // Flight is a claim on a cache miss. Exactly one claimant per id is the
 // leader (Leader() == true) and must complete the flight with DeliverRef or
-// Fail; every other concurrent claimant is a follower and receives the
-// leader's result from WaitRef.
+// Fail; every other concurrent claimant is a follower and either receives
+// the leader's result from WaitRef or gives its claim back with Abandon.
+//
+// The leader's Flight is also the fetch's shared state, so a miss costs one
+// allocation; a follower's Flight is a handle pointing at it.
 type Flight struct {
-	s      *shard
-	cnt    Counters
-	id     int64
-	leader bool
-	fl     *flight
-}
+	s    *shard
+	id   int64
+	lead *Flight // the leader's Flight; nil on the leader's own
 
-// flight is the shared state of one in-flight fetch. followers counts the
-// claimants coalesced onto the flight; it is read and written only under
-// the shard lock, which is also what makes DeliverRef's snapshot exact —
-// a claimant either incremented followers before the flight left the
-// shard's table (and gets a retained reference) or finds the freshly
-// cached entry and retains through ClaimRef.
-type flight struct {
+	// Shared state, on the leader's Flight only, read and written under the
+	// shard lock until the flight has left the shard's table. That is also
+	// what makes DeliverRef's snapshot exact — a claimant either incremented
+	// followers before the flight left the table (and gets a retained
+	// reference) or finds the freshly cached entry and retains through
+	// ClaimRef. done is made by the first follower: a flight nobody joins
+	// never needs a channel.
 	done      chan struct{}
 	followers int
 	val       []byte
@@ -249,23 +249,26 @@ func (c *Cache) ClaimRef(id int64) ([]byte, Ref, *Flight) {
 		c.counters.Inc(CounterHits, 1)
 		return val, ref, nil
 	}
-	if fl, ok := s.flights[id]; ok {
-		fl.followers++
+	if lead, ok := s.flights[id]; ok {
+		lead.followers++
+		if lead.done == nil {
+			lead.done = make(chan struct{})
+		}
 		s.coalesced++
 		s.mu.Unlock()
 		c.counters.Inc(CounterCoalesced, 1)
-		return nil, nil, &Flight{s: s, cnt: c.counters, id: id, fl: fl}
+		return nil, nil, &Flight{s: s, id: id, lead: lead}
 	}
-	fl := &flight{done: make(chan struct{})}
-	s.flights[id] = fl
+	f := &Flight{s: s, id: id}
+	s.flights[id] = f
 	s.misses++
 	s.mu.Unlock()
 	c.counters.Inc(CounterMisses, 1)
-	return nil, nil, &Flight{s: s, cnt: c.counters, id: id, leader: true, fl: fl}
+	return nil, nil, f
 }
 
 // Leader reports whether this claimant must perform the fetch.
-func (f *Flight) Leader() bool { return f.leader }
+func (f *Flight) Leader() bool { return f.lead == nil }
 
 // DeliverRef completes a leader's flight: the value is cached and every
 // follower waiting on the same id is woken with it. The cache takes
@@ -274,33 +277,37 @@ func (f *Flight) Leader() bool { return f.leader }
 // from the coalescing table — retains one additional reference per
 // follower, so every WaitRef returns bytes with an independent lifetime.
 func (f *Flight) DeliverRef(val []byte, ref Ref) {
-	f.fl.val = val
 	f.s.mu.Lock()
 	if ref != nil {
-		for i := 0; i < f.fl.followers; i++ {
+		for i := 0; i < f.followers; i++ {
 			ref.Retain()
 		}
 	}
-	f.fl.ref = ref
+	f.val, f.ref = val, ref
 	f.s.put(f.id, val, ref)
-	if f.s.flights[f.id] == f.fl {
-		delete(f.s.flights, f.id)
-	}
-	f.s.mu.Unlock()
-	close(f.fl.done)
+	f.land()
 }
 
 // Fail completes a leader's flight with an error: nothing is cached, and
 // every follower is woken with the error (the next claimant will lead a
 // fresh flight).
 func (f *Flight) Fail(err error) {
-	f.fl.err = err
 	f.s.mu.Lock()
-	if f.s.flights[f.id] == f.fl {
+	f.err = err
+	f.land()
+}
+
+// land takes a completed flight out of the shard's table, unlocks the
+// shard and wakes the followers, if any ever joined. Caller holds mu.
+func (f *Flight) land() {
+	if f.s.flights[f.id] == f {
 		delete(f.s.flights, f.id)
 	}
+	done := f.done
 	f.s.mu.Unlock()
-	close(f.fl.done)
+	if done != nil {
+		close(done)
+	}
 }
 
 // WaitRef blocks until the flight's leader calls DeliverRef or Fail and
@@ -308,8 +315,25 @@ func (f *Flight) Fail(err error) {
 // (retained by the leader's DeliverRef) and must Release it when done with
 // the bytes. The reference is nil for ref-free deliveries and on error.
 func (f *Flight) WaitRef() ([]byte, Ref, error) {
-	<-f.fl.done
-	return f.fl.val, f.fl.ref, f.fl.err
+	<-f.lead.done
+	return f.lead.val, f.lead.ref, f.lead.err
+}
+
+// Abandon gives back a follower's claim without waiting, for a load that
+// failed before it reached WaitRef. While the flight is still in the air
+// the leader simply stops counting this follower; once it has landed, the
+// reference DeliverRef retained for this follower is released here.
+func (f *Flight) Abandon() {
+	f.s.mu.Lock()
+	inAir := f.s.flights[f.id] == f.lead
+	if inAir {
+		f.lead.followers--
+	}
+	ref := f.lead.ref
+	f.s.mu.Unlock()
+	if !inAir && ref != nil {
+		ref.Release()
+	}
 }
 
 // GetOrFetch returns the cached bytes for id, fetching (and caching) them
@@ -382,7 +406,7 @@ type shard struct {
 	entries    map[int64]*entry
 	head, tail *entry
 	bytes      int64
-	flights    map[int64]*flight
+	flights    map[int64]*Flight
 	counters   Counters
 
 	hits, misses, coalesced, evictions int64

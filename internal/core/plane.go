@@ -7,7 +7,6 @@ import (
 	"ddstore/internal/bufarena"
 	"ddstore/internal/comm"
 	"ddstore/internal/fetch"
-	"ddstore/internal/graph"
 	"ddstore/internal/obs/tracectx"
 )
 
@@ -71,7 +70,7 @@ func (p storePlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliv
 }
 
 // fetchLocal serves this rank's own chunk: a memory read per sample, no
-// communication and no cache involvement. The lazy decode borrows the
+// communication and no cache involvement. The delivered view borrows the
 // window memory directly (nil reference — the window outlives every load),
 // so a local sample costs one header validation and zero copies.
 func (s *Store) fetchLocal(ids []int64, deliver fetch.Deliver) error {
@@ -82,20 +81,18 @@ func (s *Store) fetchLocal(ids []int64, deliver fetch.Deliver) error {
 		if m := s.world.Machine(); m != nil {
 			s.world.Clock().Advance(m.LocalRead(int64(e.length)))
 		}
-		lz, err := graph.DecodeLazy(local, nil)
-		if err != nil {
+		if err := deliver(id, local, nil, clockNow(s.world)-before); err != nil {
 			return fmt.Errorf("core: decode local sample %d: %w", id, err)
 		}
 		s.stats.localReads.Add(1)
 		s.stats.bytesLocal.Add(int64(e.length))
-		deliver(id, local, lz, clockNow(s.world)-before)
 	}
 	return nil
 }
 
 // fetchSequential is the paper's default wire: within the engine-managed
 // shared-lock epoch, one blocking Get per sample into a pooled buffer
-// whose single reference moves into the delivered Lazy.
+// whose single reference moves into the delivered view.
 func (s *Store) fetchSequential(owner int, ids []int64, deliver fetch.Deliver) error {
 	for _, id := range ids {
 		before := clockNow(s.world)
@@ -106,14 +103,11 @@ func (s *Store) fetchSequential(owner int, ids []int64, deliver fetch.Deliver) e
 			buf.Release()
 			return fmt.Errorf("core: RMA get sample %d from %d: %w", id, owner, err)
 		}
-		lz, err := graph.DecodeLazy(dst, buf)
-		if err != nil {
-			buf.Release()
+		if err := deliver(id, dst, buf, clockNow(s.world)-before); err != nil {
 			return fmt.Errorf("core: decode remote sample %d: %w", id, err)
 		}
 		s.stats.remoteGets.Add(1)
 		s.stats.bytesRemote.Add(int64(e.length))
-		deliver(id, dst, lz, clockNow(s.world)-before)
 	}
 	return nil
 }
@@ -139,14 +133,11 @@ func (s *Store) fetchLockPerSample(owner int, ids []int64, deliver fetch.Deliver
 			buf.Release()
 			return err
 		}
-		lz, err := graph.DecodeLazy(dst, buf)
-		if err != nil {
-			buf.Release()
+		if err := deliver(id, dst, buf, clockNow(s.world)-before); err != nil {
 			return fmt.Errorf("core: decode remote sample %d: %w", id, err)
 		}
 		s.stats.remoteGets.Add(1)
 		s.stats.bytesRemote.Add(int64(e.length))
-		deliver(id, dst, lz, clockNow(s.world)-before)
 	}
 	return nil
 }
@@ -176,21 +167,16 @@ func (s *Store) fetchNonBlocking(owner int, ids []int64, deliver fetch.Deliver) 
 	elapsed := clockNow(s.world) - before
 	per := elapsed / time.Duration(len(ids))
 	for i, id := range ids {
-		lz, err := graph.DecodeLazy(bufs[i].Bytes(), bufs[i])
-		if err != nil {
-			bufs[i].Release()
+		if err := deliver(id, bufs[i].Bytes(), bufs[i], per); err != nil {
 			return fmt.Errorf("core: decode remote sample %d: %w", id, err)
 		}
-		deliver(id, bufs[i].Bytes(), lz, per)
 	}
 	return nil
 }
 
 // fetchTwoSided retrieves the owner's samples in one multi-get RPC. The
-// exchange cost is shared by the samples it carried, and bytes are
-// header-validated before delivery so only validated bytes ever reach the
-// cache. The RPC reply slices are ordinary GC-owned memory (nil
-// reference).
+// exchange cost is shared by the samples it carried. The RPC reply slices
+// are ordinary GC-owned memory (nil reference).
 func (s *Store) fetchTwoSided(owner int, ids []int64, deliver fetch.Deliver) error {
 	before := clockNow(s.world)
 	raws, err := s.fetchTwoSidedBatch(owner, ids)
@@ -199,13 +185,11 @@ func (s *Store) fetchTwoSided(owner int, ids []int64, deliver fetch.Deliver) err
 	}
 	per := (clockNow(s.world) - before) / time.Duration(len(ids))
 	for i, id := range ids {
-		lz, derr := graph.DecodeLazy(raws[i], nil)
-		if derr != nil {
-			return fmt.Errorf("core: decode sample %d: %w", id, derr)
+		if err := deliver(id, raws[i], nil, per); err != nil {
+			return fmt.Errorf("core: decode sample %d: %w", id, err)
 		}
 		s.stats.remoteGets.Add(1)
 		s.stats.bytesRemote.Add(int64(len(raws[i])))
-		deliver(id, raws[i], lz, per)
 	}
 	return nil
 }

@@ -24,6 +24,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"ddstore/internal/cache"
@@ -36,6 +37,10 @@ import (
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
 )
+
+// reserveAfter is how many packed samples Open wants before their mean size
+// stands for the chunk's.
+const reserveAfter = 32
 
 // SampleSource is anything the preloader can read a dataset from: the PFF
 // and CFF stores (real or simulated) and the in-memory dataset generators
@@ -278,9 +283,15 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	// Preload: read this rank's chunk from the source and pack it.
+	// Preload: read this rank's chunk from the source and pack it. The
+	// window is reserved from the mean encoded size of the samples packed so
+	// far — first once reserveAfter of them are in, again only if that
+	// estimate runs out — so a chunk is not re-copied at every step of
+	// append's geometric growth, and ends with the estimate's error as
+	// slack, not a quarter of itself.
 	preloadStart := clockNow(c)
-	lengths := make([]int32, 0, s.myHi-s.myLo)
+	count := int(s.myHi - s.myLo)
+	lengths := make([]int32, 0, count)
 	for id := s.myLo; id < s.myHi; id++ {
 		g, err := src.ReadSample(id)
 		if err != nil {
@@ -289,10 +300,16 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 		if g.ID != id {
 			return nil, fmt.Errorf("core: source returned sample %d for id %d", g.ID, id)
 		}
+		n, need := len(lengths), g.EncodedSize()
+		if n >= reserveAfter && need > cap(s.buf)-len(s.buf) {
+			mean := (len(s.buf) + n - 1) / n
+			s.buf = slices.Grow(s.buf, max(need, mean*(count-n)))
+		}
 		before := len(s.buf)
 		s.buf = g.AppendTo(s.buf)
 		lengths = append(lengths, int32(len(s.buf)-before))
 	}
+	s.buf = slices.Clip(s.buf)
 	if s.prof != nil {
 		s.prof.Add(trace.RegionPreload, clockNow(c)-preloadStart)
 	}

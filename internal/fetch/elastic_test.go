@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"ddstore/internal/graph"
 	"ddstore/internal/obs/tracectx"
 )
 
@@ -85,11 +84,9 @@ func (p *genPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, delive
 	}
 	for _, id := range ids {
 		raw := testGraph(id).Encode()
-		lz, err := graph.DecodeLazy(raw, nil)
-		if err != nil {
+		if err := deliver(id, raw, nil, time.Duration(id)*time.Microsecond); err != nil {
 			return err
 		}
-		deliver(id, raw, lz, time.Duration(id)*time.Microsecond)
 		p.mu.Lock()
 		p.fetched[id]++
 		p.tokens[owner]++

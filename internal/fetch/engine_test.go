@@ -3,12 +3,14 @@ package fetch
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ddstore/internal/bufarena"
 	"ddstore/internal/cache"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
@@ -26,7 +28,7 @@ func testGraph(id int64) *graph.Graph {
 
 // countRef counts Retain/Release calls so tests can observe how the
 // engine manages buffer references on delivered samples. The conceptual
-// initial reference (the one DecodeLazy takes ownership of) is not
+// initial reference (the one Deliver takes ownership of) is not
 // counted: a balanced lifecycle ends with releases == retains + 1.
 type countRef struct {
 	retains  atomic.Int32
@@ -95,11 +97,9 @@ func (p *mockPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliv
 		}
 		raw := testGraph(id).Encode()
 		ref := &countRef{}
-		lz, err := graph.DecodeLazy(raw, ref)
-		if err != nil {
+		if err := deliver(id, raw, ref, time.Duration(id)*time.Microsecond); err != nil {
 			return err
 		}
-		deliver(id, raw, lz, time.Duration(id)*time.Microsecond)
 		p.mu.Lock()
 		p.fetched[id]++
 		p.refs[id] = append(p.refs[id], ref)
@@ -777,6 +777,117 @@ func TestTraceContextReachesEveryOwner(t *testing.T) {
 	for _, tc := range p.tcs {
 		if tc != (tracectx.Context{}) {
 			t.Errorf("untraced load handed an owner the context %+v", tc)
+		}
+	}
+}
+
+// arenaPlane delivers every sample in a pooled arena buffer, one owner per
+// id, and runs hook (when set) before an owner's transfer.
+type arenaPlane struct {
+	hook func(owner int) error
+}
+
+func (p arenaPlane) OwnerOf(id int64) (int, error) { return int(id), nil }
+func (p arenaPlane) Local(int) bool                { return false }
+
+func (p arenaPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
+	if p.hook != nil {
+		if err := p.hook(owner); err != nil {
+			return err
+		}
+	}
+	for _, id := range ids {
+		raw := testGraph(id).Encode()
+		buf := bufarena.Get(len(raw))
+		copy(buf.Bytes(), raw)
+		if err := deliver(id, buf.Bytes(), buf, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestFailedLoadStrandsNothing is the regression for the stranded
+// references of an errored load: a load holding a cache hit, a flight it
+// leads and a claim on a flight another engine's load leads fails, and
+// every arena buffer either load touched is recycled, no flight stays in
+// the table and no goroutine is left — whether the followed flight lands
+// after the failure (the leader must stop counting the follower) or before
+// it (the reference retained for the follower must be released).
+func TestFailedLoadStrandsNothing(t *testing.T) {
+	const hitID, followedID, ledID = 1, 2, 3
+	for _, landsFirst := range []bool{false, true} {
+		goroutines := runtime.NumGoroutine()
+		gets0, _, recycles0 := bufarena.Stats()
+		c := newCache(1 << 20)
+
+		// The other engine leads followedID and parks inside its transfer.
+		parked, open := make(chan struct{}), make(chan struct{})
+		other := New(Config{Plane: arenaPlane{hook: func(int) error {
+			close(parked)
+			<-open
+			return nil
+		}}, Cache: c})
+		otherDone := make(chan error, 1)
+		go func() {
+			lzs, _, err := other.LoadLazy([]int64{followedID}, tracectx.Context{})
+			for _, lz := range lzs {
+				lz.Release()
+			}
+			otherDone <- err
+		}()
+		<-parked
+
+		// This engine hits hitID, follows followedID, leads ledID — and ledID's
+		// owner dies, before or after the followed flight has landed.
+		e := New(Config{Serial: true, Cache: c, Plane: arenaPlane{hook: func(owner int) error {
+			if owner != ledID {
+				return nil
+			}
+			if landsFirst {
+				close(open)
+				if err := <-otherDone; err != nil {
+					t.Error(err)
+				}
+			}
+			return errors.New("owner died")
+		}}})
+		if lzs, _, err := e.LoadLazy([]int64{hitID}, tracectx.Context{}); err != nil {
+			t.Fatal(err)
+		} else {
+			lzs[0].Release()
+		}
+		if _, _, err := e.LoadLazy([]int64{hitID, followedID, ledID}, tracectx.Context{}); err == nil || !strings.Contains(err.Error(), "owner died") {
+			t.Fatalf("landsFirst=%t: err = %v, want the dead owner's", landsFirst, err)
+		}
+		if !landsFirst {
+			close(open)
+			if err := <-otherDone; err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// No flight is left: every id is a hit or leads afresh.
+		for id, cached := range map[int64]bool{hitID: true, followedID: true, ledID: false} {
+			_, ref, f := c.ClaimRef(id)
+			switch {
+			case cached && f == nil:
+				ref.Release()
+			case !cached && f != nil && f.Leader():
+				f.Fail(errors.New("cleanup"))
+			default:
+				t.Errorf("landsFirst=%t: sample %d: hit %t, want %t", landsFirst, id, f == nil, cached)
+			}
+		}
+		c.Reset()
+		if gets, _, recycles := bufarena.Stats(); gets-gets0 != recycles-recycles0 {
+			t.Errorf("landsFirst=%t: %d arena buffers handed out, %d recycled", landsFirst, gets-gets0, recycles-recycles0)
+		}
+		for i := 0; runtime.NumGoroutine() > goroutines && i < 100; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > goroutines {
+			t.Errorf("landsFirst=%t: %d goroutines left, started with %d", landsFirst, n, goroutines)
 		}
 	}
 }

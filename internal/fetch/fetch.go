@@ -12,23 +12,27 @@
 //
 //	ids ──dedup──▶ unique ids ──validate──▶ OwnerOf for every id
 //	     ──claim──▶ cache hits / leader flights / follower flights
-//	     ──serve──▶ hits decoded from cached bytes (a memory read)
+//	     ──serve──▶ hits validated from cached bytes (a memory read)
 //	     ──group──▶ fetchable ids bucketed by owner, owners sorted
 //	     ──fan-out─▶ ≤ Parallelism owners fetched concurrently, each
-//	                 wrapped in BeginEpoch/EndEpoch when the plane has them
+//	                 wrapped in BeginEpoch/EndEpoch when the plane has them;
+//	                 every delivery validated into its view by the engine
 //	     ──wait───▶ follower flights awaited after own deliveries
 //	     ──assemble▶ results written back to every requested position
 //
-// Every error path fails the flights this load still leads, so coalesced
-// waiters in other goroutines never block forever. Per-unique-id latencies
+// One load's bookkeeping is one slot table (type slot), not a map per
+// concern. Every error path fails the flights this load still leads, so
+// coalesced waiters in other goroutines never block forever, and gives back
+// every other claim and reference it holds. Per-unique-id latencies
 // are recorded into a bounded window; LatencyStats summarizes them as
 // p50/p95/p99.
 package fetch
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,14 +43,18 @@ import (
 	"ddstore/internal/stats"
 )
 
-// Deliver hands one fetched sample back to the engine: its
-// header-validated raw bytes, the lazy decode over those bytes, and the
-// per-sample fetch latency. lz owns whatever buffer reference the plane
-// attached when it called graph.DecodeLazy; the engine retains additional
-// references (under the cache's shard locks) for cache entries and
-// coalesced waiters, so the plane never needs to know who else aliases the
-// buffer — it just releases its own handle when its batch loop is done.
-type Deliver func(id int64, raw []byte, lz *graph.Lazy, lat time.Duration)
+// Deliver hands one fetched sample to the engine: its raw encoded bytes,
+// one reference on the buffer backing them (nil for memory that outlives
+// every load: a local window, GC-owned reply bytes), and the per-sample
+// fetch latency. The engine is the one place a sample's header is
+// validated. An error means the bytes were refused (a corrupt header, or an
+// id this load is not waiting for): the id is still undelivered, and the
+// plane may fetch it elsewhere or give up. Either way the reference is the
+// engine's from the call on — it moves into the sample's view or is
+// released — and the engine retains more (under the cache's shard locks)
+// for cache entries and coalesced waiters, so a plane never needs to know
+// who else aliases a buffer: it drops its own handle when its loop is done.
+type Deliver func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error
 
 // Plane is what a data plane contributes to the engine: owner arithmetic
 // and the actual wire transfer. FetchOwner receives the unique ids grouped
@@ -63,7 +71,7 @@ type Plane interface {
 	// memory. Local ids bypass the cache — they are already memory reads.
 	Local(owner int) bool
 	// FetchOwner transfers the given ids from one owner, calling deliver
-	// once per id with header-validated bytes. tc is the child trace context
+	// once per id. tc is the child trace context
 	// the engine minted for this owner's sub-request — the zero Context when
 	// the load is untraced. A plane with a wire propagates it and merges the
 	// server's timing feedback into the span tree; a plane without one
@@ -187,99 +195,166 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// results collects deliveries across the fan-out workers. One mutex guards
-// the lazy/latency maps and the leader-flight table, so planes deliver
-// without locking of their own.
-type results struct {
-	mu      sync.Mutex
-	lazies  map[int64]*graph.Lazy
-	lats    map[int64]time.Duration
-	flights map[int64]*cache.Flight // leader flights still to complete
+// slot is one unique id of a load — everything the engine holds for it —
+// so every pass (claim, group, deliver, wait, assemble, record, and the
+// error path that gives it all back) is a walk over one table, in
+// first-appearance order.
+type slot struct {
+	id    int64
+	owner int
+	first int32 // first position asking for id: the slot's view is views[first]
+	head  int32 // once grouped: the first slot of its owner's group
+	done  bool  // views[first] holds the sample and its buffer reference
+	lat   time.Duration
+	// lockCost, on a group's head slot, is the owner's epoch cost until the
+	// first delivery from that owner takes it.
+	lockCost time.Duration
+	// flight is the cache claim still open: a leader's until the sample is
+	// delivered, a follower's until it is waited for.
+	flight *cache.Flight
+	// hit and ref are a cache hit's bytes (never empty: only validated bytes
+	// are cached) and our reference on their buffer, until the hit is
+	// served and the reference moves into the view.
+	hit []byte
+	ref cache.Ref
 }
 
-// deliver records one sample and completes its flight, if this load leads
-// one. The cache entry gets its own reference on the sample's backing
-// buffer (retained here, released by the cache on evict/replace/Reset),
-// independent of the one lz already owns.
-func (r *results) deliver(id int64, raw []byte, lz *graph.Lazy, lat time.Duration) {
-	r.mu.Lock()
-	r.lazies[id] = lz
-	r.lats[id] = lat
-	f, flying := r.flights[id]
-	if flying {
-		delete(r.flights, id)
+// ours reports whether the load itself still has to fetch the slot: it is
+// uncached, local, or a flight this load leads.
+func (s *slot) ours() bool {
+	return !s.done && s.hit == nil && (s.flight == nil || s.flight.Leader())
+}
+
+// load is the state of one LoadLazy. mu serializes deliveries from the
+// fan-out workers, so planes deliver without locking of their own; every
+// other pass runs on the calling goroutine alone.
+type load struct {
+	e     *Engine
+	mu    sync.Mutex
+	out   []*graph.Lazy
+	lats  []time.Duration
+	views []graph.Lazy // one per position, behind out; a repeat's is a clone of its slot's
+	slots []slot
+	// Four int32 lists carved from one allocation. slotOf maps a position to
+	// its slot. table is the load's one lookup keyed by sample id, open-
+	// addressed over slot index + 1 (0 is empty): dedup fills it, deliver
+	// reads it. order lists the slots to fetch by (owner, slot); starts is
+	// where each owner's group begins in it and, last, where it ends. ids
+	// holds order's sample ids, so a group is a sub-slice of both.
+	slotOf, table, order, starts []int32
+	ids                          []int64
+}
+
+// cell returns the table cell where id is, or where it would go. The table
+// is a power of two long and never full, so a Fibonacci hash's top bits pick
+// the first cell and a linear probe ends.
+func (ld *load) cell(id int64) *int32 {
+	mask := uint64(len(ld.table) - 1)
+	for i := uint64(id) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(mask); ; i++ {
+		if c := &ld.table[i&mask]; *c == 0 || ld.slots[*c-1].id == id {
+			return c
+		}
 	}
-	r.mu.Unlock()
-	if flying {
-		ref := cache.Ref(nil)
-		if lr := lz.Ref(); lr != nil {
-			lr.Retain()
-			ref = lr
+}
+
+// deliver is the load's Deliver: it validates the sample's header into the
+// slot's view and completes the flight, if this load leads one. The cache
+// entry gets its own reference on the sample's backing buffer (retained
+// here, released by the cache on evict/replace/Reset), independent of the
+// one the view now owns.
+func (ld *load) deliver(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {
+	f, err := ld.accept(id, raw, ref, lat)
+	if ref != nil && err != nil {
+		ref.Release()
+	}
+	if f != nil {
+		if ref != nil {
+			ref.Retain()
 		}
 		f.DeliverRef(raw, ref)
 	}
+	return err
 }
 
-// set records a sample served without a fetch (cache hit, follower wait).
-func (r *results) set(id int64, lz *graph.Lazy, lat time.Duration) {
-	r.mu.Lock()
-	r.lazies[id] = lz
-	r.lats[id] = lat
-	r.mu.Unlock()
-}
-
-// failRemaining fails every flight this load still leads — mandatory on
-// every error path, or coalesced waiters block forever.
-func (r *results) failRemaining(err error) {
-	r.mu.Lock()
-	flights := r.flights
-	r.flights = nil
-	r.mu.Unlock()
-	for _, f := range flights {
-		f.Fail(err)
+// accept is deliver's critical section: it fills the slot's view and
+// returns the leader flight the delivery completes, if any.
+func (ld *load) accept(id int64, raw []byte, ref graph.Ref, lat time.Duration) (*cache.Flight, error) {
+	ld.mu.Lock()
+	defer ld.mu.Unlock()
+	c := *ld.cell(id)
+	if c == 0 || !ld.slots[c-1].ours() {
+		return nil, fmt.Errorf("%s: sample %d delivered but not awaited", ld.e.prefix, id)
 	}
+	s := &ld.slots[c-1]
+	if err := graph.DecodeLazyInto(&ld.views[s.first], raw, ref); err != nil {
+		return nil, err
+	}
+	head := &ld.slots[s.head]
+	s.lat, head.lockCost = lat+head.lockCost, 0
+	s.done = true
+	f := s.flight
+	s.flight = nil
+	return f, nil
 }
 
-// releaseAll drops every buffer reference the collected lazies still hold
-// — error-path hygiene so an abandoned load returns its pooled buffers
-// instead of pinning them until the GC collects the wreckage.
-func (r *results) releaseAll() {
-	r.mu.Lock()
-	for _, lz := range r.lazies {
-		lz.Release()
+// serve decodes bytes that needed no fetch of ours — a cache hit, or a
+// follower's share of another load's fetch — into the slot's view, which
+// takes over ref; on error ref is released. It cannot fail: only
+// header-validated bytes are ever cached.
+func (ld *load) serve(s *slot, raw []byte, ref cache.Ref, what string) error {
+	if err := graph.DecodeLazyInto(&ld.views[s.first], raw, ref); err != nil {
+		if ref != nil {
+			ref.Release()
+		}
+		return fmt.Errorf("%s: %s sample %d: %w", ld.e.prefix, what, s.id, err)
 	}
-	r.mu.Unlock()
+	s.done = true
+	return nil
+}
+
+// fail gives back everything the load still holds, on every error path
+// after the first claim: filled views drop their references and hits not
+// yet served theirs; flights it leads are failed, or coalesced waiters in
+// other loads block forever; flights it follows are abandoned, or the
+// reference the leader retains for each counted follower never comes back.
+func (ld *load) fail(err error) error {
+	for i := range ld.slots {
+		switch s := &ld.slots[i]; {
+		case s.done:
+			ld.views[s.first].Release()
+		case s.ref != nil:
+			s.ref.Release()
+		case s.flight == nil:
+		case s.flight.Leader():
+			s.flight.Fail(err)
+		default:
+			s.flight.Abandon()
+		}
+	}
+	return err
 }
 
 // Load runs the pipeline for one batch and returns the decoded graphs and
 // per-position latencies, both in request order. Duplicate ids share one
 // fetch (and one graph pointer).
 func (e *Engine) Load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	lzs, lats, err := e.LoadLazy(ids, tracectx.Context{})
+	ld, err := e.load(ids, tracectx.Context{})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]*graph.Graph, len(lzs))
-	var seen map[int64]*graph.Graph
-	for i, lz := range lzs {
-		if lz == nil {
-			continue
-		}
+	out := make([]*graph.Graph, len(ids))
+	for pos, lz := range ld.out {
 		// Duplicate positions carry independent views over one buffer;
 		// materialize once per id so duplicates share a graph pointer (and
 		// the extra views just drop their references).
-		if g, ok := seen[lz.ID()]; ok {
-			out[i] = g
+		if first := ld.slots[ld.slotOf[pos]].first; int(first) != pos {
+			out[pos] = out[first]
 			lz.Release()
-			continue
+		} else {
+			out[pos] = lz.Graph()
 		}
-		out[i] = lz.Graph()
-		if seen == nil {
-			seen = make(map[int64]*graph.Graph, len(lzs))
-		}
-		seen[lz.ID()] = out[i]
 	}
-	return out, lats, nil
+	return out, ld.lats, nil
 }
 
 // LoadLazy runs the pipeline for one batch and returns header-validated
@@ -288,135 +363,127 @@ func (e *Engine) Load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
 // caller that never touches a sample's tensors releases its buffer with
 // Release instead. Duplicate ids share one fetch, but every position gets
 // its own independent view (each holding its own buffer reference), so
-// callers consume strictly by position.
+// callers consume strictly by position. The views of one load are one
+// allocation: keeping a single Lazy keeps all of them (112 bytes a
+// position, not their buffers) from the collector.
 //
 // tc is the caller's span in a distributed trace (the batch's root, or an
 // intermediate): every per-owner fan-out hands the plane a child context
 // minted from it. The zero Context means the load is untraced.
 func (e *Engine) LoadLazy(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
-	out := make([]*graph.Lazy, len(ids))
-	lats := make([]time.Duration, len(ids))
-	if len(ids) == 0 {
-		return out, lats, nil
+	ld, err := e.load(ids, tc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ld.out, ld.lats, nil
+}
+
+func (e *Engine) load(ids []int64, tc tracectx.Context) (*load, error) {
+	n := len(ids)
+	if n == 0 {
+		return &load{out: []*graph.Lazy{}, lats: []time.Duration{}}, nil
+	}
+	size := 1 << bits.Len(uint(2*n-1)) // the table: at least twice the ids, so probes stay short
+	ints := make([]int32, 3*n+1+size)
+	ld := &load{
+		e: e, out: make([]*graph.Lazy, n), lats: make([]time.Duration, n),
+		views: make([]graph.Lazy, n), slots: make([]slot, 0, n),
+		slotOf: ints[:n:n], order: ints[n : n : 2*n], starts: ints[2*n : 2*n : 3*n+1], table: ints[3*n+1:],
 	}
 
 	// Dedup in first-appearance order, validating every id before any
 	// cache claim — an invalid id can never strand a flight.
-	uniq := make([]int64, 0, len(ids))
-	owners := make(map[int64]int, len(ids))
-	for _, id := range ids {
-		if _, seen := owners[id]; seen {
-			continue
+	for pos, id := range ids {
+		c := ld.cell(id)
+		if *c == 0 {
+			owner, err := e.plane.OwnerOf(id)
+			if err != nil {
+				return nil, err
+			}
+			ld.slots = append(ld.slots, slot{id: id, owner: owner, first: int32(pos)})
+			*c = int32(len(ld.slots))
 		}
-		owner, err := e.plane.OwnerOf(id)
-		if err != nil {
-			return nil, nil, err
-		}
-		owners[id] = owner
-		uniq = append(uniq, id)
-	}
-
-	res := &results{
-		lazies: make(map[int64]*graph.Lazy, len(uniq)),
-		lats:   make(map[int64]time.Duration, len(uniq)),
+		ld.slotOf[pos] = *c - 1
 	}
 
 	// Claim phase: only with a cache, and only for non-local ids. Hits are
 	// resolved bytes (plus our own reference on their backing buffer),
 	// leader flights are ours to complete, follower flights are someone
 	// else's fetch we wait on later.
-	type hit struct {
-		val []byte
-		ref cache.Ref
-	}
-	toFetch := uniq
-	var resolved map[int64]hit
-	var followers map[int64]*cache.Flight
 	if e.cache != nil {
-		toFetch = make([]int64, 0, len(uniq))
-		for _, id := range uniq {
-			if e.plane.Local(owners[id]) {
-				toFetch = append(toFetch, id)
+		for i := range ld.slots {
+			s := &ld.slots[i]
+			if !e.plane.Local(s.owner) {
+				s.hit, s.ref, s.flight = e.cache.ClaimRef(s.id)
+			}
+		}
+
+		// Serve cache hits: a memory read plus a header re-validation; the
+		// hit's buffer reference moves into the view.
+		hitStart := e.now()
+		var hits, hitBytes int
+		for i := range ld.slots {
+			s := &ld.slots[i]
+			if s.hit == nil {
 				continue
 			}
-			val, ref, f := e.cache.ClaimRef(id)
-			switch {
-			case f == nil:
-				if resolved == nil {
-					resolved = make(map[int64]hit)
-				}
-				resolved[id] = hit{val, ref}
-			case f.Leader():
-				if res.flights == nil {
-					res.flights = make(map[int64]*cache.Flight)
-				}
-				res.flights[id] = f
-				toFetch = append(toFetch, id)
-			default:
-				if followers == nil {
-					followers = make(map[int64]*cache.Flight)
-				}
-				followers[id] = f
+			before := e.now()
+			if e.onLocal != nil {
+				e.onLocal(len(s.hit))
 			}
+			hits, hitBytes = hits+1, hitBytes+len(s.hit)
+			hit, ref := s.hit, s.ref
+			s.hit, s.ref = nil, nil
+			if err := ld.serve(s, hit, ref, "cached"); err != nil {
+				return nil, ld.fail(err)
+			}
+			s.lat = e.now() - before
+		}
+		if e.spans != nil && hits > 0 {
+			e.spans.Record(obs.Span{
+				Name: "cache-hits", Cat: "fetch", Owner: -1,
+				Samples: hits, Bytes: int64(hitBytes), CacheHit: true,
+				Start: hitStart, Dur: e.now() - hitStart,
+				TraceID: tc.TraceID, ParentID: tc.SpanID,
+			})
 		}
 	}
-	fail := func(err error) error {
-		res.failRemaining(err)
-		res.releaseAll()
-		return err
-	}
 
-	// Serve cache hits: a memory read plus a header re-validation; the hit's
-	// buffer reference moves into the Lazy. Iterating uniq (not the map)
-	// keeps virtual-clock charging deterministic.
-	hitStart := e.now()
-	var hitBytes int64
-	for _, id := range uniq {
-		h, ok := resolved[id]
-		if !ok {
+	// Group what is ours to fetch by owner, owners ascending and each
+	// owner's slots in first-appearance order: every slot goes in behind
+	// the last one of its own or a lower owner.
+	for i := range ld.slots {
+		s := &ld.slots[i]
+		if !s.ours() {
 			continue
 		}
-		before := e.now()
-		if e.onLocal != nil {
-			e.onLocal(len(h.val))
-		}
-		hitBytes += int64(len(h.val))
-		lz, err := graph.DecodeLazy(h.val, h.ref)
-		if err != nil {
-			// Cannot happen: only header-validated bytes are cached.
-			if h.ref != nil {
-				h.ref.Release()
+		lo, hi := 0, len(ld.order)
+		for lo < hi {
+			if mid := (lo + hi) / 2; ld.slots[ld.order[mid]].owner <= s.owner {
+				lo = mid + 1
+			} else {
+				hi = mid
 			}
-			return nil, nil, fail(fmt.Errorf("%s: cached sample %d: %w", e.prefix, id, err))
 		}
-		res.set(id, lz, e.now()-before)
+		ld.order = slices.Insert(ld.order, lo, int32(i))
 	}
-	if e.spans != nil && len(resolved) > 0 {
-		e.spans.Record(obs.Span{
-			Name: "cache-hits", Cat: "fetch", Owner: -1,
-			Samples: len(resolved), Bytes: hitBytes, CacheHit: true,
-			Start: hitStart, Dur: e.now() - hitStart,
-			TraceID: tc.TraceID, ParentID: tc.SpanID,
-		})
-	}
-
-	// Group fetchable ids by owner; fetch owners in ascending order.
-	if len(toFetch) > 0 {
-		byOwner := make(map[int][]int64)
-		for _, id := range toFetch {
-			byOwner[owners[id]] = append(byOwner[owners[id]], id)
+	if len(ld.order) > 0 {
+		ld.ids = make([]int64, len(ld.order))
+		for k, i := range ld.order {
+			s := &ld.slots[i]
+			ld.ids[k] = s.id
+			if k == 0 || ld.slots[ld.order[k-1]].owner != s.owner {
+				ld.starts = append(ld.starts, int32(k))
+			}
+			s.head = ld.order[ld.starts[len(ld.starts)-1]]
 		}
-		keys := make([]int, 0, len(byOwner))
-		for owner := range byOwner {
-			keys = append(keys, owner)
+		ld.starts = append(ld.starts, int32(len(ld.order)))
+		if err := e.forEachOwner(ld, tc); err != nil {
+			return nil, ld.fail(err)
 		}
-		sort.Ints(keys)
-		if err := e.forEachOwner(keys, byOwner, res, tc); err != nil {
-			return nil, nil, fail(err)
-		}
-		for _, id := range toFetch {
-			if _, ok := res.lazies[id]; !ok {
-				return nil, nil, fail(fmt.Errorf("%s: sample %d was not delivered by its owner", e.prefix, id))
+		for _, i := range ld.order {
+			if !ld.slots[i].done {
+				return nil, ld.fail(fmt.Errorf("%s: sample %d was not delivered by its owner", e.prefix, ld.slots[i].id))
 			}
 		}
 	}
@@ -424,95 +491,82 @@ func (e *Engine) LoadLazy(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []ti
 	// Followers wait only after our own fetches delivered, so one load
 	// carrying both the leader and a follower of an id cannot deadlock
 	// against itself. Each follower receives its own buffer reference
-	// (retained by the leader's delivery), which moves into the Lazy.
-	for _, id := range uniq {
-		f, ok := followers[id]
-		if !ok {
+	// (retained by the leader's delivery), which moves into the view.
+	for i := range ld.slots {
+		s := &ld.slots[i]
+		if s.done {
 			continue
 		}
 		before := e.now()
-		raw, ref, err := f.WaitRef()
+		raw, ref, err := s.flight.WaitRef()
+		s.flight = nil
 		if err != nil {
-			return nil, nil, fail(fmt.Errorf("%s: coalesced fetch of sample %d: %w", e.prefix, id, err))
+			return nil, ld.fail(fmt.Errorf("%s: coalesced fetch of sample %d: %w", e.prefix, s.id, err))
 		}
 		if e.onLocal != nil {
 			e.onLocal(len(raw))
 		}
-		lz, err := graph.DecodeLazy(raw, ref)
-		if err != nil {
-			if ref != nil {
-				ref.Release()
-			}
-			return nil, nil, fail(fmt.Errorf("%s: coalesced sample %d: %w", e.prefix, id, err))
+		if err := ld.serve(s, raw, ref, "coalesced"); err != nil {
+			return nil, ld.fail(err)
 		}
-		res.set(id, lz, e.now()-before)
+		s.lat = e.now() - before
 	}
 
 	// Duplicate positions each receive their own view (one buffer
-	// reference per position, via Clone), so releasing or materializing
+	// reference per position, via CloneInto), so releasing or materializing
 	// one slot never invalidates another slot of the same id.
-	if len(uniq) == len(ids) {
-		for pos, id := range ids {
-			out[pos] = res.lazies[id]
-			lats[pos] = res.lats[id]
+	for pos, i := range ld.slotOf {
+		s := &ld.slots[i]
+		v := &ld.views[s.first]
+		if int(s.first) != pos {
+			v.CloneInto(&ld.views[pos])
+			v = &ld.views[pos]
 		}
-	} else {
-		taken := make(map[int64]bool, len(uniq))
-		for pos, id := range ids {
-			lz := res.lazies[id]
-			if lz != nil && taken[id] {
-				lz = lz.Clone()
-			}
-			taken[id] = true
-			out[pos] = lz
-			lats[pos] = res.lats[id]
-		}
+		ld.out[pos], ld.lats[pos] = v, s.lat
 	}
-	e.record(uniq, res.lats)
-	return out, lats, nil
+	e.record(ld.slots)
+	return ld, nil
 }
 
-// fetchOwner brackets one owner's transfer in its epoch (when the plane
-// has one) and folds the lock cost into the first delivered sample. With
-// span tracing on, the whole owner transfer becomes one "fetch-owner" span
-// carrying the owner token, sample count, and delivered byte volume. Under
-// a distributed trace, each owner's sub-request gets its own child context
-// — the span id the server's segments hang off in the merged trace (the
-// child of an untraced load's zero context is the zero context).
-func (e *Engine) fetchOwner(owner int, ids []int64, res *results, tc tracectx.Context) error {
+// fetchOwner transfers owner group g of the load, bracketed in its epoch
+// (when the plane has one) with the lock cost folded into the first
+// delivered sample. With span tracing on, the whole owner transfer becomes
+// one "fetch-owner" span carrying the owner token, sample count, and
+// delivered byte volume. Under a distributed trace, each owner's
+// sub-request gets its own child context — the span id the server's
+// segments hang off in the merged trace (the child of an untraced load's
+// zero context is the zero context).
+func (e *Engine) fetchOwner(ld *load, g int, deliver Deliver, tc tracectx.Context) error {
+	lo, hi := ld.starts[g], ld.starts[g+1]
+	head := &ld.slots[ld.order[lo]]
 	child := tc.Child()
 	var start time.Duration
-	var fetchedBytes int64 // written only by this owner's deliver chain
 	if e.spans != nil {
 		start = e.now()
 	}
-	var lockCost time.Duration
 	if e.epochs != nil {
-		cost, err := e.epochs.BeginEpoch(owner)
+		cost, err := e.epochs.BeginEpoch(head.owner)
 		if err != nil {
 			return err
 		}
-		lockCost = cost
+		head.lockCost = cost
 	}
-	first := true
-	deliver := func(id int64, raw []byte, lz *graph.Lazy, lat time.Duration) {
-		if first {
-			lat += lockCost
-			first = false
-		}
-		fetchedBytes += int64(len(raw))
-		res.deliver(id, raw, lz, lat)
-	}
-	err := e.plane.FetchOwner(owner, ids, child, deliver)
+	err := e.plane.FetchOwner(head.owner, ld.ids[lo:hi], child, deliver)
 	if e.epochs != nil {
-		if uerr := e.epochs.EndEpoch(owner); uerr != nil && err == nil {
+		if uerr := e.epochs.EndEpoch(head.owner); uerr != nil && err == nil {
 			err = uerr
 		}
 	}
 	if e.spans != nil {
+		var fetchedBytes int64
+		for _, i := range ld.order[lo:hi] {
+			if s := &ld.slots[i]; s.done {
+				fetchedBytes += int64(ld.views[s.first].EncodedSize())
+			}
+		}
 		e.spans.Record(obs.Span{
-			Name: "fetch-owner", Cat: "fetch", Owner: owner,
-			Samples: len(ids), Bytes: fetchedBytes,
+			Name: "fetch-owner", Cat: "fetch", Owner: head.owner,
+			Samples: int(hi - lo), Bytes: fetchedBytes,
 			Start: start, Dur: e.now() - start,
 			TraceID: child.TraceID, SpanID: child.SpanID, ParentID: tc.SpanID,
 		})
@@ -529,41 +583,39 @@ func (e *Engine) parallelism(n int) int {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > n {
-		p = n
-	}
-	return p
+	return min(p, n)
 }
 
-// forEachOwner fetches every owner, fanning out across a bounded worker
-// pool. Errors are recorded per owner and the lowest-owner error is
+// forEachOwner fetches every owner group, fanning out across a bounded
+// worker pool. Errors are recorded per owner and the lowest-owner error is
 // returned — the same deterministic choice the serial loop makes — but
 // every owner still completes, so its flights are delivered or failed
 // either way.
-func (e *Engine) forEachOwner(keys []int, byOwner map[int][]int64, res *results, tc tracectx.Context) error {
-	par := e.parallelism(len(keys))
+func (e *Engine) forEachOwner(ld *load, tc tracectx.Context) error {
+	deliver, owners := ld.deliver, len(ld.starts)-1
+	par := e.parallelism(owners)
 	if par <= 1 {
-		for _, owner := range keys {
-			if err := e.fetchOwner(owner, byOwner[owner], res, tc); err != nil {
+		for g := 0; g < owners; g++ {
+			if err := e.fetchOwner(ld, g, deliver, tc); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, len(keys))
+	errs := make([]error, owners)
 	next := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(par)
 	for w := 0; w < par; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				errs[i] = e.fetchOwner(keys[i], byOwner[keys[i]], res, tc)
+			for g := range next {
+				errs[g] = e.fetchOwner(ld, g, deliver, tc)
 			}
 		}()
 	}
-	for i := range keys {
-		next <- i
+	for g := range errs {
+		next <- g
 	}
 	close(next)
 	wg.Wait()
@@ -577,20 +629,20 @@ func (e *Engine) forEachOwner(keys []int, byOwner map[int][]int64, res *results,
 
 // record appends one batch's per-unique-id latencies to the window and the
 // metrics histogram.
-func (e *Engine) record(uniq []int64, lats map[int64]time.Duration) {
+func (e *Engine) record(slots []slot) {
 	e.latMu.Lock()
-	for _, id := range uniq {
-		e.window[e.widx] = lats[id]
-		e.widx = (e.widx + 1) % len(e.window)
-		if e.wlen < len(e.window) {
-			e.wlen++
+	for i := range slots {
+		e.window[e.widx] = slots[i].lat
+		if e.widx++; e.widx == len(e.window) {
+			e.widx = 0
 		}
 	}
-	e.latSeen += int64(len(uniq))
+	e.wlen = min(e.wlen+len(slots), len(e.window))
+	e.latSeen += int64(len(slots))
 	e.latMu.Unlock()
 	if e.latHist != nil {
-		for _, id := range uniq {
-			e.latHist.ObserveDuration(lats[id])
+		for i := range slots {
+			e.latHist.ObserveDuration(slots[i].lat)
 		}
 	}
 }

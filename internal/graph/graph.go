@@ -230,8 +230,7 @@ func (h *header) materialize(data []byte) *Graph {
 	if h.hasPos {
 		nPos = h.numNodes * 3
 	}
-	slab := make([]uint32, (h.want-headerSize)/4)
-	copy(wordBytes(slab), data[headerSize:h.want])
+	slab := cloneWords(data[headerSize:h.want])
 	if !hostLittleEndian {
 		swapWords(wordBytes(slab))
 	}

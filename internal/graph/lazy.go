@@ -42,14 +42,27 @@ type Lazy struct {
 // call, or Release). On error no reference is taken: the caller keeps
 // ownership.
 func DecodeLazy(data []byte, ref Ref) (*Lazy, error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	l := new(Lazy)
+	if err := DecodeLazyInto(l, data, ref); err != nil {
 		return nil, err
 	}
-	if rest := len(data) - h.want; rest != 0 {
-		return nil, fmt.Errorf("graph: %d trailing bytes after decoded graph", rest)
+	return l, nil
+}
+
+// DecodeLazyInto is DecodeLazy into a Lazy the caller already has — one
+// element of a load's view slab — so a batch of samples costs one
+// allocation for all their views. dst is overwritten on success and left
+// alone on error.
+func DecodeLazyInto(dst *Lazy, data []byte, ref Ref) error {
+	h, err := parseHeader(data)
+	if err != nil {
+		return err
 	}
-	return &Lazy{data: data, ref: ref, h: h}, nil
+	if rest := len(data) - h.want; rest != 0 {
+		return fmt.Errorf("graph: %d trailing bytes after decoded graph", rest)
+	}
+	dst.data, dst.ref, dst.h, dst.g = data, ref, h, nil
+	return nil
 }
 
 // ID returns the sample id from the header.
@@ -88,16 +101,25 @@ func (l *Lazy) AppendTo(buf []byte) []byte {
 // already-materialized view shares the (immutable) *Graph; cloning a
 // released, unmaterialized view panics.
 func (l *Lazy) Clone() *Lazy {
+	c := new(Lazy)
+	l.CloneInto(c)
+	return c
+}
+
+// CloneInto is Clone into a Lazy the caller already has (see
+// DecodeLazyInto); dst is overwritten.
+func (l *Lazy) CloneInto(dst *Lazy) {
 	if l.data == nil {
 		if l.g == nil {
 			panic("graph: Clone of a released Lazy")
 		}
-		return &Lazy{h: l.h, g: l.g}
+		dst.data, dst.ref, dst.h, dst.g = nil, nil, l.h, l.g
+		return
 	}
 	if l.ref != nil {
 		l.ref.Retain()
 	}
-	return &Lazy{data: l.data, ref: l.ref, h: l.h}
+	dst.data, dst.ref, dst.h, dst.g = l.data, l.ref, l.h, nil
 }
 
 // Graph materializes the tensors on first call and memoizes the result;

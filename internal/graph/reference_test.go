@@ -311,9 +311,16 @@ func TestCodecMatchesReference(t *testing.T) {
 // tensors are views of the codec's own slab, never of the buffer the bytes
 // arrived in. Overwriting and then poisoning that buffer leaves a
 // materialized graph alone, and mutating the graph leaves the buffer — read
-// back through a clone taken earlier — alone.
+// back through a clone taken earlier — alone. A small sample and a large
+// one, because the slab is cloned differently on either side of a size
+// (cloneWords in words.go).
 func TestGraphOwnsItsMemory(t *testing.T) {
-	enc := graph.SizedGraph(vtime.NewRNG(3), 8).Encode()
+	for _, nodes := range []int{8, 64} {
+		graphOwnsItsMemory(t, graph.SizedGraph(vtime.NewRNG(3), nodes).Encode())
+	}
+}
+
+func graphOwnsItsMemory(t *testing.T, enc []byte) {
 	buf := bufarena.Get(len(enc))
 	wire := buf.Bytes()
 	copy(wire, enc)

@@ -10,17 +10,20 @@ package graph
 // each tensor's bytes, instead of a load, convert and store per element.
 //
 // The rule: a view is taken only of a slab the codec itself just allocated
-// (materialize), or of a caller's typed tensor for the duration of one
-// append (AppendTo) — never of wire, pooled, cached or RMA-window bytes.
-// That keeps three invariants:
+// (cloneWords, for materialize), or of a caller's typed tensor for the
+// duration of one append (AppendTo) — never of wire, pooled, cached or
+// RMA-window bytes. That keeps three invariants:
 //
 //   - own slab only: a Graph owns its memory, so Lazy.Graph can release
 //     the buffer reference and a trainer mutating a tensor cannot reach a
 //     cache entry or a recycled buffer;
-//   - allocator-guaranteed alignment: the slab is a []uint32 and a tensor
-//     is a []float32 or []int32, so every reinterpretation is between
-//     4-byte words the allocator aligned, never of a byte offset into
-//     someone else's buffer;
+//   - allocator-guaranteed alignment: a tensor is a []float32 or []int32
+//     over a []uint32 slab, so every reinterpretation between them is of
+//     4-byte words the allocator aligned. The slab itself starts at the
+//     first byte of a fresh allocation (cloneWords), which the allocator
+//     aligns to at least the largest power of two dividing its size — a
+//     multiple of four here; cloneWords checks that and does not rely on
+//     it. Nothing is ever a byte offset into someone else's buffer;
 //   - header-bounded slicing: views reinterpret an ordinary, bounds-checked
 //     sub-slice of the one slab and take its length; none is built from a
 //     header count directly.
@@ -48,6 +51,31 @@ func wordBytes[T word](xs []T) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 4*len(xs))
+}
+
+// appendCloneMin is the payload size from which cloneWords clones by
+// appending. make + copy clears the slab and then overwrites it; an append
+// onto nil allocates without the clear but goes through growslice, which
+// costs more than clearing a small slab does. Measured where it matters,
+// end to end, in alternating pairs: a 1.4 KB sample (train_shuffle) loads
+// about 2 % faster through make + copy, a 10.7 KB one (rma_inproc) about
+// 10 % faster through the append; a bare clone crosses over at 2-4 KB.
+const appendCloneMin = 4 << 10
+
+// cloneWords copies b, a whole number of words, into a fresh word slab: for
+// a payload of appendCloneMin bytes or more by an append onto nil, whose
+// word view is taken only once its first byte is seen to be word-aligned;
+// otherwise — a small payload, or an allocator that ever hands back less
+// than it promises — by make + copy of a []uint32.
+func cloneWords(b []byte) []uint32 {
+	if len(b) >= appendCloneMin {
+		if c := append([]byte(nil), b...); uintptr(unsafe.Pointer(unsafe.SliceData(c)))%4 == 0 {
+			return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(c))), len(b)/4)
+		}
+	}
+	w := make([]uint32, len(b)/4)
+	copy(wordBytes(w), b)
+	return w
 }
 
 // viewWords returns the slab words w as a tensor: nil when empty, exactly

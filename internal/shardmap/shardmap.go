@@ -24,10 +24,7 @@
 // read from any goroutine forever.
 package shardmap
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Member is one owner process of the cluster. ID is the stable identity
 // membership transitions are keyed on (two generations refer to the same
@@ -79,11 +76,20 @@ func (m *Map) ShardIndex(id int64) int {
 	if n == 0 || id < m.Shards[0].Lo || id >= m.Shards[n-1].Hi {
 		return -1
 	}
-	i := sort.Search(n, func(i int) bool { return m.Shards[i].Hi > id })
-	if i == n || id < m.Shards[i].Lo {
+	// The first shard ending past id, by hand: every routed id comes here,
+	// and sort.Search would call a closure per step.
+	lo, hi := 0, n
+	for lo < hi {
+		if mid := (lo + hi) / 2; m.Shards[mid].Hi > id {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == n || id < m.Shards[lo].Lo {
 		return -1
 	}
-	return i
+	return lo
 }
 
 // ShardOf returns the shard holding id.

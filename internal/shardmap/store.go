@@ -3,6 +3,7 @@ package shardmap
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultHistory is how many past generations a Store keeps resolvable
@@ -15,6 +16,9 @@ const DefaultHistory = 8
 // All methods are safe for concurrent use; the *Map values handed out
 // are immutable.
 type Store struct {
+	// cur is the live generation again, where Current can read it without
+	// the lock: every routed sample id asks for it, on clients and servers.
+	cur     atomic.Pointer[Map]
 	mu      sync.Mutex
 	history []*Map // ascending by Gen; last is current
 	encoded []byte // cached Encode of current, built lazily
@@ -40,19 +44,17 @@ func NewStore(initial *Map, history int) (*Store, error) {
 	if history < 1 {
 		history = DefaultHistory
 	}
-	return &Store{
+	s := &Store{
 		history: []*Map{initial},
 		keep:    history,
 		subs:    make(map[int]chan *Map),
-	}, nil
+	}
+	s.cur.Store(initial)
+	return s, nil
 }
 
 // Current returns the live generation.
-func (s *Store) Current() *Map {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.history[len(s.history)-1]
-}
+func (s *Store) Current() *Map { return s.cur.Load() }
 
 // Generation returns the live generation number.
 func (s *Store) Generation() uint64 {
@@ -128,6 +130,7 @@ func (s *Store) ApplyIfNewer(next *Map) (bool, error) {
 func (s *Store) applyLocked(next *Map) int {
 	prev := s.history[len(s.history)-1]
 	s.history = append(s.history, next)
+	s.cur.Store(next)
 	if len(s.history) > s.keep {
 		s.history = s.history[len(s.history)-s.keep:]
 	}

@@ -30,10 +30,12 @@ func decodeBatchIDs(dst []int64, body []byte, count int) []int64 {
 // decodeBatchPayload splits a batch response back into its parts. Every
 // length is bounds-checked against the remaining bytes and the entry count
 // against maxBatchIDs, so a corrupt or hostile payload cannot cause an
-// out-of-range read or unbounded allocation. Parts alias the payload
+// out-of-range read or unbounded allocation. The part list is sized once
+// from want, the number of parts the caller asked the server for (itself
+// capped at maxBatchIDs), never from the payload. Parts alias the payload
 // (three-index slicing keeps appends from bleeding between parts).
-func decodeBatchPayload(payload []byte) ([][]byte, error) {
-	var parts [][]byte
+func decodeBatchPayload(payload []byte, want int) ([][]byte, error) {
+	parts := make([][]byte, 0, min(want, maxBatchIDs))
 	rest := payload
 	for len(rest) > 0 {
 		if len(parts) >= maxBatchIDs {

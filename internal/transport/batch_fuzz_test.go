@@ -24,8 +24,11 @@ func FuzzDecodeGetBatch(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Hostile payload: decode must stay in bounds and keep every part
-		// inside the original buffer.
-		if parts, err := decodeBatchPayload(data); err == nil {
+		// inside the original buffer, whatever count the caller asked for.
+		if parts, err := decodeBatchPayload(data, len(data)<<20); err == nil {
+			if cap(parts) > maxBatchIDs {
+				t.Fatalf("part list sized to %d, over the %d cap", cap(parts), maxBatchIDs)
+			}
 			total := 0
 			for _, p := range parts {
 				total += 4 + len(p)
@@ -46,7 +49,7 @@ func FuzzDecodeGetBatch(f *testing.F) {
 				rest = rest[1:] // consume the length byte so carving advances
 			}
 		}
-		back, err := decodeBatchPayload(encodeBatchPayload(parts))
+		back, err := decodeBatchPayload(encodeBatchPayload(parts), len(parts))
 		if err != nil {
 			t.Fatalf("decode(encode(parts)): %v", err)
 		}

@@ -397,7 +397,7 @@ func TestGroupErrorFailsFlights(t *testing.T) {
 // corruption cases the fuzzer also explores.
 func TestBatchPayloadHelpers(t *testing.T) {
 	parts := [][]byte{{1, 2, 3}, {}, {9}, make([]byte, 300)}
-	back, err := decodeBatchPayload(encodeBatchPayload(parts))
+	back, err := decodeBatchPayload(encodeBatchPayload(parts), len(parts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,13 +410,18 @@ func TestBatchPayloadHelpers(t *testing.T) {
 		}
 	}
 
-	if _, err := decodeBatchPayload([]byte{1, 2}); err == nil {
+	if _, err := decodeBatchPayload([]byte{1, 2}, 1); err == nil {
 		t.Fatal("truncated entry header accepted")
 	}
 	var huge [4]byte
 	binary.LittleEndian.PutUint32(huge[:], 1<<31)
-	if _, err := decodeBatchPayload(huge[:]); err == nil {
+	if _, err := decodeBatchPayload(huge[:], 1); err == nil {
 		t.Fatal("entry length beyond payload accepted")
+	}
+	// The part list is sized from the count asked for, capped: a caller's
+	// count can no more force an allocation than the payload's bytes can.
+	if back, err := decodeBatchPayload(nil, 1<<40); err != nil || cap(back) > maxBatchIDs {
+		t.Fatalf("want 1<<40: cap %d, err %v", cap(back), err)
 	}
 
 	ids := []int64{-1, 0, 1 << 50}

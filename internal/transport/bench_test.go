@@ -3,8 +3,10 @@ package transport
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/vtime"
 )
 
@@ -83,5 +85,51 @@ func BenchmarkOpGetBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFetchChunk16 measures what the group adds to a healthy 16-id
+// round trip: routing the chunk to its member, the request, and one
+// delivery per sample, each with its own reference on the response buffer.
+// Its allocation budget is stated per chunk — the pick list, the response
+// buffer's handle and its part list — and does not grow with the ids.
+func BenchmarkFetchChunk16(b *testing.B) {
+	rng := vtime.NewRNG(7)
+	graphs := make([]*graph.Graph, 256)
+	for i := range graphs {
+		graphs[i] = benchGraph(rng, int64(i), 32)
+	}
+	srv, err := Serve("127.0.0.1:0", NewMemChunk(0, graphs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	g, err := NewGroup([]string{srv.Addr()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	ids := make([]int64, 16)
+	for i := range ids {
+		ids[i] = int64(i * 7)
+	}
+	deliver := func(_ int64, _ []byte, ref graph.Ref, _ time.Duration) error {
+		ref.Release()
+		return nil
+	}
+	fetch := func() {
+		if err := g.fetchChunk(g.maps.Current(), ids, deliver, 0, tracectx.Context{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm the buffer pools and both ends' per-connection scratch, so a
+	// short run counts the steady state and not the first requests.
+	for i := 0; i < 32; i++ {
+		fetch()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
 	}
 }

@@ -521,7 +521,7 @@ func (c *Client) GetBatchBufsTraced(ids []int64, tc tracectx.Context) (*bufarena
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	parts, err := decodeBatchPayload(buf.Bytes())
+	parts, err := decodeBatchPayload(buf.Bytes(), len(ids))
 	if err != nil {
 		buf.Release()
 		return nil, nil, nil, err

@@ -312,9 +312,10 @@ func TestStaticGroupPinsGenerationAcrossMidFlightApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[int64]bool{}
-	err = groupPlane{g: g}.FetchOwner(tok, []int64{10, 11}, tracectx.Context{}, func(id int64, raw []byte, lz *graph.Lazy, lat time.Duration) {
+	err = groupPlane{g: g}.FetchOwner(tok, []int64{10, 11}, tracectx.Context{}, func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {
 		got[id] = true
-		lz.Release()
+		ref.Release()
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("pinned-generation fetch failed: %v", err)

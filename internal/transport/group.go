@@ -1,9 +1,10 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -230,7 +231,7 @@ func staticMap(sets [][]staticPeer) (*shardmap.Map, error) {
 	for b := range boundSet {
 		bounds = append(bounds, b)
 	}
-	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
+	slices.Sort(bounds)
 	for i := 0; i+1 < len(bounds); i++ {
 		lo, hi := bounds[i], bounds[i+1]
 		owners := make([]int, 0, len(sets))
@@ -360,10 +361,10 @@ func (g *Group) Generation() uint64 { return g.maps.Generation() }
 // replica of a chunk is unreachable the survivors are the only source of
 // the generation that routed around the crash. Returns whether a newer
 // map was installed.
-func (g *Group) refreshFromSurvivors(down map[int]bool) bool {
+func (g *Group) refreshFromSurvivors(down []int) bool {
 	m := g.maps.Current()
 	for mi := range m.Members {
-		if down[mi] || m.Members[mi].Addr == "" {
+		if slices.Contains(down, mi) || m.Members[mi].Addr == "" {
 			continue
 		}
 		cl, err := g.clientFor(m.Members[mi].Addr)
@@ -455,8 +456,8 @@ func (p groupPlane) OwnerOf(id int64) (int, error) {
 
 func (p groupPlane) Local(int) bool { return false }
 
-// FetchOwner fetches one (generation, member) group's ids in
-// maxBatch-sized chunks; each chunk keeps its own retry/failover/refresh
+// FetchOwner fetches one (generation, member) group's ids, sorted in place,
+// in maxBatch-sized chunks; each chunk keeps its own retry/failover/refresh
 // sequence, and the engine-minted child context tc rides every wire chunk
 // of this owner's transfer. The token's generation pins the chunk to the
 // map its batch was planned under; a generation that has aged out of the
@@ -472,17 +473,13 @@ func (p groupPlane) FetchOwner(owner int, ids []int64, tc tracectx.Context, deli
 	if m == nil {
 		m = g.maps.Current()
 	}
-	chunk := append([]int64(nil), ids...)
-	sort.Slice(chunk, func(a, b int) bool { return chunk[a] < chunk[b] })
-	for len(chunk) > 0 {
-		n := len(chunk)
-		if n > g.maxBatch {
-			n = g.maxBatch
-		}
-		if err := g.fetchChunk(m, chunk[:n], deliver, 0, tc); err != nil {
+	slices.Sort(ids)
+	for len(ids) > 0 {
+		n := min(len(ids), g.maxBatch)
+		if err := g.fetchChunk(m, ids[:n], deliver, 0, tc); err != nil {
 			return err
 		}
-		chunk = chunk[n:]
+		ids = ids[n:]
 	}
 	return nil
 }
@@ -493,128 +490,157 @@ func (p groupPlane) FetchOwner(owner int, ids []int64, tc tracectx.Context, deli
 // transition that completes while the chunk is in flight.
 const maxStaleRetries = 2
 
-// fetchChunk fetches one owner-grouped chunk of at most maxBatch ids
-// against the given generation, starting at each id's preferred owner and
-// failing the still-missing ids over to the other owners of their shard.
-// Quarantined peers are deferred to a last-resort pass, exactly like the
-// single-sample path used to do. A stale-generation response installs the
-// newer map carried in the reply and re-resolves the leftovers against
-// it.
+// pick is one id of a chunk on one failover pass.
+type pick struct {
+	member int // this pass's choice; -1 when the id's shard has no such owner
+	id     int64
+	got    bool // delivered
+}
+
+// route points every pick at its id's k-th choice member and returns the
+// widest shard it saw. Shard boundaries (and widths) may differ across a
+// chunk; a sorted chunk pays one shard lookup per shard, not per id.
+func route(m *shardmap.Map, picks []pick, k int) (width int, err error) {
+	var sh *shardmap.Shard
+	for j := range picks {
+		id := picks[j].id
+		if sh == nil || id < sh.Lo || id >= sh.Hi {
+			if sh, err = m.ShardOf(id); err != nil {
+				return 0, fmt.Errorf("transport: no peer holds sample %d", id)
+			}
+		}
+		width = max(width, sh.Width())
+		picks[j].member = -1
+		if k < sh.Width() {
+			picks[j].member = sh.Choice(id, k)
+		}
+	}
+	return width, nil
+}
+
+// fetchChunk fetches one owner-grouped chunk of at most maxBatch ids,
+// sorted ascending, against the given generation, starting at each id's
+// preferred owner and failing the still-missing ids over to the other
+// owners of their shard. Quarantined peers are deferred to a last-resort
+// round of passes. A stale-generation response installs the newer map
+// carried in the reply and re-resolves the leftovers against it. ids is
+// reordered in place: each pass lists the leftovers there member by member,
+// so a request's ids are a sub-slice of it — the whole of it, untouched,
+// for a healthy chunk.
 func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, depth int, tc tracectx.Context) error {
-	missing := make(map[int64]bool, len(ids))
-	width := 0
-	for _, id := range ids {
-		sh, err := m.ShardOf(id)
-		if err != nil {
-			return fmt.Errorf("transport: no peer holds sample %d", id)
-		}
-		if sh.Width() > width {
-			width = sh.Width()
-		}
-		missing[id] = true
+	total := len(ids)
+	missing := make([]pick, total)
+	for i, id := range ids {
+		missing[i].id = id
+	}
+	width, err := route(m, missing, 0)
+	if err != nil {
+		return err
 	}
 	staleSeen := false
-	down := map[int]bool{} // members that failed at the transport level
+	var down []int // members that failed at the transport level
 	var lastErr error
-	for _, lastResort := range []bool{false, true} {
-		for k := 0; k < width && len(missing) > 0; k++ {
-			// Regroup the leftovers by their k-th choice owner — shard
-			// boundaries (and widths) may differ across the chunk.
-			byOwner := map[int][]int64{}
-			for id := range missing {
-				sh, _ := m.ShardOf(id)
-				if k >= sh.Width() {
-					continue
-				}
-				mi := sh.Choice(id, k)
-				byOwner[mi] = append(byOwner[mi], id)
+	for pass := 0; pass < 2*width && len(missing) > 0; pass++ {
+		lastResort := pass >= width
+		if pass > 0 {
+			route(m, missing, pass%width) // cannot fail: pass 0 found every id's shard
+		}
+		// Group the leftovers by member, members and ids ascending.
+		slices.SortFunc(missing, func(a, b pick) int {
+			if c := cmp.Compare(a.member, b.member); c != 0 {
+				return c
 			}
-			members := make([]int, 0, len(byOwner))
-			for mi := range byOwner {
-				members = append(members, mi)
+			return cmp.Compare(a.id, b.id)
+		})
+		ids = ids[:len(missing)]
+		for j, p := range missing {
+			ids[j] = p.id
+		}
+		for lo, hi := 0, 0; lo < len(missing); lo = hi {
+			mi := missing[lo].member
+			hi = lo + 1
+			for hi < len(missing) && missing[hi].member == mi {
+				hi++
 			}
-			sort.Ints(members)
-			for _, mi := range members {
-				memID := m.Members[mi].ID
-				if g.health.InCooldown(memID) != lastResort {
+			if mi < 0 {
+				continue
+			}
+			memID := m.Members[mi].ID
+			if g.health.InCooldown(memID) != lastResort {
+				continue
+			}
+			run, want := missing[lo:hi], ids[lo:hi]
+			cl, err := g.clientFor(m.Members[mi].Addr)
+			if err != nil {
+				lastErr = err
+				down = append(down, mi)
+				g.health.MarkSuspect(memID)
+				continue
+			}
+			before := time.Now()
+			buf, raws, timing, err := cl.GetBatchBufsTraced(want, tc)
+			per := time.Since(before) / time.Duration(len(want))
+			if timing != nil {
+				g.recordServerSpans(tc, timing, m, mi, want)
+			}
+			if err != nil {
+				lastErr = err
+				if errors.Is(err, ErrOverloaded) {
+					// The peer is shedding load, not dying: leave its
+					// health alone (the client already backed off) and
+					// let another replica try the leftovers.
 					continue
 				}
-				want := byOwner[mi]
-				sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-				cl, err := g.clientFor(m.Members[mi].Addr)
-				if err != nil {
-					lastErr = err
-					down[mi] = true
-					g.health.MarkSuspect(memID)
-					continue
-				}
-				before := time.Now()
-				buf, raws, timing, err := cl.GetBatchBufsTraced(want, tc)
-				per := time.Since(before) / time.Duration(len(want))
-				if timing != nil {
-					g.recordServerSpans(tc, timing, m, mi, want)
-				}
-				if err != nil {
-					lastErr = err
-					if errors.Is(err, ErrOverloaded) {
-						// The peer is shedding load, not dying: leave its
-						// health alone (the client already backed off) and
-						// let another replica try the leftovers.
-						continue
-					}
-					var serr *StaleGenerationError
-					if errors.As(err, &serr) {
-						// The chunk moved: install the newer map the server
-						// sent along and re-resolve after the failover
-						// passes. The peer is healthy — no quarantine.
-						staleSeen = true
-						if nm, derr := shardmap.Decode(serr.MapBytes); derr == nil {
-							if ok, aerr := g.maps.ApplyIfNewer(nm); aerr == nil && ok {
-								g.counters.Inc(CounterStaleRefreshes, 1)
-							}
+				var serr *StaleGenerationError
+				if errors.As(err, &serr) {
+					// The chunk moved: install the newer map the server
+					// sent along and re-resolve after the failover
+					// passes. The peer is healthy — no quarantine.
+					staleSeen = true
+					if nm, derr := shardmap.Decode(serr.MapBytes); derr == nil {
+						if ok, aerr := g.maps.ApplyIfNewer(nm); aerr == nil && ok {
+							g.counters.Inc(CounterStaleRefreshes, 1)
 						}
-						continue
-					}
-					var rerr *RemoteError
-					if !errors.As(err, &rerr) {
-						// Transport-level failure: the peer may be down.
-						down[mi] = true
-						g.health.MarkSuspect(memID)
 					}
 					continue
 				}
-				// Every delivered sample's Lazy takes its own reference on
-				// the shared response buffer; ours is dropped after the
-				// loop, so the buffer lives exactly as long as its slowest
-				// consumer (cache entry, coalesced waiter, or first-touch
-				// decode).
-				healthy := true
-				for j, id := range want {
-					buf.Retain()
-					lz, derr := graph.DecodeLazy(raws[j], buf)
-					if derr != nil {
-						// The frame passed CRC, so the peer is serving
-						// corrupt source bytes: leave the id missing for
-						// another replica and avoid this peer for a while.
-						buf.Release()
-						lastErr = fmt.Errorf("transport: sample %d from member %s: %w", id, memID, derr)
-						healthy = false
-						continue
-					}
-					delete(missing, id)
-					if k > 0 || lastResort {
-						g.counters.Inc(CounterFailovers, 1)
-					}
-					deliver(id, raws[j], lz, per)
-				}
-				buf.Release()
-				if healthy {
-					g.health.Clear(memID)
-				} else {
+				var rerr *RemoteError
+				if !errors.As(err, &rerr) {
+					// Transport-level failure: the peer may be down.
+					down = append(down, mi)
 					g.health.MarkSuspect(memID)
 				}
+				continue
+			}
+			// Every delivered sample's view takes its own reference on the
+			// shared response buffer (the engine's from the call on, accepted
+			// or not); ours is dropped after the loop, so the buffer lives
+			// exactly as long as its slowest consumer (cache entry,
+			// coalesced waiter, or first-touch decode).
+			healthy := true
+			for j, id := range want {
+				buf.Retain()
+				if derr := deliver(id, raws[j], buf, per); derr != nil {
+					// The frame passed CRC, so the peer is serving
+					// corrupt source bytes: leave the id missing for
+					// another replica and avoid this peer for a while.
+					lastErr = fmt.Errorf("transport: sample %d from member %s: %w", id, memID, derr)
+					healthy = false
+					continue
+				}
+				run[j].got = true
+				if pass > 0 {
+					g.counters.Inc(CounterFailovers, 1)
+				}
+			}
+			buf.Release()
+			if healthy {
+				g.health.Clear(memID)
+			} else {
+				g.health.MarkSuspect(memID)
 			}
 		}
+		missing = slices.DeleteFunc(missing, func(p pick) bool { return p.got })
 	}
 	if len(missing) > 0 {
 		// A server that proved the routing stale already handed us the newer
@@ -628,11 +654,11 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 				refreshed = g.refreshFromSurvivors(down)
 			}
 			if refreshed {
-				left := make([]int64, 0, len(missing))
-				for id := range missing {
-					left = append(left, id)
+				left := ids[:len(missing)]
+				for j, p := range missing {
+					left[j] = p.id
 				}
-				sort.Slice(left, func(a, b int) bool { return left[a] < left[b] })
+				slices.Sort(left)
 				if tc.Valid() && g.spans != nil {
 					// Mark the extra hop on the trace: the chunk re-resolved
 					// against a newer generation mid-request.
@@ -647,7 +673,7 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 			}
 		}
 		return fmt.Errorf("transport: %d of %d samples failed on all %d replicas: %w",
-			len(missing), len(ids), width, lastErr)
+			len(missing), total, width, lastErr)
 	}
 	return nil
 }
