@@ -33,7 +33,9 @@ bench:
 # and the deliver closure, for 64 positions with or without repeats; with a
 # cold cache one flight per miss on top) and the group's share of a healthy
 # 16-id round trip (transport.FetchChunk16: the pick list and the part
-# list). A budget on a benchmark covers every sub-benchmark it runs; a
+# list). A cache hit in a full shard and an insert that evicts
+# (cache.ClaimHit, cache.PutEvict: nothing — the slab reuses the victim's
+# slot). A budget on a benchmark covers every sub-benchmark it runs; a
 # budget on one sub-benchmark names it in full. A regression here means a
 # copy or a per-request allocation crept back into the hot path.
 DECODE_ALLOC_MAX ?= 1
@@ -45,6 +47,8 @@ GETBATCH16_ALLOC_MAX ?= 3
 LOADLAZY64_ALLOC_MAX ?= 8
 LOADLAZY64_COLD_ALLOC_MAX ?= 72
 FETCHCHUNK16_ALLOC_MAX ?= 2
+CLAIMHIT_ALLOC_MAX ?= 0
+PUTEVICT_ALLOC_MAX ?= 0
 
 # Build products (alloc tables, cover profiles, smoke binaries and
 # artifacts) go under the ignored .bench_build/, never beside the sources.
@@ -52,13 +56,15 @@ OUT := .bench_build
 
 bench-allocs:
 	@mkdir -p $(OUT)
-	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|FetchChunk16)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch | tee $(OUT)/decode-allocs.txt
+	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|FetchChunk16|ClaimHit|PutEvict)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache | tee $(OUT)/decode-allocs.txt
 	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" \
 		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" \
-		-v load="$(LOADLAZY64_ALLOC_MAX)" -v loadcold="$(LOADLAZY64_COLD_ALLOC_MAX)" -v chunk16="$(FETCHCHUNK16_ALLOC_MAX)" ' \
+		-v load="$(LOADLAZY64_ALLOC_MAX)" -v loadcold="$(LOADLAZY64_COLD_ALLOC_MAX)" -v chunk16="$(FETCHCHUNK16_ALLOC_MAX)" \
+		-v claimhit="$(CLAIMHIT_ALLOC_MAX)" -v putevict="$(PUTEVICT_ALLOC_MAX)" ' \
 		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; \
 			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16; \
-			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkFetchChunk16"] = chunk16 } \
+			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkFetchChunk16"] = chunk16; \
+			max["BenchmarkClaimHit"] = claimhit; max["BenchmarkPutEvict"] = putevict } \
 		/^Benchmark/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (!(name in max)) sub(/\/.*/, "", name); \
@@ -70,7 +76,7 @@ bench-allocs:
 		END { \
 			for (name in max) if (!ran[name]) { printf "FAIL: %s did not run\n", name; bad = 1 } \
 			if (bad) exit 1; \
-			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, chunk16 <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, chunk16 }' $(OUT)/decode-allocs.txt
+			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, chunk16 <= %s, claim hit <= %s, put/evict <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, chunk16, claimhit, putevict }' $(OUT)/decode-allocs.txt
 
 vet:
 	$(GO) vet ./...
@@ -86,7 +92,8 @@ bench-check:
 # Fuzz every decoder that reads bytes from outside the process: the graph
 # codec, the wire protocol (both ends, request framing, batch framing, the
 # timing trailer), the trace context, the shard map, and the CFF part
-# index. FUZZTIME is per target; bump it for longer campaigns, e.g.
+# index; and drive the cache shard against its map-based reference.
+# FUZZTIME is per target; bump it for longer campaigns, e.g.
 # make fuzz FUZZTIME=10m. The -fuzz patterns are anchored because a
 # pattern matching two targets in one package is an error.
 FUZZTIME ?= 15s
@@ -101,6 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/obs/tracectx
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeShardMap$$' -fuzztime=$(FUZZTIME) ./internal/shardmap
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPartIndex$$' -fuzztime=$(FUZZTIME) ./internal/cff
+	$(GO) test -run='^$$' -fuzz='^FuzzShardOps$$' -fuzztime=$(FUZZTIME) ./internal/cache
 
 # Coverage gates, one pkg:floor per line. internal/fetch is the one
 # pipeline both data planes ride (engine unit tests + cross-plane

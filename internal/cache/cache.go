@@ -15,6 +15,12 @@
 // counts flow into any Counters sink — *trace.Profiler satisfies it, so a
 // run's cache behaviour lands next to its region timings.
 //
+// An id's shard and its home in that shard's table both come from the high
+// bits of one Fibonacci hash, never its low bits, so strided ids spread
+// like sequential ones (see spread). A shard keeps its entries in one slab
+// linked by index, so the collector sees one object per shard, not one per
+// entry.
+//
 // Values are treated as immutable: callers must not modify a returned
 // slice (the same contract transport.ChunkSource has for served bytes).
 package cache
@@ -169,7 +175,10 @@ func New(opts Options) *Cache {
 		c.shards = append(c.shards, &shard{
 			max:      max,
 			policy:   opts.Policy,
-			entries:  map[int64]*entry{},
+			n:        uint64(n),
+			slab:     make([]entry, 1),
+			table:    make([]int32, 1<<minTableBits),
+			shift:    32 - minTableBits,
 			flights:  map[int64]*Flight{},
 			counters: cnt,
 		})
@@ -180,11 +189,21 @@ func New(opts Options) *Cache {
 // Policy returns the cache's eviction policy.
 func (c *Cache) Policy() Policy { return c.policy }
 
+// spread places id among n shards. Multiplying by 2⁶⁴/φ (Fibonacci
+// hashing) carries the id's entropy into the product's high bits; its low
+// k bits are only the id's low k bits permuted, the same in every id of a
+// stride of 2ᵏ, so nothing here reads them. The top 32 bits, scaled by n,
+// give the shard as their integer part and the id's key within that shard
+// as the fraction left over: bits the shard choice did not consume, so the
+// ids of one shard spread over its whole table.
+func spread(id int64, n uint64) (shard uint64, key uint32) {
+	x := (uint64(id) * 0x9E3779B97F4A7C15 >> 32) * n
+	return x >> 32, uint32(x)
+}
+
 func (c *Cache) shardFor(id int64) *shard {
-	// Fibonacci hashing spreads sequential ids (the common access pattern
-	// after an owner-grouped batch) evenly over the shards.
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return c.shards[h%uint64(len(c.shards))]
+	i, _ := spread(id, uint64(len(c.shards)))
+	return c.shards[i]
 }
 
 // PutRef inserts (or refreshes) id, evicting entries as needed to hold the
@@ -239,9 +258,9 @@ type Flight struct {
 func (c *Cache) ClaimRef(id int64) ([]byte, Ref, *Flight) {
 	s := c.shardFor(id)
 	s.mu.Lock()
-	if e, ok := s.get(id); ok {
+	if i := s.get(id); i != 0 {
 		s.hits++
-		val, ref := e.val, e.ref
+		val, ref := s.slab[i].val, s.slab[i].ref
 		if ref != nil {
 			ref.Retain()
 		}
@@ -369,7 +388,7 @@ func (c *Cache) Stats() Stats {
 		st.Misses += s.misses
 		st.Coalesced += s.coalesced
 		st.Evictions += s.evictions
-		st.Entries += len(s.entries)
+		st.Entries += s.live
 		st.Bytes += s.bytes
 		s.mu.Unlock()
 	}
@@ -384,30 +403,52 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Reset() {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for _, e := range s.entries {
-			if e.ref != nil {
-				e.ref.Release()
+		for i := range s.slab {
+			if r := s.slab[i].ref; r != nil {
+				r.Release()
 			}
 		}
-		s.entries = map[int64]*entry{}
-		s.head, s.tail = nil, nil
-		s.bytes = 0
+		// Zero the whole slab before truncating it: a slot past the new
+		// length must not keep its bytes or its reference reachable.
+		clear(s.slab)
+		s.slab = s.slab[:1]
+		clear(s.table)
+		s.free, s.live, s.bytes = 0, 0, 0
 		s.mu.Unlock()
 	}
 }
 
-// shard is one independently locked slice of the cache. The linked list
-// orders entries head (newest / most recently used) to tail (eviction
-// candidate).
+// minTableBits sizes a new shard's table: 8 positions, room for 4 entries.
+const minTableBits = 3
+
+// shard is one independently locked slice of the cache. Its entries live in
+// one slab and refer to each other by slot index, so an insert allocates
+// nothing once the slab has grown to the shard's working set, and the
+// collector sees the slab and the table, not one object per entry.
+//
+// slab[0] is the sentinel of a circular doubly linked list that orders the
+// live entries head (slab[0].next: newest / most recently used) to tail
+// (slab[0].prev: the eviction candidate); an empty list links slot 0 to
+// itself. Freed slots are zeroed and chained through next from free.
+//
+// table is an open-addressed index from id to slot: linear probing from
+// the id's home position, at most half full, doubled when an insert would
+// pass that, and cleared by backward-shift deletion, so a probe ends at the
+// first empty position and no tombstone ever lengthens it. Slot 0 is never
+// an entry, so a zero position is empty.
 type shard struct {
-	mu         sync.Mutex
-	max        int64
-	policy     Policy
-	entries    map[int64]*entry
-	head, tail *entry
-	bytes      int64
-	flights    map[int64]*Flight
-	counters   Counters
+	mu       sync.Mutex
+	max      int64
+	policy   Policy
+	n        uint64 // the cache's shard count, which spread needs for the key
+	slab     []entry
+	table    []int32
+	shift    uint8 // 32 - log2(len(table)): a home is the key's top bits
+	free     int32 // first free slot, 0 when none
+	live     int
+	bytes    int64
+	flights  map[int64]*Flight
+	counters Counters
 
 	hits, misses, coalesced, evictions int64
 }
@@ -415,58 +456,92 @@ type shard struct {
 type entry struct {
 	id         int64
 	val        []byte
-	ref        Ref    // cache-owned reference on val's backing buffer, or nil
-	prev, next *entry // prev is toward the head
-	used       bool   // Clock's second-chance bit
+	ref        Ref   // cache-owned reference on val's backing buffer, or nil
+	prev, next int32 // slab slots; prev is toward the head
+	used       bool  // Clock's second-chance bit
 }
 
-func (s *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+func (s *shard) home(id int64) int {
+	_, key := spread(id, s.n)
+	return int(key >> s.shift)
+}
+
+// find returns the table position holding id and its slot, or the empty
+// position that ends id's probe and slot 0. Caller holds mu.
+func (s *shard) find(id int64) (pos int, slot int32) {
+	mask := len(s.table) - 1
+	for pos = s.home(id); ; pos = (pos + 1) & mask {
+		if slot = s.table[pos]; slot == 0 || s.slab[slot].id == id {
+			return pos, slot
+		}
 	}
 }
 
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
+// remove empties table position pos, shifting back every later member of
+// its probe run whose home does not lie between the hole and itself.
+// Caller holds mu.
+func (s *shard) remove(pos int) {
+	mask := len(s.table) - 1
+	for next := (pos + 1) & mask; s.table[next] != 0; next = (next + 1) & mask {
+		if (next-s.home(s.slab[s.table[next]].id))&mask >= (next-pos)&mask {
+			s.table[pos] = s.table[next]
+			pos = next
+		}
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	s.table[pos] = 0
 }
 
-func (s *shard) moveToFront(e *entry) {
-	if s.head == e {
-		return
+// grow doubles the table and reinserts every live slot. Caller holds mu.
+func (s *shard) grow() {
+	old := s.table
+	s.table = make([]int32, 2*len(old))
+	s.shift--
+	for _, slot := range old {
+		if slot != 0 {
+			pos, _ := s.find(s.slab[slot].id)
+			s.table[pos] = slot
+		}
 	}
-	s.unlink(e)
-	s.pushFront(e)
 }
 
-// get looks up id and applies the policy's use bookkeeping. Caller holds mu.
-func (s *shard) get(id int64) (*entry, bool) {
-	e, ok := s.entries[id]
-	if !ok {
-		return nil, false
+func (s *shard) pushFront(i int32) {
+	head := s.slab[0].next
+	s.slab[i].prev, s.slab[i].next = 0, head
+	s.slab[head].prev = i
+	s.slab[0].next = i
+}
+
+func (s *shard) unlink(i int32) {
+	prev, next := s.slab[i].prev, s.slab[i].next
+	s.slab[prev].next = next
+	s.slab[next].prev = prev
+}
+
+func (s *shard) moveToFront(i int32) {
+	if s.slab[0].next != i {
+		s.unlink(i)
+		s.pushFront(i)
 	}
+}
+
+// touch applies the policy's use bookkeeping to a live slot. Caller holds mu.
+func (s *shard) touch(i int32) {
 	switch s.policy {
 	case LRU:
-		s.moveToFront(e)
+		s.moveToFront(i)
 	case Clock:
-		e.used = true
+		s.slab[i].used = true
 	}
-	return e, true
+}
+
+// get looks up id and applies the policy's use bookkeeping, returning its
+// slot, or 0 on a miss. Caller holds mu.
+func (s *shard) get(id int64) int32 {
+	_, i := s.find(id)
+	if i != 0 {
+		s.touch(i)
+	}
+	return i
 }
 
 // put inserts or refreshes id and evicts down to the budget, taking
@@ -481,47 +556,61 @@ func (s *shard) put(id int64, val []byte, ref Ref) {
 		}
 		return
 	}
-	if e, ok := s.entries[id]; ok {
+	pos, i := s.find(id)
+	if i != 0 {
+		e := &s.slab[i]
 		s.bytes += int64(len(val)) - int64(len(e.val))
 		if e.ref != nil {
 			e.ref.Release()
 		}
-		e.val = val
-		e.ref = ref
-		switch s.policy {
-		case LRU:
-			s.moveToFront(e)
-		case Clock:
-			e.used = true
-		}
+		e.val, e.ref = val, ref
+		s.touch(i)
 	} else {
-		e := &entry{id: id, val: val, ref: ref}
-		s.entries[id] = e
-		s.pushFront(e)
+		if 2*(s.live+1) > len(s.table) {
+			s.grow()
+			pos, _ = s.find(id)
+		}
+		if i = s.free; i != 0 {
+			s.free = s.slab[i].next
+		} else {
+			// The append may move the slab: nothing holds a pointer into it.
+			s.slab = append(s.slab, entry{})
+			i = int32(len(s.slab) - 1)
+		}
+		s.slab[i] = entry{id: id, val: val, ref: ref}
+		s.table[pos] = i
+		s.pushFront(i)
+		s.live++
 		s.bytes += int64(len(val))
 	}
 	s.evict()
 }
 
 // evict removes entries until the shard is within budget, releasing each
-// victim's buffer reference. Caller holds mu.
+// victim's buffer reference and zeroing its slot onto the free list.
+// Caller holds mu.
 func (s *shard) evict() {
-	for s.bytes > s.max && s.tail != nil {
-		victim := s.tail
+	for s.bytes > s.max && s.slab[0].prev != 0 {
+		victim := s.slab[0].prev
 		if s.policy == Clock {
 			// Second chance: a used victim is marked unused and sent around
 			// again. Each pass clears one bit, so this terminates.
-			for victim.used {
-				victim.used = false
+			for s.slab[victim].used {
+				s.slab[victim].used = false
 				s.moveToFront(victim)
-				victim = s.tail
+				victim = s.slab[0].prev
 			}
 		}
 		s.unlink(victim)
-		delete(s.entries, victim.id)
-		s.bytes -= int64(len(victim.val))
-		if victim.ref != nil {
-			victim.ref.Release()
+		pos, _ := s.find(s.slab[victim].id)
+		s.remove(pos)
+		ref := s.slab[victim].ref
+		s.bytes -= int64(len(s.slab[victim].val))
+		s.slab[victim] = entry{next: s.free}
+		s.free = victim
+		s.live--
+		if ref != nil {
+			ref.Release()
 		}
 		s.evictions++
 		s.counters.Inc(CounterEvictions, 1)

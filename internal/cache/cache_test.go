@@ -3,9 +3,11 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // lookup probes id the way every reader does — ClaimRef — and reports
@@ -401,5 +403,56 @@ func TestCountersSink(t *testing.T) {
 	defer rc.mu.Unlock()
 	if rc.m[CounterHits] != 1 || rc.m[CounterMisses] != 1 || rc.m[CounterEvictions] != 1 {
 		t.Fatalf("counters = %v", rc.m)
+	}
+}
+
+// TestStridedIDsSpreadOverShards: 48 values of 100 B into an 8-shard,
+// 12 800 B cache (room for 16 a shard) must all stay, whatever the stride
+// between their ids — a shard chosen from the hash's low bits put every id
+// of one residue class mod 8 in one shard.
+func TestStridedIDsSpreadOverShards(t *testing.T) {
+	for _, stride := range []int64{1, 2, 8, 64, 1000} {
+		c := New(Options{MaxBytes: 12800, Shards: 8})
+		for k := int64(0); k < 48; k++ {
+			c.PutRef(k*stride, val(k, 100), nil)
+		}
+		if st := c.Stats(); st.Entries != 48 || st.Evictions != 0 {
+			t.Errorf("stride %d: %d entries, %d evictions; want 48 and 0", stride, st.Entries, st.Evictions)
+		}
+	}
+}
+
+// pinRef is a Ref large enough to get an allocation, and so a finalizer,
+// of its own.
+type pinRef struct{ _ [64]byte }
+
+func (*pinRef) Retain()  {}
+func (*pinRef) Release() {}
+
+// TestFreedSlotsPinNothing: a value the cache let go of — evicted, or
+// dropped by Reset — becomes garbage, along with its reference, even
+// though its slab slot stays allocated.
+func TestFreedSlotsPinNothing(t *testing.T) {
+	for _, pol := range []Policy{LRU, FIFO, Clock} {
+		var freed atomic.Int64
+		c := New(Options{MaxBytes: 4 * 256, Shards: 1, Policy: pol})
+		for id := int64(0); id < 12; id++ {
+			b, r := new([256]byte), new(pinRef)
+			runtime.SetFinalizer(b, func(*[256]byte) { freed.Add(1) })
+			runtime.SetFinalizer(r, func(*pinRef) { freed.Add(1) })
+			c.PutRef(id, b[:], r)
+		}
+		for _, want := range []int64{16, 24} { // 8 evicted; then Reset drops 4 more
+			deadline := time.Now().Add(5 * time.Second)
+			for freed.Load() < want && time.Now().Before(deadline) {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if n := freed.Load(); n != want {
+				t.Fatalf("%v: %d values and references collected, want %d", pol, n, want)
+			}
+			c.Reset()
+		}
+		runtime.KeepAlive(c)
 	}
 }

@@ -419,15 +419,16 @@ func (e *Engine) load(ids []int64, tc tracectx.Context) (*load, error) {
 		}
 
 		// Serve cache hits: a memory read plus a header re-validation; the
-		// hit's buffer reference moves into the view.
+		// hit's buffer reference moves into the view. One clock read ends a
+		// hit and starts the next, so n hits read the clock n+1 times.
 		hitStart := e.now()
+		last := hitStart
 		var hits, hitBytes int
 		for i := range ld.slots {
 			s := &ld.slots[i]
 			if s.hit == nil {
 				continue
 			}
-			before := e.now()
 			if e.onLocal != nil {
 				e.onLocal(len(s.hit))
 			}
@@ -437,13 +438,14 @@ func (e *Engine) load(ids []int64, tc tracectx.Context) (*load, error) {
 			if err := ld.serve(s, hit, ref, "cached"); err != nil {
 				return nil, ld.fail(err)
 			}
-			s.lat = e.now() - before
+			now := e.now()
+			s.lat, last = now-last, now
 		}
 		if e.spans != nil && hits > 0 {
 			e.spans.Record(obs.Span{
 				Name: "cache-hits", Cat: "fetch", Owner: -1,
 				Samples: hits, Bytes: int64(hitBytes), CacheHit: true,
-				Start: hitStart, Dur: e.now() - hitStart,
+				Start: hitStart, Dur: last - hitStart,
 				TraceID: tc.TraceID, ParentID: tc.SpanID,
 			})
 		}
