@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-allocs bench-check smoke vet fmt fuzz cover examples experiments quick-experiments clean
+.PHONY: all build test race bench bench-allocs bench-check smoke vet fmt loc fuzz cover examples experiments quick-experiments clean
 
 all: build test
 
@@ -100,7 +100,7 @@ FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeGraph$$' -fuzztime=$(FUZZTIME) ./internal/graph
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodePrefix$$' -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLazy$$' -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzServerRequest$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeGetBatch$$' -fuzztime=$(FUZZTIME) ./internal/transport
@@ -139,6 +139,11 @@ smoke:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines outside benchmark/: the count a simplicity change is
+# measured by. CI's lint job prints it on every run.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -200,12 +200,3 @@ const (
 	// kept for the abl-comm ablation.
 	FrameworkTwoSided = core.FrameworkTwoSided
 )
-
-// PrefetchLoader wraps a Loader with background batch prefetching (the
-// PyTorch-DataLoader-workers role) for real-time execution.
-type PrefetchLoader = ddp.PrefetchLoader
-
-// NewPrefetchLoader starts a prefetching wrapper with the given queue depth.
-func NewPrefetchLoader(inner Loader, depth int) *PrefetchLoader {
-	return ddp.NewPrefetchLoader(inner, depth)
-}

@@ -186,9 +186,6 @@ func New(opts Options) *Cache {
 	return c
 }
 
-// Policy returns the cache's eviction policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // spread places id among n shards. Multiplying by 2⁶⁴/φ (Fibonacci
 // hashing) carries the id's entropy into the product's high bits; its low
 // k bits are only the id's low k bits permuted, the same in every id of a

@@ -260,15 +260,6 @@ func (s *Store) Name() string { return s.meta.Name }
 // Len returns the number of samples.
 func (s *Store) Len() int { return s.meta.NumGraphs }
 
-// OutputDim returns the per-graph target width.
-func (s *Store) OutputDim() int { return s.meta.OutputDim }
-
-// NodeFeatDim returns the per-node feature width.
-func (s *Store) NodeFeatDim() int { return s.meta.NodeFeatDim }
-
-// EdgeFeatDim returns the per-edge feature width.
-func (s *Store) EdgeFeatDim() int { return s.meta.EdgeFeatDim }
-
 // ReadSample performs one positional read inside the owning container.
 func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
 	l, ok := s.loc[id]
@@ -280,20 +271,6 @@ func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
 		return nil, fmt.Errorf("cff: %w", err)
 	}
 	return graph.Decode(buf)
-}
-
-// ReadRange decodes samples [lo, hi) with one streaming read per touched
-// container region — the preloader's bulk path.
-func (s *Store) ReadRange(lo, hi int64) ([]*graph.Graph, error) {
-	out := make([]*graph.Graph, 0, hi-lo)
-	for id := lo; id < hi; id++ {
-		g, err := s.ReadSample(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	return out, nil
 }
 
 // SimLayout is the container layout registered on a simulated filesystem:
@@ -368,18 +345,6 @@ func (s *Sim) Name() string { return s.ds.Name() }
 // Len returns the number of samples.
 func (s *Sim) Len() int { return s.ds.Len() }
 
-// OutputDim returns the per-graph target width.
-func (s *Sim) OutputDim() int { return s.ds.OutputDim() }
-
-// NodeFeatDim returns the per-node feature width.
-func (s *Sim) NodeFeatDim() int { return s.ds.NodeFeatDim() }
-
-// EdgeFeatDim returns the per-edge feature width.
-func (s *Sim) EdgeFeatDim() int { return s.ds.EdgeFeatDim() }
-
-// Reader exposes the underlying filesystem reader and its counters.
-func (s *Sim) Reader() *pfs.Reader { return s.reader }
-
 // ReadSample charges the modeled cost of a positional read inside the
 // owning container and returns the generated sample.
 func (s *Sim) ReadSample(id int64) (*graph.Graph, error) {
@@ -399,10 +364,4 @@ func (s *Sim) ReadSampleTimed(id int64) (*graph.Graph, time.Duration, error) {
 	}
 	g, err := s.ds.Sample(id)
 	return g, cost, err
-}
-
-// ReadFilePreload charges the cost of streaming an entire part — used when
-// DDStore preloads from CFF sources.
-func (s *Sim) ReadFilePreload(part int) (time.Duration, error) {
-	return s.reader.ReadFile(s.layout.PartName(part))
 }

@@ -42,7 +42,7 @@ func TestWriteOpenReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.Len() != 25 || st.Name() != ds.Name() || st.OutputDim() != 1 {
+	if st.Len() != 25 || st.Name() != ds.Name() || st.meta.OutputDim != 1 {
 		t.Fatalf("metadata mismatch: %+v", st.meta)
 	}
 	for id := int64(0); id < 25; id++ {
@@ -53,31 +53,6 @@ func TestWriteOpenReadRoundTrip(t *testing.T) {
 		want, _ := ds.Sample(id)
 		if got.ID != id || got.Y[0] != want.Y[0] {
 			t.Fatalf("sample %d mismatch", id)
-		}
-	}
-}
-
-func TestReadRange(t *testing.T) {
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 12})
-	dir := t.TempDir()
-	if err := Write(dir, ds, 3); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	gs, err := st.ReadRange(3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs) != 6 {
-		t.Fatalf("got %d samples", len(gs))
-	}
-	for i, g := range gs {
-		if g.ID != int64(3+i) {
-			t.Fatalf("sample %d has id %d", i, g.ID)
 		}
 	}
 }
@@ -230,8 +205,8 @@ func TestSimAmortizesMetadata(t *testing.T) {
 		}
 	}
 	// Two containers: exactly two metadata ops for 500 samples.
-	if sim.Reader().MetadataOps != 2 {
-		t.Fatalf("MetadataOps = %d, want 2", sim.Reader().MetadataOps)
+	if sim.reader.MetadataOps != 2 {
+		t.Fatalf("MetadataOps = %d, want 2", sim.reader.MetadataOps)
 	}
 }
 
@@ -251,37 +226,21 @@ func TestSimSmallDatasetHitsPageCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h1, m1 := sim.Reader().CacheHits, sim.Reader().CacheMisses
+	h1, m1 := sim.reader.CacheHits, sim.reader.CacheMisses
 	// Epoch 2: shuffled.
-	perm := vtime.NewRNG(2).Perm(300)
+	perm := make([]int, 300)
+	for i := range perm {
+		perm[i] = i
+	}
+	vtime.NewRNG(2).Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	for _, id := range perm {
 		if _, err := sim.ReadSample(int64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h2 := sim.Reader().CacheHits - h1
+	h2 := sim.reader.CacheHits - h1
 	if h2 < 290 {
 		t.Fatalf("second epoch cache hits = %d/300 (first epoch: %d hits %d misses)", h2, h1, m1)
-	}
-}
-
-func TestSimPreload(t *testing.T) {
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 50})
-	fs := pfs.New(cluster.Perlmutter(), 4)
-	layout, err := RegisterSim(fs, ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := NewSim(fs, ds, layout, &vtime.Clock{}, vtime.NewRNG(1))
-	cost, err := sim.ReadFilePreload(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost <= 0 {
-		t.Fatal("preload free")
-	}
-	if _, err := sim.ReadFilePreload(99); err == nil {
-		t.Fatal("preload of bad part accepted")
 	}
 }
 

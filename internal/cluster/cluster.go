@@ -15,7 +15,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -210,22 +209,6 @@ func Laptop() *Machine {
 	}
 }
 
-// Validate checks the machine parameters for internal consistency.
-func (m *Machine) Validate() error {
-	switch {
-	case m.GPUsPerNode <= 0:
-		return fmt.Errorf("cluster: %s has %d GPUs per node", m.Name, m.GPUsPerNode)
-	case m.GPUTflops <= 0:
-		return fmt.Errorf("cluster: %s has non-positive GPU throughput", m.Name)
-	case m.IntraNodeBandwidth <= 0 || m.InterNodeBandwidth <= 0 || m.FSBandwidth <= 0,
-		m.LocalReadBandwidth <= 0:
-		return fmt.Errorf("cluster: %s has a non-positive bandwidth", m.Name)
-	case m.NodeMemory <= 0:
-		return fmt.Errorf("cluster: %s has non-positive node memory", m.Name)
-	}
-	return nil
-}
-
 // NodeOf maps a rank to its node index, packing GPUsPerNode consecutive
 // ranks per node — the standard jsrun/srun placement the paper uses.
 func (m *Machine) NodeOf(rank int) int { return rank / m.GPUsPerNode }
@@ -274,13 +257,6 @@ func (m *Machine) RMATransfer(bytes int64, sameNode bool) time.Duration {
 		bw = m.IntraNodeBandwidth
 	}
 	return m.RMAOverhead/2 + 2*lat + time.Duration(float64(bytes)/bw*float64(time.Second))
-}
-
-// RMAGet returns the modeled time for a complete single-shot one-sided Get:
-// lock acquisition plus the transfer. Batched access amortizes the lock by
-// calling RMALock once and RMATransfer per item, which is what DDStore does.
-func (m *Machine) RMAGet(bytes int64, sameNode bool) time.Duration {
-	return m.RMALock(sameNode) + m.RMATransfer(bytes, sameNode)
 }
 
 // LocalRead returns the modeled time to copy bytes out of the rank's own

@@ -81,41 +81,6 @@ func (c *Comm) Barrier() error {
 	return c.exchange(nil, c.smallCollCost, nil)
 }
 
-// Bcast distributes root's buffer to every rank. Every rank must pass a
-// buffer of the same length; non-root buffers are overwritten.
-func (c *Comm) Bcast(buf []byte, root int) error {
-	if root < 0 || root >= c.Size() {
-		return fmt.Errorf("comm: Bcast root %d out of range [0,%d)", root, c.Size())
-	}
-	var send any
-	if c.idx == root {
-		send = buf
-	}
-	return c.exchange(send, func() time.Duration {
-		m := c.world.machine
-		hops := m.CollectiveLatency(c.Size())
-		return hops + m.NetTransfer(int64(len(buf)), c.Size() <= m.GPUsPerNode)
-	}, func(slots []any) {
-		if c.idx != root {
-			src := slots[root].([]byte)
-			if len(src) != len(buf) {
-				panic(fmt.Sprintf("comm: Bcast length mismatch: root has %d bytes, rank %d expects %d",
-					len(src), c.idx, len(buf)))
-			}
-			copy(buf, src)
-		}
-	})
-}
-
-// BcastInt64 broadcasts a single int64 from root and returns it.
-func (c *Comm) BcastInt64(v int64, root int) (int64, error) {
-	var out int64
-	err := c.exchange(v, c.smallCollCost, func(slots []any) {
-		out = slots[root].(int64)
-	})
-	return out, err
-}
-
 // Allreduce combines in element-wise across all ranks with op and returns
 // the result (same on every rank). All ranks must pass equal-length slices.
 func (c *Comm) Allreduce(in []float64, op ReduceOp) ([]float64, error) {
@@ -204,15 +169,6 @@ func (c *Comm) AllreduceFloat32(in []float32, op ReduceOp) error {
 	return nil
 }
 
-// AllreduceInt64 reduces a single int64 across ranks.
-func (c *Comm) AllreduceInt64(v int64, op ReduceOp) (int64, error) {
-	out, err := c.Allreduce([]float64{float64(v)}, op)
-	if err != nil {
-		return 0, err
-	}
-	return int64(out[0]), nil
-}
-
 // Allgather concatenates equal-length contributions from all ranks in rank
 // order.
 func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
@@ -239,36 +195,9 @@ func (c *Comm) Allgatherv(mine []byte) ([][]byte, error) {
 	return c.Allgather(mine) // the in-process transport needs no count exchange
 }
 
-// AllgatherInt64 gathers one int64 from every rank.
-func (c *Comm) AllgatherInt64(v int64) ([]int64, error) {
-	out := make([]int64, c.Size())
-	err := c.allgatherAny(v, func(i int, s any) { out[i] = s.(int64) })
-	return out, err
-}
-
-// Gather collects contributions on root; other ranks receive nil.
-func (c *Comm) Gather(mine []byte, root int) ([][]byte, error) {
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("comm: Gather root %d out of range [0,%d)", root, c.Size())
-	}
-	var out [][]byte
-	err := c.exchange(mine, c.smallCollCost, func(slots []any) {
-		if c.idx != root {
-			return
-		}
-		out = make([][]byte, len(slots))
-		for i, s := range slots {
-			src := s.([]byte)
-			cp := make([]byte, len(src))
-			copy(cp, src)
-			out[i] = cp
-		}
-	})
-	return out, err
-}
-
-// GatherNoCost collects contributions on root like Gather, but charges no
-// modeled cost to the virtual clocks — the telemetry path, which must not
+// GatherNoCost collects contributions on root (MPI_Gather; other ranks
+// receive nil), charging no modeled cost to the virtual clocks — the
+// telemetry path, which must not
 // perturb the simulated timings it is observing. Call it right after a
 // costed collective (the epoch barrier), where the clocks are already
 // aligned and the zero-cost synchronization is exact.
@@ -288,29 +217,6 @@ func (c *Comm) GatherNoCost(mine []byte, root int) ([][]byte, error) {
 			copy(cp, src)
 			out[i] = cp
 		}
-	})
-	return out, err
-}
-
-// Scatter distributes parts[i] from root to rank i. Only root's parts are
-// consulted; it must have exactly Size() entries.
-func (c *Comm) Scatter(parts [][]byte, root int) ([]byte, error) {
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("comm: Scatter root %d out of range [0,%d)", root, c.Size())
-	}
-	var send any
-	if c.idx == root {
-		if len(parts) != c.Size() {
-			return nil, fmt.Errorf("comm: Scatter root has %d parts for %d ranks", len(parts), c.Size())
-		}
-		send = parts
-	}
-	var out []byte
-	err := c.exchange(send, c.smallCollCost, func(slots []any) {
-		all := slots[root].([][]byte)
-		src := all[c.idx]
-		out = make([]byte, len(src))
-		copy(out, src)
 	})
 	return out, err
 }

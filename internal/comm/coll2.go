@@ -2,102 +2,8 @@ package comm
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
-
-// Reduce combines in element-wise across ranks with op; only root receives
-// the result (others get nil) — MPI_Reduce.
-func (c *Comm) Reduce(in []float64, op ReduceOp, root int) ([]float64, error) {
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("comm: Reduce root %d out of range [0,%d)", root, c.Size())
-	}
-	var out []float64
-	err := c.exchange(in, func() time.Duration {
-		return c.world.machine.Allreduce(int64(len(in)*8), c.Size()) / 2 // one direction of the ring
-	}, func(slots []any) {
-		if c.idx != root {
-			return
-		}
-		out = make([]float64, len(in))
-		first := true
-		for _, s := range slots {
-			vec := s.([]float64)
-			if len(vec) != len(in) {
-				panic(fmt.Sprintf("comm: Reduce length mismatch: %d vs %d", len(vec), len(in)))
-			}
-			if first {
-				copy(out, vec)
-				first = false
-				continue
-			}
-			for i, v := range vec {
-				switch op {
-				case OpSum:
-					out[i] += v
-				case OpMax:
-					if v > out[i] {
-						out[i] = v
-					}
-				case OpMin:
-					if v < out[i] {
-						out[i] = v
-					}
-				}
-			}
-		}
-	})
-	return out, err
-}
-
-// Alltoall sends parts[i] to rank i and returns the pieces received from
-// every rank, in rank order (MPI_Alltoall with variable sizes). parts must
-// have exactly Size() entries.
-func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	if len(parts) != c.Size() {
-		return nil, fmt.Errorf("comm: Alltoall needs %d parts, got %d", c.Size(), len(parts))
-	}
-	var out [][]byte
-	err := c.exchange(parts, func() time.Duration {
-		m := c.world.machine
-		var vol int64
-		for _, p := range parts {
-			vol += int64(len(p))
-		}
-		// Each rank both sends and receives ~vol bytes; pairwise exchange
-		// rounds add log2(n) latency steps.
-		return m.CollectiveLatency(c.Size()) + m.NetTransfer(2*vol, c.Size() <= m.GPUsPerNode)
-	}, func(slots []any) {
-		out = make([][]byte, len(slots))
-		for sender, s := range slots {
-			theirs := s.([][]byte)
-			if len(theirs) != len(slots) {
-				panic(fmt.Sprintf("comm: Alltoall rank %d contributed %d parts for %d ranks",
-					sender, len(theirs), len(slots)))
-			}
-			piece := theirs[c.idx]
-			cp := make([]byte, len(piece))
-			copy(cp, piece)
-			out[sender] = cp
-		}
-	})
-	return out, err
-}
-
-// ExScan returns the exclusive prefix sum of v across ranks: rank r gets
-// sum of ranks [0, r)'s values (rank 0 gets 0) — MPI_Exscan with MPI_SUM.
-// Used for computing global offsets of variable-length contributions.
-func (c *Comm) ExScan(v int64) (int64, error) {
-	all, err := c.AllgatherInt64(v)
-	if err != nil {
-		return 0, err
-	}
-	var sum int64
-	for r := 0; r < c.idx; r++ {
-		sum += all[r]
-	}
-	return sum, nil
-}
 
 // Request is a handle on a non-blocking RMA operation. The in-process
 // transport completes data movement eagerly; Wait charges the modeled
@@ -127,10 +33,10 @@ func (r *Request) Wait() {
 // transfers: issuing k gets and waiting costs max, not sum, of their
 // modeled times (plus per-op issue overhead).
 func (w *Win) GetNB(dst []byte, target int, offset int) (*Request, error) {
-	if err := w.checkAccess(target, offset, len(dst), lockShared); err != nil {
+	if err := w.checkAccess(target, offset, len(dst)); err != nil {
 		return nil, err
 	}
-	copy(dst, w.shared.regions[target][offset:offset+len(dst)])
+	copy(dst, w.regions[target][offset:offset+len(dst)])
 	req := &Request{win: w}
 	if m := w.comm.Machine(); m != nil {
 		// Issue overhead is serial on the caller; the wire time overlaps.
@@ -147,48 +53,6 @@ func (w *Win) GetNB(dst []byte, target int, offset int) (*Request, error) {
 func WaitAll(reqs []*Request) {
 	for _, r := range reqs {
 		r.Wait()
-	}
-}
-
-// Accumulate atomically adds the float64s in src element-wise into target's
-// region at byte offset (MPI_Accumulate with MPI_SUM). It requires only a
-// shared lock, like MPI: accumulates are atomic per element. The target
-// region bytes are interpreted as little-endian float64s.
-func (w *Win) Accumulate(src []float64, target int, offset int) error {
-	n := len(src) * 8
-	if err := w.checkAccess(target, offset, n, lockShared); err != nil {
-		return err
-	}
-	// Serialize concurrent accumulates to the same target with the
-	// window's accumulate lock (MPI guarantees element-wise atomicity; a
-	// short critical section is the simplest correct model).
-	w.shared.accMu.Lock()
-	region := w.shared.regions[target][offset : offset+n]
-	for i, v := range src {
-		cur := float64frombytes(region[i*8:])
-		putFloat64(region[i*8:], cur+v)
-	}
-	w.shared.accMu.Unlock()
-	if m := w.comm.Machine(); m != nil {
-		cost := time.Duration(float64(m.RMATransfer(int64(n), w.comm.SameNode(target))) *
-			m.JitterFactor(w.comm.RNG()))
-		w.comm.Clock().Advance(cost)
-	}
-	return nil
-}
-
-func float64frombytes(b []byte) float64 {
-	var u uint64
-	for i := 0; i < 8; i++ {
-		u |= uint64(b[i]) << (8 * i)
-	}
-	return math.Float64frombits(u)
-}
-
-func putFloat64(b []byte, f float64) {
-	u := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
 	}
 }
 

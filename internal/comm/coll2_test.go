@@ -8,94 +8,6 @@ import (
 	"ddstore/internal/cluster"
 )
 
-func TestReduce(t *testing.T) {
-	run(t, 5, nil, func(c *Comm) error {
-		out, err := c.Reduce([]float64{float64(c.Rank()), 2}, OpSum, 3)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 3 {
-			if out != nil {
-				return fmt.Errorf("non-root got a result")
-			}
-			return nil
-		}
-		if out[0] != 0+1+2+3+4 || out[1] != 10 {
-			return fmt.Errorf("Reduce = %v", out)
-		}
-		return nil
-	})
-}
-
-func TestReduceMaxAndBadRoot(t *testing.T) {
-	run(t, 3, nil, func(c *Comm) error {
-		if _, err := c.Reduce([]float64{1}, OpSum, 9); err == nil {
-			return fmt.Errorf("bad root accepted")
-		}
-		out, err := c.Reduce([]float64{float64(c.Rank() * c.Rank())}, OpMax, 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 && out[0] != 4 {
-			return fmt.Errorf("max = %v", out[0])
-		}
-		return nil
-	})
-}
-
-func TestAlltoall(t *testing.T) {
-	const n = 4
-	run(t, n, nil, func(c *Comm) error {
-		parts := make([][]byte, n)
-		for to := range parts {
-			// Payload encodes (from, to) and has variable length.
-			parts[to] = make([]byte, to+1)
-			parts[to][0] = byte(c.Rank()*16 + to)
-		}
-		got, err := c.Alltoall(parts)
-		if err != nil {
-			return err
-		}
-		for from, piece := range got {
-			if len(piece) != c.Rank()+1 {
-				return fmt.Errorf("piece from %d has %d bytes, want %d", from, len(piece), c.Rank()+1)
-			}
-			if piece[0] != byte(from*16+c.Rank()) {
-				return fmt.Errorf("piece from %d = %d", from, piece[0])
-			}
-		}
-		return nil
-	})
-}
-
-func TestAlltoallValidatesParts(t *testing.T) {
-	run(t, 2, nil, func(c *Comm) error {
-		// Both ranks must fail identically *before* entering the collective,
-		// otherwise one rank would block in the barrier forever.
-		if _, err := c.Alltoall(make([][]byte, 5)); err == nil {
-			return fmt.Errorf("wrong part count accepted")
-		}
-		return nil
-	})
-}
-
-func TestExScan(t *testing.T) {
-	run(t, 5, nil, func(c *Comm) error {
-		got, err := c.ExScan(int64(c.Rank() + 1)) // values 1,2,3,4,5
-		if err != nil {
-			return err
-		}
-		want := int64(0)
-		for r := 0; r < c.Rank(); r++ {
-			want += int64(r + 1)
-		}
-		if got != want {
-			return fmt.Errorf("rank %d ExScan = %d, want %d", c.Rank(), got, want)
-		}
-		return nil
-	})
-}
-
 func TestGetNBOverlapsTransfers(t *testing.T) {
 	m := cluster.Perlmutter()
 	w, err := NewWorld(8, 1, WithMachine(m))
@@ -191,71 +103,6 @@ func TestGetNBRequiresEpoch(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestAccumulateSumsAtomically(t *testing.T) {
-	// All ranks accumulate into rank 0's region concurrently under shared
-	// locks; the final values must be the exact sums (no lost updates).
-	const n = 8
-	const perRank = 50
-	run(t, n, nil, func(c *Comm) error {
-		region := make([]byte, 4*8) // 4 float64s
-		win, err := c.CreateWindow(region)
-		if err != nil {
-			return err
-		}
-		if err := win.LockShared(0); err != nil {
-			return err
-		}
-		for i := 0; i < perRank; i++ {
-			if err := win.Accumulate([]float64{1, 2, 0, -1}, 0, 0); err != nil {
-				return err
-			}
-		}
-		if err := win.Unlock(0); err != nil {
-			return err
-		}
-		if err := win.Fence(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			total := float64(n * perRank)
-			for i, want := range []float64{total, 2 * total, 0, -total} {
-				got := float64frombytes(region[i*8:])
-				if got != want {
-					return fmt.Errorf("element %d = %v, want %v", i, got, want)
-				}
-			}
-		}
-		return nil
-	})
-}
-
-func TestAccumulateBounds(t *testing.T) {
-	run(t, 2, nil, func(c *Comm) error {
-		win, err := c.CreateWindow(make([]byte, 16))
-		if err != nil {
-			return err
-		}
-		if err := win.LockShared(0); err != nil {
-			return err
-		}
-		defer win.Unlock(0)
-		if err := win.Accumulate([]float64{1, 2, 3}, 0, 0); err == nil {
-			return fmt.Errorf("overflowing accumulate accepted")
-		}
-		return nil
-	})
-}
-
-func TestFloat64Bytes(t *testing.T) {
-	b := make([]byte, 8)
-	for _, v := range []float64{0, 1.5, -3.25, 1e300, -1e-300} {
-		putFloat64(b, v)
-		if got := float64frombytes(b); got != v {
-			t.Fatalf("round trip %v -> %v", v, got)
-		}
-	}
 }
 
 func BenchmarkBarrier8(b *testing.B) {

@@ -1,12 +1,13 @@
 // Package comm implements an MPI-like message-passing runtime for DDStore.
 //
 // A World of N ranks runs as N goroutines inside one process. The package
-// provides the MPI features DDStore depends on: communicators with
-// collectives (Barrier, Bcast, Allreduce, Allgather/Allgatherv, Gather,
-// Scatter), communicator splitting (MPI_Comm_split, used to form the width-w
-// replica groups), two-sided Send/Recv, and one-sided RMA windows with
+// provides the MPI features DDStore depends on: communicators with the
+// collectives it calls (Barrier, Allreduce, Allgather/Allgatherv, a
+// zero-cost gather for telemetry, and a zero-copy share of root's value),
+// communicator splitting (MPI_Comm_split, used to form the width-w replica
+// groups), two-sided Send/Recv, and read-only one-sided RMA windows with
 // passive-target synchronization (MPI_Win_create / MPI_Win_lock(SHARED) /
-// MPI_Get / MPI_Win_unlock / MPI_Win_fence).
+// MPI_Get / MPI_Rget / MPI_Win_unlock).
 //
 // When the World is created with a cluster.Machine, every operation also
 // charges its modeled cost to per-rank virtual clocks (see internal/vtime),
@@ -43,7 +44,6 @@ type World struct {
 	groups map[string]*groupState // collective state per communicator
 	boxes  []*mailbox             // per-rank P2P inbox
 	broken bool
-	nextID int // window id allocator
 }
 
 // Option configures a World.
@@ -78,15 +78,6 @@ func NewWorld(size int, seed uint64, opts ...Option) (*World, error) {
 	}
 	return w, nil
 }
-
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
-// Machine returns the attached machine model, or nil.
-func (w *World) Machine() *cluster.Machine { return w.machine }
-
-// Clocks returns the per-rank virtual clocks (world rank order).
-func (w *World) Clocks() []*vtime.Clock { return w.clocks }
 
 // MaxTime returns the latest virtual time across all ranks — the modeled
 // end-to-end wall time of whatever the world has executed so far.
@@ -203,15 +194,6 @@ func (c *Comm) Rank() int { return c.idx }
 // Size returns the number of ranks in this communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank returns the caller's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.rank }
-
-// WorldRankOf translates a communicator rank into a world rank.
-func (c *Comm) WorldRankOf(rank int) int { return c.group[rank] }
-
-// World returns the world this communicator belongs to.
-func (c *Comm) World() *World { return c.world }
-
 // Machine returns the attached machine model, or nil.
 func (c *Comm) Machine() *cluster.Machine { return c.world.machine }
 
@@ -286,18 +268,17 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 // sense-reversing barrier and a slot array for collective exchanges.
 type groupState struct {
 	barrier *barrier
-	mu      sync.Mutex
 	slots   []any
 	syncTo  time.Duration // target time computed by the last arriver
 	winSeq  int           // per-group window registration sequence
-	wins    map[int]*winShared
+	wins    map[int][][]byte
 }
 
 func newGroupState(n int) *groupState {
 	return &groupState{
 		barrier: newBarrier(n),
 		slots:   make([]any, n),
-		wins:    make(map[int]*winShared),
+		wins:    make(map[int][][]byte),
 	}
 }
 

@@ -121,13 +121,3 @@ func (c *Comm) Recv(from int, tag int) ([]byte, int, error) {
 	}
 	return msg.data, senderIdx, nil
 }
-
-// SendRecv performs a simultaneous exchange with a partner rank — handy for
-// ring algorithms and for tests.
-func (c *Comm) SendRecv(partner int, tag int, data []byte) ([]byte, error) {
-	if err := c.Send(partner, tag, data); err != nil {
-		return nil, err
-	}
-	got, _, err := c.Recv(partner, tag)
-	return got, err
-}

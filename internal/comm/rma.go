@@ -2,40 +2,23 @@ package comm
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// lockKind records how a Win handle currently holds a target's lock.
-type lockKind int
-
-const (
-	lockNone lockKind = iota
-	lockShared
-	lockExclusive
-)
-
-// winShared is the group-wide state of one RMA window: every member rank's
-// exposed memory region and one readers-writer lock per target. The regions
-// are the ranks' actual buffers (shared address space), so a Get is a true
-// zero-intermediary copy, like MPI RMA over shared memory or RDMA.
-type winShared struct {
-	regions [][]byte
-	locks   []sync.RWMutex
-	// accMu serializes Accumulate operations (MPI guarantees element-wise
-	// atomicity for accumulates under shared locks).
-	accMu sync.Mutex
-}
-
-// Win is one rank's handle on an RMA window (MPI_Win). Access to remote
-// regions requires an access epoch: LockShared or LockExclusive on the
-// target, then Get/Put, then Unlock — the same passive-target discipline
-// DDStore uses (MPI_Win_lock(MPI_LOCK_SHARED) ... MPI_Get ...
-// MPI_Win_unlock).
+// Win is one rank's handle on a read-only RMA window (MPI_Win). Every member
+// rank exposes its region once, at CreateWindow, and nothing writes it
+// afterwards: DDStore preloads each chunk before its window exists, and
+// peers only read. The regions are the ranks' actual buffers (shared
+// address space), so a Get is a true zero-intermediary copy, like MPI RMA
+// over shared memory or RDMA. Access to a target requires an access epoch:
+// LockShared, then Get, then Unlock — the passive-target discipline DDStore
+// uses (MPI_Win_lock(MPI_LOCK_SHARED) ... MPI_Get ... MPI_Win_unlock).
+// Since no rank writes a region, a shared epoch has no one to exclude: it is
+// this handle's bookkeeping plus the lock's modeled cost.
 type Win struct {
-	comm   *Comm
-	shared *winShared
-	held   []lockKind // per-target epoch state for this handle
+	comm    *Comm
+	regions [][]byte // every member's region, shared by the group's handles
+	held    []bool   // per target: this handle has an open epoch on it
 }
 
 // CreateWindow collectively registers region as this rank's exposed memory
@@ -45,18 +28,13 @@ func (c *Comm) CreateWindow(region []byte) (*Win, error) {
 	st := c.state
 	st.slots[c.idx] = region
 	err := st.barrier.await(func() {
-		ws := &winShared{
-			regions: make([][]byte, len(st.slots)),
-			locks:   make([]sync.RWMutex, len(st.slots)),
-		}
+		regions := make([][]byte, len(st.slots))
 		for i, s := range st.slots {
-			if s == nil {
-				ws.regions[i] = nil
-				continue
+			if s != nil {
+				regions[i] = s.([]byte)
 			}
-			ws.regions[i] = s.([]byte)
 		}
-		st.wins[st.winSeq] = ws
+		st.wins[st.winSeq] = regions
 		st.winSeq++
 		if c.world.machine != nil {
 			var max time.Duration
@@ -74,48 +52,24 @@ func (c *Comm) CreateWindow(region []byte) (*Win, error) {
 	if c.world.machine != nil {
 		c.Clock().AdvanceTo(st.syncTo)
 	}
-	ws := st.wins[st.winSeq-1]
+	regions := st.wins[st.winSeq-1]
 	if err := st.barrier.await(nil); err != nil {
 		return nil, err
 	}
-	return &Win{comm: c, shared: ws, held: make([]lockKind, c.Size())}, nil
-}
-
-// Size returns the length of target's exposed region.
-func (w *Win) Size(target int) int {
-	return len(w.shared.regions[target])
+	return &Win{comm: c, regions: regions, held: make([]bool, c.Size())}, nil
 }
 
 // LockShared opens a shared access epoch on target
-// (MPI_Win_lock(MPI_LOCK_SHARED)). Multiple ranks may hold shared locks on
-// the same target concurrently; it excludes exclusive holders.
+// (MPI_Win_lock(MPI_LOCK_SHARED)). Any number of ranks may hold shared locks
+// on the same target concurrently.
 func (w *Win) LockShared(target int) error {
 	if err := w.checkTarget(target); err != nil {
 		return err
 	}
-	if w.held[target] != lockNone {
+	if w.held[target] {
 		return fmt.Errorf("comm: window lock on target %d already held", target)
 	}
-	w.shared.locks[target].RLock()
-	w.held[target] = lockShared
-	if m := w.comm.Machine(); m != nil {
-		cost := time.Duration(float64(m.RMALock(w.comm.SameNode(target))) * m.JitterFactor(w.comm.RNG()))
-		w.comm.Clock().Advance(cost)
-	}
-	return nil
-}
-
-// LockExclusive opens an exclusive access epoch on target
-// (MPI_Win_lock(MPI_LOCK_EXCLUSIVE)); required for Put.
-func (w *Win) LockExclusive(target int) error {
-	if err := w.checkTarget(target); err != nil {
-		return err
-	}
-	if w.held[target] != lockNone {
-		return fmt.Errorf("comm: window lock on target %d already held", target)
-	}
-	w.shared.locks[target].Lock()
-	w.held[target] = lockExclusive
+	w.held[target] = true
 	if m := w.comm.Machine(); m != nil {
 		cost := time.Duration(float64(m.RMALock(w.comm.SameNode(target))) * m.JitterFactor(w.comm.RNG()))
 		w.comm.Clock().Advance(cost)
@@ -130,15 +84,10 @@ func (w *Win) Unlock(target int) error {
 	if err := w.checkTarget(target); err != nil {
 		return err
 	}
-	switch w.held[target] {
-	case lockShared:
-		w.shared.locks[target].RUnlock()
-	case lockExclusive:
-		w.shared.locks[target].Unlock()
-	default:
+	if !w.held[target] {
 		return fmt.Errorf("comm: window lock on target %d not held", target)
 	}
-	w.held[target] = lockNone
+	w.held[target] = false
 	return nil
 }
 
@@ -147,10 +96,10 @@ func (w *Win) Unlock(target int) error {
 // cost is charged to the caller only — the essence of one-sided
 // communication: the target's CPU is not involved.
 func (w *Win) Get(dst []byte, target int, offset int) error {
-	if err := w.checkAccess(target, offset, len(dst), lockShared); err != nil {
+	if err := w.checkAccess(target, offset, len(dst)); err != nil {
 		return err
 	}
-	copy(dst, w.shared.regions[target][offset:offset+len(dst)])
+	copy(dst, w.regions[target][offset:offset+len(dst)])
 	if m := w.comm.Machine(); m != nil {
 		cost := time.Duration(float64(m.RMATransfer(int64(len(dst)), w.comm.SameNode(target))) * m.JitterFactor(w.comm.RNG()))
 		w.comm.Clock().Advance(cost)
@@ -158,57 +107,24 @@ func (w *Win) Get(dst []byte, target int, offset int) error {
 	return nil
 }
 
-// Put copies src into target's region at offset (MPI_Put). The caller must
-// hold an exclusive lock on target.
-func (w *Win) Put(src []byte, target int, offset int) error {
-	if err := w.checkAccess(target, offset, len(src), lockExclusive); err != nil {
-		return err
-	}
-	copy(w.shared.regions[target][offset:offset+len(src)], src)
-	if m := w.comm.Machine(); m != nil {
-		cost := time.Duration(float64(m.RMATransfer(int64(len(src)), w.comm.SameNode(target))) * m.JitterFactor(w.comm.RNG()))
-		w.comm.Clock().Advance(cost)
-	}
-	return nil
-}
-
-// Fence synchronizes all ranks of the window's communicator
-// (MPI_Win_fence): a barrier separating RMA epochs.
-func (w *Win) Fence() error {
-	return w.comm.Barrier()
-}
-
-// Flush is a no-op completion point (MPI_Win_flush): our Get/Put are
-// synchronous, so all operations are already complete. It exists so calling
-// code reads like the MPI original.
-func (w *Win) Flush(target int) error {
-	return w.checkTarget(target)
-}
-
 func (w *Win) checkTarget(target int) error {
-	if target < 0 || target >= len(w.shared.regions) {
-		return fmt.Errorf("comm: window target %d out of range [0,%d)", target, len(w.shared.regions))
+	if target < 0 || target >= len(w.regions) {
+		return fmt.Errorf("comm: window target %d out of range [0,%d)", target, len(w.regions))
 	}
 	return nil
 }
 
-// checkAccess validates the epoch and bounds for an RMA operation. need is
-// the minimum lock strength: lockShared allows either kind, lockExclusive
-// requires exclusive.
-func (w *Win) checkAccess(target, offset, length int, need lockKind) error {
+// checkAccess validates the epoch and bounds for an RMA read.
+func (w *Win) checkAccess(target, offset, length int) error {
 	if err := w.checkTarget(target); err != nil {
 		return err
 	}
-	held := w.held[target]
-	if held == lockNone {
-		return fmt.Errorf("comm: RMA access to target %d outside an access epoch (call LockShared/LockExclusive first)", target)
+	if !w.held[target] {
+		return fmt.Errorf("comm: RMA access to target %d outside an access epoch (call LockShared first)", target)
 	}
-	if need == lockExclusive && held != lockExclusive {
-		return fmt.Errorf("comm: Put to target %d requires an exclusive lock", target)
-	}
-	if offset < 0 || length < 0 || offset+length > len(w.shared.regions[target]) {
+	if offset < 0 || length < 0 || offset+length > len(w.regions[target]) {
 		return fmt.Errorf("comm: RMA access [%d,%d) out of bounds of target %d's %d-byte region",
-			offset, offset+length, target, len(w.shared.regions[target]))
+			offset, offset+length, target, len(w.regions[target]))
 	}
 	return nil
 }

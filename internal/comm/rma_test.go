@@ -19,9 +19,6 @@ func TestWindowGetBasic(t *testing.T) {
 			return err
 		}
 		for target := 0; target < c.Size(); target++ {
-			if win.Size(target) != 64 {
-				return fmt.Errorf("target %d size = %d", target, win.Size(target))
-			}
 			if err := win.LockShared(target); err != nil {
 				return err
 			}
@@ -38,7 +35,7 @@ func TestWindowGetBasic(t *testing.T) {
 				}
 			}
 		}
-		return win.Fence()
+		return c.Barrier()
 	})
 }
 
@@ -52,10 +49,21 @@ func TestWindowVariableRegionSizes(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// Each target's region is exactly as long as its rank exposed: a
+		// read of the whole of it succeeds, one byte more is out of bounds.
 		for target := 0; target < 3; target++ {
-			want := (target + 1) * 10
-			if win.Size(target) != want {
-				return fmt.Errorf("target %d size %d, want %d", target, win.Size(target), want)
+			size := (target + 1) * 10
+			if err := win.LockShared(target); err != nil {
+				return err
+			}
+			if err := win.Get(make([]byte, size), target, 0); err != nil {
+				return fmt.Errorf("target %d: whole-region read: %v", target, err)
+			}
+			if err := win.Get(make([]byte, size+1), target, 0); err == nil {
+				return fmt.Errorf("target %d: read past its %d-byte region succeeded", target, size)
+			}
+			if err := win.Unlock(target); err != nil {
+				return err
 			}
 		}
 		if err := win.LockShared(2); err != nil {
@@ -81,63 +89,7 @@ func TestWindowGetRequiresEpoch(t *testing.T) {
 		if err := win.Get(make([]byte, 4), 0, 0); err == nil {
 			return errors.New("Get outside an access epoch succeeded")
 		}
-		return win.Fence()
-	})
-}
-
-func TestWindowPutRequiresExclusive(t *testing.T) {
-	run(t, 2, nil, func(c *Comm) error {
-		win, err := c.CreateWindow(make([]byte, 8))
-		if err != nil {
-			return err
-		}
-		target := 1 - c.Rank()
-		if err := win.LockShared(target); err != nil {
-			return err
-		}
-		if err := win.Put([]byte{1}, target, 0); err == nil {
-			return errors.New("Put under a shared lock succeeded")
-		}
-		return win.Unlock(target)
-	})
-}
-
-func TestWindowPutThenGet(t *testing.T) {
-	run(t, 2, nil, func(c *Comm) error {
-		win, err := c.CreateWindow(make([]byte, 8))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if err := win.LockExclusive(1); err != nil {
-				return err
-			}
-			if err := win.Put([]byte{42, 43}, 1, 2); err != nil {
-				return err
-			}
-			if err := win.Unlock(1); err != nil {
-				return err
-			}
-		}
-		if err := win.Fence(); err != nil {
-			return err
-		}
-		if c.Rank() == 1 {
-			if err := win.LockShared(1); err != nil {
-				return err
-			}
-			dst := make([]byte, 2)
-			if err := win.Get(dst, 1, 2); err != nil {
-				return err
-			}
-			if err := win.Unlock(1); err != nil {
-				return err
-			}
-			if dst[0] != 42 || dst[1] != 43 {
-				return fmt.Errorf("put not visible: %v", dst)
-			}
-		}
-		return nil
+		return c.Barrier()
 	})
 }
 
@@ -211,66 +163,7 @@ func TestWindowConcurrentSharedReaders(t *testing.T) {
 		if err := win.Unlock(0); err != nil {
 			return err
 		}
-		return win.Fence()
-	})
-}
-
-func TestWindowExclusiveBlocksReaders(t *testing.T) {
-	// A writer holding the exclusive lock must block readers until done; the
-	// readers must then observe the fully-written state (no torn reads).
-	run(t, 4, nil, func(c *Comm) error {
-		win, err := c.CreateWindow(make([]byte, 128))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if err := win.LockExclusive(0); err != nil {
-				return err
-			}
-			if err := c.Barrier(); err != nil { // let readers queue up
-				return err
-			}
-			full := bytes.Repeat([]byte{5}, 128)
-			if err := win.Put(full, 0, 0); err != nil {
-				return err
-			}
-			return win.Unlock(0)
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if err := win.LockShared(0); err != nil {
-			return err
-		}
-		dst := make([]byte, 128)
-		if err := win.Get(dst, 0, 0); err != nil {
-			return err
-		}
-		if err := win.Unlock(0); err != nil {
-			return err
-		}
-		for _, b := range dst {
-			if b != 5 {
-				return fmt.Errorf("torn read: %d", b)
-			}
-		}
-		return nil
-	})
-}
-
-func TestWindowFlush(t *testing.T) {
-	run(t, 2, nil, func(c *Comm) error {
-		win, err := c.CreateWindow(make([]byte, 8))
-		if err != nil {
-			return err
-		}
-		if err := win.Flush(0); err != nil {
-			return err
-		}
-		if err := win.Flush(5); err == nil {
-			return errors.New("Flush of bad target succeeded")
-		}
-		return nil
+		return c.Barrier()
 	})
 }
 

@@ -194,7 +194,7 @@ func TestTwoSidedBatchSingleRPCPerOwner(t *testing.T) {
 		}
 		defer s.Close()
 		// All 16 ids of the OTHER rank's chunk: B=16 remote samples, 1 owner.
-		other := 1 - s.Group().Rank()
+		other := 1 - s.group.Rank()
 		lo, hi := s.starts[other], s.starts[other+1]
 		ids := make([]int64, 0, hi-lo)
 		for id := lo; id < hi; id++ {

@@ -65,7 +65,7 @@ func TestLoadFanOutMatchesSerial(t *testing.T) {
 					if st.LocalReads != 2 || st.RemoteGets != 14 {
 						return fmt.Errorf("rank %d: stats %+v, want 2 local / 14 remote", c.Rank(), st)
 					}
-					return s.Barrier()
+					return s.world.Barrier()
 				})
 			})
 		}
@@ -121,7 +121,7 @@ func TestLoadConcurrentRace(t *testing.T) {
 		if total.LocalReads+total.RemoteGets == 0 {
 			return fmt.Errorf("no traffic counted")
 		}
-		return s.Barrier()
+		return s.world.Barrier()
 	})
 }
 
@@ -145,7 +145,7 @@ func BenchmarkStoreLoadOwners(b *testing.B) {
 						return err
 					}
 					if c.Rank() != 0 {
-						return s.Barrier()
+						return s.world.Barrier()
 					}
 					// Rank 0 loads 4 samples from each of `owners` remote
 					// owners while the rest idle at the barrier.
@@ -164,7 +164,7 @@ func BenchmarkStoreLoadOwners(b *testing.B) {
 					}
 					b.StopTimer()
 					_ = sink
-					return s.Barrier()
+					return s.world.Barrier()
 				})
 				if runErr != nil {
 					b.Fatal(runErr)

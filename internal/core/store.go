@@ -48,9 +48,6 @@ const reserveAfter = 32
 type SampleSource interface {
 	Name() string
 	Len() int
-	OutputDim() int
-	NodeFeatDim() int
-	EdgeFeatDim() int
 	ReadSample(id int64) (*graph.Graph, error)
 }
 
@@ -72,17 +69,11 @@ type Options struct {
 	// NonBlocking issues overlapped non-blocking Gets (MPI_Rget-style)
 	// within each owner epoch instead of sequential blocking Gets.
 	NonBlocking bool
-	// Net is the retry/deadline policy of the TCP data plane, used when
-	// this store's chunk is served to other processes (ServeTCP) or when
-	// remote chunks are fetched (DialGroup). The zero value means the
-	// transport defaults; the in-process RMA path ignores it.
-	Net transport.RetryPolicy
 	// CacheBytes, if positive, adds a byte-budgeted cache over remotely
 	// fetched sample bytes: repeat loads of a cached id cost a memory read
 	// instead of a fetch, and concurrent misses for the same id (e.g. the
 	// prefetch worker racing the training loop) coalesce into one fetch.
 	// Local-chunk reads bypass the cache — they are already memory reads.
-	// The same budget is threaded into DialGroup for the TCP plane.
 	CacheBytes int64
 	// CachePolicy selects the cache's eviction policy (default LRU; FIFO
 	// and Clock exist for the eviction ablation).
@@ -92,15 +83,13 @@ type Options struct {
 	// round-trip times instead of k. 0 means min(#owners, GOMAXPROCS);
 	// 1 restores the serial per-owner loop exactly. Ignored (always
 	// serial) under a machine model, where fetch costs are charged to a
-	// deterministic virtual clock. The same budget is threaded into
-	// DialGroup for the TCP plane.
+	// deterministic virtual clock.
 	FetchParallelism int
 	// Metrics, if set, receives the engine's fetch-latency histogram, and
 	// the cache and transport event counters when there is no Profiler to
-	// take them (see eventSink). Threaded into DialGroup for the TCP plane.
+	// take them (see eventSink).
 	Metrics *obs.Registry
 	// Spans, if set, receives per-owner fetch spans for the Chrome trace.
-	// Threaded into DialGroup for the TCP plane.
 	Spans *obs.SpanRing
 }
 
@@ -132,13 +121,9 @@ type Store struct {
 	group *comm.Comm
 	win   *comm.Win
 
-	name      string
-	total     int // T: dataset size in samples
-	width     int // w
-	replicas  int // r = N/w
-	outputDim int
-	nodeDim   int
-	edgeDim   int
+	total    int // T: dataset size in samples
+	width    int // w
+	replicas int // r = N/w
 
 	buf    []byte  // this rank's chunk: concatenated encoded samples
 	index  []entry // per sample id, within this rank's group
@@ -242,16 +227,12 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 	}
 
 	s := &Store{
-		world:     c,
-		opts:      opts,
-		name:      src.Name(),
-		total:     total,
-		width:     width,
-		replicas:  n / width,
-		outputDim: src.OutputDim(),
-		nodeDim:   src.NodeFeatDim(),
-		edgeDim:   src.EdgeFeatDim(),
-		prof:      opts.Profiler,
+		world:    c,
+		opts:     opts,
+		total:    total,
+		width:    width,
+		replicas: n / width,
+		prof:     opts.Profiler,
 	}
 	if opts.CacheBytes > 0 {
 		s.cache = cache.New(cache.Options{
@@ -409,9 +390,6 @@ func buildIndex(all [][]byte, starts []int64, total int) ([]entry, error) {
 	return index, nil
 }
 
-// Name returns the dataset name.
-func (s *Store) Name() string { return s.name }
-
 // Len returns the dataset size in samples.
 func (s *Store) Len() int { return s.total }
 
@@ -420,18 +398,6 @@ func (s *Store) Width() int { return s.width }
 
 // Replicas returns r = N/w, the number of dataset replicas held in memory.
 func (s *Store) Replicas() int { return s.replicas }
-
-// OutputDim returns the per-graph target width.
-func (s *Store) OutputDim() int { return s.outputDim }
-
-// NodeFeatDim returns the per-node feature width.
-func (s *Store) NodeFeatDim() int { return s.nodeDim }
-
-// EdgeFeatDim returns the per-edge feature width.
-func (s *Store) EdgeFeatDim() int { return s.edgeDim }
-
-// Group returns this rank's replica-group communicator.
-func (s *Store) Group() *comm.Comm { return s.group }
 
 // LocalRange returns the sample-id range [lo, hi) held in this rank's
 // memory.
@@ -453,10 +419,6 @@ func (s *Store) Stats() Stats {
 // (virtual time under a machine model, wall time otherwise).
 func (s *Store) LatencyStats() fetch.LatencySummary { return s.engine.LatencyStats() }
 
-// Cache returns the store's remote-sample cache, or nil when the store
-// was opened without one (Options.CacheBytes <= 0).
-func (s *Store) Cache() *cache.Cache { return s.cache }
-
 // CacheStats returns the remote-sample cache's counters; the zero Stats
 // when the store has no cache.
 func (s *Store) CacheStats() cache.Stats {
@@ -476,11 +438,6 @@ func (s *Store) OwnerOf(id int64) (int, error) {
 	}
 	return s.maps.Current().OwnerOf(id)
 }
-
-// ShardMap returns the store's versioned ownership map: generation 1 is
-// the chunk-boundary striping Open computed, and the elastic control
-// plane can advance it from there.
-func (s *Store) ShardMap() *shardmap.Store { return s.maps }
 
 // Load fetches the given sample ids (a shuffled batch) and returns the
 // decoded graphs in the same order. Local ids are served from this rank's
@@ -532,12 +489,6 @@ func (s *Store) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy,
 	return out, lat, nil
 }
 
-// Fence synchronizes all ranks of the replica group between access epochs.
-func (s *Store) Fence() error { return s.win.Fence() }
-
-// Barrier synchronizes all ranks of the creating communicator.
-func (s *Store) Barrier() error { return s.world.Barrier() }
-
 // LocalSampleBytes returns the encoded bytes of a locally-held sample
 // without copying. It is the hook the TCP transport uses to serve this
 // rank's chunk to remote processes; callers must not modify the slice.
@@ -547,30 +498,4 @@ func (s *Store) LocalSampleBytes(id int64) ([]byte, error) {
 	}
 	e := s.index[id]
 	return s.buf[e.offset : e.offset+int64(e.length)], nil
-}
-
-// NetPolicy returns the store's effective TCP retry policy.
-func (s *Store) NetPolicy() transport.RetryPolicy { return s.opts.Net }
-
-// ServeTCP exposes this rank's chunk over the TCP data plane, with the
-// server-side limits derived from the store's retry policy. One server per
-// rank (or per node) makes the store's chunks reachable across process
-// boundaries.
-func (s *Store) ServeTCP(addr string) (*transport.Server, error) {
-	return transport.ServeWith(addr, s, s.opts.Net.ServerOptions())
-}
-
-// DialGroup connects to remote chunk servers — one address list per
-// replica group — using the store's retry policy, and records the data
-// plane's retry/failover/timeout counters into the store's profiler.
-func (s *Store) DialGroup(replicas [][]string) (*transport.Group, error) {
-	opts := transport.GroupOptions{
-		Client:           transport.ClientOptions{Policy: s.opts.Net, Counters: s.opts.eventSink()},
-		CacheBytes:       s.opts.CacheBytes,
-		CachePolicy:      s.opts.CachePolicy,
-		FetchParallelism: s.opts.FetchParallelism,
-		Metrics:          s.opts.Metrics,
-		Spans:            s.opts.Spans,
-	}
-	return transport.NewGroupReplicas(replicas, opts)
 }

@@ -80,11 +80,8 @@ func TestStoreMetadata(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if s.Name() != ds.Name() || s.Len() != 32 || s.Width() != 2 || s.Replicas() != 2 {
-			return fmt.Errorf("metadata: name=%q len=%d w=%d r=%d", s.Name(), s.Len(), s.Width(), s.Replicas())
-		}
-		if s.OutputDim() != 100 || s.NodeFeatDim() != 3 || s.EdgeFeatDim() != 0 {
-			return fmt.Errorf("dims wrong")
+		if s.Len() != 32 || s.Width() != 2 || s.Replicas() != 2 {
+			return fmt.Errorf("metadata: len=%d w=%d r=%d", s.Len(), s.Width(), s.Replicas())
 		}
 		lo, hi := s.LocalRange()
 		if hi-lo != 16 { // 32 samples / width 2
@@ -218,7 +215,7 @@ func TestOwnershipInvariant(t *testing.T) {
 				return err
 			}
 			ownsHere := id >= lo && id < hi
-			if (owner == s.Group().Rank()) != ownsHere {
+			if (owner == s.group.Rank()) != ownsHere {
 				return fmt.Errorf("rank %d: owner of %d is %d but local range is [%d,%d)",
 					c.Rank(), id, owner, lo, hi)
 			}
@@ -236,10 +233,7 @@ func TestShardMapGenerationOneMatchesChunkStarts(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		st := s.ShardMap()
-		if st == nil {
-			return fmt.Errorf("ShardMap() = nil")
-		}
+		st := s.maps
 		if g := st.Generation(); g != 1 {
 			return fmt.Errorf("initial generation = %d, want 1", g)
 		}
@@ -274,10 +268,10 @@ func TestOwnerOfFollowsAppliedGeneration(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		next := s.ShardMap().Current().Clone()
+		next := s.maps.Current().Clone()
 		next.Gen = 2
 		next.Shards[0].Owners = []int{1}
-		if err := s.ShardMap().Apply(next); err != nil {
+		if _, err := s.maps.ApplyIfNewer(next); err != nil {
 			return err
 		}
 		got, err := s.OwnerOf(0)
@@ -456,8 +450,8 @@ func TestGroupIsolation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if s.Group().Size() != 4 {
-			return fmt.Errorf("group size %d", s.Group().Size())
+		if s.group.Size() != 4 {
+			return fmt.Errorf("group size %d", s.group.Size())
 		}
 		ids := []int64{0, 13, 27, 39}
 		got, err := s.Load(ids)
@@ -470,20 +464,6 @@ func TestGroupIsolation(t *testing.T) {
 			}
 		}
 		return nil
-	})
-}
-
-func TestFenceAndBarrier(t *testing.T) {
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 8})
-	runWorld(t, 4, nil, func(c *comm.Comm) error {
-		s, err := Open(c, ds, Options{Width: 2})
-		if err != nil {
-			return err
-		}
-		if err := s.Fence(); err != nil {
-			return err
-		}
-		return s.Barrier()
 	})
 }
 
@@ -614,11 +594,11 @@ func BenchmarkStoreLoadBatch128(b *testing.B) {
 	}
 }
 
-// TestDialGroupFailsOver wires the store's TCP plumbing end to end: 4 ranks
-// with width 2 give 2 replica groups, each rank serves its chunk with
-// Options.Net-derived server options, and DialGroup (counters sunk into the
-// store's profiler) keeps loading every sample after a whole replica group's
-// server dies.
+// TestDialGroupFailsOver serves a store's chunks over the TCP plane end to
+// end: 4 ranks with width 2 give 2 replica groups, each rank's *Store is the
+// chunk source of its own server, and a group dialed over both replicas
+// (counters sunk into a rank profiler) keeps loading every sample after a
+// whole replica group's server dies.
 func TestDialGroupFailsOver(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 24})
 	prof := trace.New()
@@ -631,21 +611,19 @@ func TestDialGroupFailsOver(t *testing.T) {
 
 	servers := make([]*transport.Server, 4)
 	addrs := make([]string, 4)
-	stores := make([]*Store, 4)
 	var mu sync.Mutex
 	runWorld(t, 4, nil, func(c *comm.Comm) error {
-		st, err := Open(c, ds, Options{Width: 2, Net: net, Profiler: prof})
+		st, err := Open(c, ds, Options{Width: 2})
 		if err != nil {
 			return err
 		}
-		srv, err := st.ServeTCP("127.0.0.1:0")
+		srv, err := transport.ServeWith("127.0.0.1:0", st, transport.ServerOptions{WriteTimeout: time.Second})
 		if err != nil {
 			return err
 		}
 		mu.Lock()
 		servers[c.Rank()] = srv
 		addrs[c.Rank()] = srv.Addr()
-		stores[c.Rank()] = st
 		mu.Unlock()
 		return c.Barrier()
 	})
@@ -656,7 +634,8 @@ func TestDialGroupFailsOver(t *testing.T) {
 	}()
 
 	// Ranks 0-1 form replica 0, ranks 2-3 replica 1 (width 2).
-	grp, err := stores[0].DialGroup([][]string{{addrs[0], addrs[1]}, {addrs[2], addrs[3]}})
+	grp, err := transport.NewGroupReplicas([][]string{{addrs[0], addrs[1]}, {addrs[2], addrs[3]}},
+		transport.GroupOptions{Client: transport.ClientOptions{Policy: net, Counters: prof}})
 	if err != nil {
 		t.Fatal(err)
 	}

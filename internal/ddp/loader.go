@@ -80,10 +80,6 @@ func (l *PlaneLoader) LoadBatchLazy(ids []int64) ([]*graph.Lazy, []time.Duration
 	return out, lat, err
 }
 
-// CacheStats reports the plane's sample-cache counters — the zero Stats
-// when the plane runs without a cache.
-func (l *PlaneLoader) CacheStats() cache.Stats { return l.Plane.CacheStats() }
-
 // LatencyStats reports the plane's per-sample fetch-latency percentiles.
 func (l *PlaneLoader) LatencyStats() fetch.LatencySummary { return l.Plane.LatencyStats() }
 

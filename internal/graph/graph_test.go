@@ -120,21 +120,6 @@ func TestValidateRejectsBad(t *testing.T) {
 	}
 }
 
-func TestInDegrees(t *testing.T) {
-	g := testGraph(1)
-	deg := g.InDegrees()
-	for i, d := range deg {
-		if d != 1 {
-			t.Fatalf("node %d in-degree %d, want 1", i, d)
-		}
-	}
-	g.EdgeDst = []int32{0, 0, 0}
-	deg = g.InDegrees()
-	if deg[0] != 3 || deg[1] != 0 {
-		t.Fatalf("degrees = %v", deg)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	g := testGraph(77)
 	data := g.Encode()
@@ -162,26 +147,6 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDecodePrefixStreaming(t *testing.T) {
-	g1, g2 := testGraph(1), testGraph(2)
-	buf := g1.AppendTo(nil)
-	buf = g2.AppendTo(buf)
-	a, rest, err := DecodePrefix(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, rest, err := DecodePrefix(rest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d leftover bytes", len(rest))
-	}
-	if a.ID != 1 || b.ID != 2 {
-		t.Fatalf("ids %d %d", a.ID, b.ID)
 	}
 }
 
@@ -219,9 +184,6 @@ func TestDecodeErrors(t *testing.T) {
 	for _, c := range overflowHeaders() {
 		if _, err := Decode(c.data); err == nil {
 			t.Errorf("%s: accepted by Decode", c.name)
-		}
-		if _, _, err := DecodePrefix(c.data); err == nil {
-			t.Errorf("%s: accepted by DecodePrefix", c.name)
 		}
 		if lz, err := DecodeLazy(c.data, nil); err == nil {
 			t.Errorf("%s: accepted by DecodeLazy", c.name)
@@ -331,6 +293,40 @@ func TestNewBatchRejectsMixedDims(t *testing.T) {
 	}
 }
 
+// TestNewBatchRejectsEdgesOutsideTheirGraph feeds NewBatch samples whose
+// edges name a node the sample does not have. The codec bounds the edge
+// count by the bytes present, not the endpoints by the node count, so both
+// decoders accept them; the batch must not. Past the end, edge 0→5 of a
+// 2-node graph would become an edge into the next graph's nodes; a negative
+// endpoint would index before the batch's first node.
+func TestNewBatchRejectsEdgesOutsideTheirGraph(t *testing.T) {
+	for name, edge := range map[string][2]int32{"0->5": {0, 5}, "-1->1": {-1, 1}, "1->2": {1, 2}} {
+		bad := &Graph{ID: 1, NumNodes: 2, NodeFeatDim: 1, NodeFeat: []float32{1, 2},
+			EdgeSrc: []int32{0, edge[0]}, EdgeDst: []int32{1, edge[1]}, Y: []float32{0}}
+		next := &Graph{ID: 2, NumNodes: 4, NodeFeatDim: 1, NodeFeat: make([]float32, 4), Y: []float32{0}}
+		enc := bad.Encode()
+		eager, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", name, err)
+		}
+		lz, err := DecodeLazy(enc, nil)
+		if err != nil {
+			t.Fatalf("%s: DecodeLazy: %v", name, err)
+		}
+		for via, g := range map[string]*Graph{"Decode": eager, "DecodeLazy": lz.Graph()} {
+			if b, err := NewBatch([]*Graph{next, g, next}); err == nil {
+				t.Errorf("%s via %s: batched as edges %v -> %v", name, via, b.EdgeSrc, b.EdgeDst)
+			}
+		}
+	}
+	// The bound is the graph's own node count, whichever position it holds
+	// and however many edges it has: the last valid node is accepted.
+	ok := &Graph{ID: 3, NumNodes: 5, EdgeSrc: []int32{0, 1, 2, 3, 4}, EdgeDst: []int32{4, 4, 4, 4, 4}}
+	if _, err := NewBatch([]*Graph{{ID: 4, NumNodes: 1}, ok}); err != nil {
+		t.Fatalf("in-range edges rejected: %v", err)
+	}
+}
+
 func TestBatchEdgesAlwaysInRange(t *testing.T) {
 	rng := vtime.NewRNG(99)
 	f := func(seed uint64) bool {
@@ -407,26 +403,4 @@ func BenchmarkNewBatch128(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func FuzzDecodePrefix(f *testing.F) {
-	// Seed with valid encodings and truncations thereof.
-	g := testGraph(1)
-	data := g.Encode()
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Add(append(data, data...))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic; on success the graph must re-encode to the
-		// same prefix length it consumed.
-		g, rest, err := DecodePrefix(data)
-		if err != nil {
-			return
-		}
-		consumed := len(data) - len(rest)
-		if got := g.EncodedSize(); got != consumed {
-			t.Fatalf("decoded graph re-encodes to %d bytes, consumed %d", got, consumed)
-		}
-	})
 }

@@ -68,17 +68,8 @@ func DecodeLazyInto(dst *Lazy, data []byte, ref Ref) error {
 // ID returns the sample id from the header.
 func (l *Lazy) ID() int64 { return l.h.id }
 
-// NumNodes returns the atom count from the header.
-func (l *Lazy) NumNodes() int { return l.h.numNodes }
-
-// NumEdges returns the directed edge count from the header.
-func (l *Lazy) NumEdges() int { return l.h.numEdges }
-
 // EncodedSize returns the encoded byte length.
 func (l *Lazy) EncodedSize() int { return l.h.want }
-
-// Materialized reports whether Graph has already been called.
-func (l *Lazy) Materialized() bool { return l.g != nil }
 
 // Ref returns the buffer reference the Lazy holds, or nil. The Lazy keeps
 // ownership; callers that want their own alias must Retain.

@@ -26,22 +26,22 @@ func TestDecodeLazyMatchesEagerDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeLazy: %v", err)
 		}
-		if lz.ID() != want.ID || lz.NumNodes() != want.NumNodes || lz.NumEdges() != len(want.EdgeSrc) {
+		if lz.ID() != want.ID || lz.h.numNodes != want.NumNodes || lz.h.numEdges != len(want.EdgeSrc) {
 			t.Fatalf("lazy header fields: id %d nodes %d edges %d, want %d %d %d",
-				lz.ID(), lz.NumNodes(), lz.NumEdges(), want.ID, want.NumNodes, len(want.EdgeSrc))
+				lz.ID(), lz.h.numNodes, lz.h.numEdges, want.ID, want.NumNodes, len(want.EdgeSrc))
 		}
 		if lz.EncodedSize() != len(enc) {
 			t.Fatalf("EncodedSize = %d, want %d", lz.EncodedSize(), len(enc))
 		}
-		if lz.Materialized() {
-			t.Fatal("Materialized before Graph()")
+		if lz.g != nil {
+			t.Fatal("materialized before Graph()")
 		}
 		got := lz.Graph()
 		if !graphsEqual(got, want) {
 			t.Fatalf("lazy-materialized graph %d differs from source", i)
 		}
-		if !lz.Materialized() {
-			t.Fatal("not Materialized after Graph()")
+		if lz.g == nil {
+			t.Fatal("not materialized after Graph()")
 		}
 		if lz.Graph() != got {
 			t.Fatal("Graph() not memoized")
@@ -192,7 +192,7 @@ func TestDecodeLazyAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = lz.NumNodes()
+		_ = lz.ID()
 	})
 	if allocs > 1 {
 		t.Fatalf("DecodeLazy allocs/op = %v, want <= 1", allocs)

@@ -272,9 +272,9 @@ func differentialCorpus(t *testing.T) []namedGraph {
 }
 
 // TestCodecMatchesReference is the differential test of the word-view
-// codec: Encode is byte-identical to the per-element encoder, and Decode,
-// DecodePrefix and DecodeLazy+Graph each produce what the per-element,
-// per-tensor decoder does — every field bit-equal, the same tensors nil,
+// codec: Encode is byte-identical to the per-element encoder, and Decode
+// and DecodeLazy+Graph each produce what the per-element, per-tensor
+// decoder does — every field bit-equal, the same tensors nil,
 // cap == len on every tensor, and an append to one leaving the rest alone.
 func TestCodecMatchesReference(t *testing.T) {
 	for _, c := range differentialCorpus(t) {
@@ -291,15 +291,11 @@ func TestCodecMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", c.name, err)
 		}
-		prefix, rest, err := graph.DecodePrefix(append(enc[:len(enc):len(enc)], 0xEE))
-		if err != nil || len(rest) != 1 {
-			t.Fatalf("%s: DecodePrefix: %v, %d bytes left", c.name, err, len(rest))
-		}
 		lz, err := graph.DecodeLazy(enc, nil)
 		if err != nil {
 			t.Fatalf("%s: DecodeLazy: %v", c.name, err)
 		}
-		for _, d := range []namedGraph{{"Decode", eager}, {"DecodePrefix", prefix}, {"DecodeLazy", lz.Graph()}} {
+		for _, d := range []namedGraph{{"Decode", eager}, {"DecodeLazy", lz.Graph()}} {
 			label := c.name + " via " + d.name
 			checkSameGraph(t, label, d.g, want)
 			checkAppendIsolated(t, label, d.g)

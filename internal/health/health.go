@@ -90,17 +90,3 @@ func (t *Tracker[K]) InCooldown(k K) bool {
 	}
 	return true
 }
-
-// Suspects returns how many keys are currently quarantined (expired
-// entries are swept first), for metrics and tests.
-func (t *Tracker[K]) Suspects() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	for k, until := range t.suspect {
-		if now.After(until) {
-			delete(t.suspect, k)
-		}
-	}
-	return len(t.suspect)
-}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // Checkpoint format: a little-endian binary stream of named parameter
@@ -111,27 +110,4 @@ func (m *Model) Load(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// SaveFile writes a checkpoint to path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile restores a checkpoint from path.
-func (m *Model) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return m.Load(f)
 }

@@ -2,7 +2,6 @@ package hydra
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"ddstore/internal/datasets"
@@ -39,14 +38,14 @@ func TestCheckpointPredictionsIdentical(t *testing.T) {
 	b := batchFrom(t, ds, 0, 1, 2)
 	want := m.EvalLoss(b)
 
-	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := m.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := smallConfig(ds.NodeFeatDim(), 0, 1)
 	cfg2.Seed = 1234
 	m2 := New(cfg2)
-	if err := m2.LoadFile(path); err != nil {
+	if err := m2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := m2.EvalLoss(b); got != want {
@@ -86,8 +85,5 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 	good[0] ^= 0xFF // restore
 	if err := m.Load(bytes.NewReader(good[:len(good)/2])); err == nil {
 		t.Fatal("truncated checkpoint accepted")
-	}
-	if err := m.LoadFile("/nonexistent/x.ckpt"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

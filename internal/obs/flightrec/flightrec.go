@@ -132,13 +132,6 @@ func (r *Recorder) Records() []Record {
 	return out
 }
 
-// Len returns the number of retained records.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
 // Dropped returns how many records were overwritten because the ring was
 // full.
 func (r *Recorder) Dropped() int64 {

@@ -32,8 +32,8 @@ func TestRingOrderAndWrap(t *testing.T) {
 	if r.Count(KindSlow) != 6 {
 		t.Errorf("count(slow) = %d, want 6", r.Count(KindSlow))
 	}
-	if r.Len() != 4 {
-		t.Errorf("Len = %d, want 4", r.Len())
+	if len(r.Records()) != 4 {
+		t.Errorf("%d records, want 4", len(r.Records()))
 	}
 }
 
@@ -119,8 +119,8 @@ func TestConcurrentAddWhileServing(t *testing.T) {
 	if total != writers*per {
 		t.Fatalf("counts sum to %d, want %d", total, writers*per)
 	}
-	if r.Len() != 64 {
-		t.Fatalf("Len = %d, want full ring 64", r.Len())
+	if len(r.Records()) != 64 {
+		t.Fatalf("%d records, want the full ring of 64", len(r.Records()))
 	}
 }
 

@@ -93,9 +93,6 @@ func NewSpanRing(capacity, rank int) *SpanRing {
 	}
 }
 
-// Rank returns the ring's rank tag.
-func (r *SpanRing) Rank() int { return r.rank }
-
 // SetLabel overrides the Chrome trace process name.
 func (r *SpanRing) SetLabel(label string) { r.label = label }
 

@@ -21,8 +21,8 @@ func TestSpanRingRecordAndContext(t *testing.T) {
 	if s.Rank != 3 || s.Epoch != 2 || s.Step != 17 {
 		t.Fatalf("context not stamped: %+v", s)
 	}
-	if r.Rank() != 3 || r.Len() != 1 || r.Dropped() != 0 {
-		t.Fatalf("ring state: rank=%d len=%d dropped=%d", r.Rank(), r.Len(), r.Dropped())
+	if r.rank != 3 || r.Len() != 1 || r.Dropped() != 0 {
+		t.Fatalf("ring state: rank=%d len=%d dropped=%d", r.rank, r.Len(), r.Dropped())
 	}
 }
 

@@ -46,15 +46,6 @@ func NewAdamW(params []*gnn.Param, lr float64) *AdamW {
 	return o
 }
 
-// NumParams returns the total number of scalar parameters.
-func (o *AdamW) NumParams() int {
-	n := 0
-	for _, p := range o.params {
-		n += len(p.Value.Data)
-	}
-	return n
-}
-
 // Step applies one update from the accumulated gradients.
 func (o *AdamW) Step() {
 	o.step++
@@ -82,27 +73,6 @@ func (o *AdamW) ZeroGrad() {
 	for _, p := range o.params {
 		p.ZeroGrad()
 	}
-}
-
-// ClipGradNorm scales gradients so their global L2 norm is at most maxNorm,
-// returning the pre-clip norm.
-func (o *AdamW) ClipGradNorm(maxNorm float64) float64 {
-	var ss float64
-	for _, p := range o.params {
-		for _, g := range p.Grad.Data {
-			ss += float64(g) * float64(g)
-		}
-	}
-	norm := math.Sqrt(ss)
-	if norm > maxNorm && norm > 0 {
-		scale := float32(maxNorm / norm)
-		for _, p := range o.params {
-			for j := range p.Grad.Data {
-				p.Grad.Data[j] *= scale
-			}
-		}
-	}
-	return norm
 }
 
 // ReduceLROnPlateau halves (by Factor) the optimizer's learning rate when

@@ -105,15 +105,6 @@ func (s *Store) Name() string { return s.meta.Name }
 // Len returns the number of samples.
 func (s *Store) Len() int { return s.meta.NumGraphs }
 
-// OutputDim returns the per-graph target width.
-func (s *Store) OutputDim() int { return s.meta.OutputDim }
-
-// NodeFeatDim returns the per-node feature width.
-func (s *Store) NodeFeatDim() int { return s.meta.NodeFeatDim }
-
-// EdgeFeatDim returns the per-edge feature width.
-func (s *Store) EdgeFeatDim() int { return s.meta.EdgeFeatDim }
-
 // ReadSample opens and decodes one sample file — the per-object access
 // pattern: open, read, close, for every sample.
 func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
@@ -184,15 +175,6 @@ func (s *Sim) Name() string { return s.ds.Name() }
 // Len returns the number of samples.
 func (s *Sim) Len() int { return s.ds.Len() }
 
-// OutputDim returns the per-graph target width.
-func (s *Sim) OutputDim() int { return s.ds.OutputDim() }
-
-// NodeFeatDim returns the per-node feature width.
-func (s *Sim) NodeFeatDim() int { return s.ds.NodeFeatDim() }
-
-// EdgeFeatDim returns the per-edge feature width.
-func (s *Sim) EdgeFeatDim() int { return s.ds.EdgeFeatDim() }
-
 // ReadSample charges the modeled cost of the open+read of one sample file
 // and returns the (deterministically generated) sample.
 func (s *Sim) ReadSample(id int64) (*graph.Graph, error) {
@@ -204,10 +186,6 @@ func (s *Sim) ReadSample(id int64) (*graph.Graph, error) {
 	}
 	return s.ds.Sample(id)
 }
-
-// Reader exposes the underlying filesystem reader and its counters
-// (metadata ops, cache hits/misses, bytes read).
-func (s *Sim) Reader() *pfs.Reader { return s.reader }
 
 // ReadSampleTimed is ReadSample plus the charged duration, for latency CDFs.
 func (s *Sim) ReadSampleTimed(id int64) (*graph.Graph, time.Duration, error) {

@@ -20,9 +20,9 @@ func TestWriteOpenReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Name() != ds.Name() || st.Len() != 20 ||
-		st.OutputDim() != ds.OutputDim() ||
-		st.NodeFeatDim() != ds.NodeFeatDim() ||
-		st.EdgeFeatDim() != ds.EdgeFeatDim() {
+		st.meta.OutputDim != ds.OutputDim() ||
+		st.meta.NodeFeatDim != ds.NodeFeatDim() ||
+		st.meta.EdgeFeatDim != ds.EdgeFeatDim() {
 		t.Fatalf("metadata mismatch: %+v", st.meta)
 	}
 	for id := int64(0); id < 20; id++ {
@@ -115,7 +115,7 @@ func TestSimMatchesGenerator(t *testing.T) {
 	if clock.Now() <= 0 {
 		t.Fatal("sim read charged no time")
 	}
-	if sim.Len() != 30 || sim.Name() != ds.Name() || sim.OutputDim() != 100 {
+	if sim.Len() != 30 || sim.Name() != ds.Name() {
 		t.Fatal("sim metadata wrong")
 	}
 }
@@ -134,8 +134,8 @@ func TestSimChargesMetadataPerSample(t *testing.T) {
 		}
 	}
 	// 600 distinct sample files >> 256 fd-cache slots: metadata every time.
-	if sim.Reader().MetadataOps != 600 {
-		t.Fatalf("MetadataOps = %d, want 600", sim.Reader().MetadataOps)
+	if sim.reader.MetadataOps != 600 {
+		t.Fatalf("MetadataOps = %d, want 600", sim.reader.MetadataOps)
 	}
 }
 

@@ -85,17 +85,6 @@ func (p *PFS) NumFiles() int {
 	return n
 }
 
-// TotalBytes returns the sum of all file sizes.
-func (p *PFS) TotalBytes() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var total int64
-	for _, s := range p.files {
-		total += s
-	}
-	return total
-}
-
 // readersPerFile estimates, deterministically, how many ranks concurrently
 // read inside one file: everyone when there are few files (CFF), about one
 // when files outnumber ranks (PFF).
@@ -198,32 +187,6 @@ func (r *Reader) ReadAt(path string, off, n int64) (time.Duration, error) {
 	return cost, nil
 }
 
-// ReadFile models reading the whole file sequentially (the preload path)
-// and returns the charged duration. Sequential streaming pays one metadata
-// op and the streaming bandwidth cost, without per-block seeks.
-func (r *Reader) ReadFile(path string) (time.Duration, error) {
-	size, ok := r.fs.FileSize(path)
-	if !ok {
-		return 0, fmt.Errorf("pfs: no such file %q", path)
-	}
-	m := r.fs.machine
-	mult := m.FSContention(r.fs.totalRanks)
-	var cost time.Duration
-	if !r.fds.get(fdKey(path)) {
-		cost += time.Duration(float64(m.FSMetadata.Sample(r.rng)) * mult)
-		r.fds.put(fdKey(path))
-		r.MetadataOps++
-	}
-	cost += time.Duration(float64(size) / m.FSBandwidth * float64(time.Second) * mult)
-	maxBlock := (size - 1) / BlockSize
-	for b := int64(0); b <= maxBlock; b++ {
-		r.pages.put(pageKey(path, b))
-	}
-	r.BytesRead += size
-	r.clock.Advance(cost)
-	return cost, nil
-}
-
 func fdKey(path string) string            { return "fd:" + path }
 func pageKey(path string, b int64) string { return fmt.Sprintf("pg:%s:%d", path, b) }
 
@@ -273,9 +236,6 @@ func (l *lru) put(key string) {
 		delete(l.items, evict.key)
 	}
 }
-
-// Len returns the number of cached entries.
-func (l *lru) Len() int { return len(l.items) }
 
 func (l *lru) pushFront(n *lruNode) {
 	n.next = l.head

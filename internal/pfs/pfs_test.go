@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -21,9 +22,6 @@ func TestCreateAndStat(t *testing.T) {
 	fs.Create("b", 200)
 	if n := fs.NumFiles(); n != 2 {
 		t.Fatalf("NumFiles = %d", n)
-	}
-	if total := fs.TotalBytes(); total != 300 {
-		t.Fatalf("TotalBytes = %d", total)
 	}
 	size, ok := fs.FileSize("a")
 	if !ok || size != 100 {
@@ -123,8 +121,8 @@ func TestPageCacheHitsOnRepeatedReads(t *testing.T) {
 		t.Fatalf("second read not a cache hit (hits=%d misses=%d)", r.CacheHits, r.CacheMisses)
 	}
 	// A cache hit must be much cheaper than a typical disk read.
-	if cost2 > m.FSSeek.Median() {
-		t.Fatalf("cache hit cost %v not below seek median %v", cost2, m.FSSeek.Median())
+	if seekMedian := time.Duration(math.Exp(m.FSSeek.Mu) * float64(time.Second)); cost2 > seekMedian {
+		t.Fatalf("cache hit cost %v not below seek median %v", cost2, seekMedian)
 	}
 }
 
@@ -155,36 +153,13 @@ func TestLargeFileRandomReadsMostlyMiss(t *testing.T) {
 	rng := vtime.NewRNG(3)
 	const reads = 500
 	for i := 0; i < reads; i++ {
-		off := rng.Int63() % (200<<30 - 8192)
+		off := int64(rng.Uint64()>>1) % (200<<30 - 8192)
 		if _, err := r.ReadAt("huge", off, 8192); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if float64(r.CacheMisses) < 0.95*reads {
 		t.Fatalf("random reads in a huge file should mostly miss: %d/%d misses", r.CacheMisses, reads)
-	}
-}
-
-func TestReadFileWarmsCache(t *testing.T) {
-	fs := New(cluster.Perlmutter(), 4)
-	fs.Create("warm", 4*BlockSize)
-	r, clock := newReader(t, fs)
-	cost, err := r.ReadFile("warm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost <= 0 || clock.Now() != cost {
-		t.Fatalf("ReadFile cost %v, clock %v", cost, clock.Now())
-	}
-	before := r.CacheHits
-	if _, err := r.ReadAt("warm", 2*BlockSize, 100); err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheHits != before+1 {
-		t.Fatal("ReadFile did not warm the page cache")
-	}
-	if _, err := r.ReadFile("missing"); err == nil {
-		t.Fatal("ReadFile of missing file accepted")
 	}
 }
 
@@ -199,7 +174,7 @@ func TestContentionIncreasesCost(t *testing.T) {
 		var costs []time.Duration
 		rng := vtime.NewRNG(2)
 		for i := 0; i < 401; i++ {
-			off := rng.Int63() % (100<<30 - 8192)
+			off := int64(rng.Uint64()>>1) % (100<<30 - 8192)
 			c, err := r.ReadAt("f", off, 8192)
 			if err != nil {
 				t.Fatal(err)
@@ -243,7 +218,7 @@ func TestDeterministicCosts(t *testing.T) {
 		r := fs.Reader(clock, vtime.NewRNG(11))
 		rng := vtime.NewRNG(12)
 		for i := 0; i < 200; i++ {
-			off := rng.Int63() % (10<<30 - 4096)
+			off := int64(rng.Uint64()>>1) % (10<<30 - 4096)
 			if _, err := r.ReadAt("f", off, 4096); err != nil {
 				t.Fatal(err)
 			}
@@ -271,12 +246,12 @@ func TestLRU(t *testing.T) {
 	if !l.get("a") || !l.get("c") || !l.get("d") {
 		t.Fatal("wrong eviction")
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.items) != 3 {
+		t.Fatalf("%d entries", len(l.items))
 	}
 	l.put("d") // re-put refreshes, no growth
-	if l.Len() != 3 {
-		t.Fatalf("re-put grew LRU to %d", l.Len())
+	if len(l.items) != 3 {
+		t.Fatalf("re-put grew LRU to %d", len(l.items))
 	}
 }
 
@@ -290,8 +265,8 @@ func TestLRUSingleEntry(t *testing.T) {
 	if !l.get("y") {
 		t.Fatal("y missing")
 	}
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.items) != 1 {
+		t.Fatalf("%d entries", len(l.items))
 	}
 }
 

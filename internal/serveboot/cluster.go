@@ -126,19 +126,6 @@ type Owner struct {
 // Addr returns the owner's data-plane listen address.
 func (o *Owner) Addr() string { return o.addr }
 
-// Resident returns how many samples the owner holds (0 when the cluster
-// serves lazily: the cache is the cluster's, not an owner's).
-func (o *Owner) Resident() (n int) {
-	o.chunk.mu.RLock()
-	defer o.chunk.mu.RUnlock()
-	for _, b := range o.chunk.held {
-		if b != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Cluster is a live owner set plus everything its owners share: the
 // control plane (membership transitions, chunk migration), front end,
 // lazy-mode cache, flight recorder, chaos injector and metrics/admin
@@ -675,10 +662,6 @@ func (c *Cluster) Range() (lo, hi int64) { return c.lo, c.hi }
 // Registry returns the cluster's shared metrics registry.
 func (c *Cluster) Registry() *obs.Registry { return c.reg }
 
-// FlightRecorder returns the cluster-wide always-on flight recorder, or
-// nil when Config.FlightRecCap was negative.
-func (c *Cluster) FlightRecorder() *flightrec.Recorder { return c.rec }
-
 // DebugAddr returns the debug/admin endpoint address, or "" if disabled.
 func (c *Cluster) DebugAddr() string {
 	if c.dbg == nil {
@@ -687,28 +670,12 @@ func (c *Cluster) DebugAddr() string {
 	return c.dbg.Addr()
 }
 
-// MetricsURL returns the full /metrics scrape URL, or "" if disabled.
-func (c *Cluster) MetricsURL() string {
-	if c.dbg == nil {
-		return ""
-	}
-	return "http://" + c.DebugAddr() + "/metrics"
-}
-
 // CacheStats reports the lazy-mode cache's stats; ok is false in preload mode.
 func (c *Cluster) CacheStats() (st cache.Stats, ok bool) {
 	if c.hot == nil {
 		return cache.Stats{}, false
 	}
 	return c.hot.Stats(), true
-}
-
-// ResetCache drops every cached entry so the next phase of a load run
-// starts cold. It is a no-op in preload mode.
-func (c *Cluster) ResetCache() {
-	if c.hot != nil {
-		c.hot.Reset()
-	}
 }
 
 // FaultStats reports the chaos injector's tally; ok is false without Chaos.

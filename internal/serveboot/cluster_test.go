@@ -797,7 +797,7 @@ func TestLazyClusterReshards(t *testing.T) {
 	if len(gained) == 0 {
 		t.Fatal("the reshard moved nothing onto the new owner")
 	}
-	c.ResetCache()
+	c.hot.Reset()
 	before, _ := c.CacheStats()
 	reads := src.reads.Load()
 	readAll(gained)

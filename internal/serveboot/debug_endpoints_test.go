@@ -86,7 +86,7 @@ func TestDebugEndpoints(t *testing.T) {
 			cl.Close()
 			// The server records a request after writing its response, so the
 			// client can be back here before the record lands.
-			waitFor(t, "the flight record", func() bool { return len(c.FlightRecorder().Records()) > 0 })
+			waitFor(t, "the flight record", func() bool { return len(c.rec.Records()) > 0 })
 			_, frBody := httpGet(t, base+"/debug/flightrecorder")
 			var doc struct {
 				Records []struct {
@@ -159,12 +159,12 @@ func TestDebugMetricsAndAdminReshard(t *testing.T) {
 					}
 				}
 			}
-			if url := c.MetricsURL(); !strings.HasSuffix(url, "/metrics") {
+			if url := metricsURL(c); !strings.HasSuffix(url, "/metrics") {
 				t.Fatalf("MetricsURL = %q", url)
 			}
 			// The server meters a request after writing its response, so the
 			// last get may not be counted when the first scrape lands.
-			scrapeFor(t, c.MetricsURL(),
+			scrapeFor(t, metricsURL(c),
 				"ddstore_fetch_latency_seconds_bucket",
 				"ddstore_fetch_latency_seconds_count 10",
 				`ddstore_serve_requests_total{op="get"} 10`,
@@ -192,7 +192,7 @@ func TestDebugMetricsAndAdminReshard(t *testing.T) {
 			if out.Generation != 2 || len(out.Owners) != owners+1 || len(out.Addrs) != owners+1 {
 				t.Fatalf("reshard response %+v", out)
 			}
-			scrapeFor(t, c.MetricsURL(), obs.MetricShardMapGeneration+" 2")
+			scrapeFor(t, metricsURL(c), obs.MetricShardMapGeneration+" 2")
 
 			if code, _ := httpGet(t, "http://"+c.DebugAddr()+"/admin/reshard?owners=0"); code != http.StatusBadRequest {
 				t.Fatalf("owners=0 answered %d, want 400", code)
@@ -276,7 +276,7 @@ func TestCloseDrainsGracefully(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if code, body := httpGet(t, c.MetricsURL()); code != 200 || !strings.Contains(body, "ddstore_serve_draining 0") {
+			if code, body := httpGet(t, metricsURL(c)); code != 200 || !strings.Contains(body, "ddstore_serve_draining 0") {
 				t.Fatalf("/metrics before Close = %d, draining gauge not 0", code)
 			}
 
@@ -304,7 +304,7 @@ func TestCloseDrainsGracefully(t *testing.T) {
 			})
 
 			// Mid-drain: the control plane still answers, and says so.
-			if code, body := httpGet(t, c.MetricsURL()); code != http.StatusOK {
+			if code, body := httpGet(t, metricsURL(c)); code != http.StatusOK {
 				t.Fatalf("/metrics during drain: status %d", code)
 			} else if !strings.Contains(body, "ddstore_serve_draining 1") {
 				t.Fatal("/metrics during drain missing ddstore_serve_draining 1")
@@ -366,7 +366,7 @@ func TestBootFlightRecDirSnapshotsOnSpike(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	if inst.FlightRecorder() == nil {
+	if inst.rec == nil {
 		t.Fatal("flight recorder not booted")
 	}
 
@@ -380,12 +380,12 @@ func TestBootFlightRecDirSnapshotsOnSpike(t *testing.T) {
 	}
 	// The record lands after the response is written, so wait for it.
 	waitFor(t, "a flight record after a slow-thresholded request", func() bool {
-		return inst.FlightRecorder().Len() > 0
+		return len(inst.rec.Records()) > 0
 	})
 
 	// The watcher snapshots on shed/stale spikes, not slow ones; verify the
 	// watcher plumbing by snapshotting directly into the configured dir.
-	if _, err := inst.FlightRecorder().WriteSnapshot(dir, "test"); err != nil {
+	if _, err := inst.rec.WriteSnapshot(dir, "test"); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "flightrec-*.json"))

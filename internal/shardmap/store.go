@@ -1,7 +1,6 @@
 package shardmap
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -12,9 +11,8 @@ import (
 const DefaultHistory = 8
 
 // Store holds the live shard map generation plus a bounded history of
-// recent ones, and fans out every applied generation to subscribers.
-// All methods are safe for concurrent use; the *Map values handed out
-// are immutable.
+// recent ones. All methods are safe for concurrent use; the *Map values
+// handed out are immutable.
 type Store struct {
 	// cur is the live generation again, where Current can read it without
 	// the lock: every routed sample id asks for it, on clients and servers.
@@ -23,12 +21,11 @@ type Store struct {
 	history []*Map // ascending by Gen; last is current
 	encoded []byte // cached Encode of current, built lazily
 	keep    int
-	subs    map[int]chan *Map
-	nextSub int
 
-	// OnApply, when set before the first Apply, is called synchronously
-	// (outside the store lock) with every newly applied generation and
-	// the number of chunk moves it took relative to its predecessor.
+	// OnApply, when set before the first ApplyIfNewer, is called
+	// synchronously (outside the store lock) with every newly applied
+	// generation and the number of chunk moves it took relative to its
+	// predecessor.
 	// This is the metrics hook: shardmap stays a stdlib-only leaf, and
 	// the caller bridges to its metrics registry here.
 	OnApply func(m *Map, moved int)
@@ -47,7 +44,6 @@ func NewStore(initial *Map, history int) (*Store, error) {
 	s := &Store{
 		history: []*Map{initial},
 		keep:    history,
-		subs:    make(map[int]chan *Map),
 	}
 	s.cur.Store(initial)
 	return s, nil
@@ -78,32 +74,11 @@ func (s *Store) At(gen uint64) *Map {
 	return nil
 }
 
-// Apply publishes next as the live generation. Its Gen must be exactly
-// one past the current generation — transitions are planned against the
-// live map, and a gap means the planner raced another publisher.
-func (s *Store) Apply(next *Map) error {
-	if err := next.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	cur := s.history[len(s.history)-1]
-	if next.Gen != cur.Gen+1 {
-		s.mu.Unlock()
-		return fmt.Errorf("shardmap: cannot apply generation %d over %d (must advance by exactly 1)", next.Gen, cur.Gen)
-	}
-	moved := s.applyLocked(next)
-	hook := s.OnApply
-	s.mu.Unlock()
-	if hook != nil {
-		hook(next, moved)
-	}
-	return nil
-}
-
 // ApplyIfNewer installs next iff its generation is strictly ahead of the
-// live one, reporting whether it was installed. This is the client
-// refresh path: a stale-generation response carries the server's current
-// map, which may be several generations ahead, and an out-of-order
+// live one, reporting whether it was installed. It is how every map
+// advances: an owner applying its cluster's next generation, and a client
+// refreshing from a stale-generation response, which carries the server's
+// current map — possibly several generations ahead — where an out-of-order
 // refresh must never roll the map back.
 func (s *Store) ApplyIfNewer(next *Map) (bool, error) {
 	if err := next.Validate(); err != nil {
@@ -124,9 +99,9 @@ func (s *Store) ApplyIfNewer(next *Map) (bool, error) {
 	return true, nil
 }
 
-// applyLocked installs next as current, trims history, notifies
-// subscribers, and returns the move count vs the prior generation
-// (0 when the geometry changed and Diff cannot meter it).
+// applyLocked installs next as current, trims history, and returns the
+// move count vs the prior generation (0 when the geometry changed and Diff
+// cannot meter it).
 func (s *Store) applyLocked(next *Map) int {
 	prev := s.history[len(s.history)-1]
 	s.history = append(s.history, next)
@@ -135,12 +110,6 @@ func (s *Store) applyLocked(next *Map) int {
 		s.history = s.history[len(s.history)-s.keep:]
 	}
 	s.encoded = nil
-	for _, ch := range s.subs {
-		select {
-		case ch <- next:
-		default: // slow subscriber: drop; it reads Current when it wakes
-		}
-	}
 	moved := 0
 	if moves, err := Diff(prev, next); err == nil {
 		moved = len(moves)
@@ -148,28 +117,10 @@ func (s *Store) applyLocked(next *Map) int {
 	return moved
 }
 
-// Subscribe returns a channel that receives every generation applied
-// after the call, plus a cancel func. The channel is buffered; a
-// subscriber that falls behind misses intermediate generations (it
-// should read Current when it wakes) but never blocks Apply.
-func (s *Store) Subscribe() (<-chan *Map, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.nextSub
-	s.nextSub++
-	ch := make(chan *Map, 4)
-	s.subs[id] = ch
-	return ch, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		delete(s.subs, id)
-	}
-}
-
 // Encoded returns the wire encoding of the live generation, cached until
-// the next Apply. This is what the server embeds in stale-generation
-// responses and serves for map bootstrap, so encoding happens once per
-// generation, not once per stale request.
+// the next generation is applied. This is what the server embeds in
+// stale-generation responses and serves for map bootstrap, so encoding
+// happens once per generation, not once per stale request.
 func (s *Store) Encoded() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

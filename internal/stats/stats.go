@@ -62,17 +62,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // Geomean returns the geometric mean of xs. All values must be positive.
 func Geomean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -129,18 +118,6 @@ func NewCDF(samples []time.Duration) *CDF {
 	return &CDF{sorted: s}
 }
 
-// N returns the number of samples.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns the fraction of samples <= d.
-func (c *CDF) At(d time.Duration) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > d })
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of the samples.
 func (c *CDF) Quantile(q float64) time.Duration {
 	if len(c.sorted) == 0 {
@@ -154,32 +131,6 @@ func (c *CDF) Quantile(q float64) time.Duration {
 		xs[i] = float64(d)
 	}
 	return time.Duration(percentileSorted(xs, q*100))
-}
-
-// Points returns up to n (x, y) points suitable for plotting the CDF curve,
-// sampled uniformly in rank space. y is in [0,1].
-func (c *CDF) Points(n int) []CDFPoint {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([]CDFPoint, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / max(n-1, 1)
-		pts = append(pts, CDFPoint{
-			Latency:  c.sorted[idx],
-			Fraction: float64(idx+1) / float64(len(c.sorted)),
-		})
-	}
-	return pts
-}
-
-// CDFPoint is one point on an empirical CDF curve.
-type CDFPoint struct {
-	Latency  time.Duration
-	Fraction float64
 }
 
 // ScalingPoint is one measurement in a scaling study.
@@ -218,11 +169,4 @@ func Speedup(values []float64, baseline float64) []float64 {
 		out[i] = v / baseline
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -63,13 +63,10 @@ func TestDurationPercentile(t *testing.T) {
 	}
 }
 
-func TestMeanStddev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); !almostEqual(got, 5, 1e-12) {
 		t.Fatalf("Mean = %v", got)
-	}
-	if got := Stddev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("Stddev = %v", got)
 	}
 }
 
@@ -101,22 +98,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	c := NewCDF([]time.Duration{1, 2, 3, 4, 5})
-	if got := c.At(0); got != 0 {
-		t.Fatalf("At(0) = %v", got)
-	}
-	if got := c.At(3); got != 0.6 {
-		t.Fatalf("At(3) = %v", got)
-	}
-	if got := c.At(5); got != 1 {
-		t.Fatalf("At(5) = %v", got)
-	}
-	if got := c.At(100); got != 1 {
-		t.Fatalf("At(100) = %v", got)
-	}
-}
-
 func TestCDFQuantile(t *testing.T) {
 	c := NewCDF([]time.Duration{10, 20, 30, 40, 50})
 	if got := c.Quantile(0.5); got != 30 {
@@ -131,44 +112,12 @@ func TestCDFQuantile(t *testing.T) {
 }
 
 func TestCDFEmpty(t *testing.T) {
-	c := NewCDF(nil)
-	if c.N() != 0 {
-		t.Fatal("empty CDF has samples")
-	}
-	if c.At(time.Second) != 0 {
-		t.Fatal("empty CDF At != 0")
-	}
-	if pts := c.Points(10); pts != nil {
-		t.Fatal("empty CDF produced points")
-	}
-}
-
-func TestCDFPointsMonotonic(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Quantile of an empty CDF did not panic")
 		}
-		ds := make([]time.Duration, len(raw))
-		for i, r := range raw {
-			ds[i] = time.Duration(int64(r)&0x7fff + 1)
-		}
-		pts := NewCDF(ds).Points(16)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Latency < pts[i-1].Latency || pts[i].Fraction < pts[i-1].Fraction {
-				return false
-			}
-		}
-		if len(pts) > 0 {
-			last := pts[len(pts)-1]
-			if last.Fraction != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	}()
+	NewCDF(nil).Quantile(0.5)
 }
 
 func TestCDFQuantileMatchesPercentile(t *testing.T) {

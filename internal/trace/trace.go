@@ -178,18 +178,6 @@ func (p *Profiler) Get(name string) Region {
 	return Region{Name: name}
 }
 
-// Samples returns a copy of the retained samples of a region. Past
-// MaxSamples the samples are a uniform reservoir of the stream, in no
-// particular order.
-func (p *Profiler) Samples(name string) []time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.regions[name]; ok && r.Samples != nil {
-		return append([]time.Duration(nil), r.Samples...)
-	}
-	return nil
-}
-
 // Total returns the sum over all regions.
 func (p *Profiler) Total() time.Duration {
 	p.mu.Lock()
@@ -203,20 +191,6 @@ func (p *Profiler) total() time.Duration {
 		t += r.Total
 	}
 	return t
-}
-
-// Share returns a region's fraction of the profiler total (0 if empty).
-func (p *Profiler) Share(name string) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := p.total()
-	if total == 0 {
-		return 0
-	}
-	if r, ok := p.regions[name]; ok {
-		return float64(r.Total) / float64(total)
-	}
-	return 0
 }
 
 // Merge accumulates other into p (used to fold per-rank profiles into a

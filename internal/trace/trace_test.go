@@ -24,31 +24,19 @@ func TestAddAndGet(t *testing.T) {
 	}
 }
 
-func TestShare(t *testing.T) {
-	p := New()
-	if p.Share(RegionLoading) != 0 {
-		t.Fatal("empty profiler share not 0")
-	}
-	p.Add(RegionLoading, 67*time.Millisecond)
-	p.Add(RegionForward, 33*time.Millisecond)
-	if s := p.Share(RegionLoading); s < 0.669 || s > 0.671 {
-		t.Fatalf("Share = %v, want 0.67", s)
-	}
-}
-
 func TestSamplesRetention(t *testing.T) {
 	p := NewSampling()
 	p.Add(RegionRMA, time.Millisecond)
 	p.Add(RegionRMA, 2*time.Millisecond)
-	if got := p.Samples(RegionRMA); len(got) != 2 || got[1] != 2*time.Millisecond {
+	if got := p.Get(RegionRMA).Samples; len(got) != 2 || got[1] != 2*time.Millisecond {
 		t.Fatalf("Samples = %v", got)
 	}
 	plain := New()
 	plain.Add(RegionRMA, time.Millisecond)
-	if got := plain.Samples(RegionRMA); got != nil {
+	if got := plain.Get(RegionRMA).Samples; got != nil {
 		t.Fatalf("non-sampling profiler retained samples: %v", got)
 	}
-	if got := p.Samples("absent"); got != nil {
+	if got := p.Get("absent").Samples; got != nil {
 		t.Fatal("absent region returned samples")
 	}
 }
@@ -66,7 +54,7 @@ func TestMerge(t *testing.T) {
 	if r := a.Get(RegionComm); r.Total != 4*time.Millisecond {
 		t.Fatalf("merged comm: %+v", r)
 	}
-	if len(a.Samples(RegionLoading)) != 2 {
+	if len(a.Get(RegionLoading).Samples) != 2 {
 		t.Fatal("merge dropped samples")
 	}
 }
@@ -102,7 +90,7 @@ func TestReservoirBoundsMemory(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		p.Add(RegionLoading, time.Duration(i+1)*time.Microsecond)
 	}
-	got := p.Samples(RegionLoading)
+	got := p.Get(RegionLoading).Samples
 	if len(got) != 100 {
 		t.Fatalf("reservoir size = %d, want 100", len(got))
 	}
@@ -127,7 +115,7 @@ func TestReservoirDefaultCap(t *testing.T) {
 	for i := 0; i < DefaultMaxSamples+500; i++ {
 		p.Add(RegionRMA, time.Microsecond)
 	}
-	if got := len(p.Samples(RegionRMA)); got != DefaultMaxSamples {
+	if got := len(p.Get(RegionRMA).Samples); got != DefaultMaxSamples {
 		t.Fatalf("default reservoir size = %d, want %d", got, DefaultMaxSamples)
 	}
 }
@@ -135,14 +123,14 @@ func TestReservoirDefaultCap(t *testing.T) {
 func TestSamplesReturnsCopy(t *testing.T) {
 	p := NewSampling()
 	p.Add(RegionRMA, time.Millisecond)
-	s1 := p.Samples(RegionRMA)
+	s1 := p.Get(RegionRMA).Samples
 	s1[0] = 42 * time.Hour
-	if got := p.Samples(RegionRMA); got[0] != time.Millisecond {
+	if got := p.Get(RegionRMA).Samples; got[0] != time.Millisecond {
 		t.Fatal("Samples returned the live backing array")
 	}
 	r := p.Get(RegionRMA)
 	r.Samples[0] = 42 * time.Hour
-	if got := p.Samples(RegionRMA); got[0] != time.Millisecond {
+	if got := p.Get(RegionRMA).Samples; got[0] != time.Millisecond {
 		t.Fatal("Get returned the live backing array")
 	}
 }
@@ -159,7 +147,7 @@ func TestMergeRespectsReservoirCap(t *testing.T) {
 		b.Add(RegionLoading, time.Second)
 	}
 	a.Merge(b)
-	got := a.Samples(RegionLoading)
+	got := a.Get(RegionLoading).Samples
 	if len(got) != 64 {
 		t.Fatalf("merged reservoir size = %d, want 64", len(got))
 	}
@@ -188,7 +176,7 @@ func TestMergeSmallStaysExact(t *testing.T) {
 	b.Add(RegionLoading, 2*time.Millisecond)
 	b.Add(RegionLoading, 3*time.Millisecond)
 	a.Merge(b)
-	if got := len(a.Samples(RegionLoading)); got != 3 {
+	if got := len(a.Get(RegionLoading).Samples); got != 3 {
 		t.Fatalf("small merge not exact: %d samples", got)
 	}
 }
@@ -225,7 +213,7 @@ func TestProfilerConcurrent(t *testing.T) {
 				if i%100 == 99 {
 					p.Merge(other)
 				}
-				_ = p.Samples(RegionLoading)
+				_ = p.Get(RegionLoading).Samples
 				_ = p.Regions()
 				_ = p.String()
 			}
@@ -237,7 +225,7 @@ func TestProfilerConcurrent(t *testing.T) {
 	}
 	// 4 workers * (500 adds + 5 merges * growing other)... just assert the
 	// reservoir stayed capped and counts are the exact stream length.
-	if got := len(p.Samples(RegionLoading)); got != 32 {
+	if got := len(p.Get(RegionLoading).Samples); got != 32 {
 		t.Fatalf("reservoir = %d, want 32", got)
 	}
 	wantCount := int64(4 * (500 + 100 + 200 + 300 + 400 + 500))

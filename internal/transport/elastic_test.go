@@ -68,8 +68,8 @@ func elasticPair(t *testing.T) (a, b *Server, stores [2]*shardmap.Store, apply f
 	}
 	apply = func(next *shardmap.Map) {
 		for _, st := range stores {
-			if err := st.Apply(next); err != nil {
-				t.Fatal(err)
+			if ok, err := st.ApplyIfNewer(next); err != nil || !ok {
+				t.Fatalf("apply generation %d: installed %t, %v", next.Gen, ok, err)
 			}
 		}
 	}
@@ -156,9 +156,6 @@ func TestStaleGenerationCarriesCurrentMap(t *testing.T) {
 	if _, err := cl.GetBatchRaw([]int64{10, 11}); !errors.Is(err, ErrStaleGeneration) {
 		t.Fatalf("batch err = %v, want ErrStaleGeneration", err)
 	}
-	if _, err := GetRangeGraphs(cl, 10, 12); !errors.Is(err, ErrStaleGeneration) {
-		t.Fatalf("range err = %v, want ErrStaleGeneration", err)
-	}
 }
 
 func TestElasticGroupBootstrapAndLoad(t *testing.T) {
@@ -173,9 +170,6 @@ func TestElasticGroupBootstrapAndLoad(t *testing.T) {
 	}
 	if g.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", g.Len())
-	}
-	if g.Replicas() != 1 {
-		t.Fatalf("Replicas = %d, want 1", g.Replicas())
 	}
 	// Ids spanning both owners: the second owner is dialed on demand from
 	// the bootstrapped map.
@@ -308,8 +302,8 @@ func TestStaticGroupPinsGenerationAcrossMidFlightApply(t *testing.T) {
 	}
 	next := g.maps.Current().Clone()
 	next.Gen = 2
-	if err := g.maps.Apply(next); err != nil {
-		t.Fatal(err)
+	if ok, err := g.maps.ApplyIfNewer(next); err != nil || !ok {
+		t.Fatalf("apply generation 2: installed %t, %v", ok, err)
 	}
 	got := map[int64]bool{}
 	err = groupPlane{g: g}.FetchOwner(tok, []int64{10, 11}, tracectx.Context{}, func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ddstore/internal/graph"
-	"ddstore/internal/obs/tracectx"
 )
 
 // Eager decodes over the raw request path, for tests (of either test
@@ -35,26 +34,8 @@ func GetBatchGraphs(c *Client, ids []int64) ([]*graph.Graph, error) {
 	return out, nil
 }
 
-// GetRangeGraphs fetches and decodes samples [lo, hi) with the range op no
-// current client sends — the request an old peer's GetRange makes, which
-// the server still answers.
-func GetRangeGraphs(c *Client, lo, hi int64) ([]*graph.Graph, error) {
-	buf, _, err := c.do(opMulti, lo, hi, nil, tracectx.Context{})
-	if err != nil {
-		return nil, err
-	}
-	defer buf.Release()
-	out := make([]*graph.Graph, 0, hi-lo)
-	rest := buf.Bytes()
-	for len(rest) > 0 {
-		var g *graph.Graph
-		if g, rest, err = graph.DecodePrefix(rest); err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	if int64(len(out)) != hi-lo {
-		return nil, fmt.Errorf("transport: got %d samples for range [%d,%d)", len(out), lo, hi)
-	}
-	return out, nil
+// NewGroup dials every peer address of a single replica and verifies the
+// chunks tile a contiguous range.
+func NewGroup(addrs []string) (*Group, error) {
+	return NewGroupReplicas([][]string{addrs}, GroupOptions{})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ddstore/internal/datasets"
+	"ddstore/internal/obs"
 	"ddstore/internal/transport"
 )
 
@@ -75,8 +76,9 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // frees the slot.
 func TestAcceptCapRejectsExcessConns(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 10})
+	reg := obs.NewRegistry()
 	srv, err := transport.ServeWith("127.0.0.1:0", chunkFor(t, ds, 0, 10),
-		transport.ServerOptions{MaxConns: 1})
+		transport.ServerOptions{MaxConns: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,8 @@ func TestAcceptCapRejectsExcessConns(t *testing.T) {
 	if _, err := raw.Read(buf); err == nil {
 		t.Fatal("over-cap connection received bytes, want immediate close")
 	}
-	waitUntil(t, "accept reject counter", func() bool { return srv.AcceptRejects() >= 1 })
+	rejects := reg.Counter(obs.MetricAcceptRejected)
+	waitUntil(t, "accept reject counter", func() bool { return rejects.Value() >= 1 })
 
 	// Freeing the slot lets a new client in. The handler releases the
 	// semaphore asynchronously after the close, so retry briefly.

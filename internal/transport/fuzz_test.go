@@ -29,7 +29,7 @@ func reqBytes(op byte, a, b int64) []byte {
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(reqBytes(opMeta, 0, 0))
 	f.Add(reqBytes(opGet, 3, 0))
-	f.Add(reqBytes(opMulti, 1, 6))
+	f.Add(reqBytes(3, 1, 6)) // the retired range op, answered like any unknown op
 	f.Add(append(reqBytes(opMeta, 0, 0), reqBytes(opGet, 7, 0)...))
 	f.Add(reqBytes(99, -1, 1<<40))
 	f.Add(append(reqBytes(opGetBatch, 2, 0), wire.AppendIDs(nil, []int64{3, 5})...))
@@ -113,7 +113,7 @@ func FuzzServerRequest(f *testing.F) {
 	ctx := tracectx.New(true).Encode()
 	f.Add(byte(opMeta), int64(0), int64(0), []byte(nil))
 	f.Add(byte(opGet), int64(3), int64(0), []byte(nil))
-	f.Add(byte(opMulti), int64(1), int64(6), []byte(nil))
+	f.Add(byte(3), int64(1), int64(6), []byte(nil)) // the retired range op
 	f.Add(byte(opGetBatch), int64(2), int64(0), wire.AppendIDs(nil, []int64{3, 5}))
 	f.Add(byte(opGetBatch), int64(2), int64(0), []byte{1, 2, 3}) // short body
 	f.Add(byte(opGetBatch), int64(maxBatchIDs+1), int64(0), []byte(nil))

@@ -80,16 +80,9 @@ type Group struct {
 	clientOpts ClientOptions
 	spans      *obs.SpanRing // nil without GroupOptions.Spans
 	elastic    bool
-	replicas   int // static replica count; 0 for elastic groups
 
 	mu      sync.Mutex
 	clients map[string]*Client // by peer address; dialed lazily in elastic mode
-}
-
-// NewGroup dials every peer address of a single replica and verifies the
-// chunks tile a contiguous range.
-func NewGroup(addrs []string) (*Group, error) {
-	return NewGroupReplicas([][]string{addrs}, GroupOptions{})
 }
 
 // newGroup builds the pieces every constructor shares.
@@ -199,7 +192,6 @@ func NewGroupReplicas(replicas [][]string, opts GroupOptions) (*Group, error) {
 		g.Close()
 		return nil, err
 	}
-	g.replicas = len(replicas)
 	g.initEngine(opts)
 	return g, nil
 }
@@ -320,23 +312,6 @@ func (g *Group) Close() {
 		cl.Close()
 	}
 	g.clients = map[string]*Client{}
-}
-
-// Replicas returns the number of full dataset copies the group can reach:
-// the static replica count, or for elastic groups the minimum replica
-// width across the current generation's shards.
-func (g *Group) Replicas() int {
-	if !g.elastic {
-		return g.replicas
-	}
-	m := g.maps.Current()
-	width := 0
-	for i := range m.Shards {
-		if w := m.Shards[i].Width(); width == 0 || w < width {
-			width = w
-		}
-	}
-	return width
 }
 
 // Len returns the total number of samples in the dataset.

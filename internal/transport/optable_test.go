@@ -74,7 +74,6 @@ func TestStreamStaysAligned(t *testing.T) {
 	fixtures := map[byte]opFixture{
 		opMeta:     {valid: frame(opMeta, 0, 0), want: wire.AppendIDs(nil, []int64{10, 20})},
 		opGet:      {valid: frame(opGet, 12, 0), bad: frame(opGet, 99, 0), reads: true, want: sample(12)},
-		opMulti:    {valid: frame(opMulti, 12, 14), bad: frame(opMulti, 14, 12), reads: true, want: bytes.Join([][]byte{sample(12), sample(13)}, nil)},
 		opGetBatch: {valid: frame(opGetBatch, 2, 0, ids), bad: frame(opGetBatch, maxBatchIDs+1, 0), reads: true, want: encodeBatchPayload([][]byte{sample(12), sample(17)})},
 		opHello:    {valid: frame(opHello, 5, 0, []byte("alpha")), bad: frame(opHello, 0, 0)},
 		opShardMap: {valid: frame(opShardMap, 0, 0), bad: frame(opShardMap, 0, 0), want: []byte("current-map")},

@@ -288,12 +288,17 @@ func (c aliasChunk) LocalRange() (int64, int64) { return 0, c.n }
 
 func (c aliasChunk) LocalSampleBytes(int64) ([]byte, error) { return c.sample, nil }
 
-// TestOversizedReplyIsAnError asks for replies whose parts sum past
-// maxPayload — a batch and a range of 1 025 ids that all alias one 1 MiB
-// slice. The frame's length field and the client's response bound cannot
-// carry them, so each must come back as a remote error on a stream that is
-// still aligned: no retry, no reconnect, and the next get on the same
-// connection succeeds.
+// maxScratchParts bounds the part list a connection keeps between requests.
+// A counted body asks for at most a length prefix and a sample per id of the
+// largest batch, and a timing trailer; append at most doubles a list on its
+// way there.
+const maxScratchParts = 2 * (2*maxBatchIDs + 1)
+
+// TestOversizedReplyIsAnError asks for a reply whose parts sum past
+// maxPayload — a batch of 1 025 ids that all alias one 1 MiB slice. The
+// frame's length field and the client's response bound cannot carry it, so
+// it must come back as a remote error on a stream that is still aligned: no
+// retry, no reconnect, and the next get on the same connection succeeds.
 func TestOversizedReplyIsAnError(t *testing.T) {
 	const n = maxPayload>>20 + 1
 	src := aliasChunk{n: n, sample: make([]byte, 1<<20)}
@@ -313,13 +318,10 @@ func TestOversizedReplyIsAnError(t *testing.T) {
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	_, _, batchErr := cl.GetBatchBufs(ids)
-	_, _, rangeErr := cl.do(opMulti, 0, n, nil, tracectx.Context{})
-	for op, err := range map[string]error{"batch": batchErr, "range": rangeErr} {
-		var rerr *RemoteError
-		if !errors.As(err, &rerr) || !strings.Contains(rerr.Msg, "exceeds") {
-			t.Fatalf("%s past the frame limit: %v, want a remote error naming the limit", op, err)
-		}
+	_, _, err = cl.GetBatchBufs(ids)
+	var rerr *RemoteError
+	if !errors.As(err, &rerr) || !strings.Contains(rerr.Msg, "exceeds") {
+		t.Fatalf("batch past the frame limit: %v, want a remote error naming the limit", err)
 	}
 	raw, err := cl.GetRaw(7)
 	if err != nil || len(raw) != len(src.sample) {
@@ -328,8 +330,8 @@ func TestOversizedReplyIsAnError(t *testing.T) {
 	if r, rc := prof.Counter(CounterRetries), prof.Counter(CounterReconnects); r != 0 || rc != 0 {
 		t.Fatalf("%d retries, %d reconnects: an oversized reply must not cost the connection", r, rc)
 	}
-	// The range grew the part list past anything a counted body allows; the
-	// connection must not keep it.
+	// The part list the oversized batch grew stays within what a counted
+	// body allows.
 	if c := cap(soleConnState(t, srv).parts); c > maxScratchParts {
 		t.Fatalf("connection kept a %d-entry part list", c)
 	}

@@ -33,9 +33,6 @@ type RetryPolicy struct {
 	Seed int64
 }
 
-// DefaultRetryPolicy returns the defaults documented on RetryPolicy.
-func DefaultRetryPolicy() RetryPolicy { return RetryPolicy{}.withDefaults() }
-
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
@@ -85,17 +82,6 @@ func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 		d = 0
 	}
 	return time.Duration(d)
-}
-
-// ServerOptions derives a Server's defensive limits from the policy, so
-// one knob (e.g. core.Options.Net) configures both sides of the plane.
-func (p RetryPolicy) ServerOptions() ServerOptions {
-	p = p.withDefaults()
-	wt := p.WriteTimeout
-	if wt < 0 {
-		wt = 0
-	}
-	return ServerOptions{WriteTimeout: wt}
 }
 
 // Counters receives resilience event counts from the data plane.

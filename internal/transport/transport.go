@@ -47,10 +47,11 @@ import (
 const (
 	opMeta     = 1 // request chunk metadata; response payload: lo i64, hi i64
 	opGet      = 2 // request sample a; response payload: encoded graph
-	opMulti    = 3 // request samples [a, b); response payload: concatenated graphs
 	opGetBatch = 4 // request a ids (listed in the body); response: length-prefixed graphs
 	opHello    = 5 // declare tenant identity + feature bits (b); response: server feature word
 	opShardMap = 6 // request the current shard map; response payload: encoded shardmap.Map
+	// Op 3 was a range request no client sends. It is retired — answered
+	// like any unknown op — and must not be reused.
 
 	// Traced variants, negotiated via the hello feature word (trace.go):
 	// the body starts with a 24-byte trace context (tracectx.Size), and a
@@ -81,14 +82,14 @@ const maxTenantName = 128
 
 // Class is the priority class admission control schedules a request on.
 // The server derives it from the wire op: single-sample lookups and
-// metadata probes are interactive, range and batch fetches are training
-// bulk traffic.
+// metadata probes are interactive, batch fetches are training bulk
+// traffic.
 type Class uint8
 
 // The two priority classes.
 const (
 	ClassLookup Class = iota // interactive: Meta, Get
-	ClassBulk                // training: Multi, GetBatch
+	ClassBulk                // training: GetBatch
 )
 
 // String returns the label value used in metrics ("lookup", "bulk").
@@ -152,7 +153,6 @@ type request struct {
 var opTable = [256]opSpec{
 	opMeta:           {name: "meta", class: ClassLookup, serve: serveMeta},
 	opGet:            {name: "get", class: ClassLookup, traced: opGetTraced, check: checkGet, serve: serveGet},
-	opMulti:          {name: "multi", class: ClassBulk, check: checkMulti, serve: serveMulti}, // no current client sends it; served for old peers
 	opGetBatch:       {name: "getbatch", class: ClassBulk, traced: opGetBatchTraced, unit: 8, max: maxBatchIDs, serve: serveBatch},
 	opHello:          {name: "hello", class: ClassLookup, unit: 1, max: maxTenantName, control: true, serve: serveHello},
 	opShardMap:       {name: "shardmap", class: ClassLookup, check: checkShardMap, serve: serveShardMap},
@@ -279,9 +279,9 @@ type ServerOptions struct {
 	IdleTimeout time.Duration
 	// MaxConns caps concurrent connection goroutines. When the cap is
 	// reached, further accepted connections are closed immediately and
-	// counted (AcceptRejects, ddstore_serve_accept_rejected_total) — the
-	// hard backstop under the politer per-tenant limits an Admission layer
-	// enforces. 0 preserves the historical unbounded behaviour.
+	// counted (ddstore_serve_accept_rejected_total) — the hard backstop
+	// under the politer per-tenant limits an Admission layer enforces. 0
+	// preserves the historical unbounded behaviour.
 	MaxConns int
 	// Admission, when non-nil, gates every connection and request through
 	// a serving front end (internal/frontend): tenant identity, rate
@@ -374,8 +374,7 @@ type connState struct {
 	// nothing here outlives the response write, so every request reuses
 	// what the last one left instead of allocating its own. Growth is
 	// bounded by the counts the op table validates before a byte of body
-	// is read (maxBatchIDs, maxTenantName); see reset for the one list a
-	// request can grow past them.
+	// is read (maxBatchIDs, maxTenantName).
 	body     []byte   // request body: trace context, then ids or a tenant name
 	ids      []int64  // the sample ids the request names
 	prefixes []byte   // batch framing: one 4-byte length per sample, in one slab
@@ -386,40 +385,28 @@ type connState struct {
 	bufs     net.Buffers // the value the vectored write consumes
 }
 
-// maxScratchParts is the largest part list a connection keeps between
-// requests. A counted body asks for at most a length prefix and a sample
-// per id of the largest batch, and a timing trailer; append at most doubles
-// a list on its way there.
-const maxScratchParts = 2 * (2*maxBatchIDs + 1)
-
 // reset ends a request's use of the scratch once its response is written:
 // every reference to a source sample slice is cleared, so the scratch never
-// pins an entry the lazy chunk cache has evicted, and a part list only an
-// opMulti range can have grown (it is bounded by the chunk, not by the op
-// table) is dropped rather than kept.
+// pins an entry the lazy chunk cache has evicted.
 func (st *connState) reset() {
 	clear(st.parts)
 	st.parts = st.parts[:0]
-	if cap(st.parts) > maxScratchParts {
-		st.parts, st.iov = nil, nil
-	}
 }
 
 // Server serves one chunk over TCP.
 type Server struct {
-	ln            net.Listener
-	src           ChunkSource
-	opts          ServerOptions
-	metrics       *serverMetrics // nil without ServerOptions.Metrics
-	sem           chan struct{}  // nil without ServerOptions.MaxConns
-	acceptRejects atomic.Int64
-	draining      atomic.Bool
-	wg            sync.WaitGroup
-	mu            sync.Mutex
-	conns         map[net.Conn]*connState
-	done          chan struct{}
-	drainOnce     sync.Once
-	closeOnce     sync.Once
+	ln        net.Listener
+	src       ChunkSource
+	opts      ServerOptions
+	metrics   *serverMetrics // nil without ServerOptions.Metrics
+	sem       chan struct{}  // nil without ServerOptions.MaxConns
+	draining  atomic.Bool
+	wg        sync.WaitGroup
+	mu        sync.Mutex
+	conns     map[net.Conn]*connState
+	done      chan struct{}
+	drainOnce sync.Once
+	closeOnce sync.Once
 }
 
 // Serve starts a server on addr (use "127.0.0.1:0" for an ephemeral port)
@@ -455,10 +442,6 @@ func ServeListener(ln net.Listener, src ChunkSource, opts ServerOptions) *Server
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// AcceptRejects reports how many accepted connections were closed because
-// the MaxConns goroutine cap was full.
-func (s *Server) AcceptRejects() int64 { return s.acceptRejects.Load() }
 
 // Drain moves the server into graceful shutdown: the listener closes (no
 // new connections), handlers blocked waiting for their next request are
@@ -533,7 +516,6 @@ func (s *Server) acceptLoop() {
 			default:
 				// At the goroutine cap: close without spawning anything.
 				conn.Close()
-				s.acceptRejects.Add(1)
 				if s.metrics != nil {
 					s.metrics.acceptRejct.Inc()
 				}
@@ -624,19 +606,6 @@ func checkGet(s *Server, a, _ int64) error {
 	return nil
 }
 
-func checkMulti(s *Server, a, b int64) error {
-	if a < 0 || b < 0 {
-		return fmt.Errorf("negative range [%d,%d)", a, b)
-	}
-	if b < a {
-		return fmt.Errorf("inverted range [%d,%d)", a, b)
-	}
-	if lo, hi := s.src.LocalRange(); a < lo || b > hi {
-		return fmt.Errorf("range [%d,%d) outside chunk [%d,%d)", a, b, lo, hi)
-	}
-	return nil
-}
-
 func checkShardMap(s *Server, _, _ int64) error {
 	if s.opts.ShardMap == nil {
 		return errors.New("server does not serve a shard map")
@@ -656,16 +625,6 @@ func serveMeta(s *Server, rq request) (int, error) {
 func serveGet(s *Server, rq request) (int, error) {
 	rq.st.ids = append(rq.st.ids[:0], rq.a)
 	return s.sampleParts(rq.st, rq.st.ids, false)
-}
-
-// serveMulti keeps its id list out of the connection's scratch: the range
-// is bounded by the chunk (checkMulti ran), not by the op table.
-func serveMulti(s *Server, rq request) (int, error) {
-	ids := make([]int64, rq.b-rq.a)
-	for i := range ids {
-		ids[i] = rq.a + int64(i)
-	}
-	return s.sampleParts(rq.st, ids, false)
 }
 
 // serveBatch trusts the body length because the count was validated, so

@@ -81,35 +81,6 @@ func TestGetOutOfRange(t *testing.T) {
 	}
 }
 
-func TestGetRange(t *testing.T) {
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 12})
-	srv, err := transport.Serve("127.0.0.1:0", chunkFor(t, ds, 0, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := transport.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	gs, err := transport.GetRangeGraphs(cl, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs) != 6 {
-		t.Fatalf("got %d samples", len(gs))
-	}
-	for i, g := range gs {
-		if g.ID != int64(3+i) {
-			t.Fatalf("sample %d has id %d", i, g.ID)
-		}
-	}
-	if _, err := transport.GetRangeGraphs(cl, 5, 20); err == nil {
-		t.Fatal("bad range accepted")
-	}
-}
-
 func TestConcurrentClients(t *testing.T) {
 	ds := datasets.AISDExDiscrete(datasets.Config{NumGraphs: 50})
 	srv, err := transport.Serve("127.0.0.1:0", chunkFor(t, ds, 0, 50))
@@ -221,7 +192,7 @@ func TestServeDDStoreChunk(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		srv, err := st.ServeTCP("127.0.0.1:0")
+		srv, err := transport.ServeWith("127.0.0.1:0", st, transport.ServerOptions{})
 		if err != nil {
 			return err
 		}

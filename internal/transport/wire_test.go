@@ -75,15 +75,10 @@ func TestRejectsMalformedHeaders(t *testing.T) {
 		wantErr string
 	}{
 		{"unknown op", 42, 0, 0, "unknown op"},
+		{"retired range op", 3, 12, 14, "unknown op"},
 		{"negative get id", opGet, -3, 0, "negative sample id"},
 		{"get below chunk", opGet, 5, 0, "outside chunk"},
 		{"get above chunk", opGet, 20, 0, "outside chunk"},
-		{"negative multi lo", opMulti, -1, 5, "negative range"},
-		{"negative multi hi", opMulti, 12, -9, "negative range [12,-9)"},
-		{"inverted range", opMulti, 15, 12, "inverted range"},
-		{"range below chunk", opMulti, 8, 12, "outside chunk"},
-		{"range above chunk", opMulti, 15, 25, "outside chunk"},
-		{"huge range", opMulti, 10, 1 << 40, "outside chunk"},
 	}
 	for _, tc := range cases {
 		status, payload := rawRequest(t, conn, tc.op, tc.a, tc.b)
@@ -140,11 +135,8 @@ func TestRetryPolicyBackoff(t *testing.T) {
 			t.Fatalf("delay(%d) = %v, want %v", i+1, got, want*time.Millisecond)
 		}
 	}
-	d := DefaultRetryPolicy()
+	d := RetryPolicy{}.withDefaults()
 	if d.MaxAttempts != 4 || d.BaseDelay != 5*time.Millisecond || d.ReadTimeout != 5*time.Second {
 		t.Fatalf("defaults = %+v", d)
-	}
-	if so := d.ServerOptions(); so.WriteTimeout != d.WriteTimeout {
-		t.Fatalf("ServerOptions = %+v", so)
 	}
 }

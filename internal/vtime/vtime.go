@@ -55,9 +55,6 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	}
 }
 
-// Reset sets the clock back to zero. Only used between experiment runs.
-func (c *Clock) Reset() { c.ns.Store(0) }
-
 // MaxClock returns the latest time among the given clocks.
 func MaxClock(clocks []*Clock) time.Duration {
 	var max time.Duration
@@ -67,16 +64,6 @@ func MaxClock(clocks []*Clock) time.Duration {
 		}
 	}
 	return max
-}
-
-// SyncAll advances every clock to the maximum of the group plus an extra
-// cost, and returns the resulting common time. It models a barrier.
-func SyncAll(clocks []*Clock, extra time.Duration) time.Duration {
-	t := MaxClock(clocks) + extra
-	for _, c := range clocks {
-		c.AdvanceTo(t)
-	}
-	return t
 }
 
 // RNG is a deterministic SplitMix64 pseudo-random generator. It is not safe
@@ -122,9 +109,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // NormFloat64 returns a standard normal variate (Box-Muller).
 func (r *RNG) NormFloat64() float64 {
 	if r.haveNorm {
@@ -143,34 +127,6 @@ func (r *RNG) NormFloat64() float64 {
 	r.norm = mag * math.Sin(2*math.Pi*u2)
 	r.haveNorm = true
 	return mag * math.Cos(2*math.Pi*u2)
-}
-
-// ExpFloat64 returns an exponential variate with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
-// ShuffleInts shuffles p in place (Fisher-Yates).
-func (r *RNG) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
 }
 
 // Shuffle shuffles n elements using the provided swap function.
@@ -231,11 +187,6 @@ func (l LogNormal) Sample(rng *RNG) time.Duration {
 func (l LogNormal) Mean() time.Duration {
 	v := math.Exp(l.Mu + l.Sigma*l.Sigma/2)
 	return time.Duration(v * float64(time.Second))
-}
-
-// Median returns the distribution median.
-func (l LogNormal) Median() time.Duration {
-	return time.Duration(math.Exp(l.Mu) * float64(time.Second))
 }
 
 // Scaled wraps a distribution and multiplies every sample by Factor. It is

@@ -47,15 +47,6 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
-	var c Clock
-	c.Advance(time.Hour)
-	c.Reset()
-	if got := c.Now(); got != 0 {
-		t.Fatalf("Reset left clock at %v", got)
-	}
-}
-
 func TestClockConcurrentAdvance(t *testing.T) {
 	var c Clock
 	const workers = 8
@@ -73,23 +64,6 @@ func TestClockConcurrentAdvance(t *testing.T) {
 	wg.Wait()
 	if got := c.Now(); got != workers*per*time.Microsecond {
 		t.Fatalf("concurrent advance lost updates: %v", got)
-	}
-}
-
-func TestSyncAll(t *testing.T) {
-	clocks := []*Clock{{}, {}, {}}
-	clocks[0].Advance(1 * time.Millisecond)
-	clocks[1].Advance(7 * time.Millisecond)
-	clocks[2].Advance(3 * time.Millisecond)
-	got := SyncAll(clocks, 2*time.Millisecond)
-	want := 9 * time.Millisecond
-	if got != want {
-		t.Fatalf("SyncAll = %v, want %v", got, want)
-	}
-	for i, c := range clocks {
-		if c.Now() != want {
-			t.Fatalf("clock %d at %v after SyncAll, want %v", i, c.Now(), want)
-		}
 	}
 }
 
@@ -186,16 +160,14 @@ func TestRNGNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestRNGExpFloat64Mean(t *testing.T) {
-	r := NewRNG(4)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
+// perm shuffles [0, n) with r.
+func perm(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
 	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
 }
 
 func TestPermIsPermutation(t *testing.T) {
@@ -203,7 +175,7 @@ func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		rr := r.Split(seed)
 		n := 1 + int(seed%100)
-		p := rr.Perm(n)
+		p := perm(rr, n)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
@@ -224,7 +196,7 @@ func TestShuffleCoversArrangements(t *testing.T) {
 	r := NewRNG(6)
 	counts := map[[3]int]int{}
 	for i := 0; i < 6000; i++ {
-		p := r.Perm(3)
+		p := perm(r, 3)
 		counts[[3]int{p[0], p[1], p[2]}]++
 	}
 	if len(counts) != 6 {
@@ -253,7 +225,7 @@ func TestFixedDist(t *testing.T) {
 func TestLogNormalMedianP99(t *testing.T) {
 	median, p99 := 2*time.Millisecond, 12*time.Millisecond
 	d := NewLogNormalMedianP99(median, p99)
-	if got := d.Median(); math.Abs(got.Seconds()-median.Seconds()) > 1e-9 {
+	if got := math.Exp(d.Mu); math.Abs(got-median.Seconds()) > 1e-9 {
 		t.Fatalf("median = %v, want %v", got, median)
 	}
 	// Empirically verify the 99th percentile.
