@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"ddstore/internal/cluster"
 	"ddstore/internal/comm"
 	"ddstore/internal/datasets"
+	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
 )
 
@@ -20,9 +24,11 @@ func fanOutBatch(total int) []int64 {
 	return ids
 }
 
-// TestLoadFanOutMatchesSerial: the concurrent per-owner fetch must return
-// the same graphs and the same traffic counters as FetchParallelism=1, for
-// both frameworks, with and without a cache.
+// TestLoadFanOutMatchesSerial: a load over every owner returns the right
+// graphs and the same traffic counters whatever GOMAXPROCS is (par; 0
+// leaves it as it is), for both frameworks, with and without a cache — the
+// split-phase fan-out runs on the calling goroutine, so the processor count
+// must change nothing.
 func TestLoadFanOutMatchesSerial(t *testing.T) {
 	const total = 64
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: total})
@@ -37,10 +43,11 @@ func TestLoadFanOutMatchesSerial(t *testing.T) {
 	} {
 		for _, par := range []int{1, 0, 8} {
 			t.Run(fmt.Sprintf("%s/par%d", tc.name, par), func(t *testing.T) {
-				opts := tc.opts
-				opts.FetchParallelism = par
+				if par > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+				}
 				runWorld(t, 8, nil, func(c *comm.Comm) error {
-					s, err := Open(c, ds, opts)
+					s, err := Open(c, ds, tc.opts)
 					if err != nil {
 						return err
 					}
@@ -126,50 +133,106 @@ func TestLoadConcurrentRace(t *testing.T) {
 }
 
 // BenchmarkStoreLoadOwners measures one Load against a growing owner
-// fan-out (in-process RMA, functional mode), serial vs full parallelism.
+// fan-out (in-process RMA, functional mode).
 func BenchmarkStoreLoadOwners(b *testing.B) {
 	const total = 256
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: total})
 	for _, owners := range []int{1, 2, 4, 7} {
-		for _, par := range []int{1, 0} {
-			name := fmt.Sprintf("owners%d/par%d", owners, par)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				w, err := comm.NewWorld(8, 42)
+		b.Run(fmt.Sprintf("owners%d", owners), func(b *testing.B) {
+			b.ReportAllocs()
+			w, err := comm.NewWorld(8, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runErr := w.Run(func(c *comm.Comm) error {
+				s, err := Open(c, ds, Options{})
 				if err != nil {
-					b.Fatal(err)
+					return err
 				}
-				runErr := w.Run(func(c *comm.Comm) error {
-					s, err := Open(c, ds, Options{FetchParallelism: par})
+				if c.Rank() != 0 {
+					return s.world.Barrier()
+				}
+				// Rank 0 loads 4 samples from each of `owners` remote
+				// owners while the rest idle at the barrier.
+				var ids []int64
+				for g := 1; g <= owners; g++ {
+					base := int64(g * total / 8)
+					ids = append(ids, base, base+1, base+2, base+3)
+				}
+				var sink []*graph.Graph
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink, err = s.Load(ids)
 					if err != nil {
 						return err
 					}
-					if c.Rank() != 0 {
-						return s.world.Barrier()
-					}
-					// Rank 0 loads 4 samples from each of `owners` remote
-					// owners while the rest idle at the barrier.
-					var ids []int64
-					for g := 1; g <= owners; g++ {
-						base := int64(g * total / 8)
-						ids = append(ids, base, base+1, base+2, base+3)
-					}
-					var sink []*graph.Graph
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						sink, err = s.Load(ids)
-						if err != nil {
-							return err
-						}
-					}
-					b.StopTimer()
-					_ = sink
-					return s.world.Barrier()
-				})
-				if runErr != nil {
-					b.Fatal(runErr)
 				}
+				b.StopTimer()
+				_ = sink
+				return s.world.Barrier()
 			})
-		}
+			if runErr != nil {
+				b.Fatal(runErr)
+			}
+		})
+	}
+}
+
+// TestLockCostLandsOnFirstSample pins where storePlane charges a per-batch
+// shared lock: one epoch per remote owner's Collect, its cost on the
+// owner's first delivered sample and on no other, for the sequential and
+// the non-blocking wire; a local owner takes no lock.
+func TestLockCostLandsOnFirstSample(t *testing.T) {
+	const total = 16
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: total})
+	for _, nb := range []bool{false, true} {
+		runWorld(t, 2, cluster.Laptop(), func(c *comm.Comm) error {
+			s, err := Open(c, ds, Options{NonBlocking: nb})
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			if c.Rank() != 0 {
+				return s.world.Barrier()
+			}
+			clock := c.Clock()
+			var lats, at []time.Duration
+			deliver := func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {
+				lats, at = append(lats, lat), append(at, clock.Now())
+				if ref != nil {
+					ref.Release()
+				}
+				return nil
+			}
+			plane := storePlane{s: s}
+			locks := s.Stats().LockAcquires
+			if err := plane.Collect(&fetch.Pending{Owner: 0, IDs: []int64{0, 1}}, deliver); err != nil {
+				return err
+			}
+			if got := s.Stats().LockAcquires; got != locks {
+				return fmt.Errorf("nonblocking=%t: a local owner took %d locks", nb, got-locks)
+			}
+			lats, at = lats[:0], at[:0]
+			start := clock.Now()
+			if err := plane.Collect(&fetch.Pending{Owner: 1, IDs: []int64{8, 9, 10}}, deliver); err != nil {
+				return err
+			}
+			if got := s.Stats().LockAcquires; got != locks+1 {
+				return fmt.Errorf("nonblocking=%t: %d locks for one remote owner, want 1", nb, got-locks)
+			}
+			if nb {
+				// The overlapped wait is shared evenly; only the first sample
+				// carries the lock on top.
+				if lats[0] <= lats[1] || lats[1] != lats[2] {
+					return fmt.Errorf("nonblocking: latencies %v, want the first alone above an even share", lats)
+				}
+			} else if lats[0] != at[0]-start || lats[1] != at[1]-at[0] || lats[2] != at[2]-at[1] {
+				// Each sample's latency is its own Get; the first's starts
+				// before the lock was taken.
+				return fmt.Errorf("sequential: latencies %v, want %v", lats,
+					[]time.Duration{at[0] - start, at[1] - at[0], at[2] - at[1]})
+			}
+			return s.world.Barrier()
+		})
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// statsCounters is the loader traffic tally. The fields are atomics so the
-// fan-out workers (and concurrent Load callers sharing one store) can
-// bump them without a lock; Stats() takes a snapshot into the exported
-// struct, keeping the public API unchanged.
+// statsCounters is the loader traffic tally. The fields are atomics so
+// concurrent Load callers sharing one store can bump them without a lock;
+// Stats() takes a snapshot into the exported struct, keeping the public API
+// unchanged.
 type statsCounters struct {
 	localReads   atomic.Int64
 	remoteGets   atomic.Int64

@@ -7,7 +7,6 @@ import (
 	"ddstore/internal/bufarena"
 	"ddstore/internal/comm"
 	"ddstore/internal/fetch"
-	"ddstore/internal/obs/tracectx"
 )
 
 // storePlane adapts the Store to the shared fetch engine: owner arithmetic
@@ -23,50 +22,44 @@ func (p storePlane) OwnerOf(id int64) (int, error) { return p.s.OwnerOf(id) }
 
 func (p storePlane) Local(owner int) bool { return owner == p.s.group.Rank() }
 
-// BeginEpoch opens one shared-lock access epoch per remote owner and
-// reports its cost, which the engine charges to the owner's first sample —
-// how a per-batch lock amortizes. Local reads need no epoch; LockPerSample
-// opens per-sample epochs inside FetchOwner; the two-sided framework has
-// no window locks at all.
-func (p storePlane) BeginEpoch(owner int) (time.Duration, error) {
-	s := p.s
-	if owner == s.group.Rank() || s.opts.LockPerSample || s.opts.Framework == FrameworkTwoSided {
-		return 0, nil
+// Issue starts nothing: an RMA transfer runs whole in Collect, so owners are
+// charged to the virtual clock one after another in owner order.
+func (p storePlane) Issue(*fetch.Pending) {}
+
+// Collect runs one owner's transfer. A remote owner read under the
+// per-batch shared lock gets one access epoch around its Gets, and the
+// lock's cost is charged to the owner's first delivered sample — how a
+// per-batch lock amortizes; the epoch closes even when the transfer fails.
+// Local reads need no epoch, LockPerSample opens one per sample, and the
+// two-sided framework has no window locks at all. There is no wire to carry
+// the pending's trace context — an RMA Get involves no server-side CPU — so
+// the engine's own per-owner span is the whole trace of an RMA transfer.
+func (p storePlane) Collect(pd *fetch.Pending, deliver fetch.Deliver) error {
+	s, owner, ids := p.s, pd.Owner, pd.IDs
+	switch {
+	case owner == s.group.Rank():
+		return s.fetchLocal(ids, deliver)
+	case s.opts.Framework == FrameworkTwoSided:
+		return s.fetchTwoSided(owner, ids, deliver)
+	case s.opts.LockPerSample:
+		return s.fetchSequential(owner, ids, deliver, 0, true)
 	}
 	start := clockNow(s.world)
 	if err := s.lockSharedRef(owner); err != nil {
-		return 0, err
+		return err
 	}
 	s.stats.lockAcquires.Add(1)
-	return clockNow(s.world) - start, nil
-}
-
-func (p storePlane) EndEpoch(owner int) error {
-	s := p.s
-	if owner == s.group.Rank() || s.opts.LockPerSample || s.opts.Framework == FrameworkTwoSided {
-		return nil
-	}
-	return s.unlockSharedRef(owner)
-}
-
-// FetchOwner has no wire to carry a trace context over — an RMA Get
-// involves no server-side CPU — so tc is ignored; the engine's own
-// per-owner span is the whole trace of an RMA transfer.
-func (p storePlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver fetch.Deliver) error {
-	s := p.s
-	if owner == s.group.Rank() {
-		return s.fetchLocal(ids, deliver)
-	}
-	if s.opts.Framework == FrameworkTwoSided {
-		return s.fetchTwoSided(owner, ids, deliver)
-	}
-	if s.opts.LockPerSample {
-		return s.fetchLockPerSample(owner, ids, deliver)
-	}
+	cost := clockNow(s.world) - start
+	var err error
 	if s.opts.NonBlocking {
-		return s.fetchNonBlocking(owner, ids, deliver)
+		err = s.fetchNonBlocking(owner, ids, deliver, cost)
+	} else {
+		err = s.fetchSequential(owner, ids, deliver, cost, false)
 	}
-	return s.fetchSequential(owner, ids, deliver)
+	if uerr := s.unlockSharedRef(owner); uerr != nil && err == nil {
+		err = uerr
+	}
+	return err
 }
 
 // fetchLocal serves this rank's own chunk: a memory read per sample, no
@@ -90,52 +83,40 @@ func (s *Store) fetchLocal(ids []int64, deliver fetch.Deliver) error {
 	return nil
 }
 
-// fetchSequential is the paper's default wire: within the engine-managed
-// shared-lock epoch, one blocking Get per sample into a pooled buffer
-// whose single reference moves into the delivered view.
-func (s *Store) fetchSequential(owner int, ids []int64, deliver fetch.Deliver) error {
+// fetchSequential is the paper's default wire: one blocking Get per sample
+// into a pooled buffer whose single reference moves into the delivered view,
+// within Collect's shared-lock epoch, whose cost rides on the first
+// delivered sample. With perSample — the abl-lock ablation — every Get
+// opens and closes an epoch of its own instead, paying the lock each time.
+func (s *Store) fetchSequential(owner int, ids []int64, deliver fetch.Deliver, cost time.Duration, perSample bool) error {
 	for _, id := range ids {
 		before := clockNow(s.world)
 		e := s.index[id]
+		if perSample {
+			if err := s.lockSharedRef(owner); err != nil {
+				return err
+			}
+			s.stats.lockAcquires.Add(1)
+		}
 		buf := bufarena.Get(int(e.length))
 		dst := buf.Bytes()
-		if err := s.win.Get(dst, owner, int(e.offset)); err != nil {
-			buf.Release()
-			return fmt.Errorf("core: RMA get sample %d from %d: %w", id, owner, err)
+		err := s.win.Get(dst, owner, int(e.offset))
+		if err != nil {
+			err = fmt.Errorf("core: RMA get sample %d from %d: %w", id, owner, err)
 		}
-		if err := deliver(id, dst, buf, clockNow(s.world)-before); err != nil {
-			return fmt.Errorf("core: decode remote sample %d: %w", id, err)
+		if perSample {
+			if uerr := s.unlockSharedRef(owner); err == nil {
+				err = uerr
+			}
 		}
-		s.stats.remoteGets.Add(1)
-		s.stats.bytesRemote.Add(int64(e.length))
-	}
-	return nil
-}
-
-// fetchLockPerSample is the abl-lock ablation: a fresh access epoch per
-// sample, so the lock round-trip is paid for every Get.
-func (s *Store) fetchLockPerSample(owner int, ids []int64, deliver fetch.Deliver) error {
-	for _, id := range ids {
-		before := clockNow(s.world)
-		e := s.index[id]
-		if err := s.lockSharedRef(owner); err != nil {
-			return err
-		}
-		s.stats.lockAcquires.Add(1)
-		buf := bufarena.Get(int(e.length))
-		dst := buf.Bytes()
-		if err := s.win.Get(dst, owner, int(e.offset)); err != nil {
-			s.unlockSharedRef(owner)
-			buf.Release()
-			return fmt.Errorf("core: RMA get sample %d from %d: %w", id, owner, err)
-		}
-		if err := s.unlockSharedRef(owner); err != nil {
+		if err != nil {
 			buf.Release()
 			return err
 		}
-		if err := deliver(id, dst, buf, clockNow(s.world)-before); err != nil {
+		if err := deliver(id, dst, buf, clockNow(s.world)-before+cost); err != nil {
 			return fmt.Errorf("core: decode remote sample %d: %w", id, err)
 		}
+		cost = 0
 		s.stats.remoteGets.Add(1)
 		s.stats.bytesRemote.Add(int64(e.length))
 	}
@@ -144,11 +125,12 @@ func (s *Store) fetchLockPerSample(owner int, ids []int64, deliver fetch.Deliver
 
 // fetchNonBlocking is the overlapped-Gets ablation (MPI_Rget-style): issue
 // everything within the epoch, wait once, and share the overlapped wire
-// time evenly across the samples. On an issue error the already-posted
-// buffers are deliberately NOT released: their Gets may still be in
-// flight, and a recycled buffer under a live RMA write is a real
-// use-after-free. Unreleased buffers degrade to GC-owned memory.
-func (s *Store) fetchNonBlocking(owner int, ids []int64, deliver fetch.Deliver) error {
+// time evenly across the samples, the epoch's cost on the first. On an
+// issue error the already-posted buffers are deliberately NOT released:
+// their Gets may still be in flight, and a recycled buffer under a live RMA
+// write is a real use-after-free. Unreleased buffers degrade to GC-owned
+// memory.
+func (s *Store) fetchNonBlocking(owner int, ids []int64, deliver fetch.Deliver, cost time.Duration) error {
 	before := clockNow(s.world)
 	bufs := make([]*bufarena.Buf, len(ids))
 	reqs := make([]*comm.Request, len(ids))
@@ -167,9 +149,10 @@ func (s *Store) fetchNonBlocking(owner int, ids []int64, deliver fetch.Deliver) 
 	elapsed := clockNow(s.world) - before
 	per := elapsed / time.Duration(len(ids))
 	for i, id := range ids {
-		if err := deliver(id, bufs[i].Bytes(), bufs[i], per); err != nil {
+		if err := deliver(id, bufs[i].Bytes(), bufs[i], per+cost); err != nil {
 			return fmt.Errorf("core: decode remote sample %d: %w", id, err)
 		}
+		cost = 0
 	}
 	return nil
 }

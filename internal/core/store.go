@@ -78,13 +78,6 @@ type Options struct {
 	// CachePolicy selects the cache's eviction policy (default LRU; FIFO
 	// and Clock exist for the eviction ablation).
 	CachePolicy cache.Policy
-	// FetchParallelism bounds how many owners one Load fetches from
-	// concurrently: a batch touching k owners pays ~⌈k/FetchParallelism⌉
-	// round-trip times instead of k. 0 means min(#owners, GOMAXPROCS);
-	// 1 restores the serial per-owner loop exactly. Ignored (always
-	// serial) under a machine model, where fetch costs are charged to a
-	// deterministic virtual clock.
-	FetchParallelism int
 	// Metrics, if set, receives the engine's fetch-latency histogram, and
 	// the cache and transport event counters when there is no Profiler to
 	// take them (see eventSink).
@@ -146,11 +139,11 @@ type Store struct {
 	// respDone signals two-sided responder shutdown (nil for RMA stores).
 	respDone chan struct{}
 
-	// Stats accumulated by Load (atomic: fetch workers and concurrent
-	// Load callers bump them without a lock).
+	// Stats accumulated by Load (atomic: concurrent Load callers bump them
+	// without a lock).
 	stats statsCounters
-	// epochs refcounts shared-lock epochs so concurrent Loads (and the
-	// fan-out workers) can overlap access to the same owner.
+	// epochs refcounts shared-lock epochs so concurrent Loads can overlap
+	// access to the same owner.
 	epochs epochRefs
 }
 
@@ -337,16 +330,13 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 
 	// The batch-load pipeline itself — dedup, cache claims, per-owner
 	// fan-out, follower waits, latency capture — lives in the shared engine;
-	// storePlane contributes only the RMA/two-sided wire. Fan-out stays
-	// serial under a machine model: the virtual clock charges modeled costs
-	// through a non-thread-safe RNG, and concurrent charging would break
-	// the deterministic timings the simulation exists for.
+	// storePlane contributes only the RMA/two-sided wire, run owner by owner
+	// on the loading goroutine, so a machine model's virtual clock is
+	// charged in one deterministic order.
 	s.engine = fetch.New(fetch.Config{
-		Plane:       storePlane{s: s},
-		Cache:       s.cache,
-		Parallelism: opts.FetchParallelism,
-		Serial:      c.Machine() != nil,
-		Now:         func() time.Duration { return c.Clock().Now() },
+		Plane: storePlane{s: s},
+		Cache: s.cache,
+		Now:   func() time.Duration { return c.Clock().Now() },
 		OnLocalBytes: func(n int) {
 			if m := c.Machine(); m != nil {
 				c.Clock().Advance(m.LocalRead(int64(n)))

@@ -17,8 +17,10 @@ type benchPlane struct {
 func (p benchPlane) OwnerOf(id int64) (int, error) { return int(id % 4), nil }
 func (p benchPlane) Local(int) bool                { return false }
 
-func (p benchPlane) FetchOwner(_ int, ids []int64, _ tracectx.Context, deliver Deliver) error {
-	for _, id := range ids {
+func (p benchPlane) Issue(*Pending) {}
+
+func (p benchPlane) Collect(pd *Pending, deliver Deliver) error {
+	for _, id := range pd.IDs {
 		if err := deliver(id, p.raw[id], nil, time.Microsecond); err != nil {
 			return err
 		}
@@ -27,7 +29,7 @@ func (p benchPlane) FetchOwner(_ int, ids []int64, _ tracectx.Context, deliver D
 }
 
 // BenchmarkLoadLazy64 is the engine's allocation budget, stated per load and
-// not per id: a 64-position load on the serial fan-out costs the same eight
+// not per id: a 64-position load over four owners costs the same eight
 // allocations whether its ids are all different (plain) or half of them
 // repeats (duplicates) — the load, its two results, the view slab, the slot
 // table, the index lists, the grouped ids and the deliver closure — and
@@ -52,7 +54,7 @@ func BenchmarkLoadLazy64(b *testing.B) {
 		{"duplicates", repeats, nil},
 		{"cached-cold", unique, cache.New(cache.Options{})},
 	} {
-		e := New(Config{Plane: p, Cache: bc.cache, Parallelism: 1})
+		e := New(Config{Plane: p, Cache: bc.cache})
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

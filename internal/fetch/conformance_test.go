@@ -195,8 +195,7 @@ func TestConformanceRMA(t *testing.T) {
 	}
 	err = w.Run(func(c *comm.Comm) error {
 		st, err := core.Open(c, ds, core.Options{
-			CacheBytes:       1 << 20,
-			FetchParallelism: 2,
+			CacheBytes: 1 << 20,
 		})
 		if err != nil {
 			return err
@@ -228,9 +227,8 @@ func TestConformanceTCP(t *testing.T) {
 		addrs = append(addrs, srv.Addr())
 	}
 	grp, err := transport.NewGroupReplicas([][]string{addrs}, transport.GroupOptions{
-		Client:           transport.ClientOptions{Policy: fastPolicy()},
-		CacheBytes:       1 << 20,
-		FetchParallelism: 2,
+		Client:     transport.ClientOptions{Policy: fastPolicy()},
+		CacheBytes: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +271,6 @@ func TestConformanceTCPOwnerDeath(t *testing.T) {
 	grp, err := transport.NewGroupReplicas([][]string{addrs}, transport.GroupOptions{
 		Client:           transport.ClientOptions{Policy: fastPolicy()},
 		CacheBytes:       1 << 20,
-		FetchParallelism: 2,
 		FailoverCooldown: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -340,7 +337,6 @@ func TestConformanceTCPFailover(t *testing.T) {
 	}
 	grp, err := transport.NewGroupReplicas(replicas, transport.GroupOptions{
 		Client:           transport.ClientOptions{Policy: fastPolicy()},
-		FetchParallelism: 2,
 		FailoverCooldown: 50 * time.Millisecond,
 	})
 	if err != nil {

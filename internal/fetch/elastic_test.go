@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ddstore/internal/obs/tracectx"
 )
 
 // genPlane serves ids [0, n) striped over members (member = id % members),
@@ -29,10 +27,10 @@ type genPlane struct {
 	gen     atomic.Int64
 	local   atomic.Int64 // token whose samples are "local"; -1 for none
 
-	failAll atomic.Bool   // every FetchOwner call errors
-	entered chan struct{} // when non-nil, signaled once per FetchOwner entry
+	failAll atomic.Bool   // every Collect errors
+	entered chan struct{} // when non-nil, signaled once per Collect entry
 	gateMu  sync.Mutex
-	gate    chan error // when non-nil, the next FetchOwner blocks on it once
+	gate    chan error // when non-nil, the next Collect blocks on it once
 
 	mu      sync.Mutex
 	fetched map[int64]int // id -> times delivered by a fetch
@@ -57,7 +55,7 @@ func (p *genPlane) OwnerOf(id int64) (int, error) {
 
 func (p *genPlane) Local(owner int) bool { return int64(owner) == p.local.Load() }
 
-// takeGate claims the one-shot gate, so at most one in-flight FetchOwner
+// takeGate claims the one-shot gate, so at most one in-flight Collect
 // ever blocks on it (a second call proceeds normally).
 func (p *genPlane) takeGate() chan error {
 	p.gateMu.Lock()
@@ -67,7 +65,9 @@ func (p *genPlane) takeGate() chan error {
 	return g
 }
 
-func (p *genPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
+func (p *genPlane) Issue(*Pending) {}
+
+func (p *genPlane) Collect(pd *Pending, deliver Deliver) error {
 	if p.entered != nil {
 		select {
 		case p.entered <- struct{}{}:
@@ -82,14 +82,14 @@ func (p *genPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, delive
 	if p.failAll.Load() {
 		return errors.New("gen: owner no longer holds these shards")
 	}
-	for _, id := range ids {
+	for _, id := range pd.IDs {
 		raw := testGraph(id).Encode()
 		if err := deliver(id, raw, nil, time.Duration(id)*time.Microsecond); err != nil {
 			return err
 		}
 		p.mu.Lock()
 		p.fetched[id]++
-		p.tokens[owner]++
+		p.tokens[pd.Owner]++
 		p.mu.Unlock()
 	}
 	return nil
@@ -196,7 +196,7 @@ func TestOwnerChangeFailureFailsFlightsPromptly(t *testing.T) {
 		_, _, err := e.Load([]int64{3})
 		errs <- err
 	}()
-	<-p.entered // leader is inside FetchOwner; its flight is claimed
+	<-p.entered // leader is inside Collect; its flight is claimed
 	go func() {
 		_, _, err := e.Load([]int64{3})
 		errs <- err

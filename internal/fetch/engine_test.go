@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,23 +39,20 @@ type countRef struct {
 func (r *countRef) Retain()  { r.retains.Add(1) }
 func (r *countRef) Release() { r.releases.Add(1) }
 
-// mockPlane serves ids [0, n) striped over owners (owner = id % owners).
-// It records which ids each FetchOwner call carried and tracks the maximum
-// number of concurrent FetchOwner calls ever in flight.
+// mockPlane serves ids [0, n) striped over owners (owner = id % owners),
+// delivering every id in Collect, and records how often each id was
+// delivered.
 type mockPlane struct {
 	n      int64
 	owners int
 	local  int // owner token whose samples are "local"; -1 for none
 
-	delay    time.Duration                   // per FetchOwner call
+	delay    time.Duration                   // per Collect
 	failWhen func(owner int, id int64) error // non-nil error aborts the call
 
-	mu       sync.Mutex
-	fetched  map[int64]int // id -> times delivered by a fetch
-	calls    int
-	inFlight int32
-	maxFly   int32
-	refs     map[int64][]*countRef // id -> one ref per delivery
+	mu      sync.Mutex
+	fetched map[int64]int         // id -> times delivered by a fetch
+	refs    map[int64][]*countRef // id -> one ref per delivery
 }
 
 func newMockPlane(n int64, owners int) *mockPlane {
@@ -74,24 +72,15 @@ func (p *mockPlane) OwnerOf(id int64) (int, error) {
 
 func (p *mockPlane) Local(owner int) bool { return owner == p.local }
 
-func (p *mockPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
-	fly := atomic.AddInt32(&p.inFlight, 1)
-	for {
-		max := atomic.LoadInt32(&p.maxFly)
-		if fly <= max || atomic.CompareAndSwapInt32(&p.maxFly, max, fly) {
-			break
-		}
-	}
-	defer atomic.AddInt32(&p.inFlight, -1)
+func (p *mockPlane) Issue(*Pending) {}
+
+func (p *mockPlane) Collect(pd *Pending, deliver Deliver) error {
 	if p.delay > 0 {
 		time.Sleep(p.delay)
 	}
-	p.mu.Lock()
-	p.calls++
-	p.mu.Unlock()
-	for _, id := range ids {
+	for _, id := range pd.IDs {
 		if p.failWhen != nil {
-			if err := p.failWhen(owner, id); err != nil {
+			if err := p.failWhen(pd.Owner, id); err != nil {
 				return err
 			}
 		}
@@ -112,40 +101,6 @@ func (p *mockPlane) fetchCount(id int64) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.fetched[id]
-}
-
-// epochMock wraps mockPlane with lock hooks so epoch bracketing is
-// observable.
-type epochMock struct {
-	*mockPlane
-	cost     time.Duration
-	mu       sync.Mutex
-	begins   map[int]int
-	ends     map[int]int
-	beginErr error
-}
-
-func (p *epochMock) BeginEpoch(owner int) (time.Duration, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.begins == nil {
-		p.begins = map[int]int{}
-	}
-	if p.beginErr != nil {
-		return 0, p.beginErr
-	}
-	p.begins[owner]++
-	return p.cost, nil
-}
-
-func (p *epochMock) EndEpoch(owner int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ends == nil {
-		p.ends = map[int]int{}
-	}
-	p.ends[owner]++
-	return nil
 }
 
 func newCache(budget int64) *cache.Cache {
@@ -331,7 +286,7 @@ func TestLeaderFailureReleasesFollowers(t *testing.T) {
 		_, _, err := e.Load([]int64{5})
 		leaderErr <- err
 	}()
-	<-entered // leader owns the flight and is inside FetchOwner
+	<-entered // leader owns the flight and is inside Collect
 
 	followerErr := make(chan error, 1)
 	go func() {
@@ -414,95 +369,7 @@ func TestUndeliveredSampleIsAnError(t *testing.T) {
 // silentPlane claims success without delivering anything.
 type silentPlane struct{ *mockPlane }
 
-func (p silentPlane) FetchOwner(int, []int64, tracectx.Context, Deliver) error { return nil }
-
-func TestEpochBracketing(t *testing.T) {
-	base := newMockPlane(12, 3)
-	ep := &epochMock{mockPlane: base, cost: 5 * time.Millisecond}
-	var now atomic.Int64
-	e := New(Config{
-		Plane:  ep,
-		Serial: true,
-		Now:    func() time.Duration { return time.Duration(now.Load()) },
-	})
-	_, lats, err := e.Load([]int64{0, 1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep.mu.Lock()
-	for owner := 0; owner < 3; owner++ {
-		if ep.begins[owner] != 1 || ep.ends[owner] != 1 {
-			t.Errorf("owner %d: begins=%d ends=%d, want 1/1", owner, ep.begins[owner], ep.ends[owner])
-		}
-	}
-	ep.mu.Unlock()
-	// The mock delivers id*1µs; the lock cost lands on each owner's first
-	// delivered sample (first-appearance order: 0, 1, 2 lead their owners).
-	for i, id := range []int64{0, 1, 2, 3, 4, 5} {
-		want := time.Duration(id) * time.Microsecond
-		if id < 3 {
-			want += ep.cost
-		}
-		if lats[i] != want {
-			t.Errorf("sample %d latency %v, want %v", id, lats[i], want)
-		}
-	}
-}
-
-func TestEpochEndsEvenWhenFetchFails(t *testing.T) {
-	base := newMockPlane(12, 3)
-	base.failWhen = func(owner int, id int64) error {
-		if owner == 1 {
-			return errors.New("boom")
-		}
-		return nil
-	}
-	ep := &epochMock{mockPlane: base}
-	e := New(Config{Plane: ep, Serial: true})
-	if _, _, err := e.Load([]int64{0, 1, 2}); err == nil {
-		t.Fatal("load with failing owner succeeded")
-	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.begins[1] != 1 || ep.ends[1] != 1 {
-		t.Fatalf("failing owner: begins=%d ends=%d, want 1/1 (epoch leaked)", ep.begins[1], ep.ends[1])
-	}
-}
-
-func TestBeginEpochErrorAborts(t *testing.T) {
-	base := newMockPlane(12, 2)
-	ep := &epochMock{mockPlane: base, beginErr: errors.New("lock refused")}
-	e := New(Config{Plane: ep, Serial: true})
-	if _, _, err := e.Load([]int64{0, 1}); err == nil || !strings.Contains(err.Error(), "lock refused") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestSerialNeverOverlapsOwners(t *testing.T) {
-	p := newMockPlane(16, 4)
-	p.delay = 5 * time.Millisecond
-	e := New(Config{Plane: p, Serial: true, Parallelism: 4})
-	if _, _, err := e.Load([]int64{0, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if max := atomic.LoadInt32(&p.maxFly); max != 1 {
-		t.Errorf("serial engine overlapped %d owner fetches", max)
-	}
-}
-
-func TestParallelismBoundsFanOut(t *testing.T) {
-	p := newMockPlane(16, 4)
-	p.delay = 20 * time.Millisecond
-	e := New(Config{Plane: p, Parallelism: 2})
-	if _, _, err := e.Load([]int64{0, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if max := atomic.LoadInt32(&p.maxFly); max > 2 {
-		t.Errorf("fan-out reached %d concurrent owners, cap is 2", max)
-	} else if max < 2 {
-		t.Logf("fan-out reached only %d concurrent owners (timing-dependent)", max)
-	}
-}
+func (p silentPlane) Collect(*Pending, Deliver) error { return nil }
 
 func TestLowestOwnerErrorWins(t *testing.T) {
 	p := newMockPlane(16, 4)
@@ -512,7 +379,7 @@ func TestLowestOwnerErrorWins(t *testing.T) {
 		}
 		return nil
 	}
-	e := New(Config{Plane: p, Parallelism: 4})
+	e := New(Config{Plane: p})
 	_, _, err := e.Load([]int64{0, 1, 2, 3})
 	if err == nil || !strings.Contains(err.Error(), "owner 2 down") {
 		t.Fatalf("err = %v, want the lowest failing owner's error", err)
@@ -718,18 +585,18 @@ func TestEngineMetricsAndSpans(t *testing.T) {
 	}
 }
 
-// ctxPlane records the trace context each FetchOwner call was handed.
+// ctxPlane records the trace context each Collect was handed.
 type ctxPlane struct {
 	*mockPlane
 	mu  sync.Mutex
 	tcs []tracectx.Context
 }
 
-func (p *ctxPlane) FetchOwner(owner int, ids []int64, tc tracectx.Context, deliver Deliver) error {
+func (p *ctxPlane) Collect(pd *Pending, deliver Deliver) error {
 	p.mu.Lock()
-	p.tcs = append(p.tcs, tc)
+	p.tcs = append(p.tcs, pd.Trace)
 	p.mu.Unlock()
-	return p.mockPlane.FetchOwner(owner, ids, tc, deliver)
+	return p.mockPlane.Collect(pd, deliver)
 }
 
 // TestTraceContextReachesEveryOwner pins the one-path contract: a traced
@@ -750,7 +617,7 @@ func TestTraceContextReachesEveryOwner(t *testing.T) {
 		lz.Release()
 	}
 	if len(p.tcs) != 3 {
-		t.Fatalf("FetchOwner calls = %d, want 3", len(p.tcs))
+		t.Fatalf("Collect calls = %d, want 3", len(p.tcs))
 	}
 	spanIDs := map[uint64]bool{}
 	for _, s := range ring.Spans() {
@@ -782,7 +649,7 @@ func TestTraceContextReachesEveryOwner(t *testing.T) {
 }
 
 // arenaPlane delivers every sample in a pooled arena buffer, one owner per
-// id, and runs hook (when set) before an owner's transfer.
+// id, and runs hook (when set) before an owner's Collect.
 type arenaPlane struct {
 	hook func(owner int) error
 }
@@ -790,13 +657,15 @@ type arenaPlane struct {
 func (p arenaPlane) OwnerOf(id int64) (int, error) { return int(id), nil }
 func (p arenaPlane) Local(int) bool                { return false }
 
-func (p arenaPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
+func (p arenaPlane) Issue(*Pending) {}
+
+func (p arenaPlane) Collect(pd *Pending, deliver Deliver) error {
 	if p.hook != nil {
-		if err := p.hook(owner); err != nil {
+		if err := p.hook(pd.Owner); err != nil {
 			return err
 		}
 	}
-	for _, id := range ids {
+	for _, id := range pd.IDs {
 		raw := testGraph(id).Encode()
 		buf := bufarena.Get(len(raw))
 		copy(buf.Bytes(), raw)
@@ -840,7 +709,7 @@ func TestFailedLoadStrandsNothing(t *testing.T) {
 
 		// This engine hits hitID, follows followedID, leads ledID — and ledID's
 		// owner dies, before or after the followed flight has landed.
-		e := New(Config{Serial: true, Cache: c, Plane: arenaPlane{hook: func(owner int) error {
+		e := New(Config{Cache: c, Plane: arenaPlane{hook: func(owner int) error {
 			if owner != ledID {
 				return nil
 			}
@@ -888,6 +757,103 @@ func TestFailedLoadStrandsNothing(t *testing.T) {
 		}
 		if n := runtime.NumGoroutine(); n > goroutines {
 			t.Errorf("landsFirst=%t: %d goroutines left, started with %d", landsFirst, n, goroutines)
+		}
+	}
+}
+
+// shapePlane logs every Issue and Collect, with the goroutine count at the
+// call, over a mockPlane. Its defer owner's first Collect delivers nothing
+// (a TCP owner whose connection was busy at Issue), and its fail owner's
+// every Collect errors.
+type shapePlane struct {
+	*mockPlane
+	deferOwner, failOwner int
+	calls                 []string
+	goroutines            []int
+}
+
+func (p *shapePlane) Issue(pd *Pending) {
+	p.calls = append(p.calls, fmt.Sprintf("issue %d %v", pd.Owner, pd.IDs))
+	p.goroutines = append(p.goroutines, runtime.NumGoroutine())
+}
+
+func (p *shapePlane) Collect(pd *Pending, deliver Deliver) error {
+	p.calls = append(p.calls, fmt.Sprintf("collect %d %v again=%t", pd.Owner, pd.IDs, pd.Again))
+	p.goroutines = append(p.goroutines, runtime.NumGoroutine())
+	switch {
+	case pd.Owner == p.failOwner:
+		return fmt.Errorf("owner %d down", pd.Owner)
+	case pd.Owner == p.deferOwner && !pd.Again:
+		return nil
+	}
+	return p.mockPlane.Collect(pd, deliver)
+}
+
+// TestSplitPhaseShape pins the engine's one fan-out: every owner is issued
+// before the first Collect, every issued pending is collected once in owner
+// order, a pending left undelivered gets exactly one second Collect with
+// just its missing ids, and the load starts no goroutine.
+func TestSplitPhaseShape(t *testing.T) {
+	p := &shapePlane{mockPlane: newMockPlane(16, 4), deferOwner: 1, failOwner: -1}
+	e := New(Config{Plane: p})
+	before := runtime.NumGoroutine()
+	out, _, err := e.Load([]int64{0, 1, 2, 3, 4, 5, 6, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range out {
+		if g.ID != int64(i) {
+			t.Fatalf("position %d holds sample %d", i, g.ID)
+		}
+	}
+	want := []string{
+		"issue 0 [0 4]", "issue 1 [1 5]", "issue 2 [2 6]", "issue 3 [3 7]",
+		"collect 0 [0 4] again=false", "collect 1 [1 5] again=false",
+		"collect 2 [2 6] again=false", "collect 3 [3 7] again=false",
+		"collect 1 [1 5] again=true",
+	}
+	if !slices.Equal(p.calls, want) {
+		t.Fatalf("calls\n%q\nwant\n%q", p.calls, want)
+	}
+	for i, n := range p.goroutines {
+		if n > before {
+			t.Fatalf("call %q ran with %d goroutines, the load started with %d", p.calls[i], n, before)
+		}
+	}
+}
+
+// TestEveryIssuedPendingIsCollected: an owner that fails does not stop the
+// first round — every issued pending is still collected once, since an
+// unread reply would desynchronise its connection — and the second round
+// runs only below the failed owner, whose error the load returns.
+func TestEveryIssuedPendingIsCollected(t *testing.T) {
+	p := &shapePlane{mockPlane: newMockPlane(16, 4), deferOwner: 0, failOwner: 1}
+	e := New(Config{Plane: p, Cache: newCache(1 << 20)})
+	_, _, err := e.Load([]int64{0, 1, 2, 3})
+	if err == nil || err.Error() != "owner 1 down" {
+		t.Fatalf("err = %v, want owner 1's", err)
+	}
+	want := []string{
+		"issue 0 [0]", "issue 1 [1]", "issue 2 [2]", "issue 3 [3]",
+		"collect 0 [0] again=false", "collect 1 [1] again=false",
+		"collect 2 [2] again=false", "collect 3 [3] again=false",
+		"collect 0 [0] again=true",
+	}
+	if !slices.Equal(p.calls, want) {
+		t.Fatalf("calls\n%q\nwant\n%q", p.calls, want)
+	}
+	// Owner 0 (on its second Collect) and owners 2 and 3 delivered before
+	// the load failed, so their samples are cached; the failed owner's
+	// flight was failed, not stranded.
+	for id, cached := range map[int64]bool{0: true, 1: false, 2: true, 3: true} {
+		_, ref, f := e.cache.ClaimRef(id)
+		switch {
+		case cached && f == nil:
+			ref.Release()
+		case !cached && f != nil && f.Leader():
+			f.Fail(errors.New("cleanup"))
+		default:
+			t.Errorf("sample %d: hit %t, want %t", id, f == nil, cached)
 		}
 	}
 }

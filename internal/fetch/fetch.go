@@ -2,11 +2,11 @@
 // data planes. The in-process RMA store (internal/core) and the TCP chunk
 // group (internal/transport) used to carry separate copies of the same
 // pipeline — id dedup, cache claims with leader/follower flights, per-owner
-// grouping, bounded fan-out, follower waits, latency capture. This package
-// owns that pipeline once; a plane plugs in through the small Plane
-// interface and contributes only what is genuinely its own: owner
-// arithmetic, the wire (RMA Gets, framed TCP multi-gets), and per-plane
-// concerns like window-lock epochs or replica failover.
+// grouping, fan-out, follower waits, latency capture. This package owns that
+// pipeline once; a plane plugs in through the small Plane interface and
+// contributes only what is genuinely its own: owner arithmetic, the wire
+// (RMA Gets, framed TCP multi-gets), and per-plane concerns like
+// window-lock epochs or replica failover.
 //
 // The pipeline, in order:
 //
@@ -14,11 +14,16 @@
 //	     ──claim──▶ cache hits / leader flights / follower flights
 //	     ──serve──▶ hits validated from cached bytes (a memory read)
 //	     ──group──▶ fetchable ids bucketed by owner, owners sorted
-//	     ──fan-out─▶ ≤ Parallelism owners fetched concurrently, each
-//	                 wrapped in BeginEpoch/EndEpoch when the plane has them;
-//	                 every delivery validated into its view by the engine
+//	     ──issue──▶ every owner's transfer started (Plane.Issue)
+//	     ──collect▶ every owner collected once, in owner order, then a
+//	                second time for owners that left ids undelivered;
+//	                every delivery validated into its view by the engine
 //	     ──wait───▶ follower flights awaited after own deliveries
 //	     ──assemble▶ results written back to every requested position
+//
+// All of it runs on the calling goroutine: owners overlap because every
+// transfer is in flight before the first reply is read, the shape of the
+// paper's non-blocking one-sided Get.
 //
 // One load's bookkeeping is one slot table (type slot), not a map per
 // concern. Every error path fails the flights this load still leads, so
@@ -31,7 +36,6 @@ package fetch
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -56,41 +60,49 @@ import (
 // who else aliases a buffer: it drops its own handle when its loop is done.
 type Deliver func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error
 
+// Pending is one owner's transfer between Issue and Collect, kept in the
+// load's slot table, so a healthy load allocates none.
+type Pending struct {
+	Owner int
+	// IDs are the unique ids on Owner, in first-appearance order; the plane
+	// may reorder them in place. A second Collect sees only those still
+	// undelivered.
+	IDs []int64
+	// Trace is the child context the engine minted for this owner's
+	// sub-request (the zero Context when the load is untraced). A plane with
+	// a wire propagates it and merges the server's timing feedback into the
+	// span tree; a plane without one ignores it.
+	Trace tracectx.Context
+	Again bool // set for the second Collect
+	// State is the plane's own, from Issue to Collect and from the first
+	// Collect to the second.
+	State any
+
+	start time.Duration // the owner span's start, when spans are on
+}
+
 // Plane is what a data plane contributes to the engine: owner arithmetic
-// and the actual wire transfer. FetchOwner receives the unique ids grouped
-// on one owner and must deliver every one of them (or return an error);
-// ids arrive sorted in the batch's first-appearance order. Deliveries are
-// serialized by the engine, so FetchOwner needs no locking of its own even
-// when several owners are fetched concurrently.
+// and the wire transfer, split in two so one goroutine can have every
+// owner's transfer in flight at once. The engine issues every owner of a
+// load, collects each once in owner order (even after another owner has
+// failed), then collects again each that returned nil with ids undelivered.
+// The lowest owner's error fails the load.
 type Plane interface {
 	// OwnerOf maps a sample id to its owner token, or errors for ids the
 	// plane cannot serve. Owner tokens only need to be stable and sortable:
-	// the engine groups by them and fetches owners in ascending order.
+	// the engine groups by them and collects owners in ascending order.
 	OwnerOf(id int64) (int, error)
 	// Local reports whether the owner's samples live in this process's
 	// memory. Local ids bypass the cache — they are already memory reads.
 	Local(owner int) bool
-	// FetchOwner transfers the given ids from one owner, calling deliver
-	// once per id. tc is the child trace context
-	// the engine minted for this owner's sub-request — the zero Context when
-	// the load is untraced. A plane with a wire propagates it and merges the
-	// server's timing feedback into the span tree; a plane without one
-	// ignores it.
-	FetchOwner(owner int, ids []int64, tc tracectx.Context, deliver Deliver) error
-}
-
-// EpochPlane is the optional lock hook: when a plane implements it, the
-// engine brackets every FetchOwner call in BeginEpoch/EndEpoch and charges
-// the returned acquisition cost to the first sample delivered from that
-// owner (how a per-batch lock amortizes in practice). EndEpoch runs even
-// when FetchOwner fails, so no error path can leak an epoch.
-type EpochPlane interface {
-	Plane
-	// BeginEpoch opens an access epoch on owner and returns its cost.
-	// Planes without a lock for this owner (or mode) return (0, nil).
-	BeginEpoch(owner int) (time.Duration, error)
-	// EndEpoch closes the epoch opened by BeginEpoch.
-	EndEpoch(owner int) error
+	// Issue starts p's transfer without waiting for it. A transfer it
+	// cannot start is left for Collect, which reports any error.
+	Issue(p *Pending)
+	// Collect finishes p's transfer, calling deliver once per id. The first
+	// Collect may wait on the owner's reply and nothing else, never on what
+	// another pending of the load may hold, and may leave ids for the
+	// second, which may wait on anything.
+	Collect(p *Pending, deliver Deliver) error
 }
 
 // Config assembles an Engine.
@@ -101,14 +113,6 @@ type Config struct {
 	// coalescing over remote ids. When nil the engine skips the claim
 	// machinery entirely — no flight maps are ever allocated.
 	Cache *cache.Cache
-	// Parallelism bounds how many owners one Load fetches from
-	// concurrently. 0 means min(#owners, GOMAXPROCS); 1 is the serial
-	// per-owner loop.
-	Parallelism int
-	// Serial forces the serial loop regardless of Parallelism — set under
-	// machine models, whose virtual clocks charge costs through a
-	// non-thread-safe RNG.
-	Serial bool
 	// Now is the clock latencies are measured on (a virtual clock under
 	// machine models). Nil means wall time.
 	Now func() time.Duration
@@ -142,10 +146,7 @@ type LatencySummary struct {
 // concurrent Loads.
 type Engine struct {
 	plane   Plane
-	epochs  EpochPlane // nil when the plane has no lock hooks
 	cache   *cache.Cache
-	par     int
-	serial  bool
 	now     func() time.Duration
 	onLocal func(n int)
 	prefix  string
@@ -169,8 +170,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		plane:   cfg.Plane,
 		cache:   cfg.Cache,
-		par:     cfg.Parallelism,
-		serial:  cfg.Serial,
 		now:     cfg.Now,
 		onLocal: cfg.OnLocalBytes,
 		prefix:  cfg.ErrPrefix,
@@ -178,9 +177,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.Metrics != nil {
 		e.latHist = obs.FetchLatencyHistogram(cfg.Metrics)
-	}
-	if ep, ok := cfg.Plane.(EpochPlane); ok {
-		e.epochs = ep
 	}
 	if e.now == nil {
 		// Real-time engines record on the shared wall-clock epoch, so span
@@ -203,12 +199,8 @@ type slot struct {
 	id    int64
 	owner int
 	first int32 // first position asking for id: the slot's view is views[first]
-	head  int32 // once grouped: the first slot of its owner's group
 	done  bool  // views[first] holds the sample and its buffer reference
 	lat   time.Duration
-	// lockCost, on a group's head slot, is the owner's epoch cost until the
-	// first delivery from that owner takes it.
-	lockCost time.Duration
 	// flight is the cache claim still open: a leader's until the sample is
 	// delivered, a follower's until it is waited for.
 	flight *cache.Flight
@@ -217,6 +209,8 @@ type slot struct {
 	// served and the reference moves into the view.
 	hit []byte
 	ref cache.Ref
+	// pend, on the first slot of an owner's group, is that owner's transfer.
+	pend Pending
 }
 
 // ours reports whether the load itself still has to fetch the slot: it is
@@ -225,12 +219,10 @@ func (s *slot) ours() bool {
 	return !s.done && s.hit == nil && (s.flight == nil || s.flight.Leader())
 }
 
-// load is the state of one LoadLazy. mu serializes deliveries from the
-// fan-out workers, so planes deliver without locking of their own; every
-// other pass runs on the calling goroutine alone.
+// load is the state of one LoadLazy, which runs on the calling goroutine
+// alone.
 type load struct {
 	e     *Engine
-	mu    sync.Mutex
 	out   []*graph.Lazy
 	lats  []time.Duration
 	views []graph.Lazy // one per position, behind out; a repeat's is a clone of its slot's
@@ -261,40 +253,27 @@ func (ld *load) cell(id int64) *int32 {
 // slot's view and completes the flight, if this load leads one. The cache
 // entry gets its own reference on the sample's backing buffer (retained
 // here, released by the cache on evict/replace/Reset), independent of the
-// one the view now owns.
+// one the view now owns. Refused bytes give their reference back.
 func (ld *load) deliver(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {
-	f, err := ld.accept(id, raw, ref, lat)
-	if ref != nil && err != nil {
+	var err error
+	if c := *ld.cell(id); c == 0 || !ld.slots[c-1].ours() {
+		err = fmt.Errorf("%s: sample %d delivered but not awaited", ld.e.prefix, id)
+	} else if err = graph.DecodeLazyInto(&ld.views[ld.slots[c-1].first], raw, ref); err == nil {
+		s := &ld.slots[c-1]
+		s.lat, s.done = lat, true
+		if f := s.flight; f != nil {
+			s.flight = nil
+			if ref != nil {
+				ref.Retain()
+			}
+			f.DeliverRef(raw, ref)
+		}
+		return nil
+	}
+	if ref != nil {
 		ref.Release()
 	}
-	if f != nil {
-		if ref != nil {
-			ref.Retain()
-		}
-		f.DeliverRef(raw, ref)
-	}
 	return err
-}
-
-// accept is deliver's critical section: it fills the slot's view and
-// returns the leader flight the delivery completes, if any.
-func (ld *load) accept(id int64, raw []byte, ref graph.Ref, lat time.Duration) (*cache.Flight, error) {
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
-	c := *ld.cell(id)
-	if c == 0 || !ld.slots[c-1].ours() {
-		return nil, fmt.Errorf("%s: sample %d delivered but not awaited", ld.e.prefix, id)
-	}
-	s := &ld.slots[c-1]
-	if err := graph.DecodeLazyInto(&ld.views[s.first], raw, ref); err != nil {
-		return nil, err
-	}
-	head := &ld.slots[s.head]
-	s.lat, head.lockCost = lat+head.lockCost, 0
-	s.done = true
-	f := s.flight
-	s.flight = nil
-	return f, nil
 }
 
 // serve decodes bytes that needed no fetch of ours — a cache hit, or a
@@ -477,10 +456,9 @@ func (e *Engine) load(ids []int64, tc tracectx.Context) (*load, error) {
 			if k == 0 || ld.slots[ld.order[k-1]].owner != s.owner {
 				ld.starts = append(ld.starts, int32(k))
 			}
-			s.head = ld.order[ld.starts[len(ld.starts)-1]]
 		}
 		ld.starts = append(ld.starts, int32(len(ld.order)))
-		if err := e.forEachOwner(ld, tc); err != nil {
+		if err := e.fetch(ld, tc); err != nil {
 			return nil, ld.fail(err)
 		}
 		for _, i := range ld.order {
@@ -530,103 +508,86 @@ func (e *Engine) load(ids []int64, tc tracectx.Context) (*load, error) {
 	return ld, nil
 }
 
-// fetchOwner transfers owner group g of the load, bracketed in its epoch
-// (when the plane has one) with the lock cost folded into the first
-// delivered sample. With span tracing on, the whole owner transfer becomes
-// one "fetch-owner" span carrying the owner token, sample count, and
-// delivered byte volume. Under a distributed trace, each owner's
-// sub-request gets its own child context — the span id the server's
-// segments hang off in the merged trace (the child of an untraced load's
-// zero context is the zero context).
-func (e *Engine) fetchOwner(ld *load, g int, deliver Deliver, tc tracectx.Context) error {
+// pending returns owner group g's transfer, kept on its first slot.
+func (ld *load) pending(g int) *Pending {
+	return &ld.slots[ld.order[ld.starts[g]]].pend
+}
+
+// narrow lists owner group g's undelivered ids in its stretch of ld.ids.
+func (ld *load) narrow(g int) []int64 {
 	lo, hi := ld.starts[g], ld.starts[g+1]
-	head := &ld.slots[ld.order[lo]]
-	child := tc.Child()
-	var start time.Duration
-	if e.spans != nil {
-		start = e.now()
-	}
-	if e.epochs != nil {
-		cost, err := e.epochs.BeginEpoch(head.owner)
-		if err != nil {
-			return err
-		}
-		head.lockCost = cost
-	}
-	err := e.plane.FetchOwner(head.owner, ld.ids[lo:hi], child, deliver)
-	if e.epochs != nil {
-		if uerr := e.epochs.EndEpoch(head.owner); uerr != nil && err == nil {
-			err = uerr
+	rest := ld.ids[lo:lo]
+	for _, i := range ld.order[lo:hi] {
+		if s := &ld.slots[i]; !s.done {
+			rest = append(rest, s.id)
 		}
 	}
-	if e.spans != nil {
-		var fetchedBytes int64
-		for _, i := range ld.order[lo:hi] {
-			if s := &ld.slots[i]; s.done {
-				fetchedBytes += int64(ld.views[s.first].EncodedSize())
+	return rest
+}
+
+// fetch runs the load's owner groups split-phase on the calling goroutine.
+// The first round collects every issued pending even after an owner has
+// failed, since an unread reply would desynchronise its connection; the
+// second stops at the first failing owner, so the lowest failing owner's
+// error is the one returned.
+func (e *Engine) fetch(ld *load, tc tracectx.Context) error {
+	deliver, owners := ld.deliver, len(ld.starts)-1
+	for g := 0; g < owners; g++ {
+		lo, hi := ld.starts[g], ld.starts[g+1]
+		p := ld.pending(g)
+		*p = Pending{Owner: ld.slots[ld.order[lo]].owner, IDs: ld.ids[lo:hi], Trace: tc.Child()}
+		if e.spans != nil {
+			p.start = e.now()
+		}
+		e.plane.Issue(p)
+	}
+	failed, err := owners, error(nil)
+	for g := 0; g < owners; g++ {
+		p := ld.pending(g)
+		if cerr := e.plane.Collect(p, deliver); cerr != nil {
+			if err == nil {
+				failed, err = g, cerr
+			}
+		} else if p.IDs = ld.narrow(g); len(p.IDs) > 0 {
+			p.Again = true
+			continue
+		}
+		e.span(ld, g, tc)
+	}
+	for g := 0; g < failed; g++ {
+		if p := ld.pending(g); p.Again {
+			cerr := e.plane.Collect(p, deliver)
+			e.span(ld, g, tc)
+			if cerr != nil {
+				return cerr
 			}
 		}
-		e.spans.Record(obs.Span{
-			Name: "fetch-owner", Cat: "fetch", Owner: head.owner,
-			Samples: int(hi - lo), Bytes: fetchedBytes,
-			Start: start, Dur: e.now() - start,
-			TraceID: child.TraceID, SpanID: child.SpanID, ParentID: tc.SpanID,
-		})
 	}
 	return err
 }
 
-// parallelism resolves the worker budget for a batch touching n owners.
-func (e *Engine) parallelism(n int) int {
-	if n <= 1 || e.serial {
-		return 1
+// span records owner group g's transfer, Issue to last Collect, as one
+// "fetch-owner" span with the owner token, sample count and delivered bytes,
+// under the pending's child context (the span id the server's segments hang
+// off in the merged trace).
+func (e *Engine) span(ld *load, g int, tc tracectx.Context) {
+	if e.spans == nil {
+		return
 	}
-	p := e.par
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	return min(p, n)
-}
-
-// forEachOwner fetches every owner group, fanning out across a bounded
-// worker pool. Errors are recorded per owner and the lowest-owner error is
-// returned — the same deterministic choice the serial loop makes — but
-// every owner still completes, so its flights are delivered or failed
-// either way.
-func (e *Engine) forEachOwner(ld *load, tc tracectx.Context) error {
-	deliver, owners := ld.deliver, len(ld.starts)-1
-	par := e.parallelism(owners)
-	if par <= 1 {
-		for g := 0; g < owners; g++ {
-			if err := e.fetchOwner(ld, g, deliver, tc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, owners)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for g := range next {
-				errs[g] = e.fetchOwner(ld, g, deliver, tc)
-			}
-		}()
-	}
-	for g := range errs {
-		next <- g
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	lo, hi := ld.starts[g], ld.starts[g+1]
+	p := ld.pending(g)
+	var fetchedBytes int64
+	for _, i := range ld.order[lo:hi] {
+		if s := &ld.slots[i]; s.done {
+			fetchedBytes += int64(ld.views[s.first].EncodedSize())
 		}
 	}
-	return nil
+	e.spans.Record(obs.Span{
+		Name: "fetch-owner", Cat: "fetch", Owner: p.Owner,
+		Samples: int(hi - lo), Bytes: fetchedBytes,
+		Start: p.start, Dur: e.now() - p.start,
+		TraceID: p.Trace.TraceID, SpanID: p.Trace.SpanID, ParentID: tc.SpanID,
+	})
 }
 
 // record appends one batch's per-unique-id latencies to the window and the

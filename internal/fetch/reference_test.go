@@ -3,11 +3,14 @@ package fetch
 // The map-based pipeline LoadLazy ran until the slot table replaced it,
 // kept verbatim as the engine's differential oracle (the pattern of
 // internal/graph/reference_test.go): eight maps keyed by sample id per load,
-// an owner map and a sort. Only its edges moved with the Deliver contract —
-// the reference validates a delivered sample's header itself, as the planes
-// used to before handing it over. Its error path is the old one too, with
-// the bug the slot table's fail fixed (follower claims and un-served hits
-// are never given back), so the tests below compare what a failed load
+// an owner map and a sort, fanned out over a worker pool with one worker per
+// owner — the design the split-phase engine replaced. Only its edges moved
+// with the plane contract: the reference validates a delivered sample's
+// header itself, as the planes used to before handing it over, and calls
+// Issue then Collect where it called the old one-call owner fetch, whose
+// lock-epoch cost now lives in the plane. Its error path is the old one too,
+// with the bug the slot table's fail fixed (follower claims and un-served
+// hits are never given back), so the tests below compare what a failed load
 // returns and calls, and hold only the new engine to balanced references.
 
 import (
@@ -227,15 +230,6 @@ func (e *Engine) referenceLoadLazy(ids []int64, tc tracectx.Context) ([]*graph.L
 }
 
 func (e *Engine) referenceFetchOwner(owner int, ids []int64, res *refResults, tc tracectx.Context) error {
-	var lockCost time.Duration
-	if e.epochs != nil {
-		cost, err := e.epochs.BeginEpoch(owner)
-		if err != nil {
-			return err
-		}
-		lockCost = cost
-	}
-	first := true
 	deliver := func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {
 		lz, err := graph.DecodeLazy(raw, ref)
 		if err != nil {
@@ -244,24 +238,16 @@ func (e *Engine) referenceFetchOwner(owner int, ids []int64, res *refResults, tc
 			}
 			return err
 		}
-		if first {
-			lat += lockCost
-			first = false
-		}
 		res.deliver(id, raw, lz, lat)
 		return nil
 	}
-	err := e.plane.FetchOwner(owner, ids, tc.Child(), deliver)
-	if e.epochs != nil {
-		if uerr := e.epochs.EndEpoch(owner); uerr != nil && err == nil {
-			err = uerr
-		}
-	}
-	return err
+	p := &Pending{Owner: owner, IDs: ids, Trace: tc.Child()}
+	e.plane.Issue(p)
+	return e.plane.Collect(p, deliver)
 }
 
 func (e *Engine) referenceForEachOwner(keys []int, byOwner map[int][]int64, res *refResults, tc tracectx.Context) error {
-	par := e.parallelism(len(keys))
+	par := len(keys)
 	if par <= 1 {
 		for _, owner := range keys {
 			if err := e.referenceFetchOwner(owner, byOwner[owner], res, tc); err != nil {
@@ -384,19 +370,6 @@ func (p *diffPlane) Local(owner int) bool {
 	return owner == p.sc.local
 }
 
-func (p *diffPlane) BeginEpoch(owner int) (time.Duration, error) {
-	p.log.add("BeginEpoch %d", owner)
-	if owner == p.sc.local {
-		return 0, nil
-	}
-	return p.sc.cost, nil
-}
-
-func (p *diffPlane) EndEpoch(owner int) error {
-	p.log.add("EndEpoch %d", owner)
-	return nil
-}
-
 func (p *diffPlane) newRef() *countRef {
 	ref := &countRef{}
 	p.mu.Lock()
@@ -405,9 +378,20 @@ func (p *diffPlane) newRef() *countRef {
 	return ref
 }
 
-func (p *diffPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
-	p.log.add("FetchOwner %d %v", owner, ids)
+func (p *diffPlane) Issue(pd *Pending) {
+	p.log.add("Issue %d %v", pd.Owner, pd.IDs)
+}
+
+// Collect charges a remote owner's lock-epoch cost to its first delivery,
+// as the RMA plane does.
+func (p *diffPlane) Collect(pd *Pending, deliver Deliver) error {
+	owner, ids := pd.Owner, pd.IDs
+	p.log.add("Collect %d %v", owner, ids)
 	p.once.Do(p.land)
+	var cost time.Duration
+	if owner != p.sc.local {
+		cost = p.sc.cost
+	}
 	for k, id := range ids {
 		raw := testGraph(id).Encode()
 		if owner == p.sc.badOwner && k == len(ids)/2 {
@@ -416,9 +400,10 @@ func (p *diffPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliv
 			}
 			raw = raw[:len(raw)-3]
 		}
-		if err := deliver(id, raw, p.newRef(), time.Duration(id)*time.Microsecond); err != nil {
+		if err := deliver(id, raw, p.newRef(), time.Duration(id)*time.Microsecond+cost); err != nil {
 			return fmt.Errorf("diff: sample %d: %w", id, err)
 		}
+		cost = 0
 	}
 	return nil
 }
@@ -476,10 +461,11 @@ func runDiff(sc diffScenario, reference bool) *diffRun {
 // TestDifferentialAgainstReference runs seeded scenarios through the slot
 // table and through the map-based reference and compares what a caller and
 // a plane can see: positions, per-position latencies under a virtual clock,
-// the error, the cache's counters, and the sequence of plane, cache and
-// clock calls (as a multiset once the fan-out is parallel — run with
-// -cpu 1,2,4, since Parallelism 0 follows GOMAXPROCS). The slot table
-// alone is then held to balanced buffer references, failed loads included.
+// the error, the cache's counters, and the plane, cache and clock calls as a
+// multiset: how calls to different owners interleave is the one thing the
+// split-phase engine changed (the reference's workers interleave them as the
+// scheduler runs them; run with -cpu 1,2,4). The slot table alone is then
+// held to balanced buffer references, failed loads included.
 func TestDifferentialAgainstReference(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
 		sc := newDiffScenario(seed)
@@ -503,10 +489,8 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			want.lzs[pos].Release()
 		}
 		gl, wl := got.log.calls, want.log.calls
-		if got.e.parallelism(sc.owners) > 1 {
-			slices.Sort(gl)
-			slices.Sort(wl)
-		}
+		slices.Sort(gl)
+		slices.Sort(wl)
 		if !slices.Equal(gl, wl) {
 			t.Fatalf("seed %d: calls\n%q\nreference\n%q", seed, gl, wl)
 		}

@@ -58,9 +58,8 @@ func EpochNow() time.Duration { return time.Duration(time.Now().UnixNano()) }
 
 // SpanRing is a bounded ring of spans for one rank. When full, the oldest
 // span is overwritten (and counted as dropped), so a long run retains its
-// most recent window at constant memory. Safe for concurrent use — the
-// fetch engine's fan-out workers and the training loop record into the
-// same ring.
+// most recent window at constant memory. Safe for concurrent use —
+// concurrent loads and the training loop record into the same ring.
 type SpanRing struct {
 	rank  int
 	pid   int    // Chrome trace pid; defaults to rank, overridden by TraceSink

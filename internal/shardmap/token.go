@@ -5,7 +5,7 @@ import "fmt"
 // Owner tokens carry the generation a fetch started under. The fetch
 // engine's Plane interface speaks plain ints for owners, so the
 // generation is packed into the token itself: the low memberBits hold
-// the member index and the bits above hold the generation. FetchOwner
+// the member index and the bits above hold the generation. The TCP plane
 // unpacks the token and resolves the member against the generation the
 // batch was planned under, which is what pins an in-flight fetch to its
 // starting generation even if the map advances mid-flight.

@@ -118,7 +118,7 @@ func BenchmarkFetchChunk16(b *testing.B) {
 		return nil
 	}
 	fetch := func() {
-		if err := g.fetchChunk(g.maps.Current(), ids, deliver, 0, tracectx.Context{}); err != nil {
+		if err := g.fetchChunk(g.maps.Current(), ids, deliver, 0, tracectx.Context{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -113,6 +113,22 @@ type Client struct {
 	features uint64        // server feature word from the current connection's hello
 	rng      *rand.Rand
 	closed   bool
+	call     exchange // the request in flight, from begin to finish
+}
+
+// exchange is one request's attempt loop, kept on the client under mu so it
+// can be split at the write: begin sends, finish receives. do runs the two
+// back to back; a group load runs them as one owner's Issue and Collect.
+type exchange struct {
+	op      byte
+	a, b    int64
+	ids     []int64
+	tc      tracectx.Context
+	sendOp  byte // what the current attempt wrote: op, or its traced twin
+	attempt int
+	sent    bool // the current attempt's frame is written, its reply unread
+	lastErr error
+	began   time.Time // set by a group load, which spreads the wait over its samples
 }
 
 // Dial connects to a server with default options.
@@ -229,10 +245,6 @@ func (c *Client) Close() error {
 // untraced and timing is nil — including mid-call, if a reconnect lands on
 // a server that does not advertise tracing.
 //
-// Each call counts as one logical round trip (retries are tallied
-// separately under CounterRetries) — the counter the batching tests use to
-// prove B samples cost ⌈B/maxBatch⌉ round trips instead of B.
-//
 // The returned payload buffer carries one reference owned by the caller.
 // Callers that consume the bytes immediately (decode, parse, copy out)
 // Release it; GetBatchRaw, which hands parts of it to the outside world as
@@ -241,51 +253,57 @@ func (c *Client) Close() error {
 func (c *Client) do(op byte, a, b int64, ids []int64, tc tracectx.Context) (*bufarena.Buf, *ServerTiming, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.begin(op, a, b, ids, tc)
+	return c.finish()
+}
+
+// begin starts a request's attempt loop, the send half: when the live
+// connection needs no dial and no hello it writes the frame, and otherwise
+// leaves the first attempt to finish; a failed write spends the attempt as
+// it would there. Each request counts as one logical round trip (retries
+// are tallied under CounterRetries) — the counter the batching tests use to
+// prove B samples cost ⌈B/maxBatch⌉ round trips instead of B. The caller
+// holds c.mu until finish returns.
+func (c *Client) begin(op byte, a, b int64, ids []int64, tc tracectx.Context) {
+	r := &c.call
+	*r = exchange{op: op, a: a, b: b, ids: ids, tc: tc}
 	c.counters.Inc(CounterRoundTrips, 1)
-	var lastErr error
-	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
-		if err := c.connect(attempt); err != nil {
-			if errors.Is(err, ErrClosed) {
-				return nil, nil, err
+	if c.closed || c.conn == nil || c.tenant != "" && !c.helloed {
+		return
+	}
+	if err := c.send(r); err != nil {
+		c.classify(err, &r.lastErr) // a write error is never terminal
+		r.attempt++
+		return
+	}
+	r.sent = true
+}
+
+// finish is the receive half: it writes the frame if this attempt has not,
+// reads the reply, and on a transport failure backs off, re-dials and goes
+// again, until a reply, a terminal error, or the policy's last attempt.
+func (c *Client) finish() (*bufarena.Buf, *ServerTiming, error) {
+	r := &c.call
+	for ; r.attempt < c.policy.MaxAttempts; r.attempt++ {
+		if !r.sent {
+			if err := c.connect(r.attempt); err != nil {
+				if errors.Is(err, ErrClosed) {
+					return nil, nil, err
+				}
+				r.lastErr = err
+				continue
 			}
-			lastErr = err
-			continue
-		}
-		// Declare the tenant once per connection before the first real
-		// request, so admission control charges the right quota. The b
-		// field advertises this client's feature bits; the ack payload is
-		// the server's feature word (empty from an older server).
-		if c.tenant != "" && !c.helloed {
-			var feats uint64
-			if c.tracing {
-				feats = featureTracing
-			}
-			c.req = appendRequest(c.req[:0], opHello, int64(len(c.tenant)), int64(feats), tracectx.Context{}, nil)
-			c.req = append(c.req, c.tenant...)
-			ack, err := c.exchange(c.req)
-			if err != nil {
-				if herr := c.classify(err, &lastErr); herr != nil {
-					return nil, nil, herr
+			if err := c.send(r); err != nil {
+				if ferr := c.classify(err, &r.lastErr); ferr != nil {
+					return nil, nil, ferr
 				}
 				continue
 			}
-			if ack.Len() >= 8 {
-				c.features = binary.LittleEndian.Uint64(ack.Bytes())
-			}
-			ack.Release()
-			c.helloed = true
 		}
-		// The traced-op decision is per attempt: negotiation is per
-		// connection, and a retry may have reconnected to an older server.
-		sendOp := op
-		if top := opTable[op].traced; top != 0 && tc.Valid() && tc.Sampled &&
-			c.tracing && c.features&featureTracing != 0 {
-			sendOp = top
-		}
-		c.req = appendRequest(c.req[:0], sendOp, a, b, tc, ids)
-		payload, err := c.exchange(c.req)
+		r.sent = false
+		payload, err := c.receive()
 		if err == nil {
-			if sendOp == op {
+			if r.sendOp == r.op {
 				return payload, nil, nil
 			}
 			dataLen, timing, terr := parseTimingTrailer(payload.Bytes())
@@ -296,13 +314,49 @@ func (c *Client) do(op byte, a, b int64, ids []int64, tc tracectx.Context) (*buf
 			payload.Truncate(dataLen)
 			return payload, &timing, nil
 		}
-		if ferr := c.classify(err, &lastErr); ferr != nil {
+		if ferr := c.classify(err, &r.lastErr); ferr != nil {
 			return nil, nil, ferr
 		}
 	}
 	c.counters.Inc(CounterGiveUps, 1)
 	return nil, nil, fmt.Errorf("transport: op %d to %s failed after %d attempts: %w",
-		op, c.addr, c.policy.MaxAttempts, lastErr)
+		r.op, c.addr, c.policy.MaxAttempts, r.lastErr)
+}
+
+// send writes r's frame, declaring the tenant first on a connection that
+// has not: admission control then charges the right quota. The hello's b
+// field advertises this client's feature bits; its ack is the server's
+// feature word (empty from an older server). The traced-op choice is per
+// attempt: negotiation is per connection, and a retry may have reconnected
+// to an older server.
+func (c *Client) send(r *exchange) error {
+	if c.tenant != "" && !c.helloed {
+		var feats uint64
+		if c.tracing {
+			feats = featureTracing
+		}
+		c.req = appendRequest(c.req[:0], opHello, int64(len(c.tenant)), int64(feats), tracectx.Context{}, nil)
+		c.req = append(c.req, c.tenant...)
+		if err := c.write(c.req); err != nil {
+			return err
+		}
+		ack, err := c.receive()
+		if err != nil {
+			return err
+		}
+		if ack.Len() >= 8 {
+			c.features = binary.LittleEndian.Uint64(ack.Bytes())
+		}
+		ack.Release()
+		c.helloed = true
+	}
+	r.sendOp = r.op
+	if top := opTable[r.op].traced; top != 0 && r.tc.Valid() && r.tc.Sampled &&
+		c.tracing && c.features&featureTracing != 0 {
+		r.sendOp = top
+	}
+	c.req = appendRequest(c.req[:0], r.sendOp, r.a, r.b, r.tc, r.ids)
+	return c.write(c.req)
 }
 
 // appendRequest renders one request frame onto dst: the fixed header, then
@@ -358,26 +412,32 @@ func (c *Client) classify(err error, lastErr *error) error {
 	return nil
 }
 
-// exchange performs one framed request/response on the live connection,
-// with per-operation deadlines and CRC verification. The request frame
-// (header and body) goes out in a single write so a retried request never
-// leaves a half frame behind counters or fault injectors that account per
-// write. The response is read through the connection's buffered reader: the
-// head is parsed in place, a small payload is copied out of the same read
-// that brought its head, and a large one is read straight into the pooled
-// buffer once the reader-full that arrived with the head has been copied.
-// On success the caller owns the buffer's single reference, on any error
-// the reference is already released.
-func (c *Client) exchange(req []byte) (*bufarena.Buf, error) {
+// write puts one request frame on the live connection in a single write, so
+// a retried request never leaves a half frame behind counters or fault
+// injectors that account per write, and starts its reply's read deadline:
+// the reply is due a ReadTimeout after the request went out, however late it
+// is read.
+func (c *Client) write(frame []byte) error {
 	if c.policy.WriteTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.policy.WriteTimeout))
 	}
-	if _, err := c.conn.Write(req); err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
+	if _, err := c.conn.Write(frame); err != nil {
+		return fmt.Errorf("transport: %w", err)
 	}
 	if c.policy.ReadTimeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.policy.ReadTimeout))
 	}
+	return nil
+}
+
+// receive reads one framed response on the live connection, with CRC
+// verification. The response is read through the connection's buffered
+// reader: the head is parsed in place, a small payload is copied out of the
+// same read that brought its head, and a large one is read straight into the
+// pooled buffer once the reader-full that arrived with the head has been
+// copied. On success the caller owns the buffer's single reference, on any
+// error the reference is already released.
+func (c *Client) receive() (*bufarena.Buf, error) {
 	head, err := c.br.Peek(respHeaderSize)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
@@ -521,16 +581,25 @@ func (c *Client) GetBatchBufsTraced(ids []int64, tc tracectx.Context) (*bufarena
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	parts, err := decodeBatchPayload(buf.Bytes(), len(ids))
+	parts, err := batchParts(buf, len(ids))
 	if err != nil {
-		buf.Release()
 		return nil, nil, nil, err
 	}
-	if len(parts) != len(ids) {
-		buf.Release()
-		return nil, nil, nil, fmt.Errorf("transport: got %d payloads for %d requested ids", len(parts), len(ids))
-	}
 	return buf, parts, timing, nil
+}
+
+// batchParts splits a batch reply into its per-id parts, aliasing buf; when
+// the reply does not hold exactly n of them it releases buf and errors.
+func batchParts(buf *bufarena.Buf, n int) ([][]byte, error) {
+	parts, err := decodeBatchPayload(buf.Bytes(), n)
+	if err == nil && len(parts) != n {
+		err = fmt.Errorf("transport: got %d payloads for %d requested ids", len(parts), n)
+	}
+	if err != nil {
+		buf.Release()
+		return nil, err
+	}
+	return parts, nil
 }
 
 // GetBatchBufs is GetBatchBufsTraced without a trace.

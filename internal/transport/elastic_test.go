@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
-	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/shardmap"
 	"ddstore/internal/trace"
 )
@@ -281,10 +281,11 @@ func TestStaticGroupTokensDeriveFromGeneration(t *testing.T) {
 	}
 }
 
-// TestStaticGroupPinsGenerationAcrossMidFlightApply drives FetchOwner
-// with a token whose generation has been superseded: the fetch must
-// resolve against the pinned generation from the store's history, not the
-// new current map.
+// TestStaticGroupPinsGenerationAcrossMidFlightApply drives an owner's
+// transfer with a token whose generation has been superseded, both as an
+// issued first Collect and as a deferred second one: the fetch must resolve
+// against the pinned generation from the store's history, not the new
+// current map.
 func TestStaticGroupPinsGenerationAcrossMidFlightApply(t *testing.T) {
 	a, _, _, _ := elasticPair(t)
 	g, err := NewElasticGroup([]string{a.Addr()}, GroupOptions{Client: ClientOptions{Policy: fastPolicy()}})
@@ -305,16 +306,22 @@ func TestStaticGroupPinsGenerationAcrossMidFlightApply(t *testing.T) {
 	if ok, err := g.maps.ApplyIfNewer(next); err != nil || !ok {
 		t.Fatalf("apply generation 2: installed %t, %v", ok, err)
 	}
-	got := map[int64]bool{}
-	err = groupPlane{g: g}.FetchOwner(tok, []int64{10, 11}, tracectx.Context{}, func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {
-		got[id] = true
-		ref.Release()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("pinned-generation fetch failed: %v", err)
-	}
-	if !got[10] || !got[11] {
-		t.Fatalf("delivered = %v, want ids 10 and 11", got)
+	for _, again := range []bool{false, true} {
+		got := map[int64]bool{}
+		pd := &fetch.Pending{Owner: tok, IDs: []int64{11, 10}, Again: again}
+		if !again {
+			groupPlane{g: g}.Issue(pd)
+		}
+		err = groupPlane{g: g}.Collect(pd, func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {
+			got[id] = true
+			ref.Release()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("again=%t: pinned-generation fetch failed: %v", again, err)
+		}
+		if !got[10] || !got[11] {
+			t.Fatalf("again=%t: delivered = %v, want ids 10 and 11", again, got)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ddstore/internal/bufarena"
 	"ddstore/internal/cache"
 	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
@@ -40,14 +41,6 @@ type GroupOptions struct {
 	// budget is split evenly across shards, so a lightly-threaded client
 	// can set 1 to make the budget exact at the cost of lock sharing.
 	CacheShards int
-	// FetchParallelism bounds how many owner-grouped chunks one Load
-	// fetches concurrently: a batch touching k owners pays
-	// ~⌈k/FetchParallelism⌉ round-trip times instead of k. 0 means
-	// min(#owners, GOMAXPROCS); 1 restores the serial per-owner loop.
-	// Each chunk keeps its own retry/failover sequence; clients are safe
-	// for concurrent use, so two chunks failing over to the same peer
-	// simply serialize on its connection.
-	FetchParallelism int
 	// Metrics, when non-nil, receives the engine's fetch-latency histogram.
 	Metrics *obs.Registry
 	// Spans, when non-nil, receives per-owner fetch spans for the Chrome
@@ -117,12 +110,11 @@ func newGroup(opts GroupOptions) *Group {
 
 func (g *Group) initEngine(opts GroupOptions) {
 	g.engine = fetch.New(fetch.Config{
-		Plane:       groupPlane{g: g},
-		Cache:       g.cache,
-		Parallelism: opts.FetchParallelism,
-		ErrPrefix:   "transport",
-		Metrics:     opts.Metrics,
-		Spans:       opts.Spans,
+		Plane:     groupPlane{g: g},
+		Cache:     g.cache,
+		ErrPrefix: "transport",
+		Metrics:   opts.Metrics,
+		Spans:     opts.Spans,
 	})
 }
 
@@ -304,14 +296,18 @@ func (g *Group) clientFor(addr string) (*Client, error) {
 	return cl, nil
 }
 
-// Close releases all connections of all replicas.
+// Close releases all connections of all replicas. It closes them after
+// letting go of g.mu: a client's Close waits for the request in flight on
+// it, and a load holding one issued client may be waiting on g.mu to issue
+// its next owner.
 func (g *Group) Close() {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, cl := range g.clients {
+	clients := g.clients
+	g.clients = map[string]*Client{}
+	g.mu.Unlock()
+	for _, cl := range clients {
 		cl.Close()
 	}
-	g.clients = map[string]*Client{}
 }
 
 // Len returns the total number of samples in the dataset.
@@ -431,27 +427,92 @@ func (p groupPlane) OwnerOf(id int64) (int, error) {
 
 func (p groupPlane) Local(int) bool { return false }
 
-// FetchOwner fetches one (generation, member) group's ids, sorted in place,
-// in maxBatch-sized chunks; each chunk keeps its own retry/failover/refresh
-// sequence, and the engine-minted child context tc rides every wire chunk
-// of this owner's transfer. The token's generation pins the chunk to the
-// map its batch was planned under; a generation that has aged out of the
-// history falls back to the current one (and the stale-generation protocol
-// corrects any resulting misroute).
-func (p groupPlane) FetchOwner(owner int, ids []int64, tc tracectx.Context, deliver fetch.Deliver) error {
+// pinned returns the map owner's token was planned under and its member,
+// or, once that generation has aged out of the history, the current map and
+// member -1: the ids must then be re-resolved (the stale-generation protocol
+// corrects any misroute).
+func (p groupPlane) pinned(owner int) (*shardmap.Map, int, error) {
+	gen, mi, err := shardmap.UnpackOwner(owner)
+	if err != nil {
+		return nil, 0, err
+	}
+	if m := p.g.maps.At(gen); m != nil {
+		return m, mi, nil
+	}
+	return p.g.maps.Current(), -1, nil
+}
+
+// Issue writes the owner's first maxBatch ids, sorted in place, to the
+// member its token prefers, and parks that member's client, request in
+// flight, in pd.State. Taking the client with TryLock means Issue never
+// waits on a connection: a client another request holds, a member in
+// cooldown (the first failover pass would skip it too), a failed dial or an
+// aged-out token leave the owner to the second Collect.
+func (p groupPlane) Issue(pd *fetch.Pending) {
 	g := p.g
-	gen, _, err := shardmap.UnpackOwner(owner)
+	m, mi, err := p.pinned(pd.Owner)
+	if err != nil || mi < 0 || g.health.InCooldown(m.Members[mi].ID) {
+		return
+	}
+	cl, err := g.clientFor(m.Members[mi].Addr)
+	if err != nil || !cl.mu.TryLock() {
+		return
+	}
+	slices.Sort(pd.IDs)
+	want := pd.IDs[:min(len(pd.IDs), g.maxBatch)]
+	began := time.Now()
+	cl.begin(opGetBatch, int64(len(want)), 0, want, pd.Trace)
+	cl.call.began = began
+	pd.State = cl
+}
+
+// Collect finishes an owner's transfer. The first reads the reply to
+// Issue's request, the client's retries on that connection included,
+// delivers it and releases the client; a failed pass stays in pd.State.
+// The second fetches the ids still undelivered in maxBatch chunks with
+// failover (fetchChunk), starting after that pass, and holds no connection
+// while it waits for one.
+func (p groupPlane) Collect(pd *fetch.Pending, deliver fetch.Deliver) error {
+	g := p.g
+	m, mi, err := p.pinned(pd.Owner)
+	if !pd.Again {
+		cl, issued := pd.State.(*Client)
+		if !issued {
+			return nil
+		}
+		pd.State = nil
+		want, began := cl.call.ids, cl.call.began
+		buf, timing, err := cl.finish()
+		cl.mu.Unlock()
+		if mi < 0 { // aged out since Issue: the second Collect re-resolves
+			if err == nil {
+				buf.Release()
+			}
+			return nil
+		}
+		var raws [][]byte
+		if err == nil {
+			raws, err = batchParts(buf, len(want))
+		}
+		if timing != nil {
+			g.recordServerSpans(pd.Trace, timing, m, mi, want)
+		}
+		var st passState
+		if g.settle(&st, m, mi, want, nil, buf, raws, err, time.Since(began)/time.Duration(len(want)), deliver) < len(want) {
+			failed := st
+			pd.State = &failed
+		}
+		return nil
+	}
 	if err != nil {
 		return err
 	}
-	m := g.maps.At(gen)
-	if m == nil {
-		m = g.maps.Current()
-	}
+	first, _ := pd.State.(*passState)
+	ids := pd.IDs
 	slices.Sort(ids)
 	for len(ids) > 0 {
 		n := min(len(ids), g.maxBatch)
-		if err := g.fetchChunk(m, ids[:n], deliver, 0, tc); err != nil {
+		if err := g.fetchChunk(m, ids[:n], deliver, 0, pd.Trace, first); err != nil {
 			return err
 		}
 		ids = ids[n:]
@@ -464,6 +525,14 @@ func (p groupPlane) FetchOwner(owner int, ids []int64, tc tracectx.Context, deli
 // after a server proved the routing stale, so two hops cover any
 // transition that completes while the chunk is in flight.
 const maxStaleRetries = 2
+
+// passState is what a chunk's failover passes carry from one to the next,
+// and what a first Collect's failed pass hands the second.
+type passState struct {
+	stale bool  // a server proved the routing stale; its newer map is installed
+	down  []int // members that failed at the transport level
+	err   error // the last failure, for the error the chunk gives up with
+}
 
 // pick is one id of a chunk on one failover pass.
 type pick struct {
@@ -495,14 +564,14 @@ func route(m *shardmap.Map, picks []pick, k int) (width int, err error) {
 
 // fetchChunk fetches one owner-grouped chunk of at most maxBatch ids,
 // sorted ascending, against the given generation, starting at each id's
-// preferred owner and failing the still-missing ids over to the other
-// owners of their shard. Quarantined peers are deferred to a last-resort
-// round of passes. A stale-generation response installs the newer map
-// carried in the reply and re-resolves the leftovers against it. ids is
-// reordered in place: each pass lists the leftovers there member by member,
-// so a request's ids are a sub-slice of it — the whole of it, untouched,
-// for a healthy chunk.
-func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, depth int, tc tracectx.Context) error {
+// preferred owner (or after first, a failed pass already made there) and
+// failing the still-missing ids over to the other owners of their shard.
+// Quarantined peers are deferred to a last-resort round of passes. A
+// stale-generation response installs the newer map carried in the reply
+// and re-resolves the leftovers against it. ids is reordered in place: each
+// pass lists the leftovers there member by member, so a request's ids are a
+// sub-slice of it — the whole of it, untouched, for a healthy chunk.
+func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, depth int, tc tracectx.Context, first *passState) error {
 	total := len(ids)
 	missing := make([]pick, total)
 	for i, id := range ids {
@@ -512,10 +581,12 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 	if err != nil {
 		return err
 	}
-	staleSeen := false
-	var down []int // members that failed at the transport level
-	var lastErr error
-	for pass := 0; pass < 2*width && len(missing) > 0; pass++ {
+	var st passState
+	pass := 0
+	if first != nil {
+		st, pass = *first, 1
+	}
+	for ; pass < 2*width && len(missing) > 0; pass++ {
 		lastResort := pass >= width
 		if pass > 0 {
 			route(m, missing, pass%width) // cannot fail: pass 0 found every id's shard
@@ -547,8 +618,8 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 			run, want := missing[lo:hi], ids[lo:hi]
 			cl, err := g.clientFor(m.Members[mi].Addr)
 			if err != nil {
-				lastErr = err
-				down = append(down, mi)
+				st.err = err
+				st.down = append(st.down, mi)
 				g.health.MarkSuspect(memID)
 				continue
 			}
@@ -558,61 +629,8 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 			if timing != nil {
 				g.recordServerSpans(tc, timing, m, mi, want)
 			}
-			if err != nil {
-				lastErr = err
-				if errors.Is(err, ErrOverloaded) {
-					// The peer is shedding load, not dying: leave its
-					// health alone (the client already backed off) and
-					// let another replica try the leftovers.
-					continue
-				}
-				var serr *StaleGenerationError
-				if errors.As(err, &serr) {
-					// The chunk moved: install the newer map the server
-					// sent along and re-resolve after the failover
-					// passes. The peer is healthy — no quarantine.
-					staleSeen = true
-					if nm, derr := shardmap.Decode(serr.MapBytes); derr == nil {
-						if ok, aerr := g.maps.ApplyIfNewer(nm); aerr == nil && ok {
-							g.counters.Inc(CounterStaleRefreshes, 1)
-						}
-					}
-					continue
-				}
-				var rerr *RemoteError
-				if !errors.As(err, &rerr) {
-					// Transport-level failure: the peer may be down.
-					down = append(down, mi)
-					g.health.MarkSuspect(memID)
-				}
-				continue
-			}
-			// Every delivered sample's view takes its own reference on the
-			// shared response buffer (the engine's from the call on, accepted
-			// or not); ours is dropped after the loop, so the buffer lives
-			// exactly as long as its slowest consumer (cache entry,
-			// coalesced waiter, or first-touch decode).
-			healthy := true
-			for j, id := range want {
-				buf.Retain()
-				if derr := deliver(id, raws[j], buf, per); derr != nil {
-					// The frame passed CRC, so the peer is serving
-					// corrupt source bytes: leave the id missing for
-					// another replica and avoid this peer for a while.
-					lastErr = fmt.Errorf("transport: sample %d from member %s: %w", id, memID, derr)
-					healthy = false
-					continue
-				}
-				run[j].got = true
-				if pass > 0 {
-					g.counters.Inc(CounterFailovers, 1)
-				}
-			}
-			buf.Release()
-			if healthy {
-				g.health.Clear(memID)
-			} else {
-				g.health.MarkSuspect(memID)
+			if n := g.settle(&st, m, mi, want, run, buf, raws, err, per, deliver); n > 0 && pass > 0 {
+				g.counters.Inc(CounterFailovers, int64(n))
 			}
 		}
 		missing = slices.DeleteFunc(missing, func(p pick) bool { return p.got })
@@ -624,9 +642,9 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 		// the generation that routed around it. Either way the leftovers
 		// re-resolve against the freshest installed map, bounded by depth.
 		if depth < maxStaleRetries {
-			refreshed := staleSeen
-			if !refreshed && g.elastic && len(down) > 0 {
-				refreshed = g.refreshFromSurvivors(down)
+			refreshed := st.stale
+			if !refreshed && g.elastic && len(st.down) > 0 {
+				refreshed = g.refreshFromSurvivors(st.down)
 			}
 			if refreshed {
 				left := ids[:len(missing)]
@@ -644,13 +662,78 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 						Gen: g.maps.Generation(),
 					})
 				}
-				return g.fetchChunk(g.maps.Current(), left, deliver, depth+1, tc)
+				return g.fetchChunk(g.maps.Current(), left, deliver, depth+1, tc, nil)
 			}
 		}
 		return fmt.Errorf("transport: %d of %d samples failed on all %d replicas: %w",
-			len(missing), total, width, lastErr)
+			len(missing), total, width, st.err)
 	}
 	return nil
+}
+
+// settle books member mi's answer to a chunk request into st and returns
+// how many samples it delivered (each marked got in run, when given). A
+// reply clears the member, or suspects it for a corrupt sample; a failed
+// request is an overload, a stale generation, a remote error, or a
+// transport failure, which marks the member down and suspect.
+func (g *Group) settle(st *passState, m *shardmap.Map, mi int, want []int64, run []pick,
+	buf *bufarena.Buf, raws [][]byte, err error, per time.Duration, deliver fetch.Deliver) int {
+	memID := m.Members[mi].ID
+	if err != nil {
+		st.err = err
+		if errors.Is(err, ErrOverloaded) {
+			// The peer is shedding load, not dying: leave its health alone
+			// (the client already backed off) and let another replica try
+			// the leftovers.
+			return 0
+		}
+		var serr *StaleGenerationError
+		if errors.As(err, &serr) {
+			// The chunk moved: install the newer map the server sent along
+			// and re-resolve after the failover passes. The peer is healthy
+			// — no quarantine.
+			st.stale = true
+			if nm, derr := shardmap.Decode(serr.MapBytes); derr == nil {
+				if ok, aerr := g.maps.ApplyIfNewer(nm); aerr == nil && ok {
+					g.counters.Inc(CounterStaleRefreshes, 1)
+				}
+			}
+			return 0
+		}
+		var rerr *RemoteError
+		if !errors.As(err, &rerr) {
+			// Transport-level failure: the peer may be down.
+			st.down = append(st.down, mi)
+			g.health.MarkSuspect(memID)
+		}
+		return 0
+	}
+	// Every delivered sample's view takes its own reference on the shared
+	// response buffer (the engine's from the call on, accepted or not); ours
+	// is dropped after the loop, so the buffer lives exactly as long as its
+	// slowest consumer (cache entry, coalesced waiter, or first-touch decode).
+	delivered := 0
+	for j, id := range want {
+		buf.Retain()
+		if derr := deliver(id, raws[j], buf, per); derr != nil {
+			// The frame passed CRC, so the peer is serving corrupt source
+			// bytes: leave the id missing for another replica and avoid this
+			// peer for a while.
+			st.err = fmt.Errorf("transport: sample %d from member %s: %w", id, memID, derr)
+			continue
+		}
+		delivered++
+		if run != nil {
+			run[j].got = true
+		}
+	}
+	buf.Release()
+	if delivered == len(want) {
+		g.health.Clear(memID)
+	} else {
+		g.health.MarkSuspect(memID)
+	}
+	return delivered
 }
 
 // recordServerSpans merges one timing trailer into the span ring
