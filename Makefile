@@ -150,6 +150,8 @@ examples:
 	$(GO) run ./examples/ising
 	$(GO) run ./examples/widthtune
 	$(GO) run ./examples/multitask
+	$(GO) run ./examples/homolumo
+	$(GO) run ./examples/uvspectra
 
 # Full paper reproduction (minutes; writes aligned tables to stdout).
 experiments:

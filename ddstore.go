@@ -18,7 +18,8 @@
 //	    if err != nil {
 //	        return err
 //	    }
-//	    graphs, err := store.Load([]int64{3, 1, 4, 1_000, 5_000})
+//	    loader := &ddstore.PlaneLoader{Plane: store}
+//	    graphs, _, err := loader.LoadBatch([]int64{3, 1, 4, 1_000, 5_000})
 //	    ...
 //	})
 //

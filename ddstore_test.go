@@ -21,7 +21,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if store.Replicas() != 2 {
 			return fmt.Errorf("replicas = %d", store.Replicas())
 		}
-		graphs, err := store.Load([]int64{0, 150, 42, 199})
+		graphs, _, err := (&PlaneLoader{Plane: store}).LoadBatch([]int64{0, 150, 42, 199})
 		if err != nil {
 			return err
 		}

@@ -40,9 +40,10 @@ func main() {
 			c.Rank(), lo, hi, float64(store.MemoryBytes())/(1<<20))
 
 		// A shuffled batch: ids anywhere in the dataset. Remote samples
-		// arrive via MPI-style one-sided Gets from the owner's memory.
+		// arrive via MPI-style one-sided Gets from the owner's memory; the
+		// loader is what training reads its batches through.
 		ids := []int64{1, 9999, 5000, 1234, 42, 7777, 2500, 8600}
-		graphs, err := store.Load(ids)
+		graphs, _, err := (&ddstore.PlaneLoader{Plane: store}).LoadBatch(ids)
 		if err != nil {
 			return err
 		}

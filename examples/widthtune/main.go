@@ -48,7 +48,7 @@ func main() {
 					ids[i] += int64(store.Len())
 				}
 			}
-			_, lat, err := store.LoadTimed(ids)
+			_, lat, err := (&ddstore.PlaneLoader{Plane: store}).LoadBatch(ids)
 			if err != nil {
 				return err
 			}

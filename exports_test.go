@@ -46,6 +46,22 @@ var pinned = []string{
 	"internal/graph.NewBatch",
 }
 
+// retired lists the methods deleted because a second, eager result shape
+// (a materialized []*graph.Graph) duplicated the lazy loads every plane
+// returns. TestEveryExportHasACaller matches bare names, and Load and Get
+// are also atomic.*.Load and sync.Pool.Get, so it could never flag these as
+// uncalled; this list fails if any of them is declared again. Keys are the
+// same as exportScan.funcs, with interface methods keyed the same way.
+var retired = []string{
+	"internal/fetch.Engine.Load",
+	"internal/core.Store.Load",
+	"internal/core.Store.LoadTimed",
+	"internal/transport.Group.Get",
+	"internal/transport.Group.Load",
+	"internal/transport.Group.LoadTimed",
+	"internal/ddp.DataPlane.LoadTimed",
+}
+
 // exportScan is what one pass over the module's non-test Go files finds.
 type exportScan struct {
 	// funcs holds every exported function and method declared outside the
@@ -55,6 +71,9 @@ type exportScan struct {
 	// types holds the exported top-level types declared there, keyed
 	// "dir.Name".
 	types map[string]bool
+	// ifaceMethods holds the exported methods of the exported interfaces
+	// declared there, keyed "dir.Interface.Name".
+	ifaceMethods map[string]bool
 	// refs holds every identifier name referenced anywhere but in its own
 	// declaration.
 	refs map[string]bool
@@ -66,7 +85,7 @@ type exportScan struct {
 // itself.
 func scanModule(t *testing.T) exportScan {
 	t.Helper()
-	s := exportScan{funcs: map[string]string{}, types: map[string]bool{}, refs: map[string]bool{}}
+	s := exportScan{funcs: map[string]string{}, types: map[string]bool{}, ifaceMethods: map[string]bool{}, refs: map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -103,8 +122,19 @@ func scanModule(t *testing.T) exportScan {
 				s.funcs[key] = decl.Name.Name
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok && declares && ts.Name.IsExported() {
-						s.types[dir+"."+ts.Name.Name] = true
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !declares || !ts.Name.IsExported() {
+						continue
+					}
+					s.types[dir+"."+ts.Name.Name] = true
+					if it, ok := ts.Type.(*ast.InterfaceType); ok {
+						for _, m := range it.Methods.List {
+							for _, n := range m.Names {
+								if n.IsExported() {
+									s.ifaceMethods[dir+"."+ts.Name.Name+"."+n.Name] = true
+								}
+							}
+						}
 					}
 				}
 			}
@@ -150,7 +180,7 @@ func recvName(e ast.Expr) string {
 // with every same-named method, field and variable. Every exported name
 // must have a caller or an entry in uncalledAllowed, every allowlist entry
 // must name a declared export that still lacks a caller, and every pinned
-// name must stay declared.
+// name must stay declared, and no retired name may be declared again.
 func TestEveryExportHasACaller(t *testing.T) {
 	s := scanModule(t)
 	var dead []string
@@ -177,6 +207,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 			t.Errorf("pinned name %s is no longer declared, and the benchmark module uses it", key)
 		}
 	}
+	for _, key := range retired {
+		if _, ok := s.funcs[key]; ok || s.ifaceMethods[key] {
+			t.Errorf("retired name %s is declared again: every plane returns lazy views, and ddp.PlaneLoader.LoadBatch is the one place they are materialized", key)
+		}
+	}
 }
 
 // promised lists the facade's names that no example or command uses, each
@@ -189,7 +224,7 @@ var promised = map[string]string{
 	"Store":             "what Open returns",
 	"SampleSource":      "what Open reads a dataset from, for sources other than the generators",
 	"StoreStats":        "what Store.Stats returns",
-	"Graph":             "one sample, as Store.Load returns it",
+	"Graph":             "one sample, as PlaneLoader.LoadBatch returns it",
 	"Batch":             "what NewBatch returns",
 	"DecodeGraph":       "reads one encoded sample",
 	"Model":             "what NewModel returns, checkpointing included",

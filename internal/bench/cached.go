@@ -153,12 +153,12 @@ func cachedPass(rep *Report, o Options, cfg cachedConfig, addrs []string, totalB
 			if end > len(ids) {
 				end = len(ids)
 			}
-			got, err := grp.Load(ids[off:end])
+			views, _, err := grp.LoadLazy(ids[off:end])
 			if err != nil {
 				return fetch.LatencySummary{}, fmt.Errorf("cache %s/%s epoch %d: %w", label, cfg.policy, epoch, err)
 			}
-			for k, g := range got {
-				if g.ID != ids[off+k] {
+			for k, v := range views {
+				if g := v.Graph(); g.ID != ids[off+k] {
 					return fetch.LatencySummary{}, fmt.Errorf("cache %s/%s: slot %d got sample %d, want %d",
 						label, cfg.policy, off+k, g.ID, ids[off+k])
 				}

@@ -143,11 +143,11 @@ func degradedPass(ds *datasets.Dataset, samples, gets int, seed int64, dsc degra
 	start := time.Now()
 	for i := 0; i < gets; i++ {
 		id := int64(i) % int64(samples)
-		g, err := grp.Get(id)
+		views, _, err := grp.LoadLazy([]int64{id})
 		if err != nil {
 			return 0, nil, fmt.Errorf("get %d: %w", id, err)
 		}
-		if g.ID != id {
+		if g := views[0].Graph(); g.ID != id {
 			return 0, nil, fmt.Errorf("get %d returned sample %d", id, g.ID)
 		}
 	}

@@ -96,7 +96,7 @@ func TestCacheRepeatEpochRMA(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(i)
 		}
-		if _, err := s.Load(ids); err != nil {
+		if _, _, err := loadGraphs(s, ids); err != nil {
 			return err
 		}
 		st := s.Stats()
@@ -109,7 +109,7 @@ func TestCacheRepeatEpochRMA(t *testing.T) {
 		}
 
 		// Epoch 2: identical ids — every remote id is a cache hit.
-		got, err := s.Load(ids)
+		got, _, err := loadGraphs(s, ids)
 		if err != nil {
 			return err
 		}
@@ -154,14 +154,14 @@ func TestCacheRepeatEpochTwoSided(t *testing.T) {
 			ids[i] = int64(i)
 		}
 		// Epoch 1: 24 remote samples spread over 3 remote owners -> 3 RPCs.
-		if _, err := s.Load(ids); err != nil {
+		if _, _, err := loadGraphs(s, ids); err != nil {
 			return err
 		}
 		if got := prof.Counter(CounterTwoSidedRPCs); got != 3 {
 			return fmt.Errorf("epoch 1: %d RPCs for a 3-remote-owner batch, want 3", got)
 		}
 		// Epoch 2: all cached -> zero additional RPCs, 24 hits.
-		got, err := s.Load(ids)
+		got, _, err := loadGraphs(s, ids)
 		if err != nil {
 			return err
 		}
@@ -200,7 +200,7 @@ func TestTwoSidedBatchSingleRPCPerOwner(t *testing.T) {
 		for id := lo; id < hi; id++ {
 			ids = append(ids, id)
 		}
-		got, err := s.Load(ids)
+		got, _, err := loadGraphs(s, ids)
 		if err != nil {
 			return err
 		}
@@ -240,7 +240,7 @@ func TestCacheEvictionPoliciesLoad(t *testing.T) {
 					ids[i] = int64(i)
 				}
 				for epoch := 0; epoch < 3; epoch++ {
-					got, err := s.Load(ids)
+					got, _, err := loadGraphs(s, ids)
 					if err != nil {
 						return err
 					}
@@ -281,7 +281,7 @@ func TestEventsHaveOneWriter(t *testing.T) {
 				return err
 			}
 			for epoch := 0; epoch < 2; epoch++ {
-				if _, err := s.Load(ids); err != nil {
+				if _, _, err := loadGraphs(s, ids); err != nil {
 					return err
 				}
 			}

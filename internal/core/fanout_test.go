@@ -53,7 +53,7 @@ func TestLoadFanOutMatchesSerial(t *testing.T) {
 					}
 					defer s.Close()
 					ids := fanOutBatch(total)
-					graphs, err := s.Load(ids)
+					graphs, _, err := loadGraphs(s, ids)
 					if err != nil {
 						return err
 					}
@@ -104,7 +104,7 @@ func TestLoadConcurrentRace(t *testing.T) {
 						// coalescing flight table.
 						ids[i] = int64((w*7 + rep*13 + i*5) % total)
 					}
-					graphs, err := s.Load(ids)
+					graphs, _, err := loadGraphs(s, ids)
 					if err != nil {
 						errs[w] = err
 						return
@@ -162,7 +162,7 @@ func BenchmarkStoreLoadOwners(b *testing.B) {
 				var sink []*graph.Graph
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sink, err = s.Load(ids)
+					sink, _, err = loadGraphs(s, ids)
 					if err != nil {
 						return err
 					}

@@ -26,7 +26,7 @@ func TestTwoSidedLoadsCorrectSamples(t *testing.T) {
 		}
 		rng := vtime.NewRNG(uint64(c.Rank() + 5))
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		got, err := s.Load(ids)
+		got, _, err := loadGraphs(s, ids)
 		if err != nil {
 			return err
 		}
@@ -55,7 +55,7 @@ func TestTwoSidedTimedLatencies(t *testing.T) {
 			return err
 		}
 		defer s.Close()
-		_, lat, err := s.LoadTimed([]int64{0, 8, 15, 3})
+		_, lat, err := loadGraphs(s, []int64{0, 8, 15, 3})
 		if err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func TestLockPerSampleCountsLocks(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(i)
 		}
-		got, err := s.Load(ids)
+		got, _, err := loadGraphs(s, ids)
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func TestNonBlockingLoadsCorrectSamples(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(i)
 		}
-		got, lat, err := s.LoadTimed(ids)
+		got, lat, err := loadGraphs(s, ids)
 		if err != nil {
 			return err
 		}
@@ -172,7 +172,7 @@ func TestCommDesignOrdering(t *testing.T) {
 				for i := range ids {
 					ids[i] = int64(rng.Intn(2048))
 				}
-				if _, err := s.Load(ids); err != nil {
+				if _, _, err := loadGraphs(s, ids); err != nil {
 					return err
 				}
 			}

@@ -48,7 +48,7 @@ func TestSourceEquivalence(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			got, err := s.Load(ids)
+			got, _, err := loadGraphs(s, ids)
 			if err != nil {
 				return err
 			}

@@ -46,7 +46,7 @@ func TestLoadPropertyRandomConfigs(t *testing.T) {
 			for i := range ids {
 				ids[i] = int64(r.Intn(total))
 			}
-			got, err := s.Load(ids)
+			got, _, err := loadGraphs(s, ids)
 			if err != nil {
 				return err
 			}

@@ -17,7 +17,7 @@
 //
 // The four architecture components of paper §3.2 map to: the preloader
 // (Open reading a SampleSource), the data registry (the replica-group-wide
-// sample index built by Allgather), the data loader (Load / LoadTimed), and
+// sample index built by Allgather), the data loader (LoadLazyTraced), and
 // the one-sided communication layer (internal/comm's RMA windows).
 package core
 
@@ -429,53 +429,32 @@ func (s *Store) OwnerOf(id int64) (int, error) {
 	return s.maps.Current().OwnerOf(id)
 }
 
-// Load fetches the given sample ids (a shuffled batch) and returns the
-// decoded graphs in the same order. Local ids are served from this rank's
-// memory; remote ids are fetched from their owners with one-sided Gets,
-// grouping ids by owner so each owner's window lock is acquired once. The
-// whole pipeline — dedup, cache claims, per-owner fan-out, coalesced-fetch
-// waits — runs in the shared engine (internal/fetch).
-func (s *Store) Load(ids []int64) ([]*graph.Graph, error) {
-	out, _, err := s.LoadTimed(ids)
-	return out, err
-}
-
-// LoadTimed is Load plus the per-sample virtual-time cost, for the latency
-// CDF experiments. The owner-lock cost lands on the first sample fetched
-// from that owner, mirroring how a real per-batch lock amortizes.
-func (s *Store) LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	start := clockNow(s.world)
-	out, lat, err := s.engine.Load(ids)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.chargeRMA(start)
-	return out, lat, nil
-}
-
-// chargeRMA books a load that began at start to the profiler's RMA region.
-func (s *Store) chargeRMA(start time.Duration) {
-	if s.prof != nil && s.opts.Framework == FrameworkRMA {
-		s.prof.Add(trace.RegionRMA, clockNow(s.world)-start)
-	}
-}
-
-// LoadLazyTraced is LoadTimed without tensor materialization: each sample
-// comes back as a header-validated graph.Lazy view over its wire buffer,
-// and the float/int tensors are built only if the caller asks for the
-// Graph. A consumer that just re-encodes (a prefetch stash, a proxy) never
-// pays the decode. The caller owns the returned views and must either
-// materialize (Graph releases the buffer reference) or Release each one.
-// tc is the caller's span in a distributed trace — the engine's per-owner
-// spans hang off it — and the zero Context means untraced; the same
-// contract holds on the TCP plane (transport.Group.LoadLazyTraced).
+// LoadLazyTraced fetches the given sample ids (a shuffled batch) and
+// returns them in request order as header-validated graph.Lazy views over
+// their wire buffers, with the per-sample virtual-time cost for the latency
+// CDF experiments. Local ids are served from this rank's memory; remote ids
+// are fetched from their owners with one-sided Gets, grouping ids by owner
+// so each owner's window lock is acquired once (the lock cost lands on the
+// first sample fetched from that owner, mirroring how a real per-batch lock
+// amortizes). The whole pipeline — dedup, cache claims, per-owner fan-out,
+// coalesced-fetch waits — runs in the shared engine (internal/fetch).
+//
+// The float/int tensors are built only if the caller asks for the Graph, so
+// a consumer that just re-encodes (a prefetch stash, a proxy) never pays the
+// decode. The caller owns the returned views and must either materialize
+// (Graph releases the buffer reference) or Release each one. tc is the
+// caller's span in a distributed trace — the engine's per-owner spans hang
+// off it — and the zero Context means untraced; the same contract holds on
+// the TCP plane (transport.Group.LoadLazyTraced).
 func (s *Store) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
 	start := clockNow(s.world)
 	out, lat, err := s.engine.LoadLazy(ids, tc)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.chargeRMA(start)
+	if s.prof != nil && s.opts.Framework == FrameworkRMA {
+		s.prof.Add(trace.RegionRMA, clockNow(s.world)-start)
+	}
 	return out, lat, nil
 }
 

@@ -10,10 +10,28 @@ import (
 	"ddstore/internal/cluster"
 	"ddstore/internal/comm"
 	"ddstore/internal/datasets"
+	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
 	"ddstore/internal/vtime"
 )
+
+// loadGraphs is an untraced lazy load from a Store (or a transport.Group)
+// with every view materialized in request order.
+func loadGraphs(p interface {
+	LoadLazyTraced([]int64, tracectx.Context) ([]*graph.Lazy, []time.Duration, error)
+}, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	views, lats, err := p.LoadLazyTraced(ids, tracectx.Context{})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]*graph.Graph, len(views))
+	for i, v := range views {
+		out[i] = v.Graph()
+	}
+	return out, lats, nil
+}
 
 func runWorld(t *testing.T, n int, machine *cluster.Machine, fn func(c *comm.Comm) error) {
 	t.Helper()
@@ -113,7 +131,7 @@ func TestLoadAllSamplesEveryWidth(t *testing.T) {
 				}
 				rng := vtime.NewRNG(uint64(c.Rank() + 1))
 				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-				got, err := s.Load(ids)
+				got, _, err := loadGraphs(s, ids)
 				if err != nil {
 					return err
 				}
@@ -140,7 +158,7 @@ func TestWidthOneIsAllLocal(t *testing.T) {
 			return fmt.Errorf("replicas = %d", s.Replicas())
 		}
 		ids := []int64{0, 5, 10, 19}
-		if _, err := s.Load(ids); err != nil {
+		if _, _, err := loadGraphs(s, ids); err != nil {
 			return err
 		}
 		st := s.Stats()
@@ -296,7 +314,7 @@ func TestLoadErrorOnBadID(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := s.Load([]int64{0, 99}); err == nil {
+		if _, _, err := loadGraphs(s, []int64{0, 99}); err == nil {
 			return fmt.Errorf("bad id accepted")
 		}
 		return nil
@@ -310,7 +328,7 @@ func TestLoadEmptyBatch(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err := s.Load(nil)
+		got, _, err := loadGraphs(s, nil)
 		if err != nil {
 			return err
 		}
@@ -332,7 +350,7 @@ func TestLoadTimedLatencies(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(i)
 		}
-		got, lat, err := s.LoadTimed(ids)
+		got, lat, err := loadGraphs(s, ids)
 		if err != nil {
 			return err
 		}
@@ -364,7 +382,7 @@ func TestSmallWidthReducesLatency(t *testing.T) {
 			for i := range ids {
 				ids[i] = int64(rng.Intn(512))
 			}
-			_, lat, err := s.LoadTimed(ids)
+			_, lat, err := loadGraphs(s, ids)
 			if err != nil {
 				return err
 			}
@@ -405,7 +423,7 @@ func TestStatsCountTraffic(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(i)
 		}
-		if _, err := s.Load(ids); err != nil {
+		if _, _, err := loadGraphs(s, ids); err != nil {
 			return err
 		}
 		st := s.Stats()
@@ -430,7 +448,7 @@ func TestProfilerRegions(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := s.Load([]int64{0, 7}); err != nil {
+		if _, _, err := loadGraphs(s, []int64{0, 7}); err != nil {
 			return err
 		}
 		if prof.Get(trace.RegionRMA).Count == 0 {
@@ -454,7 +472,7 @@ func TestGroupIsolation(t *testing.T) {
 			return fmt.Errorf("group size %d", s.group.Size())
 		}
 		ids := []int64{0, 13, 27, 39}
-		got, err := s.Load(ids)
+		got, _, err := loadGraphs(s, ids)
 		if err != nil {
 			return err
 		}
@@ -482,7 +500,7 @@ func TestConcurrentLoadsAcrossRanks(t *testing.T) {
 			for i := range ids {
 				ids[i] = int64(rng.Intn(128))
 			}
-			got, err := s.Load(ids)
+			got, _, err := loadGraphs(s, ids)
 			if err != nil {
 				return err
 			}
@@ -547,7 +565,7 @@ func BenchmarkStoreLoadRemote(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ids[0] = int64(rng.Intn(512))
-			if _, err := s.Load(ids); err != nil {
+			if _, _, err := loadGraphs(s, ids); err != nil {
 				return err
 			}
 		}
@@ -582,7 +600,7 @@ func BenchmarkStoreLoadBatch128(b *testing.B) {
 			for j := range ids {
 				ids[j] = int64(rng.Intn(4096))
 			}
-			if _, err := s.Load(ids); err != nil {
+			if _, _, err := loadGraphs(s, ids); err != nil {
 				return err
 			}
 		}
@@ -643,10 +661,11 @@ func TestDialGroupFailsOver(t *testing.T) {
 
 	verify := func(pass string) {
 		for id := int64(0); id < 24; id++ {
-			g, err := grp.Get(id)
+			gs, _, err := loadGraphs(grp, []int64{id})
 			if err != nil {
 				t.Fatalf("%s: sample %d: %v", pass, id, err)
 			}
+			g := gs[0]
 			if g.ID != id {
 				t.Fatalf("%s: sample %d returned %d", pass, id, g.ID)
 			}

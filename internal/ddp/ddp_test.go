@@ -742,3 +742,67 @@ func TestTelemetryAggregationAcrossRanks(t *testing.T) {
 		t.Fatal("exported trace is not valid JSON")
 	}
 }
+
+// TestTracedLoaderOnTrainingPath: the trainer reads batches through
+// LoadBatch, so a traced PlaneLoader must open one "load-batch" root span
+// per step there, and the engine's "fetch-owner" spans must hang off it.
+func TestTracedLoaderOnTrainingPath(t *testing.T) {
+	const n = 2
+	ds := datasets.AISDExDiscrete(datasets.Config{NumGraphs: 200})
+	w, err := comm.NewWorld(n, 5, comm.WithMachine(cluster.Perlmutter()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *comm.Comm) error {
+		ring := obs.NewSpanRing(1024, c.Rank())
+		st, err := core.Open(c, ds, core.Options{Spans: ring})
+		if err != nil {
+			return err
+		}
+		res, err := Run(c, Config{
+			Loader:           &PlaneLoader{Plane: st, Trace: true, Spans: ring},
+			LocalBatch:       8,
+			Epochs:           2,
+			MaxStepsPerEpoch: 3,
+			Seed:             1,
+			SimModel:         hydra.PaperConfig(ds.NodeFeatDim(), ds.EdgeFeatDim(), ds.OutputDim()),
+		})
+		if err != nil {
+			return err
+		}
+		steps := 0
+		for _, e := range res.Epochs {
+			steps += e.Steps
+		}
+		roots := map[uint64]uint64{} // trace id -> root span id
+		fetches := 0
+		for _, s := range ring.Spans() {
+			if s.Name == "load-batch" {
+				if s.TraceID == 0 {
+					return fmt.Errorf("rank %d: load-batch span carries no trace id", c.Rank())
+				}
+				roots[s.TraceID] = s.SpanID
+			}
+		}
+		for _, s := range ring.Spans() {
+			if s.Name != "fetch-owner" {
+				continue
+			}
+			fetches++
+			if root, ok := roots[s.TraceID]; !ok || s.ParentID != root {
+				return fmt.Errorf("rank %d: fetch-owner span (trace %x, parent %x) is not under a load-batch root",
+					c.Rank(), s.TraceID, s.ParentID)
+			}
+		}
+		if len(roots) != steps || steps == 0 {
+			return fmt.Errorf("rank %d: %d load-batch root spans for %d steps", c.Rank(), len(roots), steps)
+		}
+		if fetches == 0 {
+			return fmt.Errorf("rank %d: no fetch-owner spans recorded", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

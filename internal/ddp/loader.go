@@ -21,14 +21,13 @@ type Loader interface {
 
 // DataPlane is the batch-loading surface both DDStore planes expose: the
 // in-process RMA store (core.Store) and the TCP client group
-// (transport.Group) satisfy it identically, because both route Load
-// through the shared fetch engine (internal/fetch). LoadLazyTraced is the
-// zero-copy variant: header-validated views over the pooled wire buffers,
-// with tensor decode deferred to first touch, under the caller's trace
-// context — the zero Context when the load is untraced.
+// (transport.Group) satisfy it identically, because both route a load
+// through the shared fetch engine (internal/fetch). A load returns
+// header-validated views over the pooled wire buffers, with tensor decode
+// deferred to first touch, under the caller's trace context — the zero
+// Context when the load is untraced.
 type DataPlane interface {
 	Len() int
-	LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error)
 	LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error)
 	CacheStats() cache.Stats
 	LatencyStats() fetch.LatencySummary
@@ -39,7 +38,7 @@ type DataPlane interface {
 // planes.
 type PlaneLoader struct {
 	Plane DataPlane
-	// Trace opens a sampled root trace per lazy batch: the engine's
+	// Trace opens a sampled root trace per batch: the engine's
 	// per-owner spans hang off it, and on the TCP plane every per-owner
 	// wire request propagates a child context to the servers, whose timing
 	// trailers come back as nested "server" spans.
@@ -53,9 +52,19 @@ type PlaneLoader struct {
 // Len returns the dataset size.
 func (l *PlaneLoader) Len() int { return l.Plane.Len() }
 
-// LoadBatch implements Loader via the plane's timed loader.
+// LoadBatch implements Loader: LoadBatchLazy, then Graph on each view in
+// request order. It is the one place plane samples are materialized, so
+// duplicate ids cost one fetch but each position gets its own graph.
 func (l *PlaneLoader) LoadBatch(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	return l.Plane.LoadTimed(ids)
+	views, lat, err := l.LoadBatchLazy(ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]*graph.Graph, len(views))
+	for i, v := range views {
+		out[i] = v.Graph()
+	}
+	return out, lat, nil
 }
 
 // LoadBatchLazy returns the batch as lazy views instead of materialized

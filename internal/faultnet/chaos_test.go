@@ -7,10 +7,17 @@ import (
 	"time"
 
 	"ddstore/internal/datasets"
+	"ddstore/internal/ddp"
 	"ddstore/internal/graph"
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
 )
+
+// loadGraphs loads ids through the trainer's loader, the one place plane
+// samples are materialized.
+func loadGraphs(p ddp.DataPlane, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	return (&ddp.PlaneLoader{Plane: p}).LoadBatch(ids)
+}
 
 // chaosChunk encodes ds samples [lo, hi) into a servable chunk.
 func chaosChunk(t *testing.T, ds *datasets.Dataset, lo, hi int64) *transport.MemChunk {
@@ -94,10 +101,11 @@ func TestGroupSurvivesChaos(t *testing.T) {
 
 			verifyAll := func(pass string) {
 				for id := int64(0); id < 40; id++ {
-					g, err := grp.Get(id)
+					gs, _, err := loadGraphs(grp, []int64{id})
 					if err != nil {
 						t.Fatalf("%s: sample %d: %v", pass, id, err)
 					}
+					g := gs[0]
 					want, _ := ds.Sample(id)
 					if g.ID != id || g.NumNodes != want.NumNodes || g.Y[0] != want.Y[0] {
 						t.Fatalf("%s: sample %d corrupted end to end", pass, id)
@@ -186,7 +194,7 @@ func TestCacheSurvivesOwnerDeath(t *testing.T) {
 
 	load := func(pass string, ids []int64) {
 		t.Helper()
-		got, err := grp.Load(ids)
+		got, _, err := loadGraphs(grp, ids)
 		if err != nil {
 			t.Fatalf("%s: %v", pass, err)
 		}

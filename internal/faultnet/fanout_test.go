@@ -52,7 +52,7 @@ func minLoad(t *testing.T, grp *transport.Group, reps int, batches ...[]int64) t
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		for _, ids := range batches {
-			got, err := grp.Load(ids)
+			got, _, err := loadGraphs(grp, ids)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestFanOutUnderFaults(t *testing.T) {
 		ids = append(ids, base, base+1)
 	}
 	for rep := 0; rep < 10; rep++ {
-		got, err := grp.Load(ids)
+		got, _, err := loadGraphs(grp, ids)
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}

@@ -6,6 +6,7 @@
 package fetch_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -76,6 +77,40 @@ func checkBatch(t *testing.T, p confPlane, ids []int64, out []*graph.Graph, lats
 	}
 }
 
+// load is one batch through the trainer's loader, the one place plane
+// samples are materialized.
+func (p confPlane) load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	return (&ddp.PlaneLoader{Plane: p.plane}).LoadBatch(ids)
+}
+
+// remoteUnique counts the distinct ids of a batch that go through the cache.
+func (p confPlane) remoteUnique(ids []int64) int64 {
+	seen := map[int64]bool{}
+	var n int64
+	for _, id := range ids {
+		if !seen[id] && (id < p.localLo || id >= p.localHi) {
+			n++
+		}
+		seen[id] = true
+	}
+	return n
+}
+
+// checkEncoded asserts every position's graph re-encodes to its source
+// sample's bytes.
+func checkEncoded(t *testing.T, p confPlane, ids []int64, out []*graph.Graph) {
+	t.Helper()
+	for i, id := range ids {
+		want, err := p.ds.Sample(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out[i].Encode(), want.Encode()) {
+			t.Fatalf("%s: position %d (sample %d) does not re-encode to its source bytes", p.name, i, id)
+		}
+	}
+}
+
 // loadWithin fails the test if the load has not completed within d — the
 // symptom of a stranded coalescing flight is a Load that never returns.
 func loadWithin(t *testing.T, p confPlane, ids []int64, d time.Duration) ([]*graph.Graph, []time.Duration, error) {
@@ -87,7 +122,7 @@ func loadWithin(t *testing.T, p confPlane, ids []int64, d time.Duration) ([]*gra
 	}
 	ch := make(chan res, 1)
 	go func() {
-		out, lats, err := p.plane.LoadTimed(ids)
+		out, lats, err := p.load(ids)
 		ch <- res{out, lats, err}
 	}()
 	select {
@@ -103,23 +138,43 @@ func loadWithin(t *testing.T, p confPlane, ids []int64, d time.Duration) ([]*gra
 func runConformance(t *testing.T, p confPlane) {
 	n := int64(p.plane.Len())
 
-	// Scenario: duplicate ids share one fetch and one graph pointer.
+	// Scenario: duplicate ids share one fetch, yet every position gets its
+	// own graph: mutating one leaves the others, and the cached bytes,
+	// untouched, and a second load of the same ids is all cache hits.
 	ids := []int64{5, 1, 5, 3, 1, 5}
-	out, lats, err := p.plane.LoadTimed(ids)
+	remote := p.remoteUnique(ids)
+	before := p.plane.CacheStats()
+	out, lats, err := p.load(ids)
 	if err != nil {
 		t.Fatalf("%s: dup-id load: %v", p.name, err)
 	}
 	checkBatch(t, p, ids, out, lats)
-	if out[0] != out[2] || out[0] != out[5] {
-		t.Errorf("%s: duplicate ids did not share one graph", p.name)
+	checkEncoded(t, p, ids, out)
+	if got := p.plane.CacheStats().Misses - before.Misses; got != remote {
+		t.Errorf("%s: dup-id load missed %d times, want one per distinct remote id (%d)", p.name, got, remote)
+	}
+	out[0].NodeFeat[0]++
+	out[0].Y[0]++
+	checkEncoded(t, p, ids[1:], out[1:])
+	before = p.plane.CacheStats()
+	out, lats, err = p.load(ids)
+	if err != nil {
+		t.Fatalf("%s: dup-id reload: %v", p.name, err)
+	}
+	checkBatch(t, p, ids, out, lats)
+	checkEncoded(t, p, ids, out)
+	after := p.plane.CacheStats()
+	if got := after.Hits - before.Hits; got != remote || after.Misses != before.Misses {
+		t.Errorf("%s: dup-id reload: %d hits, %d misses, want %d hits and no miss",
+			p.name, got, after.Misses-before.Misses, remote)
 	}
 
 	// Scenario: an out-of-range id fails the whole batch, cleanly. The
 	// retry proves no flight was stranded by the failure.
-	if _, _, err := p.plane.LoadTimed([]int64{1, n + 100}); err == nil {
+	if _, _, err := p.load([]int64{1, n + 100}); err == nil {
 		t.Fatalf("%s: out-of-range id accepted", p.name)
 	}
-	if _, _, err := p.plane.LoadTimed([]int64{-1}); err == nil {
+	if _, _, err := p.load([]int64{-1}); err == nil {
 		t.Fatalf("%s: negative id accepted", p.name)
 	}
 	out, lats, err = loadWithin(t, p, []int64{1}, 5*time.Second)
@@ -135,16 +190,16 @@ func runConformance(t *testing.T, p confPlane) {
 	for i := range all {
 		all[i] = int64(i)
 	}
-	if _, _, err := p.plane.LoadTimed(all); err != nil {
+	if _, _, err := p.load(all); err != nil {
 		t.Fatalf("%s: warm load: %v", p.name, err)
 	}
-	before := p.plane.CacheStats()
-	out, lats, err = p.plane.LoadTimed(all)
+	before = p.plane.CacheStats()
+	out, lats, err = p.load(all)
 	if err != nil {
 		t.Fatalf("%s: cached load: %v", p.name, err)
 	}
 	checkBatch(t, p, all, out, lats)
-	after := p.plane.CacheStats()
+	after = p.plane.CacheStats()
 	wantHits := n - p.localCount()
 	if got := after.Hits - before.Hits; got != wantHits {
 		t.Errorf("%s: cached reload hit %d of %d remote ids", p.name, got, wantHits)
@@ -175,7 +230,7 @@ func runConformance(t *testing.T, p confPlane) {
 					(seed*3 + i*7) % n,
 					(seed + i) % n, // duplicate on purpose
 				}
-				out, lats, err := p.plane.LoadTimed(batch)
+				out, lats, err := p.load(batch)
 				if err != nil {
 					t.Errorf("%s: hammer: %v", p.name, err)
 					return
@@ -280,7 +335,7 @@ func TestConformanceTCPOwnerDeath(t *testing.T) {
 	p := confPlane{name: "tcp-owner-death", ds: ds, plane: grp}
 
 	// Sanity before the kill.
-	out, lats, err := p.plane.LoadTimed([]int64{2, 9, 17})
+	out, lats, err := p.load([]int64{2, 9, 17})
 	if err != nil {
 		t.Fatal(err)
 	}

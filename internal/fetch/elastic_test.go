@@ -111,7 +111,7 @@ func (p *genPlane) tokenCount() int {
 // id (the poison detector: a wrong cache mapping would surface here).
 func loadAndCheck(t *testing.T, e *Engine, ids []int64) {
 	t.Helper()
-	out, _, err := e.Load(ids)
+	out, _, err := loadGraphs(e, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +193,12 @@ func TestOwnerChangeFailureFailsFlightsPromptly(t *testing.T) {
 
 	errs := make(chan error, 2)
 	go func() {
-		_, _, err := e.Load([]int64{3})
+		_, _, err := loadGraphs(e, []int64{3})
 		errs <- err
 	}()
 	<-p.entered // leader is inside Collect; its flight is claimed
 	go func() {
-		_, _, err := e.Load([]int64{3})
+		_, _, err := loadGraphs(e, []int64{3})
 		errs <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the second load claim (follower)

@@ -18,6 +18,20 @@ import (
 	"ddstore/internal/obs/tracectx"
 )
 
+// loadGraphs is an untraced LoadLazy with every view materialized in
+// request order.
+func loadGraphs(e *Engine, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	views, lats, err := e.LoadLazy(ids, tracectx.Context{})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]*graph.Graph, len(views))
+	for i, v := range views {
+		out[i] = v.Graph()
+	}
+	return out, lats, nil
+}
+
 // testGraph builds a tiny valid graph for sample id.
 func testGraph(id int64) *graph.Graph {
 	return &graph.Graph{
@@ -111,20 +125,17 @@ func TestLoadDedupAndAssembly(t *testing.T) {
 	p := newMockPlane(20, 3)
 	e := New(Config{Plane: p})
 	ids := []int64{7, 3, 7, 11, 3, 7, 0}
-	out, lats, err := e.Load(ids)
+	out, lats, err := e.LoadLazy(ids, tracectx.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(ids) || len(lats) != len(ids) {
-		t.Fatalf("got %d graphs, %d latencies for %d ids", len(out), len(lats), len(ids))
+		t.Fatalf("got %d views, %d latencies for %d ids", len(out), len(lats), len(ids))
 	}
 	for i, id := range ids {
-		if out[i] == nil || out[i].ID != id {
-			t.Fatalf("position %d: want sample %d, got %+v", i, id, out[i])
+		if g := out[i].Graph(); g.ID != id {
+			t.Fatalf("position %d: want sample %d, got %+v", i, id, g)
 		}
-	}
-	if out[0] != out[2] || out[0] != out[5] {
-		t.Error("duplicate ids should share one graph pointer")
 	}
 	for _, id := range []int64{7, 3, 11, 0} {
 		if n := p.fetchCount(id); n != 1 {
@@ -135,7 +146,7 @@ func TestLoadDedupAndAssembly(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	e := New(Config{Plane: newMockPlane(4, 2)})
-	out, lats, err := e.Load(nil)
+	out, lats, err := loadGraphs(e, nil)
 	if err != nil || len(out) != 0 || len(lats) != 0 {
 		t.Fatalf("empty batch: out=%v lats=%v err=%v", out, lats, err)
 	}
@@ -147,7 +158,7 @@ func TestOutOfRangeIDFailsBeforeAnyClaim(t *testing.T) {
 	e := New(Config{Plane: p, Cache: c})
 	// The invalid id comes last, after ids that would otherwise claim
 	// flights; validation must reject the batch before any claim happens.
-	if _, _, err := e.Load([]int64{1, 2, 99}); err == nil {
+	if _, _, err := loadGraphs(e, []int64{1, 2, 99}); err == nil {
 		t.Fatal("out-of-range id accepted")
 	}
 	if p.fetchCount(1) != 0 {
@@ -165,10 +176,10 @@ func TestCacheHitsSkipTheWire(t *testing.T) {
 	p := newMockPlane(10, 2)
 	c := newCache(1 << 20)
 	e := New(Config{Plane: p, Cache: c})
-	if _, _, err := e.Load([]int64{1, 2, 3}); err != nil {
+	if _, _, err := loadGraphs(e, []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Load([]int64{1, 2, 3}); err != nil {
+	if _, _, err := loadGraphs(e, []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int64{1, 2, 3} {
@@ -185,10 +196,10 @@ func TestCacheHitsSkipTheWire(t *testing.T) {
 func TestNilCacheSkipsClaimMachinery(t *testing.T) {
 	p := newMockPlane(10, 2)
 	e := New(Config{Plane: p})
-	if _, _, err := e.Load([]int64{1, 2}); err != nil {
+	if _, _, err := loadGraphs(e, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Load([]int64{1, 2}); err != nil {
+	if _, _, err := loadGraphs(e, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
@@ -216,7 +227,7 @@ func TestLocalOwnersBypassCache(t *testing.T) {
 	c := newCache(1 << 20)
 	e := New(Config{Plane: p, Cache: c})
 	for i := 0; i < 2; i++ {
-		if _, _, err := e.Load([]int64{2, 3}); err != nil {
+		if _, _, err := loadGraphs(e, []int64{2, 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +249,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, _, err := e.Load([]int64{5})
+			out, _, err := loadGraphs(e, []int64{5})
 			if err != nil {
 				t.Error(err)
 				return
@@ -283,14 +294,14 @@ func TestLeaderFailureReleasesFollowers(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := e.Load([]int64{5})
+		_, _, err := loadGraphs(e, []int64{5})
 		leaderErr <- err
 	}()
 	<-entered // leader owns the flight and is inside Collect
 
 	followerErr := make(chan error, 1)
 	go func() {
-		_, _, err := e.Load([]int64{5})
+		_, _, err := loadGraphs(e, []int64{5})
 		followerErr <- err
 	}()
 
@@ -312,7 +323,7 @@ func TestLeaderFailureReleasesFollowers(t *testing.T) {
 
 	// The failed flight must not linger: a retry leads a fresh fetch.
 	failing.Store(false)
-	out, _, err := e.Load([]int64{5})
+	out, _, err := loadGraphs(e, []int64{5})
 	if err != nil {
 		t.Fatalf("retry after leader failure: %v", err)
 	}
@@ -333,7 +344,7 @@ func TestPartialDeliveryFailsFlights(t *testing.T) {
 	}
 	c := newCache(1 << 20)
 	e := New(Config{Plane: p, Cache: c})
-	if _, _, err := e.Load([]int64{2, 3}); err == nil {
+	if _, _, err := loadGraphs(e, []int64{2, 3}); err == nil {
 		t.Fatal("load with a dead owner succeeded")
 	}
 	// Both ids must be claimable again as leaders (delivered id 2's flight
@@ -360,7 +371,7 @@ func TestUndeliveredSampleIsAnError(t *testing.T) {
 	p := newMockPlane(10, 1)
 	silent := silentPlane{p}
 	e := New(Config{Plane: silent, ErrPrefix: "mock"})
-	_, _, err := e.Load([]int64{4})
+	_, _, err := loadGraphs(e, []int64{4})
 	if err == nil || !strings.Contains(err.Error(), "was not delivered") {
 		t.Fatalf("err = %v, want 'was not delivered'", err)
 	}
@@ -380,7 +391,7 @@ func TestLowestOwnerErrorWins(t *testing.T) {
 		return nil
 	}
 	e := New(Config{Plane: p})
-	_, _, err := e.Load([]int64{0, 1, 2, 3})
+	_, _, err := loadGraphs(e, []int64{0, 1, 2, 3})
 	if err == nil || !strings.Contains(err.Error(), "owner 2 down") {
 		t.Fatalf("err = %v, want the lowest failing owner's error", err)
 	}
@@ -401,7 +412,7 @@ func TestLatencyWindowAndPercentiles(t *testing.T) {
 		for i := range ids {
 			ids[i] = lo + int64(i)
 		}
-		if _, _, err := e.Load(ids); err != nil {
+		if _, _, err := loadGraphs(e, ids); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -441,7 +452,7 @@ func TestCacheEntryRetainsDeliveredBuffer(t *testing.T) {
 	p := newMockPlane(10, 2)
 	c := newCache(1 << 20)
 	e := New(Config{Plane: p, Cache: c})
-	if _, _, err := e.Load([]int64{1}); err != nil {
+	if _, _, err := loadGraphs(e, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
@@ -474,7 +485,7 @@ func TestFollowerReceivesOwnReference(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := e.Load([]int64{5}); err != nil {
+			if _, _, err := loadGraphs(e, []int64{5}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -516,7 +527,7 @@ func TestConcurrentHammer(t *testing.T) {
 					(seed + int64(i)*7) % 64,
 					(seed + int64(i)) % 64, // duplicate on purpose
 				}
-				out, lats, err := e.Load(ids)
+				out, lats, err := loadGraphs(e, ids)
 				if err != nil {
 					t.Error(err)
 					return
@@ -543,11 +554,11 @@ func TestEngineMetricsAndSpans(t *testing.T) {
 	e := New(Config{Plane: p, Cache: c, Metrics: reg, Spans: ring})
 
 	ids := []int64{0, 1, 2, 3}
-	if _, _, err := e.Load(ids); err != nil {
+	if _, _, err := loadGraphs(e, ids); err != nil {
 		t.Fatal(err)
 	}
 	// Second load of the same ids: all cache hits.
-	if _, _, err := e.Load(ids); err != nil {
+	if _, _, err := loadGraphs(e, ids); err != nil {
 		t.Fatal(err)
 	}
 
@@ -638,7 +649,7 @@ func TestTraceContextReachesEveryOwner(t *testing.T) {
 	}
 
 	p.tcs = nil
-	if _, _, err := e.Load([]int64{4, 5, 6}); err != nil {
+	if _, _, err := loadGraphs(e, []int64{4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range p.tcs {
@@ -797,7 +808,7 @@ func TestSplitPhaseShape(t *testing.T) {
 	p := &shapePlane{mockPlane: newMockPlane(16, 4), deferOwner: 1, failOwner: -1}
 	e := New(Config{Plane: p})
 	before := runtime.NumGoroutine()
-	out, _, err := e.Load([]int64{0, 1, 2, 3, 4, 5, 6, 7})
+	out, _, err := loadGraphs(e, []int64{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -829,7 +840,7 @@ func TestSplitPhaseShape(t *testing.T) {
 func TestEveryIssuedPendingIsCollected(t *testing.T) {
 	p := &shapePlane{mockPlane: newMockPlane(16, 4), deferOwner: 0, failOwner: 1}
 	e := New(Config{Plane: p, Cache: newCache(1 << 20)})
-	_, _, err := e.Load([]int64{0, 1, 2, 3})
+	_, _, err := loadGraphs(e, []int64{0, 1, 2, 3})
 	if err == nil || err.Error() != "owner 1 down" {
 		t.Fatalf("err = %v, want owner 1's", err)
 	}

@@ -313,29 +313,6 @@ func (ld *load) fail(err error) error {
 	return err
 }
 
-// Load runs the pipeline for one batch and returns the decoded graphs and
-// per-position latencies, both in request order. Duplicate ids share one
-// fetch (and one graph pointer).
-func (e *Engine) Load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	ld, err := e.load(ids, tracectx.Context{})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]*graph.Graph, len(ids))
-	for pos, lz := range ld.out {
-		// Duplicate positions carry independent views over one buffer;
-		// materialize once per id so duplicates share a graph pointer (and
-		// the extra views just drop their references).
-		if first := ld.slots[ld.slotOf[pos]].first; int(first) != pos {
-			out[pos] = out[first]
-			lz.Release()
-		} else {
-			out[pos] = lz.Graph()
-		}
-	}
-	return out, ld.lats, nil
-}
-
 // LoadLazy runs the pipeline for one batch and returns header-validated
 // lazy graphs and per-position latencies, both in request order. Tensors
 // are not materialized: each Lazy decodes on first Graph call, and a

@@ -40,7 +40,7 @@ func sizedGraph(rng *vtime.RNG, nodes int) *Graph {
 	return g
 }
 
-// BenchmarkDecodeSizes measures the wire-validation hot path Store.Load
+// BenchmarkDecodeSizes measures the wire-validation hot path a load
 // pays once per remote sample, swept over graph size. Since the lazy
 // decode split, this is DecodeLazy: full header validation with tensor
 // materialization deferred — the cost every fetched sample pays whether or

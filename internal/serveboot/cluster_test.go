@@ -16,11 +16,18 @@ import (
 	"time"
 
 	"ddstore/internal/datasets"
+	"ddstore/internal/ddp"
 	"ddstore/internal/faultnet"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
 	"ddstore/internal/transport"
 )
+
+// loadGraphs loads ids through the trainer's loader, the one place plane
+// samples are materialized.
+func loadGraphs(p ddp.DataPlane, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	return (&ddp.PlaneLoader{Plane: p}).LoadBatch(ids)
+}
 
 // fastNet is a retry policy tuned for loopback tests.
 func fastNet() transport.RetryPolicy {
@@ -68,7 +75,7 @@ func loadAll(t *testing.T, g *transport.Group, n int64) {
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	gs, err := g.Load(ids)
+	gs, _, err := loadGraphs(g, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +201,7 @@ func TestLiveReshardUnderLoadZeroHardErrors(t *testing.T) {
 				for i := range ids {
 					ids[i] = rng.Int63n(n)
 				}
-				gs, err := g.Load(ids)
+				gs, _, err := loadGraphs(g, ids)
 				if err != nil {
 					hardErrs.Add(1)
 					continue

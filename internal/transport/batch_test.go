@@ -12,9 +12,23 @@ import (
 	"time"
 
 	"ddstore/internal/cache"
+	"ddstore/internal/graph"
 	"ddstore/internal/trace"
 	"ddstore/internal/wire"
 )
+
+// loadGraphs is LoadLazy with every view materialized in request order.
+func loadGraphs(g *Group, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	views, lats, err := g.LoadLazy(ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]*graph.Graph, len(views))
+	for i, v := range views {
+		out[i] = v.Graph()
+	}
+	return out, lats, nil
+}
 
 // fastPolicy keeps retry schedules short so failure paths don't stall tests.
 func fastPolicy() RetryPolicy {
@@ -146,7 +160,7 @@ func TestGroupBatchesRoundTrips(t *testing.T) {
 
 	// Epoch 1: all misses; one owner; ceil(50/8) = 7 round trips.
 	base := prof.Counter(CounterRoundTrips) // excludes the dial-time Meta
-	gs, err := g.Load(ids)
+	gs, _, err := loadGraphs(g, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +178,7 @@ func TestGroupBatchesRoundTrips(t *testing.T) {
 	// Epoch 2: same ids, all cached — zero network activity.
 	base = prof.Counter(CounterRoundTrips)
 	hitBase := g.CacheStats().Hits
-	if _, err := g.Load(ids); err != nil {
+	if _, _, err := loadGraphs(g, ids); err != nil {
 		t.Fatal(err)
 	}
 	if got := prof.Counter(CounterRoundTrips) - base; got != 0 {
@@ -207,7 +221,7 @@ func TestGroupBatchSpansOwners(t *testing.T) {
 
 	base := prof.Counter(CounterRoundTrips)
 	ids := []int64{3, 17, 6, 11, 0, 19}
-	gs, err := g.Load(ids)
+	gs, _, err := loadGraphs(g, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +262,7 @@ func TestGroupBatchFailsOver(t *testing.T) {
 
 	srvA.Close() // kill one replica; every id preferring it must fail over
 	ids := []int64{0, 1, 2, 3, 4, 5, 6, 7}
-	gs, err := g.Load(ids)
+	gs, _, err := loadGraphs(g, ids)
 	if err != nil {
 		t.Fatalf("load with one dead replica: %v", err)
 	}
@@ -262,7 +276,7 @@ func TestGroupBatchFailsOver(t *testing.T) {
 	}
 
 	srvB.Close()
-	if _, err := g.Load([]int64{9}); err == nil {
+	if _, _, err := loadGraphs(g, []int64{9}); err == nil {
 		t.Fatal("load succeeded with every replica dead")
 	} else if !strings.Contains(err.Error(), "failed on all") {
 		t.Fatalf("all-dead error = %v", err)
@@ -295,7 +309,7 @@ func TestGroupLoadCoalesces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			gs, err := g.Load([]int64{2})
+			gs, _, err := loadGraphs(g, []int64{2})
 			if err != nil || gs[0].ID != 2 {
 				t.Errorf("load: %v, %v", gs, err)
 			}
@@ -335,7 +349,7 @@ func TestGroupDuplicateIDsInOneBatch(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		want := []int64{1, 1, 3, 1}
-		gs, err := g.Load(want)
+		gs, _, err := loadGraphs(g, want)
 		if err == nil {
 			for i := range want {
 				if gs[i].ID != want[i] {
@@ -377,7 +391,7 @@ func TestGroupErrorFailsFlights(t *testing.T) {
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			_, err := g.Load([]int64{5})
+			_, _, err := loadGraphs(g, []int64{5})
 			errs <- err
 		}()
 	}

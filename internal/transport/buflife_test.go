@@ -98,7 +98,7 @@ func TestConcurrentLoadBufferHammer(t *testing.T) {
 					ids[i] = lo + rng.Int63n(hi-lo)
 				}
 				if r%2 == 0 {
-					gs, err := g.Load(ids)
+					gs, _, err := loadGraphs(g, ids)
 					if err != nil {
 						errs <- err
 						return

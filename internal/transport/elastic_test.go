@@ -174,7 +174,7 @@ func TestElasticGroupBootstrapAndLoad(t *testing.T) {
 	// Ids spanning both owners: the second owner is dialed on demand from
 	// the bootstrapped map.
 	ids := []int64{5, 55, 10, 95}
-	gs, err := g.Load(ids)
+	gs, _, err := loadGraphs(g, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +207,11 @@ func TestElasticGroupRefreshesOnStaleGeneration(t *testing.T) {
 	// status with gen 2 attached, refreshes, and retries b — one logical
 	// load, zero client-visible errors, zero failovers (the peer was
 	// healthy, just no longer the owner).
-	gr, err := g.Get(10)
+	gs, _, err := loadGraphs(g, []int64{10})
 	if err != nil {
 		t.Fatalf("load across a generation bump failed: %v", err)
 	}
+	gr := gs[0]
 	if gr.ID != 10 {
 		t.Fatalf("got sample %d, want 10", gr.ID)
 	}
@@ -225,7 +226,7 @@ func TestElasticGroupRefreshesOnStaleGeneration(t *testing.T) {
 	}
 	// Later loads route straight to the new owner: no further refreshes.
 	before := prof.Counter(CounterStaleRefreshes)
-	if _, err := g.Load([]int64{20, 30, 40}); err != nil {
+	if _, _, err := loadGraphs(g, []int64{20, 30, 40}); err != nil {
 		t.Fatal(err)
 	}
 	if got := prof.Counter(CounterStaleRefreshes); got != before {

@@ -358,41 +358,19 @@ func (g *Group) refreshFromSurvivors(down []int) bool {
 	return false
 }
 
-// Get fetches one sample: a one-element Load, with the same caching,
-// failover, and quarantine behaviour.
-func (g *Group) Get(id int64) (*graph.Graph, error) {
-	out, err := g.Load([]int64{id})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// Load fetches a batch of samples (any order), like core.Store.Load but
-// over TCP. Cache hits are served from memory; misses are grouped by their
-// preferred replica and owning peer, fetched maxBatch ids per round trip,
-// and failed over to the owners in other replicas when a peer is
-// unreachable or serves corrupt bytes. Concurrent Loads claiming the same
-// missing id coalesce into one fetch via the cache's flight table. The
-// whole pipeline runs in the shared engine (internal/fetch); this file
-// contributes only the TCP wire: replica preference, suspect/cooldown
-// failover, stale-generation refresh, and OpGetBatch chunking.
-func (g *Group) Load(ids []int64) ([]*graph.Graph, error) {
-	out, _, err := g.LoadTimed(ids)
-	return out, err
-}
-
-// LoadTimed is Load plus per-sample wall-clock fetch latencies, the same
-// contract core.Store.LoadTimed has on the RMA plane.
-func (g *Group) LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	return g.engine.Load(ids)
-}
-
-// LoadLazyTraced is LoadTimed without tensor materialization: samples come
-// back as header-validated graph.Lazy views over their pooled wire buffers.
-// The caller owns the views — materialize via Graph() or Release() each
-// one — and the same contract holds on the RMA plane
-// (core.Store.LoadLazyTraced).
+// LoadLazyTraced fetches a batch of samples (any order), like
+// core.Store.LoadLazyTraced but over TCP, and returns them in request order
+// as header-validated graph.Lazy views over their pooled wire buffers, with
+// per-position wall-clock fetch latencies. The caller owns the views —
+// materialize via Graph() or Release() each one. Cache hits are served from
+// memory; misses are grouped by their preferred replica and owning peer,
+// fetched maxBatch ids per round trip, and failed over to the owners in
+// other replicas when a peer is unreachable or serves corrupt bytes.
+// Concurrent loads claiming the same missing id coalesce into one fetch via
+// the cache's flight table. The whole pipeline runs in the shared engine
+// (internal/fetch); this file contributes only the TCP wire: replica
+// preference, suspect/cooldown failover, stale-generation refresh, and
+// OpGetBatch chunking.
 //
 // tc is the caller's span in a distributed trace, and the zero Context
 // means untraced: each per-owner fan-out propagates a child context over

@@ -39,7 +39,7 @@ func within(t *testing.T, what string, fn func() error) {
 
 // loadChecked loads ids and checks every position holds its own sample.
 func loadChecked(g *Group, ids []int64) error {
-	gs, err := g.Load(ids)
+	gs, _, err := loadGraphs(g, ids)
 	if err != nil {
 		return err
 	}

@@ -270,7 +270,7 @@ func TestGroupFailsOverToOtherReplica(t *testing.T) {
 
 	// Healthy pass.
 	for id := int64(0); id < 20; id++ {
-		if _, err := grp.Get(id); err != nil {
+		if _, _, err := loadGraphs(grp, []int64{id}); err != nil {
 			t.Fatalf("healthy get %d: %v", id, err)
 		}
 	}
@@ -279,10 +279,11 @@ func TestGroupFailsOverToOtherReplica(t *testing.T) {
 	srv0.Close()
 	for pass := 0; pass < 2; pass++ {
 		for id := int64(0); id < 20; id++ {
-			g, err := grp.Get(id)
+			gs, _, err := loadGraphs(grp, []int64{id})
 			if err != nil {
 				t.Fatalf("get %d with dead replica: %v", id, err)
 			}
+			g := gs[0]
 			want, _ := ds.Sample(id)
 			if g.ID != id || g.Y[0] != want.Y[0] {
 				t.Fatalf("sample %d corrupted during failover", id)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ddstore/internal/comm"
 	"ddstore/internal/core"
@@ -13,6 +14,12 @@ import (
 	"ddstore/internal/hydra"
 	"ddstore/internal/transport"
 )
+
+// loadGraphs loads ids through the trainer's loader, the one place plane
+// samples are materialized.
+func loadGraphs(p ddp.DataPlane, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	return (&ddp.PlaneLoader{Plane: p}).LoadBatch(ids)
+}
 
 func chunkFor(t *testing.T, ds *datasets.Dataset, lo, hi int64) *transport.MemChunk {
 	t.Helper()
@@ -144,7 +151,7 @@ func TestGroupAcrossServers(t *testing.T) {
 		t.Fatalf("group len = %d", grp.Len())
 	}
 	ids := []int64{29, 0, 15, 7, 22}
-	gs, err := grp.Load(ids)
+	gs, _, err := loadGraphs(grp, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +161,7 @@ func TestGroupAcrossServers(t *testing.T) {
 			t.Fatalf("sample %d corrupted", ids[i])
 		}
 	}
-	if _, err := grp.Get(99); err == nil {
+	if _, _, err := loadGraphs(grp, []int64{99}); err == nil {
 		t.Fatal("unowned id accepted")
 	}
 }
@@ -211,10 +218,11 @@ func TestServeDDStoreChunk(t *testing.T) {
 	}
 	defer grp.Close()
 	for id := int64(0); id < 24; id++ {
-		g, err := grp.Get(id)
+		gs, _, err := loadGraphs(grp, []int64{id})
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
+		g := gs[0]
 		want, _ := ds.Sample(id)
 		if g.NumNodes != want.NumNodes || g.Y[0] != want.Y[0] {
 			t.Fatalf("sample %d differs over TCP", id)
