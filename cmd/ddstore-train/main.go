@@ -11,11 +11,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"ddstore/internal/cache"
 	"ddstore/internal/cff"
@@ -24,41 +24,59 @@ import (
 	"ddstore/internal/core"
 	"ddstore/internal/datasets"
 	"ddstore/internal/ddp"
-	"ddstore/internal/fetch"
 	"ddstore/internal/hydra"
 	"ddstore/internal/obs"
 	"ddstore/internal/pff"
 	"ddstore/internal/pfs"
+	"ddstore/internal/stats"
 	"ddstore/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run executes the command line and returns the process's exit status: 2
+// for a usage error, 1 for a failed run.
+func run(args []string) int {
+	flags := flag.NewFlagSet("ddstore-train", flag.ContinueOnError)
 	var (
-		machineName = flag.String("machine", "perlmutter", "machine model: summit, perlmutter, laptop")
-		ranks       = flag.Int("ranks", 16, "number of simulated ranks (GPUs)")
-		dsName      = flag.String("dataset", "discrete", "dataset: ising, homolumo, discrete, smooth")
-		n           = flag.Int("n", 20000, "dataset size in graphs")
-		bins        = flag.Int("bins", 375, "smooth-spectrum grid size")
-		method      = flag.String("method", "ddstore", "data management: pff, cff, ddstore")
-		width       = flag.Int("width", 0, "DDStore width (0 = all ranks, single replica)")
-		batch       = flag.Int("batch", 128, "local batch size")
-		epochs      = flag.Int("epochs", 3, "training epochs")
-		steps       = flag.Int("steps", 0, "max steps per epoch (0 = full epoch)")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		real        = flag.Bool("real", false, "train a real (scaled-down) HydraGNN instead of the cost model")
-		hidden      = flag.Int("hidden", 16, "hidden dim for -real")
-		localShuf   = flag.Bool("local-shuffle", false, "use sharding with local shuffling instead of global shuffles (the conventional baseline of paper §2.2)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "per-rank remote-sample cache budget for -method ddstore (0 = no cache)")
-		cachePol    = flag.String("cache-policy", "lru", "cache eviction policy: lru, fifo, clock")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /healthz, /trace, and /debug/pprof on this address during the run (empty = disabled)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file of per-batch spans (load in about://tracing)")
-		metricsJSON = flag.String("metrics-json", "", "write the final metrics registry snapshot to this JSON file")
+		machineName = flags.String("machine", "perlmutter", "machine model: summit, perlmutter, laptop")
+		ranks       = flags.Int("ranks", 16, "number of simulated ranks (GPUs)")
+		dsName      = flags.String("dataset", "discrete", "dataset: ising, homolumo, discrete, smooth")
+		n           = flags.Int("n", 20000, "dataset size in graphs")
+		bins        = flags.Int("bins", 375, "smooth-spectrum grid size")
+		method      = flags.String("method", "ddstore", "data management: pff, cff, ddstore")
+		width       = flags.Int("width", 0, "DDStore width (0 = all ranks, single replica)")
+		batch       = flags.Int("batch", 128, "local batch size")
+		epochs      = flags.Int("epochs", 3, "training epochs")
+		steps       = flags.Int("steps", 0, "max steps per epoch (0 = full epoch)")
+		seed        = flags.Uint64("seed", 1, "random seed")
+		real        = flags.Bool("real", false, "train a real (scaled-down) HydraGNN instead of the cost model")
+		hidden      = flags.Int("hidden", 16, "hidden dim for -real")
+		localShuf   = flags.Bool("local-shuffle", false, "use sharding with local shuffling instead of global shuffles (the conventional baseline of paper §2.2)")
+		cacheBytes  = flags.Int64("cache-bytes", 0, "per-rank remote-sample cache budget for -method ddstore (0 = no cache)")
+		cachePol    = flags.String("cache-policy", "lru", "cache eviction policy: lru, fifo, clock")
+		debugAddr   = flags.String("debug-addr", "", "serve /metrics, /healthz, /trace, and /debug/pprof on this address during the run (empty = disabled)")
+		traceOut    = flags.String("trace-out", "", "write a Chrome trace-event JSON file of per-batch spans (load in about://tracing)")
+		metricsJSON = flags.String("metrics-json", "", "write the final metrics registry snapshot to this JSON file")
 	)
-	flag.Parse()
+	switch err := flags.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(os.Stderr, "ddstore-train: "+format+"\n", args...)
+		return 2
+	}
+	failed := func(err error) int {
+		fmt.Fprintf(os.Stderr, "ddstore-train: %v\n", err)
+		return 1
+	}
 
 	cachePolicy, err := cache.ParsePolicy(*cachePol)
 	if err != nil {
-		fatalf("%v", err)
+		return usage("%v", err)
 	}
 
 	var machine *cluster.Machine
@@ -70,7 +88,7 @@ func main() {
 	case "laptop":
 		machine = cluster.Laptop()
 	default:
-		fatalf("unknown machine %q", *machineName)
+		return usage("unknown machine %q", *machineName)
 	}
 
 	cfg := datasets.Config{NumGraphs: *n, SpectrumBins: *bins}
@@ -85,12 +103,12 @@ func main() {
 	case "smooth":
 		ds = datasets.AISDExSmooth(cfg)
 	default:
-		fatalf("unknown dataset %q", *dsName)
+		return usage("unknown dataset %q", *dsName)
 	}
 
 	world, err := comm.NewWorld(*ranks, *seed, comm.WithMachine(machine))
 	if err != nil {
-		fatalf("%v", err)
+		return usage("%v", err)
 	}
 
 	// Baseline filesystems are registered once, outside the ranks.
@@ -101,16 +119,16 @@ func main() {
 	case "pff":
 		fs = pfs.New(machine, *ranks)
 		if sizes, err = pff.RegisterSim(fs, ds); err != nil {
-			fatalf("%v", err)
+			return failed(err)
 		}
 	case "cff":
 		fs = pfs.New(machine, *ranks)
 		if layout, err = cff.RegisterSim(fs, ds, 6); err != nil {
-			fatalf("%v", err)
+			return failed(err)
 		}
 	case "ddstore":
 	default:
-		fatalf("unknown method %q", *method)
+		return usage("unknown method %q", *method)
 	}
 
 	simModel := hydra.PaperConfig(ds.NodeFeatDim(), ds.EdgeFeatDim(), ds.OutputDim())
@@ -125,7 +143,7 @@ func main() {
 		obs.CollectGoRuntime(reg)
 		dbg, err := obs.StartDebug(*debugAddr, reg, traces)
 		if err != nil {
-			fatalf("debug server: %v", err)
+			return failed(fmt.Errorf("debug server: %w", err))
 		}
 		defer dbg.Close()
 		fmt.Printf("debug server on http://%s (/metrics, /healthz, /trace, /debug/pprof/)\n", dbg.Addr())
@@ -133,7 +151,6 @@ func main() {
 
 	var res *ddp.Result
 	var cacheStats cache.Stats
-	var latency fetch.LatencySummary
 	var mu sync.Mutex
 	err = world.Run(func(c *comm.Comm) error {
 		prof := trace.New()
@@ -166,6 +183,7 @@ func main() {
 			LocalShuffle:     *localShuf,
 			SimModel:         simModel,
 			Profiler:         prof,
+			KeepLatencies:    c.Rank() == 0,
 			Spans:            spans,
 			Telemetry:        obs.NewTelemetry(c, prof),
 		}
@@ -191,9 +209,6 @@ func main() {
 		merged.Merge(prof)
 		if c.Rank() == 0 {
 			res = r
-			if dp, ok := loader.(interface{ LatencyStats() fetch.LatencySummary }); ok {
-				latency = dp.LatencyStats()
-			}
 			if store != nil {
 				cacheStats = store.CacheStats()
 			}
@@ -202,7 +217,7 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fatalf("%v", err)
+		return failed(err)
 	}
 
 	fmt.Printf("%s | %d ranks (%d nodes) | %s | %s | batch %d\n",
@@ -218,9 +233,10 @@ func main() {
 		fmt.Println(line)
 	}
 	fmt.Printf("mean throughput: %.0f samples/s over %v virtual\n", res.MeanThroughput, res.TotalDuration)
-	if latency.Count > 0 {
-		fmt.Printf("rank 0 fetch latency: p50 %v  p95 %v  p99 %v over %d loads\n",
-			latency.P50, latency.P95, latency.P99, latency.Count)
+	if lats := res.Latencies; len(lats) > 0 {
+		fmt.Printf("rank 0 load latency: p50 %v  p95 %v  p99 %v over %d samples\n",
+			stats.DurationPercentile(lats, 50), stats.DurationPercentile(lats, 95),
+			stats.DurationPercentile(lats, 99), len(lats))
 	}
 	if *cacheBytes > 0 {
 		fmt.Printf("rank 0 cache (%s, %d B): %.1f%% hit rate, %d hits, %d misses, %d evictions, %d coalesced\n",
@@ -238,35 +254,29 @@ func main() {
 	// Fold run-wide aggregates into the registry before the final snapshot
 	// so -metrics-json (and a last /metrics scrape) sees them.
 	obs.AddProfiler(reg, merged)
-	obs.CollectLatencySummary(reg, func() (int64, time.Duration, time.Duration, time.Duration) {
-		return latency.Count, latency.P50, latency.P95, latency.P99
-	})
 	if *metricsJSON != "" {
 		out, err := reg.Snapshot().JSON()
 		if err != nil {
-			fatalf("metrics snapshot: %v", err)
+			return failed(fmt.Errorf("metrics snapshot: %w", err))
 		}
 		if err := os.WriteFile(*metricsJSON, append(out, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
+			return failed(err)
 		}
 		fmt.Printf("wrote metrics snapshot to %s\n", *metricsJSON)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatalf("%v", err)
+			return failed(err)
 		}
-		if err := traces.WriteChromeTrace(f); err != nil {
-			fatalf("write trace: %v", err)
+		werr := traces.WriteChromeTrace(f)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
 		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
+		if werr != nil {
+			return failed(fmt.Errorf("write trace: %w", werr))
 		}
 		fmt.Printf("wrote Chrome trace to %s (load in about://tracing)\n", *traceOut)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ddstore-train: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

@@ -1,0 +1,100 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"ddstore/internal/obs"
+)
+
+// runCaptured runs the command line with stdout sent to a file and returns
+// the exit status and what was printed.
+func runCaptured(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	code := run(args)
+	os.Stdout = stdout
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
+}
+
+// TestRunReportsLoadLatency: a short DDStore run prints rank 0's load
+// latency percentiles over every sample it loaded, and its metrics snapshot
+// carries the engine's latency histogram and no percentile gauges.
+func TestRunReportsLoadLatency(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	code, out := runCaptured(t, "-machine", "laptop", "-ranks", "4", "-dataset", "homolumo", "-n", "200",
+		"-method", "ddstore", "-batch", "8", "-epochs", "1", "-steps", "2", "-metrics-json", metrics)
+	if code != 0 {
+		t.Fatalf("exit status %d, output:\n%s", code, out)
+	}
+	m := regexp.MustCompile(`rank 0 load latency: p50 \S+  p95 \S+  p99 \S+ over (\d+) samples`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no latency line in:\n%s", out)
+	}
+	if n, _ := strconv.Atoi(m[1]); n != 2*8 {
+		t.Errorf("latency line counts %d samples, want 2 steps x 8", n)
+	}
+
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var observed uint64
+	for _, h := range snap.Histograms {
+		if h.Name == "ddstore_fetch_latency_seconds" {
+			observed += h.Count
+		}
+	}
+	if observed == 0 {
+		t.Error("snapshot has no ddstore_fetch_latency_seconds observation")
+	}
+	var names []string
+	for _, c := range snap.Counters {
+		names = append(names, c.Name)
+	}
+	for _, g := range snap.Gauges {
+		names = append(names, g.Name)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, "_quantile_seconds") || strings.HasPrefix(name, "ddstore_fetch_latency_window") {
+			t.Errorf("snapshot exports %s: latency percentiles come from the histogram", name)
+		}
+	}
+}
+
+// TestRunUsage: a command line naming something that does not exist exits
+// 2 before anything runs.
+func TestRunUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-method", "nfs"},
+		{"-dataset", "qm9"},
+		{"-machine", "frontier"},
+		{"-cache-policy", "random"},
+		{"-no-such-flag"},
+	} {
+		if code, _ := runCaptured(t, args...); code != 2 {
+			t.Errorf("run(%q) = %d, want 2", args, code)
+		}
+	}
+}

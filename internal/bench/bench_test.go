@@ -465,6 +465,11 @@ func TestCachedExperimentShape(t *testing.T) {
 	if len(r.Rows) != 18 { // 6 configs x 3 epochs
 		t.Fatalf("want 18 rows, got %d", len(r.Rows))
 	}
+	// The digest covers every latency the cacheless configuration's loads
+	// returned: each of the 96 quick samples once per epoch.
+	if d := r.Latency; d == nil || d.Count != 96*3 || d.P50us > d.P95us || d.P95us > d.P99us {
+		t.Fatalf("latency digest %+v, want count 288 and p50 <= p95 <= p99", d)
+	}
 	for row := range r.Rows {
 		label := cell(t, r, row, "cache")
 		epoch := cellFloat(t, r, row, "epoch")

@@ -8,7 +8,6 @@ import (
 
 	"ddstore/internal/cache"
 	"ddstore/internal/datasets"
-	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
@@ -90,19 +89,19 @@ func runCachedExp(o Options) (*Report, error) {
 		}
 		if i == 0 {
 			// The cacheless first configuration is the honest wire latency;
-			// cached configurations dilute the window with memory reads.
+			// cached configurations dilute it with memory reads.
 			rep.Latency = latencyDigest(lat)
 		}
 	}
 	rep.AddNote("dataset: %d samples, %s encoded; each epoch loads every sample once in a fresh shuffled order, %d ids per Load", samples, humanBytes(totalBytes), loadBatch)
 	rep.AddNote("shape to preserve: at 100%% budget every epoch after the first is >=90%% hits and zero round trips; at 0 the round-trip count is flat across epochs")
-	rep.AddNote("p50/p95/p99 are per-sample fetch latencies over the plane's recent-sample window (cumulative through the sweep row's epoch)")
+	rep.AddNote("p50/p95/p99 are the per-sample fetch latencies the loads returned, cumulative through the sweep row's epoch")
 	return rep, nil
 }
 
-// cachedPass runs every epoch of one sweep configuration and appends the
-// per-epoch rows.
-func cachedPass(rep *Report, o Options, cfg cachedConfig, addrs []string, totalBytes int64, samples, epochs, loadBatch int) (fetch.LatencySummary, error) {
+// cachedPass runs every epoch of one sweep configuration, appends the
+// per-epoch rows, and returns every per-sample latency its loads returned.
+func cachedPass(rep *Report, o Options, cfg cachedConfig, addrs []string, totalBytes int64, samples, epochs, loadBatch int) ([]time.Duration, error) {
 	gopts := transport.GroupOptions{
 		Client: transport.ClientOptions{
 			Policy: transport.RetryPolicy{
@@ -120,7 +119,7 @@ func cachedPass(rep *Report, o Options, cfg cachedConfig, addrs []string, totalB
 	if cfg.frac > 0 {
 		pol, err := cache.ParsePolicy(cfg.policy)
 		if err != nil {
-			return fetch.LatencySummary{}, err
+			return nil, err
 		}
 		gopts.CacheBytes = int64(cfg.frac * float64(totalBytes))
 		gopts.CachePolicy = pol
@@ -133,7 +132,7 @@ func cachedPass(rep *Report, o Options, cfg cachedConfig, addrs []string, totalB
 	}
 	grp, err := transport.NewGroupReplicas([][]string{addrs}, gopts)
 	if err != nil {
-		return fetch.LatencySummary{}, err
+		return nil, err
 	}
 	defer grp.Close()
 
@@ -145,6 +144,7 @@ func cachedPass(rep *Report, o Options, cfg cachedConfig, addrs []string, totalB
 	// Dialing costs one Meta round trip per server; measure epochs from here.
 	trips := prof.Counter(transport.CounterRoundTrips)
 	var hits, misses int64
+	var lats []time.Duration
 	for epoch := 1; epoch <= epochs; epoch++ {
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		start := time.Now()
@@ -153,13 +153,14 @@ func cachedPass(rep *Report, o Options, cfg cachedConfig, addrs []string, totalB
 			if end > len(ids) {
 				end = len(ids)
 			}
-			views, _, err := grp.LoadLazy(ids[off:end])
+			views, lat, err := grp.LoadLazy(ids[off:end])
 			if err != nil {
-				return fetch.LatencySummary{}, fmt.Errorf("cache %s/%s epoch %d: %w", label, cfg.policy, epoch, err)
+				return nil, fmt.Errorf("cache %s/%s epoch %d: %w", label, cfg.policy, epoch, err)
 			}
+			lats = append(lats, lat...)
 			for k, v := range views {
 				if g := v.Graph(); g.ID != ids[off+k] {
-					return fetch.LatencySummary{}, fmt.Errorf("cache %s/%s: slot %d got sample %d, want %d",
+					return nil, fmt.Errorf("cache %s/%s: slot %d got sample %d, want %d",
 						label, cfg.policy, off+k, g.ID, ids[off+k])
 				}
 			}
@@ -176,14 +177,11 @@ func cachedPass(rep *Report, o Options, cfg cachedConfig, addrs []string, totalB
 		if cfg.frac == 0 {
 			policy = "-"
 		}
-		lat := grp.LatencyStats()
-		us := func(d time.Duration) string {
-			return fmt.Sprintf("%.0f", float64(d)/float64(time.Microsecond))
-		}
+		d := latencyDigest(lats)
 		rep.AddRow(label, policy, epoch, fmt.Sprintf("%.0f", rate), hitRate,
 			prof.Counter(transport.CounterRoundTrips)-trips,
-			us(lat.P50), us(lat.P95), us(lat.P99))
+			fmt.Sprintf("%.0f", d.P50us), fmt.Sprintf("%.0f", d.P95us), fmt.Sprintf("%.0f", d.P99us))
 		trips = prof.Counter(transport.CounterRoundTrips)
 	}
-	return grp.LatencyStats(), nil
+	return lats, nil
 }

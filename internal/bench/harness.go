@@ -235,7 +235,7 @@ func runOne(spec runSpec) (*runOut, error) {
 		case MethodCFF:
 			loader = &ddp.SourceLoader{Source: cff.NewSim(fs, spec.ds, layout, c.Clock(), c.RNG())}
 		}
-		prof := trace.NewSampling()
+		prof := trace.New()
 		var spans *obs.SpanRing
 		if spec.traceSink != nil {
 			spans = spec.traceSink.NewRing(fmt.Sprintf("%s %s x%d", spec.method, spec.machine.Name, spec.ranks), c.Rank())

@@ -11,8 +11,8 @@ import (
 	"strings"
 	"time"
 
-	"ddstore/internal/fetch"
 	"ddstore/internal/obs"
+	"ddstore/internal/stats"
 )
 
 // Report is the textual result of one experiment.
@@ -24,15 +24,15 @@ type Report struct {
 	// Notes carry the paper's expected shape next to what we measured.
 	Notes []string `json:"notes,omitempty"`
 	// Latency is the per-sample fetch-latency digest of the run, for
-	// experiments whose data plane exposes one (see fetch.LatencySummary).
+	// experiments that time their own loads.
 	Latency *LatencyDigest `json:"latency,omitempty"`
 	// Telemetry is the cluster-wide time-share and loading-skew aggregation
 	// for experiments that expose one (fig7's Score-P-style profile).
 	Telemetry *obs.ClusterTelemetry `json:"telemetry,omitempty"`
 }
 
-// LatencyDigest is a JSON-friendly rendering of fetch.LatencySummary:
-// percentiles in microseconds over the plane's recent-sample window.
+// LatencyDigest summarizes per-sample load latencies: how many, and their
+// percentiles in microseconds.
 type LatencyDigest struct {
 	Count int64   `json:"count"`
 	P50us float64 `json:"p50_us"`
@@ -40,9 +40,10 @@ type LatencyDigest struct {
 	P99us float64 `json:"p99_us"`
 }
 
-func latencyDigest(s fetch.LatencySummary) *LatencyDigest {
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	return &LatencyDigest{Count: s.Count, P50us: us(s.P50), P95us: us(s.P95), P99us: us(s.P99)}
+// latencyDigest digests a non-empty set of latencies.
+func latencyDigest(lats []time.Duration) *LatencyDigest {
+	us := func(p float64) float64 { return float64(stats.DurationPercentile(lats, p)) / float64(time.Microsecond) }
+	return &LatencyDigest{Count: int64(len(lats)), P50us: us(50), P95us: us(95), P99us: us(99)}
 }
 
 // AddRow appends a row, formatting each cell with %v.

@@ -147,19 +147,13 @@ type Store struct {
 	epochs epochRefs
 }
 
-// Stats counts the loader's traffic and summarizes its recent per-sample
-// load latencies.
+// Stats counts the loader's traffic.
 type Stats struct {
 	LocalReads   int64
 	RemoteGets   int64
 	BytesLocal   int64
 	BytesRemote  int64
 	LockAcquires int64
-	// LoadP50/P95/P99 are per-sample load latency percentiles over the
-	// engine's sliding window of recent loads (zero before any Load).
-	LoadP50 time.Duration
-	LoadP95 time.Duration
-	LoadP99 time.Duration
 }
 
 // chunkStarts computes the balanced striping of total samples over w group
@@ -396,18 +390,8 @@ func (s *Store) LocalRange() (lo, hi int64) { return s.myLo, s.myHi }
 // MemoryBytes returns the size of this rank's chunk buffer.
 func (s *Store) MemoryBytes() int64 { return int64(len(s.buf)) }
 
-// Stats returns a snapshot of the loader traffic counters, including the
-// engine's per-sample load latency percentiles.
-func (s *Store) Stats() Stats {
-	st := s.stats.snapshot()
-	ls := s.engine.LatencyStats()
-	st.LoadP50, st.LoadP95, st.LoadP99 = ls.P50, ls.P95, ls.P99
-	return st
-}
-
-// LatencyStats summarizes the engine's recent per-sample load latencies
-// (virtual time under a machine model, wall time otherwise).
-func (s *Store) LatencyStats() fetch.LatencySummary { return s.engine.LatencyStats() }
+// Stats returns a snapshot of the loader traffic counters.
+func (s *Store) Stats() Stats { return s.stats.snapshot() }
 
 // CacheStats returns the remote-sample cache's counters; the zero Stats
 // when the store has no cache.

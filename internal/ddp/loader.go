@@ -5,7 +5,6 @@ import (
 
 	"ddstore/internal/cache"
 	"ddstore/internal/core"
-	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
 	"ddstore/internal/obs/tracectx"
@@ -30,7 +29,6 @@ type DataPlane interface {
 	Len() int
 	LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error)
 	CacheStats() cache.Stats
-	LatencyStats() fetch.LatencySummary
 }
 
 // PlaneLoader serves batches from either DDStore data plane. It replaces
@@ -88,9 +86,6 @@ func (l *PlaneLoader) LoadBatchLazy(ids []int64) ([]*graph.Lazy, []time.Duration
 	}
 	return out, lat, err
 }
-
-// LatencyStats reports the plane's per-sample fetch-latency percentiles.
-func (l *PlaneLoader) LatencyStats() fetch.LatencySummary { return l.Plane.LatencyStats() }
 
 // TimedSource is a SampleSource that can report per-read modeled latency
 // (the simulated PFF/CFF readers implement it).

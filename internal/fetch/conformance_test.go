@@ -208,12 +208,24 @@ func runConformance(t *testing.T, p confPlane) {
 		t.Errorf("%s: cached reload missed %d times", p.name, after.Misses-before.Misses)
 	}
 
-	// Scenario: latency percentiles are populated and monotone after real
-	// loads.
-	if s := p.plane.LatencyStats(); s.Count == 0 {
-		t.Errorf("%s: latency window empty after loads", p.name)
-	} else if s.P95 < s.P50 || s.P99 < s.P95 {
-		t.Errorf("%s: percentiles not monotone: %+v", p.name, s)
+	// Scenario: a load returns one latency per position, none negative, and
+	// every repeat of an id carries the latency of the id's one fetch.
+	if _, lats, err = p.load(ids); err != nil {
+		t.Fatalf("%s: latency load: %v", p.name, err)
+	}
+	if len(lats) != len(ids) {
+		t.Fatalf("%s: %d latencies for %d positions", p.name, len(lats), len(ids))
+	}
+	firstLat := map[int64]time.Duration{}
+	for i, id := range ids {
+		if d, seen := firstLat[id]; !seen {
+			firstLat[id] = lats[i]
+		} else if d != lats[i] {
+			t.Errorf("%s: position %d repeats sample %d with latency %v, its first position had %v", p.name, i, id, lats[i], d)
+		}
+		if lats[i] < 0 {
+			t.Errorf("%s: position %d latency %v", p.name, i, lats[i])
+		}
 	}
 
 	// Scenario: concurrent loads over overlapping ids (run with -race).

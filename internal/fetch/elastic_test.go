@@ -3,7 +3,7 @@ package fetch
 // Elastic-ownership conformance: the engine resolves OwnerOf once per Load,
 // so a plane whose answers change between Loads (a shard map advancing
 // under live traffic) must not poison the cache, leak coalesced flights,
-// or skew the latency window. These tests drive a plane whose owner tokens
+// or skew the latency histogram. These tests drive a plane whose owner tokens
 // carry a switchable generation, mirroring how the transport plane packs
 // (generation, member) into the token.
 
@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ddstore/internal/obs"
 )
 
 // genPlane serves ids [0, n) striped over members (member = id % members),
@@ -223,29 +225,27 @@ func TestOwnerChangeFailureFailsFlightsPromptly(t *testing.T) {
 }
 
 func TestLatencyWindowConsistentAcrossOwnerChange(t *testing.T) {
-	// Every unique id loaded lands in the latency window exactly once per
-	// load, whether its owner token is old or new — the window's count and
-	// percentiles never skew across a generation flip.
+	// Every unique id loaded lands in the latency histogram exactly once per
+	// load, whether its owner token is old or new — a repeated position adds
+	// no observation, and the count never skews across a generation flip.
 	p := newGenPlane(12, 3)
-	e := New(Config{Plane: p}) // no cache: the flip forces a clean refetch
+	reg := obs.NewRegistry()
+	e := New(Config{Plane: p, Metrics: reg}) // no cache: the flip forces a clean refetch
+	hist := obs.FetchLatencyHistogram(reg)
 
 	ids := make([]int64, 12)
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	loadAndCheck(t, e, ids)
-	if got := e.LatencyStats().Count; got != 12 {
+	loadAndCheck(t, e, append(ids, 0, 5))
+	if got := hist.Count(); got != 12 {
 		t.Fatalf("latency count after generation 1 = %d, want 12", got)
 	}
 
 	p.gen.Store(7) // generations may jump; tokens just need to be fresh
 	loadAndCheck(t, e, ids)
-	ls := e.LatencyStats()
-	if ls.Count != 24 {
-		t.Fatalf("latency count after generation 7 = %d, want 24", ls.Count)
-	}
-	if ls.P50 < 0 || ls.P95 < ls.P50 || ls.P99 < ls.P95 {
-		t.Fatalf("inconsistent percentiles across owner change: p50=%v p95=%v p99=%v", ls.P50, ls.P95, ls.P99)
+	if got := hist.Count(); got != 24 {
+		t.Fatalf("latency count after generation 7 = %d, want 24", got)
 	}
 	// Both generations' tokens were actually used for grouping: 3 member
 	// tokens per generation, 2 generations.

@@ -397,44 +397,6 @@ func TestLowestOwnerErrorWins(t *testing.T) {
 	}
 }
 
-func TestLatencyWindowAndPercentiles(t *testing.T) {
-	p := newMockPlane(2*latencyWindow, 1)
-	var now atomic.Int64
-	e := New(Config{
-		Plane: p,
-		Now:   func() time.Duration { return time.Duration(now.Load()) },
-	})
-	// Two windows' worth of unique samples, the slow half first (the mock's
-	// latency is id µs): the window keeps only the fast second half, ids
-	// [0, latencyWindow).
-	for _, lo := range []int64{latencyWindow, 0} {
-		ids := make([]int64, latencyWindow)
-		for i := range ids {
-			ids[i] = lo + int64(i)
-		}
-		if _, _, err := loadGraphs(e, ids); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := e.LatencyStats()
-	if s.Count != 2*latencyWindow {
-		t.Errorf("Count = %d, want %d", s.Count, 2*latencyWindow)
-	}
-	if s.P99 >= latencyWindow*time.Microsecond {
-		t.Errorf("P99 = %v, outside the retained window [0µs,%dµs)", s.P99, latencyWindow)
-	}
-	if s.P99 < s.P50 || s.P95 < s.P50 || s.P99 < s.P95 {
-		t.Errorf("percentiles not monotone: p50=%v p95=%v p99=%v", s.P50, s.P95, s.P99)
-	}
-}
-
-func TestLatencyStatsZeroBeforeAnyLoad(t *testing.T) {
-	e := New(Config{Plane: newMockPlane(4, 1)})
-	if s := e.LatencyStats(); s != (LatencySummary{}) {
-		t.Errorf("pre-load summary = %+v, want zero", s)
-	}
-}
-
 func TestNewPanicsWithoutPlane(t *testing.T) {
 	defer func() {
 		if recover() == nil {

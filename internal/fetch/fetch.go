@@ -28,23 +28,21 @@
 // One load's bookkeeping is one slot table (type slot), not a map per
 // concern. Every error path fails the flights this load still leads, so
 // coalesced waiters in other goroutines never block forever, and gives back
-// every other claim and reference it holds. Per-unique-id latencies
-// are recorded into a bounded window; LatencyStats summarizes them as
-// p50/p95/p99.
+// every other claim and reference it holds. Every load returns one latency
+// per position, and feeds one observation per unique id into the metrics
+// histogram, if there is one.
 package fetch
 
 import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"ddstore/internal/cache"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
 	"ddstore/internal/obs/tracectx"
-	"ddstore/internal/stats"
 )
 
 // Deliver hands one fetched sample to the engine: its raw encoded bytes,
@@ -130,18 +128,6 @@ type Config struct {
 	Spans *obs.SpanRing
 }
 
-// latencyWindow is how many recent per-sample latencies LatencyStats
-// summarizes.
-const latencyWindow = 4096
-
-// LatencySummary is a percentile digest of recent per-sample load
-// latencies. Count is the total number of samples ever recorded; the
-// percentiles cover the most recent latencyWindow of them.
-type LatencySummary struct {
-	Count         int64
-	P50, P95, P99 time.Duration
-}
-
 // Engine runs the shared batch-load pipeline over one Plane. Safe for
 // concurrent Loads.
 type Engine struct {
@@ -153,12 +139,6 @@ type Engine struct {
 
 	latHist *obs.Histogram // nil unless Config.Metrics was set
 	spans   *obs.SpanRing  // nil unless Config.Spans was set
-
-	latMu   sync.Mutex
-	window  []time.Duration
-	widx    int
-	wlen    int
-	latSeen int64
 }
 
 // New builds an engine from cfg. It panics when cfg.Plane is nil — a plane
@@ -187,7 +167,6 @@ func New(cfg Config) *Engine {
 	if e.prefix == "" {
 		e.prefix = "fetch"
 	}
-	e.window = make([]time.Duration, latencyWindow)
 	return e
 }
 
@@ -481,7 +460,11 @@ func (e *Engine) load(ids []int64, tc tracectx.Context) (*load, error) {
 		}
 		ld.out[pos], ld.lats[pos] = v, s.lat
 	}
-	e.record(ld.slots)
+	if e.latHist != nil {
+		for i := range ld.slots {
+			e.latHist.ObserveDuration(ld.slots[i].lat)
+		}
+	}
 	return ld, nil
 }
 
@@ -565,41 +548,4 @@ func (e *Engine) span(ld *load, g int, tc tracectx.Context) {
 		Start: p.start, Dur: e.now() - p.start,
 		TraceID: p.Trace.TraceID, SpanID: p.Trace.SpanID, ParentID: tc.SpanID,
 	})
-}
-
-// record appends one batch's per-unique-id latencies to the window and the
-// metrics histogram.
-func (e *Engine) record(slots []slot) {
-	e.latMu.Lock()
-	for i := range slots {
-		e.window[e.widx] = slots[i].lat
-		if e.widx++; e.widx == len(e.window) {
-			e.widx = 0
-		}
-	}
-	e.wlen = min(e.wlen+len(slots), len(e.window))
-	e.latSeen += int64(len(slots))
-	e.latMu.Unlock()
-	if e.latHist != nil {
-		for i := range slots {
-			e.latHist.ObserveDuration(slots[i].lat)
-		}
-	}
-}
-
-// LatencyStats digests the recent per-sample latency window into
-// p50/p95/p99. The zero summary is returned before any load.
-func (e *Engine) LatencyStats() LatencySummary {
-	e.latMu.Lock()
-	defer e.latMu.Unlock()
-	s := LatencySummary{Count: e.latSeen}
-	if e.wlen == 0 {
-		return s
-	}
-	ds := make([]time.Duration, e.wlen)
-	copy(ds, e.window[:e.wlen])
-	s.P50 = stats.DurationPercentile(ds, 50)
-	s.P95 = stats.DurationPercentile(ds, 95)
-	s.P99 = stats.DurationPercentile(ds, 99)
-	return s
 }

@@ -202,19 +202,6 @@ func CollectCache(reg *Registry, get func() cache.Stats) {
 	})
 }
 
-// CollectLatencySummary registers a collector exporting percentile gauges
-// of a latency digest (the engine's sliding window) on every scrape.
-func CollectLatencySummary(reg *Registry, get func() (count int64, p50, p95, p99 time.Duration)) {
-	reg.Help("ddstore_fetch_latency_quantile_seconds", "Sliding-window fetch latency percentiles from the engine.")
-	reg.AddCollector(func() {
-		count, p50, p95, p99 := get()
-		reg.Counter("ddstore_fetch_latency_window_count").Set(count)
-		reg.Gauge("ddstore_fetch_latency_quantile_seconds", "quantile", "0.5").Set(p50.Seconds())
-		reg.Gauge("ddstore_fetch_latency_quantile_seconds", "quantile", "0.95").Set(p95.Seconds())
-		reg.Gauge("ddstore_fetch_latency_quantile_seconds", "quantile", "0.99").Set(p99.Seconds())
-	})
-}
-
 // CollectGoRuntime registers the standard Go process gauges: goroutines,
 // heap residency, GC cycles.
 func CollectGoRuntime(reg *Registry) {

@@ -1,6 +1,6 @@
 // Package obs is DDStore's run-wide observability layer: a typed metrics
 // registry every existing signal feeds into (trace region timings and event
-// counters, cache statistics, fetch-latency windows, transport resilience
+// counters, cache statistics, fetch latencies, transport resilience
 // counters), per-batch span tracing exportable as Chrome trace-event JSON,
 // an HTTP debug server (/metrics, /healthz, net/http/pprof), and cluster
 // telemetry aggregation that folds per-rank profiles into the paper's

@@ -24,27 +24,10 @@ func TestAddAndGet(t *testing.T) {
 	}
 }
 
-func TestSamplesRetention(t *testing.T) {
-	p := NewSampling()
-	p.Add(RegionRMA, time.Millisecond)
-	p.Add(RegionRMA, 2*time.Millisecond)
-	if got := p.Get(RegionRMA).Samples; len(got) != 2 || got[1] != 2*time.Millisecond {
-		t.Fatalf("Samples = %v", got)
-	}
-	plain := New()
-	plain.Add(RegionRMA, time.Millisecond)
-	if got := plain.Get(RegionRMA).Samples; got != nil {
-		t.Fatalf("non-sampling profiler retained samples: %v", got)
-	}
-	if got := p.Get("absent").Samples; got != nil {
-		t.Fatal("absent region returned samples")
-	}
-}
-
 func TestMerge(t *testing.T) {
-	a := NewSampling()
+	a := New()
 	a.Add(RegionLoading, time.Millisecond)
-	b := NewSampling()
+	b := New()
 	b.Add(RegionLoading, 2*time.Millisecond)
 	b.Add(RegionComm, 4*time.Millisecond)
 	a.Merge(b)
@@ -53,9 +36,6 @@ func TestMerge(t *testing.T) {
 	}
 	if r := a.Get(RegionComm); r.Total != 4*time.Millisecond {
 		t.Fatalf("merged comm: %+v", r)
-	}
-	if len(a.Get(RegionLoading).Samples) != 2 {
-		t.Fatal("merge dropped samples")
 	}
 }
 
@@ -84,100 +64,15 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestReservoirBoundsMemory(t *testing.T) {
-	p := NewSampling()
-	p.MaxSamples = 100
-	for i := 0; i < 10000; i++ {
-		p.Add(RegionLoading, time.Duration(i+1)*time.Microsecond)
-	}
-	got := p.Get(RegionLoading).Samples
-	if len(got) != 100 {
-		t.Fatalf("reservoir size = %d, want 100", len(got))
-	}
-	if r := p.Get(RegionLoading); r.Count != 10000 {
-		t.Fatalf("Count = %d (capping samples must not cap counts)", r.Count)
-	}
-	// The reservoir is a uniform sample of the 1µs..10000µs ramp: its mean
-	// must sit near the stream mean (~5000µs), not near either end, which
-	// is what a keep-first or keep-last policy would produce.
-	var sum time.Duration
-	for _, d := range got {
-		sum += d
-	}
-	mean := sum / time.Duration(len(got))
-	if mean < 3500*time.Microsecond || mean > 6500*time.Microsecond {
-		t.Fatalf("reservoir mean = %v, want ~5000µs (biased retention?)", mean)
-	}
-}
-
-func TestReservoirDefaultCap(t *testing.T) {
-	p := NewSampling()
-	for i := 0; i < DefaultMaxSamples+500; i++ {
-		p.Add(RegionRMA, time.Microsecond)
-	}
-	if got := len(p.Get(RegionRMA).Samples); got != DefaultMaxSamples {
-		t.Fatalf("default reservoir size = %d, want %d", got, DefaultMaxSamples)
-	}
-}
-
-func TestSamplesReturnsCopy(t *testing.T) {
-	p := NewSampling()
-	p.Add(RegionRMA, time.Millisecond)
-	s1 := p.Get(RegionRMA).Samples
-	s1[0] = 42 * time.Hour
-	if got := p.Get(RegionRMA).Samples; got[0] != time.Millisecond {
-		t.Fatal("Samples returned the live backing array")
-	}
-	r := p.Get(RegionRMA)
-	r.Samples[0] = 42 * time.Hour
-	if got := p.Get(RegionRMA).Samples; got[0] != time.Millisecond {
-		t.Fatal("Get returned the live backing array")
-	}
-}
-
-func TestMergeRespectsReservoirCap(t *testing.T) {
-	a := NewSampling()
-	a.MaxSamples = 64
-	b := NewSampling()
-	b.MaxSamples = 64
-	// a: 1000 fast observations; b: 1000 slow ones. The merged reservoir
-	// must stay capped and draw from both streams.
-	for i := 0; i < 1000; i++ {
-		a.Add(RegionLoading, time.Microsecond)
-		b.Add(RegionLoading, time.Second)
-	}
-	a.Merge(b)
-	got := a.Get(RegionLoading).Samples
-	if len(got) != 64 {
-		t.Fatalf("merged reservoir size = %d, want 64", len(got))
-	}
-	var fast, slow int
-	for _, d := range got {
-		if d == time.Microsecond {
-			fast++
-		} else if d == time.Second {
-			slow++
-		} else {
-			t.Fatalf("foreign sample %v", d)
-		}
-	}
-	if fast == 0 || slow == 0 {
-		t.Fatalf("merge lost a stream: fast=%d slow=%d", fast, slow)
-	}
-	if r := a.Get(RegionLoading); r.Count != 2000 {
-		t.Fatalf("merged Count = %d, want 2000", r.Count)
-	}
-}
-
 func TestMergeSmallStaysExact(t *testing.T) {
-	a := NewSampling()
-	b := NewSampling()
+	a := New()
+	b := New()
 	a.Add(RegionLoading, time.Millisecond)
 	b.Add(RegionLoading, 2*time.Millisecond)
 	b.Add(RegionLoading, 3*time.Millisecond)
 	a.Merge(b)
-	if got := len(a.Get(RegionLoading).Samples); got != 3 {
-		t.Fatalf("small merge not exact: %d samples", got)
+	if r := a.Get(RegionLoading); r.Count != 3 || r.Total != 6*time.Millisecond {
+		t.Fatalf("small merge not exact: %+v", r)
 	}
 }
 
@@ -193,19 +88,16 @@ func TestMergeCounters(t *testing.T) {
 	}
 }
 
-// TestProfilerConcurrent exercises Add/Inc/Merge/Samples/Regions from many
-// goroutines; run under -race in CI. The reservoir overwrites samples in
-// place, so any shared-slice escape shows up here.
+// TestProfilerConcurrent exercises Add/Inc/Merge/Get/Regions from many
+// goroutines; run under -race in CI.
 func TestProfilerConcurrent(t *testing.T) {
-	p := NewSampling()
-	p.MaxSamples = 32
+	p := New()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			other := NewSampling()
-			other.MaxSamples = 32
+			other := New()
 			for i := 0; i < 500; i++ {
 				p.Add(RegionLoading, time.Duration(i)*time.Microsecond)
 				p.Inc("events", 1)
@@ -213,7 +105,7 @@ func TestProfilerConcurrent(t *testing.T) {
 				if i%100 == 99 {
 					p.Merge(other)
 				}
-				_ = p.Get(RegionLoading).Samples
+				_ = p.Get(RegionLoading)
 				_ = p.Regions()
 				_ = p.String()
 			}
@@ -223,11 +115,7 @@ func TestProfilerConcurrent(t *testing.T) {
 	if got := p.Counter("events"); got != 2000 {
 		t.Fatalf("events = %d, want 2000", got)
 	}
-	// 4 workers * (500 adds + 5 merges * growing other)... just assert the
-	// reservoir stayed capped and counts are the exact stream length.
-	if got := len(p.Get(RegionLoading).Samples); got != 32 {
-		t.Fatalf("reservoir = %d, want 32", got)
-	}
+	// Each worker adds 500 and merges its growing other five times.
 	wantCount := int64(4 * (500 + 100 + 200 + 300 + 400 + 500))
 	if r := p.Get(RegionLoading); r.Count != wantCount {
 		t.Fatalf("Count = %d, want %d", r.Count, wantCount)

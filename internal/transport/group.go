@@ -74,8 +74,11 @@ type Group struct {
 	spans      *obs.SpanRing // nil without GroupOptions.Spans
 	elastic    bool
 
-	mu      sync.Mutex
-	clients map[string]*Client // by peer address; dialed lazily in elastic mode
+	mu sync.Mutex
+	// clients holds the connections by peer address, dialed on first use.
+	// Close sets it to nil, which latches the group closed: no later load
+	// dials again.
+	clients map[string]*Client
 }
 
 // newGroup builds the pieces every constructor shares.
@@ -281,10 +284,14 @@ func NewElasticGroup(seeds []string, opts GroupOptions) (*Group, error) {
 	return nil, fmt.Errorf("transport: shard map bootstrap failed on all %d seeds: %w", len(seeds), lastErr)
 }
 
-// clientFor returns the connection to addr, dialing it on first use.
+// clientFor returns the connection to addr, dialing it on first use, or
+// ErrClosed once the group is closed.
 func (g *Group) clientFor(addr string) (*Client, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.clients == nil {
+		return nil, ErrClosed
+	}
 	if cl, ok := g.clients[addr]; ok {
 		return cl, nil
 	}
@@ -296,14 +303,15 @@ func (g *Group) clientFor(addr string) (*Client, error) {
 	return cl, nil
 }
 
-// Close releases all connections of all replicas. It closes them after
+// Close releases all connections of all replicas, and every later load
+// fails with ErrClosed instead of dialing. It closes the clients after
 // letting go of g.mu: a client's Close waits for the request in flight on
 // it, and a load holding one issued client may be waiting on g.mu to issue
 // its next owner.
 func (g *Group) Close() {
 	g.mu.Lock()
 	clients := g.clients
-	g.clients = map[string]*Client{}
+	g.clients = nil
 	g.mu.Unlock()
 	for _, cl := range clients {
 		cl.Close()
@@ -739,10 +747,4 @@ func (g *Group) CacheStats() cache.Stats {
 		return cache.Stats{}
 	}
 	return g.cache.Stats()
-}
-
-// LatencyStats summarizes per-sample fetch latency over the engine's
-// sliding window (p50/p95/p99 of the most recent fetches).
-func (g *Group) LatencyStats() fetch.LatencySummary {
-	return g.engine.LatencyStats()
 }

@@ -8,7 +8,9 @@ package transport
 // under a deadline, so a deadlock fails the test instead of hanging it.
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -198,13 +200,54 @@ func TestHazardFailedLoadLeavesConnectionsAligned(t *testing.T) {
 	})
 }
 
+// acceptCounter counts the connections its listener accepts.
+type acceptCounter struct {
+	net.Listener
+	n atomic.Int64
+}
+
+func (l *acceptCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
+}
+
 // TestHazardCloseDuringLoads: closing a group while loads run over it must
 // not deadlock Close, which waits for the requests in flight on its
 // clients, against a load that holds one issued client while it waits to
-// reach the next. Loads after Close may fail or dial afresh; only finishing
-// is asserted.
+// reach the next. Close latches the group: a load racing it may fail, but
+// dials nothing, so every connection a server accepted is closed again, and
+// a load after Close fails with ErrClosed without a server accepting one.
 func TestHazardCloseDuringLoads(t *testing.T) {
-	_, addrs := servers(t, 4)
+	var srvs []*Server
+	var lns []*acceptCounter
+	var addrs []string
+	for i := int64(0); i < 4; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := &acceptCounter{Listener: ln}
+		srv := ServeListener(lc, wireChunk(8*i, 8*i+8), ServerOptions{})
+		t.Cleanup(func() { srv.Close() })
+		srvs, lns, addrs = append(srvs, srv), append(lns, lc), append(addrs, srv.Addr())
+	}
+	open := func() (n int) {
+		for _, srv := range srvs {
+			srv.mu.Lock()
+			n += len(srv.conns)
+			srv.mu.Unlock()
+		}
+		return n
+	}
+	accepted := func() (n int64) {
+		for _, lc := range lns {
+			n += lc.n.Load()
+		}
+		return n
+	}
 	g, err := NewGroupReplicas([][]string{addrs}, GroupOptions{
 		Client: ClientOptions{Policy: fastPolicy()},
 	})
@@ -228,7 +271,19 @@ func TestHazardCloseDuringLoads(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		stop.Store(true)
 		wg.Wait()
-		g.Close() // the clients loads dialed after the first Close
+		for deadline := time.Now().Add(2 * time.Second); open() > 0; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%d server connections still open after Close: a load dialed past it", open())
+			}
+		}
+		before := accepted()
+		if _, _, err := loadGraphs(g, []int64{1, 9}); !errors.Is(err, ErrClosed) {
+			return fmt.Errorf("load after Close: err = %v, want ErrClosed", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if n := accepted() - before; n != 0 || open() != 0 {
+			return fmt.Errorf("servers accepted %d connections after Close (%d open)", n, open())
+		}
 		return nil
 	})
 }
