@@ -24,7 +24,8 @@ bench:
 # and batch assembly (graph.NewBatch128: Batch + float slab + index slab +
 # IDs), each for every size it runs at. A served message: a single get
 # through a booted server, front end included (serveboot.ServedGet: the
-# caller's result slice, with one allocation of slack), the admit that
+# caller's result slice and nothing else: sending the get as a batch of
+# one costs no allocation), the admit that
 # never binds (frontend.Admit: nothing) and a 16-id batch over a bare
 # server (transport.OpGetBatch/batch16: the pinned response buffer, its
 # handle and its part list). A load, stated per load and not per id: the
@@ -41,7 +42,7 @@ bench:
 DECODE_ALLOC_MAX ?= 1
 MATERIALIZE_ALLOC_MAX ?= 3
 BATCH_ALLOC_MAX ?= 4
-SERVED_GET_ALLOC_MAX ?= 2
+SERVED_GET_ALLOC_MAX ?= 1
 ADMIT_ALLOC_MAX ?= 0
 GETBATCH16_ALLOC_MAX ?= 3
 LOADLAZY64_ALLOC_MAX ?= 8

@@ -14,6 +14,7 @@ import (
 // by series name including labels, e.g.
 //
 //	ddstore_serve_requests_total{op="getbatch"} -> 1234
+//	ddstore_tenant_requests_total{class="lookup",tenant="alpha"} -> 56
 //
 // Histogram bucket series are skipped — the harness keeps the _count and
 // _sum series, which are what phase-over-phase diffs use.

@@ -167,7 +167,7 @@ func TestDebugMetricsAndAdminReshard(t *testing.T) {
 			scrapeFor(t, metricsURL(c),
 				"ddstore_fetch_latency_seconds_bucket",
 				"ddstore_fetch_latency_seconds_count 10",
-				`ddstore_serve_requests_total{op="get"} 10`,
+				`ddstore_serve_requests_total{op="getbatch"} 10`,
 				`ddstore_events_total{event="cache-hits"} 5`,
 				`ddstore_events_total{event="cache-misses"} 5`,
 				`ddstore_events_total{event="net-retries"} 0`,

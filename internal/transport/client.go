@@ -87,7 +87,7 @@ type ClientOptions struct {
 	// Tracing opts this client into distributed tracing: the hello
 	// handshake advertises the tracing feature, and when the server
 	// advertises it back, requests carrying a valid sampled trace context
-	// use the traced wire ops and return the server's timing trailer.
+	// go out flagged as traced and return the server's timing trailer.
 	// Against an older server the feature never activates and the same
 	// calls silently run untraced. Tracing with no Tenant declares
 	// DefaultTracedTenant, since negotiation rides on hello.
@@ -109,6 +109,7 @@ type Client struct {
 	conn     net.Conn
 	br       *bufio.Reader // buffered reads of conn; Reset by connect on every (re)dial
 	req      []byte        // request frame scratch, reused under mu
+	one      [1]int64      // a single get's id list, reused under mu: its batch of one allocates none
 	helloed  bool          // tenant declared on the current connection
 	features uint64        // server feature word from the current connection's hello
 	rng      *rand.Rand
@@ -121,10 +122,10 @@ type Client struct {
 // back to back; a group load runs them as one owner's Issue and Collect.
 type exchange struct {
 	op      byte
-	a, b    int64
+	a, b    int64 // b: the request flags the caller asked for
 	ids     []int64
 	tc      tracectx.Context
-	sendOp  byte // what the current attempt wrote: op, or its traced twin
+	flags   int64 // what the current attempt wrote in b: b, plus flagTraced when it carried tc
 	attempt int
 	sent    bool // the current attempt's frame is written, its reply unread
 	lastErr error
@@ -239,8 +240,8 @@ func (c *Client) Close() error {
 //
 // tc is the request's trace context, and the zero Context means untraced.
 // When it is valid and sampled, the client negotiated the tracing feature
-// on this connection, and the op has a traced twin, the request goes out
-// as the traced op carrying the context, and the server's timing trailer
+// on this connection, and the op takes request flags, the request goes out
+// flagged as traced carrying the context, and the server's timing trailer
 // is stripped from the payload and returned. Otherwise the request runs
 // untraced and timing is nil — including mid-call, if a reconnect lands on
 // a server that does not advertise tracing.
@@ -250,10 +251,10 @@ func (c *Client) Close() error {
 // Release it; GetBatchRaw, which hands parts of it to the outside world as
 // plain []byte, keeps it alive by never releasing (the buffer degrades to
 // ordinary GC-owned memory).
-func (c *Client) do(op byte, a, b int64, ids []int64, tc tracectx.Context) (*bufarena.Buf, *ServerTiming, error) {
+func (c *Client) do(op byte, a int64, ids []int64, tc tracectx.Context) (*bufarena.Buf, *ServerTiming, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.begin(op, a, b, ids, tc)
+	c.begin(op, a, 0, ids, tc)
 	return c.finish()
 }
 
@@ -303,7 +304,7 @@ func (c *Client) finish() (*bufarena.Buf, *ServerTiming, error) {
 		r.sent = false
 		payload, err := c.receive()
 		if err == nil {
-			if r.sendOp == r.op {
+			if r.flags&flagTraced == 0 {
 				return payload, nil, nil
 			}
 			dataLen, timing, terr := parseTimingTrailer(payload.Bytes())
@@ -326,7 +327,7 @@ func (c *Client) finish() (*bufarena.Buf, *ServerTiming, error) {
 // send writes r's frame, declaring the tenant first on a connection that
 // has not: admission control then charges the right quota. The hello's b
 // field advertises this client's feature bits; its ack is the server's
-// feature word (empty from an older server). The traced-op choice is per
+// feature word (empty from an older server). The traced flag is chosen per
 // attempt: negotiation is per connection, and a retry may have reconnected
 // to an older server.
 func (c *Client) send(r *exchange) error {
@@ -350,17 +351,17 @@ func (c *Client) send(r *exchange) error {
 		ack.Release()
 		c.helloed = true
 	}
-	r.sendOp = r.op
-	if top := opTable[r.op].traced; top != 0 && r.tc.Valid() && r.tc.Sampled &&
+	r.flags = r.b
+	if opTable[r.op].flags&flagTraced != 0 && r.tc.Valid() && r.tc.Sampled &&
 		c.tracing && c.features&featureTracing != 0 {
-		r.sendOp = top
+		r.flags |= flagTraced
 	}
-	c.req = appendRequest(c.req[:0], r.sendOp, r.a, r.b, r.tc, r.ids)
+	c.req = appendRequest(c.req[:0], r.op, r.a, r.flags, r.tc, r.ids)
 	return c.write(c.req)
 }
 
 // appendRequest renders one request frame onto dst: the fixed header, then
-// tc when the op's body starts with a trace context, then the body ids. The
+// tc when b flags the request as traced, then the body ids. The
 // client renders every frame into the scratch slice it keeps under c.mu,
 // so a request costs no allocation once that slice has grown to the
 // largest frame the connection has sent.
@@ -368,7 +369,7 @@ func appendRequest(dst []byte, op byte, a, b int64, tc tracectx.Context, ids []i
 	dst = append(dst, op)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(a))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(b))
-	if opTable[op].ctx {
+	if opTable[op].has(b, flagTraced) {
 		dst = tc.AppendTo(dst)
 	}
 	return wire.AppendIDs(dst, ids)
@@ -509,7 +510,7 @@ func (c *Client) receive() (*bufarena.Buf, error) {
 // seed peer this way; servers without a shard map answer with a remote
 // error.
 func (c *Client) ShardMap() ([]byte, error) {
-	buf, _, err := c.do(opShardMap, 0, 0, nil, tracectx.Context{})
+	buf, _, err := c.do(opShardMap, 0, nil, tracectx.Context{})
 	if err != nil {
 		return nil, err
 	}
@@ -520,7 +521,7 @@ func (c *Client) ShardMap() ([]byte, error) {
 
 // Meta fetches the server's chunk range.
 func (c *Client) Meta() (lo, hi int64, err error) {
-	buf, _, err := c.do(opMeta, 0, 0, nil, tracectx.Context{})
+	buf, _, err := c.do(opMeta, 0, nil, tracectx.Context{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -542,15 +543,24 @@ func (c *Client) Meta() (lo, hi int64, err error) {
 // tracing is negotiated on the connection and tc is valid and sampled, the
 // returned timing holds the server's breakdown for this request; otherwise
 // — always, for the zero Context — the request runs untraced and timing is
-// nil.
+// nil. On the wire it is a batch of one, flagged to be admitted as a
+// lookup.
 func (c *Client) GetRawTraced(id int64, tc tracectx.Context) ([]byte, *ServerTiming, error) {
-	buf, timing, err := c.do(opGet, id, 0, nil, tc)
+	c.mu.Lock()
+	c.one[0] = id
+	c.begin(opGetBatch, 1, flagLookup, c.one[:], tc)
+	buf, timing, err := c.finish()
+	c.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	raw := make([]byte, buf.Len())
-	copy(raw, buf.Bytes())
-	buf.Release()
+	defer buf.Release()
+	p := buf.Bytes()
+	if len(p) < 4 || binary.LittleEndian.Uint32(p) != uint32(len(p)-4) {
+		return nil, nil, fmt.Errorf("transport: malformed reply to a single get (%d bytes)", len(p))
+	}
+	raw := make([]byte, len(p)-4)
+	copy(raw, p[4:])
 	return raw, timing, nil
 }
 
@@ -577,7 +587,7 @@ func (c *Client) GetBatchBufsTraced(ids []int64, tc tracectx.Context) (*bufarena
 	if len(ids) > maxBatchIDs {
 		return nil, nil, nil, fmt.Errorf("transport: batch of %d ids exceeds the %d-id limit", len(ids), maxBatchIDs)
 	}
-	buf, timing, err := c.do(opGetBatch, int64(len(ids)), 0, ids, tc)
+	buf, timing, err := c.do(opGetBatch, int64(len(ids)), ids, tc)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"ddstore/internal/datasets"
 	"ddstore/internal/obs"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/transport"
 )
 
@@ -18,15 +19,16 @@ import (
 type fakeAdmission struct {
 	refuse error // when set, AdmitConn fails with this
 
-	mu    sync.Mutex
-	gates []*fakeGate
+	mu      sync.Mutex
+	gates   []*fakeGate
+	classes []transport.Class // every admitted request's class, across gates, in order
 }
 
 func (a *fakeAdmission) AdmitConn(remote string) (transport.ConnGate, error) {
 	if a.refuse != nil {
 		return nil, a.refuse
 	}
-	g := &fakeGate{}
+	g := &fakeGate{adm: a}
 	a.mu.Lock()
 	a.gates = append(a.gates, g)
 	a.mu.Unlock()
@@ -34,6 +36,7 @@ func (a *fakeAdmission) AdmitConn(remote string) (transport.ConnGate, error) {
 }
 
 type fakeGate struct {
+	adm    *fakeAdmission
 	mu     sync.Mutex
 	tenant string
 	admits int
@@ -54,6 +57,9 @@ func (g *fakeGate) Admit(class transport.Class) (func(int64), error) {
 		return nil, g.refuse
 	}
 	g.admits++
+	g.adm.mu.Lock()
+	g.adm.classes = append(g.adm.classes, class)
+	g.adm.mu.Unlock()
 	return func(int64) {}, nil
 }
 
@@ -232,5 +238,105 @@ func TestGateOverloadRetriesOnSameConn(t *testing.T) {
 	adm.mu.Unlock()
 	if ngates != 1 {
 		t.Fatalf("client re-dialed across an overload (%d gates), want same conn", ngates)
+	}
+}
+
+// ownsEverything is a shard map source under which the server owns every
+// sample, so it also answers the map bootstrap op.
+type ownsEverything struct{}
+
+func (ownsEverything) Generation() uint64       { return 1 }
+func (ownsEverything) Owns(int64) bool          { return true }
+func (ownsEverything) Encoded() ([]byte, error) { return []byte("map"), nil }
+
+// TestAdmissionClassPerEntryPoint pins the priority class each entry point
+// is admitted on: single gets and metadata probes are lookups, batch
+// fetches and group loads are bulk. Every row dials its own connection,
+// whose first request follows a hello, and must be charged exactly one
+// admission: hello is not charged.
+func TestAdmissionClassPerEntryPoint(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 10})
+	adm := &fakeAdmission{}
+	srv, err := transport.ServeWith("127.0.0.1:0", chunkFor(t, ds, 0, 10),
+		transport.ServerOptions{Admission: adm, ShardMap: ownsEverything{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	opts := transport.ClientOptions{Policy: fastPolicy(2), Tenant: "acme", Tracing: true}
+	ids := []int64{1, 4, 6}
+
+	// Each row prepares its caller and returns the one call under test.
+	type call func() error
+	client := func(t *testing.T, do func(c *transport.Client) error) call {
+		c, err := transport.DialOptions(srv.Addr(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return func() error { return do(c) }
+	}
+	rows := []struct {
+		name    string
+		prepare func(t *testing.T) call
+		want    transport.Class
+	}{
+		{"GetRaw", func(t *testing.T) call {
+			return client(t, func(c *transport.Client) error { _, err := c.GetRaw(3); return err })
+		}, transport.ClassLookup},
+		{"GetRawTraced", func(t *testing.T) call {
+			return client(t, func(c *transport.Client) error {
+				_, timing, err := c.GetRawTraced(3, tracectx.New(true))
+				if err == nil && timing == nil {
+					err = errors.New("no server timing")
+				}
+				return err
+			})
+		}, transport.ClassLookup},
+		{"GetBatchBufs", func(t *testing.T) call {
+			return client(t, func(c *transport.Client) error {
+				buf, _, err := c.GetBatchBufs(ids)
+				if err == nil {
+					buf.Release()
+				}
+				return err
+			})
+		}, transport.ClassBulk},
+		{"GetBatchRaw", func(t *testing.T) call {
+			return client(t, func(c *transport.Client) error { _, err := c.GetBatchRaw(ids); return err })
+		}, transport.ClassBulk},
+		{"Group.LoadLazy", func(t *testing.T) call {
+			g, err := transport.NewGroupReplicas([][]string{{srv.Addr()}}, transport.GroupOptions{Client: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(g.Close)
+			return func() error { _, _, err := g.LoadLazy(ids); return err }
+		}, transport.ClassBulk},
+		{"Meta", func(t *testing.T) call {
+			return client(t, func(c *transport.Client) error { _, _, err := c.Meta(); return err })
+		}, transport.ClassLookup},
+		{"ShardMap", func(t *testing.T) call {
+			return client(t, func(c *transport.Client) error { _, err := c.ShardMap(); return err })
+		}, transport.ClassLookup},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			do := row.prepare(t)
+			adm.mu.Lock()
+			mark := len(adm.classes)
+			adm.mu.Unlock()
+			if err := do(); err != nil {
+				t.Fatal(err)
+			}
+			// The server admits a request before it answers it, so the
+			// class is recorded by the time the call returns.
+			adm.mu.Lock()
+			got := append([]transport.Class(nil), adm.classes[mark:]...)
+			adm.mu.Unlock()
+			if len(got) != 1 || got[0] != row.want {
+				t.Fatalf("admitted %v, want exactly [%v]", got, row.want)
+			}
+		})
 	}
 }

@@ -27,12 +27,19 @@ func reqBytes(op byte, a, b int64) []byte {
 // response stream into a client. Neither side may panic, hang past its
 // deadline, or accept a frame whose checksum does not match.
 func FuzzRoundTrip(f *testing.F) {
+	ctx := tracectx.New(true).Encode()
 	f.Add(reqBytes(opMeta, 0, 0))
-	f.Add(reqBytes(opGet, 3, 0))
-	f.Add(reqBytes(3, 1, 6)) // the retired range op, answered like any unknown op
-	f.Add(append(reqBytes(opMeta, 0, 0), reqBytes(opGet, 7, 0)...))
+	f.Add(append(reqBytes(opGetBatch, 1, flagLookup), wire.AppendIDs(nil, []int64{3})...))
+	// The retired ops — range, single get, traced get, traced batch — are
+	// answered like any unknown op.
+	f.Add(reqBytes(3, 1, 6))
+	f.Add(append(reqBytes(opMeta, 0, 0), reqBytes(2, 7, 0)...))
+	f.Add(append(reqBytes(7, 3, 0), ctx...))
+	f.Add(append(append(reqBytes(8, 1, 0), ctx...), wire.AppendIDs(nil, []int64{4})...))
 	f.Add(reqBytes(99, -1, 1<<40))
 	f.Add(append(reqBytes(opGetBatch, 2, 0), wire.AppendIDs(nil, []int64{3, 5})...))
+	f.Add(append(append(reqBytes(opGetBatch, 1, flagTraced), ctx[:7]...), reqBytes(opMeta, 0, 0)...)) // short context
+	f.Add(append(reqBytes(opGetBatch, 1, 1<<5), wire.AppendIDs(nil, []int64{3})...))                  // unknown flag
 	f.Add(reqBytes(opGetBatch, maxBatchIDs+1, 0))
 	// A valid OK response frame seeds the client-side path too.
 	f.Add([]byte{statusOK, 16, 0, 0, 0, 0, 0, 0, 0})
@@ -112,22 +119,27 @@ func fuzzClientSide(t testing.TB, data []byte) {
 func FuzzServerRequest(f *testing.F) {
 	ctx := tracectx.New(true).Encode()
 	f.Add(byte(opMeta), int64(0), int64(0), []byte(nil))
-	f.Add(byte(opGet), int64(3), int64(0), []byte(nil))
-	f.Add(byte(3), int64(1), int64(6), []byte(nil)) // the retired range op
+	f.Add(byte(opGetBatch), int64(1), int64(flagLookup), wire.AppendIDs(nil, []int64{3}))
 	f.Add(byte(opGetBatch), int64(2), int64(0), wire.AppendIDs(nil, []int64{3, 5}))
 	f.Add(byte(opGetBatch), int64(2), int64(0), []byte{1, 2, 3}) // short body
 	f.Add(byte(opGetBatch), int64(maxBatchIDs+1), int64(0), []byte(nil))
 	f.Add(byte(opHello), int64(5), int64(1), []byte("alpha"))
 	f.Add(byte(opShardMap), int64(0), int64(0), []byte(nil))
-	f.Add(byte(opGetTraced), int64(3), int64(0), ctx)
-	f.Add(byte(opGetTraced), int64(-3), int64(0), ctx[:7])
-	f.Add(byte(opGetBatchTraced), int64(1), int64(0), wire.AppendIDs(ctx, []int64{4}))
+	f.Add(byte(opGetBatch), int64(1), int64(flagTraced|flagLookup), wire.AppendIDs(ctx, []int64{4}))
+	f.Add(byte(opGetBatch), int64(1), int64(flagTraced), ctx[:7])                   // short context
+	f.Add(byte(opGetBatch), int64(1), int64(1<<5), wire.AppendIDs(nil, []int64{4})) // unknown flag
+	f.Add(byte(opGetBatch), int64(1), int64(-1), wire.AppendIDs(ctx, []int64{4}))   // every flag bit
+	// The retired ops: range, single get, traced get, traced batch.
+	f.Add(byte(3), int64(1), int64(6), []byte(nil))
+	f.Add(byte(2), int64(3), int64(0), []byte(nil))
+	f.Add(byte(7), int64(3), int64(0), ctx)
+	f.Add(byte(8), int64(1), int64(0), wire.AppendIDs(ctx, []int64{4}))
 	f.Add(byte(99), int64(-1), int64(1<<40), []byte("junk"))
 
 	chunk := wireChunk(0, 8)
 	f.Fuzz(func(t *testing.T, op byte, a, b int64, body []byte) {
 		owed := int64(0) // body bytes the server will wait for before answering
-		if n, err := opTable[op].bodyLen(a); err == nil {
+		if n, err := opTable[op].bodyLen(a, b); err == nil {
 			if n > maxBatchIDs*8+tracectx.Size {
 				t.Fatalf("op %d count %d sizes a %d-byte request body", op, a, n)
 			}

@@ -46,18 +46,23 @@ func (g *refuseFirstGate) Admit(Class) (func(int64), error) {
 	return func(int64) {}, nil
 }
 
-// opFixture is what the alignment test knows about one op that the table
-// cannot tell it: how to spell a valid request and one with a bad header
-// or count, whether the op reads samples (and so can be answered stale),
-// and the data a valid request must return.
+// opFixture is what the alignment test knows about one spelling of an op
+// that the table cannot tell it: how to spell a valid request and one with
+// a bad header or count, whether the op reads samples (and so can be
+// answered stale), whether it is flagged as traced, and the data a valid
+// request must return. name labels a flagged spelling after the retired op
+// it replaced; it is empty for the op's plain spelling.
 type opFixture struct {
+	name       string
 	valid, bad []byte // full request frames; bad is nil when the op's header holds nothing to get wrong
 	reads      bool
+	traced     bool
 	want       []byte // expected payload of valid (before any timing trailer); nil = not checked
 }
 
-// TestStreamStaysAligned walks every row of the op table through every
-// way a request can end — served, rejected for a bad header or count,
+// TestStreamStaysAligned walks every row of the op table, in each of its
+// flag spellings, through every way a request can end — served, rejected
+// for a bad header or count (on an admitted and on a refused connection),
 // refused by admission (at the connection and at the request), answered
 // stale — on a single connection, and asserts what the table promises
 // about the connection afterwards: the next request on it is answered
@@ -71,16 +76,19 @@ func TestStreamStaysAligned(t *testing.T) {
 	ctx := tracectx.New(true).Encode()
 	ids := wire.AppendIDs(nil, []int64{12, 17})
 	sample := func(id int64) []byte { return chunk.Encoded[id-chunk.Lo] }
-	fixtures := map[byte]opFixture{
-		opMeta:     {valid: frame(opMeta, 0, 0), want: wire.AppendIDs(nil, []int64{10, 20})},
-		opGet:      {valid: frame(opGet, 12, 0), bad: frame(opGet, 99, 0), reads: true, want: sample(12)},
-		opGetBatch: {valid: frame(opGetBatch, 2, 0, ids), bad: frame(opGetBatch, maxBatchIDs+1, 0), reads: true, want: encodeBatchPayload([][]byte{sample(12), sample(17)})},
-		opHello:    {valid: frame(opHello, 5, 0, []byte("alpha")), bad: frame(opHello, 0, 0)},
-		opShardMap: {valid: frame(opShardMap, 0, 0), bad: frame(opShardMap, 0, 0), want: []byte("current-map")},
-		// A traced get's bad header still carries its fixed-size context,
-		// which the server must drain to stay aligned.
-		opGetTraced:      {valid: frame(opGetTraced, 12, 0, ctx), bad: frame(opGetTraced, 99, 0, ctx), reads: true, want: sample(12)},
-		opGetBatchTraced: {valid: frame(opGetBatchTraced, 2, 0, ctx, ids), bad: frame(opGetBatchTraced, 0, 0), reads: true, want: encodeBatchPayload([][]byte{sample(12), sample(17)})},
+	pair := encodeBatchPayload([][]byte{sample(12), sample(17)})
+	one := encodeBatchPayload([][]byte{sample(12)})
+	fixtures := map[byte][]opFixture{
+		opMeta: {{valid: frame(opMeta, 0, 0), want: wire.AppendIDs(nil, []int64{10, 20})}},
+		opGetBatch: {
+			{valid: frame(opGetBatch, 2, 0, ids), bad: frame(opGetBatch, maxBatchIDs+1, 0), reads: true, want: pair},
+			{name: "getbatch-traced", valid: frame(opGetBatch, 2, flagTraced, ctx, ids), bad: frame(opGetBatch, 0, flagTraced), reads: true, traced: true, want: pair},
+			{name: "get", valid: frame(opGetBatch, 1, flagLookup, ids[:8]), bad: frame(opGetBatch, -1, flagLookup), reads: true, want: one},
+			{name: "get-traced", valid: frame(opGetBatch, 1, flagTraced|flagLookup, ctx, ids[:8]), bad: frame(opGetBatch, maxBatchIDs+1, flagTraced|flagLookup),
+				reads: true, traced: true, want: one},
+		},
+		opHello:    {{valid: frame(opHello, 5, 0, []byte("alpha")), bad: frame(opHello, 0, 0)}},
+		opShardMap: {{valid: frame(opShardMap, 0, 0), bad: frame(opShardMap, 0, 0), want: []byte("current-map")}},
 	}
 	type outcome struct {
 		status byte
@@ -106,6 +114,14 @@ func TestStreamStaysAligned(t *testing.T) {
 			request: func(f opFixture) []byte { return f.bad },
 			expect: func(sp *opSpec, _ opFixture) outcome {
 				return outcome{status: statusError, closed: sp.unit > 0}
+			},
+		},
+		{
+			name:    "bad header or count on a refused connection",
+			opts:    ServerOptions{Admission: refuseConns{}},
+			request: func(f opFixture) []byte { return f.bad },
+			expect: func(sp *opSpec, _ opFixture) outcome {
+				return outcome{status: statusOverloaded, closed: sp.unit > 0, probe: statusOverloaded}
 			},
 		},
 		{
@@ -142,20 +158,34 @@ func TestStreamStaysAligned(t *testing.T) {
 		},
 	}
 
+	// Every spelling of every op the table knows, labelled for its subtests.
+	type spelling struct {
+		sp    *opSpec
+		label string
+		f     opFixture
+	}
+	var spellings []spelling
 	for op := 0; op < 256; op++ {
-		sp, f := &opTable[op], fixtures[byte(op)]
-		if (sp.name == "") != (f.valid == nil) {
-			t.Fatalf("op %d: table row present = %v, test fixture present = %v", op, sp.name != "", f.valid != nil)
+		sp := &opTable[op]
+		if (sp.name == "") != (fixtures[byte(op)] == nil) {
+			t.Fatalf("op %d: table row present = %v, test fixture present = %v", op, sp.name != "", fixtures[byte(op)] != nil)
 		}
-		if sp.name == "" {
-			continue
+		for _, f := range fixtures[byte(op)] {
+			label := f.name
+			if label == "" {
+				label = sp.name
+			}
+			spellings = append(spellings, spelling{sp, label, f})
 		}
+	}
+	for _, sl := range spellings {
+		sp, f := sl.sp, sl.f
 		for _, sc := range scenarios {
 			req := sc.request(f)
 			if req == nil {
 				continue
 			}
-			t.Run(sp.name+"/"+sc.name, func(t *testing.T) {
+			t.Run(sl.label+"/"+sc.name, func(t *testing.T) {
 				srv, err := ServeWith("127.0.0.1:0", chunk, sc.opts)
 				if err != nil {
 					t.Fatal(err)
@@ -177,7 +207,7 @@ func TestStreamStaysAligned(t *testing.T) {
 				case status == statusStaleGen && string(payload) != "current-map":
 					t.Fatalf("stale answer carries %q, want the current map", payload)
 				case status == statusOK && sc.name == "valid" && f.want != nil:
-					if sp.ctx {
+					if f.traced {
 						n, _, err := parseTimingTrailer(payload)
 						if err != nil {
 							t.Fatalf("traced answer: %v", err)
@@ -211,7 +241,7 @@ func TestStreamStaysAligned(t *testing.T) {
 				if head[0] != want.probe {
 					t.Fatalf("follow-up status = %d (%q), want %d: the stream lost alignment", head[0], meta, want.probe)
 				}
-				if want.probe == statusOK && !bytes.Equal(meta, fixtures[opMeta].want) {
+				if want.probe == statusOK && !bytes.Equal(meta, fixtures[opMeta][0].want) {
 					t.Fatalf("follow-up meta payload = %x, want the chunk range", meta)
 				}
 			})
@@ -236,9 +266,20 @@ func exchangeRaw(t *testing.T, conn net.Conn, req []byte) (status byte, payload 
 	return head[0], payload
 }
 
+// retiredOps are the op numbers the wire no longer speaks: each is answered
+// like any unknown op, and none may be given a row again.
+var retiredOps = []byte{2, 3, 7, 8}
+
+// flagNames are the request flags as DESIGN.md §6e names them.
+var flagNames = []struct {
+	bit  int64
+	name string
+}{{flagTraced, "traced"}, {flagLookup, "lookup"}}
+
 // TestDesignDocOpTable keeps the wire-op table in DESIGN.md §6e equal to
 // opTable: every row of the code renders to exactly one line of the
-// document, and the document has no row the code does not.
+// document, and the document has no row the code does not. No retired op
+// has a row.
 func TestDesignDocOpTable(t *testing.T) {
 	doc, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -255,6 +296,11 @@ func TestDesignDocOpTable(t *testing.T) {
 			docRows[line] = true
 		}
 	}
+	for _, op := range retiredOps {
+		if opTable[op].name != "" {
+			t.Errorf("retired op %d has a table row %q", op, opTable[op].name)
+		}
+	}
 	codeRows := 0
 	for op := 0; op < 256; op++ {
 		sp := &opTable[op]
@@ -266,9 +312,23 @@ func TestDesignDocOpTable(t *testing.T) {
 		if sp.control {
 			class = "control"
 		}
-		var body []string
-		if sp.ctx {
-			body = append(body, fmt.Sprintf("%d B trace context", tracectx.Size))
+		var body, flags []string
+		for _, fl := range flagNames {
+			if sp.flags&fl.bit != 0 {
+				flags = append(flags, fmt.Sprintf("`%s` = %d", fl.name, fl.bit))
+			}
+		}
+		if unnamed := sp.flags &^ (flagTraced | flagLookup); unnamed != 0 {
+			t.Errorf("op %d: flag bits %#x have no name in this test", op, unnamed)
+		}
+		if flags == nil {
+			flags = []string{"none"}
+		}
+		if sp.has(flagTraced, flagTraced) {
+			body = append(body, fmt.Sprintf("%d B trace context if `traced`", tracectx.Size))
+		}
+		if sp.has(flagLookup, flagLookup) {
+			class += ", lookup if `lookup`"
 		}
 		badCount := "n/a"
 		if sp.unit > 0 {
@@ -278,14 +338,7 @@ func TestDesignDocOpTable(t *testing.T) {
 		if body == nil {
 			body = []string{"none"}
 		}
-		twin := "none"
-		if sp.traced != 0 {
-			twin = fmt.Sprint(sp.traced)
-			if tw := &opTable[sp.traced]; !tw.ctx || tw.unit != sp.unit || tw.max != sp.max || tw.class != sp.class {
-				t.Errorf("op %d: traced twin %d is not the same request plus a context", op, sp.traced)
-			}
-		}
-		row := fmt.Sprintf("| %d | `%s` | %s | %s | %s | %s |", op, sp.name, class, strings.Join(body, " + "), badCount, twin)
+		row := fmt.Sprintf("| %d | `%s` | %s | %s | %s | %s |", op, sp.name, class, strings.Join(body, " + "), badCount, strings.Join(flags, ", "))
 		if !docRows[row] {
 			t.Errorf("DESIGN.md is missing the op table row:\n%s", row)
 		}

@@ -40,14 +40,17 @@ func frameBytes(status byte, payload []byte) []byte {
 func TestBrokenStreamNeverLeaksIntoRetry(t *testing.T) {
 	chunk := wireChunk(0, 8)
 	const id = 3
-	want, other := chunk.Encoded[id], chunk.Encoded[5]
-	good := frameBytes(statusOK, want)
-	corrupt := frameBytes(statusOK, want)
+	want := chunk.Encoded[id]
+	// A single get is a batch of one: its reply is the sample behind a
+	// length prefix.
+	one, other := encodeBatchPayload([][]byte{want}), encodeBatchPayload([][]byte{chunk.Encoded[5]})
+	good := frameBytes(statusOK, one)
+	corrupt := frameBytes(statusOK, one)
 	corrupt[len(corrupt)-1] ^= 0xFF
 
 	cases := map[string][]byte{
 		"five bytes into the head":               good[:5],
-		"mid-payload, after bytes already read":  good[:respHeaderSize+len(want)/2],
+		"mid-payload, after bytes already read":  good[:respHeaderSize+len(one)/2],
 		"corrupt frame followed by stray bytes":  append(corrupt, frameBytes(statusOK, other)...),
 		"corrupt frame followed by half a frame": append(corrupt, good[:respHeaderSize+3]...),
 	}
@@ -126,7 +129,7 @@ func TestPipelinedRequestsAnsweredInOrder(t *testing.T) {
 	batchIDs := []int64{7, 0, 7}
 	stream := append(appendRequest(nil, opHello, int64(len(tenant)), 0, tracectx.Context{}, nil), tenant...)
 	for _, id := range []int64{2, 6, 2} {
-		stream = appendRequest(stream, opGet, id, 0, tracectx.Context{}, nil)
+		stream = appendRequest(stream, opGetBatch, 1, flagLookup, tracectx.Context{}, []int64{id})
 	}
 	stream = appendRequest(stream, opGetBatch, int64(len(batchIDs)), 0, tracectx.Context{}, batchIDs)
 	if _, err := conn.Write(stream); err != nil {
@@ -134,7 +137,8 @@ func TestPipelinedRequestsAnsweredInOrder(t *testing.T) {
 	}
 
 	feat := binary.LittleEndian.AppendUint64(nil, featureTracing)
-	wants := [][]byte{feat, chunk.Encoded[2], chunk.Encoded[6], chunk.Encoded[2],
+	one := func(id int64) []byte { return encodeBatchPayload([][]byte{chunk.Encoded[id]}) }
+	wants := [][]byte{feat, one(2), one(6), one(2),
 		encodeBatchPayload([][]byte{chunk.Encoded[7], chunk.Encoded[0], chunk.Encoded[7]})}
 	for i, want := range wants {
 		status, payload := exchangeRaw(t, conn, nil)
@@ -235,13 +239,13 @@ func TestScratchDoesNotBleedAcrossRequests(t *testing.T) {
 		traced bool
 	}{
 		{name: "4096-id batch", req: appendRequest(nil, opGetBatch, maxBatchIDs, 0, tracectx.Context{}, big)},
-		{name: "single get", req: appendRequest(nil, opGet, 4, 0, tracectx.Context{}, nil)},
+		{name: "single get", req: appendRequest(nil, opGetBatch, 1, flagLookup, tracectx.Context{}, []int64{4})},
 		{name: "2-id batch", req: appendRequest(nil, opGetBatch, 2, 0, tracectx.Context{}, []int64{1, 6})},
-		{name: "traced get", req: appendRequest(nil, opGetTraced, 5, 0, tc, nil), traced: true},
-		{name: "traced 2-id batch", req: appendRequest(nil, opGetBatchTraced, 2, 0, tc, []int64{6, 1}), traced: true},
+		{name: "traced get", req: appendRequest(nil, opGetBatch, 1, flagTraced|flagLookup, tc, []int64{5}), traced: true},
+		{name: "traced 2-id batch", req: appendRequest(nil, opGetBatch, 2, flagTraced, tc, []int64{6, 1}), traced: true},
 		{name: "error reply", req: appendRequest(nil, opGetBatch, 2, 0, tracectx.Context{}, []int64{1, 99})},
 		{name: "error after two samples", req: appendRequest(nil, opGetBatch, 3, 0, tracectx.Context{}, []int64{1, 6, 8})},
-		{name: "single get after the error", req: appendRequest(nil, opGet, 0, 0, tracectx.Context{}, nil)},
+		{name: "single get after the error", req: appendRequest(nil, opGetBatch, 1, flagLookup, tracectx.Context{}, []int64{0})},
 	}
 	for _, rq := range requests {
 		gotStatus, got := exchangeRaw(t, shared, rq.req)

@@ -15,9 +15,10 @@ import (
 // feature is active only when both sides advertise it, so either side
 // running older code silently degrades: an old client ignores the ack
 // payload it never looks at, and an old server's empty ack reads as
-// "no features", keeping the client on the untraced ops.
+// "no features", keeping the client's requests untraced. Bit 0 advertised
+// the retired traced ops 7 and 8 and is never reused.
 const (
-	featureTracing = uint64(1) << 0
+	featureTracing = uint64(1) << 1
 )
 
 // DefaultTracedTenant is the tenant a tracing client declares when it has

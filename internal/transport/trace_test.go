@@ -72,7 +72,8 @@ func TestTracedBatchCarriesServerTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if timing2 == nil || timing2.Bytes != int64(len(raw)) {
+	// A single get is a batch of one: the sample plus its length prefix.
+	if timing2 == nil || timing2.Bytes != int64(len(raw))+4 {
 		t.Fatalf("GetRawTraced timing = %+v for %d bytes", timing2, len(raw))
 	}
 }
@@ -135,12 +136,13 @@ func TestTracingOffClientAgainstNewServer(t *testing.T) {
 	}
 }
 
-// oldWireServer speaks the pre-tracing protocol from first principles:
-// 17-byte request header, 9-byte response head, hello acked with an EMPTY
-// payload, and unknown ops answered with an error status. It pins the
-// new-client→old-server direction without depending on the current server
-// implementation.
-func oldWireServer(t *testing.T, encoded [][]byte) (addr string, shutdown func()) {
+// oldWireServer speaks an older protocol from first principles: 17-byte
+// request header, 9-byte response head, hello acked with ack (empty before
+// tracing; feature bit 0 once traced ops had their own op codes), a batch
+// whose header field b is ignored, and unknown ops answered with an error
+// status. It pins the new-client→old-server direction without depending on
+// the current server implementation.
+func oldWireServer(t *testing.T, encoded [][]byte, ack []byte) (addr string, shutdown func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -173,21 +175,11 @@ func oldWireServer(t *testing.T, encoded [][]byte) (addr string, shutdown func()
 					op := header[0]
 					a := int64(binary.LittleEndian.Uint64(header[1:]))
 					switch op {
-					case 5: // hello: drain the name, ack empty (the old way)
+					case 5: // hello: drain the name, ack the old feature word
 						if _, err := io.CopyN(io.Discard, conn, a); err != nil {
 							return
 						}
-						if reply(conn, 0, nil) != nil {
-							return
-						}
-					case 2: // get
-						if a < 0 || a >= int64(len(encoded)) {
-							if reply(conn, 1, []byte("out of range")) != nil {
-								return
-							}
-							continue
-						}
-						if reply(conn, 0, encoded[a]) != nil {
+						if reply(conn, 0, ack) != nil {
 							return
 						}
 					case 4: // getbatch
@@ -198,16 +190,24 @@ func oldWireServer(t *testing.T, encoded [][]byte) (addr string, shutdown func()
 						var payload []byte
 						for i := int64(0); i < a; i++ {
 							id := int64(binary.LittleEndian.Uint64(idb[8*i:]))
+							if id < 0 || id >= int64(len(encoded)) {
+								payload = nil
+								break
+							}
 							one := encoded[id]
 							var pre [4]byte
 							binary.LittleEndian.PutUint32(pre[:], uint32(len(one)))
 							payload = append(payload, pre[:]...)
 							payload = append(payload, one...)
 						}
-						if reply(conn, 0, payload) != nil {
+						status := byte(0)
+						if payload == nil {
+							status, payload = 1, []byte("out of range")
+						}
+						if reply(conn, status, payload) != nil {
 							return
 						}
-					default: // an old server has never heard of traced ops
+					default: // an old server has never heard of a trace-context flag
 						if reply(conn, 1, []byte("unknown op")) != nil {
 							return
 						}
@@ -226,32 +226,40 @@ func TestTracedClientAgainstOldServerFallsBack(t *testing.T) {
 		g, _ := ds.Sample(id)
 		encoded[id] = g.Encode()
 	}
-	addr, shutdown := oldWireServer(t, encoded)
-	defer shutdown()
+	for name, ack := range map[string][]byte{
+		"pre-tracing":        nil,
+		"traced-op-code era": binary.LittleEndian.AppendUint64(nil, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr, shutdown := oldWireServer(t, encoded, ack)
+			defer shutdown()
 
-	cl, err := transport.DialOptions(addr, transport.ClientOptions{Tracing: true, Tenant: "alpha"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+			cl, err := transport.DialOptions(addr, transport.ClientOptions{Tracing: true, Tenant: "alpha"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
 
-	// The empty hello ack reads as "no features": the sampled context must
-	// not push the client onto traced ops the server would reject.
-	tc := tracectx.New(true)
-	buf, parts, timing, err := cl.GetBatchBufsTraced([]int64{1, 6}, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer buf.Release()
-	if timing != nil {
-		t.Fatalf("old server produced server timing %+v", timing)
-	}
-	if len(parts) != 2 || string(parts[1]) != string(encoded[6]) {
-		t.Fatal("fallback batch returned wrong bytes")
-	}
-	raw, timing, err := cl.GetRawTraced(3, tc)
-	if err != nil || timing != nil || string(raw) != string(encoded[3]) {
-		t.Fatalf("fallback get: err=%v timing=%v", err, timing)
+			// Neither ack advertises the tracing feature: the sampled context
+			// must not put a trace context on the wire, which the old server
+			// would read as ids.
+			tc := tracectx.New(true)
+			buf, parts, timing, err := cl.GetBatchBufsTraced([]int64{1, 6}, tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer buf.Release()
+			if timing != nil {
+				t.Fatalf("old server produced server timing %+v", timing)
+			}
+			if len(parts) != 2 || string(parts[1]) != string(encoded[6]) {
+				t.Fatal("fallback batch returned wrong bytes")
+			}
+			raw, timing, err := cl.GetRawTraced(3, tc)
+			if err != nil || timing != nil || string(raw) != string(encoded[3]) {
+				t.Fatalf("fallback get: err=%v timing=%v", err, timing)
+			}
+		})
 	}
 }
 
@@ -272,11 +280,13 @@ func TestCorruptContextOverRawWire(t *testing.T) {
 	}
 	defer conn.Close()
 
-	send := func(op byte, a int64, body []byte) (status byte, payload []byte) {
+	// Header field b = 3: traced and lookup-flagged.
+	send := func(b int64, body []byte) (status byte, payload []byte) {
 		t.Helper()
 		req := make([]byte, 17+len(body))
-		req[0] = op
-		binary.LittleEndian.PutUint64(req[1:], uint64(a))
+		req[0] = 4 // getbatch
+		binary.LittleEndian.PutUint64(req[1:], 1)
+		binary.LittleEndian.PutUint64(req[9:], uint64(b))
 		copy(req[17:], body)
 		if _, err := conn.Write(req); err != nil {
 			t.Fatal(err)
@@ -292,20 +302,21 @@ func TestCorruptContextOverRawWire(t *testing.T) {
 		return head[0], payload
 	}
 
-	// op 7 = traced get, with 24 bytes of garbage where the context goes.
+	// A traced batch of one, with 24 bytes of garbage where the context
+	// goes; each reply is the sample behind its 4-byte length prefix.
 	garbage := make([]byte, 24)
 	for i := range garbage {
 		garbage[i] = 0xA5
 	}
-	status, payload := send(7, 3, garbage)
+	status, payload := send(3, binary.LittleEndian.AppendUint64(garbage, 3))
 	want, _ := ds.Sample(3)
-	if status != 0 || string(payload) != string(want.Encode()) {
+	if status != 0 || len(payload) < 4 || string(payload[4:]) != string(want.Encode()) {
 		t.Fatalf("garbage context: status %d, %d payload bytes", status, len(payload))
 	}
 	// The stream is still aligned: a normal request follows cleanly.
-	status, payload = send(2, 5, nil)
+	status, payload = send(2, binary.LittleEndian.AppendUint64(nil, 5))
 	want, _ = ds.Sample(5)
-	if status != 0 || string(payload) != string(want.Encode()) {
+	if status != 0 || len(payload) < 4 || string(payload[4:]) != string(want.Encode()) {
 		t.Fatalf("follow-up request after garbage context: status %d", status)
 	}
 }
@@ -353,7 +364,7 @@ func TestServerFlightRecorderCapturesSlowAndError(t *testing.T) {
 	if slow == nil {
 		t.Fatal("no slow record captured")
 	}
-	if slow.Op != "get-traced" || slow.Tenant != "bravo" || slow.TraceID != tracectx.IDString(tc.TraceID) {
+	if slow.Op != "getbatch" || slow.Tenant != "bravo" || slow.TraceID != tracectx.IDString(tc.TraceID) {
 		t.Fatalf("slow record = %+v", *slow)
 	}
 	if slow.DurMs <= 0 || slow.Bytes <= 0 || slow.Samples != 1 {

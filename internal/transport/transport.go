@@ -46,18 +46,13 @@ import (
 // detected by either the length bound or the checksum.
 const (
 	opMeta     = 1 // request chunk metadata; response payload: lo i64, hi i64
-	opGet      = 2 // request sample a; response payload: encoded graph
-	opGetBatch = 4 // request a ids (listed in the body); response: length-prefixed graphs
+	opGetBatch = 4 // request a ids (listed in the body), flags in b; response: length-prefixed graphs
 	opHello    = 5 // declare tenant identity + feature bits (b); response: server feature word
 	opShardMap = 6 // request the current shard map; response payload: encoded shardmap.Map
-	// Op 3 was a range request no client sends. It is retired — answered
-	// like any unknown op — and must not be reused.
-
-	// Traced variants, negotiated via the hello feature word (trace.go):
-	// the body starts with a 24-byte trace context (tracectx.Size), and a
-	// success response to a sampled context ends with a timing trailer.
-	opGetTraced      = 7 // opGet + trace context body
-	opGetBatchTraced = 8 // opGetBatch, body = trace context then the ids
+	// Ops 2 (single get), 3 (range), 7 (traced get) and 8 (traced batch)
+	// are retired — answered like any unknown op — and must not be reused.
+	// A single get is a batch of one, and the trace context and admission
+	// class ride in the request flags.
 
 	statusOK         = 0
 	statusError      = 1
@@ -66,6 +61,14 @@ const (
 
 	reqHeaderSize  = 17
 	respHeaderSize = 9
+)
+
+// Request flags, carried in header field b by an op whose opSpec lists
+// them. Any other set bit is an error on a still-aligned stream: the body
+// length depends only on the count and flagTraced.
+const (
+	flagTraced = 1 << 0 // a trace context leads the body (negotiated at hello; trace.go)
+	flagLookup = 1 << 1 // admitted as ClassLookup, not the op's class: a single get
 )
 
 // maxPayload bounds a response so a corrupt peer cannot make us allocate
@@ -81,15 +84,15 @@ const (
 const maxTenantName = 128
 
 // Class is the priority class admission control schedules a request on.
-// The server derives it from the wire op: single-sample lookups and
-// metadata probes are interactive, batch fetches are training bulk
-// traffic.
+// The server reads it from the op table and the request's lookup flag:
+// single-sample gets (lookup-flagged batches of one) and metadata probes
+// are interactive, batch fetches are training bulk traffic.
 type Class uint8
 
 // The two priority classes.
 const (
-	ClassLookup Class = iota // interactive: Meta, Get
-	ClassBulk                // training: GetBatch
+	ClassLookup Class = iota // interactive: Meta, ShardMap, GetRaw
+	ClassBulk                // training: GetBatchBufs, group loads
 )
 
 // String returns the label value used in metrics ("lookup", "bulk").
@@ -103,17 +106,16 @@ func (c Class) String() string {
 // opSpec is one row of the wire-op table: every per-op fact either end of
 // the protocol needs, stated once. The server's metrics, admission class,
 // body framing, header validation and dispatch are all read from here, and
-// so is the client's choice of a traced twin.
+// so is whether the client may flag a request as traced.
 type opSpec struct {
 	// name is the label value the op is metered and flight-recorded under.
 	name string
-	// class is the priority class admission control schedules the op on.
+	// class is the priority class admission control schedules the op on
+	// when the request does not set flagLookup.
 	class Class
-	// traced is the op's traced twin (0 when it has none): the same request
-	// with a trace context in front of its body, served by the same func.
-	traced byte
-	// ctx marks a body that starts with a tracectx.Size-byte trace context.
-	ctx bool
+	// flags is the set of request flags header field b may carry; zero when
+	// b is not a flags word (hello's is the client's feature word).
+	flags int64
 	// unit and max describe a counted body: header field a carries a count
 	// in [1, max] and the body holds unit bytes per count. A count outside
 	// the bounds leaves the body length unknown, so the stream cannot be
@@ -124,11 +126,6 @@ type opSpec struct {
 	// connection is rather than reading data, so it bypasses admission and
 	// the flight recorder.
 	control bool
-	// check validates the header against the served chunk before any
-	// admission or payload work — a malformed or hostile header must not
-	// make the server queue, allocate or touch the source. Nil when the
-	// header holds nothing to check.
-	check func(s *Server, a, b int64) error
 	// serve appends the response's payload parts to the connection's part
 	// list (rq.st.parts), to be written with one vectored write (the
 	// source's cached sample slices are referenced in place, never
@@ -137,11 +134,10 @@ type opSpec struct {
 	serve func(s *Server, rq request) (samples int, err error)
 }
 
-// request is what an op's serve func sees of one request: the header
-// fields, the body after any trace context, and the connection it came in
-// on.
+// request is what an op's serve func sees of one request: the count, the
+// body after any trace context, and the connection it came in on.
 type request struct {
-	a, b int64
+	a    int64
 	body []byte
 	st   *connState
 }
@@ -151,13 +147,10 @@ type request struct {
 // has no body, so the stream stays aligned, and nothing to serve — the
 // handler answers it with an error status.
 var opTable = [256]opSpec{
-	opMeta:           {name: "meta", class: ClassLookup, serve: serveMeta},
-	opGet:            {name: "get", class: ClassLookup, traced: opGetTraced, check: checkGet, serve: serveGet},
-	opGetBatch:       {name: "getbatch", class: ClassBulk, traced: opGetBatchTraced, unit: 8, max: maxBatchIDs, serve: serveBatch},
-	opHello:          {name: "hello", class: ClassLookup, unit: 1, max: maxTenantName, control: true, serve: serveHello},
-	opShardMap:       {name: "shardmap", class: ClassLookup, check: checkShardMap, serve: serveShardMap},
-	opGetTraced:      {name: "get-traced", class: ClassLookup, ctx: true, check: checkGet, serve: serveGet},
-	opGetBatchTraced: {name: "getbatch-traced", class: ClassBulk, ctx: true, unit: 8, max: maxBatchIDs, serve: serveBatch},
+	opMeta:     {name: "meta", class: ClassLookup, serve: serveMeta},
+	opGetBatch: {name: "getbatch", class: ClassBulk, flags: flagTraced | flagLookup, unit: 8, max: maxBatchIDs, serve: serveBatch},
+	opHello:    {name: "hello", class: ClassLookup, unit: 1, max: maxTenantName, control: true, serve: serveHello},
+	opShardMap: {name: "shardmap", class: ClassLookup, serve: serveShardMap},
 }
 
 // opName returns the label value an op is metered and flight-recorded
@@ -169,11 +162,15 @@ func opName(op byte) string {
 	return fmt.Sprintf("op-%d", op)
 }
 
+// has reports whether header field b of a request for this op sets flag.
+func (sp *opSpec) has(b, flag int64) bool { return b&sp.flags&flag != 0 }
+
 // bodyLen returns how many body bytes follow a request header whose count
-// field is a, or an error when the count is outside the op's bounds.
-func (sp *opSpec) bodyLen(a int64) (int64, error) {
+// field is a and whose flags field is b, or an error when the count is
+// outside the op's bounds.
+func (sp *opSpec) bodyLen(a, b int64) (int64, error) {
 	var n int64
-	if sp.ctx {
+	if sp.has(b, flagTraced) {
 		n = tracectx.Size
 	}
 	if sp.unit == 0 {
@@ -375,14 +372,14 @@ type connState struct {
 	// what the last one left instead of allocating its own. Growth is
 	// bounded by the counts the op table validates before a byte of body
 	// is read (maxBatchIDs, maxTenantName).
-	body     []byte   // request body: trace context, then ids or a tenant name
-	ids      []int64  // the sample ids the request names
-	prefixes []byte   // batch framing: one 4-byte length per sample, in one slab
-	parts    [][]byte // response payload; aliases the source's sample slices until reset
-	trailer  []byte   // timing trailer of a traced response
-	head     [respHeaderSize]byte
-	iov      [][]byte    // backing array of bufs: the head, then the non-empty parts
-	bufs     net.Buffers // the value the vectored write consumes
+	body     []byte                   // request body: trace context, then ids or a tenant name
+	ids      []int64                  // the sample ids the request names
+	prefixes []byte                   // batch framing: one 4-byte length per sample, in one slab
+	parts    [][]byte                 // response payload; aliases the source's sample slices until reset
+	trailer  []byte                   // timing trailer of a traced response
+	head     [respHeaderSize + 4]byte // the response head, and room for a first length prefix behind it
+	iov      [][]byte                 // backing array of bufs: the head, then the non-empty parts
+	bufs     net.Buffers              // the value the vectored write consumes
 }
 
 // reset ends a request's use of the scratch once its response is written:
@@ -562,7 +559,8 @@ const rejectReadTimeout = 2 * time.Second
 // draining status, so a client that backs off and retries on the same
 // connection keeps seeing the status instead of a broken pipe. It
 // returns — and the caller closes the connection — once the client goes
-// quiet for rejectReadTimeout or hangs up.
+// quiet for rejectReadTimeout or hangs up, or, as handle does, after
+// answering a count out of bounds, which leaves the stream unparseable.
 func (s *Server) rejectConn(conn net.Conn, st *connState, cause error) {
 	if s.metrics != nil {
 		s.metrics.connRejects.Inc()
@@ -576,13 +574,14 @@ func (s *Server) rejectConn(conn net.Conn, st *connState, cause error) {
 		}
 		op := header[0]
 		a := int64(binary.LittleEndian.Uint64(header[1:]))
+		b := int64(binary.LittleEndian.Uint64(header[9:]))
 		br.Discard(reqHeaderSize) // cannot fail: Peek buffered these bytes
 		// Drain the body without keeping it: the bytes are discarded
 		// anyway, and an error path must not allocate proportional to an
-		// attacker-supplied length. A count outside the op's bounds has no
-		// known body to drain.
+		// attacker-supplied length.
 		sp := &opTable[op]
-		if n, err := sp.bodyLen(a); err == nil && n > 0 {
+		n, lerr := sp.bodyLen(a, b)
+		if lerr == nil && n > 0 {
 			if _, err := br.Discard(int(n)); err != nil {
 				return
 			}
@@ -590,27 +589,10 @@ func (s *Server) rejectConn(conn net.Conn, st *connState, cause error) {
 		if rec := s.opts.FlightRecorder; rec != nil && !sp.control {
 			rec.Add(flightrec.Record{Kind: flightrec.KindShed, Op: opName(op), Err: cause.Error()})
 		}
-		if _, werr := s.writeFrame(conn, st, cause); werr != nil {
+		if _, werr := s.writeFrame(conn, st, cause); werr != nil || lerr != nil {
 			return
 		}
 	}
-}
-
-func checkGet(s *Server, a, _ int64) error {
-	if a < 0 {
-		return fmt.Errorf("negative sample id %d", a)
-	}
-	if lo, hi := s.src.LocalRange(); a < lo || a >= hi {
-		return fmt.Errorf("sample %d outside chunk [%d,%d)", a, lo, hi)
-	}
-	return nil
-}
-
-func checkShardMap(s *Server, _, _ int64) error {
-	if s.opts.ShardMap == nil {
-		return errors.New("server does not serve a shard map")
-	}
-	return nil
 }
 
 func serveMeta(s *Server, rq request) (int, error) {
@@ -622,16 +604,11 @@ func serveMeta(s *Server, rq request) (int, error) {
 	return 0, nil
 }
 
-func serveGet(s *Server, rq request) (int, error) {
-	rq.st.ids = append(rq.st.ids[:0], rq.a)
-	return s.sampleParts(rq.st, rq.st.ids, false)
-}
-
 // serveBatch trusts the body length because the count was validated, so
 // the connection stays usable even if an id is out of range.
 func serveBatch(s *Server, rq request) (int, error) {
 	rq.st.ids = decodeBatchIDs(rq.st.ids[:0], rq.body, int(rq.a))
-	return s.sampleParts(rq.st, rq.st.ids, true)
+	return s.sampleParts(rq.st, rq.st.ids)
 }
 
 // serveHello switches the connection's tenant identity and acknowledges
@@ -653,6 +630,9 @@ func serveHello(s *Server, rq request) (int, error) {
 }
 
 func serveShardMap(s *Server, rq request) (int, error) {
+	if s.opts.ShardMap == nil {
+		return 0, errors.New("server does not serve a shard map")
+	}
 	mb, err := s.opts.ShardMap.Encoded()
 	if err != nil {
 		return 0, err
@@ -663,7 +643,7 @@ func serveShardMap(s *Server, rq request) (int, error) {
 
 func (s *Server) handle(conn net.Conn, st *connState) {
 	// One buffered reader per connection: a request's header and body (a
-	// batch's ids, a traced get's context) arrive in one read, and
+	// batch's trace context and ids) arrive in one read, and
 	// pipelined requests in as few reads as the kernel delivers them in.
 	br := bufio.NewReader(conn)
 	for {
@@ -691,7 +671,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		if sp.name == "" {
 			err = fmt.Errorf("unknown op %d", op)
 		}
-		bodyLen, cerr := sp.bodyLen(a)
+		bodyLen, cerr := sp.bodyLen(a, b)
 		if cerr != nil {
 			// The length of the request body is unknown, so the stream
 			// cannot be resynchronized: report the error, then drop the
@@ -711,14 +691,14 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 				return
 			}
 		}
-		if err == nil && sp.check != nil {
-			err = sp.check(s, a, b)
+		if err == nil && sp.flags != 0 && b&^sp.flags != 0 {
+			err = fmt.Errorf("%s: unknown request flags %#x", sp.name, b&^sp.flags)
 		}
 		// A corrupt or truncated trace context never fails the request: it
 		// decodes invalid and merely disables tracing for it (tracectx's
 		// documented contract, pinned by its fuzz test).
 		var tc tracectx.Context
-		if sp.ctx {
+		if sp.has(b, flagTraced) {
 			if err == nil {
 				tc, _ = tracectx.Decode(body)
 			}
@@ -738,13 +718,17 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		admitStart := time.Now()
 		srcStart := admitStart
 		if err == nil && st.gate != nil && !sp.control {
-			release, err = st.gate.Admit(sp.class)
+			class := sp.class
+			if sp.has(b, flagLookup) {
+				class = ClassLookup
+			}
+			release, err = st.gate.Admit(class)
 			srcStart = time.Now()
 		}
 		queueWait := srcStart.Sub(admitStart)
 		samples := 0
 		if err == nil {
-			samples, err = sp.serve(s, request{a: a, b: b, body: body, st: st})
+			samples, err = sp.serve(s, request{a: a, body: body, st: st})
 		}
 		srcEnd := time.Now()
 		sourceTime := srcEnd.Sub(srcStart)
@@ -863,14 +847,12 @@ func (s *Server) ownsAll(ids []int64) error {
 }
 
 // sampleParts gathers the requested samples onto the connection's part
-// list, each sample's cached bytes referenced directly, so the reply costs
-// zero per-sample copies. prefixed selects the batch response framing: every
-// sample is preceded by its 4-byte length, all prefixes sharing one slab;
-// otherwise the samples are simply concatenated. Any un-owned or
-// out-of-range id fails the whole request — the client grouped the ids by
-// owner, so a stray id is a routing or protocol error, not a partial-result
-// situation.
-func (s *Server) sampleParts(st *connState, ids []int64, prefixed bool) (int, error) {
+// list, each preceded by its 4-byte length (all prefixes sharing one slab)
+// and each sample's cached bytes referenced directly, so the reply costs
+// zero per-sample copies. Any un-owned or out-of-range id fails the whole
+// request — the client grouped the ids by owner, so a stray id is a routing
+// or protocol error, not a partial-result situation.
+func (s *Server) sampleParts(st *connState, ids []int64) (int, error) {
 	// Range before ownership: an id outside the keyspace is a bad request,
 	// not a moved chunk, and must not be answered with a map to retry under.
 	lo, hi := s.src.LocalRange()
@@ -882,20 +864,15 @@ func (s *Server) sampleParts(st *connState, ids []int64, prefixed bool) (int, er
 	if err := s.ownsAll(ids); err != nil {
 		return len(ids), err
 	}
-	if prefixed {
-		st.prefixes = slices.Grow(st.prefixes[:0], 4*len(ids))[:4*len(ids)]
-	}
+	st.prefixes = slices.Grow(st.prefixes[:0], 4*len(ids))[:4*len(ids)]
 	for i, id := range ids {
 		one, err := s.src.LocalSampleBytes(id)
 		if err != nil {
 			return len(ids), err
 		}
-		if prefixed {
-			pre := st.prefixes[4*i : 4*i+4 : 4*i+4]
-			binary.LittleEndian.PutUint32(pre, uint32(len(one)))
-			st.parts = append(st.parts, pre)
-		}
-		st.parts = append(st.parts, one)
+		pre := st.prefixes[4*i : 4*i+4 : 4*i+4]
+		binary.LittleEndian.PutUint32(pre, uint32(len(one)))
+		st.parts = append(st.parts, pre, one)
 	}
 	return len(ids), nil
 }
@@ -930,7 +907,9 @@ func statusOf(err error) (status byte, payload []byte) {
 // the parts are ignored and the error's payload (statusOf) is sent instead.
 // The head, the iovec list and the net.Buffers value the write consumes all
 // live in the connection's scratch; the list is cleared once the write
-// returns, however much of it the write consumed.
+// returns, however much of it the write consumed. A sample reply's first
+// length prefix rides in the head's buffer, so a single get is two buffers
+// (two writes on a connection without writev), head and sample.
 func (s *Server) writeFrame(conn net.Conn, st *connState, err error) (byte, error) {
 	status, fail := statusOf(err)
 	if err != nil {
@@ -938,15 +917,20 @@ func (s *Server) writeFrame(conn net.Conn, st *connState, err error) (byte, erro
 		st.parts = append(st.parts[:0], fail)
 	}
 	st.head[0] = status
-	st.iov = append(st.iov[:0], st.head[:])
+	st.iov = append(st.iov[:0], st.head[:respHeaderSize])
 	total := 0
 	crc := uint32(0)
 	for _, p := range st.parts {
-		if len(p) > 0 {
-			total += len(p)
-			crc = crc32.Update(crc, crc32.IEEETable, p)
-			st.iov = append(st.iov, p)
+		if len(p) == 0 {
+			continue
 		}
+		total += len(p)
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		if len(st.iov) == 1 && respHeaderSize+len(p) <= len(st.head) {
+			st.iov[0] = append(st.iov[0], p...)
+			continue
+		}
+		st.iov = append(st.iov, p)
 	}
 	binary.LittleEndian.PutUint32(st.head[1:], uint32(total))
 	binary.LittleEndian.PutUint32(st.head[5:], crc)

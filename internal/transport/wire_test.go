@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ddstore/internal/graph"
+	"ddstore/internal/wire"
 )
 
 // wireChunk builds a tiny in-memory chunk of hand-made graphs covering
@@ -27,16 +28,13 @@ func wireChunk(lo, hi int64) *MemChunk {
 	return NewMemChunk(lo, gs)
 }
 
-// rawRequest writes a hand-crafted header and reads back one response.
-func rawRequest(t *testing.T, conn net.Conn, op byte, a, b int64) (status byte, payload []byte) {
+// rawRequest writes a hand-crafted header and body and reads back one
+// response.
+func rawRequest(t *testing.T, conn net.Conn, op byte, a, b int64, body ...byte) (status byte, payload []byte) {
 	t.Helper()
-	var header [reqHeaderSize]byte
-	header[0] = op
-	binary.LittleEndian.PutUint64(header[1:], uint64(a))
-	binary.LittleEndian.PutUint64(header[9:], uint64(b))
 	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Write(header[:]); err != nil {
-		t.Fatalf("write header: %v", err)
+	if _, err := conn.Write(append(reqBytes(op, a, b), body...)); err != nil {
+		t.Fatalf("write request: %v", err)
 	}
 	var head [respHeaderSize]byte
 	if _, err := io.ReadFull(conn, head[:]); err != nil {
@@ -54,8 +52,9 @@ func rawRequest(t *testing.T, conn net.Conn, op byte, a, b int64) (status byte, 
 }
 
 // TestRejectsMalformedHeaders drives the server with hostile raw headers:
-// each must be rejected before any payload work, with the connection and
-// server surviving.
+// each must be rejected with the connection and server surviving. A retired
+// op or an unknown flag bit is refused on the header alone; a bad id in a
+// batch of one is refused after admission, like any batch id.
 func TestRejectsMalformedHeaders(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", wireChunk(10, 20))
 	if err != nil {
@@ -68,20 +67,26 @@ func TestRejectsMalformedHeaders(t *testing.T) {
 	}
 	defer conn.Close()
 
+	one := func(id int64) []byte { return wire.AppendIDs(nil, []int64{id}) }
 	cases := []struct {
 		name    string
 		op      byte
 		a, b    int64
+		body    []byte
 		wantErr string
 	}{
-		{"unknown op", 42, 0, 0, "unknown op"},
-		{"retired range op", 3, 12, 14, "unknown op"},
-		{"negative get id", opGet, -3, 0, "negative sample id"},
-		{"get below chunk", opGet, 5, 0, "outside chunk"},
-		{"get above chunk", opGet, 20, 0, "outside chunk"},
+		{"unknown op", 42, 0, 0, nil, "unknown op"},
+		{"retired range op", 3, 12, 14, nil, "unknown op"},
+		{"retired get op", 2, 12, 0, nil, "unknown op"},
+		{"retired traced get op", 7, 12, 0, nil, "unknown op"},
+		{"retired traced batch op", 8, 1, 0, nil, "unknown op"},
+		{"unknown flag bit", opGetBatch, 1, flagLookup | 1<<2, one(12), "unknown request flags 0x4"},
+		{"negative id", opGetBatch, 1, flagLookup, one(-3), "outside chunk"},
+		{"id below chunk", opGetBatch, 1, flagLookup, one(5), "outside chunk"},
+		{"id above chunk", opGetBatch, 1, flagLookup, one(20), "outside chunk"},
 	}
 	for _, tc := range cases {
-		status, payload := rawRequest(t, conn, tc.op, tc.a, tc.b)
+		status, payload := rawRequest(t, conn, tc.op, tc.a, tc.b, tc.body...)
 		if status != statusError {
 			t.Fatalf("%s: status = %d, want error", tc.name, status)
 		}
@@ -95,9 +100,9 @@ func TestRejectsMalformedHeaders(t *testing.T) {
 	if status != statusOK || len(payload) != 16 {
 		t.Fatalf("meta after rejections: status %d, %d bytes", status, len(payload))
 	}
-	status, _ = rawRequest(t, conn, opGet, 12, 0)
-	if status != statusOK {
-		t.Fatalf("valid get after rejections: status %d", status)
+	status, payload = rawRequest(t, conn, opGetBatch, 1, flagLookup, one(12)...)
+	if status != statusOK || int(binary.LittleEndian.Uint32(payload)) != len(payload)-4 {
+		t.Fatalf("valid batch of one after rejections: status %d, %d bytes", status, len(payload))
 	}
 }
 
@@ -115,10 +120,10 @@ func TestResponsesCarryCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if status, _ := rawRequest(t, conn, opGet, 2, 0); status != statusOK {
+	if status, _ := rawRequest(t, conn, opGetBatch, 1, 0, wire.AppendIDs(nil, []int64{2})...); status != statusOK {
 		t.Fatalf("get: status %d", status)
 	}
-	if status, _ := rawRequest(t, conn, opGet, 99, 0); status != statusError {
+	if status, _ := rawRequest(t, conn, opGetBatch, 1, 0, wire.AppendIDs(nil, []int64{99})...); status != statusError {
 		t.Fatalf("bad get: status %d", status)
 	}
 }
