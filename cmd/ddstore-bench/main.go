@@ -63,10 +63,9 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&sweep.Quick, "quick", false, "run the scaled-down quick profile (seconds instead of minutes)")
 	fs.Uint64Var(&o.load.Seed, "seed", 0, "random seed (0 = default)")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
-	fs.BoolVar(&o.json, "json", false, "emit JSON (includes the fetch-latency percentile digest) instead of aligned tables")
+	fs.BoolVar(&o.json, "json", false, "emit JSON instead of aligned tables")
 	fs.BoolVar(&o.list, "list", false, "list available experiments and exit")
 	fs.Int64Var(&o.bench.CacheBytes, "cache-bytes", 0, "per-rank remote-sample cache budget for DDStore runs (0 = no cache)")
-	fs.StringVar(&o.bench.CachePolicy, "cache-policy", "lru", "cache eviction policy: lru, fifo, clock")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON of per-batch spans from every run (load in about://tracing)")
 	fs.StringVar(&o.metricsOut, "metrics-json", "", "write the final metrics registry snapshot to this JSON file")
 

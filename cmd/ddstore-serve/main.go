@@ -70,7 +70,6 @@ func parseFlags(args []string) (serveboot.Config, error) {
 
 	// Lazy on-demand serving through a byte-budgeted hot-sample cache.
 	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "serve lazily through a cache of this many bytes instead of preloading (0 = preload)")
-	fs.StringVar(&cfg.CachePolicy, "cache-policy", "lru", "cache eviction policy: lru, fifo, clock")
 
 	// A faultnet injector on every listener, for resilience drills.
 	fs.Int64Var(&chaos.Seed, "chaos-seed", 1, "fault injection RNG seed")
@@ -115,7 +114,7 @@ func run(args []string, stop <-chan os.Signal) int {
 		fmt.Printf("debug server on http://%s (/metrics, /healthz, /readyz, /debug/flightrecorder, /debug/pprof/, /admin/reshard?owners=N)\n", dbg)
 	}
 	if cfg.CacheBytes > 0 {
-		fmt.Printf("lazy mode: %s cache, %d byte budget\n", cfg.CachePolicy, cfg.CacheBytes)
+		fmt.Printf("lazy mode: LRU cache, %d byte budget\n", cfg.CacheBytes)
 	}
 	if _, ok := c.FrontendStats(); ok {
 		fmt.Printf("front end: tenants=%q max-conns=%d queue-depth=%d workers=%d drain-timeout=%s\n",

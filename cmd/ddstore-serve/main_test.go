@@ -21,7 +21,7 @@ func TestParseFlags(t *testing.T) {
 	}
 	want := serveboot.Config{
 		Addrs: []string{"127.0.0.1:7001"}, N: 10000, Hi: -1,
-		WriteTimeout: 5 * time.Second, DrainTimeout: 5 * time.Second, CachePolicy: "lru",
+		WriteTimeout: 5 * time.Second, DrainTimeout: 5 * time.Second,
 	}
 	if !reflect.DeepEqual(defaults, want) {
 		t.Fatalf("defaults = %+v\nwant %+v", defaults, want)
@@ -60,7 +60,6 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-slow-threshold", "1ms"}, func(c *serveboot.Config) { c.SlowThreshold = time.Millisecond }},
 		{[]string{"-flightrec-dir", "/f"}, func(c *serveboot.Config) { c.FlightRecDir = "/f" }},
 		{[]string{"-cache-bytes", "1024"}, func(c *serveboot.Config) { c.CacheBytes = 1024 }},
-		{[]string{"-cache-policy", "clock"}, func(c *serveboot.Config) { c.CachePolicy = "clock" }},
 		{[]string{"-chaos-reset", "0.1", "-chaos-seed", "7"}, chaos(func(s *faultnet.Scenario) { s.ResetProb, s.Seed = 0.1, 7 })},
 		{[]string{"-chaos-stall-prob", "0.2", "-chaos-stall", "1ms"}, chaos(func(s *faultnet.Scenario) { s.StallProb, s.StallFor = 0.2, time.Millisecond })},
 		{[]string{"-chaos-corrupt", "0.3"}, chaos(func(s *faultnet.Scenario) { s.CorruptProb = 0.3 })},
@@ -104,8 +103,6 @@ func TestRunExitStatus(t *testing.T) {
 	for _, owners := range []string{"0", "1", "2"} {
 		for _, bad := range [][]string{
 			{"-tenants", "a:turbo=9"},
-			{"-cache-policy", "mru"},
-			{"-tenants", "polite", "-cache-bytes", "4096", "-cache-policy", "mru"},
 		} {
 			args := append(append(append([]string(nil), base...), "-elastic", owners), bad...)
 			if code := run(args, stopped()); code != 2 {

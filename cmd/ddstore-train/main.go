@@ -54,7 +54,6 @@ func run(args []string) int {
 		hidden      = flags.Int("hidden", 16, "hidden dim for -real")
 		localShuf   = flags.Bool("local-shuffle", false, "use sharding with local shuffling instead of global shuffles (the conventional baseline of paper §2.2)")
 		cacheBytes  = flags.Int64("cache-bytes", 0, "per-rank remote-sample cache budget for -method ddstore (0 = no cache)")
-		cachePol    = flags.String("cache-policy", "lru", "cache eviction policy: lru, fifo, clock")
 		debugAddr   = flags.String("debug-addr", "", "serve /metrics, /healthz, /trace, and /debug/pprof on this address during the run (empty = disabled)")
 		traceOut    = flags.String("trace-out", "", "write a Chrome trace-event JSON file of per-batch spans (load in about://tracing)")
 		metricsJSON = flags.String("metrics-json", "", "write the final metrics registry snapshot to this JSON file")
@@ -72,11 +71,6 @@ func run(args []string) int {
 	failed := func(err error) int {
 		fmt.Fprintf(os.Stderr, "ddstore-train: %v\n", err)
 		return 1
-	}
-
-	cachePolicy, err := cache.ParsePolicy(*cachePol)
-	if err != nil {
-		return usage("%v", err)
 	}
 
 	var machine *cluster.Machine
@@ -165,8 +159,7 @@ func run(args []string) int {
 		case "ddstore":
 			st, err := core.Open(c, ds, core.Options{
 				Width: *width, Profiler: prof,
-				CacheBytes: *cacheBytes, CachePolicy: cachePolicy,
-				Metrics: reg, Spans: spans,
+				CacheBytes: *cacheBytes, Metrics: reg, Spans: spans,
 			})
 			if err != nil {
 				return err
@@ -239,8 +232,8 @@ func run(args []string) int {
 			stats.DurationPercentile(lats, 99), len(lats))
 	}
 	if *cacheBytes > 0 {
-		fmt.Printf("rank 0 cache (%s, %d B): %.1f%% hit rate, %d hits, %d misses, %d evictions, %d coalesced\n",
-			cachePolicy, *cacheBytes, 100*cacheStats.HitRate(),
+		fmt.Printf("rank 0 cache (%d B): %.1f%% hit rate, %d hits, %d misses, %d evictions, %d coalesced\n",
+			*cacheBytes, 100*cacheStats.HitRate(),
 			cacheStats.Hits, cacheStats.Misses, cacheStats.Evictions, cacheStats.Coalesced)
 	}
 	fmt.Println()

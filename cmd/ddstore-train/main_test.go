@@ -90,7 +90,6 @@ func TestRunUsage(t *testing.T) {
 		{"-method", "nfs"},
 		{"-dataset", "qm9"},
 		{"-machine", "frontier"},
-		{"-cache-policy", "random"},
 		{"-no-such-flag"},
 	} {
 		if code, _ := runCaptured(t, args...); code != 2 {

@@ -96,8 +96,8 @@ func TestFacadeDatasets(t *testing.T) {
 
 func TestFacadeExperimentsRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 18 {
-		t.Fatalf("%d experiments registered, want 18 (every paper table and figure plus 3 ablations, the degraded-mode soak, and the cache sweep)", len(exps))
+	if len(exps) != 16 {
+		t.Fatalf("%d experiments registered, want 16 (every paper table and figure plus 3 ablations)", len(exps))
 	}
 	if _, ok := LookupExperiment("fig4"); !ok {
 		t.Fatal("fig4 missing")

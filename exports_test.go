@@ -16,6 +16,7 @@ import (
 var uncalledAllowed = map[string]string{
 	"internal/serveboot.Cluster.CrashOwner": "the elastic protocol's crash hook: the cluster tests kill owners through it, and a deterministic simulator of the protocol is to drive it",
 	"internal/tensor.SetParallelism":        "the gnn and hydra determinism tests vary the worker count across packages with it",
+	"internal/vtime.RNG.Shuffle":            "the vtime, cff and core tests shuffle load orders with it",
 	"internal/bufarena.Buf.Refs":            "the buffer-lifetime tests of bufarena and transport, and graph's differential oracle (edited only to follow a signature), read the count through it",
 	"internal/hydra.Model.Save":             "checkpointing (DESIGN §4b), promised to library users through the facade's Model",
 }
@@ -67,11 +68,18 @@ var retired = map[string]string{
 	"internal/ddp.PlaneLoader.LatencyStats": latencyWindow,
 	"internal/obs.CollectLatencySummary":    "it exported the engine's latency window as percentile gauges; ddstore_fetch_latency_seconds is the one latency series",
 	"internal/trace.NewSampling":            "profiler sample reservoirs were read by nothing; latency CDFs come from the latencies loads return (ddp.Config.KeepLatencies)",
+
+	"internal/cache.ParsePolicy":   evictionPolicy,
+	"internal/cache.Policy.String": evictionPolicy,
+	"internal/stats.NewCDF":        cdfQuantile,
+	"internal/stats.CDF.Quantile":  cdfQuantile,
 }
 
 const (
-	eagerLoad     = "a second, eager result shape (a materialized []*graph.Graph) duplicated the lazy loads every plane returns, and ddp.PlaneLoader.LoadBatch is the one place they are materialized"
-	latencyWindow = "the fetch engine's latency window kept a second copy of the per-position latencies every load returns, and the ddstore_fetch_latency_seconds histogram already summarizes them"
+	eagerLoad      = "a second, eager result shape (a materialized []*graph.Graph) duplicated the lazy loads every plane returns, and ddp.PlaneLoader.LoadBatch is the one place they are materialized"
+	latencyWindow  = "the fetch engine's latency window kept a second copy of the per-position latencies every load returns, and the ddstore_fetch_latency_seconds histogram already summarizes them"
+	evictionPolicy = "the cache evicts least-recently-used only: FIFO and Clock were selected by nothing but a deleted wall-clock bench section, and every workload ran LRU"
+	cdfQuantile    = "CDF.Quantile(q) was percentileSorted(q*100), the same computation as stats.Percentile; stats.DurationPercentile is the one percentile of durations"
 )
 
 // exportScan is what one pass over the module's non-test Go files finds.

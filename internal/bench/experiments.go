@@ -348,10 +348,9 @@ func runFig6(o Options) (*Report, error) {
 			if len(lat) == 0 {
 				return nil, fmt.Errorf("bench: no latencies for %s/%s", kind, m)
 			}
-			cdf := stats.NewCDF(lat)
 			row := []any{kind.String(), string(m)}
 			for _, f := range fractions {
-				row = append(row, ms(cdf.Quantile(f)))
+				row = append(row, ms(stats.DurationPercentile(lat, f*100)))
 			}
 			r.AddRow(row...)
 		}
@@ -633,10 +632,9 @@ func runFig12(o Options) (*Report, error) {
 	r := &Report{ID: "fig12", Title: "Latency CDF: width=default vs width=2 (Perlmutter)", Columns: cols}
 	for _, kind := range allKinds {
 		for _, w := range []int{p.perlRanks, 2} {
-			cdf := stats.NewCDF(outs[kind][w])
 			row := []any{kind.String(), w}
 			for _, f := range fractions {
-				row = append(row, ms(cdf.Quantile(f)))
+				row = append(row, ms(stats.DurationPercentile(outs[kind][w], f*100)))
 			}
 			r.AddRow(row...)
 		}
@@ -658,10 +656,8 @@ func runTable3(o Options) (*Report, error) {
 		Columns: []string{"Dataset", fmt.Sprintf("width=%d (ms)", p.perlRanks), "width=2 (ms)", "Reduction"},
 	}
 	for _, kind := range allKinds {
-		wideCDF := stats.NewCDF(outs[kind][p.perlRanks])
-		narrowCDF := stats.NewCDF(outs[kind][2])
-		wide := ms(wideCDF.Quantile(0.5))
-		narrow := ms(narrowCDF.Quantile(0.5))
+		wide := ms(stats.DurationPercentile(outs[kind][p.perlRanks], 50))
+		narrow := ms(stats.DurationPercentile(outs[kind][2], 50))
 		r.AddRow(kind.String(), wide, narrow, fmt.Sprintf("%.2f%%", 100*(1-narrow/wide)))
 	}
 	r.AddNote("paper: width=2 cuts the median latency by 79.17–87.18%% (0.24–0.44 ms -> 0.05–0.06 ms)")

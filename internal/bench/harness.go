@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"ddstore/internal/cache"
 	"ddstore/internal/cff"
 	"ddstore/internal/cluster"
 	"ddstore/internal/comm"
@@ -157,9 +156,8 @@ type runSpec struct {
 	nonBlocking   bool
 
 	// Remote-sample cache (filled in from Options by runCached unless the
-	// experiment sets them explicitly).
-	cacheBytes  int64
-	cachePolicy cache.Policy
+	// experiment sets it explicitly).
+	cacheBytes int64
 
 	// Observability sinks (filled in from Options by runCached). They do
 	// not affect the simulated outcome, so they are excluded from the run
@@ -248,7 +246,6 @@ func runOne(spec runSpec) (*runOut, error) {
 				LockPerSample: spec.lockPerSample,
 				NonBlocking:   spec.nonBlocking,
 				CacheBytes:    spec.cacheBytes,
-				CachePolicy:   spec.cachePolicy,
 				Metrics:       spec.metrics,
 				Spans:         spans,
 			})
@@ -329,19 +326,14 @@ var runCache = struct {
 // from Options to any spec that does not set its own.
 func runCached(o Options, spec runSpec) (*runOut, error) {
 	if spec.cacheBytes == 0 && o.CacheBytes > 0 {
-		pol, err := cache.ParsePolicy(o.CachePolicy)
-		if err != nil {
-			return nil, err
-		}
 		spec.cacheBytes = o.CacheBytes
-		spec.cachePolicy = pol
 	}
 	spec.metrics = o.Metrics
 	spec.traceSink = o.Trace
-	key := fmt.Sprintf("%s/%d/%s/%s-%d-%d/%d/%d/%d/%d/%d/%v/%d-%v-%v/%d-%v",
+	key := fmt.Sprintf("%s/%d/%s/%s-%d-%d/%d/%d/%d/%d/%d/%v/%d-%v-%v/%d",
 		spec.machine.Name, spec.ranks, spec.method, spec.ds.Name(), spec.ds.Len(), spec.ds.OutputDim(),
 		spec.localBatch, spec.epochs, spec.maxSteps, spec.width, spec.seed, spec.keepLat,
-		spec.framework, spec.lockPerSample, spec.nonBlocking, spec.cacheBytes, spec.cachePolicy)
+		spec.framework, spec.lockPerSample, spec.nonBlocking, spec.cacheBytes)
 	runCache.Lock()
 	if out, ok := runCache.m[key]; ok {
 		runCache.Unlock()
@@ -360,10 +352,9 @@ func runCached(o Options, spec runSpec) (*runOut, error) {
 
 // latencyPercentiles returns the 50/95/99th percentiles in milliseconds.
 func latencyPercentiles(lat []time.Duration) (p50, p95, p99 float64) {
-	c := stats.NewCDF(lat)
-	return c.Quantile(0.50).Seconds() * 1e3,
-		c.Quantile(0.95).Seconds() * 1e3,
-		c.Quantile(0.99).Seconds() * 1e3
+	return ms(stats.DurationPercentile(lat, 50)),
+		ms(stats.DurationPercentile(lat, 95)),
+		ms(stats.DurationPercentile(lat, 99))
 }
 
 func ms(d time.Duration) float64 { return d.Seconds() * 1e3 }

@@ -5,14 +5,13 @@
 package bench
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"ddstore/internal/obs"
-	"ddstore/internal/stats"
 )
 
 // Report is the textual result of one experiment.
@@ -23,27 +22,9 @@ type Report struct {
 	Rows    [][]string `json:"rows"`
 	// Notes carry the paper's expected shape next to what we measured.
 	Notes []string `json:"notes,omitempty"`
-	// Latency is the per-sample fetch-latency digest of the run, for
-	// experiments that time their own loads.
-	Latency *LatencyDigest `json:"latency,omitempty"`
 	// Telemetry is the cluster-wide time-share and loading-skew aggregation
 	// for experiments that expose one (fig7's Score-P-style profile).
 	Telemetry *obs.ClusterTelemetry `json:"telemetry,omitempty"`
-}
-
-// LatencyDigest summarizes per-sample load latencies: how many, and their
-// percentiles in microseconds.
-type LatencyDigest struct {
-	Count int64   `json:"count"`
-	P50us float64 `json:"p50_us"`
-	P95us float64 `json:"p95_us"`
-	P99us float64 `json:"p99_us"`
-}
-
-// latencyDigest digests a non-empty set of latencies.
-func latencyDigest(lats []time.Duration) *LatencyDigest {
-	us := func(p float64) float64 { return float64(stats.DurationPercentile(lats, p)) / float64(time.Microsecond) }
-	return &LatencyDigest{Count: int64(len(lats)), P50us: us(50), P95us: us(95), P99us: us(99)}
 }
 
 // AddRow appends a row, formatting each cell with %v.
@@ -104,8 +85,7 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// JSON renders the report as an indented JSON object, including the
-// latency digest when the experiment recorded one.
+// JSON renders the report as an indented JSON object.
 func (r *Report) JSON() (string, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -114,16 +94,11 @@ func (r *Report) JSON() (string, error) {
 	return string(b), nil
 }
 
-// CSV renders the report as comma-separated values (quotes are not needed
-// for the cell content we generate).
+// CSV renders the report as comma-separated values, each cell quoted as
+// RFC 4180 requires (fig7 has a column with a comma in its name).
 func (r *Report) CSV() string {
 	var b strings.Builder
-	b.WriteString(strings.Join(r.Columns, ","))
-	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
+	csv.NewWriter(&b).WriteAll(append([][]string{r.Columns}, r.Rows...))
 	return b.String()
 }
 
@@ -139,9 +114,6 @@ type Options struct {
 	// core.Options.CacheBytes). Zero keeps the paper-faithful cacheless
 	// configuration.
 	CacheBytes int64
-	// CachePolicy selects the cache eviction policy when CacheBytes is
-	// set: "lru" (default), "fifo", or "clock".
-	CachePolicy string
 	// Metrics, when non-nil, receives every run's engine metrics (latency
 	// histogram, cache and resilience event counters) — the -metrics-json
 	// sink of cmd/ddstore-bench. Does not perturb run results.

@@ -20,7 +20,6 @@ func fixedReport() *Report {
 	r.AddRow("Ising", 102000.0, 0.89)
 	r.AddRow("AISD HOMO-LUMO", 98000.0, 1.21)
 	r.AddNote("expected shape: DDStore >> CFF > PFF")
-	r.Latency = &LatencyDigest{Count: 4096, P50us: 276, P95us: 512, P99us: 890}
 	r.Telemetry = &obs.ClusterTelemetry{}
 	return r
 }
@@ -57,11 +56,10 @@ func TestReportJSONGolden(t *testing.T) {
 	}
 }
 
-// wallClock lists the experiments whose numbers depend on the scheduler or
-// on real loopback time: abl-comm's two-sided responder shares its rank's
-// virtual clock with the trainer, and cached and degraded time real TCP
-// loads. Their count-based shapes are asserted in bench_test.go instead.
-var wallClock = map[string]bool{"abl-comm": true, "cached": true, "degraded": true}
+// wallClock lists the experiments whose numbers depend on the scheduler:
+// abl-comm's two-sided responder shares its rank's virtual clock with the
+// trainer. Its shape is asserted in bench_test.go instead.
+var wallClock = map[string]bool{"abl-comm": true}
 
 // TestQuickSuiteGolden pins the paper's numbers: every experiment outside
 // wallClock, run at the -quick profile with the default seed, must print

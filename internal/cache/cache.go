@@ -10,9 +10,8 @@
 // memory reads; the coalescing flight table keeps prefetching workers and
 // the training loop from duplicating in-flight fetches.
 //
-// Eviction is pluggable: LRU is the default; FIFO and Clock (second
-// chance) exist for the eviction ablation. Hit/miss/coalesce/evict event
-// counts flow into any Counters sink — *trace.Profiler satisfies it, so a
+// Eviction is least-recently-used. Hit/miss/coalesce/evict event counts
+// flow into any Counters sink — *trace.Profiler satisfies it, so a
 // run's cache behaviour lands next to its region timings.
 //
 // An id's shard and its home in that shard's table both come from the high
@@ -25,54 +24,7 @@
 // slice (the same contract transport.ChunkSource has for served bytes).
 package cache
 
-import (
-	"fmt"
-	"sync"
-)
-
-// Policy selects the eviction policy of a Cache.
-type Policy int
-
-const (
-	// LRU evicts the least-recently-used entry (default). Best when the
-	// hot set shifts over time, as with shuffled epoch sampling.
-	LRU Policy = iota
-	// FIFO evicts in insertion order regardless of use. Cheapest bookkeeping;
-	// the ablation baseline.
-	FIFO
-	// Clock is the second-chance approximation of LRU: a used entry gets
-	// one extra lap of the queue before it can be evicted.
-	Clock
-)
-
-// String returns the flag-friendly policy name.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case Clock:
-		return "clock"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy converts a flag value into a Policy. The empty string means
-// the default (LRU).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "lru":
-		return LRU, nil
-	case "fifo":
-		return FIFO, nil
-	case "clock":
-		return Clock, nil
-	default:
-		return 0, fmt.Errorf("cache: unknown policy %q (want lru, fifo, or clock)", s)
-	}
-}
+import "sync"
 
 // Ref is a reference held on the buffer backing a cached value. It is
 // declared structurally (rather than importing the arena) so the cache
@@ -116,8 +68,6 @@ type Options struct {
 	MaxBytes int64
 	// Shards is the number of independently locked shards (default 8).
 	Shards int
-	// Policy is the eviction policy (default LRU).
-	Policy Policy
 	// Counters, if set, receives hit/miss/coalesce/evict event counts.
 	Counters Counters
 }
@@ -146,7 +96,6 @@ func (s Stats) HitRate() float64 {
 // All methods are safe for concurrent use.
 type Cache struct {
 	shards   []*shard
-	policy   Policy
 	counters Counters
 }
 
@@ -160,7 +109,7 @@ func New(opts Options) *Cache {
 	if cnt == nil {
 		cnt = nopCounters{}
 	}
-	c := &Cache{policy: opts.Policy, counters: cnt}
+	c := &Cache{counters: cnt}
 	budget := opts.MaxBytes
 	if budget < 0 {
 		budget = 0
@@ -174,7 +123,6 @@ func New(opts Options) *Cache {
 		}
 		c.shards = append(c.shards, &shard{
 			max:      max,
-			policy:   opts.Policy,
 			n:        uint64(n),
 			slab:     make([]entry, 1),
 			table:    make([]int32, 1<<minTableBits),
@@ -393,7 +341,7 @@ func (c *Cache) Stats() Stats {
 }
 
 // Reset drops every cached entry, returning the cache to its cold state
-// while keeping the configured budget, policy, and cumulative event
+// while keeping the configured budget and cumulative event
 // counters. In-flight coalesced fetches are untouched: their deliveries
 // land in the fresh state. Load harnesses use it to run warm-vs-cold
 // phases against one server without restarting it.
@@ -424,7 +372,7 @@ const minTableBits = 3
 // collector sees the slab and the table, not one object per entry.
 //
 // slab[0] is the sentinel of a circular doubly linked list that orders the
-// live entries head (slab[0].next: newest / most recently used) to tail
+// live entries head (slab[0].next: the most recently used) to tail
 // (slab[0].prev: the eviction candidate); an empty list links slot 0 to
 // itself. Freed slots are zeroed and chained through next from free.
 //
@@ -436,7 +384,6 @@ const minTableBits = 3
 type shard struct {
 	mu       sync.Mutex
 	max      int64
-	policy   Policy
 	n        uint64 // the cache's shard count, which spread needs for the key
 	slab     []entry
 	table    []int32
@@ -455,7 +402,6 @@ type entry struct {
 	val        []byte
 	ref        Ref   // cache-owned reference on val's backing buffer, or nil
 	prev, next int32 // slab slots; prev is toward the head
-	used       bool  // Clock's second-chance bit
 }
 
 func (s *shard) home(id int64) int {
@@ -521,22 +467,12 @@ func (s *shard) moveToFront(i int32) {
 	}
 }
 
-// touch applies the policy's use bookkeeping to a live slot. Caller holds mu.
-func (s *shard) touch(i int32) {
-	switch s.policy {
-	case LRU:
-		s.moveToFront(i)
-	case Clock:
-		s.slab[i].used = true
-	}
-}
-
-// get looks up id and applies the policy's use bookkeeping, returning its
+// get looks up id and moves it to the head of the list, returning its
 // slot, or 0 on a miss. Caller holds mu.
 func (s *shard) get(id int64) int32 {
 	_, i := s.find(id)
 	if i != 0 {
-		s.touch(i)
+		s.moveToFront(i)
 	}
 	return i
 }
@@ -561,7 +497,7 @@ func (s *shard) put(id int64, val []byte, ref Ref) {
 			e.ref.Release()
 		}
 		e.val, e.ref = val, ref
-		s.touch(i)
+		s.moveToFront(i)
 	} else {
 		if 2*(s.live+1) > len(s.table) {
 			s.grow()
@@ -589,15 +525,6 @@ func (s *shard) put(id int64, val []byte, ref Ref) {
 func (s *shard) evict() {
 	for s.bytes > s.max && s.slab[0].prev != 0 {
 		victim := s.slab[0].prev
-		if s.policy == Clock {
-			// Second chance: a used victim is marked unused and sent around
-			// again. Each pass clears one bit, so this terminates.
-			for s.slab[victim].used {
-				s.slab[victim].used = false
-				s.moveToFront(victim)
-				victim = s.slab[0].prev
-			}
-		}
 		s.unlink(victim)
 		pos, _ := s.find(s.slab[victim].id)
 		s.remove(pos)

@@ -18,7 +18,6 @@ import (
 
 type refShard struct {
 	max        int64
-	policy     Policy
 	entries    map[int64]*refEntry
 	head, tail *refEntry
 	bytes      int64
@@ -30,7 +29,6 @@ type refEntry struct {
 	val        []byte
 	ref        Ref       // cache-owned reference on val's backing buffer, or nil
 	prev, next *refEntry // prev is toward the head
-	used       bool      // Clock's second-chance bit
 }
 
 func (s *refShard) pushFront(e *refEntry) {
@@ -72,12 +70,7 @@ func (s *refShard) get(id int64) (*refEntry, bool) {
 	if !ok {
 		return nil, false
 	}
-	switch s.policy {
-	case LRU:
-		s.moveToFront(e)
-	case Clock:
-		e.used = true
-	}
+	s.moveToFront(e)
 	return e, true
 }
 
@@ -95,12 +88,7 @@ func (s *refShard) put(id int64, val []byte, ref Ref) {
 		}
 		e.val = val
 		e.ref = ref
-		switch s.policy {
-		case LRU:
-			s.moveToFront(e)
-		case Clock:
-			e.used = true
-		}
+		s.moveToFront(e)
 	} else {
 		e := &refEntry{id: id, val: val, ref: ref}
 		s.entries[id] = e
@@ -113,13 +101,6 @@ func (s *refShard) put(id int64, val []byte, ref Ref) {
 func (s *refShard) evict() {
 	for s.bytes > s.max && s.tail != nil {
 		victim := s.tail
-		if s.policy == Clock {
-			for victim.used {
-				victim.used = false
-				s.moveToFront(victim)
-				victim = s.tail
-			}
-		}
 		s.unlink(victim)
 		delete(s.entries, victim.id)
 		s.bytes -= int64(len(victim.val))
@@ -162,7 +143,7 @@ type refFlight struct {
 func newRefCache(c *Cache) *refCache {
 	m := &refCache{c: c, flights: map[int64]*refFlight{}}
 	for _, s := range c.shards {
-		m.shards = append(m.shards, &refShard{max: s.max, policy: s.policy, entries: map[int64]*refEntry{}})
+		m.shards = append(m.shards, &refShard{max: s.max, entries: map[int64]*refEntry{}})
 	}
 	return m
 }
@@ -258,8 +239,8 @@ type shardHarness struct {
 	claims          []claimPair
 }
 
-func newShardHarness(tb testing.TB, pol Policy, shards int, stride int64) *shardHarness {
-	c := New(Options{MaxBytes: int64(shards) * 2000, Shards: shards, Policy: pol})
+func newShardHarness(tb testing.TB, shards int, stride int64) *shardHarness {
+	c := New(Options{MaxBytes: int64(shards) * 2000, Shards: shards})
 	return &shardHarness{tb: tb, c: c, m: newRefCache(c), stride: stride}
 }
 
@@ -493,7 +474,7 @@ func checkShard(tb testing.TB, s *shard) (longest int) {
 			tb.Fatalf("free slot %d is live or on the free list twice", i)
 		}
 		seen[i] = true
-		if e := s.slab[i]; e.val != nil || e.ref != nil || e.id != 0 || e.used {
+		if e := s.slab[i]; e.val != nil || e.ref != nil || e.id != 0 {
 			tb.Fatalf("free slot %d is not zeroed: %+v", i, e)
 		}
 	}
@@ -504,20 +485,18 @@ func checkShard(tb testing.TB, s *shard) (longest int) {
 }
 
 func TestShardMatchesReference(t *testing.T) {
-	for _, pol := range []Policy{LRU, FIFO, Clock} {
-		for _, shards := range []int{1, 4} {
-			for _, stride := range []int64{1, 8, 1000} {
-				t.Run(fmt.Sprintf("%v/shards%d/stride%d", pol, shards, stride), func(t *testing.T) {
-					for seed := int64(1); seed <= 4; seed++ {
-						h := newShardHarness(t, pol, shards, stride)
-						rng := rand.New(rand.NewSource(seed))
-						for i := 0; i < 1500; i++ {
-							h.step(byte(rng.Intn(256)), byte(rng.Intn(256)))
-						}
-						h.finish()
+	for _, shards := range []int{1, 4} {
+		for _, stride := range []int64{1, 8, 1000} {
+			t.Run(fmt.Sprintf("lru/shards%d/stride%d", shards, stride), func(t *testing.T) {
+				for seed := int64(1); seed <= 4; seed++ {
+					h := newShardHarness(t, shards, stride)
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < 1500; i++ {
+						h.step(byte(rng.Intn(256)), byte(rng.Intn(256)))
 					}
-				})
-			}
+					h.finish()
+				}
+			})
 		}
 	}
 
@@ -540,8 +519,8 @@ func TestShardMatchesReference(t *testing.T) {
 }
 
 // FuzzShardOps drives the slab shard and the reference through the same
-// op stream decoded from fuzz bytes: a header byte for policy, shard count
-// and stride, then an (op, arg) pair per step.
+// op stream decoded from fuzz bytes: a header byte for shard count and
+// stride, then an (op, arg) pair per step.
 func FuzzShardOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 6, 1, 9, 0, 6, 1, 12, 0})
 	f.Add([]byte{1, 0, 5, 0, 5, 6, 5, 6, 5, 10, 0, 13, 0, 15, 0})
@@ -552,7 +531,7 @@ func FuzzShardOps(f *testing.F) {
 			return
 		}
 		hdr := data[0]
-		h := newShardHarness(t, Policy(hdr%3), 1+int(hdr/3%4), []int64{1, 8, 1000}[int(hdr/12)%3])
+		h := newShardHarness(t, 1+int(hdr/3%4), []int64{1, 8, 1000}[int(hdr/12)%3])
 		for i := 1; i+1 < len(data); i += 2 {
 			h.step(data[i], data[i+1])
 		}

@@ -75,9 +75,6 @@ type Options struct {
 	// prefetch worker racing the training loop) coalesce into one fetch.
 	// Local-chunk reads bypass the cache — they are already memory reads.
 	CacheBytes int64
-	// CachePolicy selects the cache's eviction policy (default LRU; FIFO
-	// and Clock exist for the eviction ablation).
-	CachePolicy cache.Policy
 	// Metrics, if set, receives the engine's fetch-latency histogram, and
 	// the cache and transport event counters when there is no Profiler to
 	// take them (see eventSink).
@@ -223,7 +220,7 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 	}
 	if opts.CacheBytes > 0 {
 		s.cache = cache.New(cache.Options{
-			MaxBytes: opts.CacheBytes, Policy: opts.CachePolicy, Counters: opts.eventSink(),
+			MaxBytes: opts.CacheBytes, Counters: opts.eventSink(),
 		})
 	}
 

@@ -200,12 +200,8 @@ func BootCluster(cfg Config) (_ *Cluster, err error) {
 	if c.lo < 0 || c.hi > int64(src.Len()) || c.lo >= c.hi {
 		return nil, fmt.Errorf("serveboot: bad range [%d,%d) for %d samples", c.lo, c.hi, src.Len())
 	}
-	pol, err := cache.ParsePolicy(cfg.CachePolicy)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.CacheBytes > 0 {
-		c.hot = cache.New(cache.Options{MaxBytes: cfg.CacheBytes, Policy: pol})
+		c.hot = cache.New(cache.Options{MaxBytes: cfg.CacheBytes})
 	}
 
 	// The flight recorder runs whether or not the debug endpoint does: the

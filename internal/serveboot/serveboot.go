@@ -73,8 +73,7 @@ type Config struct {
 	// CacheBytes switches from eager preload to lazy on-demand serving
 	// through one byte-budgeted hot-sample cache of this size, shared by
 	// the cluster's owners.
-	CacheBytes  int64
-	CachePolicy string
+	CacheBytes int64
 
 	// DebugAddr enables the debug endpoint — /metrics, /healthz, /readyz,
 	// /debug/flightrecorder, /debug/pprof, /admin/reshard?owners=N — on

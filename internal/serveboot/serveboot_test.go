@@ -100,7 +100,6 @@ func TestBootRejectsBadConfig(t *testing.T) {
 		{"inverted range", Config{Source: ds, Lo: 5, Hi: 5}},
 		{"range past end", Config{Source: ds, Lo: 0, Hi: 11}},
 		{"negative lo", Config{Source: ds, Lo: -1, Hi: 5}},
-		{"bad cache policy", Config{Source: ds, Lo: 0, Hi: 10, CacheBytes: 1 << 20, CachePolicy: "mru"}},
 		{"bad tenant spec", Config{Source: ds, Lo: 0, Hi: 10, Tenants: "a:turbo=9"}},
 		{"dup tenant", Config{Source: ds, Lo: 0, Hi: 10, Tenants: "a:rate=1;a:rate=2"}},
 	}

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: percentiles, empirical CDFs, geometric means, and
+// experiment harness: percentiles, geometric means, and
 // scaling-efficiency summaries.
 package stats
 
@@ -103,34 +103,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// CDF is an empirical cumulative distribution function over durations.
-type CDF struct {
-	sorted []time.Duration
-}
-
-// NewCDF builds a CDF from samples. The input is copied.
-func NewCDF(samples []time.Duration) *CDF {
-	s := make([]time.Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return &CDF{sorted: s}
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the samples.
-func (c *CDF) Quantile(q float64) time.Duration {
-	if len(c.sorted) == 0 {
-		panic("stats: Quantile of empty CDF")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v out of range [0,1]", q))
-	}
-	xs := make([]float64, len(c.sorted))
-	for i, d := range c.sorted {
-		xs[i] = float64(d)
-	}
-	return time.Duration(percentileSorted(xs, q*100))
 }
 
 // ScalingPoint is one measurement in a scaling study.

@@ -98,52 +98,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestCDFQuantile(t *testing.T) {
-	c := NewCDF([]time.Duration{10, 20, 30, 40, 50})
-	if got := c.Quantile(0.5); got != 30 {
-		t.Fatalf("Quantile(0.5) = %v", got)
-	}
-	if got := c.Quantile(0); got != 10 {
-		t.Fatalf("Quantile(0) = %v", got)
-	}
-	if got := c.Quantile(1); got != 50 {
-		t.Fatalf("Quantile(1) = %v", got)
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Quantile of an empty CDF did not panic")
-		}
-	}()
-	NewCDF(nil).Quantile(0.5)
-}
-
-func TestCDFQuantileMatchesPercentile(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		ds := make([]time.Duration, len(raw))
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			ds[i] = time.Duration(r) + 1
-			xs[i] = float64(ds[i])
-		}
-		c := NewCDF(ds)
-		for _, q := range []float64{0, 0.25, 0.5, 0.95, 0.99, 1} {
-			if got, want := c.Quantile(q), time.Duration(Percentile(xs, q*100)); got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParallelEfficiencyLinear(t *testing.T) {
 	pts := []ScalingPoint{{48, 100}, {96, 200}, {192, 400}}
 	for i, e := range ParallelEfficiency(pts) {

@@ -35,12 +35,6 @@ type GroupOptions struct {
 	// sample bytes: repeat loads of a cached id cost no round trip, and
 	// concurrent misses for one id are coalesced into a single fetch.
 	CacheBytes int64
-	// CachePolicy selects the cache eviction policy (default LRU).
-	CachePolicy cache.Policy
-	// CacheShards overrides the cache's shard count (default 8). The byte
-	// budget is split evenly across shards, so a lightly-threaded client
-	// can set 1 to make the budget exact at the cost of lock sharing.
-	CacheShards int
 	// Metrics, when non-nil, receives the engine's fetch-latency histogram.
 	Metrics *obs.Registry
 	// Spans, when non-nil, receives per-owner fetch spans for the Chrome
@@ -103,8 +97,6 @@ func newGroup(opts GroupOptions) *Group {
 	if opts.CacheBytes > 0 {
 		g.cache = cache.New(cache.Options{
 			MaxBytes: opts.CacheBytes,
-			Policy:   opts.CachePolicy,
-			Shards:   opts.CacheShards,
 			Counters: g.counters,
 		})
 	}
