@@ -113,7 +113,7 @@ fuzz:
 
 # Coverage gates, one pkg:floor per line. internal/fetch is the one
 # pipeline both data planes ride (engine unit tests + cross-plane
-# conformance); internal/obs is the metrics/span/telemetry surface every
+# conformance); internal/obs is the metrics/span surface every
 # layer feeds; internal/loadgen drives real TCP servers in its e2e suite;
 # internal/frontend is the multi-tenant admission/queueing/shedding layer
 # in front of the serving data plane; internal/shardmap is the versioned

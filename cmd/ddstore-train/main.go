@@ -15,7 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
+	"time"
 
 	"ddstore/internal/cache"
 	"ddstore/internal/cff"
@@ -143,7 +145,7 @@ func run(args []string) int {
 		fmt.Printf("debug server on http://%s (/metrics, /healthz, /trace, /debug/pprof/)\n", dbg.Addr())
 	}
 
-	var res *ddp.Result
+	results := make([]*ddp.Result, *ranks)
 	var cacheStats cache.Stats
 	var mu sync.Mutex
 	err = world.Run(func(c *comm.Comm) error {
@@ -178,7 +180,6 @@ func run(args []string) int {
 			Profiler:         prof,
 			KeepLatencies:    c.Rank() == 0,
 			Spans:            spans,
-			Telemetry:        obs.NewTelemetry(c, prof),
 		}
 		if *real {
 			tc.Model = hydra.New(hydra.Config{
@@ -200,8 +201,8 @@ func run(args []string) int {
 		}
 		mu.Lock()
 		merged.Merge(prof)
+		results[c.Rank()] = r
 		if c.Rank() == 0 {
-			res = r
 			if store != nil {
 				cacheStats = store.CacheStats()
 			}
@@ -213,6 +214,7 @@ func run(args []string) int {
 		return failed(err)
 	}
 
+	res := results[0]
 	fmt.Printf("%s | %d ranks (%d nodes) | %s | %s | batch %d\n",
 		machine.Name, *ranks, machine.Nodes(*ranks), ds.Name(), *method, *batch)
 	for _, e := range res.Epochs {
@@ -239,10 +241,11 @@ func run(args []string) int {
 	fmt.Println()
 	fmt.Println("per-region virtual time (all ranks):")
 	fmt.Print(merged.String())
-	if res.Telemetry != nil {
-		fmt.Println()
-		fmt.Print(res.Telemetry.String())
+	loading := make([][]time.Duration, len(results))
+	for rank, r := range results {
+		loading[rank] = r.Loading
 	}
+	printSkew(ddp.LoadingSkew(loading))
 
 	// Fold run-wide aggregates into the registry before the final snapshot
 	// so -metrics-json (and a last /metrics scrape) sees them.
@@ -272,4 +275,30 @@ func run(args []string) int {
 		fmt.Printf("wrote Chrome trace to %s (load in about://tracing)\n", *traceOut)
 	}
 	return 0
+}
+
+// printSkew prints the per-epoch loading-time spread over the ranks and
+// names the stragglers.
+func printSkew(epochs []ddp.EpochSkew) {
+	fmt.Println()
+	fmt.Printf("per-epoch %s skew (straggler > %.1fx mean)\n", trace.RegionLoading, ddp.StragglerFactor)
+	fmt.Printf("  %5s %12s %12s %6s %12s %6s %8s %s\n",
+		"epoch", "mean", "min", "rank", "max", "rank", "max/mean", "stragglers")
+	for _, e := range epochs {
+		ratio := 0.0
+		if e.Mean > 0 {
+			ratio = float64(e.Max) / float64(e.Mean)
+		}
+		strag := "-"
+		if len(e.Stragglers) > 0 {
+			parts := make([]string, len(e.Stragglers))
+			for i, r := range e.Stragglers {
+				parts[i] = fmt.Sprint(r)
+			}
+			strag = strings.Join(parts, ",")
+		}
+		fmt.Printf("  %5d %12v %12v %6d %12v %6d %7.2fx %s\n",
+			e.Epoch, e.Mean.Round(time.Microsecond), e.Min.Round(time.Microsecond), e.MinRank,
+			e.Max.Round(time.Microsecond), e.MaxRank, ratio, strag)
+	}
 }

@@ -35,12 +35,13 @@ func runCaptured(t *testing.T, args ...string) (int, string) {
 }
 
 // TestRunReportsLoadLatency: a short DDStore run prints rank 0's load
-// latency percentiles over every sample it loaded, and its metrics snapshot
+// latency percentiles over every sample it loaded, the per-region table
+// once and the loading skew one row per epoch, and its metrics snapshot
 // carries the engine's latency histogram and no percentile gauges.
 func TestRunReportsLoadLatency(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "metrics.json")
 	code, out := runCaptured(t, "-machine", "laptop", "-ranks", "4", "-dataset", "homolumo", "-n", "200",
-		"-method", "ddstore", "-batch", "8", "-epochs", "1", "-steps", "2", "-metrics-json", metrics)
+		"-method", "ddstore", "-batch", "8", "-epochs", "2", "-steps", "2", "-metrics-json", metrics)
 	if code != 0 {
 		t.Fatalf("exit status %d, output:\n%s", code, out)
 	}
@@ -48,8 +49,21 @@ func TestRunReportsLoadLatency(t *testing.T) {
 	if m == nil {
 		t.Fatalf("no latency line in:\n%s", out)
 	}
-	if n, _ := strconv.Atoi(m[1]); n != 2*8 {
-		t.Errorf("latency line counts %d samples, want 2 steps x 8", n)
+	if n, _ := strconv.Atoi(m[1]); n != 2*2*8 {
+		t.Errorf("latency line counts %d samples, want 2 epochs x 2 steps x 8", n)
+	}
+	if n := len(regexp.MustCompile(`(?m)^ *CPU-Loading +\S+ +\d+ +[\d.]+%$`).FindAllString(out, -1)); n != 1 {
+		t.Errorf("the per-region table prints %d CPU-Loading rows, want 1:\n%s", n, out)
+	}
+	if strings.Contains(out, "cluster time-share") {
+		t.Errorf("a second time-share table is printed:\n%s", out)
+	}
+	_, skew, ok := strings.Cut(out, "per-epoch CPU-Loading skew")
+	if !ok {
+		t.Fatalf("no skew block in:\n%s", out)
+	}
+	if rows := regexp.MustCompile(`(?m)^ +\d+ +\S+ +\S+ +\d+ +\S+ +\d+ +\S+x `).FindAllString(skew, -1); len(rows) != 2 {
+		t.Errorf("skew block has %d rows, want one per epoch (2):\n%s", len(rows), skew)
 	}
 
 	raw, err := os.ReadFile(metrics)

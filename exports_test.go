@@ -73,6 +73,9 @@ var retired = map[string]string{
 	"internal/cache.Policy.String": evictionPolicy,
 	"internal/stats.NewCDF":        cdfQuantile,
 	"internal/stats.CDF.Quantile":  cdfQuantile,
+
+	"internal/comm.Comm.Allgatherv":   "it forwarded to Allgather, which takes variable-length contributions; core.Open calls Allgather",
+	"internal/comm.Comm.GatherNoCost": "its one caller gathered every rank's profiler to rank 0 as JSON for a second copy of the merged region table; ddp.Result.Loading carries the per-epoch loading times the skew table needs",
 }
 
 const (

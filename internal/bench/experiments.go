@@ -411,7 +411,6 @@ func runFig7(o Options) (*Report, error) {
 		fmt.Sprintf("%.1f%%", 100*float64(rma.Total)/float64(total)))
 	r.AddNote("paper: data loading ~67%% of the training duration, MPI RMA ~35%% of overall time")
 	r.AddNote("shape to preserve: loading is the dominant CPU region and consists almost entirely of one-sided RMA time")
-	r.Telemetry = out.Telemetry
 	return r, nil
 }
 

@@ -179,9 +179,6 @@ type runOut struct {
 	// Latencies concatenates per-sample load latencies from all ranks (only
 	// if keepLat).
 	Latencies []time.Duration
-	// Telemetry is the rank-0 cluster aggregation: per-rank time shares and
-	// the per-epoch loading-skew table, gathered over the comm collectives.
-	Telemetry *obs.ClusterTelemetry
 }
 
 // runOne executes one simulated DDP training run and aggregates the
@@ -265,7 +262,6 @@ func runOne(spec runSpec) (*runOut, error) {
 			Profiler:         prof,
 			KeepLatencies:    spec.keepLat,
 			Spans:            spans,
-			Telemetry:        obs.NewTelemetry(c, prof),
 		})
 		if err != nil {
 			return err
@@ -277,7 +273,6 @@ func runOne(spec runSpec) (*runOut, error) {
 		}
 		if c.Rank() == 0 {
 			res = r
-			out.Telemetry = r.Telemetry
 		}
 		mu.Unlock()
 		return nil

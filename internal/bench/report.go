@@ -22,9 +22,6 @@ type Report struct {
 	Rows    [][]string `json:"rows"`
 	// Notes carry the paper's expected shape next to what we measured.
 	Notes []string `json:"notes,omitempty"`
-	// Telemetry is the cluster-wide time-share and loading-skew aggregation
-	// for experiments that expose one (fig7's Score-P-style profile).
-	Telemetry *obs.ClusterTelemetry `json:"telemetry,omitempty"`
 }
 
 // AddRow appends a row, formatting each cell with %v.

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"ddstore/internal/obs"
 )
 
 // fixedReport populates every Report field with environment-independent
@@ -20,7 +18,6 @@ func fixedReport() *Report {
 	r.AddRow("Ising", 102000.0, 0.89)
 	r.AddRow("AISD HOMO-LUMO", 98000.0, 1.21)
 	r.AddNote("expected shape: DDStore >> CFF > PFF")
-	r.Telemetry = &obs.ClusterTelemetry{}
 	return r
 }
 

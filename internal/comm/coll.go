@@ -40,10 +40,7 @@ func (c *Comm) exchange(v any, cost func() time.Duration, read func(slots []any)
 		if c.world.machine == nil {
 			return
 		}
-		var extra time.Duration
-		if cost != nil {
-			extra = cost()
-		}
+		extra := cost()
 		var max time.Duration
 		for _, cl := range c.groupClocks() {
 			if t := cl.Now(); t > max {
@@ -169,8 +166,9 @@ func (c *Comm) AllreduceFloat32(in []float32, op ReduceOp) error {
 	return nil
 }
 
-// Allgather concatenates equal-length contributions from all ranks in rank
-// order.
+// Allgather concatenates the contributions of all ranks in rank order.
+// They may differ in length (MPI_Allgatherv): the in-process transport
+// needs no count exchange.
 func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
 	var out [][]byte
 	err := c.exchange(mine, func() time.Duration {
@@ -178,38 +176,6 @@ func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
 		vol := int64(len(mine)) * int64(c.Size()-1)
 		return m.CollectiveLatency(c.Size()) + m.NetTransfer(vol, c.Size() <= m.GPUsPerNode)
 	}, func(slots []any) {
-		out = make([][]byte, len(slots))
-		for i, s := range slots {
-			src := s.([]byte)
-			cp := make([]byte, len(src))
-			copy(cp, src)
-			out[i] = cp
-		}
-	})
-	return out, err
-}
-
-// Allgatherv concatenates variable-length byte contributions from all ranks
-// in rank order (MPI_Allgatherv).
-func (c *Comm) Allgatherv(mine []byte) ([][]byte, error) {
-	return c.Allgather(mine) // the in-process transport needs no count exchange
-}
-
-// GatherNoCost collects contributions on root (MPI_Gather; other ranks
-// receive nil), charging no modeled cost to the virtual clocks — the
-// telemetry path, which must not
-// perturb the simulated timings it is observing. Call it right after a
-// costed collective (the epoch barrier), where the clocks are already
-// aligned and the zero-cost synchronization is exact.
-func (c *Comm) GatherNoCost(mine []byte, root int) ([][]byte, error) {
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("comm: GatherNoCost root %d out of range [0,%d)", root, c.Size())
-	}
-	var out [][]byte
-	err := c.exchange(mine, nil, func(slots []any) {
-		if c.idx != root {
-			return
-		}
 		out = make([][]byte, len(slots))
 		for i, s := range slots {
 			src := s.([]byte)

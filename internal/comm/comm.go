@@ -2,10 +2,10 @@
 //
 // A World of N ranks runs as N goroutines inside one process. The package
 // provides the MPI features DDStore depends on: communicators with the
-// collectives it calls (Barrier, Allreduce, Allgather/Allgatherv, a
-// zero-cost gather for telemetry, and a zero-copy share of root's value),
-// communicator splitting (MPI_Comm_split, used to form the width-w replica
-// groups), two-sided Send/Recv, and read-only one-sided RMA windows with
+// collectives it calls (Barrier, Allreduce, Allgather of variable-length
+// contributions, and a zero-copy share of root's value), communicator
+// splitting (MPI_Comm_split, used to form the width-w replica groups),
+// two-sided Send/Recv, and read-only one-sided RMA windows with
 // passive-target synchronization (MPI_Win_create / MPI_Win_lock(SHARED) /
 // MPI_Get / MPI_Rget / MPI_Win_unlock).
 //

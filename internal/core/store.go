@@ -290,7 +290,7 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 	for i, l := range lengths {
 		binary.LittleEndian.PutUint32(manifest[4*i:], uint32(l))
 	}
-	all, err := group.Allgatherv(manifest)
+	all, err := group.Allgather(manifest)
 	if err != nil {
 		return nil, err
 	}

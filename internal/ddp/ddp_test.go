@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -626,11 +625,11 @@ func (r *recordingLoader) LoadBatch(ids []int64) ([]*graph.Graph, []time.Duratio
 	return r.inner.LoadBatch(ids)
 }
 
-// TestTelemetryAggregationAcrossRanks drives the full cluster-telemetry
-// path over real comm collectives: every rank gathers its profiler to rank
-// 0 each epoch, rank 0 folds the Fig. 7-style time-share table and the
-// per-epoch loading-skew series, and — because the gather is cost-free —
-// the run's virtual timings are bit-identical to a run without telemetry.
+// TestTelemetryAggregationAcrossRanks: every rank's Result carries its
+// per-epoch loading times, which sum to exactly what its profiler's
+// CPU-Loading region received and fold into one skew row per epoch; span
+// recording leaves the run's virtual timings bit-identical, and every
+// rank's ring renders into one Chrome trace.
 func TestTelemetryAggregationAcrossRanks(t *testing.T) {
 	machine := cluster.Perlmutter()
 	const n = 4
@@ -643,14 +642,14 @@ func TestTelemetryAggregationAcrossRanks(t *testing.T) {
 		SimModel:         hydra.PaperConfig(ds.NodeFeatDim(), ds.EdgeFeatDim(), ds.OutputDim()),
 	}
 
-	run := func(withObs bool) (*Result, []*obs.SpanRing) {
+	run := func(withObs bool) ([]*Result, []*trace.Profiler, []*obs.SpanRing) {
 		w, err := comm.NewWorld(n, 77, comm.WithMachine(machine))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rings := make([]*obs.SpanRing, n)
-		var res *Result
-		var mu sync.Mutex
+		results := make([]*Result, n)
+		profs := make([]*trace.Profiler, n)
 		err = w.Run(func(c *comm.Comm) error {
 			st, err := core.Open(c, ds, core.Options{})
 			if err != nil {
@@ -658,63 +657,51 @@ func TestTelemetryAggregationAcrossRanks(t *testing.T) {
 			}
 			cfg := base
 			cfg.Loader = &PlaneLoader{Plane: st}
-			prof := trace.New()
-			cfg.Profiler = prof
+			profs[c.Rank()] = trace.New()
+			cfg.Profiler = profs[c.Rank()]
 			if withObs {
-				cfg.Telemetry = obs.NewTelemetry(c, prof)
 				cfg.Spans = obs.NewSpanRing(1024, c.Rank())
 				rings[c.Rank()] = cfg.Spans
 			}
 			r, err := Run(c, cfg)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			if c.Rank() == 0 {
-				res = r
-			}
-			mu.Unlock()
-			return nil
+			results[c.Rank()] = r
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, rings
+		return results, profs, rings
 	}
 
-	withTel, rings := run(true)
-	plain, _ := run(false)
+	results, profs, rings := run(true)
+	plain, _, _ := run(false)
 
-	if withTel.TotalDuration != plain.TotalDuration {
-		t.Fatalf("telemetry perturbed virtual time: %v with vs %v without",
-			withTel.TotalDuration, plain.TotalDuration)
+	if results[0].TotalDuration != plain[0].TotalDuration {
+		t.Fatalf("spans perturbed virtual time: %v with vs %v without",
+			results[0].TotalDuration, plain[0].TotalDuration)
 	}
 
-	ct := withTel.Telemetry
-	if ct == nil {
-		t.Fatal("rank 0 result carries no cluster telemetry")
-	}
-	if ct.Ranks != n || len(ct.Epochs) != base.Epochs || len(ct.PerRank) != n {
-		t.Fatalf("telemetry shape: ranks=%d epochs=%d perRank=%d", ct.Ranks, len(ct.Epochs), len(ct.PerRank))
-	}
-	var hasLoading bool
-	for _, row := range ct.TimeShare {
-		if row.Region == trace.RegionLoading && row.Total > 0 {
-			hasLoading = true
+	loading := make([][]time.Duration, n)
+	for rank, r := range results {
+		if len(r.Loading) != base.Epochs {
+			t.Fatalf("rank %d: %d loading times, want one per epoch (%d)", rank, len(r.Loading), base.Epochs)
 		}
+		var sum time.Duration
+		for _, d := range r.Loading {
+			sum += d
+		}
+		if want := profs[rank].Get(trace.RegionLoading).Total; sum == 0 || sum != want {
+			t.Fatalf("rank %d: loading times sum to %v, profiler %s total %v", rank, sum, trace.RegionLoading, want)
+		}
+		loading[rank] = r.Loading
 	}
-	if !hasLoading {
-		t.Fatalf("time-share table missing %s: %+v", trace.RegionLoading, ct.TimeShare)
+	skew := LoadingSkew(loading)
+	if len(skew) != base.Epochs {
+		t.Fatalf("%d skew rows, want one per epoch (%d)", len(skew), base.Epochs)
 	}
-	for _, e := range ct.Epochs {
+	for _, e := range skew {
 		if e.Mean <= 0 || e.Max < e.Mean || e.Min > e.Mean {
 			t.Fatalf("inconsistent epoch skew: %+v", e)
-		}
-	}
-	out := ct.String()
-	for _, want := range []string{"cluster time-share (4 ranks)", trace.RegionLoading, "skew"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
 
@@ -740,6 +727,46 @@ func TestTelemetryAggregationAcrossRanks(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("exported trace is not valid JSON")
+	}
+}
+
+// TestLoadingSkewAndStragglers: the skew is computed per epoch over the
+// ranks, and a rank is a straggler only in an epoch where it loads for more
+// than StragglerFactor x that epoch's mean.
+func TestLoadingSkewAndStragglers(t *testing.T) {
+	ms := time.Millisecond
+	// Epoch 0: rank 3 loads 10x longer than the others. Epoch 1: even.
+	skew := LoadingSkew([][]time.Duration{
+		{100 * ms, 200 * ms},
+		{100 * ms, 200 * ms},
+		{100 * ms, 200 * ms},
+		{time.Second, 200 * ms},
+	})
+	if len(skew) != 2 {
+		t.Fatalf("%d epochs, want 2", len(skew))
+	}
+	e0 := skew[0]
+	if e0.Epoch != 0 || e0.MaxRank != 3 || e0.Max != time.Second {
+		t.Fatalf("epoch 0 max: rank=%d dur=%v", e0.MaxRank, e0.Max)
+	}
+	if e0.Min != 100*ms || e0.MinRank != 0 {
+		t.Fatalf("epoch 0 min: rank=%d dur=%v", e0.MinRank, e0.Min)
+	}
+	if want := 325 * ms; e0.Mean != want {
+		t.Fatalf("epoch 0 mean = %v, want %v", e0.Mean, want)
+	}
+	if len(e0.Stragglers) != 1 || e0.Stragglers[0] != 3 {
+		t.Fatalf("epoch 0 stragglers = %v, want [3]", e0.Stragglers)
+	}
+	e1 := skew[1]
+	if e1.Epoch != 1 || e1.Mean != 200*ms || e1.Min != 200*ms || e1.Max != 200*ms {
+		t.Fatalf("epoch 1 not even: %+v", e1)
+	}
+	if len(e1.Stragglers) != 0 {
+		t.Fatalf("epoch 1 stragglers = %v, want none", e1.Stragglers)
+	}
+	if LoadingSkew(nil) != nil {
+		t.Fatal("no ranks must give no rows")
 	}
 }
 

@@ -59,11 +59,6 @@ type Config struct {
 	// (load, batch, forward, backward, comm, optimizer) on this rank's
 	// timeline, for the Chrome trace export. Per-rank state.
 	Spans *obs.SpanRing
-	// Telemetry, when set, gathers this rank's profiler snapshot to rank 0
-	// after every epoch over a cost-free collective. Either every rank of
-	// the run sets it or none — the gather is collective. Requires
-	// Profiler. Per-rank state.
-	Telemetry *obs.Telemetry
 }
 
 // EpochStats summarizes one epoch on this rank.
@@ -84,14 +79,58 @@ type EpochStats struct {
 type Result struct {
 	Epochs    []EpochStats
 	Latencies []time.Duration // per-sample load latencies, if requested
+	// Loading is this rank's data-loading time per epoch: the sum of the
+	// per-step load times the Profiler's CPU-Loading region receives.
+	Loading []time.Duration
 	// TotalDuration is the synchronized virtual time of the whole run.
 	TotalDuration time.Duration
 	// MeanThroughput is the global samples/sec over all epochs.
 	MeanThroughput float64
-	// Telemetry is the cluster-wide time-share and skew report, assembled
-	// from the per-epoch gathers. Rank 0 only (nil elsewhere, and nil when
-	// Config.Telemetry was not set).
-	Telemetry *obs.ClusterTelemetry
+}
+
+// StragglerFactor flags a rank as a straggler when its loading time in an
+// epoch exceeds this multiple of the epoch's mean over all ranks.
+const StragglerFactor = 1.5
+
+// EpochSkew summarizes one epoch's per-rank loading-time spread.
+type EpochSkew struct {
+	Epoch            int
+	Mean, Min, Max   time.Duration
+	MinRank, MaxRank int
+	Stragglers       []int // ranks above StragglerFactor x Mean
+}
+
+// LoadingSkew folds every rank's Result.Loading, indexed [rank][epoch],
+// into one EpochSkew per epoch.
+func LoadingSkew(loading [][]time.Duration) []EpochSkew {
+	if len(loading) == 0 {
+		return nil
+	}
+	out := make([]EpochSkew, len(loading[0]))
+	for epoch := range out {
+		sk := EpochSkew{Epoch: epoch, Min: loading[0][epoch], Max: loading[0][epoch]}
+		var sum time.Duration
+		for rank, per := range loading {
+			d := per[epoch]
+			sum += d
+			if d < sk.Min {
+				sk.Min, sk.MinRank = d, rank
+			}
+			if d > sk.Max {
+				sk.Max, sk.MaxRank = d, rank
+			}
+		}
+		sk.Mean = sum / time.Duration(len(loading))
+		if sk.Mean > 0 {
+			for rank, per := range loading {
+				if float64(per[epoch]) > StragglerFactor*float64(sk.Mean) {
+					sk.Stragglers = append(sk.Stragglers, rank)
+				}
+			}
+		}
+		out[epoch] = sk
+	}
+	return out
 }
 
 // Run executes the training loop on this rank. Call it from every rank of
@@ -163,6 +202,7 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 			gpuDone = epochStart
 		}
 		var lossSum float64
+		var loading time.Duration
 
 		for step := 0; step < steps; step++ {
 			if cfg.Spans != nil {
@@ -191,6 +231,7 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 				clock.Advance(machine.CPUBatch(len(graphs), batch.Bytes()))
 			}
 			cpuDone := clock.Now()
+			loading += loadDone - loadStart
 			if prof != nil {
 				prof.Add(trace.RegionLoading, loadDone-loadStart)
 				prof.Add(trace.RegionBatching, cpuDone-loadDone)
@@ -314,17 +355,9 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 			}
 		}
 		res.Epochs = append(res.Epochs, st)
-
-		// Telemetry rides right behind the epoch barrier: the clocks are
-		// already aligned, so the cost-free gather perturbs nothing.
-		if cfg.Telemetry != nil {
-			if err := cfg.Telemetry.GatherEpoch(epoch); err != nil {
-				return nil, err
-			}
-		}
+		res.Loading = append(res.Loading, loading)
 	}
 	res.TotalDuration = clock.Now() - runStart
-	res.Telemetry = cfg.Telemetry.Report()
 	var totalSamples int
 	for _, e := range res.Epochs {
 		totalSamples += e.Samples

@@ -1,9 +1,9 @@
 // Bridges from DDStore's existing signal sources into the registry: the
 // region profiler (internal/trace), the hot-sample cache (internal/cache),
-// fetch-latency summaries, the Go runtime, and the Inc(name, delta) counter
-// sinks the transport and cache packages emit events through. A process
-// gives each event one way into the registry — a live CounterSink, or a
-// profiler folded in by AddProfiler when its run is over — never two.
+// the fetch-latency histogram, the Go runtime, and the Inc(name, delta)
+// counter sinks the transport and cache packages emit events through. A
+// process gives each event one way into the registry — a live CounterSink,
+// or a profiler folded in by AddProfiler when its run is over — never two.
 package obs
 
 import (

@@ -2,9 +2,7 @@
 // registry every existing signal feeds into (trace region timings and event
 // counters, cache statistics, fetch latencies, transport resilience
 // counters), per-batch span tracing exportable as Chrome trace-event JSON,
-// an HTTP debug server (/metrics, /healthz, net/http/pprof), and cluster
-// telemetry aggregation that folds per-rank profiles into the paper's
-// Fig. 7-style time-share breakdown plus a loading-skew report.
+// and an HTTP debug server (/metrics, /healthz, net/http/pprof).
 //
 // The registry holds three instrument kinds:
 //

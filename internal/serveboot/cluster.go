@@ -153,6 +153,7 @@ type Cluster struct {
 	moved     *obs.Counter
 	migB      *obs.Histogram
 	migS      *obs.Histogram
+	events    *obs.CounterSink // the migration pull clients' resilience counts
 
 	mu     sync.Mutex
 	cur    *shardmap.Map
@@ -179,6 +180,7 @@ func BootCluster(cfg Config) (_ *Cluster, err error) {
 		moved:   obs.ShardMapChunksMovedCounter(reg),
 		migB:    obs.MigrationBytesHistogram(reg),
 		migS:    obs.MigrationSecondsHistogram(reg),
+		events:  obs.EventSink(reg),
 		owners:  make(map[string]*Owner),
 		pulls:   make(map[string]*transport.Client),
 	}
@@ -223,15 +225,18 @@ func BootCluster(cfg Config) (_ *Cluster, err error) {
 	// Registry() with no debug address. The request path (ServerOptions.
 	// Metrics, the front end's Reg) is metered iff DebugAddr is set:
 	// nothing can scrape it otherwise, and the front end's labelled-series
-	// lookup allocates on every request. Known resilience counters are
-	// pre-registered at zero so a scrape shows the schema before traffic.
+	// lookup allocates on every request. Known event counters are
+	// pre-registered at zero so a scrape shows the schema before traffic:
+	// the cache's, and the transport's that the migration pull clients
+	// count. Failovers and stale refreshes are not among them: only a
+	// client Group emits those, and a server has none.
 	if cfg.DebugAddr != "" {
 		c.srvOpts.Metrics = reg
 		obs.NewCounterSink(reg, obs.MetricEvents, "event",
 			cache.CounterHits, cache.CounterMisses, cache.CounterCoalesced, cache.CounterEvictions,
 			transport.CounterRoundTrips, transport.CounterRetries, transport.CounterReconnects,
 			transport.CounterTimeouts, transport.CounterChecksumErrors,
-			transport.CounterFailovers, transport.CounterGiveUps, transport.CounterOverloads)
+			transport.CounterGiveUps, transport.CounterOverloads)
 		obs.CollectGoRuntime(reg)
 		obs.CollectBuildInfo(reg)
 		obs.DrainingGauge(reg)
@@ -581,7 +586,9 @@ func (c *Cluster) pullBatch(from []*Owner, ids []int64) ([][]byte, error) {
 	for _, o := range from {
 		cl := c.pulls[o.ID]
 		if cl == nil {
-			if cl, err = transport.DialOptions(o.addr, transport.ClientOptions{Policy: c.cfg.Net, Tenant: migrationTenant}); err != nil {
+			if cl, err = transport.DialOptions(o.addr, transport.ClientOptions{
+				Policy: c.cfg.Net, Tenant: migrationTenant, Counters: c.events,
+			}); err != nil {
 				continue
 			}
 			c.pulls[o.ID] = cl

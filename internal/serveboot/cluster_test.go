@@ -346,6 +346,28 @@ func TestMidMigrationCrashDegradesToRetryAndSource(t *testing.T) {
 	loadAll(t, g, 200)
 }
 
+// TestMigrationPullsCountRetries: the migration pull clients count their
+// resilience events in the cluster registry, as the other migration
+// instruments do, so a reshard over a faulty fabric shows its retries in
+// Registry() with no debug address.
+func TestMigrationPullsCountRetries(t *testing.T) {
+	c := bootTestCluster(t, 2, 200, func(cfg *Config) {
+		cfg.Chaos = &faultnet.Scenario{Seed: 7, ResetProb: 0.05}
+	})
+	if err := c.Reshard(3); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, p := range c.Registry().Snapshot().Counters {
+		if p.Name == obs.MetricEvents && len(p.Labels) == 1 {
+			counts[p.Labels[0].Value] = p.Value
+		}
+	}
+	if counts[transport.CounterRetries] == 0 {
+		t.Fatalf("a reshard over a resetting fabric counted no %s: %v", transport.CounterRetries, counts)
+	}
+}
+
 func TestClusterGenerationIsMonotonic(t *testing.T) {
 	c := bootTestCluster(t, 2, 120, nil)
 	want := uint64(1)

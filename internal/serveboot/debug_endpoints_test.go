@@ -171,11 +171,15 @@ func TestDebugMetricsAndAdminReshard(t *testing.T) {
 				`ddstore_events_total{event="cache-hits"} 5`,
 				`ddstore_events_total{event="cache-misses"} 5`,
 				`ddstore_events_total{event="net-retries"} 0`,
-				`ddstore_events_total{event="net-failovers"} 0`,
+				`ddstore_events_total{event="net-reconnects"} 0`,
 				"ddstore_cache_hit_rate 0.5",
 				obs.MetricShardMapGeneration+" 1",
 				"go_goroutines",
 			)
+			// Only a client Group fails over, and a server has none.
+			if _, body := httpGet(t, metricsURL(c)); strings.Contains(body, transport.CounterFailovers) {
+				t.Errorf("/metrics pre-registers %s:\n%s", transport.CounterFailovers, body)
+			}
 
 			code, body := httpGet(t, "http://"+c.DebugAddr()+"/admin/reshard?owners="+strconv.Itoa(owners+1))
 			if code != http.StatusOK {

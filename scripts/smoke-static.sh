@@ -28,7 +28,7 @@ test "$(curl -sf $debug/healthz)" = ok
 test "$(curl -sf $debug/readyz)" = ok
 metrics="$(curl -sf $debug/metrics)"
 grep -q '^# TYPE ddstore_fetch_latency_seconds histogram$' <<<"$metrics"
-for event in net-retries net-failovers cache-hits; do
+for event in net-retries net-reconnects cache-hits; do
   grep -q "ddstore_events_total{event=\"$event\"}" <<<"$metrics"
 done
 curl -sf $debug/debug/pprof/ >/dev/null
