@@ -117,7 +117,7 @@ fuzz:
 # layer feeds; internal/loadgen drives real TCP servers in its e2e suite;
 # internal/frontend is the multi-tenant admission/queueing/shedding layer
 # in front of the serving data plane; internal/shardmap is the versioned
-# ownership map every elastic route resolves through.
+# ownership map every TCP route resolves through.
 COVER_FLOORS ?= fetch:85 obs:75 loadgen:85 frontend:85 shardmap:85
 
 cover:

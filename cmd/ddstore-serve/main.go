@@ -2,8 +2,9 @@
 // DDStore chunks can be fetched between real processes. It boots one
 // cluster (internal/serveboot, where tests boot the same thing
 // in-process): -elastic owners, one by default, behind a live shard map.
-// Static peers connect with transport.Dial / transport.NewGroup,
-// shard-map-aware ones with transport.NewElasticGroup (or any client
+// Clients connect with transport.Dial, transport.NewGroupReplicas (one
+// address list per replica) or transport.NewElasticGroup, which any
+// server can seed: every server serves its shard map (or any client
 // speaking the length-prefixed protocol in internal/transport).
 //
 // Usage:

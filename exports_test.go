@@ -49,8 +49,9 @@ var pinned = []string{
 
 // retired lists deleted functions and methods, each with why it went, so
 // that none is declared again. TestEveryExportHasACaller matches bare names,
-// and Load, Get and LatencyStats are also atomic.*.Load, sync.Pool.Get and
-// each other, so it could never flag these as uncalled. Keys are the same
+// and Load, Get, LatencyStats and OwnerOf are also atomic.*.Load,
+// sync.Pool.Get, each other and the planes' OwnerOf, so it could never flag
+// these as uncalled. Keys are the same
 // as exportScan.funcs, with interface methods keyed the same way.
 var retired = map[string]string{
 	"internal/fetch.Engine.Load":         eagerLoad,
@@ -76,6 +77,9 @@ var retired = map[string]string{
 
 	"internal/comm.Comm.Allgatherv":   "it forwarded to Allgather, which takes variable-length contributions; core.Open calls Allgather",
 	"internal/comm.Comm.GatherNoCost": "its one caller gathered every rank's profiler to rank 0 as JSON for a second copy of the merged region table; ddp.Result.Loading carries the per-epoch loading times the skew table needs",
+
+	"internal/transport.Client.Meta": "it asked a static server for its chunk range over op 1, now retired; every server serves a shard map, and Client.ShardMap's keyspace is the range",
+	"internal/shardmap.Map.OwnerOf":  "its one caller was core.Store's mirror map; the RMA store inverts chunkStarts in closed form, and TCP routes use Map.PreferredOwner",
 }
 
 const (

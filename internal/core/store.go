@@ -33,7 +33,6 @@ import (
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
 	"ddstore/internal/obs/tracectx"
-	"ddstore/internal/shardmap"
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
 )
@@ -118,17 +117,11 @@ type Store struct {
 	buf    []byte  // this rank's chunk: concatenated encoded samples
 	index  []entry // per sample id, within this rank's group
 	starts []int64 // chunk boundary: group rank g owns [starts[g], starts[g+1])
-	// maps is the versioned ownership store seeded from the chunk
-	// boundaries: generation 1 has one shard per group member whose owner
-	// index IS the member's group rank, so OwnerOf resolves through the
-	// live generation while storePlane's rank-equality Local check keeps
-	// working unchanged.
-	maps  *shardmap.Store
-	myLo  int64
-	myHi  int64
-	prof  *trace.Profiler
-	opts  Options
-	cache *cache.Cache // remote-sample cache; nil when CacheBytes <= 0
+	myLo   int64
+	myHi   int64
+	prof   *trace.Profiler
+	opts   Options
+	cache  *cache.Cache // remote-sample cache; nil when CacheBytes <= 0
 	// engine is the shared batch-load pipeline (internal/fetch); this store
 	// plugs in as its RMA/two-sided plane via storePlane.
 	engine *fetch.Engine
@@ -171,22 +164,15 @@ func chunkStarts(total, w int) []int64 {
 	return starts
 }
 
-// ownershipMap converts the chunk-boundary arithmetic into generation 1 of
-// the versioned shard map: one shard per non-empty chunk, owned by the
-// group rank holding it, so member index == group rank by construction.
-func ownershipMap(starts []int64) (*shardmap.Map, error) {
-	w := len(starts) - 1
-	m := &shardmap.Map{Gen: 1, Members: make([]shardmap.Member, w)}
-	for g := 0; g < w; g++ {
-		m.Members[g] = shardmap.Member{ID: fmt.Sprintf("rank-%d", g)}
-		if starts[g+1] > starts[g] {
-			m.Shards = append(m.Shards, shardmap.Shard{Lo: starts[g], Hi: starts[g+1], Owners: []int{g}})
-		}
+// chunkOwner inverts chunkStarts(total, w) in closed form: the first
+// total%w members own per+1 samples each, the rest per, so id's member
+// follows from one division. id must lie in [0, total).
+func chunkOwner(id int64, total, w int) int {
+	per, rem := int64(total/w), int64(total%w)
+	if big := rem * (per + 1); id >= big {
+		return int(rem + (id-big)/per) // per > 0 here: per == 0 makes big == total
 	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("core: build ownership map: %w", err)
-	}
-	return m, nil
+	return int(id / (per + 1))
 }
 
 // Open collectively creates the store: every rank of c must call Open with
@@ -234,19 +220,6 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 	s.starts = chunkStarts(total, width)
 	s.myLo = s.starts[group.Rank()]
 	s.myHi = s.starts[group.Rank()+1]
-
-	// The same boundaries, published as generation 1 of the versioned
-	// ownership map. All owner resolution below goes through this store,
-	// so the MPI plane and the elastic TCP plane share one source of
-	// truth for "who owns sample id".
-	gen1, err := ownershipMap(s.starts)
-	if err != nil {
-		return nil, err
-	}
-	s.maps, err = shardmap.NewStore(gen1, 0)
-	if err != nil {
-		return nil, err
-	}
 
 	// Preload: read this rank's chunk from the source and pack it. The
 	// window is reserved from the mean encoded size of the samples packed so
@@ -399,15 +372,13 @@ func (s *Store) CacheStats() cache.Stats {
 	return s.cache.Stats()
 }
 
-// OwnerOf returns the group rank owning sample id, resolved against the
-// live generation of the ownership map (generation 1 reproduces the chunk
-// boundaries exactly; member index == group rank by construction, so the
-// result stays a group rank even after the map advances).
+// OwnerOf returns the group rank owning sample id: the paper's fixed
+// striping of the dataset over the replica group's w members.
 func (s *Store) OwnerOf(id int64) (int, error) {
 	if id < 0 || id >= int64(s.total) {
 		return 0, fmt.Errorf("core: sample %d out of range [0,%d)", id, s.total)
 	}
-	return s.maps.Current().OwnerOf(id)
+	return chunkOwner(id, s.total, s.width), nil
 }
 
 // LoadLazyTraced fetches the given sample ids (a shuffled batch) and

@@ -242,69 +242,22 @@ func TestOwnershipInvariant(t *testing.T) {
 	})
 }
 
-func TestShardMapGenerationOneMatchesChunkStarts(t *testing.T) {
-	// Open seeds the versioned ownership map from the chunk boundaries:
-	// generation 1, one shard per member, member index == group rank.
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 10})
-	runWorld(t, 4, nil, func(c *comm.Comm) error {
-		s, err := Open(c, ds, Options{Width: 4})
-		if err != nil {
-			return err
-		}
-		st := s.maps
-		if g := st.Generation(); g != 1 {
-			return fmt.Errorf("initial generation = %d, want 1", g)
-		}
-		m := st.Current()
-		if lo, hi := m.Range(); lo != 0 || hi != 10 {
-			return fmt.Errorf("keyspace [%d,%d), want [0,10)", lo, hi)
-		}
-		for id := int64(0); id < 10; id++ {
-			mi, err := m.OwnerOf(id)
-			if err != nil {
-				return err
-			}
-			want, err := s.OwnerOf(id)
-			if err != nil {
-				return err
-			}
-			if mi != want {
-				return fmt.Errorf("map owner of %d = member %d, OwnerOf = rank %d", id, mi, want)
+func TestChunkOwnerInvertsChunkStarts(t *testing.T) {
+	// The closed-form owner names, for every id, the member whose chunk
+	// holds it — including total < w, where the trailing chunks are empty.
+	for total := 0; total <= 64; total++ {
+		for w := 1; w <= 9; w++ {
+			starts := chunkStarts(total, w)
+			for g := 0; g < w; g++ {
+				for id := starts[g]; id < starts[g+1]; id++ {
+					if got := chunkOwner(id, total, w); got != g {
+						t.Fatalf("total %d, w %d: owner of %d = %d, chunk [%d,%d) is member %d's",
+							total, w, id, got, starts[g], starts[g+1], g)
+					}
+				}
 			}
 		}
-		return nil
-	})
-}
-
-func TestOwnerOfFollowsAppliedGeneration(t *testing.T) {
-	// Advancing the ownership map re-routes OwnerOf without touching the
-	// chunk boundaries: generation 2 hands shard 0 to member 1 and every
-	// rank resolves the new primary.
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 10})
-	runWorld(t, 4, nil, func(c *comm.Comm) error {
-		s, err := Open(c, ds, Options{Width: 4})
-		if err != nil {
-			return err
-		}
-		next := s.maps.Current().Clone()
-		next.Gen = 2
-		next.Shards[0].Owners = []int{1}
-		if _, err := s.maps.ApplyIfNewer(next); err != nil {
-			return err
-		}
-		got, err := s.OwnerOf(0)
-		if err != nil {
-			return err
-		}
-		if got != 1 {
-			return fmt.Errorf("OwnerOf(0) under generation 2 = %d, want 1", got)
-		}
-		// Samples outside the moved shard keep their generation-1 owner.
-		if got, _ := s.OwnerOf(9); got != 3 {
-			return fmt.Errorf("OwnerOf(9) = %d, want 3", got)
-		}
-		return nil
-	})
+	}
 }
 
 func TestLoadErrorOnBadID(t *testing.T) {

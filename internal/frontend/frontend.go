@@ -24,9 +24,7 @@ import (
 
 // Defaults applied by New when the corresponding Options field is zero.
 const (
-	DefaultQueueDepth   = 64
-	DefaultLookupWeight = 3
-	DefaultBulkWeight   = 1
+	DefaultQueueDepth = 64
 	// DefaultTenant is the identity of connections that never send a
 	// hello frame (old clients). Give it an explicit entry — or a "*"
 	// template — to budget anonymous traffic.
@@ -34,6 +32,14 @@ const (
 	// maxTenants caps auto-created registry entries so a client cannot
 	// grow server memory by inventing tenant names.
 	maxTenants = 1024
+)
+
+// The weighted round-robin ratio between the interactive and training
+// classes: lookupWeight lookup grants per bulkWeight bulk grants.
+// Scheduling is work-conserving, so an idle class never strands capacity.
+const (
+	lookupWeight = 3
+	bulkWeight   = 1
 )
 
 // Options configures a Frontend.
@@ -49,11 +55,6 @@ type Options struct {
 	// Workers is the number of concurrent request permits (the worker
 	// pool the queues drain into). Default GOMAXPROCS.
 	Workers int
-	// LookupWeight:BulkWeight is the weighted round-robin ratio between
-	// the interactive and training classes. Default 3:1; scheduling is
-	// work-conserving, so an idle class never strands capacity.
-	LookupWeight int
-	BulkWeight   int
 	// Reg receives per-tenant and per-class metrics; nil disables.
 	Reg *obs.Registry
 	// Now overrides the clock for deterministic bucket tests.
@@ -66,12 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.LookupWeight <= 0 {
-		o.LookupWeight = DefaultLookupWeight
-	}
-	if o.BulkWeight <= 0 {
-		o.BulkWeight = DefaultBulkWeight
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -156,7 +151,7 @@ func New(opts Options) (*Frontend, error) {
 		m:       newMetrics(opts.Reg),
 		tenants: make(map[string]*tenant),
 		free:    opts.Workers,
-		credits: [2]int{opts.LookupWeight, opts.BulkWeight},
+		credits: [2]int{lookupWeight, bulkWeight},
 		shed:    make(map[string]int64),
 	}
 	fe.cond = sync.NewCond(&fe.mu)
@@ -353,7 +348,7 @@ func (fe *Frontend) release(tk *ticket, payloadBytes int64) {
 }
 
 // scheduleLocked hands free worker permits to queued tickets in weighted
-// round-robin order: LookupWeight interactive grants per BulkWeight bulk
+// round-robin order: lookupWeight interactive grants per bulkWeight bulk
 // grants, work-conserving when one class is idle. now is the clock reading
 // its caller (an admit or a release) already took: a ticket's queue wait
 // ends, and its service time starts, at the grant.
@@ -390,7 +385,7 @@ func (fe *Frontend) nextLocked() *ticket {
 		if len(fe.queues[L]) == 0 && len(fe.queues[B]) == 0 {
 			return nil
 		}
-		fe.credits[L], fe.credits[B] = fe.opts.LookupWeight, fe.opts.BulkWeight
+		fe.credits[L], fe.credits[B] = lookupWeight, bulkWeight
 	}
 }
 

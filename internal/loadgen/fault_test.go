@@ -97,7 +97,7 @@ func TestFaultGiveUpsSurfaceAsErrors(t *testing.T) {
 	const reqs = 120
 	res, err := Run(context.Background(), Config{
 		Addrs: []string{inst.Addr()},
-		// Explicit range: with 50% resets even the Meta discovery probe
+		// Explicit range: with 50% resets even the shard map discovery probe
 		// would be a coin flip.
 		Lo: 0, Hi: 100,
 		Phases: []Phase{

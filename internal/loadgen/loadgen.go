@@ -87,7 +87,7 @@ type Config struct {
 	// Seed makes the id streams reproducible (0 = 1).
 	Seed uint64
 	// Lo, Hi, when Hi > Lo, give the id range served by every addr and
-	// skip the startup Meta probes — the knob for driving a cluster so
+	// skip the startup shard map probes — the knob for driving a cluster so
 	// faulty that even discovery round trips may fail.
 	Lo, Hi int64
 	// Phases run in order.
@@ -108,8 +108,8 @@ type Config struct {
 	// pooled clients: ownership follows the cluster's live shard map, so
 	// a mid-run reshard costs the workers a stale-generation refresh
 	// round trip instead of hard errors. The id range comes from the
-	// bootstrapped map (Lo/Hi still override it), and Meta probes are
-	// skipped.
+	// bootstrapped map (Lo/Hi still override it), and the per-address
+	// shard map probes are skipped.
 	Elastic bool
 	// Trace opens a sampled distributed trace per request: clients
 	// negotiate tracing at hello, every request carries a fresh root
@@ -255,7 +255,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	defer pool.Close()
 
 	// Elastic mode: one shared group routes every worker's requests via
-	// the live shard map; the map's keyspace replaces the Meta probes.
+	// the live shard map; the map's keyspace replaces the per-address
+	// probes.
 	var group *transport.Group
 	var targets []target
 	if cfg.Elastic {
@@ -274,8 +275,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		targets = []target{{addr: "elastic", lo: lo, hi: hi}}
 	} else {
-		// Discover each server's advertised range once, so workers draw ids
-		// that the target actually owns. An explicit Lo/Hi skips the probes.
+		// Discover each server's range once, from the keyspace of the shard
+		// map it serves, so workers draw ids that the target actually owns.
+		// An explicit Lo/Hi skips the probes.
 		targets = make([]target, len(cfg.Addrs))
 		for i, addr := range cfg.Addrs {
 			lo, hi := cfg.Lo, cfg.Hi
@@ -284,14 +286,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
 				}
-				lo, hi, err = cl.Meta()
+				m, err := cl.ShardMap()
 				pool.Put(cl)
 				if err != nil {
-					return nil, fmt.Errorf("loadgen: meta %s: %w", addr, err)
+					return nil, fmt.Errorf("loadgen: shard map %s: %w", addr, err)
 				}
-				if hi <= lo {
-					return nil, fmt.Errorf("loadgen: %s advertises empty range [%d,%d)", addr, lo, hi)
-				}
+				lo, hi = m.Range() // never empty: a decoded map is validated
 			}
 			targets[i] = target{addr: addr, lo: lo, hi: hi}
 		}

@@ -128,7 +128,7 @@ func TestEndToEndLoopback(t *testing.T) {
 	if res.Pool.Dials == 0 || res.Pool.Reuses == 0 {
 		t.Errorf("pool stats %+v: want both dials and reuses > 0", res.Pool)
 	}
-	if res.Pool.Dials > 5 { // 4 workers + the meta probe
+	if res.Pool.Dials > 5 { // 4 workers + the shard map probe
 		t.Errorf("pool dialed %d times for 4 workers, connections are not being reused", res.Pool.Dials)
 	}
 

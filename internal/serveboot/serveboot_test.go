@@ -1,6 +1,7 @@
 package serveboot
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -134,12 +135,64 @@ func TestBootPreloadMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	lo, hi, err := cl.Meta()
-	if err != nil || lo != 0 || hi != 20 {
-		t.Fatalf("Meta() = %d,%d,%v", lo, hi, err)
+	m, err := cl.ShardMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := m.Range(); m.Gen != 1 || lo != 0 || hi != 20 {
+		t.Fatalf("ShardMap() = generation %d over [%d,%d), want 1 over [0,20)", m.Gen, lo, hi)
 	}
 	if g, err := getGraph(cl, 7); err != nil || g.ID != 7 {
 		t.Fatalf("Get(7) = %v, %v", g, err)
+	}
+}
+
+// TestGroupReplicasOverTwoHalves is the static two-server shape: one
+// replica striped over two booted halves, each lazy behind its own cache.
+// The group reads each half's range from the shard map it serves and
+// freezes the two into a two-shard generation-1 map, so every id is
+// fetched from the half that holds it, and every sample is byte-identical
+// to the source.
+func TestGroupReplicasOverTwoHalves(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 60})
+	var addrs []string
+	var halves []*Instance
+	for _, r := range [][2]int64{{0, 30}, {30, 60}} {
+		inst, err := Boot(Config{Source: ds, Lo: r[0], Hi: r[1], CacheBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		addrs = append(addrs, inst.Addr())
+		halves = append(halves, inst)
+	}
+	g, err := transport.NewGroupReplicas([][]string{addrs}, transport.GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if lo, hi := g.Range(); g.Generation() != 1 || lo != 0 || hi != 60 {
+		t.Fatalf("group map = generation %d over [%d,%d), want 1 over [0,60)", g.Generation(), lo, hi)
+	}
+	ids := []int64{59, 0, 29, 30, 12, 45, 0, 44}
+	views, _, err := g.LoadLazy(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		want, err := ds.Sample(ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v.Graph().Encode(), want.Encode()) {
+			t.Fatalf("sample %d is not byte-identical to the source", ids[i])
+		}
+	}
+	// Each half faulted in exactly the unique ids of its own range.
+	for i, want := range []int64{3, 4} {
+		if st, _ := halves[i].CacheStats(); st.Misses != want {
+			t.Fatalf("half %d fetched %d samples, want %d", i, st.Misses, want)
+		}
 	}
 }
 

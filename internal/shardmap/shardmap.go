@@ -1,9 +1,12 @@
-// Package shardmap is the versioned ownership spine of the elastic data
-// plane. DDStore's original owner arithmetic was frozen at startup: a
+// Package shardmap is the versioned ownership spine of the served TCP
+// data plane. DDStore's original owner arithmetic was frozen at startup: a
 // static rank count turned a sample id into an owner, so a rank that
 // joined, left, or died mid-run either stranded its chunks or forced a
-// full restart. This package replaces that arithmetic with an explicit,
-// epoch-numbered shard map:
+// full restart. On the TCP plane this package replaces that arithmetic
+// with an explicit, epoch-numbered shard map — every server serves one (a
+// server given none serves its own chunk as generation 1), and every
+// client route resolves through it. The in-process RMA store keeps the
+// paper's fixed striping; its ranks never change.
 //
 //   - a Map is one generation of ownership: the member list, plus the
 //     sample-id keyspace range-split into contiguous shards, each with an
@@ -100,15 +103,6 @@ func (m *Map) ShardOf(id int64) (*Shard, error) {
 		return nil, fmt.Errorf("shardmap: sample %d outside keyspace [%d,%d) (generation %d)", id, lo, hi, m.Gen)
 	}
 	return &m.Shards[i], nil
-}
-
-// OwnerOf returns the member index of id's primary owner.
-func (m *Map) OwnerOf(id int64) (int, error) {
-	sh, err := m.ShardOf(id)
-	if err != nil {
-		return 0, err
-	}
-	return sh.Owners[0], nil
 }
 
 // PreferredOwner returns the member index of id's preferred owner: the

@@ -109,20 +109,20 @@ func TestOwnerLookups(t *testing.T) {
 		if got := m.ShardIndex(c.id); got != c.shard {
 			t.Fatalf("ShardIndex(%d) = %d, want %d", c.id, got, c.shard)
 		}
-		own, err := m.OwnerOf(c.id)
+		sh, err := m.ShardOf(c.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if own != c.owner {
-			t.Fatalf("OwnerOf(%d) = %d, want %d", c.id, own, c.owner)
+		if own := sh.Owners[0]; own != c.owner {
+			t.Fatalf("primary of %d = %d, want %d", c.id, own, c.owner)
 		}
 	}
 	for _, id := range []int64{-1, 30, 1 << 40} {
 		if got := m.ShardIndex(id); got != -1 {
 			t.Fatalf("ShardIndex(%d) = %d, want -1", id, got)
 		}
-		if _, err := m.OwnerOf(id); err == nil || !strings.Contains(err.Error(), "outside keyspace") {
-			t.Fatalf("OwnerOf(%d) err = %v, want outside-keyspace", id, err)
+		if _, err := m.ShardOf(id); err == nil || !strings.Contains(err.Error(), "outside keyspace") {
+			t.Fatalf("ShardOf(%d) err = %v, want outside-keyspace", id, err)
 		}
 	}
 }

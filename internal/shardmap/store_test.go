@@ -153,7 +153,7 @@ func TestStoreConcurrentReadersAndAppliers(t *testing.T) {
 				default:
 				}
 				m := st.Current()
-				if _, err := m.OwnerOf(5); err != nil {
+				if _, err := m.ShardOf(5); err != nil {
 					t.Error(err)
 					return
 				}

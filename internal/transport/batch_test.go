@@ -159,7 +159,7 @@ func TestGroupBatchesRoundTrips(t *testing.T) {
 	}
 
 	// Epoch 1: all misses; one owner; ceil(50/8) = 7 round trips.
-	base := prof.Counter(CounterRoundTrips) // excludes the dial-time Meta
+	base := prof.Counter(CounterRoundTrips) // excludes the dial-time shard map probe
 	gs, _, err := loadGraphs(g, ids)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 
 	"ddstore/internal/bufarena"
 	"ddstore/internal/obs/tracectx"
+	"ddstore/internal/shardmap"
 	"ddstore/internal/wire"
 )
 
@@ -505,33 +506,17 @@ func (c *Client) receive() (*bufarena.Buf, error) {
 	}
 }
 
-// ShardMap fetches the server's current encoded shard map (decode with
-// shardmap.Decode). Elastic groups bootstrap their ownership view from a
-// seed peer this way; servers without a shard map answer with a remote
-// error.
-func (c *Client) ShardMap() ([]byte, error) {
+// ShardMap fetches and decodes the server's current shard map. Every
+// server serves one — a server given none serves its own chunk as
+// generation 1 — so elastic groups bootstrap their ownership view from it
+// and static groups read each peer's range from it.
+func (c *Client) ShardMap() (*shardmap.Map, error) {
 	buf, _, err := c.do(opShardMap, 0, nil, tracectx.Context{})
 	if err != nil {
 		return nil, err
 	}
-	mb := append([]byte(nil), buf.Bytes()...)
-	buf.Release()
-	return mb, nil
-}
-
-// Meta fetches the server's chunk range.
-func (c *Client) Meta() (lo, hi int64, err error) {
-	buf, _, err := c.do(opMeta, 0, nil, tracectx.Context{})
-	if err != nil {
-		return 0, 0, err
-	}
 	defer buf.Release()
-	payload := buf.Bytes()
-	if len(payload) != 16 {
-		return 0, 0, errors.New("transport: malformed meta response")
-	}
-	return int64(binary.LittleEndian.Uint64(payload[0:])),
-		int64(binary.LittleEndian.Uint64(payload[8:])), nil
+	return shardmap.Decode(buf.Bytes())
 }
 
 // GetRawTraced fetches the encoded bytes of one sample without decoding.

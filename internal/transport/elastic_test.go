@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -83,11 +85,7 @@ func TestClientShardMapBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	mb, err := cl.ShardMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := shardmap.Decode(mb)
+	m, err := cl.ShardMap()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +97,13 @@ func TestClientShardMapBootstrap(t *testing.T) {
 	}
 }
 
-func TestShardMapOpWithoutSourceIsRemoteError(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", wireChunk(0, 10))
+// TestBareServerServesItsChunkMap: a server started without a shard map
+// serves its own chunk as generation 1 — one member at its listen address
+// owning exactly the chunk's range — and that map seeds an elastic group
+// whose loads are byte-identical to the source.
+func TestBareServerServesItsChunkMap(t *testing.T) {
+	chunk := wireChunk(10, 30)
+	srv, err := Serve("127.0.0.1:0", chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +113,31 @@ func TestShardMapOpWithoutSourceIsRemoteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, err = cl.ShardMap()
-	var rerr *RemoteError
-	if !errors.As(err, &rerr) || !strings.Contains(err.Error(), "shard map") {
-		t.Fatalf("err = %v, want remote no-shard-map error", err)
+	m, err := cl.ShardMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := shardmap.Map{Gen: 1, Members: []shardmap.Member{{ID: srv.Addr(), Addr: srv.Addr()}},
+		Shards: []shardmap.Shard{{Lo: 10, Hi: 30, Owners: []int{0}}}}
+	if !reflect.DeepEqual(*m, want) {
+		t.Fatalf("map = %+v, want %+v", *m, want)
+	}
+
+	g, err := NewElasticGroup([]string{srv.Addr()}, GroupOptions{Client: ClientOptions{Policy: fastPolicy()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ids := []int64{29, 10, 17, 10, 23}
+	views, _, err := g.LoadLazy(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		got := v.Graph().Encode()
+		if !bytes.Equal(got, chunk.Encoded[ids[i]-chunk.Lo]) {
+			t.Fatalf("sample %d is not byte-identical to the source", ids[i])
+		}
 	}
 }
 
@@ -239,12 +263,12 @@ func TestElasticGroupBootstrapFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("no seeds accepted")
 	}
-	// A live server without a shard map cannot seed an elastic group.
+	// A seed nothing listens at cannot bootstrap the map.
 	srv, serr := Serve("127.0.0.1:0", wireChunk(0, 10))
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	defer srv.Close()
+	srv.Close()
 	_, err = NewElasticGroup([]string{srv.Addr()}, GroupOptions{Client: ClientOptions{Policy: fastPolicy()}})
 	if err == nil || !strings.Contains(err.Error(), "bootstrap failed") {
 		t.Fatalf("err = %v, want bootstrap failure", err)

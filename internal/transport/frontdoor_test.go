@@ -241,24 +241,16 @@ func TestGateOverloadRetriesOnSameConn(t *testing.T) {
 	}
 }
 
-// ownsEverything is a shard map source under which the server owns every
-// sample, so it also answers the map bootstrap op.
-type ownsEverything struct{}
-
-func (ownsEverything) Generation() uint64       { return 1 }
-func (ownsEverything) Owns(int64) bool          { return true }
-func (ownsEverything) Encoded() ([]byte, error) { return []byte("map"), nil }
-
 // TestAdmissionClassPerEntryPoint pins the priority class each entry point
-// is admitted on: single gets and metadata probes are lookups, batch
-// fetches and group loads are bulk. Every row dials its own connection,
-// whose first request follows a hello, and must be charged exactly one
-// admission: hello is not charged.
+// is admitted on: single gets and shard map probes (a static group's range
+// discovery among them) are lookups, batch fetches and group loads are
+// bulk. Every row dials its own connection, whose first request follows a
+// hello, and must be charged exactly one admission: hello is not charged.
 func TestAdmissionClassPerEntryPoint(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 10})
 	adm := &fakeAdmission{}
 	srv, err := transport.ServeWith("127.0.0.1:0", chunkFor(t, ds, 0, 10),
-		transport.ServerOptions{Admission: adm, ShardMap: ownsEverything{}})
+		transport.ServerOptions{Admission: adm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +305,14 @@ func TestAdmissionClassPerEntryPoint(t *testing.T) {
 			t.Cleanup(g.Close)
 			return func() error { _, _, err := g.LoadLazy(ids); return err }
 		}, transport.ClassBulk},
-		{"Meta", func(t *testing.T) call {
-			return client(t, func(c *transport.Client) error { _, _, err := c.Meta(); return err })
+		{"NewGroupReplicas", func(*testing.T) call {
+			return func() error {
+				g, err := transport.NewGroupReplicas([][]string{{srv.Addr()}}, transport.GroupOptions{Client: opts})
+				if err == nil {
+					g.Close()
+				}
+				return err
+			}
 		}, transport.ClassLookup},
 		{"ShardMap", func(t *testing.T) call {
 			return client(t, func(c *transport.Client) error { _, err := c.ShardMap(); return err })

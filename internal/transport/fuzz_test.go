@@ -28,18 +28,18 @@ func reqBytes(op byte, a, b int64) []byte {
 // deadline, or accept a frame whose checksum does not match.
 func FuzzRoundTrip(f *testing.F) {
 	ctx := tracectx.New(true).Encode()
-	f.Add(reqBytes(opMeta, 0, 0))
+	f.Add(reqBytes(opShardMap, 0, 0))
 	f.Add(append(reqBytes(opGetBatch, 1, flagLookup), wire.AppendIDs(nil, []int64{3})...))
-	// The retired ops — range, single get, traced get, traced batch — are
-	// answered like any unknown op.
+	// The retired ops — chunk range, range, single get, traced get, traced
+	// batch — are answered like any unknown op.
 	f.Add(reqBytes(3, 1, 6))
-	f.Add(append(reqBytes(opMeta, 0, 0), reqBytes(2, 7, 0)...))
+	f.Add(append(reqBytes(1, 0, 0), reqBytes(2, 7, 0)...))
 	f.Add(append(reqBytes(7, 3, 0), ctx...))
 	f.Add(append(append(reqBytes(8, 1, 0), ctx...), wire.AppendIDs(nil, []int64{4})...))
 	f.Add(reqBytes(99, -1, 1<<40))
 	f.Add(append(reqBytes(opGetBatch, 2, 0), wire.AppendIDs(nil, []int64{3, 5})...))
-	f.Add(append(append(reqBytes(opGetBatch, 1, flagTraced), ctx[:7]...), reqBytes(opMeta, 0, 0)...)) // short context
-	f.Add(append(reqBytes(opGetBatch, 1, 1<<5), wire.AppendIDs(nil, []int64{3})...))                  // unknown flag
+	f.Add(append(append(reqBytes(opGetBatch, 1, flagTraced), ctx[:7]...), reqBytes(opShardMap, 0, 0)...)) // short context
+	f.Add(append(reqBytes(opGetBatch, 1, 1<<5), wire.AppendIDs(nil, []int64{3})...))                      // unknown flag
 	f.Add(reqBytes(opGetBatch, maxBatchIDs+1, 0))
 	// A valid OK response frame seeds the client-side path too.
 	f.Add([]byte{statusOK, 16, 0, 0, 0, 0, 0, 0, 0})
@@ -56,7 +56,7 @@ func fuzzServerSide(t testing.TB, data []byte) {
 	chunk := wireChunk(0, 8)
 	{
 		// Server side: data is a hostile request stream.
-		srv := &Server{src: chunk, opts: ServerOptions{WriteTimeout: time.Second},
+		srv := &Server{src: chunk, opts: ServerOptions{WriteTimeout: time.Second, ShardMap: newChunkMap("pipe", chunk)},
 			conns: map[net.Conn]*connState{}, done: make(chan struct{})}
 		serverEnd, clientEnd := net.Pipe()
 		handleDone := make(chan struct{})
@@ -118,7 +118,6 @@ func fuzzClientSide(t testing.TB, data []byte) {
 // and a short body just leaves it waiting until the client hangs up.
 func FuzzServerRequest(f *testing.F) {
 	ctx := tracectx.New(true).Encode()
-	f.Add(byte(opMeta), int64(0), int64(0), []byte(nil))
 	f.Add(byte(opGetBatch), int64(1), int64(flagLookup), wire.AppendIDs(nil, []int64{3}))
 	f.Add(byte(opGetBatch), int64(2), int64(0), wire.AppendIDs(nil, []int64{3, 5}))
 	f.Add(byte(opGetBatch), int64(2), int64(0), []byte{1, 2, 3}) // short body
@@ -129,7 +128,9 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(byte(opGetBatch), int64(1), int64(flagTraced), ctx[:7])                   // short context
 	f.Add(byte(opGetBatch), int64(1), int64(1<<5), wire.AppendIDs(nil, []int64{4})) // unknown flag
 	f.Add(byte(opGetBatch), int64(1), int64(-1), wire.AppendIDs(ctx, []int64{4}))   // every flag bit
-	// The retired ops: range, single get, traced get, traced batch.
+	// The retired ops: chunk range, range, single get, traced get, traced
+	// batch.
+	f.Add(byte(1), int64(0), int64(0), []byte(nil))
 	f.Add(byte(3), int64(1), int64(6), []byte(nil))
 	f.Add(byte(2), int64(3), int64(0), []byte(nil))
 	f.Add(byte(7), int64(3), int64(0), ctx)

@@ -120,8 +120,9 @@ type staticPeer struct {
 	lo, hi int64
 }
 
-// NewGroupReplicas dials one address list per replica group. Every replica
-// must tile the same contiguous sample range (chunk boundaries may differ
+// NewGroupReplicas dials one address list per replica group. Each peer's
+// range is the keyspace of the shard map it serves, and every replica must
+// tile the same contiguous sample range (chunk boundaries may differ
 // between replicas). The topology is frozen into a generation-1 shard map:
 // chunk boundaries across all replicas refine the keyspace into shards,
 // each owned by one member per replica, ordered by replica — so replica
@@ -141,11 +142,12 @@ func NewGroupReplicas(replicas [][]string, opts GroupOptions) (*Group, error) {
 				g.Close()
 				return nil, err
 			}
-			lo, hi, err := cl.Meta()
+			m, err := cl.ShardMap()
 			if err != nil {
 				g.Close()
 				return nil, err
 			}
+			lo, hi := m.Range()
 			set = append(set, staticPeer{addr: addr, lo: lo, hi: hi})
 		}
 		for i := 1; i < len(set); i++ {
@@ -252,12 +254,7 @@ func NewElasticGroup(seeds []string, opts GroupOptions) (*Group, error) {
 			lastErr = err
 			continue
 		}
-		mb, err := cl.ShardMap()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		m, err := shardmap.Decode(mb)
+		m, err := cl.ShardMap()
 		if err != nil {
 			lastErr = err
 			continue
@@ -342,11 +339,7 @@ func (g *Group) refreshFromSurvivors(down []int) bool {
 		if err != nil {
 			continue
 		}
-		mb, err := cl.ShardMap()
-		if err != nil {
-			continue
-		}
-		nm, err := shardmap.Decode(mb)
+		nm, err := cl.ShardMap()
 		if err != nil {
 			continue
 		}
@@ -715,15 +708,14 @@ func (g *Group) settle(st *passState, m *shardmap.Map, mi int, want []int64, run
 }
 
 // recordServerSpans merges one timing trailer into the span ring
-// (ServerTiming.Spans has the layout), attributed to the owner, shard and
-// generation the client routed the chunk under.
+// (ServerTiming.Spans has the layout), attributed to the owner and shard
+// the client routed the chunk to and the generation the server served it
+// under.
 func (g *Group) recordServerSpans(tc tracectx.Context, t *ServerTiming, m *shardmap.Map, mi int, want []int64) {
 	if g.spans == nil {
 		return
 	}
-	// A standalone chunk server carries no shard map and reports
-	// generation 0; the span then keeps the one routed under.
-	base := obs.Span{Owner: mi, Samples: len(want), Gen: m.Gen}
+	base := obs.Span{Owner: mi, Samples: len(want)}
 	if len(want) > 0 {
 		if sh, err := m.ShardOf(want[0]); err == nil {
 			base.ShardLo = sh.Lo

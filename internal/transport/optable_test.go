@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -51,7 +52,8 @@ func (g *refuseFirstGate) Admit(Class) (func(int64), error) {
 // a bad header or count, whether the op reads samples (and so can be
 // answered stale), whether it is flagged as traced, and the data a valid
 // request must return. name labels a flagged spelling after the retired op
-// it replaced; it is empty for the op's plain spelling.
+// it replaced, and the retired op's own fixture by its old name; it is
+// empty for an op's plain spelling.
 type opFixture struct {
 	name       string
 	valid, bad []byte // full request frames; bad is nil when the op's header holds nothing to get wrong
@@ -79,7 +81,10 @@ func TestStreamStaysAligned(t *testing.T) {
 	pair := encodeBatchPayload([][]byte{sample(12), sample(17)})
 	one := encodeBatchPayload([][]byte{sample(12)})
 	fixtures := map[byte][]opFixture{
-		opMeta: {{valid: frame(opMeta, 0, 0), want: wire.AppendIDs(nil, []int64{10, 20})}},
+		// A retired op stands in for every op the table does not know: it is
+		// answered with an error, neither admitted nor served, and must
+		// leave the stream aligned too.
+		1: {{name: "meta", valid: frame(1, 0, 0)}},
 		opGetBatch: {
 			{valid: frame(opGetBatch, 2, 0, ids), bad: frame(opGetBatch, maxBatchIDs+1, 0), reads: true, want: pair},
 			{name: "getbatch-traced", valid: frame(opGetBatch, 2, flagTraced, ctx, ids), bad: frame(opGetBatch, 0, flagTraced), reads: true, traced: true, want: pair},
@@ -88,12 +93,20 @@ func TestStreamStaysAligned(t *testing.T) {
 				reads: true, traced: true, want: one},
 		},
 		opHello:    {{valid: frame(opHello, 5, 0, []byte("alpha")), bad: frame(opHello, 0, 0)}},
-		opShardMap: {{valid: frame(opShardMap, 0, 0), bad: frame(opShardMap, 0, 0), want: []byte("current-map")}},
+		opShardMap: {{valid: frame(opShardMap, 0, 0), want: []byte("current-map")}},
 	}
 	type outcome struct {
 		status byte
 		closed bool // the server drops the connection after answering
-		probe  byte // otherwise: the status a follow-up meta request gets
+		probe  byte // otherwise: the status a follow-up shardmap request gets
+	}
+	// served is the status of a request the server reads through to the
+	// end: an error for an op the table does not know.
+	served := func(sp *opSpec) byte {
+		if sp.name == "" {
+			return statusError
+		}
+		return statusOK
 	}
 	scenarios := []struct {
 		name    string
@@ -107,7 +120,7 @@ func TestStreamStaysAligned(t *testing.T) {
 			name:    "valid",
 			opts:    ServerOptions{ShardMap: fixedOwnership{owns: true}},
 			request: func(f opFixture) []byte { return f.valid },
-			expect:  func(*opSpec, opFixture) outcome { return outcome{status: statusOK} },
+			expect:  func(sp *opSpec, _ opFixture) outcome { return outcome{status: served(sp)} },
 		},
 		{
 			name:    "bad header or count",
@@ -137,10 +150,11 @@ func TestStreamStaysAligned(t *testing.T) {
 			opts:    ServerOptions{Admission: refuseFirst{}, ShardMap: fixedOwnership{owns: true}},
 			request: func(f opFixture) []byte { return f.valid },
 			expect: func(sp *opSpec, _ opFixture) outcome {
-				if sp.control {
-					// Control ops bypass admission, so the gate's single
-					// refusal is still unspent when the probe arrives.
-					return outcome{status: statusOK, probe: statusOverloaded}
+				if sp.control || sp.name == "" {
+					// Control and unknown ops bypass admission, so the
+					// gate's single refusal is still unspent when the probe
+					// arrives.
+					return outcome{status: served(sp), probe: statusOverloaded}
 				}
 				return outcome{status: statusOverloaded}
 			},
@@ -149,16 +163,17 @@ func TestStreamStaysAligned(t *testing.T) {
 			name:    "stale generation",
 			opts:    ServerOptions{ShardMap: fixedOwnership{owns: false}},
 			request: func(f opFixture) []byte { return f.valid },
-			expect: func(_ *opSpec, f opFixture) outcome {
+			expect: func(sp *opSpec, f opFixture) outcome {
 				if f.reads {
 					return outcome{status: statusStaleGen}
 				}
-				return outcome{status: statusOK}
+				return outcome{status: served(sp)}
 			},
 		},
 	}
 
-	// Every spelling of every op the table knows, labelled for its subtests.
+	// Every spelling of every op the table knows, and of the retired op,
+	// labelled for its subtests.
 	type spelling struct {
 		sp    *opSpec
 		label string
@@ -167,8 +182,11 @@ func TestStreamStaysAligned(t *testing.T) {
 	var spellings []spelling
 	for op := 0; op < 256; op++ {
 		sp := &opTable[op]
-		if (sp.name == "") != (fixtures[byte(op)] == nil) {
-			t.Fatalf("op %d: table row present = %v, test fixture present = %v", op, sp.name != "", fixtures[byte(op)] != nil)
+		if sp.name != "" && fixtures[byte(op)] == nil {
+			t.Fatalf("op %d (%s) has no test fixture", op, sp.name)
+		}
+		if sp.name == "" && fixtures[byte(op)] != nil && !slices.Contains(retiredOps, byte(op)) {
+			t.Fatalf("op %d has a test fixture but is neither in the table nor retired", op)
 		}
 		for _, f := range fixtures[byte(op)] {
 			label := f.name
@@ -220,7 +238,7 @@ func TestStreamStaysAligned(t *testing.T) {
 				}
 
 				// What the table says about the connection now.
-				if _, err := conn.Write(reqBytes(opMeta, 0, 0)); err != nil && !want.closed {
+				if _, err := conn.Write(reqBytes(opShardMap, 0, 0)); err != nil && !want.closed {
 					t.Fatalf("write follow-up: %v", err)
 				}
 				var head [respHeaderSize]byte
@@ -234,15 +252,15 @@ func TestStreamStaysAligned(t *testing.T) {
 				if err != nil {
 					t.Fatalf("follow-up on the same connection: %v", err)
 				}
-				meta := make([]byte, binary.LittleEndian.Uint32(head[1:]))
-				if _, err := io.ReadFull(conn, meta); err != nil {
+				mb := make([]byte, binary.LittleEndian.Uint32(head[1:]))
+				if _, err := io.ReadFull(conn, mb); err != nil {
 					t.Fatalf("follow-up payload: %v", err)
 				}
 				if head[0] != want.probe {
-					t.Fatalf("follow-up status = %d (%q), want %d: the stream lost alignment", head[0], meta, want.probe)
+					t.Fatalf("follow-up status = %d (%q), want %d: the stream lost alignment", head[0], mb, want.probe)
 				}
-				if want.probe == statusOK && !bytes.Equal(meta, fixtures[opMeta][0].want) {
-					t.Fatalf("follow-up meta payload = %x, want the chunk range", meta)
+				if cur, _ := srv.opts.ShardMap.Encoded(); want.probe == statusOK && !bytes.Equal(mb, cur) {
+					t.Fatalf("follow-up shardmap payload = %q, want the server's map %q", mb, cur)
 				}
 			})
 		}
@@ -268,7 +286,7 @@ func exchangeRaw(t *testing.T, conn net.Conn, req []byte) (status byte, payload 
 
 // retiredOps are the op numbers the wire no longer speaks: each is answered
 // like any unknown op, and none may be given a row again.
-var retiredOps = []byte{2, 3, 7, 8}
+var retiredOps = []byte{1, 2, 3, 7, 8}
 
 // flagNames are the request flags as DESIGN.md §6e names them.
 var flagNames = []struct {

@@ -71,7 +71,7 @@ func TestClientConcurrentUseRace(t *testing.T) {
 					return
 				}
 				if i%20 == 0 {
-					if _, _, err := cl.Meta(); err != nil {
+					if _, err := cl.ShardMap(); err != nil {
 						errs[w] = err
 						return
 					}

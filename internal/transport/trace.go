@@ -64,8 +64,7 @@ type ServerTiming struct {
 	Source time.Duration
 	// Bytes is the op payload size the server served (trailer excluded).
 	Bytes int64
-	// Generation is the shard map generation the request was served under
-	// (0 on a non-elastic server).
+	// Generation is the shard map generation the request was served under.
 	Generation uint64
 	// Tenant is the tenant queue the request was charged to ("" when the
 	// server runs no front end).
@@ -78,15 +77,11 @@ type ServerTiming struct {
 // durations, not timestamps — server and client clocks need not agree — so
 // the server window is anchored to reqEnd, the client's view of the request
 // end: it ended Service ago, and the segments lay out from there in order.
-// base carries what only the caller knows (Owner, Samples, ShardLo, and the
-// generation it routed under, used when the server reports none).
+// base carries what only the caller knows (Owner, Samples, ShardLo).
 func (t *ServerTiming) Spans(tc tracectx.Context, base obs.Span, reqEnd time.Duration) []obs.Span {
 	serverStart := reqEnd - t.Service
 	sub := tc.Child()
-	base.Cat, base.Tenant = "server", t.Tenant
-	if t.Generation != 0 {
-		base.Gen = t.Generation
-	}
+	base.Cat, base.Tenant, base.Gen = "server", t.Tenant, t.Generation
 	base.TraceID, base.SpanID, base.ParentID = sub.TraceID, sub.SpanID, tc.SpanID
 	req := base
 	req.Name, req.Start, req.Dur, req.Bytes = "server-request", serverStart, t.Service, t.Bytes

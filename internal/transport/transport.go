@@ -37,6 +37,7 @@ import (
 	"ddstore/internal/obs"
 	"ddstore/internal/obs/flightrec"
 	"ddstore/internal/obs/tracectx"
+	"ddstore/internal/shardmap"
 )
 
 // Protocol constants. Every request is a fixed 17-byte header
@@ -45,14 +46,14 @@ import (
 // IEEE CRC32 over the payload, so a flipped bit anywhere in the frame is
 // detected by either the length bound or the checksum.
 const (
-	opMeta     = 1 // request chunk metadata; response payload: lo i64, hi i64
 	opGetBatch = 4 // request a ids (listed in the body), flags in b; response: length-prefixed graphs
 	opHello    = 5 // declare tenant identity + feature bits (b); response: server feature word
 	opShardMap = 6 // request the current shard map; response payload: encoded shardmap.Map
-	// Ops 2 (single get), 3 (range), 7 (traced get) and 8 (traced batch)
-	// are retired — answered like any unknown op — and must not be reused.
-	// A single get is a batch of one, and the trace context and admission
-	// class ride in the request flags.
+	// Ops 1 (chunk range), 2 (single get), 3 (range), 7 (traced get) and
+	// 8 (traced batch) are retired — answered like any unknown op — and
+	// must not be reused. A single get is a batch of one, the trace context
+	// and admission class ride in the request flags, and every server
+	// reports its range in the shard map it serves.
 
 	statusOK         = 0
 	statusError      = 1
@@ -85,13 +86,13 @@ const maxTenantName = 128
 
 // Class is the priority class admission control schedules a request on.
 // The server reads it from the op table and the request's lookup flag:
-// single-sample gets (lookup-flagged batches of one) and metadata probes
+// single-sample gets (lookup-flagged batches of one) and shard map probes
 // are interactive, batch fetches are training bulk traffic.
 type Class uint8
 
 // The two priority classes.
 const (
-	ClassLookup Class = iota // interactive: Meta, ShardMap, GetRaw
+	ClassLookup Class = iota // interactive: ShardMap, GetRaw
 	ClassBulk                // training: GetBatchBufs, group loads
 )
 
@@ -147,7 +148,6 @@ type request struct {
 // has no body, so the stream stays aligned, and nothing to serve — the
 // handler answers it with an error status.
 var opTable = [256]opSpec{
-	opMeta:     {name: "meta", class: ClassLookup, serve: serveMeta},
 	opGetBatch: {name: "getbatch", class: ClassBulk, flags: flagTraced | flagLookup, unit: 8, max: maxBatchIDs, serve: serveBatch},
 	opHello:    {name: "hello", class: ClassLookup, unit: 1, max: maxTenantName, control: true, serve: serveHello},
 	opShardMap: {name: "shardmap", class: ClassLookup, serve: serveShardMap},
@@ -205,13 +205,13 @@ type Admission interface {
 }
 
 // ShardMapSource is the server-side hook into a versioned ownership map
-// (internal/shardmap, adapted by serveboot so this package stays
-// import-light). When configured, the server answers requests for samples
-// it does not own under the current generation with a stale-generation
-// status whose payload is the current encoded map — the client refreshes
-// its map from that payload and retries the right owner in one round
-// trip, instead of treating a moved chunk as a dead peer. The map
-// bootstrap op serves the same encoded bytes on demand.
+// (internal/shardmap; serveboot adapts each owner's live shardmap.Store,
+// and a server given none serves its chunkMap). The server answers
+// requests for samples it does not own under the current generation with
+// a stale-generation status whose payload is the current encoded map —
+// the client refreshes its map from that payload and retries the right
+// owner in one round trip, instead of treating a moved chunk as a dead
+// peer. The map bootstrap op serves the same encoded bytes on demand.
 type ShardMapSource interface {
 	// Generation returns the current shard map generation.
 	Generation() uint64
@@ -223,6 +223,29 @@ type ShardMapSource interface {
 	// (shardmap.Map.Encode; cached per generation by shardmap.Store).
 	Encoded() ([]byte, error)
 }
+
+// chunkMap is the shard map of a server given none: generation 1, one
+// member (ID and Addr the listen address) owning one shard, the chunk's
+// [lo, hi). It never advances. An empty chunk has no valid map, so such a
+// server answers the map bootstrap op with an error.
+type chunkMap struct {
+	lo, hi int64
+	enc    []byte
+	err    error
+}
+
+func newChunkMap(addr string, src ChunkSource) *chunkMap {
+	lo, hi := src.LocalRange()
+	m := &shardmap.Map{Gen: 1, Members: []shardmap.Member{{ID: addr, Addr: addr}},
+		Shards: []shardmap.Shard{{Lo: lo, Hi: hi, Owners: []int{0}}}}
+	c := &chunkMap{lo: lo, hi: hi}
+	c.enc, c.err = m.Encode()
+	return c
+}
+
+func (c *chunkMap) Generation() uint64       { return 1 }
+func (c *chunkMap) Owns(id int64) bool       { return id >= c.lo && id < c.hi }
+func (c *chunkMap) Encoded() ([]byte, error) { return c.enc, c.err }
 
 // staleGenError is the server-internal signal that a request touched a
 // sample this server no longer owns: statusOf turns it into a
@@ -284,10 +307,11 @@ type ServerOptions struct {
 	// a serving front end (internal/frontend): tenant identity, rate
 	// limits, priority queues, and load shedding.
 	Admission Admission
-	// ShardMap, when non-nil, makes the server elastic: ownership of every
-	// requested sample is checked against the live shard map generation,
-	// un-owned samples answer with the stale-generation status carrying
-	// the current map, and the map bootstrap op is served.
+	// ShardMap is the ownership map the server answers under: every
+	// requested sample is checked against its live generation, un-owned
+	// samples answer with the stale-generation status carrying the current
+	// map, and the map bootstrap op serves it. nil means the server's own
+	// chunk as generation 1 (chunkMap), which never advances.
 	ShardMap ShardMapSource
 	// Metrics, when non-nil, records per-request service latency into the
 	// canonical fetch-latency histogram plus per-op request, error, and
@@ -425,6 +449,9 @@ func ServeWith(addr string, src ChunkSource, opts ServerOptions) (*Server, error
 // wrapping the accept path — faultnet wraps a real listener to inject
 // resets, stalls, and corruption into every accepted connection.
 func ServeListener(ln net.Listener, src ChunkSource, opts ServerOptions) *Server {
+	if opts.ShardMap == nil {
+		opts.ShardMap = newChunkMap(ln.Addr().String(), src)
+	}
 	s := &Server{ln: ln, src: src, opts: opts, conns: map[net.Conn]*connState{}, done: make(chan struct{})}
 	if opts.Metrics != nil {
 		s.metrics = newServerMetrics(opts.Metrics)
@@ -595,15 +622,6 @@ func (s *Server) rejectConn(conn net.Conn, st *connState, cause error) {
 	}
 }
 
-func serveMeta(s *Server, rq request) (int, error) {
-	lo, hi := s.src.LocalRange()
-	meta := make([]byte, 16)
-	binary.LittleEndian.PutUint64(meta[0:], uint64(lo))
-	binary.LittleEndian.PutUint64(meta[8:], uint64(hi))
-	rq.st.parts = append(rq.st.parts, meta)
-	return 0, nil
-}
-
 // serveBatch trusts the body length because the count was validated, so
 // the connection stays usable even if an id is out of range.
 func serveBatch(s *Server, rq request) (int, error) {
@@ -630,9 +648,6 @@ func serveHello(s *Server, rq request) (int, error) {
 }
 
 func serveShardMap(s *Server, rq request) (int, error) {
-	if s.opts.ShardMap == nil {
-		return 0, errors.New("server does not serve a shard map")
-	}
 	mb, err := s.opts.ShardMap.Encoded()
 	if err != nil {
 		return 0, err
@@ -742,16 +757,12 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		// trailer inside the same frame; its bytes ride the existing
 		// length/CRC envelope.
 		if err == nil && tc.Valid() && tc.Sampled {
-			gen := uint64(0)
-			if s.opts.ShardMap != nil {
-				gen = s.opts.ShardMap.Generation()
-			}
 			st.trailer = appendTimingTrailer(st.trailer[:0], ServerTiming{
 				QueueWait:  queueWait,
 				Service:    srcEnd.Sub(start),
 				Source:     sourceTime,
 				Bytes:      int64(total),
-				Generation: gen,
+				Generation: s.opts.ShardMap.Generation(),
 				Tenant:     st.tenant,
 			})
 			st.parts = append(st.parts, st.trailer)
@@ -813,9 +824,7 @@ func (s *Server) recordRequest(op, status byte, tenant string, tc tracectx.Conte
 		SourceMs:    flightrec.Ms(source),
 		Bytes:       int64(total),
 		Samples:     samples,
-	}
-	if s.opts.ShardMap != nil {
-		r.Generation = s.opts.ShardMap.Generation()
+		Generation:  s.opts.ShardMap.Generation(),
 	}
 	if err != nil {
 		r.Err = err.Error()
@@ -823,17 +832,14 @@ func (s *Server) recordRequest(op, status byte, tenant string, tc tracectx.Conte
 	rec.Add(r)
 }
 
-// ownsAll checks every id against the shard map (a no-op without one):
-// the first id this server does not own under the current generation turns
-// the whole request into a stale-generation answer carrying the current
-// map. Migration keeps data addressable throughout — the old owner answers
-// stale only after it has applied the generation that moved the chunk, by
-// which point the new owner serves it.
+// ownsAll checks every id against the shard map: the first id this server
+// does not own under the current generation turns the whole request into a
+// stale-generation answer carrying the current map. Migration keeps data
+// addressable throughout — the old owner answers stale only after it has
+// applied the generation that moved the chunk, by which point the new owner
+// serves it.
 func (s *Server) ownsAll(ids []int64) error {
 	sm := s.opts.ShardMap
-	if sm == nil {
-		return nil
-	}
 	for _, id := range ids {
 		if !sm.Owns(id) {
 			mb, err := sm.Encoded()

@@ -48,12 +48,12 @@ func TestServerClientGet(t *testing.T) {
 	}
 	defer cl.Close()
 
-	lo, hi, err := cl.Meta()
+	m, err := cl.ShardMap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo != 0 || hi != 20 {
-		t.Fatalf("meta = [%d,%d)", lo, hi)
+	if lo, hi := m.Range(); lo != 0 || hi != 20 {
+		t.Fatalf("shard map spans [%d,%d)", lo, hi)
 	}
 	for _, id := range []int64{0, 7, 19} {
 		g, err := transport.GetGraph(cl, id)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ddstore/internal/graph"
+	"ddstore/internal/shardmap"
 	"ddstore/internal/wire"
 )
 
@@ -76,6 +77,7 @@ func TestRejectsMalformedHeaders(t *testing.T) {
 		wantErr string
 	}{
 		{"unknown op", 42, 0, 0, nil, "unknown op"},
+		{"retired meta op", 1, 0, 0, nil, "unknown op"},
 		{"retired range op", 3, 12, 14, nil, "unknown op"},
 		{"retired get op", 2, 12, 0, nil, "unknown op"},
 		{"retired traced get op", 7, 12, 0, nil, "unknown op"},
@@ -96,9 +98,13 @@ func TestRejectsMalformedHeaders(t *testing.T) {
 	}
 
 	// The same connection still serves valid requests afterwards.
-	status, payload := rawRequest(t, conn, opMeta, 0, 0)
-	if status != statusOK || len(payload) != 16 {
-		t.Fatalf("meta after rejections: status %d, %d bytes", status, len(payload))
+	status, payload := rawRequest(t, conn, opShardMap, 0, 0)
+	m, err := shardmap.Decode(payload)
+	if status != statusOK || err != nil {
+		t.Fatalf("shard map after rejections: status %d, %v", status, err)
+	}
+	if lo, hi := m.Range(); lo != 10 || hi != 20 {
+		t.Fatalf("shard map after rejections spans [%d,%d), want the chunk [10,20)", lo, hi)
 	}
 	status, payload = rawRequest(t, conn, opGetBatch, 1, flagLookup, one(12)...)
 	if status != statusOK || int(binary.LittleEndian.Uint32(payload)) != len(payload)-4 {
