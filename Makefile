@@ -36,8 +36,14 @@ bench:
 # 16-id round trip (transport.FetchChunk16: the pick list and the part
 # list). A cache hit in a full shard and an insert that evicts
 # (cache.ClaimHit, cache.PutEvict: nothing — the slab reuses the victim's
-# slot). A budget on a benchmark covers every sub-benchmark it runs; a
-# budget on one sub-benchmark names it in full. A regression here means a
+# slot). One generated sample, without Encode (datasets.Generate/<dataset>):
+# an Ising sample is its RNG, its Graph, its node features and its label,
+# since the lattice's topology, coordinates and couplings are built once
+# and shared; a molecule (homolumo, discrete, smooth) is its RNG, Graph,
+# node features, label and its two edge lists, each allocated at its exact
+# capacity (elements, degrees and smooth's peaks live on the stack). A
+# budget on a benchmark covers every sub-benchmark it runs; a budget on one
+# sub-benchmark names it in full. A regression here means a
 # copy or a per-request allocation crept back into the hot path.
 DECODE_ALLOC_MAX ?= 1
 MATERIALIZE_ALLOC_MAX ?= 3
@@ -50,6 +56,8 @@ LOADLAZY64_COLD_ALLOC_MAX ?= 72
 FETCHCHUNK16_ALLOC_MAX ?= 2
 CLAIMHIT_ALLOC_MAX ?= 0
 PUTEVICT_ALLOC_MAX ?= 0
+GEN_ISING_ALLOC_MAX ?= 4
+GEN_MOLECULE_ALLOC_MAX ?= 6
 
 # Build products (alloc tables, cover profiles, smoke binaries and
 # artifacts) go under the ignored .bench_build/, never beside the sources.
@@ -57,15 +65,18 @@ OUT := .bench_build
 
 bench-allocs:
 	@mkdir -p $(OUT)
-	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|FetchChunk16|ClaimHit|PutEvict)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache | tee $(OUT)/decode-allocs.txt
+	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|FetchChunk16|ClaimHit|PutEvict|Generate)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache ./internal/datasets | tee $(OUT)/decode-allocs.txt
 	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" \
 		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" \
 		-v load="$(LOADLAZY64_ALLOC_MAX)" -v loadcold="$(LOADLAZY64_COLD_ALLOC_MAX)" -v chunk16="$(FETCHCHUNK16_ALLOC_MAX)" \
-		-v claimhit="$(CLAIMHIT_ALLOC_MAX)" -v putevict="$(PUTEVICT_ALLOC_MAX)" ' \
+		-v claimhit="$(CLAIMHIT_ALLOC_MAX)" -v putevict="$(PUTEVICT_ALLOC_MAX)" \
+		-v genising="$(GEN_ISING_ALLOC_MAX)" -v genmol="$(GEN_MOLECULE_ALLOC_MAX)" ' \
 		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; \
 			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16; \
 			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkFetchChunk16"] = chunk16; \
-			max["BenchmarkClaimHit"] = claimhit; max["BenchmarkPutEvict"] = putevict } \
+			max["BenchmarkClaimHit"] = claimhit; max["BenchmarkPutEvict"] = putevict; \
+			max["BenchmarkGenerate/ising"] = genising; max["BenchmarkGenerate/homolumo"] = genmol; \
+			max["BenchmarkGenerate/discrete"] = genmol; max["BenchmarkGenerate/smooth"] = genmol } \
 		/^Benchmark/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (!(name in max)) sub(/\/.*/, "", name); \
@@ -77,7 +88,7 @@ bench-allocs:
 		END { \
 			for (name in max) if (!ran[name]) { printf "FAIL: %s did not run\n", name; bad = 1 } \
 			if (bad) exit 1; \
-			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, chunk16 <= %s, claim hit <= %s, put/evict <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, chunk16, claimhit, putevict }' $(OUT)/decode-allocs.txt
+			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, chunk16 <= %s, claim hit <= %s, put/evict <= %s, ising sample <= %s, molecule <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, chunk16, claimhit, putevict, genising, genmol }' $(OUT)/decode-allocs.txt
 
 vet:
 	$(GO) vet ./...

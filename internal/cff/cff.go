@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"ddstore/internal/datasets"
@@ -49,7 +50,16 @@ type indexEntry struct {
 }
 
 func partPath(dir string, part int) string {
-	return filepath.Join(dir, fmt.Sprintf("part-%04d.ddc", part))
+	return filepath.Join(dir, partFile(part))
+}
+
+// partFile is a part's file name, "part-%04d.ddc".
+func partFile(part int) string {
+	n := strconv.Itoa(part)
+	if len(n) < 4 {
+		n = "0000"[len(n):] + n
+	}
+	return "part-" + n + ".ddc"
 }
 
 // partRange returns the sample-id range [lo, hi) stored in a part when
@@ -278,7 +288,9 @@ func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
 type SimLayout struct {
 	NumParts int
 	Loc      []location // indexed by sample id
-	PartName func(part int) string
+	// partNames[p] is part p's file on the simulated filesystem,
+	// "cff/<name>/part-%04d.ddc".
+	partNames []string
 }
 
 // RegisterSim lays the dataset out into numParts virtual containers on the
@@ -307,13 +319,13 @@ func RegisterSimSizes(fs *pfs.PFS, ds *datasets.Dataset, sizes []int64, numParts
 	if len(sizes) != ds.Len() {
 		return nil, fmt.Errorf("cff: %d sizes for %d samples", len(sizes), ds.Len())
 	}
-	name := ds.Name()
 	layout := &SimLayout{
-		NumParts: numParts,
-		Loc:      make([]location, ds.Len()),
-		PartName: func(part int) string { return fmt.Sprintf("cff/%s/part-%04d.ddc", name, part) },
+		NumParts:  numParts,
+		Loc:       make([]location, ds.Len()),
+		partNames: make([]string, numParts),
 	}
 	for part := 0; part < numParts; part++ {
+		layout.partNames[part] = "cff/" + ds.Name() + "/" + partFile(part)
 		lo, hi := partRange(ds.Len(), numParts, part)
 		offset := int64(8) // header
 		for id := lo; id < hi; id++ {
@@ -322,7 +334,7 @@ func RegisterSimSizes(fs *pfs.PFS, ds *datasets.Dataset, sizes []int64, numParts
 		}
 		// index + footer
 		offset += int64(hi-lo)*20 + 16
-		fs.Create(layout.PartName(part), offset)
+		fs.Create(layout.partNames[part], offset)
 	}
 	return layout, nil
 }
@@ -358,7 +370,7 @@ func (s *Sim) ReadSampleTimed(id int64) (*graph.Graph, time.Duration, error) {
 		return nil, 0, fmt.Errorf("cff: sample %d out of range [0,%d)", id, s.ds.Len())
 	}
 	l := s.layout.Loc[id]
-	cost, err := s.reader.ReadAt(s.layout.PartName(l.part), l.offset, int64(l.length))
+	cost, err := s.reader.ReadAt(s.layout.partNames[l.part], l.offset, int64(l.length))
 	if err != nil {
 		return nil, 0, err
 	}

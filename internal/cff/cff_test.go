@@ -1,6 +1,7 @@
 package cff
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -291,4 +292,22 @@ func FuzzReadPartIndex(f *testing.F) {
 			t.Fatalf("index of %d entries cannot fit in %d bytes", len(index), len(data))
 		}
 	})
+}
+
+func TestPartNamesMatchTheirFormat(t *testing.T) {
+	for _, part := range []int{0, 7, 42, 999, 1000, 9999, 10000, 123456} {
+		if got, want := partFile(part), fmt.Sprintf("part-%04d.ddc", part); got != want {
+			t.Fatalf("partFile(%d) = %q, want %q", part, got, want)
+		}
+	}
+	ds := datasets.Ising(datasets.Config{NumGraphs: 20})
+	layout, err := RegisterSim(pfs.New(cluster.Laptop(), 1), ds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for part, got := range layout.partNames {
+		if want := fmt.Sprintf("cff/%s/part-%04d.ddc", ds.Name(), part); got != want {
+			t.Fatalf("part %d is %q, want %q", part, got, want)
+		}
+	}
 }

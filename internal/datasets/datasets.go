@@ -16,6 +16,15 @@
 // same id always yields identical bytes — the property the equivalence tests
 // between PFF, CFF, and DDStore rely on.
 //
+// Generation sits under every boot, preload, lazy-server miss and benchmark
+// run, so each generator allocates only what a sample keeps. Ising samples
+// differ only in their spins: all of them share one read-only lattice
+// (edges, couplings, coordinates) built once per process, and each owns just
+// its node features and label. A molecule owns its node features, label and
+// two edge lists, allocated at their exact capacity. Samples are immutable
+// to every caller; the shared slices are capacity-clipped, so an append
+// copies rather than reaching another sample.
+//
 // The labels are deterministic smooth functionals of the graph structure, so
 // a GNN can genuinely learn them (used by the convergence experiment,
 // Fig. 13).
@@ -24,6 +33,8 @@ package datasets
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"ddstore/internal/graph"
 	"ddstore/internal/vtime"
@@ -80,7 +91,9 @@ func (d *Dataset) generate(id int64) *graph.Graph {
 // EnableCache eagerly materializes every sample so subsequent Sample calls
 // are pointer lookups. Call before sharing the dataset across goroutines —
 // the experiment harness uses it to avoid regenerating hundreds of
-// thousands of samples per run. Idempotent.
+// thousands of samples per run. Idempotent. The cache holds every sample's
+// own tensors; cached Ising samples share one lattice, so each holds about
+// 2 KB (node features and label) of its 10.7 KB encoded size.
 func (d *Dataset) EnableCache() {
 	if d.cache != nil {
 		return
@@ -118,10 +131,11 @@ const (
 
 // Ising returns the synthetic Ising dataset: a 5×5×5 cubic lattice (125
 // atoms) per sample, random ±1 spins, energy from the Ising Hamiltonian
-// E = -J Σ_<ij> s_i s_j with J = 1 over lattice-neighbor bonds.
+// E = -J Σ_<ij> s_i s_j with J = 1 over lattice-neighbor bonds. Only the
+// spins differ between samples, so every sample shares the lattice's
+// topology, coordinates and couplings (isingLattice) and owns only its
+// node features and label.
 func Ising(cfg Config) *Dataset {
-	const side = 5
-	const atoms = side * side * side
 	return &Dataset{
 		name:      "Ising",
 		numGraphs: cfg.numGraphs(DefaultIsingGraphs),
@@ -129,125 +143,154 @@ func Ising(cfg Config) *Dataset {
 		nodeDim:   4, // spin, x, y, z
 		edgeDim:   1, // coupling strength
 		gen: func(rng *vtime.RNG, id int64) *graph.Graph {
-			spins := make([]float32, atoms)
-			for i := range spins {
+			lat := isingLattice()
+			nodeFeat := make([]float32, len(lat.nodeFeat))
+			copy(nodeFeat, lat.nodeFeat)
+			for i := 0; i < isingAtoms; i++ {
 				if rng.Intn(2) == 0 {
-					spins[i] = -1
+					nodeFeat[i*4] = -1
 				} else {
-					spins[i] = 1
+					nodeFeat[i*4] = 1
 				}
 			}
-			idx := func(x, y, z int) int { return (x*side+y)*side + z }
-			nodeFeat := make([]float32, 0, atoms*4)
-			pos := make([]float32, 0, atoms*3)
-			for x := 0; x < side; x++ {
-				for y := 0; y < side; y++ {
-					for z := 0; z < side; z++ {
-						i := idx(x, y, z)
-						px := float32(x) / side
-						py := float32(y) / side
-						pz := float32(z) / side
-						nodeFeat = append(nodeFeat, spins[i], px, py, pz)
-						pos = append(pos, px, py, pz)
-					}
-				}
-			}
-			var src, dst []int32
-			var edgeFeat []float32
+			// Each bond is the pair src[k], src[k+1] (its two directed
+			// edges are adjacent), summed in lattice order as float32
+			// products.
 			var energy float64
-			addBond := func(a, b int) {
-				src = append(src, int32(a), int32(b))
-				dst = append(dst, int32(b), int32(a))
-				edgeFeat = append(edgeFeat, 1, 1)
-				energy -= float64(spins[a] * spins[b])
-			}
-			for x := 0; x < side; x++ {
-				for y := 0; y < side; y++ {
-					for z := 0; z < side; z++ {
-						if x+1 < side {
-							addBond(idx(x, y, z), idx(x+1, y, z))
-						}
-						if y+1 < side {
-							addBond(idx(x, y, z), idx(x, y+1, z))
-						}
-						if z+1 < side {
-							addBond(idx(x, y, z), idx(x, y, z+1))
-						}
-					}
-				}
+			for k := 0; k < len(lat.src); k += 2 {
+				energy -= float64(nodeFeat[lat.src[k]*4] * nodeFeat[lat.src[k+1]*4])
 			}
 			return &graph.Graph{
-				NumNodes:    atoms,
+				NumNodes:    isingAtoms,
 				NodeFeatDim: 4,
 				NodeFeat:    nodeFeat,
-				EdgeSrc:     src,
-				EdgeDst:     dst,
+				EdgeSrc:     lat.src,
+				EdgeDst:     lat.dst,
 				EdgeFeatDim: 1,
-				EdgeFeat:    edgeFeat,
-				Pos:         pos,
-				Y:           []float32{float32(energy / atoms)}, // per-atom energy
+				EdgeFeat:    lat.edgeFeat,
+				Pos:         lat.pos,
+				Y:           []float32{float32(energy / isingAtoms)}, // per-atom energy
 			}
 		},
 	}
 }
 
+const (
+	isingSide  = 5
+	isingAtoms = isingSide * isingSide * isingSide
+)
+
+// lattice is the part of an Ising sample that every sample shares: the
+// node-feature template (spin column zero), coordinates, and the directed
+// bonds with their couplings. Its slices are read-only and capacity-clipped,
+// so a caller that appends to one gets a copy and never reaches another
+// sample.
+type lattice struct {
+	nodeFeat, pos, edgeFeat []float32
+	src, dst                []int32
+}
+
+// isingLattice builds the 5×5×5 lattice once per process. Atoms are
+// numbered (x*5+y)*5+z; each atom bonds to its +x, +y and +z neighbor in
+// that order, each bond stored as two adjacent directed edges.
+var isingLattice = sync.OnceValue(func() *lattice {
+	idx := func(x, y, z int) int32 { return int32((x*isingSide+y)*isingSide + z) }
+	nodeFeat := make([]float32, 0, isingAtoms*4)
+	pos := make([]float32, 0, isingAtoms*3)
+	var src, dst []int32
+	bond := func(a, b int32) {
+		src = append(src, a, b)
+		dst = append(dst, b, a)
+	}
+	for x := 0; x < isingSide; x++ {
+		for y := 0; y < isingSide; y++ {
+			for z := 0; z < isingSide; z++ {
+				px := float32(x) / isingSide
+				py := float32(y) / isingSide
+				pz := float32(z) / isingSide
+				nodeFeat = append(nodeFeat, 0, px, py, pz)
+				pos = append(pos, px, py, pz)
+				if x+1 < isingSide {
+					bond(idx(x, y, z), idx(x+1, y, z))
+				}
+				if y+1 < isingSide {
+					bond(idx(x, y, z), idx(x, y+1, z))
+				}
+				if z+1 < isingSide {
+					bond(idx(x, y, z), idx(x, y, z+1))
+				}
+			}
+		}
+	}
+	edgeFeat := make([]float32, len(src))
+	for i := range edgeFeat {
+		edgeFeat[i] = 1
+	}
+	return &lattice{
+		nodeFeat: slices.Clip(nodeFeat),
+		pos:      slices.Clip(pos),
+		edgeFeat: slices.Clip(edgeFeat),
+		src:      slices.Clip(src),
+		dst:      slices.Clip(dst),
+	}
+})
+
+// maxAtoms is the largest molecule's heavy-atom count.
+const maxAtoms = 71
+
 // molecule builds a random connected molecular graph of n heavy atoms: a
 // random spanning tree plus ring-closing bonds, with element types drawn
-// from organic chemistry's usual suspects (C, N, O, F, S, Cl).
-func molecule(rng *vtime.RNG) (n int, elements []int, src, dst []int32) {
+// from organic chemistry's usual suspects (C, N, O, F, S, Cl). It writes
+// the atoms' element types into elements and returns the directed edges,
+// each bond as two adjacent entries.
+func molecule(rng *vtime.RNG, elements *[maxAtoms]uint8) (n int, src, dst []int32) {
 	// Mean heavy-atom count ≈ 52 like AISD (max of two uniforms over 5..71
 	// skews high).
 	a := 5 + rng.Intn(67)
 	b := 5 + rng.Intn(67)
-	n = a
-	if b > n {
-		n = b
-	}
-	elementSet := []int{6, 6, 6, 6, 6, 7, 7, 8, 8, 9, 16, 17} // carbon-rich
-	elements = make([]int, n)
-	for i := range elements {
+	n = max(a, b)
+	elementSet := [...]uint8{6, 6, 6, 6, 6, 7, 7, 8, 8, 9, 16, 17} // carbon-rich
+	for i := 0; i < n; i++ {
 		elements[i] = elementSet[rng.Intn(len(elementSet))]
 	}
-	addBond := func(x, y int) {
-		src = append(src, int32(x), int32(y))
-		dst = append(dst, int32(y), int32(x))
-	}
+	// A tree's n-1 bonds plus at most one ring-closing bond per 12 atoms.
+	rings := n / 12
+	bonds := n - 1 + rings
+	src = make([]int32, 0, 2*bonds)
+	dst = make([]int32, 0, 2*bonds)
 	// Spanning tree: attach each atom to a random earlier atom, preferring
 	// recent atoms (chains with branches, like real molecules).
 	for i := 1; i < n; i++ {
-		lo := i - 4
-		if lo < 0 {
-			lo = 0
-		}
-		parent := lo + rng.Intn(i-lo)
-		addBond(parent, i)
+		lo := max(i-4, 0)
+		parent := int32(lo + rng.Intn(i-lo))
+		src = append(src, parent, int32(i))
+		dst = append(dst, int32(i), parent)
 	}
 	// Ring closures: roughly one ring per 12 atoms.
-	rings := n / 12
 	for r := 0; r < rings; r++ {
-		x := rng.Intn(n)
-		y := rng.Intn(n)
+		x := int32(rng.Intn(n))
+		y := int32(rng.Intn(n))
 		if x != y {
-			addBond(x, y)
+			src = append(src, x, y)
+			dst = append(dst, y, x)
 		}
 	}
-	return n, elements, src, dst
+	return n, src, dst
 }
 
 // moleculeGraph converts a generated molecule into graph form (without Y).
 func moleculeGraph(rng *vtime.RNG) *graph.Graph {
-	n, elements, src, dst := molecule(rng)
-	deg := make([]int, n)
+	var elements [maxAtoms]uint8
+	n, src, dst := molecule(rng, &elements)
+	var deg [maxAtoms]int32
 	for _, s := range src {
 		deg[s]++
 	}
-	nodeFeat := make([]float32, 0, n*3)
+	nodeFeat := make([]float32, n*3)
 	for i := 0; i < n; i++ {
-		nodeFeat = append(nodeFeat,
-			float32(elements[i])/17.0, // normalized atomic number
-			float32(deg[i])/4.0,       // normalized degree
-			float32(i)/float32(n),     // canonical position in the chain
-		)
+		nodeFeat[i*3] = float32(elements[i]) / 17.0 // normalized atomic number
+		nodeFeat[i*3+1] = float32(deg[i]) / 4.0     // normalized degree
+		nodeFeat[i*3+2] = float32(i) / float32(n)   // canonical position in the chain
 	}
 	return &graph.Graph{
 		NumNodes:    n,
@@ -298,11 +341,10 @@ func HomoLumo(cfg Config) *Dataset {
 }
 
 // spectrumPeaks derives 50 deterministic UV-vis peaks (positions in (0,1),
-// non-negative intensities) from a molecule's structure.
-func spectrumPeaks(g *graph.Graph, rng *vtime.RNG) (pos, intensity []float32) {
+// non-negative intensities) from a molecule's structure, writing them into
+// pos and intensity (50 entries each).
+func spectrumPeaks(g *graph.Graph, rng *vtime.RNG, pos, intensity []float32) {
 	meanZ, size, meanDeg := moleculeDescriptors(g)
-	pos = make([]float32, 50)
-	intensity = make([]float32, 50)
 	base := 0.1 + 0.5*meanZ
 	spread := 0.05 + 0.2/math.Sqrt(size)
 	for k := 0; k < 50; k++ {
@@ -321,7 +363,6 @@ func spectrumPeaks(g *graph.Graph, rng *vtime.RNG) (pos, intensity []float32) {
 		}
 		intensity[k] = float32(inten)
 	}
-	return pos, intensity
 }
 
 // AISDExDiscrete returns the ORNL AISD-Ex discrete dataset: molecules with a
@@ -335,8 +376,8 @@ func AISDExDiscrete(cfg Config) *Dataset {
 		edgeDim:   0,
 		gen: func(rng *vtime.RNG, id int64) *graph.Graph {
 			g := moleculeGraph(rng)
-			pos, inten := spectrumPeaks(g, rng)
-			g.Y = append(pos, inten...)
+			g.Y = make([]float32, 100)
+			spectrumPeaks(g, rng, g.Y[:50], g.Y[50:])
 			return g
 		},
 	}
@@ -359,8 +400,9 @@ func AISDExSmooth(cfg Config) *Dataset {
 		edgeDim:   0,
 		gen: func(rng *vtime.RNG, id int64) *graph.Graph {
 			g := moleculeGraph(rng)
-			pos, inten := spectrumPeaks(g, rng)
-			g.Y = SmoothSpectrum(pos, inten, bins, 0.01)
+			var pos, inten [50]float32
+			spectrumPeaks(g, rng, pos[:], inten[:])
+			g.Y = SmoothSpectrum(pos[:], inten[:], bins, 0.01)
 			return g
 		},
 	}

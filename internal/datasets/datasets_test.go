@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -349,6 +350,103 @@ func TestEnableCacheReturnsSameSamples(t *testing.T) {
 		c, _ := cached.Sample(id)
 		if b != c {
 			t.Fatal("cache not returning stable pointers")
+		}
+	}
+}
+
+func TestIsingSamplesShareOnlyTheLattice(t *testing.T) {
+	d := Ising(Config{NumGraphs: 10})
+	a, _ := d.Sample(3)
+	b, _ := d.Sample(4)
+	want := b.Encode()
+	for name, grow := range map[string]func() bool{
+		"EdgeSrc": func() bool {
+			s := append(a.EdgeSrc, 99)
+			return &s[0] != &a.EdgeSrc[0] && &a.EdgeSrc[0] == &b.EdgeSrc[0]
+		},
+		"EdgeDst": func() bool {
+			s := append(a.EdgeDst, 99)
+			return &s[0] != &a.EdgeDst[0] && &a.EdgeDst[0] == &b.EdgeDst[0]
+		},
+		"EdgeFeat": func() bool {
+			s := append(a.EdgeFeat, 99)
+			return &s[0] != &a.EdgeFeat[0] && &a.EdgeFeat[0] == &b.EdgeFeat[0]
+		},
+		"Pos": func() bool {
+			s := append(a.Pos, 99)
+			return &s[0] != &a.Pos[0] && &a.Pos[0] == &b.Pos[0]
+		},
+	} {
+		if !grow() {
+			t.Errorf("%s: appending to a shared lattice slice did not reallocate, or the samples do not share it", name)
+		}
+	}
+	if got := b.Encode(); string(got) != string(want) {
+		t.Fatal("appending to one sample's lattice slices changed another sample")
+	}
+}
+
+func TestSamplesOwnTheirFeaturesAndLabels(t *testing.T) {
+	for _, d := range allDatasets(Config{NumGraphs: 10}) {
+		a, _ := d.Sample(5)
+		b, _ := d.Sample(5)
+		if &a.NodeFeat[0] == &b.NodeFeat[0] {
+			t.Errorf("%s: two samples share NodeFeat", d.Name())
+		}
+		if &a.Y[0] == &b.Y[0] {
+			t.Errorf("%s: two samples share Y", d.Name())
+		}
+		if d.EdgeFeatDim() == 0 && &a.EdgeSrc[0] == &b.EdgeSrc[0] {
+			t.Errorf("%s: two molecules share EdgeSrc", d.Name())
+		}
+	}
+}
+
+func TestMoleculeEdgeCapacityIsExact(t *testing.T) {
+	d := HomoLumo(Config{NumGraphs: 200})
+	for id := int64(0); id < 200; id++ {
+		g, _ := d.Sample(id)
+		n := g.NumNodes
+		want := 2 * (n - 1 + n/12)
+		if cap(g.EdgeSrc) != want || cap(g.EdgeDst) != want {
+			t.Fatalf("molecule %d (%d atoms): edge capacity %d/%d, want %d",
+				id, n, cap(g.EdgeSrc), cap(g.EdgeDst), want)
+		}
+	}
+}
+
+// TestConcurrentGenerationDeterministic generates the same ids from eight
+// goroutines at once (the first of them also builds the shared Ising
+// lattice) and checks the bytes against a sequential pass.
+func TestConcurrentGenerationDeterministic(t *testing.T) {
+	const n, workers = 40, 8
+	for _, d := range allDatasets(Config{NumGraphs: n}) {
+		got := make([][][]byte, workers)
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				got[w] = make([][]byte, n)
+				for id := range got[w] {
+					g, err := d.Sample(int64(id))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[w][id] = g.Encode()
+				}
+			}(w)
+		}
+		wg.Wait()
+		for id := int64(0); id < n; id++ {
+			g, _ := d.Sample(id)
+			want := g.Encode()
+			for w := range got {
+				if string(got[w][id]) != string(want) {
+					t.Fatalf("%s[%d]: goroutine %d's bytes differ from a sequential pass", d.Name(), id, w)
+				}
+			}
 		}
 	}
 }

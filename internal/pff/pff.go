@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"ddstore/internal/datasets"
@@ -42,7 +43,18 @@ const metaFile = "meta.json"
 // 256 subdirectories to avoid unusably large directories, like real
 // per-object datasets do.
 func samplePath(dir string, id int64) string {
-	return filepath.Join(dir, fmt.Sprintf("%02x", id%256), fmt.Sprintf("%d.bin", id))
+	var buf [32]byte
+	return filepath.Join(dir, string(appendSampleFile(buf[:0], id)))
+}
+
+// appendSampleFile appends a sample's path below the dataset's root,
+// "%02x/%d.bin" of (id%256, id), to b. id must not be negative.
+func appendSampleFile(b []byte, id int64) []byte {
+	const hex = "0123456789abcdef"
+	sub := id % 256
+	b = append(b, hex[sub>>4], hex[sub&15], '/')
+	b = strconv.AppendInt(b, id, 10)
+	return append(b, ".bin"...)
 }
 
 // Write materializes samples [lo, hi) of the dataset as one file per sample
@@ -152,8 +164,14 @@ func RegisterSimSizes(fs *pfs.PFS, ds *datasets.Dataset, sizes []int64) {
 	}
 }
 
+// simPath is a sample's file on the simulated filesystem:
+// "pff/<name>/%02x/%d.bin".
 func simPath(name string, id int64) string {
-	return fmt.Sprintf("pff/%s/%02x/%d.bin", name, id%256, id)
+	var buf [96]byte
+	b := append(buf[:0], "pff/"...)
+	b = append(b, name...)
+	b = append(b, '/')
+	return string(appendSampleFile(b, id))
 }
 
 // Sim models PFF reads for one rank on the simulated filesystem.

@@ -1,6 +1,8 @@
 package pff
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"ddstore/internal/cluster"
@@ -181,4 +183,15 @@ func median(xs []float64) float64 {
 		}
 	}
 	return s[len(s)/2]
+}
+
+func TestSimPathMatchesItsFormat(t *testing.T) {
+	for _, id := range []int64{0, 1, 15, 16, 255, 256, 4097, 104999, 1 << 40} {
+		if got, want := simPath("AISD HOMO-LUMO", id), fmt.Sprintf("pff/%s/%02x/%d.bin", "AISD HOMO-LUMO", id%256, id); got != want {
+			t.Fatalf("simPath(%d) = %q, want %q", id, got, want)
+		}
+		if got, want := samplePath("d", id), filepath.Join("d", fmt.Sprintf("%02x", id%256), fmt.Sprintf("%d.bin", id)); got != want {
+			t.Fatalf("samplePath(%d) = %q, want %q", id, got, want)
+		}
+	}
 }

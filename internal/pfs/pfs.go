@@ -108,8 +108,8 @@ func (p *PFS) Reader(clock *vtime.Clock, rng *vtime.RNG) *Reader {
 		fs:    p,
 		clock: clock,
 		rng:   rng,
-		fds:   newLRU(fdCacheCap),
-		pages: newLRU(int(perRank / BlockSize)),
+		fds:   newLRU[string](fdCacheCap),
+		pages: newLRU[page](int(perRank / BlockSize)),
 	}
 }
 
@@ -118,8 +118,8 @@ type Reader struct {
 	fs    *PFS
 	clock *vtime.Clock
 	rng   *vtime.RNG
-	fds   *lru
-	pages *lru
+	fds   *lru[string] // keyed by path
+	pages *lru[page]
 
 	// Counters for the experiment reports.
 	MetadataOps int64
@@ -146,10 +146,10 @@ func (r *Reader) ReadAt(path string, off, n int64) (time.Duration, error) {
 	var cost time.Duration
 
 	// File open: metadata op unless the handle is cached.
-	if !r.fds.get(fdKey(path)) {
+	if !r.fds.get(path) {
 		mult := m.FSContention(r.fs.totalRanks)
 		cost += time.Duration(float64(m.FSMetadata.Sample(r.rng)) * mult)
-		r.fds.put(fdKey(path))
+		r.fds.put(path)
 		r.MetadataOps++
 	}
 
@@ -162,7 +162,7 @@ func (r *Reader) ReadAt(path string, off, n int64) (time.Duration, error) {
 	}
 	resident := true
 	for b := first; b <= last; b++ {
-		if !r.pages.get(pageKey(path, b)) {
+		if !r.pages.get(page{path, b}) {
 			resident = false
 			// get() refreshes recency only for hits; missing blocks are
 			// inserted below after the modeled disk read.
@@ -179,7 +179,7 @@ func (r *Reader) ReadAt(path string, off, n int64) (time.Duration, error) {
 		// asynchronous, so it is not charged).
 		maxBlock := (size - 1) / BlockSize
 		for b := first; b <= last+readAheadBlocks && b <= maxBlock; b++ {
-			r.pages.put(pageKey(path, b))
+			r.pages.put(page{path, b})
 		}
 	}
 	r.BytesRead += n
@@ -187,31 +187,34 @@ func (r *Reader) ReadAt(path string, off, n int64) (time.Duration, error) {
 	return cost, nil
 }
 
-func fdKey(path string) string            { return "fd:" + path }
-func pageKey(path string, b int64) string { return fmt.Sprintf("pg:%s:%d", path, b) }
+// page names one BlockSize block of a file in the page cache.
+type page struct {
+	path  string
+	block int64
+}
 
 // lru is a fixed-capacity LRU set.
-type lru struct {
+type lru[K comparable] struct {
 	cap   int
-	items map[string]*lruNode
-	head  *lruNode // most recent
-	tail  *lruNode // least recent
+	items map[K]*lruNode[K]
+	head  *lruNode[K] // most recent
+	tail  *lruNode[K] // least recent
 }
 
-type lruNode struct {
-	key        string
-	prev, next *lruNode
+type lruNode[K comparable] struct {
+	key        K
+	prev, next *lruNode[K]
 }
 
-func newLRU(capacity int) *lru {
+func newLRU[K comparable](capacity int) *lru[K] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lru{cap: capacity, items: make(map[string]*lruNode)}
+	return &lru[K]{cap: capacity, items: make(map[K]*lruNode[K])}
 }
 
 // get reports whether key is present, refreshing its recency if so.
-func (l *lru) get(key string) bool {
+func (l *lru[K]) get(key K) bool {
 	n, ok := l.items[key]
 	if !ok {
 		return false
@@ -222,12 +225,12 @@ func (l *lru) get(key string) bool {
 
 // put inserts key (refreshing if present), evicting the least-recent entry
 // when full.
-func (l *lru) put(key string) {
+func (l *lru[K]) put(key K) {
 	if n, ok := l.items[key]; ok {
 		l.moveToFront(n)
 		return
 	}
-	n := &lruNode{key: key}
+	n := &lruNode[K]{key: key}
 	l.items[key] = n
 	l.pushFront(n)
 	if len(l.items) > l.cap {
@@ -237,7 +240,7 @@ func (l *lru) put(key string) {
 	}
 }
 
-func (l *lru) pushFront(n *lruNode) {
+func (l *lru[K]) pushFront(n *lruNode[K]) {
 	n.next = l.head
 	n.prev = nil
 	if l.head != nil {
@@ -249,7 +252,7 @@ func (l *lru) pushFront(n *lruNode) {
 	}
 }
 
-func (l *lru) unlink(n *lruNode) {
+func (l *lru[K]) unlink(n *lruNode[K]) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
@@ -263,7 +266,7 @@ func (l *lru) unlink(n *lruNode) {
 	n.prev, n.next = nil, nil
 }
 
-func (l *lru) moveToFront(n *lruNode) {
+func (l *lru[K]) moveToFront(n *lruNode[K]) {
 	if l.head == n {
 		return
 	}

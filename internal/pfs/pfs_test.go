@@ -231,7 +231,7 @@ func TestDeterministicCosts(t *testing.T) {
 }
 
 func TestLRU(t *testing.T) {
-	l := newLRU(3)
+	l := newLRU[string](3)
 	l.put("a")
 	l.put("b")
 	l.put("c")
@@ -256,7 +256,7 @@ func TestLRU(t *testing.T) {
 }
 
 func TestLRUSingleEntry(t *testing.T) {
-	l := newLRU(1)
+	l := newLRU[string](1)
 	l.put("x")
 	l.put("y")
 	if l.get("x") {
