@@ -37,11 +37,11 @@ bench:
 # list). A cache hit in a full shard and an insert that evicts
 # (cache.ClaimHit, cache.PutEvict: nothing — the slab reuses the victim's
 # slot). One generated sample, without Encode (datasets.Generate/<dataset>):
-# an Ising sample is its RNG, its Graph, its node features and its label,
-# since the lattice's topology, coordinates and couplings are built once
-# and shared; a molecule (homolumo, discrete, smooth) is its RNG, Graph,
-# node features, label and its two edge lists, each allocated at its exact
-# capacity (elements, degrees and smooth's peaks live on the stack). A
+# an Ising sample is its Graph, its node features and its label, since the
+# lattice's topology, coordinates and couplings are built once and shared;
+# a molecule (homolumo, discrete, smooth) is its Graph, node features,
+# label and its two edge lists, each allocated at its exact capacity (the
+# RNG, elements, degrees and smooth's peaks live on the stack). A
 # budget on a benchmark covers every sub-benchmark it runs; a budget on one
 # sub-benchmark names it in full. A regression here means a
 # copy or a per-request allocation crept back into the hot path.
@@ -56,8 +56,8 @@ LOADLAZY64_COLD_ALLOC_MAX ?= 72
 FETCHCHUNK16_ALLOC_MAX ?= 2
 CLAIMHIT_ALLOC_MAX ?= 0
 PUTEVICT_ALLOC_MAX ?= 0
-GEN_ISING_ALLOC_MAX ?= 4
-GEN_MOLECULE_ALLOC_MAX ?= 6
+GEN_ISING_ALLOC_MAX ?= 3
+GEN_MOLECULE_ALLOC_MAX ?= 5
 
 # Build products (alloc tables, cover profiles, smoke binaries and
 # artifacts) go under the ignored .bench_build/, never beside the sources.

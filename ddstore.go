@@ -198,6 +198,8 @@ const (
 	// FrameworkRMA is the paper's one-sided design (default).
 	FrameworkRMA = core.FrameworkRMA
 	// FrameworkTwoSided is the rejected request/response alternative,
-	// kept for the abl-comm ablation.
+	// kept for the abl-comm ablation. Its loads are collective: every
+	// member of a replica group loads the same number of times, and one
+	// rank's loads run one at a time.
 	FrameworkTwoSided = core.FrameworkTwoSided
 )

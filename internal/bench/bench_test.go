@@ -364,8 +364,11 @@ func TestRunCacheHits(t *testing.T) {
 	}
 }
 
+// TestAblationsShape: in abl-lock and abl-nb the paper's design is the
+// better row. abl-comm is not asserted here: its rows are what the model
+// says (EXPERIMENTS.md), pinned byte for byte by quick.golden.
 func TestAblationsShape(t *testing.T) {
-	for _, id := range []string{"abl-comm", "abl-lock", "abl-nb"} {
+	for _, id := range []string{"abl-lock", "abl-nb"} {
 		r := runExp(t, id)
 		if len(r.Rows) != 2 {
 			t.Fatalf("%s: %d rows", id, len(r.Rows))

@@ -53,15 +53,10 @@ func TestReportJSONGolden(t *testing.T) {
 	}
 }
 
-// wallClock lists the experiments whose numbers depend on the scheduler:
-// abl-comm's two-sided responder shares its rank's virtual clock with the
-// trainer. Its shape is asserted in bench_test.go instead.
-var wallClock = map[string]bool{"abl-comm": true}
-
-// TestQuickSuiteGolden pins the paper's numbers: every experiment outside
-// wallClock, run at the -quick profile with the default seed, must print
-// exactly the JSON of testdata/quick.golden — the same bytes as
-// `ddstore-bench -exp all -quick -json` prints for those sections. A change
+// TestQuickSuiteGolden pins the paper's numbers: every experiment, run at
+// the -quick profile with the default seed, must print exactly the JSON of
+// testdata/quick.golden — the same bytes as `ddstore-bench -exp all -quick
+// -json` prints for those sections. A change
 // that moves a paper number shows up as a diff of this file; regenerate it
 // deliberately with
 //
@@ -73,9 +68,6 @@ func TestQuickSuiteGolden(t *testing.T) {
 	ResetCaches()
 	var out bytes.Buffer
 	for _, e := range Experiments() {
-		if wallClock[e.ID] {
-			continue
-		}
 		r, err := e.Run(Options{Quick: true})
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)

@@ -186,3 +186,51 @@ func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
 	})
 	return out, err
 }
+
+// Alltoallv sends parts[j] to communicator rank j and returns, indexed by
+// sender, what every rank sent to this one (MPI_Alltoallv). Parts may
+// differ in length and may be empty; every rank must pass one per rank.
+// The result is this rank's own copy, so senders may reuse their parts.
+// On a single rank it is a copy and charges nothing.
+func (c *Comm) Alltoallv(parts [][]byte) ([][]byte, error) {
+	if len(parts) != c.Size() {
+		return nil, fmt.Errorf("comm: Alltoallv got %d parts for %d ranks", len(parts), c.Size())
+	}
+	if c.Size() == 1 {
+		return [][]byte{append([]byte(nil), parts[0]...)}, nil
+	}
+	var out [][]byte
+	err := c.exchange(parts, c.alltoallvCost, func(slots []any) {
+		total := 0
+		for _, s := range slots {
+			total += len(s.([][]byte)[c.idx])
+		}
+		buf := make([]byte, total)
+		out = make([][]byte, len(slots))
+		for i, s := range slots {
+			n := copy(buf, s.([][]byte)[c.idx])
+			out[i], buf = buf[:n:n], buf[n:]
+		}
+	})
+	return out, err
+}
+
+// alltoallvCost is the modeled time of one Alltoallv over the deposited
+// parts: the count exchange that sizes it, then the busiest receiver's
+// messages from its peers, each charged the point-to-point transfer time
+// of its bytes. Empty parts cost nothing; a rank's part to itself stays in
+// its memory.
+func (c *Comm) alltoallvCost() time.Duration {
+	m, slots := c.world.machine, c.state.slots
+	var busiest time.Duration
+	for to := range slots {
+		var in time.Duration
+		for from, s := range slots {
+			if n := len(s.([][]byte)[to]); n > 0 && from != to {
+				in += m.NetTransfer(int64(n), m.SameNode(c.group[from], c.group[to]))
+			}
+		}
+		busiest = max(busiest, in)
+	}
+	return m.CollectiveLatency(len(slots)) + busiest
+}

@@ -3,11 +3,11 @@
 // A World of N ranks runs as N goroutines inside one process. The package
 // provides the MPI features DDStore depends on: communicators with the
 // collectives it calls (Barrier, Allreduce, Allgather of variable-length
-// contributions, and a zero-copy share of root's value), communicator
-// splitting (MPI_Comm_split, used to form the width-w replica groups),
-// two-sided Send/Recv, and read-only one-sided RMA windows with
-// passive-target synchronization (MPI_Win_create / MPI_Win_lock(SHARED) /
-// MPI_Get / MPI_Rget / MPI_Win_unlock).
+// contributions, a personalized all-to-all exchange (MPI_Alltoallv) and a
+// zero-copy share of root's value), communicator splitting (MPI_Comm_split,
+// used to form the width-w replica groups), and read-only one-sided RMA
+// windows with passive-target synchronization (MPI_Win_create /
+// MPI_Win_lock(SHARED) / MPI_Get / MPI_Rget / MPI_Win_unlock).
 //
 // When the World is created with a cluster.Machine, every operation also
 // charges its modeled cost to per-rank virtual clocks (see internal/vtime),
@@ -42,7 +42,6 @@ type World struct {
 
 	mu     sync.Mutex
 	groups map[string]*groupState // collective state per communicator
-	boxes  []*mailbox             // per-rank P2P inbox
 	broken bool
 }
 
@@ -63,13 +62,11 @@ func NewWorld(size int, seed uint64, opts ...Option) (*World, error) {
 	w := &World{
 		size:   size,
 		groups: make(map[string]*groupState),
-		boxes:  make([]*mailbox, size),
 		clocks: make([]*vtime.Clock, size),
 		rngs:   make([]*vtime.RNG, size),
 	}
 	root := vtime.NewRNG(seed)
 	for i := 0; i < size; i++ {
-		w.boxes[i] = newMailbox()
 		w.clocks[i] = &vtime.Clock{}
 		w.rngs[i] = root.Split(uint64(i))
 	}
@@ -133,9 +130,6 @@ func (w *World) breakWorld() {
 	w.mu.Unlock()
 	for _, g := range groups {
 		g.barrier.breakBarrier()
-	}
-	for _, b := range w.boxes {
-		b.breakBox()
 	}
 }
 

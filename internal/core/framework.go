@@ -3,8 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"time"
 
-	"ddstore/internal/comm"
+	"ddstore/internal/fetch"
+	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/wire"
 )
 
@@ -14,158 +18,167 @@ import (
 // minimizes the target process's involvement; FrameworkTwoSided implements
 // the rejected alternative so the trade-off can be measured (see the
 // abl-comm experiment).
+//
+// A two-sided load is collective over the replica group: every member of
+// the group calls it the same number of times, and one rank's loads run one
+// at a time. One-sided loads carry neither rule.
 type Framework int
 
 const (
 	// FrameworkRMA fetches with passive-target one-sided Gets (default).
 	FrameworkRMA Framework = iota
-	// FrameworkTwoSided fetches with request/response messages served by a
-	// responder goroutine on the owner — the owner's CPU participates in
-	// every fetch, stealing time from its own training loop.
+	// FrameworkTwoSided fetches with request/response messages: each load
+	// is one collective exchange over the replica group, so no fetch
+	// completes until every owner's CPU has reached the load and served
+	// what it was sent — the owner's CPU participates in every fetch,
+	// stealing time from its own training loop.
 	FrameworkTwoSided
 )
 
-// Message tags used by the two-sided framework. They sit far above any
-// application tag.
-const (
-	tagFetchReq = 1 << 20
-	tagRespBase = 1 << 21
-)
-
-// CounterTwoSidedRPCs counts owner-directed request/response exchanges on
-// the two-sided framework. With multi-get batching, a batch touching k
-// owners costs k RPCs, however many samples it carries — the counter the
-// batching tests assert on.
+// CounterTwoSidedRPCs counts owner-directed requests on the two-sided
+// framework: one per owner a load asks for anything. With multi-get
+// batching, a batch touching k owners costs k RPCs, however many samples it
+// carries — the counter the batching tests assert on.
 const CounterTwoSidedRPCs = "twosided-rpcs"
 
-// Two-sided multi-get wire format. A request is
-// [requester u32][count u32][ids u64 × count]; the response is count
-// entries of [len u32][bytes], in request order, with missingMarker as the
-// length of any sample the owner does not hold.
+// missingMarker is the length a reply entry carries for a sample the owner
+// does not hold. A request is the ids, 8 bytes each; its reply is one
+// [len u32][bytes] entry per id, in request order.
 const missingMarker = ^uint32(0)
 
-func encodeFetchReq(requester int, ids []int64) []byte {
-	req := make([]byte, 8, 8+wire.IDsSize(len(ids)))
-	binary.LittleEndian.PutUint32(req[0:], uint32(requester))
-	binary.LittleEndian.PutUint32(req[4:], uint32(len(ids)))
-	return wire.AppendIDs(req, ids)
+// twoSidedLoad is one two-sided load's collective exchange. Issue records
+// the ids each remote owner is asked for; the first remote Collect runs the
+// exchange; LoadLazyTraced runs it with empty requests if the load never
+// got that far, so every member enters it exactly once per load.
+type twoSidedLoad struct {
+	mu      sync.Mutex    // one load at a time
+	ids     [][]int64     // per group rank: the ids asked of that owner
+	replies [][]byte      // per group rank: that owner's reply
+	done    bool          // the exchange has run for this load
+	per     time.Duration // each remote sample's share of the exchange
 }
 
-// decodeFetchReq validates and unpacks a fetch request; ok is false for
-// malformed frames (which the responder drops, like any hostile message).
-func decodeFetchReq(data []byte) (requester int, ids []int64, ok bool) {
-	if len(data) < 16 {
-		return 0, nil, false
-	}
-	requester = int(int32(binary.LittleEndian.Uint32(data[0:])))
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	if count < 1 || len(data) != 8+8*count {
-		return 0, nil, false
-	}
-	ids = make([]int64, count)
-	for i := range ids {
-		ids[i] = int64(binary.LittleEndian.Uint64(data[8+8*i:]))
-	}
-	return requester, ids, true
-}
-
-// startResponder launches the two-sided service loop: it answers multi-get
-// fetch requests for this rank's chunk until Close. Service time is
-// charged to this rank's clock — the CPU-involvement cost one-sided RMA
-// avoids.
-func (s *Store) startResponder() {
-	s.respDone = make(chan struct{})
-	go func() {
-		defer close(s.respDone)
-		for {
-			data, from, err := s.group.Recv(comm.AnySource, tagFetchReq)
-			if err != nil {
-				return // world broken
+// loadTwoSided runs one load on a two-sided store under the store's load
+// mutex, then enters the group's exchange if the load did not.
+func (s *Store) loadTwoSided(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
+	x := &s.twoSided
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	out, lat, err := s.engine.LoadLazy(ids, tc)
+	if !x.done {
+		if xerr := s.exchange(); err == nil && xerr != nil {
+			for _, v := range out {
+				v.Release()
 			}
-			if len(data) == 1 && data[0] == 0xFF {
-				return // poison pill from Close
-			}
-			requester, ids, ok := decodeFetchReq(data)
-			if !ok {
-				continue // malformed; drop
-			}
-			if from >= 0 {
-				requester = from
-			}
-			var payload []byte
-			var served int64
-			var lenBuf [4]byte
-			for _, id := range ids {
-				one, lookupErr := s.LocalSampleBytes(id)
-				if lookupErr != nil {
-					binary.LittleEndian.PutUint32(lenBuf[:], missingMarker)
-					payload = append(payload, lenBuf[:]...)
-					continue
-				}
-				binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(one)))
-				payload = append(payload, lenBuf[:]...)
-				payload = append(payload, one...)
-				served += int64(len(one))
-			}
-			if m := s.world.Machine(); m != nil {
-				// The owner's CPU copies the samples out of its chunk.
-				s.world.Clock().Advance(m.LocalRead(served))
-			}
-			if err := s.group.Send(requester, tagRespBase+requester, payload); err != nil {
-				return
-			}
+			err = xerr
 		}
-	}()
+	}
+	clear(x.ids)
+	x.replies, x.done, x.per = nil, false, 0
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, lat, nil
 }
 
-// Close shuts down the store's background machinery (the two-sided
-// responder, when active). Safe to call once per rank; a store without a
-// responder needs no Close but tolerates one.
-func (s *Store) Close() error {
-	if s.respDone == nil {
-		return nil
+// exchange runs this load's collective: one Alltoallv carries every
+// request to its owner, each owner serves what it was sent from its chunk
+// and charges the copy to its own clock, and a second Alltoallv carries the
+// replies back. The whole exchange, waiting for the slowest owner
+// included, is shared evenly by the load's remote samples, as the
+// non-blocking Gets share their overlapped wire time.
+func (s *Store) exchange() error {
+	x := &s.twoSided
+	x.done = true
+	reqs := make([][]byte, len(x.ids))
+	remote := 0
+	for owner, ids := range x.ids {
+		if len(ids) == 0 {
+			continue
+		}
+		reqs[owner] = wire.AppendIDs(make([]byte, 0, wire.IDsSize(len(ids))), ids)
+		remote += len(ids)
+		if s.prof != nil {
+			s.prof.Inc(CounterTwoSidedRPCs, 1)
+		}
 	}
-	// Poison the responder via our own mailbox.
-	if err := s.group.Send(s.group.Rank(), tagFetchReq, []byte{0xFF}); err != nil {
+	start := clockNow(s.world)
+	got, err := s.group.Alltoallv(reqs)
+	if err != nil {
 		return err
 	}
-	<-s.respDone
-	s.respDone = nil
+	replies := make([][]byte, len(got))
+	var served int64
+	for from, req := range got {
+		replies[from], served = s.serve(req, served)
+	}
+	if m := s.world.Machine(); m != nil {
+		s.world.Clock().Advance(m.LocalRead(served))
+	}
+	if x.replies, err = s.group.Alltoallv(replies); err != nil {
+		return err
+	}
+	if remote > 0 {
+		x.per = (clockNow(s.world) - start) / time.Duration(remote)
+	}
 	return nil
 }
 
-// fetchTwoSidedBatch retrieves a batch of remote samples from one owner in
-// a single request/response exchange: the owner's responder must receive,
-// look up, and send — so a busy owner delays the requester (queueing the
-// paper's design discussion predicts), but only once per owner per batch.
-func (s *Store) fetchTwoSidedBatch(owner int, ids []int64) ([][]byte, error) {
-	me := s.group.Rank()
-	if err := s.group.Send(owner, tagFetchReq, encodeFetchReq(me, ids)); err != nil {
-		return nil, err
+// serve answers one request from this rank's chunk, adding the sample bytes
+// it copies to served.
+func (s *Store) serve(req []byte, served int64) ([]byte, int64) {
+	var reply []byte
+	var lenBuf [4]byte
+	for ; len(req) >= 8; req = req[8:] {
+		one, err := s.LocalSampleBytes(int64(binary.LittleEndian.Uint64(req)))
+		if err != nil {
+			binary.LittleEndian.PutUint32(lenBuf[:], missingMarker)
+			reply = append(reply, lenBuf[:]...)
+			continue
+		}
+		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(one)))
+		reply = append(reply, lenBuf[:]...)
+		reply = append(reply, one...)
+		served += int64(len(one))
 	}
-	if s.prof != nil {
-		s.prof.Inc(CounterTwoSidedRPCs, 1)
+	return reply, served
+}
+
+// fetchTwoSided delivers the owner's samples from its reply, running the
+// load's exchange first if this is the load's first remote Collect. The
+// reply slices are ordinary GC-owned memory (nil reference).
+func (s *Store) fetchTwoSided(owner int, deliver fetch.Deliver) error {
+	x := &s.twoSided
+	if !x.done {
+		if err := s.exchange(); err != nil {
+			return err
+		}
 	}
-	data, _, err := s.group.Recv(owner, tagRespBase+me)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(ids))
-	rest := data
+	rest := x.replies[owner]
+	ids := x.ids[owner]
 	for i, id := range ids {
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("core: truncated response from owner %d (%d of %d samples)", owner, i, len(ids))
+			return fmt.Errorf("core: truncated response from owner %d (%d of %d samples)", owner, i, len(ids))
 		}
 		n := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
 		if n == missingMarker {
-			return nil, fmt.Errorf("core: owner %d has no sample %d", owner, id)
+			return fmt.Errorf("core: owner %d has no sample %d", owner, id)
 		}
 		if uint64(n) > uint64(len(rest)) {
-			return nil, fmt.Errorf("core: owner %d response entry claims %d bytes, %d remain", owner, n, len(rest))
+			return fmt.Errorf("core: owner %d response entry claims %d bytes, %d remain", owner, n, len(rest))
 		}
-		out[i] = rest[:n:n]
+		raw := rest[:n:n]
 		rest = rest[n:]
+		if err := deliver(id, raw, nil, x.per); err != nil {
+			return fmt.Errorf("core: decode sample %d: %w", id, err)
+		}
+		s.stats.remoteGets.Add(1)
+		s.stats.bytesRemote.Add(int64(n))
 	}
-	return out, nil
+	return nil
 }
+
+// Close releases nothing: a store holds no goroutine or handle beyond its
+// memory, so every store may be closed, any number of times, or not at all.
+func (s *Store) Close() error { return nil }

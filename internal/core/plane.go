@@ -12,8 +12,8 @@ import (
 // storePlane adapts the Store to the shared fetch engine: owner arithmetic
 // over the chunk boundaries, local memory reads, one-sided RMA Gets (plus
 // the LockPerSample and NonBlocking ablation variants), and the two-sided
-// request/response alternative. The engine owns everything else — dedup,
-// cache claims, fan-out, follower waits, latency capture.
+// collective exchange. The engine owns everything else — dedup, cache
+// claims, fan-out, follower waits, latency capture.
 type storePlane struct {
 	s *Store
 }
@@ -22,25 +22,33 @@ func (p storePlane) OwnerOf(id int64) (int, error) { return p.s.OwnerOf(id) }
 
 func (p storePlane) Local(owner int) bool { return owner == p.s.group.Rank() }
 
-// Issue starts nothing: an RMA transfer runs whole in Collect, so owners are
-// charged to the virtual clock one after another in owner order.
-func (p storePlane) Issue(*fetch.Pending) {}
+// Issue starts no RMA transfer: it runs whole in Collect, so owners are
+// charged to the virtual clock one after another in owner order. On the
+// two-sided framework it records the ids the load's exchange asks of a
+// remote owner.
+func (p storePlane) Issue(pd *fetch.Pending) {
+	if s := p.s; s.opts.Framework == FrameworkTwoSided && pd.Owner != s.group.Rank() {
+		s.twoSided.ids[pd.Owner] = pd.IDs
+	}
+}
 
 // Collect runs one owner's transfer. A remote owner read under the
 // per-batch shared lock gets one access epoch around its Gets, and the
 // lock's cost is charged to the owner's first delivered sample — how a
 // per-batch lock amortizes; the epoch closes even when the transfer fails.
 // Local reads need no epoch, LockPerSample opens one per sample, and the
-// two-sided framework has no window locks at all. There is no wire to carry
-// the pending's trace context — an RMA Get involves no server-side CPU — so
-// the engine's own per-owner span is the whole trace of an RMA transfer.
+// two-sided framework has no window locks at all: its first remote Collect
+// waits for the whole group's exchange (see twoSidedLoad). There is no wire
+// to carry the pending's trace context — an RMA Get involves no server-side
+// CPU — so the engine's own per-owner span is the whole trace of an RMA
+// transfer.
 func (p storePlane) Collect(pd *fetch.Pending, deliver fetch.Deliver) error {
 	s, owner, ids := p.s, pd.Owner, pd.IDs
 	switch {
 	case owner == s.group.Rank():
 		return s.fetchLocal(ids, deliver)
 	case s.opts.Framework == FrameworkTwoSided:
-		return s.fetchTwoSided(owner, ids, deliver)
+		return s.fetchTwoSided(owner, deliver)
 	case s.opts.LockPerSample:
 		return s.fetchSequential(owner, ids, deliver, 0, true)
 	}
@@ -153,26 +161,6 @@ func (s *Store) fetchNonBlocking(owner int, ids []int64, deliver fetch.Deliver, 
 			return fmt.Errorf("core: decode remote sample %d: %w", id, err)
 		}
 		cost = 0
-	}
-	return nil
-}
-
-// fetchTwoSided retrieves the owner's samples in one multi-get RPC. The
-// exchange cost is shared by the samples it carried. The RPC reply slices
-// are ordinary GC-owned memory (nil reference).
-func (s *Store) fetchTwoSided(owner int, ids []int64, deliver fetch.Deliver) error {
-	before := clockNow(s.world)
-	raws, err := s.fetchTwoSidedBatch(owner, ids)
-	if err != nil {
-		return err
-	}
-	per := (clockNow(s.world) - before) / time.Duration(len(ids))
-	for i, id := range ids {
-		if err := deliver(id, raws[i], nil, per); err != nil {
-			return fmt.Errorf("core: decode sample %d: %w", id, err)
-		}
-		s.stats.remoteGets.Add(1)
-		s.stats.bytesRemote.Add(int64(len(raws[i])))
 	}
 	return nil
 }

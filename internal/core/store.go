@@ -126,8 +126,9 @@ type Store struct {
 	// plugs in as its RMA/two-sided plane via storePlane.
 	engine *fetch.Engine
 
-	// respDone signals two-sided responder shutdown (nil for RMA stores).
-	respDone chan struct{}
+	// twoSided is the two-sided framework's per-load exchange (unused by
+	// RMA stores, whose loads take no lock).
+	twoSided twoSidedLoad
 
 	// Stats accumulated by Load (atomic: concurrent Load callers bump them
 	// without a lock).
@@ -289,7 +290,7 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 	}
 	s.win = win
 	if opts.Framework == FrameworkTwoSided {
-		s.startResponder()
+		s.twoSided.ids = make([][]int64, width)
 	}
 
 	// The batch-load pipeline itself — dedup, cache claims, per-owner
@@ -388,8 +389,11 @@ func (s *Store) OwnerOf(id int64) (int, error) {
 // are fetched from their owners with one-sided Gets, grouping ids by owner
 // so each owner's window lock is acquired once (the lock cost lands on the
 // first sample fetched from that owner, mirroring how a real per-batch lock
-// amortizes). The whole pipeline — dedup, cache claims, per-owner fan-out,
-// coalesced-fetch waits — runs in the shared engine (internal/fetch).
+// amortizes). On a two-sided store the load is instead one collective
+// exchange over the replica group, which every member enters once per load
+// (see Framework). The whole pipeline — dedup, cache claims, per-owner
+// fan-out, coalesced-fetch waits — runs in the shared engine
+// (internal/fetch).
 //
 // The float/int tensors are built only if the caller asks for the Graph, so
 // a consumer that just re-encodes (a prefetch stash, a proxy) never pays the
@@ -399,6 +403,9 @@ func (s *Store) OwnerOf(id int64) (int, error) {
 // off it — and the zero Context means untraced; the same contract holds on
 // the TCP plane (transport.Group.LoadLazyTraced).
 func (s *Store) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
+	if s.opts.Framework == FrameworkTwoSided {
+		return s.loadTwoSided(ids, tc)
+	}
 	start := clockNow(s.world)
 	out, lat, err := s.engine.LoadLazy(ids, tc)
 	if err != nil {

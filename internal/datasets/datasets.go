@@ -47,7 +47,7 @@ type Dataset struct {
 	yDim      int
 	nodeDim   int
 	edgeDim   int
-	gen       func(rng *vtime.RNG, id int64) *graph.Graph
+	kind      kind
 	// cache holds pre-generated samples after EnableCache. Samples are
 	// treated as immutable everywhere (batching and preloading copy), so
 	// sharing pointers is safe.
@@ -81,9 +81,37 @@ func (d *Dataset) Sample(id int64) (*graph.Graph, error) {
 	return d.generate(id), nil
 }
 
+// kind selects a dataset's generator.
+type kind int
+
+const (
+	kindIsing kind = iota
+	kindHomoLumo
+	kindDiscrete
+	kindSmooth // its grid is yDim bins wide
+)
+
+// generate builds sample id. The generators are called directly, not
+// through a function value, so the sample's RNG stays on the stack.
 func (d *Dataset) generate(id int64) *graph.Graph {
 	rng := vtime.NewRNG(uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
-	g := d.gen(rng, id)
+	var g *graph.Graph
+	switch d.kind {
+	case kindIsing:
+		g = isingSample(rng)
+	case kindHomoLumo:
+		g = moleculeGraph(rng)
+		g.Y = []float32{homoLumoGap(g)}
+	case kindDiscrete:
+		g = moleculeGraph(rng)
+		g.Y = make([]float32, 100)
+		spectrumPeaks(g, rng, g.Y[:50], g.Y[50:])
+	case kindSmooth:
+		g = moleculeGraph(rng)
+		var pos, inten [50]float32
+		spectrumPeaks(g, rng, pos[:], inten[:])
+		g.Y = SmoothSpectrum(pos[:], inten[:], d.yDim, 0.01)
+	}
 	g.ID = id
 	return g
 }
@@ -142,36 +170,39 @@ func Ising(cfg Config) *Dataset {
 		yDim:      1,
 		nodeDim:   4, // spin, x, y, z
 		edgeDim:   1, // coupling strength
-		gen: func(rng *vtime.RNG, id int64) *graph.Graph {
-			lat := isingLattice()
-			nodeFeat := make([]float32, len(lat.nodeFeat))
-			copy(nodeFeat, lat.nodeFeat)
-			for i := 0; i < isingAtoms; i++ {
-				if rng.Intn(2) == 0 {
-					nodeFeat[i*4] = -1
-				} else {
-					nodeFeat[i*4] = 1
-				}
-			}
-			// Each bond is the pair src[k], src[k+1] (its two directed
-			// edges are adjacent), summed in lattice order as float32
-			// products.
-			var energy float64
-			for k := 0; k < len(lat.src); k += 2 {
-				energy -= float64(nodeFeat[lat.src[k]*4] * nodeFeat[lat.src[k+1]*4])
-			}
-			return &graph.Graph{
-				NumNodes:    isingAtoms,
-				NodeFeatDim: 4,
-				NodeFeat:    nodeFeat,
-				EdgeSrc:     lat.src,
-				EdgeDst:     lat.dst,
-				EdgeFeatDim: 1,
-				EdgeFeat:    lat.edgeFeat,
-				Pos:         lat.pos,
-				Y:           []float32{float32(energy / isingAtoms)}, // per-atom energy
-			}
-		},
+		kind:      kindIsing,
+	}
+}
+
+// isingSample draws one sample's spins over the shared lattice and labels
+// it with its per-atom energy.
+func isingSample(rng *vtime.RNG) *graph.Graph {
+	lat := isingLattice()
+	nodeFeat := make([]float32, len(lat.nodeFeat))
+	copy(nodeFeat, lat.nodeFeat)
+	for i := 0; i < isingAtoms; i++ {
+		if rng.Intn(2) == 0 {
+			nodeFeat[i*4] = -1
+		} else {
+			nodeFeat[i*4] = 1
+		}
+	}
+	// Each bond is the pair src[k], src[k+1] (its two directed edges are
+	// adjacent), summed in lattice order as float32 products.
+	var energy float64
+	for k := 0; k < len(lat.src); k += 2 {
+		energy -= float64(nodeFeat[lat.src[k]*4] * nodeFeat[lat.src[k+1]*4])
+	}
+	return &graph.Graph{
+		NumNodes:    isingAtoms,
+		NodeFeatDim: 4,
+		NodeFeat:    nodeFeat,
+		EdgeSrc:     lat.src,
+		EdgeDst:     lat.dst,
+		EdgeFeatDim: 1,
+		EdgeFeat:    lat.edgeFeat,
+		Pos:         lat.pos,
+		Y:           []float32{float32(energy / isingAtoms)}, // per-atom energy
 	}
 }
 
@@ -332,11 +363,7 @@ func HomoLumo(cfg Config) *Dataset {
 		yDim:      1,
 		nodeDim:   3,
 		edgeDim:   0,
-		gen: func(rng *vtime.RNG, id int64) *graph.Graph {
-			g := moleculeGraph(rng)
-			g.Y = []float32{homoLumoGap(g)}
-			return g
-		},
+		kind:      kindHomoLumo,
 	}
 }
 
@@ -374,12 +401,7 @@ func AISDExDiscrete(cfg Config) *Dataset {
 		yDim:      100,
 		nodeDim:   3,
 		edgeDim:   0,
-		gen: func(rng *vtime.RNG, id int64) *graph.Graph {
-			g := moleculeGraph(rng)
-			g.Y = make([]float32, 100)
-			spectrumPeaks(g, rng, g.Y[:50], g.Y[50:])
-			return g
-		},
+		kind:      kindDiscrete,
 	}
 }
 
@@ -398,13 +420,7 @@ func AISDExSmooth(cfg Config) *Dataset {
 		yDim:      bins,
 		nodeDim:   3,
 		edgeDim:   0,
-		gen: func(rng *vtime.RNG, id int64) *graph.Graph {
-			g := moleculeGraph(rng)
-			var pos, inten [50]float32
-			spectrumPeaks(g, rng, pos[:], inten[:])
-			g.Y = SmoothSpectrum(pos[:], inten[:], bins, 0.01)
-			return g
-		},
+		kind:      kindSmooth,
 	}
 }
 
