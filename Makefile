@@ -32,7 +32,9 @@ bench:
 # fetch engine over a stub plane (fetch.LoadLazy64: the load, its two
 # results, the view slab, the slot table, the index lists, the grouped ids
 # and the deliver closure, for 64 positions with or without repeats; with a
-# cold cache one flight per miss on top) and the group's share of a healthy
+# cold cache one flight per miss on top; fetch.LoadMaterialize64: that load
+# and the Graph of every position, whose two shared slabs are the only
+# allocations materializing adds) and the group's share of a healthy
 # 16-id round trip (transport.FetchChunk16: the pick list and the part
 # list). A cache hit in a full shard and an insert that evicts
 # (cache.ClaimHit, cache.PutEvict: nothing — the slab reuses the victim's
@@ -53,6 +55,7 @@ ADMIT_ALLOC_MAX ?= 0
 GETBATCH16_ALLOC_MAX ?= 3
 LOADLAZY64_ALLOC_MAX ?= 8
 LOADLAZY64_COLD_ALLOC_MAX ?= 72
+LOADMAT64_ALLOC_MAX ?= 10
 FETCHCHUNK16_ALLOC_MAX ?= 2
 CLAIMHIT_ALLOC_MAX ?= 0
 PUTEVICT_ALLOC_MAX ?= 0
@@ -65,15 +68,15 @@ OUT := .bench_build
 
 bench-allocs:
 	@mkdir -p $(OUT)
-	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|FetchChunk16|ClaimHit|PutEvict|Generate)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache ./internal/datasets | tee $(OUT)/decode-allocs.txt
+	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|LoadMaterialize64|FetchChunk16|ClaimHit|PutEvict|Generate)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache ./internal/datasets | tee $(OUT)/decode-allocs.txt
 	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" \
 		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" \
-		-v load="$(LOADLAZY64_ALLOC_MAX)" -v loadcold="$(LOADLAZY64_COLD_ALLOC_MAX)" -v chunk16="$(FETCHCHUNK16_ALLOC_MAX)" \
+		-v load="$(LOADLAZY64_ALLOC_MAX)" -v loadcold="$(LOADLAZY64_COLD_ALLOC_MAX)" -v loadmat="$(LOADMAT64_ALLOC_MAX)" -v chunk16="$(FETCHCHUNK16_ALLOC_MAX)" \
 		-v claimhit="$(CLAIMHIT_ALLOC_MAX)" -v putevict="$(PUTEVICT_ALLOC_MAX)" \
 		-v genising="$(GEN_ISING_ALLOC_MAX)" -v genmol="$(GEN_MOLECULE_ALLOC_MAX)" ' \
 		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; \
 			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16; \
-			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkFetchChunk16"] = chunk16; \
+			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkLoadMaterialize64"] = loadmat; max["BenchmarkFetchChunk16"] = chunk16; \
 			max["BenchmarkClaimHit"] = claimhit; max["BenchmarkPutEvict"] = putevict; \
 			max["BenchmarkGenerate/ising"] = genising; max["BenchmarkGenerate/homolumo"] = genmol; \
 			max["BenchmarkGenerate/discrete"] = genmol; max["BenchmarkGenerate/smooth"] = genmol } \
@@ -88,7 +91,7 @@ bench-allocs:
 		END { \
 			for (name in max) if (!ran[name]) { printf "FAIL: %s did not run\n", name; bad = 1 } \
 			if (bad) exit 1; \
-			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, chunk16 <= %s, claim hit <= %s, put/evict <= %s, ising sample <= %s, molecule <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, chunk16, claimhit, putevict, genising, genmol }' $(OUT)/decode-allocs.txt
+			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, load + materialize <= %s, chunk16 <= %s, claim hit <= %s, put/evict <= %s, ising sample <= %s, molecule <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, loadmat, chunk16, claimhit, putevict, genising, genmol }' $(OUT)/decode-allocs.txt
 
 vet:
 	$(GO) vet ./...

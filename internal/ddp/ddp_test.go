@@ -402,6 +402,44 @@ func TestTrainLossIdenticalAcrossRanks(t *testing.T) {
 	}
 }
 
+// TestEvalOnUnevenShardsTwoSided evaluates a split whose shards need
+// different numbers of eval loads (20 ids over 3 ranks in batches of 3: 3,
+// 3 and 2 loads) on a two-sided store, which loads collectively: the short
+// rank must keep entering the exchange, and the losses must be exactly the
+// one-sided store's.
+func TestEvalOnUnevenShardsTwoSided(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 200})
+	small := hydra.Config{
+		NodeFeatDim: ds.NodeFeatDim(), HiddenDim: 8, ConvLayers: 1, FCLayers: 1,
+		OutputDim: ds.OutputDim(), Seed: 5,
+	}
+	split := NewSplit(ds.Len(), 3)
+	if a, b := ShardFor(split.Val, 3, 0).Len(), ShardFor(split.Val, 3, 2).Len(); (a+2)/3 == (b+2)/3 {
+		t.Fatalf("val shards of %d and %d ids need the same number of loads: the test would not exercise padding", a, b)
+	}
+	var losses [2][2]float64
+	for i, f := range []core.Framework{core.FrameworkRMA, core.FrameworkTwoSided} {
+		res, _ := runTraining(t, 3, nil, func(c *comm.Comm) (Config, error) {
+			st, err := core.Open(c, ds, core.Options{Framework: f})
+			if err != nil {
+				return Config{}, err
+			}
+			return Config{
+				Loader:     &PlaneLoader{Plane: st},
+				LocalBatch: 3,
+				Epochs:     1,
+				Seed:       3,
+				Model:      hydra.New(small),
+				Eval:       true,
+			}, nil
+		})
+		losses[i] = [2]float64{res.Epochs[0].ValLoss, res.Epochs[0].TestLoss}
+	}
+	if losses[0] != losses[1] || losses[0][0] <= 0 || losses[0][1] <= 0 {
+		t.Fatalf("val/test losses: one-sided %v, two-sided %v", losses[0], losses[1])
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	w, err := comm.NewWorld(1, 1)
 	if err != nil {

@@ -370,17 +370,19 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 
 // evalShard computes the global average loss over the given ids: each rank
 // evaluates its shard in eval-batch chunks, then losses are averaged by
-// sample count.
+// sample count. Every rank runs as many loads as the largest shard (rank
+// 0's) needs, a short rank padding with empty ones: a two-sided store loads
+// collectively, so a rank that stopped early would leave the others in an
+// exchange it never enters.
 func evalShard(c *comm.Comm, cfg Config, ids IDs) (float64, error) {
 	shard := ShardFor(ids, c.Size(), c.Rank())
+	loads := (ShardFor(ids, c.Size(), 0).Len() + cfg.LocalBatch - 1) / cfg.LocalBatch
 	var lossSum float64
 	var count int
 	batchIDs := make([]int64, 0, cfg.LocalBatch)
-	for lo := 0; lo < shard.Len(); lo += cfg.LocalBatch {
-		hi := lo + cfg.LocalBatch
-		if hi > shard.Len() {
-			hi = shard.Len()
-		}
+	for k := 0; k < loads; k++ {
+		lo := min(k*cfg.LocalBatch, shard.Len())
+		hi := min(lo+cfg.LocalBatch, shard.Len())
 		batchIDs = batchIDs[:0]
 		for i := lo; i < hi; i++ {
 			batchIDs = append(batchIDs, shard.At(i))
@@ -388,6 +390,9 @@ func evalShard(c *comm.Comm, cfg Config, ids IDs) (float64, error) {
 		graphs, _, err := cfg.Loader.LoadBatch(batchIDs)
 		if err != nil {
 			return 0, err
+		}
+		if len(graphs) == 0 {
+			continue
 		}
 		batch, err := graph.NewBatch(graphs)
 		if err != nil {

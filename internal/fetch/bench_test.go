@@ -65,3 +65,40 @@ func BenchmarkLoadLazy64(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLoadMaterialize64 is a load and the Graph of every one of its 64
+// positions, as a loader's LoadBatch does: the load's eight allocations and
+// two more for all its Graphs together (graph.Slabs: one tensor slab, one
+// Graph slab), whether its ids are all different or half of them repeats.
+func BenchmarkLoadMaterialize64(b *testing.B) {
+	p := benchPlane{raw: make([][]byte, 64)}
+	for id := range p.raw {
+		p.raw[id] = testGraph(int64(id)).Encode()
+	}
+	unique, repeats := make([]int64, 64), make([]int64, 64)
+	for i := range unique {
+		unique[i] = int64(i*37) % 64
+		repeats[i] = unique[i] % 32
+	}
+	e := New(Config{Plane: p})
+	for _, bc := range []struct {
+		name string
+		ids  []int64
+	}{
+		{"plain", unique},
+		{"duplicates", repeats},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				views, _, err := e.LoadLazy(bc.ids, tracectx.Context{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, v := range views {
+					v.Graph()
+				}
+			}
+		})
+	}
+}

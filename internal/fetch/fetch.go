@@ -205,6 +205,9 @@ type load struct {
 	out   []*graph.Lazy
 	lats  []time.Duration
 	views []graph.Lazy // one per position, behind out; a repeat's is a clone of its slot's
+	// slabs is what the views materialize into, held by value so that a
+	// load whose views are never materialized allocates nothing for it.
+	slabs graph.Slabs
 	slots []slot
 	// Four int32 lists carved from one allocation. slotOf maps a position to
 	// its slot. table is the load's one lookup keyed by sample id, open-
@@ -237,7 +240,7 @@ func (ld *load) deliver(id int64, raw []byte, ref graph.Ref, lat time.Duration) 
 	var err error
 	if c := *ld.cell(id); c == 0 || !ld.slots[c-1].ours() {
 		err = fmt.Errorf("%s: sample %d delivered but not awaited", ld.e.prefix, id)
-	} else if err = graph.DecodeLazyInto(&ld.views[ld.slots[c-1].first], raw, ref); err == nil {
+	} else if err = ld.slabs.DecodeInto(int(ld.slots[c-1].first), raw, ref); err == nil {
 		s := &ld.slots[c-1]
 		s.lat, s.done = lat, true
 		if f := s.flight; f != nil {
@@ -260,7 +263,7 @@ func (ld *load) deliver(id int64, raw []byte, ref graph.Ref, lat time.Duration) 
 // takes over ref; on error ref is released. It cannot fail: only
 // header-validated bytes are ever cached.
 func (ld *load) serve(s *slot, raw []byte, ref cache.Ref, what string) error {
-	if err := graph.DecodeLazyInto(&ld.views[s.first], raw, ref); err != nil {
+	if err := ld.slabs.DecodeInto(int(s.first), raw, ref); err != nil {
 		if ref != nil {
 			ref.Release()
 		}
@@ -299,8 +302,11 @@ func (ld *load) fail(err error) error {
 // Release instead. Duplicate ids share one fetch, but every position gets
 // its own independent view (each holding its own buffer reference), so
 // callers consume strictly by position. The views of one load are one
-// allocation: keeping a single Lazy keeps all of them (112 bytes a
-// position, not their buffers) from the collector.
+// allocation, and their Graphs two more (graph.Slabs): the first Graph call
+// on any view sizes one tensor slab and one Graph slab for every view
+// still unmaterialized. Keeping a single Lazy keeps the load's views and
+// bookkeeping (not their buffers) from the collector; keeping a single
+// Graph keeps its load's slabs.
 //
 // tc is the caller's span in a distributed trace (the batch's root, or an
 // intermediate): every per-owner fan-out hands the plane a child context
@@ -325,6 +331,7 @@ func (e *Engine) load(ids []int64, tc tracectx.Context) (*load, error) {
 		views: make([]graph.Lazy, n), slots: make([]slot, 0, n),
 		slotOf: ints[:n:n], order: ints[n : n : 2*n], starts: ints[2*n : 2*n : 3*n+1], table: ints[3*n+1:],
 	}
+	ld.slabs.Bind(ld.views)
 
 	// Dedup in first-appearance order, validating every id before any
 	// cache claim — an invalid id can never strand a flight.

@@ -4,3 +4,13 @@ package graph
 // tests in reference_test.go, which sit outside the package so that they
 // can import internal/datasets.
 var SizedGraph = sizedGraph
+
+// Holds reports whether g is one of the Graphs in the load's Graph slab.
+func (s *Slabs) Holds(g *Graph) bool {
+	for i := range s.graphs {
+		if &s.graphs[i] == g {
+			return true
+		}
+	}
+	return false
+}

@@ -138,7 +138,9 @@ const headerSize = 4 + 8 + 6*4
 // header is the parsed fixed-size codec header plus the derived total
 // encoded size. Parsing it validates everything about an encoded graph
 // except the tensor payload bytes themselves, so a header alone is enough
-// to accept a sample onto the hot path and defer materialization.
+// to accept a sample onto the hot path and defer materialization. The
+// hasPos word is not kept: the positions are whatever words the other five
+// tensors leave of the payload (fill), which keeps a Lazy at 112 bytes.
 type header struct {
 	id          int64
 	numNodes    int
@@ -146,7 +148,6 @@ type header struct {
 	numEdges    int
 	edgeFeatDim int
 	lenY        int
-	hasPos      bool
 	want        int // total encoded bytes including the header
 }
 
@@ -174,11 +175,11 @@ func parseHeader(data []byte) (header, error) {
 	nodeFeatDim := uint64(binary.LittleEndian.Uint32(data[16:]))
 	numEdges := uint64(binary.LittleEndian.Uint32(data[20:]))
 	edgeFeatDim := uint64(binary.LittleEndian.Uint32(data[24:]))
-	h.hasPos = binary.LittleEndian.Uint32(data[28:]) != 0
+	hasPos := binary.LittleEndian.Uint32(data[28:]) != 0
 	lenY := uint64(binary.LittleEndian.Uint32(data[32:]))
 
 	nodeWords, edgeFeatWords, posWords := numNodes*nodeFeatDim, numEdges*edgeFeatDim, uint64(0)
-	if h.hasPos {
+	if hasPos {
 		posWords = 3 * numNodes
 	}
 	// present is under 2^61, so three products within it plus two u32
@@ -187,7 +188,7 @@ func parseHeader(data []byte) (header, error) {
 	words := nodeWords + 2*numEdges + edgeFeatWords + posWords + lenY
 	if max(nodeWords, edgeFeatWords, posWords) > present || words > present {
 		return h, fmt.Errorf("graph: header (%d nodes × %d, %d edges × %d, pos %t, %d targets) needs more than the %d bytes present",
-			numNodes, nodeFeatDim, numEdges, edgeFeatDim, h.hasPos, lenY, len(data))
+			numNodes, nodeFeatDim, numEdges, edgeFeatDim, hasPos, lenY, len(data))
 	}
 	h.numNodes, h.nodeFeatDim = int(numNodes), int(nodeFeatDim)
 	h.numEdges, h.edgeFeatDim = int(numEdges), int(edgeFeatDim)
@@ -201,15 +202,32 @@ func parseHeader(data []byte) (header, error) {
 	return h, nil
 }
 
-// materialize builds the Graph for a validated header: one slab allocation
-// and one bulk copy of the payload, with the six tensors as typed views of
-// that slab (words.go), so a full decode costs two allocations (Graph +
-// slab). The slab is the codec's own, never the wire bytes, so the Graph
-// owns its memory. Views are capacity-clipped so appending to one tensor
-// can never scribble over its slab neighbors, and zero-length tensors stay
-// nil exactly as the per-tensor decoder produced them.
+// payloadWords is the number of 32-bit words the six tensors take.
+func (h *header) payloadWords() int { return (h.want - headerSize) / 4 }
+
+// materialize builds a standalone Graph for a validated header: its own
+// Graph and its own slab, one allocation each, and one bulk copy of the
+// payload (cloneWords). A view of a load takes both from its load's slabs
+// instead (Slabs.take); either way fill makes the tensors.
 func (h *header) materialize(data []byte) *Graph {
-	g := &Graph{
+	g := new(Graph)
+	h.fill(g, cloneWords(data[headerSize:h.want]))
+	return g
+}
+
+// fill makes g the graph of h over w, the payload's words already copied
+// out of the wire bytes into a slab the codec allocated: the six tensors are
+// typed views of w (words.go), never of the wire bytes, so the Graph owns
+// its memory. Views are capacity-clipped so appending to one tensor can
+// never scribble over its slab neighbours — in a load's shared slab, over
+// another sample's — and zero-length tensors stay nil exactly as the
+// per-tensor decoder produced them. The positions are the words the other
+// five tensors leave.
+func (h *header) fill(g *Graph, w []uint32) {
+	if !hostLittleEndian {
+		swapWords(wordBytes(w))
+	}
+	*g = Graph{
 		ID:          h.id,
 		NumNodes:    h.numNodes,
 		NodeFeatDim: h.nodeFeatDim,
@@ -217,21 +235,13 @@ func (h *header) materialize(data []byte) *Graph {
 	}
 	nNode := h.numNodes * h.nodeFeatDim
 	nEdgeFeat := h.numEdges * h.edgeFeatDim
-	nPos := 0
-	if h.hasPos {
-		nPos = h.numNodes * 3
-	}
-	slab := cloneWords(data[headerSize:h.want])
-	if !hostLittleEndian {
-		swapWords(wordBytes(slab))
-	}
-	g.NodeFeat, slab = viewWords[float32](slab[:nNode]), slab[nNode:]
-	g.EdgeSrc, slab = viewWords[int32](slab[:h.numEdges]), slab[h.numEdges:]
-	g.EdgeDst, slab = viewWords[int32](slab[:h.numEdges]), slab[h.numEdges:]
-	g.EdgeFeat, slab = viewWords[float32](slab[:nEdgeFeat]), slab[nEdgeFeat:]
-	g.Pos, slab = viewWords[float32](slab[:nPos]), slab[nPos:]
-	g.Y = viewWords[float32](slab[:h.lenY])
-	return g
+	nPos := len(w) - nNode - 2*h.numEdges - nEdgeFeat - h.lenY
+	g.NodeFeat, w = viewWords[float32](w[:nNode]), w[nNode:]
+	g.EdgeSrc, w = viewWords[int32](w[:h.numEdges]), w[h.numEdges:]
+	g.EdgeDst, w = viewWords[int32](w[:h.numEdges]), w[h.numEdges:]
+	g.EdgeFeat, w = viewWords[float32](w[:nEdgeFeat]), w[nEdgeFeat:]
+	g.Pos, w = viewWords[float32](w[:nPos]), w[nPos:]
+	g.Y = viewWords[float32](w[:h.lenY])
 }
 
 // Decode deserializes one graph from data, which must contain exactly one

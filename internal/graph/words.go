@@ -9,21 +9,26 @@ package graph
 // slab whose typed sub-slices are the tensors, and encode is one append of
 // each tensor's bytes, instead of a load, convert and store per element.
 //
-// The rule: a view is taken only of a slab the codec itself just allocated
-// (cloneWords, for materialize), or of a caller's typed tensor for the
+// The rule: a view is taken only of a slab the codec itself allocated (a
+// load's shared tensor slab, which Slabs makes when it sizes them, or
+// cloneWords, for materialize), or of a caller's typed tensor for the
 // duration of one append (AppendTo) — never of wire, pooled, cached or
 // RMA-window bytes. That keeps three invariants:
 //
-//   - own slab only: a Graph owns its memory, so Lazy.Graph can release
-//     the buffer reference and a trainer mutating a tensor cannot reach a
-//     cache entry or a recycled buffer;
+//   - own slab only: a Graph owns its memory — in a load's shared slab,
+//     together with the load's other Graphs, each its own stretch — so
+//     Lazy.Graph can release the buffer reference and a trainer mutating a
+//     tensor cannot reach a cache entry, a recycled buffer or another
+//     sample;
 //   - allocator-guaranteed alignment: a tensor is a []float32 or []int32
 //     over a []uint32 slab, so every reinterpretation between them is of
-//     4-byte words the allocator aligned. The slab itself starts at the
-//     first byte of a fresh allocation (cloneWords), which the allocator
-//     aligns to at least the largest power of two dividing its size — a
-//     multiple of four here; cloneWords checks that and does not rely on
-//     it. Nothing is ever a byte offset into someone else's buffer;
+//     4-byte words the allocator aligned. A shared slab is a []uint32 the
+//     allocator made, and a view's stretch of it starts at a word offset;
+//     a standalone slab starts at the first byte of a fresh allocation
+//     (cloneWords), which the allocator aligns to at least the largest
+//     power of two dividing its size — a multiple of four here; cloneWords
+//     checks that and does not rely on it. Nothing is ever a byte offset
+//     into someone else's buffer;
 //   - header-bounded slicing: views reinterpret an ordinary, bounds-checked
 //     sub-slice of the one slab and take its length; none is built from a
 //     header count directly.
