@@ -43,7 +43,12 @@ bench:
 # lattice's topology, coordinates and couplings are built once and shared;
 # a molecule (homolumo, discrete, smooth) is its Graph, node features,
 # label and its two edge lists, each allocated at its exact capacity (the
-# RNG, elements, degrees and smooth's peaks live on the stack). A
+# RNG, elements, degrees and smooth's peaks live on the stack). One packed
+# run of 1,000 pre-read samples by a fresh Packer (graph.Pack: the Packed,
+# its end offsets, append's growth over the first samples, the reservation
+# from their mean and the trim to 1 %; a per-sample allocation would pass
+# it 1,000 times), the packer a DDStore rank's window and a serving
+# owner's shards share. A
 # budget on a benchmark covers every sub-benchmark it runs; a budget on one
 # sub-benchmark names it in full. A regression here means a
 # copy or a per-request allocation crept back into the hot path.
@@ -61,6 +66,7 @@ CLAIMHIT_ALLOC_MAX ?= 0
 PUTEVICT_ALLOC_MAX ?= 0
 GEN_ISING_ALLOC_MAX ?= 3
 GEN_MOLECULE_ALLOC_MAX ?= 5
+PACK_ALLOC_MAX ?= 20
 
 # Build products (alloc tables, cover profiles, smoke binaries and
 # artifacts) go under the ignored .bench_build/, never beside the sources.
@@ -68,18 +74,18 @@ OUT := .bench_build
 
 bench-allocs:
 	@mkdir -p $(OUT)
-	@$(GO) test -run='^$$' -bench='^Benchmark(DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|LoadMaterialize64|FetchChunk16|ClaimHit|PutEvict|Generate)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache ./internal/datasets | tee $(OUT)/decode-allocs.txt
+	@$(GO) test -run='^$$' -bench='^Benchmark(Pack|DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|LoadMaterialize64|FetchChunk16|ClaimHit|PutEvict|Generate)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache ./internal/datasets | tee $(OUT)/decode-allocs.txt
 	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" \
 		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" \
 		-v load="$(LOADLAZY64_ALLOC_MAX)" -v loadcold="$(LOADLAZY64_COLD_ALLOC_MAX)" -v loadmat="$(LOADMAT64_ALLOC_MAX)" -v chunk16="$(FETCHCHUNK16_ALLOC_MAX)" \
 		-v claimhit="$(CLAIMHIT_ALLOC_MAX)" -v putevict="$(PUTEVICT_ALLOC_MAX)" \
-		-v genising="$(GEN_ISING_ALLOC_MAX)" -v genmol="$(GEN_MOLECULE_ALLOC_MAX)" ' \
+		-v genising="$(GEN_ISING_ALLOC_MAX)" -v genmol="$(GEN_MOLECULE_ALLOC_MAX)" -v pack="$(PACK_ALLOC_MAX)" ' \
 		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; \
 			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16; \
 			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkLoadMaterialize64"] = loadmat; max["BenchmarkFetchChunk16"] = chunk16; \
 			max["BenchmarkClaimHit"] = claimhit; max["BenchmarkPutEvict"] = putevict; \
 			max["BenchmarkGenerate/ising"] = genising; max["BenchmarkGenerate/homolumo"] = genmol; \
-			max["BenchmarkGenerate/discrete"] = genmol; max["BenchmarkGenerate/smooth"] = genmol } \
+			max["BenchmarkGenerate/discrete"] = genmol; max["BenchmarkGenerate/smooth"] = genmol; max["BenchmarkPack"] = pack } \
 		/^Benchmark/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (!(name in max)) sub(/\/.*/, "", name); \
@@ -91,7 +97,7 @@ bench-allocs:
 		END { \
 			for (name in max) if (!ran[name]) { printf "FAIL: %s did not run\n", name; bad = 1 } \
 			if (bad) exit 1; \
-			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, load + materialize <= %s, chunk16 <= %s, claim hit <= %s, put/evict <= %s, ising sample <= %s, molecule <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, loadmat, chunk16, claimhit, putevict, genising, genmol }' $(OUT)/decode-allocs.txt
+			printf "alloc budgets ok (decode <= %s, materialize <= %s, batch <= %s, served get <= %s, admit <= %s, getbatch16 <= %s, load <= %s, cold load <= %s, load + materialize <= %s, chunk16 <= %s, claim hit <= %s, put/evict <= %s, ising sample <= %s, molecule <= %s, pack 1000 <= %s allocs/op)\n", decode, materialize, batch, get, admit, getbatch16, load, loadcold, loadmat, chunk16, claimhit, putevict, genising, genmol, pack }' $(OUT)/decode-allocs.txt
 
 vet:
 	$(GO) vet ./...

@@ -37,10 +37,6 @@ import (
 	"ddstore/internal/transport"
 )
 
-// reserveAfter is how many packed samples Open wants before their mean size
-// stands for the chunk's.
-const reserveAfter = 32
-
 // SampleSource is anything the preloader can read a dataset from: the PFF
 // and CFF stores (real or simulated) and the in-memory dataset generators
 // all satisfy it.
@@ -222,33 +218,13 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 	s.myLo = s.starts[group.Rank()]
 	s.myHi = s.starts[group.Rank()+1]
 
-	// Preload: read this rank's chunk from the source and pack it. The
-	// window is reserved from the mean encoded size of the samples packed so
-	// far — first once reserveAfter of them are in, again only if that
-	// estimate runs out — so a chunk is not re-copied at every step of
-	// append's geometric growth, and ends with the estimate's error as
-	// slack, not a quarter of itself.
+	// Preload: read this rank's chunk from the source and pack it.
 	preloadStart := clockNow(c)
-	count := int(s.myHi - s.myLo)
-	lengths := make([]int32, 0, count)
-	for id := s.myLo; id < s.myHi; id++ {
-		g, err := src.ReadSample(id)
-		if err != nil {
-			return nil, fmt.Errorf("core: preload sample %d: %w", id, err)
-		}
-		if g.ID != id {
-			return nil, fmt.Errorf("core: source returned sample %d for id %d", g.ID, id)
-		}
-		n, need := len(lengths), g.EncodedSize()
-		if n >= reserveAfter && need > cap(s.buf)-len(s.buf) {
-			mean := (len(s.buf) + n - 1) / n
-			s.buf = slices.Grow(s.buf, max(need, mean*(count-n)))
-		}
-		before := len(s.buf)
-		s.buf = g.AppendTo(s.buf)
-		lengths = append(lengths, int32(len(s.buf)-before))
+	packed, err := new(graph.Packer).Pack(s.myLo, s.myHi, src.ReadSample)
+	if err != nil {
+		return nil, fmt.Errorf("core: preload: %w", err)
 	}
-	s.buf = slices.Clip(s.buf)
+	s.buf = slices.Clip(packed.Buf)
 	if s.prof != nil {
 		s.prof.Add(trace.RegionPreload, clockNow(c)-preloadStart)
 	}
@@ -260,9 +236,11 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 	// deployment each process would hold its own few-MB copy (or an MPI-3
 	// shared-memory window per node); here sharing keeps a 1536-rank
 	// simulation from replicating it 1536 times.
-	manifest := make([]byte, 4*len(lengths))
-	for i, l := range lengths {
-		binary.LittleEndian.PutUint32(manifest[4*i:], uint32(l))
+	manifest := make([]byte, 4*len(packed.Ends))
+	var start uint32
+	for i, end := range packed.Ends {
+		binary.LittleEndian.PutUint32(manifest[4*i:], end-start)
+		start = end
 	}
 	all, err := group.Allgather(manifest)
 	if err != nil {

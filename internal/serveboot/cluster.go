@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ddstore/internal/bufarena"
 	"ddstore/internal/cache"
 	"ddstore/internal/faultnet"
 	"ddstore/internal/frontend"
@@ -22,7 +23,7 @@ import (
 )
 
 // migrateBatch is how many samples one migration pull requests at a time
-// — the same batched GetBatchRaw framing clients use.
+// — the same batched getbatch framing clients use.
 const migrateBatch = 256
 
 // migrationTenant is the reserved tenant migration pull clients declare.
@@ -37,17 +38,22 @@ const migrationTenant = "ddstore-migration"
 // the chunk is touched — so static clients discover the range as they
 // always did and never see a stale-generation answer from a cluster that
 // has not resharded. The serving mode is the miss policy. Preloaded
-// (hot == nil): a miss is an error, which keeps "no chunk leaves its old
-// owner before the gainer holds it" checkable. Lazy (hot != nil): a miss
-// faults the sample in from the durable source through the cluster's
-// byte-budgeted cache, concurrent misses coalesced into one read.
+// (hot == nil): each shard the owner holds is one packed buffer plus one
+// 32-bit end offset per sample, preloaded or migrated whole, and a miss is
+// an error, which keeps "no chunk leaves its old owner before the gainer
+// holds it" checkable. Lazy (hot != nil): a miss faults the sample in from
+// the durable source through the cluster's byte-budgeted cache, concurrent
+// misses coalesced into one read.
 type chunk struct {
 	lo, hi int64
 	src    SampleSource
 	hot    *cache.Cache
+	// bounds holds the shard bounds, which stay fixed for the cluster's
+	// life: Planner.Next copies them into every generation.
+	bounds *shardmap.Map
 
-	mu   sync.RWMutex
-	held [][]byte // held[id-lo], nil when not resident; preloaded mode only
+	mu     sync.RWMutex
+	shards []*graph.Packed // shards[i] is shard i, nil when not resident; preloaded mode only
 }
 
 func (c *chunk) LocalRange() (int64, int64) { return c.lo, c.hi }
@@ -59,31 +65,34 @@ func (c *chunk) LocalSampleBytes(id int64) ([]byte, error) {
 	if c.hot != nil {
 		return c.hot.GetOrFetch(id, func() ([]byte, error) { return readEncoded(c.src, id) })
 	}
+	i := c.bounds.ShardIndex(id)
 	c.mu.RLock()
-	b := c.held[id-c.lo]
+	p := c.shards[i]
 	c.mu.RUnlock()
-	if b == nil {
+	if p == nil {
 		return nil, fmt.Errorf("serveboot: sample %d not resident on this owner", id)
 	}
-	return b, nil
+	return p.Sample(id), nil
 }
 
-func (c *chunk) put(id int64, raw []byte) {
+// install makes shard i resident: the gainer's side of a migration, done
+// before it applies the generation that makes it an owner.
+func (c *chunk) install(i int, p *graph.Packed) {
 	c.mu.Lock()
-	c.held[id-c.lo] = raw
+	c.shards[i] = p
 	c.mu.Unlock()
 }
 
-// retainOwned drops every resident sample the member no longer owns under
+// retainOwned drops every resident shard the member no longer owns under
 // m — the post-cutover memory release on the losing side of a migration.
 func (c *chunk) retainOwned(m *shardmap.Map, mi int) {
 	c.mu.Lock()
-	for _, sh := range m.Shards {
-		if c.held != nil && !m.OwnedBy(sh.Lo, mi) {
-			clear(c.held[sh.Lo-c.lo : sh.Hi-c.lo])
+	defer c.mu.Unlock()
+	for i := range c.shards {
+		if !slices.Contains(m.Shards[i].Owners, mi) {
+			c.shards[i] = nil
 		}
 	}
-	c.mu.Unlock()
 }
 
 // readEncoded reads one sample from the durable source in wire encoding.
@@ -348,28 +357,20 @@ func (c *Cluster) startOwner(ln net.Listener, id string) error {
 	// Metrics bridge: shardmap stays stdlib-only; every applied
 	// generation lands on the shared gauge here.
 	st.OnApply = func(m *shardmap.Map, _ int) { c.gen.Set(float64(m.Gen)) }
-	ch := &chunk{lo: c.lo, hi: c.hi, src: c.src, hot: c.hot}
+	ch := &chunk{lo: c.lo, hi: c.hi, src: c.src, hot: c.hot, bounds: c.cur}
 	if c.hot == nil {
-		ch.held = make([][]byte, c.hi-c.lo)
+		ch.shards = make([]*graph.Packed, len(c.cur.Shards))
 		// A joining owner is not in the current map: it owns nothing yet
 		// and migration fills it.
 		if mi := c.cur.MemberIndex(id); mi >= 0 {
-			for _, sh := range c.cur.Shards {
-				if !c.cur.OwnedBy(sh.Lo, mi) {
+			var pk graph.Packer
+			for i, sh := range c.cur.Shards {
+				if !slices.Contains(sh.Owners, mi) {
 					continue
 				}
-				// Read the shard, then encode it: interleaved, the encoded
-				// samples end up scattered among freed graphs and the heap
-				// holds a fifth more spans than the resident set needs.
-				graphs := make([]*graph.Graph, sh.Hi-sh.Lo)
-				for i := range graphs {
-					if graphs[i], err = c.src.ReadSample(sh.Lo + int64(i)); err != nil {
-						ln.Close()
-						return fmt.Errorf("serveboot: preload for %s: %w", id, err)
-					}
-				}
-				for i, g := range graphs {
-					ch.put(sh.Lo+int64(i), g.Encode())
+				if ch.shards[i], err = pk.Pack(sh.Lo, sh.Hi, c.src.ReadSample); err != nil {
+					ln.Close()
+					return fmt.Errorf("serveboot: preload for %s: %w", id, err)
 				}
 			}
 		}
@@ -553,35 +554,55 @@ func (c *Cluster) pullMove(mv shardmap.Move, gainer *Owner) (int64, error) {
 			consider(c.cur.Members[oi].ID)
 		}
 	}
-	var total int64
+	var pk graph.Packer
+	pk.Start(mv.Lo, mv.Hi)
+	fail := func(err error) (int64, error) {
+		return 0, fmt.Errorf("serveboot: migrate shard %d [%d,%d) to %s: %w", mv.Shard, mv.Lo, mv.Hi, gainer.ID, err)
+	}
+	ids := make([]int64, 0, migrateBatch)
 	for lo := mv.Lo; lo < mv.Hi; lo += migrateBatch {
-		hi := min(lo+migrateBatch, mv.Hi)
-		ids := make([]int64, 0, hi-lo)
-		for id := lo; id < hi; id++ {
+		ids = ids[:0]
+		for id := lo; id < min(lo+migrateBatch, mv.Hi); id++ {
 			ids = append(ids, id)
 		}
-		raws, err := c.pullBatch(from, ids)
-		if err != nil {
-			// Degrade to the durable source: a crash mid-migration means
-			// re-reading, never losing, the chunk.
-			raws = make([][]byte, len(ids))
-			for i, id := range ids {
-				if raws[i], err = readEncoded(c.src, id); err != nil {
-					return total, fmt.Errorf("serveboot: migrate shard %d [%d,%d) to %s: %w",
-						mv.Shard, mv.Lo, mv.Hi, gainer.ID, err)
+		buf, raws, err := c.pullBatch(from, ids)
+		if err == nil {
+			// Copy the batch in and give the reply buffer back: the shard
+			// pins its own bytes, not one pooled reply per batch.
+			for _, raw := range raws {
+				if err = pk.AddEncoded(raw); err != nil {
+					break
 				}
 			}
+			buf.Release()
+			if err != nil {
+				return fail(err)
+			}
+			continue
 		}
-		for i, id := range ids {
-			gainer.chunk.put(id, raws[i])
-			total += int64(len(raws[i]))
+		// Degrade to the durable source: a crash mid-migration means
+		// re-reading, never losing, the chunk.
+		for _, id := range ids {
+			g, err := c.src.ReadSample(id)
+			if err != nil {
+				return fail(fmt.Errorf("durable source read %d: %w", id, err))
+			}
+			if err := pk.Add(g); err != nil {
+				return fail(err)
+			}
 		}
 	}
-	return total, nil
+	p, err := pk.Finish()
+	if err != nil {
+		return fail(err)
+	}
+	gainer.chunk.install(mv.Shard, p)
+	return int64(len(p.Buf)), nil
 }
 
 // pullBatch fetches one id batch from the first candidate that answers.
-func (c *Cluster) pullBatch(from []*Owner, ids []int64) ([][]byte, error) {
+// The caller releases the reply buffer the parts alias.
+func (c *Cluster) pullBatch(from []*Owner, ids []int64) (*bufarena.Buf, [][]byte, error) {
 	err := fmt.Errorf("no live owner holds the chunk")
 	for _, o := range from {
 		cl := c.pulls[o.ID]
@@ -593,12 +614,13 @@ func (c *Cluster) pullBatch(from []*Owner, ids []int64) ([][]byte, error) {
 			}
 			c.pulls[o.ID] = cl
 		}
+		var buf *bufarena.Buf
 		var raws [][]byte
-		if raws, err = cl.GetBatchRaw(ids); err == nil {
-			return raws, nil
+		if buf, raws, err = cl.GetBatchBufs(ids); err == nil {
+			return buf, raws, nil
 		}
 	}
-	return nil, err
+	return nil, nil, err
 }
 
 // handleReshard serves /admin/reshard?owners=N and reports the membership.
