@@ -80,6 +80,9 @@ var retired = map[string]string{
 
 	"internal/transport.Client.Meta": "it asked a static server for its chunk range over op 1, now retired; every server serves a shard map, and Client.ShardMap's keyspace is the range",
 	"internal/shardmap.Map.OwnerOf":  "its one caller was core.Store's mirror map; the RMA store inverts chunkStarts in closed form, and TCP routes use Map.PreferredOwner",
+
+	"internal/graph.Packer.Add":            wireSources,
+	"internal/datasets.Dataset.ReadSample": wireSources,
 }
 
 const (
@@ -87,6 +90,7 @@ const (
 	latencyWindow  = "the fetch engine's latency window kept a second copy of the per-position latencies every load returns, and the ddstore_fetch_latency_seconds histogram already summarizes them"
 	evictionPolicy = "the cache evicts least-recently-used only: FIFO and Clock were selected by nothing but a deleted wall-clock bench section, and every workload ran LRU"
 	cdfQuantile    = "CDF.Quantile(q) was percentileSorted(q*100), the same computation as stats.Percentile; stats.DurationPercentile is the one percentile of durations"
+	wireSources    = "preload and serving sources append wire bytes (AppendSample, Packer.AddFrom), so no source builds a Graph for a packer to encode; Dataset.Sample is the one way to a generated Graph"
 )
 
 // exportScan is what one pass over the module's non-test Go files finds.

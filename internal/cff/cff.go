@@ -14,9 +14,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
@@ -270,17 +270,37 @@ func (s *Store) Name() string { return s.meta.Name }
 // Len returns the number of samples.
 func (s *Store) Len() int { return s.meta.NumGraphs }
 
-// ReadSample performs one positional read inside the owning container.
-func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
+// AppendSample appends sample id to buf as stored, with no decode: one
+// positional read inside the owning container. Bytes that are not exactly
+// one encoded graph holding id (graph.CheckEncoded) are refused, and buf
+// comes back as it was.
+func (s *Store) AppendSample(buf []byte, id int64) ([]byte, error) {
 	l, ok := s.loc[id]
 	if !ok {
-		return nil, fmt.Errorf("cff: sample %d not in index", id)
+		return buf, fmt.Errorf("cff: sample %d not in index", id)
 	}
-	buf := make([]byte, l.length)
-	if _, err := s.parts[l.part].ReadAt(buf, l.offset); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("cff: %w", err)
+	if l.length < 0 {
+		return buf, fmt.Errorf("cff: sample %d: index length %d", id, l.length)
 	}
-	return graph.Decode(buf)
+	n := int(l.length)
+	out := slices.Grow(buf, n)[:len(buf)+n]
+	if got, err := s.parts[l.part].ReadAt(out[len(buf):], l.offset); got < n {
+		return buf, fmt.Errorf("cff: sample %d: read %d of %d bytes: %w", id, got, n, err)
+	}
+	if err := graph.CheckEncoded(out[len(buf):], id); err != nil {
+		return buf, fmt.Errorf("cff: %w", err)
+	}
+	return out, nil
+}
+
+// ReadSample decodes the bytes AppendSample reads, for the consumers that
+// train on Graphs.
+func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
+	raw, err := s.AppendSample(nil, id)
+	if err != nil {
+		return nil, err
+	}
+	return graph.Decode(raw)
 }
 
 // SimLayout is the container layout registered on a simulated filesystem:

@@ -1,13 +1,17 @@
 package cff
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ddstore/internal/cluster"
 	"ddstore/internal/datasets"
+	"ddstore/internal/graph"
 	"ddstore/internal/pfs"
 	"ddstore/internal/vtime"
 )
@@ -308,6 +312,86 @@ func TestPartNamesMatchTheirFormat(t *testing.T) {
 	for part, got := range layout.partNames {
 		if want := fmt.Sprintf("cff/%s/part-%04d.ddc", ds.Name(), part); got != want {
 			t.Fatalf("part %d is %q, want %q", part, got, want)
+		}
+	}
+}
+
+// corruptPart rewrites the one part of dir through edit, which gets the
+// part's bytes and each sample's 20-byte index entry (id, offset, length).
+func corruptPart(t *testing.T, dir string, edit func(part []byte, entry func(id int64) []byte)) {
+	t.Helper()
+	path := partPath(dir, 0)
+	part, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := part[len(part)-16:]
+	index := part[binary.LittleEndian.Uint64(tail):]
+	entry := func(id int64) []byte {
+		for i := 0; i < int(binary.LittleEndian.Uint32(tail[8:])); i++ {
+			if e := index[20*i : 20*i+20]; int64(binary.LittleEndian.Uint64(e)) == id {
+				return e
+			}
+		}
+		t.Fatalf("sample %d not in the index", id)
+		return nil
+	}
+	edit(part, entry)
+	if err := os.WriteFile(path, part, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendSampleServesStoredBytes: AppendSample hands out each sample as
+// stored in its container — the generator's wire encoding, with no decode
+// — and refuses a corrupt one with an error naming its id, leaving the
+// caller's buffer as it was. It refuses every sample Decode refuses, and
+// well-formed bytes that hold another sample; ReadSample refuses the same.
+func TestAppendSampleServesStoredBytes(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 8})
+	dir := t.TempDir()
+	if err := Write(dir, ds, 1); err != nil {
+		t.Fatal(err)
+	}
+	length := func(e []byte, delta int32) {
+		binary.LittleEndian.PutUint32(e[16:], uint32(int32(binary.LittleEndian.Uint32(e[16:]))+delta))
+	}
+	corrupt := map[int64]bool{2: true, 3: true, 5: true, 6: true}
+	corruptPart(t, dir, func(part []byte, entry func(id int64) []byte) {
+		part[binary.LittleEndian.Uint64(entry(2)[8:])] ^= 0xff // flipped magic
+		length(entry(3), -4)                                   // truncated
+		length(entry(5), +4)                                   // trailing bytes
+		copy(entry(6)[8:], entry(7)[8:])                       // another sample
+	})
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	prefix := []byte("prefix:")
+	for id := int64(0); id < 8; id++ {
+		got, err := st.AppendSample(prefix, id)
+		_, readErr := st.ReadSample(id)
+		if !corrupt[id] {
+			want, _ := ds.AppendSample(bytes.Clone(prefix), id)
+			if err != nil || readErr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("sample %d: AppendSample = %v, ReadSample = %v, or the bytes differ from the generator's", id, err, readErr)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sample %d", id)) || !bytes.Equal(got, prefix) {
+			t.Fatalf("corrupt sample %d: AppendSample = %q, %v; want the buffer back and an error naming the id", id, got, err)
+		}
+		if readErr == nil {
+			t.Fatalf("corrupt sample %d: ReadSample accepted it", id)
+		}
+		if id != 6 {
+			l := st.loc[id]
+			raw := make([]byte, l.length)
+			st.parts[l.part].ReadAt(raw, l.offset)
+			if _, err := graph.Decode(raw); err == nil {
+				t.Fatalf("sample %d: the test's corruption did not make Decode refuse the bytes", id)
+			}
 		}
 	}
 }

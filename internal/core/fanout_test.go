@@ -61,7 +61,7 @@ func TestLoadFanOutMatchesSerial(t *testing.T) {
 						if g.ID != ids[i] {
 							return fmt.Errorf("rank %d: position %d has id %d want %d", c.Rank(), i, g.ID, ids[i])
 						}
-						want, _ := ds.ReadSample(ids[i])
+						want, _ := ds.Sample(ids[i])
 						if len(g.NodeFeat) != len(want.NodeFeat) {
 							return fmt.Errorf("sample %d: %d node feats want %d", ids[i], len(g.NodeFeat), len(want.NodeFeat))
 						}

@@ -157,7 +157,7 @@ func TestTwoSidedOneRankErrors(t *testing.T) {
 					return fmt.Errorf("rank %d round %d: %w", c.Rank(), round, err)
 				}
 				for i, v := range views {
-					want, _ := ds.ReadSample(asked[i])
+					want, _ := ds.Sample(asked[i])
 					if got := v.AppendTo(nil); !bytes.Equal(got, want.AppendTo(nil)) {
 						return fmt.Errorf("rank %d round %d: sample %d bytes differ", c.Rank(), round, asked[i])
 					}

@@ -8,7 +8,6 @@ import (
 	"ddstore/internal/cluster"
 	"ddstore/internal/comm"
 	"ddstore/internal/datasets"
-	"ddstore/internal/graph"
 	"ddstore/internal/pff"
 )
 
@@ -90,16 +89,16 @@ func TestPreloadRejectsMisbehavingSource(t *testing.T) {
 	})
 }
 
-// misIDSource returns samples whose embedded ID disagrees with the
+// misIDSource appends samples whose embedded ID disagrees with the
 // requested id.
 type misIDSource struct{ *datasets.Dataset }
 
-func (m *misIDSource) ReadSample(id int64) (*graph.Graph, error) {
-	g, err := m.Dataset.ReadSample(id)
+func (m *misIDSource) AppendSample(buf []byte, id int64) ([]byte, error) {
+	g, err := m.Dataset.Sample(id)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	bad := *g
 	bad.ID = id + 1
-	return &bad, nil
+	return bad.AppendTo(buf), nil
 }

@@ -38,12 +38,15 @@ import (
 )
 
 // SampleSource is anything the preloader can read a dataset from: the PFF
-// and CFF stores (real or simulated) and the in-memory dataset generators
-// all satisfy it.
+// and CFF stores, which read their stored bytes, and the dataset
+// generators, which generate in wire encoding, all satisfy it. AppendSample
+// appends sample id to buf in wire encoding and returns the extended
+// buffer; the preloader hands it the window's buffer, so no sample is
+// decoded or re-encoded on the way in.
 type SampleSource interface {
 	Name() string
 	Len() int
-	ReadSample(id int64) (*graph.Graph, error)
+	AppendSample(buf []byte, id int64) ([]byte, error)
 }
 
 // Options configures a Store.
@@ -218,9 +221,10 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 	s.myLo = s.starts[group.Rank()]
 	s.myHi = s.starts[group.Rank()+1]
 
-	// Preload: read this rank's chunk from the source and pack it.
+	// Preload: append this rank's chunk from the source into one packed
+	// buffer.
 	preloadStart := clockNow(c)
-	packed, err := new(graph.Packer).Pack(s.myLo, s.myHi, src.ReadSample)
+	packed, err := new(graph.Packer).Pack(s.myLo, s.myHi, src.AppendSample)
 	if err != nil {
 		return nil, fmt.Errorf("core: preload: %w", err)
 	}

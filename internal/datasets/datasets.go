@@ -17,13 +17,20 @@
 // between PFF, CFF, and DDStore rely on.
 //
 // Generation sits under every boot, preload, lazy-server miss and benchmark
-// run, so each generator allocates only what a sample keeps. Ising samples
-// differ only in their spins: all of them share one read-only lattice
-// (edges, couplings, coordinates) built once per process, and each owns just
-// its node features and label. A molecule owns its node features, label and
-// two edge lists, allocated at their exact capacity. Samples are immutable
-// to every caller; the shared slices are capacity-clipped, so an append
-// copies rather than reaching another sample.
+// run. Each kind has one generator, which writes a sample into fixed-size
+// scratch on its caller's stack, and the sample leaves the scratch in one of
+// two forms. AppendSample encodes it straight into the caller's buffer in
+// wire encoding — what preloading, packing and serving want — growing the
+// buffer at most once and allocating nothing else (smooth's grid, as wide as
+// the dataset says, is the exception). Sample copies it out into a Graph
+// that owns its tensors, for the consumers that train on Graphs. Ising
+// samples differ only in their spins: every Graph shares one read-only
+// lattice (edges, couplings, coordinates) built once per process, and owns
+// just its node features and label. A molecule's Graph owns its node
+// features, label and two edge lists, the edge lists allocated at their
+// exact capacity. Samples are immutable to every caller; the shared slices
+// are capacity-clipped, so an append copies rather than reaching another
+// sample.
 //
 // The labels are deterministic smooth functionals of the graph structure, so
 // a GNN can genuinely learn them (used by the convergence experiment,
@@ -49,8 +56,8 @@ type Dataset struct {
 	edgeDim   int
 	kind      kind
 	// cache holds pre-generated samples after EnableCache. Samples are
-	// treated as immutable everywhere (batching and preloading copy), so
-	// sharing pointers is safe.
+	// treated as immutable everywhere (batching copies, preloading encodes),
+	// so sharing pointers is safe.
 	cache []*graph.Graph
 }
 
@@ -69,16 +76,44 @@ func (d *Dataset) NodeFeatDim() int { return d.nodeDim }
 // EdgeFeatDim returns the per-edge feature width.
 func (d *Dataset) EdgeFeatDim() int { return d.edgeDim }
 
-// Sample deterministically generates sample id (or returns the cached
-// instance after EnableCache). Callers must treat the result as immutable.
+// Sample deterministically generates sample id into tensors of its own
+// (or returns the cached instance after EnableCache). Callers must treat
+// the result as immutable.
 func (d *Dataset) Sample(id int64) (*graph.Graph, error) {
-	if id < 0 || id >= int64(d.numGraphs) {
-		return nil, fmt.Errorf("datasets: sample %d out of range [0,%d)", id, d.numGraphs)
+	if err := d.inRange(id); err != nil {
+		return nil, err
 	}
 	if d.cache != nil {
 		return d.cache[id], nil
 	}
-	return d.generate(id), nil
+	return d.own(id), nil
+}
+
+// AppendSample appends sample id to buf in wire encoding — the bytes
+// Sample(id).AppendTo(buf) appends — and returns the extended buffer. It
+// grows buf at most once, to fit the sample exactly, and otherwise
+// allocates nothing: it generates into stack scratch and encodes that
+// (smooth's grid is allocated), or encodes the cached sample after
+// EnableCache.
+func (d *Dataset) AppendSample(buf []byte, id int64) ([]byte, error) {
+	if err := d.inRange(id); err != nil {
+		return buf, err
+	}
+	if d.cache != nil {
+		g := d.cache[id]
+		return g.AppendTo(slices.Grow(buf, g.EncodedSize())), nil
+	}
+	var s scratch
+	d.generate(id, &s)
+	g := d.view(id, &s)
+	return g.AppendTo(slices.Grow(buf, g.EncodedSize())), nil
+}
+
+func (d *Dataset) inRange(id int64) error {
+	if id < 0 || id >= int64(d.numGraphs) {
+		return fmt.Errorf("datasets: sample %d out of range [0,%d)", id, d.numGraphs)
+	}
+	return nil
 }
 
 // kind selects a dataset's generator.
@@ -91,29 +126,97 @@ const (
 	kindSmooth // its grid is yDim bins wide
 )
 
-// generate builds sample id. The generators are called directly, not
-// through a function value, so the sample's RNG stays on the stack.
-func (d *Dataset) generate(id int64) *graph.Graph {
+// discreteDim is the discrete target's width: 50 peak positions, then 50
+// intensities.
+const discreteDim = 100
+
+// scratch is one generated sample in fixed-size arrays, small enough for
+// its caller's stack: the node features (an Ising sample's 125×4, a
+// molecule's first n×3), a molecule's directed edges, and the label — a
+// scalar, the discrete spectrum, or the peaks smooth's grid is made from.
+// Only smooth's grid, as wide as its dataset says, lives outside it.
+type scratch struct {
+	n, edges int // atoms, and a molecule's directed edges
+	nodeFeat [isingAtoms * 4]float32
+	src, dst [maxEdges]int32
+	y        [discreteDim]float32
+	grid     []float32 // smooth's label
+}
+
+// generate writes sample id into s. The generators are called directly,
+// not through a function value, so the sample's RNG stays on the stack.
+func (d *Dataset) generate(id int64, s *scratch) {
 	rng := vtime.NewRNG(uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
-	var g *graph.Graph
 	switch d.kind {
 	case kindIsing:
-		g = isingSample(rng)
+		isingSample(rng, s)
 	case kindHomoLumo:
-		g = moleculeGraph(rng)
-		g.Y = []float32{homoLumoGap(g)}
+		moleculeSample(rng, s)
+		s.y[0] = homoLumoGap(s)
 	case kindDiscrete:
-		g = moleculeGraph(rng)
-		g.Y = make([]float32, 100)
-		spectrumPeaks(g, rng, g.Y[:50], g.Y[50:])
+		moleculeSample(rng, s)
+		spectrumPeaks(s, rng, s.y[:50], s.y[50:])
 	case kindSmooth:
-		g = moleculeGraph(rng)
-		var pos, inten [50]float32
-		spectrumPeaks(g, rng, pos[:], inten[:])
-		g.Y = SmoothSpectrum(pos[:], inten[:], d.yDim, 0.01)
+		moleculeSample(rng, s)
+		spectrumPeaks(s, rng, s.y[:50], s.y[50:])
+		s.grid = SmoothSpectrum(s.y[:50], s.y[50:], d.yDim, 0.01)
 	}
-	g.ID = id
+}
+
+// view is sample id as a Graph whose tensors are s's arrays and the shared
+// lattice: for encoding, never to be kept.
+func (d *Dataset) view(id int64, s *scratch) graph.Graph {
+	y := s.grid
+	if d.kind != kindSmooth {
+		y = s.y[:d.yDim]
+	}
+	g := graph.Graph{
+		ID:          id,
+		NumNodes:    s.n,
+		NodeFeatDim: d.nodeDim,
+		NodeFeat:    s.nodeFeat[:s.n*d.nodeDim],
+		EdgeSrc:     s.src[:s.edges],
+		EdgeDst:     s.dst[:s.edges],
+		Y:           y,
+	}
+	if d.kind == kindIsing {
+		shareLattice(&g)
+	}
 	return g
+}
+
+// own generates sample id into a Graph that owns its node features, label
+// and, for a molecule, edge lists; an Ising sample shares the lattice. It
+// copies out of s field by field: a Graph on the heap that took any slice
+// of view's would move s there too.
+func (d *Dataset) own(id int64) *graph.Graph {
+	var s scratch
+	d.generate(id, &s)
+	g := &graph.Graph{
+		ID:          id,
+		NumNodes:    s.n,
+		NodeFeatDim: d.nodeDim,
+		NodeFeat:    clone(s.nodeFeat[:s.n*d.nodeDim], s.n*d.nodeDim),
+	}
+	if d.kind == kindIsing {
+		shareLattice(g)
+	} else {
+		g.EdgeSrc = clone(s.src[:s.edges], moleculeEdgeCap(s.n))
+		g.EdgeDst = clone(s.dst[:s.edges], moleculeEdgeCap(s.n))
+	}
+	if d.kind == kindSmooth {
+		g.Y = s.grid
+	} else {
+		g.Y = clone(s.y[:d.yDim], d.yDim)
+	}
+	return g
+}
+
+// clone copies xs into a new slice of capacity c.
+func clone[T float32 | int32](xs []T, c int) []T {
+	out := make([]T, len(xs), c)
+	copy(out, xs)
+	return out
 }
 
 // EnableCache eagerly materializes every sample so subsequent Sample calls
@@ -128,7 +231,7 @@ func (d *Dataset) EnableCache() {
 	}
 	cache := make([]*graph.Graph, d.numGraphs)
 	for id := range cache {
-		cache[id] = d.generate(int64(id))
+		cache[id] = d.own(int64(id))
 	}
 	d.cache = cache
 }
@@ -174,11 +277,12 @@ func Ising(cfg Config) *Dataset {
 	}
 }
 
-// isingSample draws one sample's spins over the shared lattice and labels
-// it with its per-atom energy.
-func isingSample(rng *vtime.RNG) *graph.Graph {
+// isingSample draws one sample's spins over the shared lattice's
+// node-feature template and labels it with its per-atom energy.
+func isingSample(rng *vtime.RNG, s *scratch) {
 	lat := isingLattice()
-	nodeFeat := make([]float32, len(lat.nodeFeat))
+	s.n = isingAtoms
+	nodeFeat := s.nodeFeat[:]
 	copy(nodeFeat, lat.nodeFeat)
 	for i := 0; i < isingAtoms; i++ {
 		if rng.Intn(2) == 0 {
@@ -193,17 +297,14 @@ func isingSample(rng *vtime.RNG) *graph.Graph {
 	for k := 0; k < len(lat.src); k += 2 {
 		energy -= float64(nodeFeat[lat.src[k]*4] * nodeFeat[lat.src[k+1]*4])
 	}
-	return &graph.Graph{
-		NumNodes:    isingAtoms,
-		NodeFeatDim: 4,
-		NodeFeat:    nodeFeat,
-		EdgeSrc:     lat.src,
-		EdgeDst:     lat.dst,
-		EdgeFeatDim: 1,
-		EdgeFeat:    lat.edgeFeat,
-		Pos:         lat.pos,
-		Y:           []float32{float32(energy / isingAtoms)}, // per-atom energy
-	}
+	s.y[0] = float32(energy / isingAtoms) // per-atom energy
+}
+
+// shareLattice gives g the shared lattice's edges, couplings and
+// coordinates.
+func shareLattice(g *graph.Graph) {
+	lat := isingLattice()
+	g.EdgeSrc, g.EdgeDst, g.EdgeFeatDim, g.EdgeFeat, g.Pos = lat.src, lat.dst, 1, lat.edgeFeat, lat.pos
 }
 
 const (
@@ -269,12 +370,22 @@ var isingLattice = sync.OnceValue(func() *lattice {
 // maxAtoms is the largest molecule's heavy-atom count.
 const maxAtoms = 71
 
+// moleculeEdgeCap is the directed-edge room a molecule of n atoms draws:
+// its tree's n-1 bonds and n/12 ring closures, two entries each. A ring
+// closure that draws the same atom twice is skipped, so a molecule may use
+// less.
+func moleculeEdgeCap(n int) int { return 2 * (n - 1 + n/12) }
+
+// maxEdges is the largest molecule's edge room.
+const maxEdges = 2 * (maxAtoms - 1 + maxAtoms/12)
+
 // molecule builds a random connected molecular graph of n heavy atoms: a
 // random spanning tree plus ring-closing bonds, with element types drawn
 // from organic chemistry's usual suspects (C, N, O, F, S, Cl). It writes
-// the atoms' element types into elements and returns the directed edges,
-// each bond as two adjacent entries.
-func molecule(rng *vtime.RNG, elements *[maxAtoms]uint8) (n int, src, dst []int32) {
+// the atoms' element types into elements and the directed edges into src
+// and dst, each bond as two adjacent entries, and returns n and the edge
+// count.
+func molecule(rng *vtime.RNG, elements *[maxAtoms]uint8, src, dst *[maxEdges]int32) (n, edges int) {
 	// Mean heavy-atom count ≈ 52 like AISD (max of two uniforms over 5..71
 	// skews high).
 	a := 5 + rng.Intn(67)
@@ -284,72 +395,65 @@ func molecule(rng *vtime.RNG, elements *[maxAtoms]uint8) (n int, src, dst []int3
 	for i := 0; i < n; i++ {
 		elements[i] = elementSet[rng.Intn(len(elementSet))]
 	}
-	// A tree's n-1 bonds plus at most one ring-closing bond per 12 atoms.
-	rings := n / 12
-	bonds := n - 1 + rings
-	src = make([]int32, 0, 2*bonds)
-	dst = make([]int32, 0, 2*bonds)
+	bond := func(x, y int32) {
+		src[edges], src[edges+1] = x, y
+		dst[edges], dst[edges+1] = y, x
+		edges += 2
+	}
 	// Spanning tree: attach each atom to a random earlier atom, preferring
 	// recent atoms (chains with branches, like real molecules).
 	for i := 1; i < n; i++ {
 		lo := max(i-4, 0)
-		parent := int32(lo + rng.Intn(i-lo))
-		src = append(src, parent, int32(i))
-		dst = append(dst, int32(i), parent)
+		bond(int32(lo+rng.Intn(i-lo)), int32(i))
 	}
 	// Ring closures: roughly one ring per 12 atoms.
-	for r := 0; r < rings; r++ {
+	for r := 0; r < n/12; r++ {
 		x := int32(rng.Intn(n))
 		y := int32(rng.Intn(n))
 		if x != y {
-			src = append(src, x, y)
-			dst = append(dst, y, x)
+			bond(x, y)
 		}
 	}
-	return n, src, dst
+	return n, edges
 }
 
-// moleculeGraph converts a generated molecule into graph form (without Y).
-func moleculeGraph(rng *vtime.RNG) *graph.Graph {
+// moleculeSample generates a molecule into s (without its label): its
+// edges, and per atom its normalized atomic number, degree and position in
+// the chain.
+func moleculeSample(rng *vtime.RNG, s *scratch) {
 	var elements [maxAtoms]uint8
-	n, src, dst := molecule(rng, &elements)
+	n, edges := molecule(rng, &elements, &s.src, &s.dst)
+	s.n, s.edges = n, edges
 	var deg [maxAtoms]int32
-	for _, s := range src {
-		deg[s]++
+	for _, x := range s.src[:edges] {
+		deg[x]++
 	}
-	nodeFeat := make([]float32, n*3)
+	nodeFeat := s.nodeFeat[:n*3]
 	for i := 0; i < n; i++ {
 		nodeFeat[i*3] = float32(elements[i]) / 17.0 // normalized atomic number
 		nodeFeat[i*3+1] = float32(deg[i]) / 4.0     // normalized degree
 		nodeFeat[i*3+2] = float32(i) / float32(n)   // canonical position in the chain
 	}
-	return &graph.Graph{
-		NumNodes:    n,
-		NodeFeatDim: 3,
-		NodeFeat:    nodeFeat,
-		EdgeSrc:     src,
-		EdgeDst:     dst,
-	}
 }
 
 // moleculeDescriptors returns smooth structural functionals used to build
 // learnable labels: mean atomic number, size, mean degree.
-func moleculeDescriptors(g *graph.Graph) (meanZ, size, meanDeg float64) {
-	n := g.NumNodes
+func moleculeDescriptors(s *scratch) (meanZ, size, meanDeg float64) {
+	n := s.n
 	for i := 0; i < n; i++ {
-		meanZ += float64(g.NodeFeat[i*3]) // already normalized by 17
+		meanZ += float64(s.nodeFeat[i*3]) // already normalized by 17
 	}
 	meanZ /= float64(n)
 	size = float64(n)
-	meanDeg = float64(g.NumEdges()) / float64(n)
+	meanDeg = float64(s.edges) / float64(n)
 	return
 }
 
 // homoLumoGap is the deterministic synthetic label: a smooth graph
 // functional resembling how gaps shrink with conjugation length and vary
 // with composition.
-func homoLumoGap(g *graph.Graph) float32 {
-	meanZ, size, meanDeg := moleculeDescriptors(g)
+func homoLumoGap(s *scratch) float32 {
+	meanZ, size, meanDeg := moleculeDescriptors(s)
 	gap := 1.5 + 30.0/(size+3) + 1.2*meanZ + 0.4*math.Sin(meanDeg*math.Pi)
 	return float32(gap)
 }
@@ -370,8 +474,8 @@ func HomoLumo(cfg Config) *Dataset {
 // spectrumPeaks derives 50 deterministic UV-vis peaks (positions in (0,1),
 // non-negative intensities) from a molecule's structure, writing them into
 // pos and intensity (50 entries each).
-func spectrumPeaks(g *graph.Graph, rng *vtime.RNG, pos, intensity []float32) {
-	meanZ, size, meanDeg := moleculeDescriptors(g)
+func spectrumPeaks(s *scratch, rng *vtime.RNG, pos, intensity []float32) {
+	meanZ, size, meanDeg := moleculeDescriptors(s)
 	base := 0.1 + 0.5*meanZ
 	spread := 0.05 + 0.2/math.Sqrt(size)
 	for k := 0; k < 50; k++ {
@@ -496,8 +600,3 @@ func ComputeStats(d *Dataset, probe int) (Stats, error) {
 		TotalBytesPFF: int64(float64(bytes) * scale),
 	}, nil
 }
-
-// ReadSample is an alias for Sample so a Dataset satisfies the
-// core.SampleSource interface and can act as a direct in-memory source
-// (bypassing any file format).
-func (d *Dataset) ReadSample(id int64) (*graph.Graph, error) { return d.Sample(id) }

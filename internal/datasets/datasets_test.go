@@ -323,7 +323,9 @@ func TestLabelsAreSmoothFunctionals(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return g.Y[0] == homoLumoGap(g)
+		s := scratch{n: g.NumNodes, edges: g.NumEdges()}
+		copy(s.nodeFeat[:], g.NodeFeat)
+		return g.Y[0] == homoLumoGap(&s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,8 @@ import (
 )
 
 // TestGeneratorsGolden pins the bytes every generator produces: a CRC-32
-// (IEEE) of the concatenated Encode() of every id, per dataset. Any change
+// (IEEE) of the concatenated Encode() of every id, per dataset, folded
+// once over Sample's Graphs and once over AppendSample's bytes. Any change
 // to a generator's RNG order, arithmetic or layout moves one of these, and
 // with it every file, window and served sample built from the dataset.
 func TestGeneratorsGolden(t *testing.T) {
@@ -21,17 +22,22 @@ func TestGeneratorsGolden(t *testing.T) {
 	}
 	var buf []byte
 	for _, c := range cases {
-		var sum uint32
+		var graphs, appended uint32
 		for id := int64(0); id < int64(c.d.Len()); id++ {
 			g, err := c.d.Sample(id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			buf = g.AppendTo(buf[:0])
-			sum = crc32.Update(sum, crc32.IEEETable, buf)
+			graphs = crc32.Update(graphs, crc32.IEEETable, buf)
+			if buf, err = c.d.AppendSample(buf[:0], id); err != nil {
+				t.Fatal(err)
+			}
+			appended = crc32.Update(appended, crc32.IEEETable, buf)
 		}
-		if sum != c.want {
-			t.Errorf("%s: CRC-32 over %d samples = %08x, want %08x", c.d.Name(), c.d.Len(), sum, c.want)
+		if graphs != c.want || appended != c.want {
+			t.Errorf("%s: CRC-32 over %d samples = %08x by Sample, %08x by AppendSample, want %08x",
+				c.d.Name(), c.d.Len(), graphs, appended, c.want)
 		}
 	}
 }

@@ -624,7 +624,7 @@ func TestLocalShuffleTrainingStaysLocal(t *testing.T) {
 		for i := 0; i < sh.Len(); i++ {
 			shard[sh.At(i)] = true
 		}
-		rec := &recordingLoader{inner: &SourceLoader{Source: ds}}
+		rec := &recordingLoader{inner: &SourceLoader{Source: datasetSource{ds}}}
 		_, err := Run(c, Config{
 			Loader:       rec,
 			LocalBatch:   8,
@@ -650,6 +650,12 @@ func TestLocalShuffleTrainingStaysLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// datasetSource reads a dataset's samples as decoded Graphs, as a baseline
+// storage backend hands them out.
+type datasetSource struct{ *datasets.Dataset }
+
+func (s datasetSource) ReadSample(id int64) (*graph.Graph, error) { return s.Sample(id) }
 
 type recordingLoader struct {
 	inner     Loader

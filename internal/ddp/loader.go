@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"ddstore/internal/cache"
-	"ddstore/internal/core"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
 	"ddstore/internal/obs/tracectx"
@@ -87,10 +86,17 @@ func (l *PlaneLoader) LoadBatchLazy(ids []int64) ([]*graph.Lazy, []time.Duration
 	return out, lat, err
 }
 
-// TimedSource is a SampleSource that can report per-read modeled latency
+// GraphSource is what the PFF/CFF baseline path reads: a storage backend
+// that hands out decoded samples (the simulated and real PFF/CFF readers).
+type GraphSource interface {
+	Len() int
+	ReadSample(id int64) (*graph.Graph, error)
+}
+
+// TimedSource is a GraphSource that can report per-read modeled latency
 // (the simulated PFF/CFF readers implement it).
 type TimedSource interface {
-	core.SampleSource
+	GraphSource
 	ReadSampleTimed(id int64) (*graph.Graph, time.Duration, error)
 }
 
@@ -98,7 +104,7 @@ type TimedSource interface {
 // storage backend — the PFF/CFF baseline path: every batch goes back to the
 // (simulated or real) filesystem.
 type SourceLoader struct {
-	Source core.SampleSource
+	Source GraphSource
 }
 
 // Len returns the dataset size.

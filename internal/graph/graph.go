@@ -244,17 +244,40 @@ func (h *header) fill(g *Graph, w []uint32) {
 	g.Y = viewWords[float32](w[:h.lenY])
 }
 
+// parseExact parses the header of data, which must hold exactly one
+// encoded graph: parseHeader plus no bytes past the graph.
+func parseExact(data []byte) (header, error) {
+	h, err := parseHeader(data)
+	if err == nil && len(data) != h.want {
+		err = fmt.Errorf("graph: %d trailing bytes after decoded graph", len(data)-h.want)
+	}
+	return h, err
+}
+
 // Decode deserializes one graph from data, which must contain exactly one
 // encoded graph (as produced by Encode).
 func Decode(data []byte) (*Graph, error) {
-	h, err := parseHeader(data)
+	h, err := parseExact(data)
 	if err != nil {
 		return nil, err
 	}
-	if rest := len(data) - h.want; rest != 0 {
-		return nil, fmt.Errorf("graph: %d trailing bytes after decoded graph", rest)
-	}
 	return h.materialize(data), nil
+}
+
+// CheckEncoded accepts raw only if it is exactly one encoded graph holding
+// sample id: the header parse and length check Decode makes, without
+// materializing, plus the id. Every sample a Packer takes in passes it, and
+// so does every sample a file store hands out, so bytes that Decode would
+// refuse, or that hold another sample, are neither packed nor served.
+func CheckEncoded(raw []byte, id int64) error {
+	h, err := parseExact(raw)
+	if err != nil {
+		return fmt.Errorf("graph: sample %d: %w", id, err)
+	}
+	if h.id != id {
+		return fmt.Errorf("graph: bytes for sample %d hold sample %d", id, h.id)
+	}
+	return nil
 }
 
 // Batch is the disjoint union of several graphs: node and edge arrays are

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -48,6 +47,12 @@ func (p *Packed) Sample(id int64) []byte {
 // exact copy. A later run starts in the buffer the last trim left behind,
 // reserved up front from the last run's mean plus packHeadroom, so packing
 // shard after shard of like samples allocates once a shard.
+//
+// A sample enters a run in one of two ways, AddFrom (a source appends it
+// into the run's buffer) or AddEncoded (bytes already encoded, a
+// migration's pull), and either way passes one check: CheckEncoded, the
+// header parse and exact length Decode demands plus the id the run
+// expects next. Bytes that fail it are dropped and the run is refused.
 type Packer struct {
 	p     Packed
 	n     int    // samples in the run
@@ -74,43 +79,62 @@ func (pk *Packer) reserve(need int) {
 	p := &pk.p
 	n := len(p.Ends)
 	if n >= packReserveAfter && need > cap(p.Buf)-len(p.Buf) {
-		mean := (len(p.Buf) + n - 1) / n
-		p.Buf = slices.Grow(p.Buf, max(need, mean*(pk.n-n)))
+		p.Buf = slices.Grow(p.Buf, max(need, pk.runMean()*(pk.n-n)))
 	}
 }
 
-// end records the sample just appended; the run is refused once its bytes
-// no longer fit the 32-bit end offsets.
-func (pk *Packer) end(id int64) error {
-	if uint64(len(pk.p.Buf)) > math.MaxUint32 {
-		return fmt.Errorf("graph: packed run from %d passes 4 GiB at sample %d", pk.p.Lo, id)
+// runMean is the mean encoded size of the run's samples so far, rounded
+// up; 0 before the first.
+func (pk *Packer) runMean() int {
+	n := len(pk.p.Ends)
+	if n == 0 {
+		return 0
 	}
-	pk.p.Ends = append(pk.p.Ends, uint32(len(pk.p.Buf)))
+	return (len(pk.p.Buf) + n - 1) / n
+}
+
+// admit takes the bytes past start in as the run's next sample, id, if
+// CheckEncoded accepts them, and drops them otherwise. The run is refused
+// once its bytes no longer fit the 32-bit end offsets.
+func (pk *Packer) admit(start int, id int64) error {
+	p := &pk.p
+	if err := CheckEncoded(p.Buf[start:], id); err != nil {
+		p.Buf = p.Buf[:start]
+		return err
+	}
+	if uint64(len(p.Buf)) > math.MaxUint32 {
+		return fmt.Errorf("graph: packed run from %d passes 4 GiB at sample %d", p.Lo, id)
+	}
+	p.Ends = append(p.Ends, uint32(len(p.Buf)))
 	return nil
 }
 
-// Add encodes g as the run's next sample, refusing a sample whose ID is
-// not the id the run expects.
-func (pk *Packer) Add(g *Graph) error {
+// AddFrom appends the run's next sample through read, which appends sample
+// id in wire encoding to the buffer it is given and returns the extended
+// buffer: a source writes straight into the run. The size of a sample is
+// not known before read returns, so the run reserves for its remaining
+// samples at their mean once that estimate is due and less than the mean
+// is left; read grows the buffer itself only for a sample larger than
+// what is left.
+func (pk *Packer) AddFrom(read func(buf []byte, id int64) ([]byte, error)) error {
 	id := pk.next()
-	if g.ID != id {
-		return fmt.Errorf("graph: source returned sample %d for id %d", g.ID, id)
+	pk.reserve(pk.runMean())
+	start := len(pk.p.Buf)
+	buf, err := read(pk.p.Buf, id)
+	if err != nil {
+		return fmt.Errorf("graph: read sample %d: %w", id, err)
 	}
-	pk.reserve(g.EncodedSize())
-	pk.p.Buf = g.AppendTo(pk.p.Buf)
-	return pk.end(id)
+	pk.p.Buf = buf
+	return pk.admit(start, id)
 }
 
 // AddEncoded copies raw, one sample already in wire encoding, in as the
-// run's next sample, refusing bytes whose header names another id.
+// run's next sample.
 func (pk *Packer) AddEncoded(raw []byte) error {
-	id := pk.next()
-	if len(raw) < headerSize || int64(binary.LittleEndian.Uint64(raw[4:])) != id {
-		return fmt.Errorf("graph: encoded bytes for id %d do not hold that sample", id)
-	}
 	pk.reserve(len(raw))
+	start := len(pk.p.Buf)
 	pk.p.Buf = append(pk.p.Buf, raw...)
-	return pk.end(id)
+	return pk.admit(start, pk.next())
 }
 
 // Finish returns the run, which must hold every sample of [lo, hi). Its
@@ -131,16 +155,11 @@ func (pk *Packer) Finish() (*Packed, error) {
 	return &p, nil
 }
 
-// Pack reads samples [lo, hi) through read and packs them, one sample in
-// memory at a time.
-func (pk *Packer) Pack(lo, hi int64, read func(id int64) (*Graph, error)) (*Packed, error) {
+// Pack appends samples [lo, hi) through read (see AddFrom) and packs them.
+func (pk *Packer) Pack(lo, hi int64, read func(buf []byte, id int64) ([]byte, error)) (*Packed, error) {
 	pk.Start(lo, hi)
 	for id := lo; id < hi; id++ {
-		g, err := read(id)
-		if err != nil {
-			return nil, fmt.Errorf("graph: read sample %d: %w", id, err)
-		}
-		if err := pk.Add(g); err != nil {
+		if err := pk.AddFrom(read); err != nil {
 			return nil, err
 		}
 	}

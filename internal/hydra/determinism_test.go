@@ -19,7 +19,7 @@ func TestHydraLossDeterministicAcrossParallelism(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 64})
 	graphs := make([]*graph.Graph, 0, 16)
 	for id := int64(0); id < 16; id++ {
-		g, err := ds.ReadSample(id)
+		g, err := ds.Sample(id)
 		if err != nil {
 			t.Fatal(err)
 		}

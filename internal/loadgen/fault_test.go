@@ -140,7 +140,7 @@ func TestWrongSampleCountsAsError(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 64})
 	graphs := make([]*graph.Graph, ds.Len())
 	for i := range graphs {
-		g, err := ds.ReadSample(int64(i))
+		g, err := ds.Sample(int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,10 @@ package pff
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
@@ -117,17 +119,42 @@ func (s *Store) Name() string { return s.meta.Name }
 // Len returns the number of samples.
 func (s *Store) Len() int { return s.meta.NumGraphs }
 
-// ReadSample opens and decodes one sample file — the per-object access
-// pattern: open, read, close, for every sample.
-func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
+// AppendSample appends sample id's file to buf as stored, with no decode —
+// the per-object access pattern: open, read, close, for every sample. A
+// file that is not exactly one encoded graph holding id (graph.CheckEncoded)
+// is refused, and buf comes back as it was.
+func (s *Store) AppendSample(buf []byte, id int64) ([]byte, error) {
 	if id < 0 || id >= int64(s.meta.NumGraphs) {
-		return nil, fmt.Errorf("pff: sample %d out of range [0,%d)", id, s.meta.NumGraphs)
+		return buf, fmt.Errorf("pff: sample %d out of range [0,%d)", id, s.meta.NumGraphs)
 	}
-	data, err := os.ReadFile(samplePath(s.dir, id))
+	f, err := os.Open(samplePath(s.dir, id))
 	if err != nil {
-		return nil, fmt.Errorf("pff: %w", err)
+		return buf, fmt.Errorf("pff: %w", err)
 	}
-	return graph.Decode(data)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return buf, fmt.Errorf("pff: %w", err)
+	}
+	n := int(st.Size())
+	out := slices.Grow(buf, n)[:len(buf)+n]
+	if _, err := io.ReadFull(f, out[len(buf):]); err != nil {
+		return buf, fmt.Errorf("pff: sample %d: %w", id, err)
+	}
+	if err := graph.CheckEncoded(out[len(buf):], id); err != nil {
+		return buf, fmt.Errorf("pff: %w", err)
+	}
+	return out, nil
+}
+
+// ReadSample decodes the file AppendSample reads, for the consumers that
+// train on Graphs.
+func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
+	raw, err := s.AppendSample(nil, id)
+	if err != nil {
+		return nil, err
+	}
+	return graph.Decode(raw)
 }
 
 // RegisterSim registers the dataset's per-sample virtual files on the

@@ -1,12 +1,16 @@
 package pff
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ddstore/internal/cluster"
 	"ddstore/internal/datasets"
+	"ddstore/internal/graph"
 	"ddstore/internal/pfs"
 	"ddstore/internal/vtime"
 )
@@ -192,6 +196,62 @@ func TestSimPathMatchesItsFormat(t *testing.T) {
 		}
 		if got, want := samplePath("d", id), filepath.Join("d", fmt.Sprintf("%02x", id%256), fmt.Sprintf("%d.bin", id)); got != want {
 			t.Fatalf("samplePath(%d) = %q, want %q", id, got, want)
+		}
+	}
+}
+
+// TestAppendSampleServesStoredBytes: AppendSample hands out each file as
+// stored — the generator's wire encoding, with no decode — and refuses a
+// corrupt file with an error naming its id, leaving the caller's buffer
+// as it was. It refuses every file Decode refuses, and a well-formed file
+// that holds another sample; ReadSample refuses the same files.
+func TestAppendSampleServesStoredBytes(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 8})
+	dir := t.TempDir()
+	if err := Write(dir, ds, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	other, _ := ds.AppendSample(nil, 7)
+	corrupt := map[int64]func(raw []byte) []byte{
+		2: func(raw []byte) []byte { raw[0] ^= 0xff; return raw },       // flipped magic
+		3: func(raw []byte) []byte { return raw[:len(raw)-4] },          // truncated
+		5: func(raw []byte) []byte { return append(raw, 0, 0, 0, 0) },   // trailing bytes
+		6: func(raw []byte) []byte { return append(raw[:0], other...) }, // another sample
+	}
+	for id, edit := range corrupt {
+		raw, err := os.ReadFile(samplePath(dir, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(samplePath(dir, id), edit(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("prefix:")
+	for id := int64(0); id < 8; id++ {
+		got, err := st.AppendSample(prefix, id)
+		_, readErr := st.ReadSample(id)
+		file, _ := os.ReadFile(samplePath(dir, id))
+		_, decodeErr := graph.Decode(file)
+		if corrupt[id] == nil {
+			want, _ := ds.AppendSample(bytes.Clone(prefix), id)
+			if err != nil || readErr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("sample %d: AppendSample = %v, ReadSample = %v, or the bytes differ from the generator's", id, err, readErr)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sample %d", id)) || !bytes.Equal(got, prefix) {
+			t.Fatalf("corrupt sample %d: AppendSample = %q, %v; want the buffer back and an error naming the id", id, got, err)
+		}
+		if readErr == nil {
+			t.Fatalf("corrupt sample %d: ReadSample accepted the file", id)
+		}
+		if id != 6 && decodeErr == nil {
+			t.Fatalf("sample %d: the test's corruption did not make Decode refuse the file", id)
 		}
 	}
 }

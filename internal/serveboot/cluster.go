@@ -95,13 +95,14 @@ func (c *chunk) retainOwned(m *shardmap.Map, mi int) {
 	}
 }
 
-// readEncoded reads one sample from the durable source in wire encoding.
+// readEncoded reads one sample from the durable source in wire encoding,
+// into a buffer of its own: the one allocation of a lazy miss.
 func readEncoded(src SampleSource, id int64) ([]byte, error) {
-	g, err := src.ReadSample(id)
+	raw, err := src.AppendSample(nil, id)
 	if err != nil {
 		return nil, fmt.Errorf("durable source read %d: %w", id, err)
 	}
-	return g.Encode(), nil
+	return raw, nil
 }
 
 // mapView adapts one owner's shardmap.Store to the transport server's
@@ -368,7 +369,7 @@ func (c *Cluster) startOwner(ln net.Listener, id string) error {
 				if !slices.Contains(sh.Owners, mi) {
 					continue
 				}
-				if ch.shards[i], err = pk.Pack(sh.Lo, sh.Hi, c.src.ReadSample); err != nil {
+				if ch.shards[i], err = pk.Pack(sh.Lo, sh.Hi, c.src.AppendSample); err != nil {
 					ln.Close()
 					return fmt.Errorf("serveboot: preload for %s: %w", id, err)
 				}
@@ -582,12 +583,8 @@ func (c *Cluster) pullMove(mv shardmap.Move, gainer *Owner) (int64, error) {
 		}
 		// Degrade to the durable source: a crash mid-migration means
 		// re-reading, never losing, the chunk.
-		for _, id := range ids {
-			g, err := c.src.ReadSample(id)
-			if err != nil {
-				return fail(fmt.Errorf("durable source read %d: %w", id, err))
-			}
-			if err := pk.Add(g); err != nil {
+		for range ids {
+			if err := pk.AddFrom(c.src.AppendSample); err != nil {
 				return fail(err)
 			}
 		}

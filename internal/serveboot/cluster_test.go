@@ -298,15 +298,15 @@ func TestCrashWithReplicasPromotesWithoutSourceReads(t *testing.T) {
 	}
 }
 
-// countingSource counts ReadSample calls through to the wrapped source.
+// countingSource counts AppendSample calls through to the wrapped source.
 type countingSource struct {
 	SampleSource
 	reads atomic.Int64
 }
 
-func (s *countingSource) ReadSample(id int64) (*graph.Graph, error) {
+func (s *countingSource) AppendSample(buf []byte, id int64) ([]byte, error) {
 	s.reads.Add(1)
-	return s.SampleSource.ReadSample(id)
+	return s.SampleSource.AppendSample(buf, id)
 }
 
 func TestMidMigrationCrashDegradesToRetryAndSource(t *testing.T) {
@@ -434,14 +434,14 @@ type failingSource struct {
 	failed func()
 }
 
-func (s *failingSource) ReadSample(id int64) (*graph.Graph, error) {
+func (s *failingSource) AppendSample(buf []byte, id int64) ([]byte, error) {
 	if s.armed.Load() && id >= s.lo && id < s.hi {
 		if s.failed != nil {
 			s.failed()
 		}
-		return nil, fmt.Errorf("sample %d is gone", id)
+		return buf, fmt.Errorf("sample %d is gone", id)
 	}
-	return s.SampleSource.ReadSample(id)
+	return s.SampleSource.AppendSample(buf, id)
 }
 
 // TestFailedJoinRollsBack: a join whose migration fails must leave the
@@ -522,7 +522,7 @@ func TestHostileTenantThroughReshard(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: n})
 	want := make([][]byte, n)
 	for id := range want {
-		g, err := ds.ReadSample(int64(id))
+		g, err := ds.Sample(int64(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -764,11 +764,11 @@ func TestLazyClusterReshards(t *testing.T) {
 	var total int64
 	want := make([][]byte, n)
 	for id := range want {
-		g, err := src.SampleSource.ReadSample(int64(id))
+		raw, err := src.SampleSource.AppendSample(nil, int64(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[id] = g.Encode()
+		want[id] = raw
 		total += int64(len(want[id]))
 	}
 	budget := total / 4

@@ -240,12 +240,12 @@ type blockingSource struct {
 	release chan struct{}
 }
 
-func (b *blockingSource) ReadSample(id int64) (*graph.Graph, error) {
+func (b *blockingSource) AppendSample(buf []byte, id int64) ([]byte, error) {
 	if id == b.block {
 		b.entered <- struct{}{}
 		<-b.release
 	}
-	return b.SampleSource.ReadSample(id)
+	return b.SampleSource.AppendSample(buf, id)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -295,7 +295,7 @@ func TestCloseDrainsGracefully(t *testing.T) {
 			}
 			inflight := make(chan getResult, 1)
 			go func() {
-				g, err := getGraph(cl, 7) // blocks in ReadSample until release closes
+				g, err := getGraph(cl, 7) // blocks in AppendSample until release closes
 				inflight <- getResult{g, err}
 			}()
 			<-src.entered

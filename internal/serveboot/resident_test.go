@@ -23,7 +23,7 @@ func TestResidentBytesFollowOwnedShards(t *testing.T) {
 	src := datasets.HomoLumo(datasets.Config{NumGraphs: n})
 	want := make([][]byte, n)
 	for id := range want {
-		g, err := src.ReadSample(int64(id))
+		g, err := src.Sample(int64(id))
 		if err != nil {
 			t.Fatal(err)
 		}

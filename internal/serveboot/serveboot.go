@@ -24,15 +24,16 @@ import (
 	"ddstore/internal/cff"
 	"ddstore/internal/datasets"
 	"ddstore/internal/faultnet"
-	"ddstore/internal/graph"
 	"ddstore/internal/pff"
 	"ddstore/internal/transport"
 )
 
-// SampleSource is the subset of dataset/store behaviour the server needs.
+// SampleSource is the subset of dataset/store behaviour the server needs:
+// AppendSample appends sample id to buf in wire encoding, the form an owner
+// keeps and serves, and returns the extended buffer.
 type SampleSource interface {
 	Len() int
-	ReadSample(id int64) (*graph.Graph, error)
+	AppendSample(buf []byte, id int64) ([]byte, error)
 }
 
 // Config describes one cluster: Owners owners serving the keyspace
