@@ -21,8 +21,11 @@ bench:
 # Allocation budget gate, one budget per stage. A served sample after it
 # arrives: header validation (graph.DecodeSizes: the Lazy), full
 # materialization (graph.MaterializeSizes: Lazy + Graph + one tensor slab)
-# and batch assembly (graph.NewBatch128: Batch + float slab + index slab +
-# IDs), each for every size it runs at. A served message: a single get
+# and batch assembly, from Graphs (graph.NewBatch128: Batch + float slab +
+# index slab + IDs) and from the same 128 samples' wire bytes, as both
+# training loaders build it (graph.BatchFromWire128: the same four per
+# batch and none per sample: the views are reused and no Graph is made),
+# each for every size it runs at. A served message: a single get
 # through a booted server, front end included (serveboot.ServedGet: the
 # caller's result slice and nothing else: sending the get as a batch of
 # one costs no allocation), the admit that
@@ -79,13 +82,13 @@ OUT := .bench_build
 
 bench-allocs:
 	@mkdir -p $(OUT)
-	@$(GO) test -run='^$$' -bench='^Benchmark(Pack|DecodeSizes|MaterializeSizes|NewBatch128|ServedGet|Admit|OpGetBatch|LoadLazy64|LoadMaterialize64|FetchChunk16|ClaimHit|PutEvict|Generate|AppendSample)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache ./internal/datasets | tee $(OUT)/decode-allocs.txt
+	@$(GO) test -run='^$$' -bench='^Benchmark(Pack|DecodeSizes|MaterializeSizes|NewBatch128|BatchFromWire128|ServedGet|Admit|OpGetBatch|LoadLazy64|LoadMaterialize64|FetchChunk16|ClaimHit|PutEvict|Generate|AppendSample)$$' -benchtime=100x -benchmem ./internal/graph ./internal/serveboot ./internal/frontend ./internal/transport ./internal/fetch ./internal/cache ./internal/datasets | tee $(OUT)/decode-allocs.txt
 	@awk -v decode="$(DECODE_ALLOC_MAX)" -v materialize="$(MATERIALIZE_ALLOC_MAX)" -v batch="$(BATCH_ALLOC_MAX)" \
 		-v get="$(SERVED_GET_ALLOC_MAX)" -v admit="$(ADMIT_ALLOC_MAX)" -v getbatch16="$(GETBATCH16_ALLOC_MAX)" \
 		-v load="$(LOADLAZY64_ALLOC_MAX)" -v loadcold="$(LOADLAZY64_COLD_ALLOC_MAX)" -v loadmat="$(LOADMAT64_ALLOC_MAX)" -v chunk16="$(FETCHCHUNK16_ALLOC_MAX)" \
 		-v claimhit="$(CLAIMHIT_ALLOC_MAX)" -v putevict="$(PUTEVICT_ALLOC_MAX)" \
 		-v genising="$(GEN_ISING_ALLOC_MAX)" -v genmol="$(GEN_MOLECULE_ALLOC_MAX)" -v appendsample="$(APPEND_SAMPLE_ALLOC_MAX)" -v pack="$(PACK_ALLOC_MAX)" ' \
-		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; \
+		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; max["BenchmarkBatchFromWire128"] = batch; \
 			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16; \
 			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkLoadMaterialize64"] = loadmat; max["BenchmarkFetchChunk16"] = chunk16; \
 			max["BenchmarkClaimHit"] = claimhit; max["BenchmarkPutEvict"] = putevict; \

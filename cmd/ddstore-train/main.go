@@ -112,14 +112,14 @@ func run(args []string) int {
 	var sizes []int64
 	var layout *cff.SimLayout
 	switch *method {
-	case "pff":
+	case "pff", "cff":
 		fs = pfs.New(machine, *ranks)
-		if sizes, err = pff.RegisterSim(fs, ds); err != nil {
+		if sizes, err = pff.SampleSizes(ds); err != nil {
 			return failed(err)
 		}
-	case "cff":
-		fs = pfs.New(machine, *ranks)
-		if layout, err = cff.RegisterSim(fs, ds, 6); err != nil {
+		if *method == "pff" {
+			pff.RegisterSim(fs, ds, sizes)
+		} else if layout, err = cff.RegisterSim(fs, ds, sizes, 6); err != nil {
 			return failed(err)
 		}
 	case "ddstore":

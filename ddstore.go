@@ -19,7 +19,7 @@
 //	        return err
 //	    }
 //	    loader := &ddstore.PlaneLoader{Plane: store}
-//	    graphs, _, err := loader.LoadBatch([]int64{3, 1, 4, 1_000, 5_000})
+//	    batch, _, err := loader.LoadBatch([]int64{3, 1, 4, 1_000, 5_000})
 //	    ...
 //	})
 //
@@ -98,9 +98,6 @@ type (
 	// Batch is the disjoint union of several graphs, the GNN's input.
 	Batch = graph.Batch
 )
-
-// NewBatch assembles graphs into one mini-batch.
-func NewBatch(graphs []*Graph) (*Batch, error) { return graph.NewBatch(graphs) }
 
 // DecodeGraph deserializes one encoded graph.
 func DecodeGraph(data []byte) (*Graph, error) { return graph.Decode(data) }

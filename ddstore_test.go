@@ -21,16 +21,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if store.Replicas() != 2 {
 			return fmt.Errorf("replicas = %d", store.Replicas())
 		}
-		graphs, _, err := (&PlaneLoader{Plane: store}).LoadBatch([]int64{0, 150, 42, 199})
+		batch, _, err := (&PlaneLoader{Plane: store}).LoadBatch([]int64{0, 150, 42, 199})
 		if err != nil {
 			return err
 		}
-		batch, err := NewBatch(graphs)
-		if err != nil {
-			return err
-		}
-		if batch.NumGraphs != 4 {
-			return fmt.Errorf("batch has %d graphs", batch.NumGraphs)
+		if batch.NumGraphs != 4 || fmt.Sprint(batch.IDs) != "[0 150 42 199]" {
+			return fmt.Errorf("batch has %d graphs, ids %v", batch.NumGraphs, batch.IDs)
 		}
 		model := NewModel(ModelConfig{
 			NodeFeatDim: dataset.NodeFeatDim(),

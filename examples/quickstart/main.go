@@ -41,13 +41,10 @@ func main() {
 
 		// A shuffled batch: ids anywhere in the dataset. Remote samples
 		// arrive via MPI-style one-sided Gets from the owner's memory; the
-		// loader is what training reads its batches through.
+		// loader is what training reads its batches through, and it builds
+		// the batch straight from the samples' wire bytes.
 		ids := []int64{1, 9999, 5000, 1234, 42, 7777, 2500, 8600}
-		graphs, _, err := (&ddstore.PlaneLoader{Plane: store}).LoadBatch(ids)
-		if err != nil {
-			return err
-		}
-		batch, err := ddstore.NewBatch(graphs)
+		batch, _, err := (&ddstore.PlaneLoader{Plane: store}).LoadBatch(ids)
 		if err != nil {
 			return err
 		}

@@ -83,14 +83,28 @@ var retired = map[string]string{
 
 	"internal/graph.Packer.Add":            wireSources,
 	"internal/datasets.Dataset.ReadSample": wireSources,
+
+	"internal/ddp.GraphSource.ReadSample":      batchFromWire,
+	"internal/ddp.TimedSource.ReadSampleTimed": batchFromWire,
+	"internal/pff.Store.ReadSample":            batchFromWire,
+	"internal/cff.Store.ReadSample":            batchFromWire,
+	"internal/pff.Sim.ReadSample":              batchFromWire,
+	"internal/pff.Sim.ReadSampleTimed":         batchFromWire,
+	"internal/cff.Sim.ReadSample":              batchFromWire,
+	"internal/cff.Sim.ReadSampleTimed":         batchFromWire,
+	"internal/graph.Graph.Validate":            "no code outside tests called it; a sample's counts and lengths are checked by the codec's exact-length parse (CheckEncoded, DecodeLazy) and its edge endpoints by batch assembly (NewBatch, BatchFromWire)",
+	"internal/pff.RegisterSimSizes":            simSizes,
+	"internal/cff.RegisterSimSizes":            simSizes,
 }
 
 const (
-	eagerLoad      = "a second, eager result shape (a materialized []*graph.Graph) duplicated the lazy loads every plane returns, and ddp.PlaneLoader.LoadBatch is the one place they are materialized"
+	eagerLoad      = "a second, eager result shape (a materialized []*graph.Graph) duplicated the lazy loads every plane returns, and ddp.PlaneLoader.LoadBatch is the one place they become a batch"
 	latencyWindow  = "the fetch engine's latency window kept a second copy of the per-position latencies every load returns, and the ddstore_fetch_latency_seconds histogram already summarizes them"
 	evictionPolicy = "the cache evicts least-recently-used only: FIFO and Clock were selected by nothing but a deleted wall-clock bench section, and every workload ran LRU"
 	cdfQuantile    = "CDF.Quantile(q) was percentileSorted(q*100), the same computation as stats.Percentile; stats.DurationPercentile is the one percentile of durations"
 	wireSources    = "preload and serving sources append wire bytes (AppendSample, Packer.AddFrom), so no source builds a Graph for a packer to encode; Dataset.Sample is the one way to a generated Graph"
+	simSizes       = "a baseline's files are registered one way, RegisterSim from pff.SampleSizes' sizes, which the experiments compute once per dataset"
+	batchFromWire  = "both loaders build their batch straight from wire bytes (graph.BatchFromWire), so the PFF/CFF baseline reads bytes (ddp.Source.AppendSampleTimed) and no reader hands out decoded Graphs for the trainer"
 )
 
 // exportScan is what one pass over the module's non-test Go files finds.
@@ -255,8 +269,8 @@ var promised = map[string]string{
 	"Store":             "what Open returns",
 	"SampleSource":      "what Open reads a dataset from, for sources other than the generators",
 	"StoreStats":        "what Store.Stats returns",
-	"Graph":             "one sample, as PlaneLoader.LoadBatch returns it",
-	"Batch":             "what NewBatch returns",
+	"Graph":             "one sample, as DecodeGraph and Dataset.Sample return it",
+	"Batch":             "what a Loader's LoadBatch returns, the model's input",
 	"DecodeGraph":       "reads one encoded sample",
 	"Model":             "what NewModel returns, checkpointing included",
 	"Loader":            "TrainConfig's loader interface",

@@ -201,13 +201,13 @@ func runOne(spec runSpec) (*runOut, error) {
 		if sizes, err = sizesFor(spec.ds); err != nil {
 			return nil, err
 		}
-		pff.RegisterSimSizes(fs, spec.ds, sizes)
+		pff.RegisterSim(fs, spec.ds, sizes)
 	case MethodCFF:
 		fs = pfs.New(spec.machine, spec.ranks)
 		if sizes, err = sizesFor(spec.ds); err != nil {
 			return nil, err
 		}
-		if layout, err = cff.RegisterSimSizes(fs, spec.ds, sizes, cffParts); err != nil {
+		if layout, err = cff.RegisterSim(fs, spec.ds, sizes, cffParts); err != nil {
 			return nil, err
 		}
 	case MethodDDStore:

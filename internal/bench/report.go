@@ -156,10 +156,3 @@ func Lookup(id string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

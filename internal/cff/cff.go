@@ -75,13 +75,6 @@ func partRange(total, numParts, part int) (int64, int64) {
 	return int64(lo), int64(hi)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Write materializes the dataset as numParts container subfiles under dir.
 func Write(dir string, ds *datasets.Dataset, numParts int) error {
 	if numParts < 1 {
@@ -135,12 +128,11 @@ func writePart(path string, ds *datasets.Dataset, lo, hi int64) error {
 	}
 	offset := int64(len(header))
 	index := make([]indexEntry, 0, hi-lo)
+	var data []byte
 	for id := lo; id < hi; id++ {
-		g, err := ds.Sample(id)
-		if err != nil {
+		if data, err = ds.AppendSample(data[:0], id); err != nil {
 			return err
 		}
-		data := g.Encode()
 		if _, err := f.Write(data); err != nil {
 			return err
 		}
@@ -293,16 +285,6 @@ func (s *Store) AppendSample(buf []byte, id int64) ([]byte, error) {
 	return out, nil
 }
 
-// ReadSample decodes the bytes AppendSample reads, for the consumers that
-// train on Graphs.
-func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
-	raw, err := s.AppendSample(nil, id)
-	if err != nil {
-		return nil, err
-	}
-	return graph.Decode(raw)
-}
-
 // SimLayout is the container layout registered on a simulated filesystem:
 // per-sample locations within virtual part files.
 type SimLayout struct {
@@ -314,22 +296,9 @@ type SimLayout struct {
 }
 
 // RegisterSim lays the dataset out into numParts virtual containers on the
-// simulated filesystem and returns the layout (shared by all ranks).
-func RegisterSim(fs *pfs.PFS, ds *datasets.Dataset, numParts int) (*SimLayout, error) {
-	sizes := make([]int64, ds.Len())
-	for id := int64(0); id < int64(ds.Len()); id++ {
-		g, err := ds.Sample(id)
-		if err != nil {
-			return nil, err
-		}
-		sizes[id] = int64(g.EncodedSize())
-	}
-	return RegisterSimSizes(fs, ds, sizes, numParts)
-}
-
-// RegisterSimSizes is RegisterSim with precomputed per-sample encoded sizes
-// (see pff.SampleSizes), skipping regeneration.
-func RegisterSimSizes(fs *pfs.PFS, ds *datasets.Dataset, sizes []int64, numParts int) (*SimLayout, error) {
+// simulated filesystem, sized by pff.SampleSizes, and returns the layout
+// (shared by all ranks).
+func RegisterSim(fs *pfs.PFS, ds *datasets.Dataset, sizes []int64, numParts int) (*SimLayout, error) {
 	if numParts < 1 {
 		return nil, fmt.Errorf("cff: numParts %d must be positive", numParts)
 	}
@@ -371,29 +340,28 @@ func NewSim(fs *pfs.PFS, ds *datasets.Dataset, layout *SimLayout, clock *vtime.C
 	return &Sim{ds: ds, layout: layout, reader: fs.Reader(clock, rng)}
 }
 
-// Name returns the dataset name.
-func (s *Sim) Name() string { return s.ds.Name() }
-
 // Len returns the number of samples.
 func (s *Sim) Len() int { return s.ds.Len() }
 
-// ReadSample charges the modeled cost of a positional read inside the
-// owning container and returns the generated sample.
-func (s *Sim) ReadSample(id int64) (*graph.Graph, error) {
-	g, _, err := s.ReadSampleTimed(id)
-	return g, err
-}
-
-// ReadSampleTimed is ReadSample plus the charged duration.
-func (s *Sim) ReadSampleTimed(id int64) (*graph.Graph, time.Duration, error) {
+// AppendSampleTimed charges the modeled positional read inside the owning
+// container, appends the generated sample's wire bytes to buf, checked as
+// a Store checks them (graph.CheckEncoded), and returns the charged
+// duration.
+func (s *Sim) AppendSampleTimed(buf []byte, id int64) ([]byte, time.Duration, error) {
 	if id < 0 || id >= int64(s.ds.Len()) {
-		return nil, 0, fmt.Errorf("cff: sample %d out of range [0,%d)", id, s.ds.Len())
+		return buf, 0, fmt.Errorf("cff: sample %d out of range [0,%d)", id, s.ds.Len())
 	}
 	l := s.layout.Loc[id]
 	cost, err := s.reader.ReadAt(s.layout.partNames[l.part], l.offset, int64(l.length))
 	if err != nil {
-		return nil, 0, err
+		return buf, 0, err
 	}
-	g, err := s.ds.Sample(id)
-	return g, cost, err
+	out, err := s.ds.AppendSample(buf, id)
+	if err == nil {
+		err = graph.CheckEncoded(out[len(buf):], id)
+	}
+	if err != nil {
+		return buf, 0, fmt.Errorf("cff: %w", err)
+	}
+	return out, cost, nil
 }

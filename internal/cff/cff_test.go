@@ -12,6 +12,7 @@ import (
 	"ddstore/internal/cluster"
 	"ddstore/internal/datasets"
 	"ddstore/internal/graph"
+	"ddstore/internal/pff"
 	"ddstore/internal/pfs"
 	"ddstore/internal/vtime"
 )
@@ -51,7 +52,11 @@ func TestWriteOpenReadRoundTrip(t *testing.T) {
 		t.Fatalf("metadata mismatch: %+v", st.meta)
 	}
 	for id := int64(0); id < 25; id++ {
-		got, err := st.ReadSample(id)
+		raw, err := st.AppendSample(nil, id)
+		if err != nil {
+			t.Fatalf("sample %d: %v", id, err)
+		}
+		got, err := graph.Decode(raw)
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
@@ -77,7 +82,7 @@ func TestMorePartsThanSamples(t *testing.T) {
 		t.Fatalf("NumParts = %d, want clamped to 3", st.meta.NumParts)
 	}
 	for id := int64(0); id < 3; id++ {
-		if _, err := st.ReadSample(id); err != nil {
+		if _, err := st.AppendSample(nil, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +106,7 @@ func TestReadSampleUnknownID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.ReadSample(99); err == nil {
+	if _, err := st.AppendSample(nil, 99); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
@@ -171,10 +176,20 @@ func TestContainerFileCountIsSmall(t *testing.T) {
 	_ = filepath.Join // keep import if unused in future edits
 }
 
+// registerSim lays ds out into numParts containers on fs, sized as the
+// experiments size them.
+func registerSim(fs *pfs.PFS, ds *datasets.Dataset, numParts int) (*SimLayout, error) {
+	sizes, err := pff.SampleSizes(ds)
+	if err != nil {
+		return nil, err
+	}
+	return RegisterSim(fs, ds, sizes, numParts)
+}
+
 func TestSimMatchesGenerator(t *testing.T) {
 	ds := datasets.AISDExSmooth(datasets.Config{NumGraphs: 40, SpectrumBins: 50})
 	fs := pfs.New(cluster.Perlmutter(), 8)
-	layout, err := RegisterSim(fs, ds, 4)
+	layout, err := registerSim(fs, ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +198,13 @@ func TestSimMatchesGenerator(t *testing.T) {
 	}
 	clock := &vtime.Clock{}
 	sim := NewSim(fs, ds, layout, clock, vtime.NewRNG(1))
-	g, cost, err := sim.ReadSampleTimed(13)
+	prefix := []byte("prefix:")
+	got, cost, err := sim.AppendSampleTimed(prefix, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := ds.Sample(13)
-	if g.ID != 13 || g.NumNodes != want.NumNodes {
+	want, _ := ds.AppendSample(bytes.Clone(prefix), 13)
+	if !bytes.Equal(got, want) {
 		t.Fatal("sim sample differs from generator")
 	}
 	if cost <= 0 || clock.Now() != cost {
@@ -199,13 +215,13 @@ func TestSimMatchesGenerator(t *testing.T) {
 func TestSimAmortizesMetadata(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 500})
 	fs := pfs.New(cluster.Perlmutter(), 64)
-	layout, err := RegisterSim(fs, ds, 2)
+	layout, err := registerSim(fs, ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := NewSim(fs, ds, layout, &vtime.Clock{}, vtime.NewRNG(1))
 	for id := int64(0); id < 500; id++ {
-		if _, err := sim.ReadSample(id); err != nil {
+		if _, _, err := sim.AppendSampleTimed(nil, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,14 +236,14 @@ func TestSimSmallDatasetHitsPageCache(t *testing.T) {
 	// served mostly from the page cache after the first epoch.
 	ds := datasets.Ising(datasets.Config{NumGraphs: 300})
 	fs := pfs.New(cluster.Perlmutter(), 4)
-	layout, err := RegisterSim(fs, ds, 1)
+	layout, err := registerSim(fs, ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := NewSim(fs, ds, layout, &vtime.Clock{}, vtime.NewRNG(1))
 	// Epoch 1: sequential-ish.
 	for id := int64(0); id < 300; id++ {
-		if _, err := sim.ReadSample(id); err != nil {
+		if _, _, err := sim.AppendSampleTimed(nil, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +255,7 @@ func TestSimSmallDatasetHitsPageCache(t *testing.T) {
 	}
 	vtime.NewRNG(2).Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	for _, id := range perm {
-		if _, err := sim.ReadSample(int64(id)); err != nil {
+		if _, _, err := sim.AppendSampleTimed(nil, int64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,17 +268,19 @@ func TestSimSmallDatasetHitsPageCache(t *testing.T) {
 func TestSimRangeCheck(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 3})
 	fs := pfs.New(cluster.Laptop(), 2)
-	layout, _ := RegisterSim(fs, ds, 1)
+	layout, _ := registerSim(fs, ds, 1)
 	sim := NewSim(fs, ds, layout, &vtime.Clock{}, vtime.NewRNG(1))
-	if _, err := sim.ReadSample(3); err == nil {
-		t.Fatal("out-of-range accepted")
+	for _, id := range []int64{3, -1} {
+		if got, _, err := sim.AppendSampleTimed([]byte("buf"), id); err == nil || string(got) != "buf" {
+			t.Fatalf("sample %d: AppendSampleTimed = %q, %v; want the buffer back and an error", id, got, err)
+		}
 	}
 }
 
 func TestRegisterSimRejectsBadParts(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 3})
 	fs := pfs.New(cluster.Laptop(), 2)
-	if _, err := RegisterSim(fs, ds, 0); err == nil {
+	if _, err := registerSim(fs, ds, 0); err == nil {
 		t.Fatal("zero parts accepted")
 	}
 }
@@ -305,7 +323,7 @@ func TestPartNamesMatchTheirFormat(t *testing.T) {
 		}
 	}
 	ds := datasets.Ising(datasets.Config{NumGraphs: 20})
-	layout, err := RegisterSim(pfs.New(cluster.Laptop(), 1), ds, 3)
+	layout, err := registerSim(pfs.New(cluster.Laptop(), 1), ds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +364,7 @@ func corruptPart(t *testing.T, dir string, edit func(part []byte, entry func(id 
 // stored in its container — the generator's wire encoding, with no decode
 // — and refuses a corrupt one with an error naming its id, leaving the
 // caller's buffer as it was. It refuses every sample Decode refuses, and
-// well-formed bytes that hold another sample; ReadSample refuses the same.
+// well-formed bytes that hold another sample.
 func TestAppendSampleServesStoredBytes(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 8})
 	dir := t.TempDir()
@@ -371,19 +389,15 @@ func TestAppendSampleServesStoredBytes(t *testing.T) {
 	prefix := []byte("prefix:")
 	for id := int64(0); id < 8; id++ {
 		got, err := st.AppendSample(prefix, id)
-		_, readErr := st.ReadSample(id)
 		if !corrupt[id] {
 			want, _ := ds.AppendSample(bytes.Clone(prefix), id)
-			if err != nil || readErr != nil || !bytes.Equal(got, want) {
-				t.Fatalf("sample %d: AppendSample = %v, ReadSample = %v, or the bytes differ from the generator's", id, err, readErr)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("sample %d: AppendSample = %v, or the bytes differ from the generator's", id, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sample %d", id)) || !bytes.Equal(got, prefix) {
 			t.Fatalf("corrupt sample %d: AppendSample = %q, %v; want the buffer back and an error naming the id", id, got, err)
-		}
-		if readErr == nil {
-			t.Fatalf("corrupt sample %d: ReadSample accepted it", id)
 		}
 		if id != 6 {
 			l := st.loc[id]

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"ddstore/internal/graph"
 )
 
 func allDatasets(cfg Config) []*Dataset {
@@ -68,7 +70,13 @@ func TestAllSamplesValid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s[%d]: %v", d.Name(), id, err)
 			}
-			if err := g.Validate(); err != nil {
+			// Every tensor length agrees with the counts (the codec's
+			// exact-length parse) and every edge joins two of the sample's
+			// own nodes (batch assembly's endpoint check).
+			if err := graph.CheckEncoded(g.Encode(), id); err != nil {
+				t.Fatalf("%s[%d]: %v", d.Name(), id, err)
+			}
+			if _, err := graph.NewBatch([]*graph.Graph{g}); err != nil {
 				t.Fatalf("%s[%d]: %v", d.Name(), id, err)
 			}
 			if g.ID != id {

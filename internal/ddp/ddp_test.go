@@ -278,10 +278,11 @@ func TestSimTrainingDDStoreVsPFF(t *testing.T) {
 	}
 
 	fs := pfs.New(machine, n)
-	sizes, err := pff.RegisterSim(fs, ds)
+	sizes, err := pff.SampleSizes(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pff.RegisterSim(fs, ds, sizes)
 	pffRes, _ := runTraining(t, n, machine, func(c *comm.Comm) (Config, error) {
 		cfg := base
 		cfg.Loader = &SourceLoader{Source: pff.NewSim(fs, ds, sizes, c.Clock(), c.RNG())}
@@ -651,11 +652,14 @@ func TestLocalShuffleTrainingStaysLocal(t *testing.T) {
 	}
 }
 
-// datasetSource reads a dataset's samples as decoded Graphs, as a baseline
-// storage backend hands them out.
+// datasetSource reads a dataset's samples as wire bytes, as a baseline
+// storage backend hands them out, in no modeled time.
 type datasetSource struct{ *datasets.Dataset }
 
-func (s datasetSource) ReadSample(id int64) (*graph.Graph, error) { return s.Sample(id) }
+func (s datasetSource) AppendSampleTimed(buf []byte, id int64) ([]byte, time.Duration, error) {
+	buf, err := s.AppendSample(buf, id)
+	return buf, 0, err
+}
 
 type recordingLoader struct {
 	inner     Loader
@@ -664,7 +668,7 @@ type recordingLoader struct {
 
 func (r *recordingLoader) Len() int { return r.inner.Len() }
 
-func (r *recordingLoader) LoadBatch(ids []int64) ([]*graph.Graph, []time.Duration, error) {
+func (r *recordingLoader) LoadBatch(ids []int64) (*graph.Batch, []time.Duration, error) {
 	r.requested = append(r.requested, ids...)
 	return r.inner.LoadBatch(ids)
 }

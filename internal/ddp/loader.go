@@ -9,12 +9,12 @@ import (
 	"ddstore/internal/obs/tracectx"
 )
 
-// Loader is how a rank materializes a batch of samples by global id. The
-// returned latencies (one per sample, virtual time) may be nil when the
-// loader has no timing information.
+// Loader is how a rank loads a batch of samples by global id, the GNN's
+// input. The returned latencies (one per sample, virtual time) may be nil
+// when the loader has no timing information. No ids give a nil batch.
 type Loader interface {
 	Len() int
-	LoadBatch(ids []int64) ([]*graph.Graph, []time.Duration, error)
+	LoadBatch(ids []int64) (*graph.Batch, []time.Duration, error)
 }
 
 // DataPlane is the batch-loading surface both DDStore planes expose: the
@@ -49,19 +49,23 @@ type PlaneLoader struct {
 // Len returns the dataset size.
 func (l *PlaneLoader) Len() int { return l.Plane.Len() }
 
-// LoadBatch implements Loader: LoadBatchLazy, then Graph on each view in
-// request order. It is the one place plane samples are materialized, so
-// duplicate ids cost one fetch but each position gets its own graph.
-func (l *PlaneLoader) LoadBatch(ids []int64) ([]*graph.Graph, []time.Duration, error) {
+// LoadBatch implements Loader: LoadBatchLazy, then graph.BatchFromWire.
+// Duplicate ids cost one fetch, and each position gets its own stretch of
+// the batch. A load of no ids still goes to the plane — a two-sided store
+// loads collectively — and returns a nil batch.
+func (l *PlaneLoader) LoadBatch(ids []int64) (*graph.Batch, []time.Duration, error) {
 	views, lat, err := l.LoadBatchLazy(ids)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]*graph.Graph, len(views))
-	for i, v := range views {
-		out[i] = v.Graph()
+	if len(views) == 0 {
+		return nil, lat, nil
 	}
-	return out, lat, nil
+	b, err := graph.BatchFromWire(views)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, lat, nil
 }
 
 // LoadBatchLazy returns the batch as lazy views instead of materialized
@@ -86,54 +90,56 @@ func (l *PlaneLoader) LoadBatchLazy(ids []int64) ([]*graph.Lazy, []time.Duration
 	return out, lat, err
 }
 
-// GraphSource is what the PFF/CFF baseline path reads: a storage backend
-// that hands out decoded samples (the simulated and real PFF/CFF readers).
-type GraphSource interface {
+// Source is what the PFF/CFF baseline path reads: a storage backend that
+// appends sample id's wire bytes to buf, as stored, and reports the modeled
+// time the read took (the simulated readers charge it to the rank's clock).
+type Source interface {
 	Len() int
-	ReadSample(id int64) (*graph.Graph, error)
-}
-
-// TimedSource is a GraphSource that can report per-read modeled latency
-// (the simulated PFF/CFF readers implement it).
-type TimedSource interface {
-	GraphSource
-	ReadSampleTimed(id int64) (*graph.Graph, time.Duration, error)
+	AppendSampleTimed(buf []byte, id int64) ([]byte, time.Duration, error)
 }
 
 // SourceLoader serves batches by reading each sample directly from a
 // storage backend — the PFF/CFF baseline path: every batch goes back to the
-// (simulated or real) filesystem.
+// (simulated or real) filesystem, one read per position, into a buffer the
+// loader reuses. Not safe for concurrent use.
 type SourceLoader struct {
-	Source GraphSource
+	Source Source
+	buf    []byte
+	views  []graph.Lazy
+	ptrs   []*graph.Lazy
 }
 
 // Len returns the dataset size.
 func (l *SourceLoader) Len() int { return l.Source.Len() }
 
-// LoadBatch implements Loader, reporting per-sample latency when the
-// backend supports it.
-func (l *SourceLoader) LoadBatch(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	out := make([]*graph.Graph, len(ids))
-	var lat []time.Duration
-	timed, hasTiming := l.Source.(TimedSource)
-	if hasTiming {
-		lat = make([]time.Duration, len(ids))
+// LoadBatch implements Loader, reporting each read's modeled latency.
+func (l *SourceLoader) LoadBatch(ids []int64) (*graph.Batch, []time.Duration, error) {
+	if len(ids) == 0 {
+		return nil, nil, nil
 	}
+	if cap(l.views) < len(ids) {
+		l.views, l.ptrs = make([]graph.Lazy, len(ids)), make([]*graph.Lazy, len(ids))
+	}
+	var slabs graph.Slabs
+	slabs.Bind(l.views[:len(ids)])
+	lat, ptrs := make([]time.Duration, len(ids)), l.ptrs[:len(ids)]
+	l.buf = l.buf[:0]
 	for i, id := range ids {
-		if hasTiming {
-			g, d, err := timed.ReadSampleTimed(id)
-			if err != nil {
-				return nil, nil, err
-			}
-			out[i] = g
-			lat[i] = d
-			continue
-		}
-		g, err := l.Source.ReadSample(id)
-		if err != nil {
+		start := len(l.buf)
+		var err error
+		if l.buf, lat[i], err = l.Source.AppendSampleTimed(l.buf, id); err != nil {
 			return nil, nil, err
 		}
-		out[i] = g
+		// A view keeps its bytes when a later append moves buf: append
+		// never writes to the array it leaves.
+		if err := slabs.DecodeInto(i, l.buf[start:], nil); err != nil {
+			return nil, nil, err
+		}
+		ptrs[i] = &l.views[i]
 	}
-	return out, lat, nil
+	b, err := graph.BatchFromWire(ptrs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, lat, nil
 }

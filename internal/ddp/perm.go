@@ -88,15 +88,6 @@ type IDs interface {
 	At(i int) int64
 }
 
-// SliceIDs adapts a concrete slice to the IDs interface.
-type SliceIDs []int64
-
-// Len implements IDs.
-func (s SliceIDs) Len() int { return len(s) }
-
-// At implements IDs.
-func (s SliceIDs) At(i int) int64 { return s[i] }
-
 // permView is the composition perm → base: element i is
 // base.At(perm.Apply(off + i)).
 type permView struct {

@@ -134,3 +134,10 @@ func Collect(v IDs) []int64 {
 	}
 	return out
 }
+
+// SliceIDs adapts a concrete slice to the IDs interface.
+type SliceIDs []int64
+
+func (s SliceIDs) Len() int { return len(s) }
+
+func (s SliceIDs) At(i int) int64 { return s[i] }

@@ -122,13 +122,6 @@ func ShardFor(ids IDs, worldSize, rank int) IDs {
 	return subView{base: ids, off: lo, nn: hi - lo}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // LocalShuffleSampler implements the conventional "data sharding with local
 // shuffling" scheme the paper's §2.2 contrasts DDStore against: the
 // training ids are split once into per-rank shards, and each epoch only

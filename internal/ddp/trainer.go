@@ -215,7 +215,7 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 
 			// --- CPU: load + batch (charges the rank clock). ---
 			loadStart := clock.Now()
-			graphs, lats, err := cfg.Loader.LoadBatch(ids)
+			batch, lats, err := cfg.Loader.LoadBatch(ids)
 			if err != nil {
 				return nil, fmt.Errorf("ddp: rank %d step %d: %w", c.Rank(), step, err)
 			}
@@ -223,12 +223,11 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 			if cfg.KeepLatencies && lats != nil {
 				res.Latencies = append(res.Latencies, lats...)
 			}
-			batch, err := graph.NewBatch(graphs)
-			if err != nil {
-				return nil, err
+			if batch == nil { // an empty load: nothing to train on, but every collective still runs
+				batch = new(graph.Batch)
 			}
 			if machine != nil {
-				clock.Advance(machine.CPUBatch(len(graphs), batch.Bytes()))
+				clock.Advance(machine.CPUBatch(batch.NumGraphs, batch.Bytes()))
 			}
 			cpuDone := clock.Now()
 			loading += loadDone - loadStart
@@ -247,8 +246,10 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 			var loss float64
 			if cfg.Model != nil {
 				opt.ZeroGrad()
-				loss = cfg.Model.TrainStep(batch)
-				lossSum += loss
+				if batch.NumGraphs > 0 {
+					loss = cfg.Model.TrainStep(batch)
+					lossSum += loss
+				}
 			}
 			var gpuCost time.Duration
 			if machine != nil {
@@ -387,16 +388,12 @@ func evalShard(c *comm.Comm, cfg Config, ids IDs) (float64, error) {
 		for i := lo; i < hi; i++ {
 			batchIDs = append(batchIDs, shard.At(i))
 		}
-		graphs, _, err := cfg.Loader.LoadBatch(batchIDs)
+		batch, _, err := cfg.Loader.LoadBatch(batchIDs)
 		if err != nil {
 			return 0, err
 		}
-		if len(graphs) == 0 {
+		if batch == nil {
 			continue
-		}
-		batch, err := graph.NewBatch(graphs)
-		if err != nil {
-			return 0, err
 		}
 		lossSum += cfg.Model.EvalLoss(batch) * float64(hi-lo)
 		count += hi - lo

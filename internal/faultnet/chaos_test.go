@@ -13,9 +13,8 @@ import (
 	"ddstore/internal/transport"
 )
 
-// loadGraphs loads ids through the trainer's loader, the one place plane
-// samples are materialized.
-func loadGraphs(p ddp.DataPlane, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+// loadBatch loads ids through the trainer's loader, as one batch.
+func loadBatch(p ddp.DataPlane, ids []int64) (*graph.Batch, []time.Duration, error) {
 	return (&ddp.PlaneLoader{Plane: p}).LoadBatch(ids)
 }
 
@@ -101,13 +100,12 @@ func TestGroupSurvivesChaos(t *testing.T) {
 
 			verifyAll := func(pass string) {
 				for id := int64(0); id < 40; id++ {
-					gs, _, err := loadGraphs(grp, []int64{id})
+					b, _, err := loadBatch(grp, []int64{id})
 					if err != nil {
 						t.Fatalf("%s: sample %d: %v", pass, id, err)
 					}
-					g := gs[0]
 					want, _ := ds.Sample(id)
-					if g.ID != id || g.NumNodes != want.NumNodes || g.Y[0] != want.Y[0] {
+					if b.IDs[0] != id || b.NumNodes != want.NumNodes || b.Y[0] != want.Y[0] {
 						t.Fatalf("%s: sample %d corrupted end to end", pass, id)
 					}
 				}
@@ -194,13 +192,13 @@ func TestCacheSurvivesOwnerDeath(t *testing.T) {
 
 	load := func(pass string, ids []int64) {
 		t.Helper()
-		got, _, err := loadGraphs(grp, ids)
+		got, _, err := loadBatch(grp, ids)
 		if err != nil {
 			t.Fatalf("%s: %v", pass, err)
 		}
-		for i, g := range got {
-			if g.ID != ids[i] {
-				t.Fatalf("%s: slot %d got sample %d, want %d", pass, i, g.ID, ids[i])
+		for i, id := range got.IDs {
+			if id != ids[i] {
+				t.Fatalf("%s: slot %d got sample %d, want %d", pass, i, id, ids[i])
 			}
 		}
 	}

@@ -52,13 +52,13 @@ func minLoad(t *testing.T, grp *transport.Group, reps int, batches ...[]int64) t
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		for _, ids := range batches {
-			got, _, err := loadGraphs(grp, ids)
+			got, _, err := loadBatch(grp, ids)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, g := range got {
-				if g.ID != ids[i] {
-					t.Fatalf("slot %d: got sample %d want %d", i, g.ID, ids[i])
+			for i, id := range got.IDs {
+				if id != ids[i] {
+					t.Fatalf("slot %d: got sample %d want %d", i, id, ids[i])
 				}
 			}
 		}
@@ -166,13 +166,13 @@ func TestFanOutUnderFaults(t *testing.T) {
 		ids = append(ids, base, base+1)
 	}
 	for rep := 0; rep < 10; rep++ {
-		got, _, err := loadGraphs(grp, ids)
+		got, _, err := loadBatch(grp, ids)
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
-		for i, g := range got {
-			if g.ID != ids[i] {
-				t.Fatalf("rep %d slot %d: got sample %d want %d", rep, i, g.ID, ids[i])
+		for i, id := range got.IDs {
+			if id != ids[i] {
+				t.Fatalf("rep %d slot %d: got sample %d want %d", rep, i, id, ids[i])
 			}
 		}
 	}

@@ -77,10 +77,18 @@ func checkBatch(t *testing.T, p confPlane, ids []int64, out []*graph.Graph, lats
 	}
 }
 
-// load is one batch through the trainer's loader, the one place plane
-// samples are materialized.
+// load is one batch through the trainer's loader, lazily, with every view
+// materialized: a Graph per position.
 func (p confPlane) load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	return (&ddp.PlaneLoader{Plane: p.plane}).LoadBatch(ids)
+	views, lats, err := (&ddp.PlaneLoader{Plane: p.plane}).LoadBatchLazy(ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]*graph.Graph, len(views))
+	for i, v := range views {
+		out[i] = v.Graph()
+	}
+	return out, lats, nil
 }
 
 // remoteUnique counts the distinct ids of a batch that go through the cache.

@@ -14,3 +14,7 @@ func (s *Slabs) Holds(g *Graph) bool {
 	}
 	return false
 }
+
+// FlipHostOrder makes the codec treat the host as having the other byte
+// order, so a little-endian host runs the swap passes a big-endian one does.
+func FlipHostOrder() { hostLittleEndian = !hostLittleEndian }

@@ -41,39 +41,6 @@ type Graph struct {
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return len(g.EdgeSrc) }
 
-// Validate checks structural invariants.
-func (g *Graph) Validate() error {
-	if g.NumNodes < 0 {
-		return fmt.Errorf("graph %d: negative node count", g.ID)
-	}
-	if g.NodeFeatDim < 0 || g.EdgeFeatDim < 0 {
-		return fmt.Errorf("graph %d: negative feature dim", g.ID)
-	}
-	if len(g.NodeFeat) != g.NumNodes*g.NodeFeatDim {
-		return fmt.Errorf("graph %d: node features %d != %d nodes × %d dims",
-			g.ID, len(g.NodeFeat), g.NumNodes, g.NodeFeatDim)
-	}
-	if len(g.EdgeSrc) != len(g.EdgeDst) {
-		return fmt.Errorf("graph %d: %d edge sources vs %d destinations",
-			g.ID, len(g.EdgeSrc), len(g.EdgeDst))
-	}
-	if len(g.EdgeFeat) != len(g.EdgeSrc)*g.EdgeFeatDim {
-		return fmt.Errorf("graph %d: edge features %d != %d edges × %d dims",
-			g.ID, len(g.EdgeFeat), len(g.EdgeSrc), g.EdgeFeatDim)
-	}
-	if g.Pos != nil && len(g.Pos) != g.NumNodes*3 {
-		return fmt.Errorf("graph %d: positions %d != %d nodes × 3", g.ID, len(g.Pos), g.NumNodes)
-	}
-	for i := range g.EdgeSrc {
-		if g.EdgeSrc[i] < 0 || int(g.EdgeSrc[i]) >= g.NumNodes ||
-			g.EdgeDst[i] < 0 || int(g.EdgeDst[i]) >= g.NumNodes {
-			return fmt.Errorf("graph %d: edge %d (%d->%d) out of range [0,%d)",
-				g.ID, i, g.EdgeSrc[i], g.EdgeDst[i], g.NumNodes)
-		}
-	}
-	return nil
-}
-
 // Codec constants.
 const (
 	codecMagic   = 0xDD57 // "DDSTore"
@@ -314,29 +281,126 @@ func NewBatch(graphs []*Graph) (*Batch, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("graph: empty batch")
 	}
-	b := &Batch{
-		NumGraphs:   len(graphs),
-		NodeFeatDim: graphs[0].NodeFeatDim,
-		EdgeFeatDim: graphs[0].EdgeFeatDim,
-		YDim:        len(graphs[0].Y),
-	}
-	var nNode, nEdge, nEdgeFeat int
+	first := graphs[0].shape()
+	var nodes, nNode, nEdge, nEdgeFeat int
 	for _, g := range graphs {
-		if g.NodeFeatDim != b.NodeFeatDim {
-			return nil, fmt.Errorf("graph: batch mixes node feature dims %d and %d", b.NodeFeatDim, g.NodeFeatDim)
+		if g.NodeFeatDim != first.nodeFeatDim || g.EdgeFeatDim != first.edgeFeatDim || len(g.Y) != first.yDim {
+			return nil, first.mixed(g.shape())
 		}
-		if g.EdgeFeatDim != b.EdgeFeatDim {
-			return nil, fmt.Errorf("graph: batch mixes edge feature dims %d and %d", b.EdgeFeatDim, g.EdgeFeatDim)
-		}
-		if len(g.Y) != b.YDim {
-			return nil, fmt.Errorf("graph: batch mixes target dims %d and %d", b.YDim, len(g.Y))
-		}
-		b.NumNodes += g.NumNodes
-		nNode += len(g.NodeFeat)
-		nEdge += len(g.EdgeSrc)
-		nEdgeFeat += len(g.EdgeFeat)
+		nodes, nNode, nEdge, nEdgeFeat = nodes+g.NumNodes, nNode+len(g.NodeFeat), nEdge+len(g.EdgeSrc), nEdgeFeat+len(g.EdgeFeat)
 	}
-	nY := len(graphs) * b.YDim
+	b := carve(len(graphs), first, shape{nodes: nodes, nodeFeat: nNode, edges: nEdge, edgeFeat: nEdgeFeat})
+	nodeFeat, edgeFeat, y, edgeSrc, edgeDst, index := b.NodeFeat, b.EdgeFeat, b.Y, b.EdgeSrc, b.EdgeDst, b.GraphIndex
+	offset := int32(0)
+	for gi, g := range graphs {
+		nodeFeat = nodeFeat[copy(nodeFeat, g.NodeFeat):]
+		edgeFeat = edgeFeat[copy(edgeFeat, g.EdgeFeat):]
+		y = y[copy(y, g.Y):]
+		n := len(g.EdgeSrc)
+		top := max(addOffset(edgeSrc, g.EdgeSrc, offset), addOffset(edgeDst, g.EdgeDst[:n], offset))
+		if n > 0 && top >= uint32(g.NumNodes) {
+			return nil, endpointError(g.ID, top, g.NumNodes)
+		}
+		edgeSrc, edgeDst, index = edgeSrc[n:], edgeDst[n:], b.record(gi, g.ID, index, g.NumNodes)
+		offset += int32(g.NumNodes)
+	}
+	return b, nil
+}
+
+// BatchFromWire is NewBatch over a load's views, built straight from their
+// wire bytes with the same checks and errors: the size pass reads the
+// validated headers, and each tensor is one copy out of the payload into
+// the batch's slabs (words are never viewed in the bytes, words.go), where
+// the edges are offset in place; the positions are skipped. No Graph is
+// made; a view that is already materialized is copied from its Graph.
+// Every view is consumed — released once its tensors are copied, and all
+// of them on error — so the caller drops the views either way.
+func BatchFromWire(views []*Lazy) (b *Batch, err error) {
+	defer func() {
+		if err != nil {
+			for _, v := range views {
+				v.Release()
+			}
+		}
+	}()
+	if len(views) == 0 {
+		return nil, fmt.Errorf("graph: empty batch")
+	}
+	first := views[0].shape()
+	var nodes, nNode, nEdge, nEdgeFeat int
+	for _, v := range views {
+		s := v.shape()
+		if s.nodeFeatDim != first.nodeFeatDim || s.edgeFeatDim != first.edgeFeatDim || s.yDim != first.yDim {
+			return nil, first.mixed(s)
+		}
+		nodes, nNode, nEdge, nEdgeFeat = nodes+s.nodes, nNode+s.nodeFeat, nEdge+s.edges, nEdgeFeat+s.edgeFeat
+	}
+	b = carve(len(views), first, shape{nodes: nodes, nodeFeat: nNode, edges: nEdge, edgeFeat: nEdgeFeat})
+	nodeFeat, edgeFeat, y, edgeSrc, edgeDst, index := b.NodeFeat, b.EdgeFeat, b.Y, b.EdgeSrc, b.EdgeDst, b.GraphIndex
+	offset := int32(0)
+	for gi, v := range views {
+		h, g := &v.h, v.g
+		n, vNodes, id := h.numEdges, h.numNodes, h.id
+		src, dst := edgeSrc[:n], edgeDst[:n]
+		if v.data != nil {
+			nf, ef := vNodes*h.nodeFeatDim, n*h.edgeFeatDim
+			p := copyWire(nodeFeat[:nf], v.data[headerSize:h.want])
+			p = copyWire(edgeFeat[:ef], copyWire(dst, copyWire(src, p)))
+			copyWire(y[:h.lenY], p[len(p)-4*h.lenY:])
+			nodeFeat, edgeFeat, y = nodeFeat[nf:], edgeFeat[ef:], y[h.lenY:]
+		} else { // a trainer may have replaced a tensor: go by the Graph's own lengths
+			n, vNodes, id = len(g.EdgeSrc), g.NumNodes, g.ID
+			src, dst = edgeSrc[:copy(edgeSrc, g.EdgeSrc)], edgeDst[:copy(edgeDst, g.EdgeDst[:n])]
+			nodeFeat = nodeFeat[copy(nodeFeat, g.NodeFeat):]
+			edgeFeat = edgeFeat[copy(edgeFeat, g.EdgeFeat):]
+			y = y[copy(y, g.Y):]
+		}
+		v.Release()
+		top := max(addOffset(src, src, offset), addOffset(dst, dst, offset))
+		if n > 0 && top >= uint32(vNodes) {
+			return nil, endpointError(id, top, vNodes)
+		}
+		edgeSrc, edgeDst, index = edgeSrc[n:], edgeDst[n:], b.record(gi, id, index, vNodes)
+		offset += int32(vNodes)
+	}
+	return b, nil
+}
+
+// shape is what a size pass reads of one sample: its dims, which every
+// sample of a batch shares, and the lengths of its tensors.
+type shape struct {
+	nodeFeatDim, edgeFeatDim, yDim   int
+	nodes, nodeFeat, edges, edgeFeat int
+}
+
+func (g *Graph) shape() shape {
+	return shape{g.NodeFeatDim, g.EdgeFeatDim, len(g.Y), g.NumNodes, len(g.NodeFeat), len(g.EdgeSrc), len(g.EdgeFeat)}
+}
+
+func (l *Lazy) shape() shape {
+	if l.data == nil {
+		return l.g.shape() // a released view has no Graph either: consuming it twice panics, as Graph does
+	}
+	h := &l.h
+	return shape{h.nodeFeatDim, h.edgeFeatDim, h.lenY, h.numNodes, h.numNodes * h.nodeFeatDim, h.numEdges, h.numEdges * h.edgeFeatDim}
+}
+
+// mixed is the error for a sample whose dims are not the first's.
+func (first *shape) mixed(s shape) error {
+	if s.nodeFeatDim != first.nodeFeatDim {
+		return fmt.Errorf("graph: batch mixes node feature dims %d and %d", first.nodeFeatDim, s.nodeFeatDim)
+	}
+	if s.edgeFeatDim != first.edgeFeatDim {
+		return fmt.Errorf("graph: batch mixes edge feature dims %d and %d", first.edgeFeatDim, s.edgeFeatDim)
+	}
+	return fmt.Errorf("graph: batch mixes target dims %d and %d", first.yDim, s.yDim)
+}
+
+// carve makes a batch of n samples with the first's dims: its two slabs,
+// sized by the summed tensor lengths total, and its IDs.
+func carve(n int, first, total shape) *Batch {
+	b := &Batch{NumGraphs: n, NumNodes: total.nodes, NodeFeatDim: first.nodeFeatDim, EdgeFeatDim: first.edgeFeatDim, YDim: first.yDim}
+	nNode, nEdge, nEdgeFeat, nY := total.nodeFeat, total.edges, total.edgeFeat, n*first.yDim
 	floats := make([]float32, nNode+nEdgeFeat+nY)
 	b.NodeFeat, floats = floats[:nNode:nNode], floats[nNode:]
 	b.EdgeFeat, floats = floats[:nEdgeFeat:nEdgeFeat], floats[nEdgeFeat:]
@@ -345,32 +409,23 @@ func NewBatch(graphs []*Graph) (*Batch, error) {
 	b.EdgeSrc, ints = ints[:nEdge:nEdge], ints[nEdge:]
 	b.EdgeDst, ints = ints[:nEdge:nEdge], ints[nEdge:]
 	b.GraphIndex = ints[:b.NumNodes:b.NumNodes]
-	b.IDs = make([]int64, len(graphs))
+	b.IDs = make([]int64, n)
+	return b
+}
 
-	nodeFeat, edgeFeat, y := b.NodeFeat, b.EdgeFeat, b.Y
-	edgeSrc, edgeDst, graphIndex := b.EdgeSrc, b.EdgeDst, b.GraphIndex
-	offset := int32(0)
-	for gi, g := range graphs {
-		nodeFeat = nodeFeat[copy(nodeFeat, g.NodeFeat):]
-		edgeFeat = edgeFeat[copy(edgeFeat, g.EdgeFeat):]
-		y = y[copy(y, g.Y):]
-		b.IDs[gi] = g.ID
-
-		n := len(g.EdgeSrc)
-		top := max(addOffset(edgeSrc, g.EdgeSrc, offset), addOffset(edgeDst, g.EdgeDst[:n], offset))
-		if n > 0 && top >= uint32(g.NumNodes) {
-			return nil, fmt.Errorf("graph: sample %d has an edge endpoint %d outside its %d nodes", g.ID, int32(top), g.NumNodes)
-		}
-		edgeSrc, edgeDst = edgeSrc[n:], edgeDst[n:]
-
-		index := graphIndex[:g.NumNodes]
-		for i := range index {
-			index[i] = int32(gi)
-		}
-		graphIndex = graphIndex[g.NumNodes:]
-		offset += int32(g.NumNodes)
+// record sets sample gi's id and its nodes' graph index, the first nodes of
+// index, and returns the rest of index.
+func (b *Batch) record(gi int, id int64, index []int32, nodes int) []int32 {
+	b.IDs[gi] = id
+	mine := index[:nodes]
+	for i := range mine {
+		mine[i] = int32(gi)
 	}
-	return b, nil
+	return index[nodes:]
+}
+
+func endpointError(id int64, top uint32, nodes int) error {
+	return fmt.Errorf("graph: sample %d has an edge endpoint %d outside its %d nodes", id, int32(top), nodes)
 }
 
 // addOffset writes src[i]+offset to dst[i] for every element of src; dst is
@@ -381,9 +436,10 @@ func NewBatch(graphs []*Graph) (*Batch, error) {
 // and the loop's own bookkeeping — which the compiler neither unrolls nor
 // vectorizes away — is paid once in four. The maximum is kept in one
 // accumulator per lane: a single running maximum would make every element
-// wait on the previous element's comparison. A step reads its four words
-// into locals once; read through s again after the stores, they would be
-// loaded twice, since dst may alias src as far as the compiler knows.
+// wait on the previous element's comparison. Every word is read into a
+// local once, before its store: dst may be src itself (BatchFromWire offsets
+// the edges in place), and read through src again after the store, a word
+// would come back offset.
 func addOffset(dst, src []int32, offset int32) uint32 {
 	dst = dst[:len(src)]
 	var m0, m1, m2, m3 uint32
@@ -396,8 +452,9 @@ func addOffset(dst, src []int32, offset int32) uint32 {
 		m2, m3 = max(m2, uint32(c)), max(m3, uint32(e))
 	}
 	for ; i < len(src); i++ {
-		dst[i] = src[i] + offset
-		m0 = max(m0, uint32(src[i]))
+		v := src[i]
+		dst[i] = v + offset
+		m0 = max(m0, uint32(v))
 	}
 	return max(m0, m1, m2, m3)
 }

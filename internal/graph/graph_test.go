@@ -96,30 +96,6 @@ func graphsEqual(a, b *Graph) bool {
 		eqF(a.Pos, b.Pos) && eqF(a.Y, b.Y)
 }
 
-func TestValidateAcceptsGood(t *testing.T) {
-	if err := testGraph(1).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsBad(t *testing.T) {
-	cases := map[string]func(g *Graph){
-		"node feature length": func(g *Graph) { g.NodeFeat = g.NodeFeat[:3] },
-		"edge src/dst":        func(g *Graph) { g.EdgeDst = g.EdgeDst[:2] },
-		"edge feature length": func(g *Graph) { g.EdgeFeat = append(g.EdgeFeat, 1) },
-		"edge out of range":   func(g *Graph) { g.EdgeSrc[0] = 7 },
-		"negative edge":       func(g *Graph) { g.EdgeDst[1] = -1 },
-		"bad positions":       func(g *Graph) { g.Pos = g.Pos[:4] },
-	}
-	for name, mutate := range cases {
-		g := testGraph(1)
-		mutate(g)
-		if err := g.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a corrupt graph", name)
-		}
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	g := testGraph(77)
 	data := g.Encode()
@@ -384,7 +360,8 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkNewBatch128(b *testing.B) {
+// batch128 is the benchmarks' batch: 128 random graphs sharing their dims.
+func batch128() []*Graph {
 	rng := vtime.NewRNG(2)
 	gs := make([]*Graph, 128)
 	for i := range gs {
@@ -396,10 +373,44 @@ func BenchmarkNewBatch128(b *testing.B) {
 		g.Y = []float32{1}
 		gs[i] = g
 	}
+	return gs
+}
+
+func BenchmarkNewBatch128(b *testing.B) {
+	gs := batch128()
 	b.ReportAllocs()
 	b.ResetTimer() // the alloc gate runs 100 iterations: keep the set-up's allocations out of them
 	for i := 0; i < b.N; i++ {
 		if _, err := NewBatch(gs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBatchFromWire128 is BenchmarkNewBatch128's batch assembled
+// straight from its wire bytes, as a loader does: validating each sample's
+// header into a reused view, then BatchFromWire. The batch's four
+// allocations are the only ones; no sample adds any.
+func BenchmarkBatchFromWire128(b *testing.B) {
+	gs := batch128()
+	encs := make([][]byte, len(gs))
+	for i, g := range gs {
+		encs[i] = g.Encode()
+	}
+	views := make([]Lazy, len(gs))
+	ptrs := make([]*Lazy, len(gs))
+	for i := range views {
+		ptrs[i] = &views[i]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, enc := range encs {
+			if err := decodeLazyInto(&views[j], enc, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := BatchFromWire(ptrs); err != nil {
 			b.Fatal(err)
 		}
 	}

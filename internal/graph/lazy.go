@@ -20,17 +20,18 @@ type Ref interface {
 // the tensors still live in the encoded wire bytes. This is what the hot
 // read path produces per sample — validation costs one allocation (the
 // Lazy itself, or none for a view of a load: a load's views are one slab)
-// — and materialization is deferred to the first Graph call, typically
-// batch assembly in the training loop: one copy of the payload out of the
-// wire bytes, never a view of them. Samples that are fetched for cache
-// warming, prefetched speculatively, or re-encoded verbatim never pay
+// — and the tensors stay in the bytes until they are copied out, never
+// viewed: into a batch by BatchFromWire, or into a Graph by the first Graph
+// call. Samples that are fetched for cache warming, prefetched
+// speculatively, or re-encoded verbatim never pay
 // decode cost at all, which is why the Lazy holds only a pointer to the
 // Graph: most of them on a cache-heavy path never grow one (TestLazySize).
 //
 // A Lazy may hold one reference on the buffer backing data (ref != nil
 // when the bytes came from the pooled arena). The reference is released as
-// soon as it is no longer needed: by Graph on first materialization, or by
-// Release if the tensors are never touched.
+// soon as it is no longer needed: by Graph on first materialization, by
+// BatchFromWire once the tensors are in the batch, or by Release if the
+// tensors are never touched.
 //
 // A view of a load (Slabs) materializes into its load's two slabs, so the
 // load's Graphs cost two allocations together rather than two each; a
@@ -56,7 +57,8 @@ type Lazy struct {
 //
 // The trade: the tensors of a kept Graph are views of the load's slab, so
 // keeping one Graph keeps every Graph of its load alive, tensors included.
-// The loaders hand the graphs to NewBatch, which copies them, and drop
+// The training loaders never materialize (BatchFromWire); the benchmark's
+// batch worker hands its graphs to NewBatch, which copies them, and drops
 // them.
 type Slabs struct {
 	views []Lazy

@@ -10,16 +10,17 @@ package graph
 // each tensor's bytes, instead of a load, convert and store per element.
 //
 // The rule: a view is taken only of a slab the codec itself allocated (a
-// load's shared tensor slab, which Slabs makes when it sizes them, or
-// cloneWords, for materialize), or of a caller's typed tensor for the
-// duration of one append (AppendTo) — never of wire, pooled, cached or
-// RMA-window bytes. That keeps three invariants:
+// load's shared tensor slab, which Slabs makes when it sizes them,
+// cloneWords, for materialize, or a batch's two slabs, which copyWire
+// fills), or of a caller's typed tensor for the duration of one append
+// (AppendTo) — never of wire, pooled, cached or RMA-window bytes. That
+// keeps three invariants:
 //
 //   - own slab only: a Graph owns its memory — in a load's shared slab,
-//     together with the load's other Graphs, each its own stretch — so
-//     Lazy.Graph can release the buffer reference and a trainer mutating a
-//     tensor cannot reach a cache entry, a recycled buffer or another
-//     sample;
+//     together with the load's other Graphs, each its own stretch — and so
+//     does a Batch, so Lazy.Graph and BatchFromWire can release the buffer
+//     reference and a trainer mutating a tensor cannot reach a cache
+//     entry, a recycled buffer or another sample;
 //   - allocator-guaranteed alignment: a tensor is a []float32 or []int32
 //     over a []uint32 slab, so every reinterpretation between them is of
 //     4-byte words the allocator aligned. A shared slab is a []uint32 the
@@ -92,6 +93,18 @@ func viewWords[T float32 | int32](w []uint32) []T {
 		return nil
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
+}
+
+// copyWire copies the first len(dst) words of the wire payload p into dst,
+// in host order, and returns the rest of p: the one place a batch reads wire
+// words, always into a tensor of its own slab.
+func copyWire[T float32 | int32](dst []T, p []byte) []byte {
+	b := wordBytes(dst)
+	copy(b, p)
+	if !hostLittleEndian {
+		swapWords(b)
+	}
+	return p[len(b):]
 }
 
 // swapWords reverses the byte order of every 32-bit word of b in place;

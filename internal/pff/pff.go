@@ -71,12 +71,13 @@ func Write(dir string, ds *datasets.Dataset, lo, hi int64) error {
 			return err
 		}
 	}
+	var buf []byte
 	for id := lo; id < hi; id++ {
-		g, err := ds.Sample(id)
-		if err != nil {
+		var err error
+		if buf, err = ds.AppendSample(buf[:0], id); err != nil {
 			return err
 		}
-		if err := os.WriteFile(samplePath(dir, id), g.Encode(), 0o644); err != nil {
+		if err := os.WriteFile(samplePath(dir, id), buf, 0o644); err != nil {
 			return err
 		}
 	}
@@ -147,45 +148,26 @@ func (s *Store) AppendSample(buf []byte, id int64) ([]byte, error) {
 	return out, nil
 }
 
-// ReadSample decodes the file AppendSample reads, for the consumers that
-// train on Graphs.
-func (s *Store) ReadSample(id int64) (*graph.Graph, error) {
-	raw, err := s.AppendSample(nil, id)
-	if err != nil {
-		return nil, err
+// SampleSizes returns every sample's encoded size (generating each sample
+// once, into one reused buffer). The result is reusable across filesystems,
+// experiments and both file formats (cff.RegisterSimSizes).
+func SampleSizes(ds *datasets.Dataset) ([]int64, error) {
+	sizes := make([]int64, ds.Len())
+	var buf []byte
+	for id := range sizes {
+		var err error
+		if buf, err = ds.AppendSample(buf[:0], int64(id)); err != nil {
+			return nil, err
+		}
+		sizes[id] = int64(len(buf))
 	}
-	return graph.Decode(raw)
+	return sizes, nil
 }
 
 // RegisterSim registers the dataset's per-sample virtual files on the
-// simulated filesystem and returns the per-sample encoded sizes. Call once
-// (typically from rank 0 or before the world starts).
-func RegisterSim(fs *pfs.PFS, ds *datasets.Dataset) ([]int64, error) {
-	sizes, err := SampleSizes(ds)
-	if err != nil {
-		return nil, err
-	}
-	RegisterSimSizes(fs, ds, sizes)
-	return sizes, nil
-}
-
-// SampleSizes returns every sample's encoded size (generating each sample
-// once). The result is reusable across filesystems and experiments.
-func SampleSizes(ds *datasets.Dataset) ([]int64, error) {
-	sizes := make([]int64, ds.Len())
-	for id := int64(0); id < int64(ds.Len()); id++ {
-		g, err := ds.Sample(id)
-		if err != nil {
-			return nil, err
-		}
-		sizes[id] = int64(g.EncodedSize())
-	}
-	return sizes, nil
-}
-
-// RegisterSimSizes registers the per-sample virtual files from precomputed
-// sizes (see SampleSizes), skipping regeneration.
-func RegisterSimSizes(fs *pfs.PFS, ds *datasets.Dataset, sizes []int64) {
+// simulated filesystem, sized by SampleSizes. Call once (typically before
+// the world starts).
+func RegisterSim(fs *pfs.PFS, ds *datasets.Dataset, sizes []int64) {
 	for id := int64(0); id < int64(ds.Len()); id++ {
 		fs.Create(simPath(ds.Name(), id), sizes[id])
 	}
@@ -209,38 +191,31 @@ type Sim struct {
 }
 
 // NewSim creates a per-rank simulated PFF reader. clock and rng are the
-// rank's; sizes must come from RegisterSim on the same dataset.
+// rank's; sizes are the ones RegisterSim registered.
 func NewSim(fs *pfs.PFS, ds *datasets.Dataset, sizes []int64, clock *vtime.Clock, rng *vtime.RNG) *Sim {
 	return &Sim{ds: ds, reader: fs.Reader(clock, rng), sizes: sizes}
 }
 
-// Name returns the dataset name.
-func (s *Sim) Name() string { return s.ds.Name() }
-
 // Len returns the number of samples.
 func (s *Sim) Len() int { return s.ds.Len() }
 
-// ReadSample charges the modeled cost of the open+read of one sample file
-// and returns the (deterministically generated) sample.
-func (s *Sim) ReadSample(id int64) (*graph.Graph, error) {
+// AppendSampleTimed charges the modeled open+read of one sample file,
+// appends the generated sample's wire bytes to buf, checked as a Store
+// checks them (graph.CheckEncoded), and returns the charged duration.
+func (s *Sim) AppendSampleTimed(buf []byte, id int64) ([]byte, time.Duration, error) {
 	if id < 0 || id >= int64(s.ds.Len()) {
-		return nil, fmt.Errorf("pff: sample %d out of range [0,%d)", id, s.ds.Len())
-	}
-	if _, err := s.reader.ReadAt(simPath(s.ds.Name(), id), 0, s.sizes[id]); err != nil {
-		return nil, err
-	}
-	return s.ds.Sample(id)
-}
-
-// ReadSampleTimed is ReadSample plus the charged duration, for latency CDFs.
-func (s *Sim) ReadSampleTimed(id int64) (*graph.Graph, time.Duration, error) {
-	if id < 0 || id >= int64(s.ds.Len()) {
-		return nil, 0, fmt.Errorf("pff: sample %d out of range [0,%d)", id, s.ds.Len())
+		return buf, 0, fmt.Errorf("pff: sample %d out of range [0,%d)", id, s.ds.Len())
 	}
 	cost, err := s.reader.ReadAt(simPath(s.ds.Name(), id), 0, s.sizes[id])
 	if err != nil {
-		return nil, 0, err
+		return buf, 0, err
 	}
-	g, err := s.ds.Sample(id)
-	return g, cost, err
+	out, err := s.ds.AppendSample(buf, id)
+	if err == nil {
+		err = graph.CheckEncoded(out[len(buf):], id)
+	}
+	if err != nil {
+		return buf, 0, fmt.Errorf("pff: %w", err)
+	}
+	return out, cost, nil
 }

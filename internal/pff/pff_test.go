@@ -32,7 +32,11 @@ func TestWriteOpenReadRoundTrip(t *testing.T) {
 		t.Fatalf("metadata mismatch: %+v", st.meta)
 	}
 	for id := int64(0); id < 20; id++ {
-		got, err := st.ReadSample(id)
+		raw, err := st.AppendSample(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := graph.Decode(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,10 +57,10 @@ func TestReadSampleRangeCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ReadSample(-1); err == nil {
+	if _, err := st.AppendSample(nil, -1); err == nil {
 		t.Fatal("negative id accepted")
 	}
-	if _, err := st.ReadSample(5); err == nil {
+	if _, err := st.AppendSample(nil, 5); err == nil {
 		t.Fatal("out-of-range id accepted")
 	}
 }
@@ -92,36 +96,45 @@ func TestPartialWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := int64(0); id < 10; id++ {
-		if _, err := st.ReadSample(id); err != nil {
+		if _, err := st.AppendSample(nil, id); err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
 	}
 }
 
-func TestSimMatchesGenerator(t *testing.T) {
-	ds := datasets.AISDExDiscrete(datasets.Config{NumGraphs: 30})
-	fs := pfs.New(cluster.Perlmutter(), 4)
-	sizes, err := RegisterSim(fs, ds)
+// registerSim registers ds's sample files on fs and returns their sizes.
+func registerSim(t *testing.T, fs *pfs.PFS, ds *datasets.Dataset) []int64 {
+	t.Helper()
+	sizes, err := SampleSizes(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	RegisterSim(fs, ds, sizes)
+	return sizes
+}
+
+func TestSimMatchesGenerator(t *testing.T) {
+	ds := datasets.AISDExDiscrete(datasets.Config{NumGraphs: 30})
+	fs := pfs.New(cluster.Perlmutter(), 4)
+	sizes := registerSim(t, fs, ds)
 	if fs.NumFiles() != 30 {
 		t.Fatalf("registered %d files", fs.NumFiles())
 	}
 	clock := &vtime.Clock{}
 	sim := NewSim(fs, ds, sizes, clock, vtime.NewRNG(1))
-	g, err := sim.ReadSample(7)
+	prefix := []byte("prefix:")
+	got, cost, err := sim.AppendSampleTimed(prefix, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := ds.Sample(7)
-	if g.ID != 7 || g.NumNodes != want.NumNodes {
+	want, _ := ds.AppendSample(bytes.Clone(prefix), 7)
+	if !bytes.Equal(got, want) {
 		t.Fatal("sim sample differs from generator")
 	}
-	if clock.Now() <= 0 {
-		t.Fatal("sim read charged no time")
+	if clock.Now() <= 0 || cost != clock.Now() {
+		t.Fatalf("sim read charged %v to the clock and reported %v", clock.Now(), cost)
 	}
-	if sim.Len() != 30 || sim.Name() != ds.Name() {
+	if sim.Len() != 30 {
 		t.Fatal("sim metadata wrong")
 	}
 }
@@ -129,13 +142,10 @@ func TestSimMatchesGenerator(t *testing.T) {
 func TestSimChargesMetadataPerSample(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 600})
 	fs := pfs.New(cluster.Perlmutter(), 64)
-	sizes, err := RegisterSim(fs, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sizes := registerSim(t, fs, ds)
 	sim := NewSim(fs, ds, sizes, &vtime.Clock{}, vtime.NewRNG(1))
 	for id := int64(0); id < 600; id++ {
-		if _, err := sim.ReadSample(id); err != nil {
+		if _, _, err := sim.AppendSampleTimed(nil, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,13 +158,12 @@ func TestSimChargesMetadataPerSample(t *testing.T) {
 func TestSimRangeCheck(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 3})
 	fs := pfs.New(cluster.Laptop(), 2)
-	sizes, _ := RegisterSim(fs, ds)
+	sizes := registerSim(t, fs, ds)
 	sim := NewSim(fs, ds, sizes, &vtime.Clock{}, vtime.NewRNG(1))
-	if _, err := sim.ReadSample(3); err == nil {
-		t.Fatal("out-of-range accepted")
-	}
-	if _, _, err := sim.ReadSampleTimed(-1); err == nil {
-		t.Fatal("negative id accepted")
+	for _, id := range []int64{3, -1} {
+		if got, _, err := sim.AppendSampleTimed([]byte("buf"), id); err == nil || string(got) != "buf" {
+			t.Fatalf("sample %d: AppendSampleTimed = %q, %v; want the buffer back and an error", id, got, err)
+		}
 	}
 }
 
@@ -163,11 +172,11 @@ func TestSimTimedLatencyRegime(t *testing.T) {
 	// millisecond regime (Table 2: medians 2.2–2.8 ms).
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 500})
 	fs := pfs.New(cluster.Perlmutter(), 64)
-	sizes, _ := RegisterSim(fs, ds)
+	sizes := registerSim(t, fs, ds)
 	sim := NewSim(fs, ds, sizes, &vtime.Clock{}, vtime.NewRNG(5))
 	var costs []float64
 	for id := int64(0); id < 500; id++ {
-		_, cost, err := sim.ReadSampleTimed(id)
+		_, cost, err := sim.AppendSampleTimed(nil, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +213,7 @@ func TestSimPathMatchesItsFormat(t *testing.T) {
 // stored — the generator's wire encoding, with no decode — and refuses a
 // corrupt file with an error naming its id, leaving the caller's buffer
 // as it was. It refuses every file Decode refuses, and a well-formed file
-// that holds another sample; ReadSample refuses the same files.
+// that holds another sample.
 func TestAppendSampleServesStoredBytes(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 8})
 	dir := t.TempDir()
@@ -234,21 +243,17 @@ func TestAppendSampleServesStoredBytes(t *testing.T) {
 	prefix := []byte("prefix:")
 	for id := int64(0); id < 8; id++ {
 		got, err := st.AppendSample(prefix, id)
-		_, readErr := st.ReadSample(id)
 		file, _ := os.ReadFile(samplePath(dir, id))
 		_, decodeErr := graph.Decode(file)
 		if corrupt[id] == nil {
 			want, _ := ds.AppendSample(bytes.Clone(prefix), id)
-			if err != nil || readErr != nil || !bytes.Equal(got, want) {
-				t.Fatalf("sample %d: AppendSample = %v, ReadSample = %v, or the bytes differ from the generator's", id, err, readErr)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("sample %d: AppendSample = %v, or the bytes differ from the generator's", id, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sample %d", id)) || !bytes.Equal(got, prefix) {
 			t.Fatalf("corrupt sample %d: AppendSample = %q, %v; want the buffer back and an error naming the id", id, got, err)
-		}
-		if readErr == nil {
-			t.Fatalf("corrupt sample %d: ReadSample accepted the file", id)
 		}
 		if id != 6 && decodeErr == nil {
 			t.Fatalf("sample %d: the test's corruption did not make Decode refuse the file", id)

@@ -23,10 +23,18 @@ import (
 	"ddstore/internal/transport"
 )
 
-// loadGraphs loads ids through the trainer's loader, the one place plane
-// samples are materialized.
+// loadGraphs loads ids through the trainer's loader, lazily, and
+// materializes every view: a Graph per position.
 func loadGraphs(p ddp.DataPlane, ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	return (&ddp.PlaneLoader{Plane: p}).LoadBatch(ids)
+	views, lats, err := (&ddp.PlaneLoader{Plane: p}).LoadBatchLazy(ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]*graph.Graph, len(views))
+	for i, v := range views {
+		out[i] = v.Graph()
+	}
+	return out, lats, nil
 }
 
 // fastNet is a retry policy tuned for loopback tests.
