@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-allocs bench-check smoke vet fmt loc fuzz cover examples experiments quick-experiments clean
+.PHONY: all build test race bench bench-allocs bench-check smoke vet fmt loc fuzz cover examples experiments quick-experiments golden-full clean
 
 all: build test
 
@@ -191,6 +191,18 @@ experiments:
 # Scaled-down suite for CI (seconds).
 quick-experiments:
 	$(GO) run ./cmd/ddstore-bench -exp all -quick
+
+# Pin the 16 paper sections at full scale: the JSON the command prints for
+# every section but the loadgen mode, into internal/bench/testdata/full.golden
+# (about 200 s and 6 GB peak on a 2-vCPU host). Run it only when a paper
+# number is meant to move, and explain the diff; FULL_GOLDEN=1 go test -run
+# TestFullSuiteGolden ./cmd/ddstore-bench/ and the full-golden workflow
+# compare against it.
+golden-full:
+	@mkdir -p $(OUT)
+	$(GO) build -o $(OUT)/ddstore-bench ./cmd/ddstore-bench
+	ids=$$($(OUT)/ddstore-bench -list | awk '$$1 != "loadgen" {print $$1}' | paste -sd, -); \
+		$(OUT)/ddstore-bench -exp "$$ids" -json > internal/bench/testdata/full.golden
 
 clean:
 	$(GO) clean ./...

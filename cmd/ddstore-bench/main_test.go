@@ -1,6 +1,15 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime/debug"
+	"strings"
+	"testing"
+
+	"ddstore/internal/bench"
+)
 
 // TestRunUsage: contradictory or incomplete command lines exit 2 before
 // anything runs, whichever mode they were aimed at; -list exits 0.
@@ -62,5 +71,54 @@ func TestParseFlagsFeedsTheSweep(t *testing.T) {
 	}
 	if ph := d.load.Phases[0]; ph.Mix != 0.25 || ph.Workers != 4 || ph.Duration.Seconds() != 5 {
 		t.Errorf("defaults: %+v", ph)
+	}
+}
+
+// TestFullSuiteGolden pins the paper's sections at full scale: the JSON
+// `ddstore-bench -exp <every section> -json` prints must equal
+// internal/bench/testdata/full.golden byte for byte, as quick.golden pins
+// the -quick profile. It runs the command's own path, memory settings and
+// cache resets included, and takes minutes and several GB, so it runs only
+// with FULL_GOLDEN=1 set; `make golden-full` rewrites the file when a paper
+// number is meant to move.
+func TestFullSuiteGolden(t *testing.T) {
+	if os.Getenv("FULL_GOLDEN") == "" {
+		t.Skip("full scale takes minutes; set FULL_GOLDEN=1 to run it")
+	}
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(10 << 30))
+	defer debug.SetGCPercent(debug.SetGCPercent(50))
+	var ids []string
+	for _, e := range bench.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	code := run([]string{"-exp", strings.Join(ids, ","), "-json"})
+	os.Stdout = stdout
+	if code != 0 {
+		t.Fatalf("ddstore-bench exited %d", code)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("..", "..", "internal", "bench", "testdata", "full.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (make golden-full writes it)", err)
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("full suite drifted from %s at line %d\ngot:  %s\nwant: %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("full suite drifted from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
