@@ -168,13 +168,23 @@ func (c *Comm) AllreduceFloat32(in []float32, op ReduceOp) error {
 
 // Allgather concatenates the contributions of all ranks in rank order.
 // They may differ in length (MPI_Allgatherv): the in-process transport
-// needs no count exchange.
+// needs no count exchange. It is charged from the deposited contributions,
+// never from the caller's own, so the charge does not depend on which rank
+// arrives last: the busiest receiver, the rank with the smallest
+// contribution, takes in every byte but its own.
 func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
 	var out [][]byte
 	err := c.exchange(mine, func() time.Duration {
 		m := c.world.machine
-		vol := int64(len(mine)) * int64(c.Size()-1)
-		return m.CollectiveLatency(c.Size()) + m.NetTransfer(vol, c.Size() <= m.GPUsPerNode)
+		var sum, least int64
+		for i, s := range c.state.slots {
+			n := int64(len(s.([]byte)))
+			sum += n
+			if i == 0 || n < least {
+				least = n
+			}
+		}
+		return m.CollectiveLatency(c.Size()) + m.NetTransfer(sum-least, c.Size() <= m.GPUsPerNode)
 	}, func(slots []any) {
 		out = make([][]byte, len(slots))
 		for i, s := range slots {

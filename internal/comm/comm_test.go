@@ -197,6 +197,51 @@ func TestAllgatherResultIsolated(t *testing.T) {
 	})
 }
 
+// TestAllgatherChargeIgnoresArrivalOrder: in a two-rank world under a
+// machine model, rank 1 gathers 8 MiB and rank 0 nothing, and the
+// collective must charge the same time whichever rank arrives last. Each
+// order is forced by holding one rank back until the other waits at the
+// collective's barrier.
+func TestAllgatherChargeIgnoresArrivalOrder(t *testing.T) {
+	var clocks [2]time.Duration
+	for last := range clocks {
+		run(t, 2, []Option{WithMachine(cluster.Perlmutter())}, func(c *Comm) error {
+			var mine []byte
+			if c.Rank() == 1 {
+				mine = make([]byte, 8<<20)
+			}
+			if c.Rank() == last {
+				waitAtBarrier(c, 1)
+			}
+			if _, err := c.Allgather(mine); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				clocks[last] = c.Clock().Now()
+			}
+			return nil
+		})
+	}
+	if clocks[0] != clocks[1] {
+		t.Fatalf("Allgather charged %v with rank 0 last and %v with rank 1 last", clocks[0], clocks[1])
+	}
+}
+
+// waitAtBarrier returns once n ranks of c's communicator wait at its
+// collective barrier.
+func waitAtBarrier(c *Comm, n int) {
+	b := c.state.barrier
+	for {
+		b.mu.Lock()
+		count := b.count
+		b.mu.Unlock()
+		if count == n {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestSplitReplicaGroups(t *testing.T) {
 	// The DDStore width pattern: N=8, w=4 => 2 groups of 4.
 	const n, w = 8, 4
