@@ -3,8 +3,10 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,6 +181,64 @@ func TestStaleGenerationCarriesCurrentMap(t *testing.T) {
 	// usable for owned samples afterwards.
 	if _, err := cl.GetBatchRaw([]int64{10, 11}); !errors.Is(err, ErrStaleGeneration) {
 		t.Fatalf("batch err = %v, want ErrStaleGeneration", err)
+	}
+}
+
+// cutoverChunk serves wireChunk(0, 100) until its first read, which
+// applies next to st and then fails: a cutover that lands after the
+// server's ownership check, its shard dropped before the read.
+type cutoverChunk struct {
+	*MemChunk
+	st   *shardmap.Store
+	next atomic.Pointer[shardmap.Map]
+}
+
+func (c *cutoverChunk) LocalSampleBytes(id int64) ([]byte, error) {
+	if _, err := c.st.ApplyIfNewer(c.next.Load()); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("sample %d not resident on this owner", id)
+}
+
+// TestSampleDroppedAfterOwnershipCheckIsStale: a sample whose shard moves
+// away between the ownership check and the read is answered with the new
+// map, which the client retries under; a read that fails while the sample
+// is still owned stays a hard error.
+func TestSampleDroppedAfterOwnershipCheckIsStale(t *testing.T) {
+	m := &shardmap.Map{Gen: 1, Members: []shardmap.Member{{ID: "a", Addr: "a:1"}, {ID: "b", Addr: "b:1"}},
+		Shards: []shardmap.Shard{{Lo: 0, Hi: 50, Owners: []int{0}}, {Lo: 50, Hi: 100, Owners: []int{1}}}}
+	st, err := shardmap.NewStore(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := m.Clone()
+	next.Gen = 2
+	next.Shards[0].Owners = []int{1}
+	src := &cutoverChunk{MemChunk: wireChunk(0, 100), st: st}
+	src.next.Store(m)
+	srv, err := ServeWith("127.0.0.1:0", src, ServerOptions{ShardMap: &mapSource{st: st, id: "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := DialOptions(srv.Addr(), ClientOptions{Policy: fastPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// Still owned (the "cutover" reapplies generation 1): a hard error.
+	if _, err := GetGraph(cl, 10); err == nil || errors.Is(err, ErrStaleGeneration) {
+		t.Fatalf("err = %v, want a hard error", err)
+	}
+	src.next.Store(next)
+	_, err = GetGraph(cl, 10)
+	var serr *StaleGenerationError
+	if !errors.As(err, &serr) {
+		t.Fatalf("err = %v, want ErrStaleGeneration", err)
+	}
+	if got, derr := shardmap.Decode(serr.MapBytes); derr != nil || got.Gen != 2 {
+		t.Fatalf("stale payload = %+v, %v; want generation 2", got, derr)
 	}
 }
 

@@ -874,6 +874,12 @@ func (s *Server) sampleParts(st *connState, ids []int64) (int, error) {
 	for i, id := range ids {
 		one, err := s.src.LocalSampleBytes(id)
 		if err != nil {
+			// A cutover may have moved id away since ownsAll and its old
+			// owner dropped the shard: answer the new map, which the
+			// client retries under, not a hard error.
+			if stale := s.ownsAll(ids[i : i+1]); stale != nil {
+				return len(ids), stale
+			}
 			return len(ids), err
 		}
 		pre := st.prefixes[4*i : 4*i+4 : 4*i+4]
