@@ -41,12 +41,11 @@ bench:
 # 16-id round trip (transport.FetchChunk16: the pick list and the part
 # list). A cache hit in a full shard and an insert that evicts
 # (cache.ClaimHit, cache.PutEvict: nothing — the slab reuses the victim's
-# slot). One generated sample, without Encode (datasets.Generate/<dataset>):
-# an Ising sample is its Graph, its node features and its label, since the
-# lattice's topology, coordinates and couplings are built once and shared;
-# a molecule (homolumo, discrete, smooth) is its Graph, node features,
-# label and its two edge lists, each allocated at its exact capacity (the
-# RNG, elements, degrees and smooth's peaks live on the stack). One sample
+# slot). One sample as a Graph (datasets.Generate/<dataset>, Sample: the
+# sample generated into stack scratch, encoded, decoded): its wire buffer,
+# its Graph and the one tensor slab its tensors view, for every dataset
+# (smooth also allocates its grid; the RNG, elements, degrees and peaks
+# live on the stack). One sample
 # generated straight into wire encoding, into a buffer with room
 # (datasets.AppendSample/<dataset> for ising, homolumo and discrete:
 # nothing — the sample is generated into stack scratch and encoded from
@@ -72,7 +71,7 @@ FETCHCHUNK16_ALLOC_MAX ?= 2
 CLAIMHIT_ALLOC_MAX ?= 0
 PUTEVICT_ALLOC_MAX ?= 0
 GEN_ISING_ALLOC_MAX ?= 3
-GEN_MOLECULE_ALLOC_MAX ?= 5
+GEN_MOLECULE_ALLOC_MAX ?= 4
 APPEND_SAMPLE_ALLOC_MAX ?= 0
 PACK_ALLOC_MAX ?= 13
 

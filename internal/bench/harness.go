@@ -93,13 +93,16 @@ func datasetFor(kind dsKind, numGraphs, bins int) *datasets.Dataset {
 	case dsSmooth:
 		ds = datasets.AISDExSmooth(cfg)
 	}
-	// Materialize eagerly: the at-scale runs would otherwise regenerate
+	// Generate eagerly: the at-scale runs would otherwise regenerate
 	// hundreds of thousands of samples per configuration, and on a
 	// single-core box the resulting allocation storm costs more (GC
 	// fighting the simulation for the CPU, RSS ballooning with garbage)
-	// than the ~1 GB of stable resident graphs per large dataset. The
-	// ddstore-bench driver drops the cache between experiment groups.
-	ds.EnableCache()
+	// than one packed, pointer-free buffer of wire bytes per dataset
+	// (under 1 GB for the largest profile). The ddstore-bench driver drops
+	// the cache between experiment groups.
+	if err := ds.EnableCache(); err != nil {
+		panic(err)
+	}
 	datasetCache.ds[key] = ds
 	return ds
 }

@@ -2,8 +2,9 @@ package datasets
 
 import "testing"
 
-// BenchmarkGenerate times one sample's generation, without Encode, for
-// each dataset (make bench-allocs holds its allocations).
+// BenchmarkGenerate times Sample for each dataset: one sample generated,
+// encoded and decoded into a Graph of its own (make bench-allocs holds its
+// allocations).
 func BenchmarkGenerate(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -18,19 +18,16 @@
 //
 // Generation sits under every boot, preload, lazy-server miss and benchmark
 // run. Each kind has one generator, which writes a sample into fixed-size
-// scratch on its caller's stack, and the sample leaves the scratch in one of
-// two forms. AppendSample encodes it straight into the caller's buffer in
-// wire encoding — what preloading, packing and serving want — growing the
-// buffer at most once and allocating nothing else (smooth's grid, as wide as
-// the dataset says, is the exception). Sample copies it out into a Graph
-// that owns its tensors, for the consumers that train on Graphs. Ising
-// samples differ only in their spins: every Graph shares one read-only
-// lattice (edges, couplings, coordinates) built once per process, and owns
-// just its node features and label. A molecule's Graph owns its node
-// features, label and two edge lists, the edge lists allocated at their
-// exact capacity. Samples are immutable to every caller; the shared slices
-// are capacity-clipped, so an append copies rather than reaching another
-// sample.
+// scratch on its caller's stack, and a sample has one stored form, its wire
+// encoding. AppendSample encodes it straight into the caller's buffer —
+// what preloading, packing and serving want — growing the buffer at most
+// once and allocating nothing else (smooth's grid, as wide as the dataset
+// says, is the exception). EnableCache packs every sample's encoding into
+// one buffer, which AppendSample then copies from. Sample decodes
+// AppendSample's bytes into a Graph that owns its tensors, for the tests
+// and statistics that read Graphs; no serving or training path calls it.
+// Ising samples differ only in their spins: the lattice (edges, couplings,
+// coordinates) is built once per process and encoded into every sample.
 //
 // The labels are deterministic smooth functionals of the graph structure, so
 // a GNN can genuinely learn them (used by the convergence experiment,
@@ -55,10 +52,9 @@ type Dataset struct {
 	nodeDim   int
 	edgeDim   int
 	kind      kind
-	// cache holds pre-generated samples after EnableCache. Samples are
-	// treated as immutable everywhere (batching copies, preloading encodes),
-	// so sharing pointers is safe.
-	cache []*graph.Graph
+	// cache holds every sample's wire encoding after EnableCache, packed
+	// back to back in one buffer.
+	cache *graph.Packed
 }
 
 // Name returns the dataset name.
@@ -76,32 +72,27 @@ func (d *Dataset) NodeFeatDim() int { return d.nodeDim }
 // EdgeFeatDim returns the per-edge feature width.
 func (d *Dataset) EdgeFeatDim() int { return d.edgeDim }
 
-// Sample deterministically generates sample id into tensors of its own
-// (or returns the cached instance after EnableCache). Callers must treat
-// the result as immutable.
+// Sample returns sample id decoded into a Graph that owns its tensors, so
+// the caller may keep or change it.
 func (d *Dataset) Sample(id int64) (*graph.Graph, error) {
-	if err := d.inRange(id); err != nil {
+	raw, err := d.AppendSample(nil, id)
+	if err != nil {
 		return nil, err
 	}
-	if d.cache != nil {
-		return d.cache[id], nil
-	}
-	return d.own(id), nil
+	return graph.Decode(raw)
 }
 
-// AppendSample appends sample id to buf in wire encoding — the bytes
-// Sample(id).AppendTo(buf) appends — and returns the extended buffer. It
-// grows buf at most once, to fit the sample exactly, and otherwise
-// allocates nothing: it generates into stack scratch and encodes that
-// (smooth's grid is allocated), or encodes the cached sample after
-// EnableCache.
+// AppendSample appends sample id to buf in wire encoding and returns the
+// extended buffer. It grows buf at most once, to fit the sample exactly,
+// and otherwise allocates nothing: it generates into stack scratch and
+// encodes that (smooth's grid is allocated), or copies the cached bytes
+// after EnableCache.
 func (d *Dataset) AppendSample(buf []byte, id int64) ([]byte, error) {
 	if err := d.inRange(id); err != nil {
 		return buf, err
 	}
 	if d.cache != nil {
-		g := d.cache[id]
-		return g.AppendTo(slices.Grow(buf, g.EncodedSize())), nil
+		return append(buf, d.cache.Sample(id)...), nil
 	}
 	var s scratch
 	d.generate(id, &s)
@@ -163,8 +154,8 @@ func (d *Dataset) generate(id int64, s *scratch) {
 	}
 }
 
-// view is sample id as a Graph whose tensors are s's arrays and the shared
-// lattice: for encoding, never to be kept.
+// view is sample id as a Graph whose tensors are s's arrays and, for an
+// Ising sample, the lattice's: for encoding, never to be kept.
 func (d *Dataset) view(id int64, s *scratch) graph.Graph {
 	y := s.grid
 	if d.kind != kindSmooth {
@@ -180,60 +171,29 @@ func (d *Dataset) view(id int64, s *scratch) graph.Graph {
 		Y:           y,
 	}
 	if d.kind == kindIsing {
-		shareLattice(&g)
+		lat := isingLattice()
+		g.EdgeSrc, g.EdgeDst, g.EdgeFeatDim, g.EdgeFeat, g.Pos = lat.src, lat.dst, 1, lat.edgeFeat, lat.pos
 	}
 	return g
 }
 
-// own generates sample id into a Graph that owns its node features, label
-// and, for a molecule, edge lists; an Ising sample shares the lattice. It
-// copies out of s field by field: a Graph on the heap that took any slice
-// of view's would move s there too.
-func (d *Dataset) own(id int64) *graph.Graph {
-	var s scratch
-	d.generate(id, &s)
-	g := &graph.Graph{
-		ID:          id,
-		NumNodes:    s.n,
-		NodeFeatDim: d.nodeDim,
-		NodeFeat:    clone(s.nodeFeat[:s.n*d.nodeDim], s.n*d.nodeDim),
-	}
-	if d.kind == kindIsing {
-		shareLattice(g)
-	} else {
-		g.EdgeSrc = clone(s.src[:s.edges], moleculeEdgeCap(s.n))
-		g.EdgeDst = clone(s.dst[:s.edges], moleculeEdgeCap(s.n))
-	}
-	if d.kind == kindSmooth {
-		g.Y = s.grid
-	} else {
-		g.Y = clone(s.y[:d.yDim], d.yDim)
-	}
-	return g
-}
-
-// clone copies xs into a new slice of capacity c.
-func clone[T float32 | int32](xs []T, c int) []T {
-	out := make([]T, len(xs), c)
-	copy(out, xs)
-	return out
-}
-
-// EnableCache eagerly materializes every sample so subsequent Sample calls
-// are pointer lookups. Call before sharing the dataset across goroutines —
-// the experiment harness uses it to avoid regenerating hundreds of
-// thousands of samples per run. Idempotent. The cache holds every sample's
-// own tensors; cached Ising samples share one lattice, so each holds about
-// 2 KB (node features and label) of its 10.7 KB encoded size.
-func (d *Dataset) EnableCache() {
+// EnableCache generates every sample once and keeps its wire encoding,
+// packed back to back in one pointer-free buffer, so later reads copy or
+// decode bytes instead of regenerating. Call it before sharing the dataset
+// across goroutines; the experiment harness does, so as not to regenerate
+// hundreds of thousands of samples per run. Idempotent. It fails only if
+// Pack refuses the run: a sample that does not encode as itself, or a
+// dataset past Pack's 4 GiB of end offsets.
+func (d *Dataset) EnableCache() error {
 	if d.cache != nil {
-		return
+		return nil
 	}
-	cache := make([]*graph.Graph, d.numGraphs)
-	for id := range cache {
-		cache[id] = d.own(int64(id))
+	p, err := new(graph.Packer).Pack(0, int64(d.numGraphs), d.AppendSample)
+	if err != nil {
+		return fmt.Errorf("datasets: cache %s: %w", d.name, err)
 	}
-	d.cache = cache
+	d.cache = p
+	return nil
 }
 
 // Config controls dataset generation.
@@ -263,9 +223,9 @@ const (
 // Ising returns the synthetic Ising dataset: a 5×5×5 cubic lattice (125
 // atoms) per sample, random ±1 spins, energy from the Ising Hamiltonian
 // E = -J Σ_<ij> s_i s_j with J = 1 over lattice-neighbor bonds. Only the
-// spins differ between samples, so every sample shares the lattice's
-// topology, coordinates and couplings (isingLattice) and owns only its
-// node features and label.
+// spins differ between samples, so the lattice's topology, coordinates and
+// couplings are built once per process (isingLattice) and a sample draws
+// only its spins and label.
 func Ising(cfg Config) *Dataset {
 	return &Dataset{
 		name:      "Ising",
@@ -300,23 +260,14 @@ func isingSample(rng *vtime.RNG, s *scratch) {
 	s.y[0] = float32(energy / isingAtoms) // per-atom energy
 }
 
-// shareLattice gives g the shared lattice's edges, couplings and
-// coordinates.
-func shareLattice(g *graph.Graph) {
-	lat := isingLattice()
-	g.EdgeSrc, g.EdgeDst, g.EdgeFeatDim, g.EdgeFeat, g.Pos = lat.src, lat.dst, 1, lat.edgeFeat, lat.pos
-}
-
 const (
 	isingSide  = 5
 	isingAtoms = isingSide * isingSide * isingSide
 )
 
-// lattice is the part of an Ising sample that every sample shares: the
-// node-feature template (spin column zero), coordinates, and the directed
-// bonds with their couplings. Its slices are read-only and capacity-clipped,
-// so a caller that appends to one gets a copy and never reaches another
-// sample.
+// lattice is the part of an Ising sample that every sample has in common:
+// the node-feature template (spin column zero), coordinates, and the
+// directed bonds with their couplings. The generators only read it.
 type lattice struct {
 	nodeFeat, pos, edgeFeat []float32
 	src, dst                []int32
@@ -358,25 +309,15 @@ var isingLattice = sync.OnceValue(func() *lattice {
 	for i := range edgeFeat {
 		edgeFeat[i] = 1
 	}
-	return &lattice{
-		nodeFeat: slices.Clip(nodeFeat),
-		pos:      slices.Clip(pos),
-		edgeFeat: slices.Clip(edgeFeat),
-		src:      slices.Clip(src),
-		dst:      slices.Clip(dst),
-	}
+	return &lattice{nodeFeat: nodeFeat, pos: pos, edgeFeat: edgeFeat, src: src, dst: dst}
 })
 
 // maxAtoms is the largest molecule's heavy-atom count.
 const maxAtoms = 71
 
-// moleculeEdgeCap is the directed-edge room a molecule of n atoms draws:
-// its tree's n-1 bonds and n/12 ring closures, two entries each. A ring
-// closure that draws the same atom twice is skipped, so a molecule may use
-// less.
-func moleculeEdgeCap(n int) int { return 2 * (n - 1 + n/12) }
-
-// maxEdges is the largest molecule's edge room.
+// maxEdges is the largest molecule's directed-edge room: its tree's n-1
+// bonds and n/12 ring closures, two entries each. A ring closure that
+// draws the same atom twice is skipped, so a molecule may use less.
 const maxEdges = 2 * (maxAtoms - 1 + maxAtoms/12)
 
 // molecule builds a random connected molecular graph of n heavy atoms: a

@@ -16,9 +16,9 @@ const packHeadroom = 2
 
 // Packed is a run of consecutive samples [Lo, Lo+len(Ends)) encoded back to
 // back in one buffer: sample Lo+i is Buf[Ends[i-1]:Ends[i]], with Ends[-1]
-// read as 0. A DDStore rank's RMA window and a serving owner's resident
-// shard are each one, so a resident sample costs its bytes plus one 32-bit
-// end offset, not a heap object of its own.
+// read as 0. A DDStore rank's RMA window, a serving owner's resident shard
+// and a cached dataset are each one, so a resident sample costs its bytes
+// plus one 32-bit end offset, not a heap object of its own.
 type Packed struct {
 	Lo   int64
 	Buf  []byte
