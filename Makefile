@@ -41,12 +41,11 @@ bench:
 # 16-id round trip (transport.FetchChunk16: the pick list and the part
 # list). A cache hit in a full shard and an insert that evicts
 # (cache.ClaimHit, cache.PutEvict: nothing — the slab reuses the victim's
-# slot). One sample as a Graph (datasets.Generate/<dataset>, Sample: the
-# sample generated into stack scratch, encoded, decoded): its wire buffer,
-# its Graph and the one tensor slab its tensors view, for every dataset
-# (smooth also allocates its grid; the RNG, elements, degrees and peaks
-# live on the stack). One sample
-# generated straight into wire encoding, into a buffer with room
+# slot). One sample as a Graph (datasets.Generate/<dataset>: Sample
+# generates into stack scratch, encodes and decodes): its wire buffer, its
+# Graph and the one tensor slab its tensors view (smooth also allocates
+# its grid; the RNG, elements, degrees and peaks live on the stack). One
+# sample generated straight into wire encoding, into a buffer with room
 # (datasets.AppendSample/<dataset> for ising, homolumo and discrete:
 # nothing — the sample is generated into stack scratch and encoded from
 # there; it is what every preload, migration fallback and lazy miss over a
