@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -19,52 +20,52 @@ import (
 	"ddstore/internal/pff"
 )
 
-func main() {
-	var (
-		name   = flag.String("dataset", "homolumo", "dataset: ising, homolumo, discrete, smooth")
-		n      = flag.Int("n", 10000, "number of graphs")
-		bins   = flag.Int("bins", 0, "smooth-spectrum grid size (smooth only; 0 = default 375)")
-		format = flag.String("format", "cff", "storage format: pff (one file per sample) or cff (containers)")
-		parts  = flag.Int("parts", 8, "container subfile count (cff only)")
-		out    = flag.String("out", "", "output directory (required)")
-	)
-	flag.Parse()
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "ddstore-gen: -out is required")
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:])) }
 
-	cfg := datasets.Config{NumGraphs: *n, SpectrumBins: *bins}
-	var ds *datasets.Dataset
-	switch *name {
-	case "ising":
-		ds = datasets.Ising(cfg)
-	case "homolumo":
-		ds = datasets.HomoLumo(cfg)
-	case "discrete":
-		ds = datasets.AISDExDiscrete(cfg)
-	case "smooth":
-		ds = datasets.AISDExSmooth(cfg)
-	default:
-		fmt.Fprintf(os.Stderr, "ddstore-gen: unknown dataset %q\n", *name)
-		os.Exit(2)
+// run executes the command line and returns the process's exit status: 2
+// for a usage error, 1 for a failed write.
+func run(args []string) int {
+	flags := flag.NewFlagSet("ddstore-gen", flag.ContinueOnError)
+	var (
+		name   = flags.String("dataset", "homolumo", "dataset: ising, homolumo, discrete, smooth")
+		n      = flags.Int("n", 10000, "number of graphs")
+		bins   = flags.Int("bins", 0, "smooth-spectrum grid size (smooth only; 0 = default 375)")
+		format = flags.String("format", "cff", "storage format: pff (one file per sample) or cff (containers)")
+		parts  = flags.Int("parts", 8, "container subfile count (cff only)")
+		out    = flags.String("out", "", "output directory (required)")
+	)
+	switch err := flags.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(os.Stderr, "ddstore-gen: "+format+"\n", args...)
+		return 2
+	}
+	if *out == "" {
+		return usage("-out is required")
+	}
+	ds, err := datasets.ByName(*name, datasets.Config{NumGraphs: *n, SpectrumBins: *bins})
+	if err != nil {
+		return usage("%v", err)
 	}
 
 	start := time.Now()
-	var err error
 	switch *format {
 	case "pff":
 		err = pff.Write(*out, ds, 0, int64(ds.Len()))
 	case "cff":
 		err = cff.Write(*out, ds, *parts)
 	default:
-		fmt.Fprintf(os.Stderr, "ddstore-gen: unknown format %q\n", *format)
-		os.Exit(2)
+		return usage("unknown format %q", *format)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ddstore-gen: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("wrote %s: %d graphs as %s to %s in %v\n",
 		ds.Name(), ds.Len(), *format, *out, time.Since(start).Round(time.Millisecond))
+	return 0
 }

@@ -19,19 +19,19 @@ func init() {
 
 // ablSpec returns the shared configuration for the ablations: the
 // Perlmutter 64-GPU discrete-dataset workload of the latency experiments.
-func ablSpec(o Options) (profile, runSpec) {
+func ablSpec(o Options) (profile, RunSpec) {
 	p := profileFor(o)
 	perl := p.machine("Perlmutter")
-	return p, runSpec{
-		machine: perl, ranks: p.perlRanks, method: MethodDDStore,
-		ds: p.dataset(dsDiscrete, perl), localBatch: p.localBatch,
-		epochs: p.epochs, maxSteps: p.maxSteps, seed: o.seed(), keepLat: true,
+	return p, RunSpec{
+		Machine: perl, Ranks: p.perlRanks, Method: MethodDDStore,
+		Dataset: p.dataset(dsDiscrete, perl), LocalBatch: p.localBatch,
+		Epochs: p.epochs, MaxSteps: p.maxSteps, Seed: o.seed(), KeepLatencies: true,
 	}
 }
 
-func ablRow(r *Report, name string, out *runOut, baseline float64) {
-	p50, p95, p99 := latencyPercentiles(out.Latencies)
-	r.AddRow(name, out.MeanThroughput, out.MeanThroughput/baseline, p50, p95, p99)
+func ablRow(r *Report, name string, out *RunOut, baseline float64) {
+	p50, p95, p99 := latencyPercentiles(out.latencies())
+	r.AddRow(name, out.meanThroughput(), out.meanThroughput()/baseline, p50, p95, p99)
 }
 
 var ablColumns = []string{"Design", "Samples/s", "vs baseline", "P50 (ms)", "P95 (ms)", "P99 (ms)"}
@@ -43,7 +43,7 @@ func runAblComm(o Options) (*Report, error) {
 	r := &Report{ID: "abl-comm", Title: "Communication framework ablation (Perlmutter, AISD-Ex discrete)", Columns: ablColumns}
 
 	twoSided := spec
-	twoSided.framework = core.FrameworkTwoSided
+	twoSided.Framework = core.FrameworkTwoSided
 	ts, err := runCached(o, twoSided)
 	if err != nil {
 		return nil, err
@@ -52,11 +52,11 @@ func runAblComm(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ablRow(r, "two-sided req/resp", ts, ts.MeanThroughput)
-	ablRow(r, "one-sided RMA", rma, ts.MeanThroughput)
+	ablRow(r, "two-sided req/resp", ts, ts.meanThroughput())
+	ablRow(r, "one-sided RMA", rma, ts.meanThroughput())
 	r.AddNote("the paper chose MPI RMA because it minimizes the target's involvement (§3.1); the two-sided design makes every fetch wait for the owner's CPU")
-	if rma.MeanThroughput > 0 && ts.MeanThroughput > 0 {
-		r.AddNote("measured: one-sided is %.2fx the two-sided end-to-end throughput", rma.MeanThroughput/ts.MeanThroughput)
+	if rma.meanThroughput() > 0 && ts.meanThroughput() > 0 {
+		r.AddNote("measured: one-sided is %.2fx the two-sided end-to-end throughput", rma.meanThroughput()/ts.meanThroughput())
 	}
 	return r, nil
 }
@@ -68,7 +68,7 @@ func runAblLock(o Options) (*Report, error) {
 	r := &Report{ID: "abl-lock", Title: "Lock amortization ablation (Perlmutter, AISD-Ex discrete)", Columns: ablColumns}
 
 	perSample := spec
-	perSample.lockPerSample = true
+	perSample.LockPerSample = true
 	ps, err := runCached(o, perSample)
 	if err != nil {
 		return nil, err
@@ -77,9 +77,9 @@ func runAblLock(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ablRow(r, "lock per sample", ps, ps.MeanThroughput)
-	ablRow(r, "lock per owner (default)", amortized, ps.MeanThroughput)
-	r.AddNote("DDStore opens one MPI_Win_lock(SHARED) epoch per owner per batch; paying the lock round-trip per sample inflates every fetch by ~%v", spec.machine.RMALock(false))
+	ablRow(r, "lock per sample", ps, ps.meanThroughput())
+	ablRow(r, "lock per owner (default)", amortized, ps.meanThroughput())
+	r.AddNote("DDStore opens one MPI_Win_lock(SHARED) epoch per owner per batch; paying the lock round-trip per sample inflates every fetch by ~%v", spec.Machine.RMALock(false))
 	return r, nil
 }
 
@@ -94,15 +94,15 @@ func runAblNB(o Options) (*Report, error) {
 		return nil, err
 	}
 	nb := spec
-	nb.nonBlocking = true
+	nb.NonBlocking = true
 	nbOut, err := runCached(o, nb)
 	if err != nil {
 		return nil, err
 	}
-	ablRow(r, "blocking Gets (default)", blocking, blocking.MeanThroughput)
-	ablRow(r, "overlapped non-blocking Gets", nbOut, blocking.MeanThroughput)
+	ablRow(r, "blocking Gets (default)", blocking, blocking.meanThroughput())
+	ablRow(r, "overlapped non-blocking Gets", nbOut, blocking.meanThroughput())
 	r.AddNote("overlapping the wire time of a batch's Gets is a natural extension of the paper's design (future-work flavor); gains are bounded because loading is already overlapped with GPU compute")
-	sp := stats.Speedup([]float64{nbOut.MeanThroughput}, blocking.MeanThroughput)
+	sp := stats.Speedup([]float64{nbOut.meanThroughput()}, blocking.meanThroughput())
 	r.AddNote("measured: non-blocking achieves %.2fx the blocking throughput", sp[0])
 	return r, nil
 }

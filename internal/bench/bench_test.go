@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ddstore/internal/cluster"
+	"ddstore/internal/hydra"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 11} }
@@ -343,9 +346,9 @@ func TestFig13Converges(t *testing.T) {
 
 func TestRunCacheHits(t *testing.T) {
 	p := profileFor(quickOpts())
-	spec := runSpec{
-		machine: clusterLaptop(), ranks: 2, method: MethodDDStore,
-		ds: p.dataset(dsHomoLumo, nil), localBatch: 4, epochs: 1, maxSteps: 1, seed: 1,
+	spec := RunSpec{
+		Machine: cluster.Laptop(), Ranks: 2, Method: MethodDDStore,
+		Dataset: p.dataset(dsHomoLumo, nil), LocalBatch: 4, Epochs: 1, MaxSteps: 1, Seed: 1,
 	}
 	a, err := runCached(quickOpts(), spec)
 	if err != nil {
@@ -361,6 +364,35 @@ func TestRunCacheHits(t *testing.T) {
 	}
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatal("cached run too slow — cache not working")
+	}
+}
+
+// TestRunCacheKeysTheModelAndShuffle: a spec that differs only in
+// LocalShuffle or in its real model's architecture is its own run, not a
+// memo hit.
+func TestRunCacheKeysTheModelAndShuffle(t *testing.T) {
+	p := profileFor(quickOpts())
+	base := RunSpec{
+		Machine: cluster.Laptop(), Ranks: 2, Method: MethodDDStore,
+		Dataset: p.dataset(dsHomoLumo, nil), LocalBatch: 4, Epochs: 1, MaxSteps: 1, Seed: 1,
+	}
+	shuffled, real, wider := base, base, base
+	shuffled.LocalShuffle = true
+	real.Model = &hydra.Config{HiddenDim: 8, ConvLayers: 1, FCLayers: 1}
+	wider.Model = &hydra.Config{HiddenDim: 16, ConvLayers: 1, FCLayers: 1}
+	seen := map[*RunOut]string{}
+	for _, tc := range []struct {
+		name string
+		spec RunSpec
+	}{{"base", base}, {"local shuffle", shuffled}, {"real model", real}, {"wider model", wider}} {
+		out, err := runCached(quickOpts(), tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := seen[out]; ok {
+			t.Errorf("%s returned the memoized run of %s", tc.name, prev)
+		}
+		seen[out] = tc.name
 	}
 }
 

@@ -2,14 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ddstore/internal/cluster"
-	"ddstore/internal/comm"
-	"ddstore/internal/core"
 	"ddstore/internal/datasets"
-	"ddstore/internal/ddp"
 	"ddstore/internal/hydra"
 	"ddstore/internal/stats"
 	"ddstore/internal/trace"
@@ -127,15 +123,13 @@ func (p profile) dataset(kind dsKind, machine *cluster.Machine) *datasets.Datase
 // machine returns the named machine model with the page cache scaled to the
 // profile's dataset sizes.
 func (p profile) machine(name string) *cluster.Machine {
-	var m *cluster.Machine
-	var cache int64
-	switch name {
-	case "Summit":
-		m, cache = cluster.Summit(), p.pageCacheSummit
-	case "Perlmutter":
-		m, cache = cluster.Perlmutter(), p.pageCachePerl
-	default:
-		panic("unknown machine " + name)
+	m, err := cluster.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	cache := p.pageCachePerl
+	if name == "Summit" {
+		cache = p.pageCacheSummit
 	}
 	if cache > 0 {
 		m.PageCacheBytes = cache
@@ -238,15 +232,15 @@ func runFig4(o Options) (*Report, error) {
 			ds := p.dataset(kind, mc.machine)
 			tp := map[Method]float64{}
 			for _, m := range AllMethods {
-				out, err := runCached(o, runSpec{
-					machine: mc.machine, ranks: mc.ranks, method: m, ds: ds,
-					localBatch: p.localBatch, epochs: p.epochs, maxSteps: p.maxSteps,
-					seed: o.seed(), keepLat: true,
+				out, err := runCached(o, RunSpec{
+					Machine: mc.machine, Ranks: mc.ranks, Method: m, Dataset: ds,
+					LocalBatch: p.localBatch, Epochs: p.epochs, MaxSteps: p.maxSteps,
+					Seed: o.seed(), KeepLatencies: true,
 				})
 				if err != nil {
 					return nil, err
 				}
-				tp[m] = out.MeanThroughput
+				tp[m] = out.meanThroughput()
 			}
 			cs := tp[MethodCFF] / tp[MethodPFF]
 			dd := tp[MethodDDStore] / tp[MethodPFF]
@@ -265,17 +259,17 @@ func runFig4(o Options) (*Report, error) {
 // fig5Runs executes (or reuses) the 4-dataset × 3-method suite on the
 // Perlmutter 64-GPU configuration with latency retention — shared by
 // fig5, fig6 and table2.
-func fig5Runs(o Options) (profile, map[dsKind]map[Method]*runOut, error) {
+func fig5Runs(o Options) (profile, map[dsKind]map[Method]*RunOut, error) {
 	p := profileFor(o)
-	outs := map[dsKind]map[Method]*runOut{}
+	outs := map[dsKind]map[Method]*RunOut{}
 	perl := p.machine("Perlmutter")
 	for _, kind := range allKinds {
-		outs[kind] = map[Method]*runOut{}
+		outs[kind] = map[Method]*RunOut{}
 		for _, m := range AllMethods {
-			out, err := runCached(o, runSpec{
-				machine: perl, ranks: p.perlRanks, method: m,
-				ds: p.dataset(kind, perl), localBatch: p.localBatch, epochs: p.epochs,
-				maxSteps: p.maxSteps, seed: o.seed(), keepLat: true,
+			out, err := runCached(o, RunSpec{
+				Machine: perl, Ranks: p.perlRanks, Method: m,
+				Dataset: p.dataset(kind, perl), LocalBatch: p.localBatch, Epochs: p.epochs,
+				MaxSteps: p.maxSteps, Seed: o.seed(), KeepLatencies: true,
 			})
 			if err != nil {
 				return p, nil, err
@@ -344,7 +338,7 @@ func runFig6(o Options) (*Report, error) {
 	r := &Report{ID: "fig6", Title: "Graph loading latency CDF on 64 Perlmutter GPUs", Columns: cols}
 	for _, kind := range allKinds {
 		for _, m := range AllMethods {
-			lat := outs[kind][m].Latencies
+			lat := outs[kind][m].latencies()
 			if len(lat) == 0 {
 				return nil, fmt.Errorf("bench: no latencies for %s/%s", kind, m)
 			}
@@ -373,7 +367,7 @@ func runTable2(o Options) (*Report, error) {
 	}
 	for _, kind := range allKinds {
 		for _, m := range AllMethods {
-			p50, p95, p99 := latencyPercentiles(outs[kind][m].Latencies)
+			p50, p95, p99 := latencyPercentiles(outs[kind][m].latencies())
 			r.AddRow(kind.String(), string(m), p50, p95, p99)
 		}
 	}
@@ -385,10 +379,10 @@ func runTable2(o Options) (*Report, error) {
 // MPI RMA time for DDStore training on Summit.
 func runFig7(o Options) (*Report, error) {
 	p := profileFor(o)
-	out, err := runCached(o, runSpec{
-		machine: p.machine("Summit"), ranks: p.summitRanks, method: MethodDDStore,
-		ds: p.dataset(dsDiscrete, nil), localBatch: p.localBatch, epochs: p.epochs,
-		maxSteps: p.maxSteps, seed: o.seed(), keepLat: true,
+	out, err := runCached(o, RunSpec{
+		Machine: p.machine("Summit"), Ranks: p.summitRanks, Method: MethodDDStore,
+		Dataset: p.dataset(dsDiscrete, nil), LocalBatch: p.localBatch, Epochs: p.epochs,
+		MaxSteps: p.maxSteps, Seed: o.seed(), KeepLatencies: true,
 	})
 	if err != nil {
 		return nil, err
@@ -440,20 +434,20 @@ func runFig8(o Options) (*Report, error) {
 				var pts []stats.ScalingPoint
 				var rows [][]any
 				for _, ranks := range machineScales(p, machine) {
-					out, err := runCached(o, runSpec{
-						machine: machine, ranks: ranks, method: m, ds: ds,
-						localBatch: p.localBatch, epochs: p.epochs, maxSteps: 1,
-						seed: o.seed(),
+					out, err := runCached(o, RunSpec{
+						Machine: machine, Ranks: ranks, Method: m, Dataset: ds,
+						LocalBatch: p.localBatch, Epochs: p.epochs, MaxSteps: 1,
+						Seed: o.seed(),
 					})
 					if err != nil {
 						return nil, err
 					}
-					epochMean := stats.Mean(out.EpochThroughputs)
+					tps := out.epochThroughputs()
+					epochMean := stats.Mean(tps)
 					pts = append(pts, stats.ScalingPoint{Workers: ranks, Throughput: epochMean})
 					rows = append(rows, []any{
 						machine.Name, kind.String(), ranks, string(m),
-						epochMean,
-						stats.Min(out.EpochThroughputs), stats.Max(out.EpochThroughputs),
+						epochMean, stats.Min(tps), stats.Max(tps),
 					})
 				}
 				effs := stats.ParallelEfficiency(pts)
@@ -480,9 +474,9 @@ func runFig9(o Options) (*Report, error) {
 	}
 	summit := p.machine("Summit")
 	for _, ranks := range machineScales(p, summit) {
-		out, err := runCached(o, runSpec{
-			machine: summit, ranks: ranks, method: MethodDDStore, ds: ds,
-			localBatch: p.localBatch, epochs: p.epochs, maxSteps: 1, seed: o.seed(),
+		out, err := runCached(o, RunSpec{
+			Machine: summit, Ranks: ranks, Method: MethodDDStore, Dataset: ds,
+			LocalBatch: p.localBatch, Epochs: p.epochs, MaxSteps: 1, Seed: o.seed(),
 		})
 		if err != nil {
 			return nil, err
@@ -521,14 +515,14 @@ func runFig10(o Options) (*Report, error) {
 				continue
 			}
 			for _, m := range AllMethods {
-				out, err := runCached(o, runSpec{
-					machine: mc.machine, ranks: ranks, method: m, ds: ds,
-					localBatch: local, epochs: p.epochs, maxSteps: 2, seed: o.seed(),
+				out, err := runCached(o, RunSpec{
+					Machine: mc.machine, Ranks: ranks, Method: m, Dataset: ds,
+					LocalBatch: local, Epochs: p.epochs, MaxSteps: 2, Seed: o.seed(),
 				})
 				if err != nil {
 					return nil, err
 				}
-				r.AddRow(mc.machine.Name, ranks, local, string(m), out.MeanThroughput)
+				r.AddRow(mc.machine.Name, ranks, local, string(m), out.meanThroughput())
 			}
 		}
 	}
@@ -555,16 +549,16 @@ func runFig11(o Options) (*Report, error) {
 	} {
 		results := make(map[int]float64, len(mc.widths))
 		for _, w := range mc.widths {
-			out, err := runCached(o, runSpec{
-				machine: mc.machine, ranks: mc.ranks, method: MethodDDStore,
-				ds: datasetFor(dsDiscrete, p.widthMolN, 0), width: w,
-				localBatch: p.localBatch, epochs: p.epochs, maxSteps: p.maxSteps,
-				seed: o.seed(),
+			out, err := runCached(o, RunSpec{
+				Machine: mc.machine, Ranks: mc.ranks, Method: MethodDDStore,
+				Dataset: datasetFor(dsDiscrete, p.widthMolN, 0), Width: w,
+				LocalBatch: p.localBatch, Epochs: p.epochs, MaxSteps: p.maxSteps,
+				Seed: o.seed(),
 			})
 			if err != nil {
 				return nil, err
 			}
-			results[w] = out.MeanThroughput
+			results[w] = out.meanThroughput()
 		}
 		widest := results[mc.widths[len(mc.widths)-1]]
 		for _, w := range mc.widths {
@@ -602,15 +596,15 @@ func fig12Runs(o Options) (profile, map[dsKind]map[int][]time.Duration, error) {
 	for _, kind := range allKinds {
 		out[kind] = map[int][]time.Duration{}
 		for _, w := range widths {
-			res, err := runCached(o, runSpec{
-				machine: perl, ranks: ranks, method: MethodDDStore,
-				ds: widthDataset(kind), width: w, localBatch: p.localBatch,
-				epochs: p.epochs, maxSteps: p.maxSteps, seed: o.seed(), keepLat: true,
+			res, err := runCached(o, RunSpec{
+				Machine: perl, Ranks: ranks, Method: MethodDDStore,
+				Dataset: widthDataset(kind), Width: w, LocalBatch: p.localBatch,
+				Epochs: p.epochs, MaxSteps: p.maxSteps, Seed: o.seed(), KeepLatencies: true,
 			})
 			if err != nil {
 				return p, nil, err
 			}
-			out[kind][w] = res.Latencies
+			out[kind][w] = res.latencies()
 		}
 	}
 	return p, out, nil
@@ -668,50 +662,16 @@ func runTable3(o Options) (*Report, error) {
 // loss bump at epoch 26 is the scheduler halving the rate.
 func runFig13(o Options) (*Report, error) {
 	p := profileFor(o)
-	ds := datasetFor(dsSmooth, p.convSamples, p.convBins)
-	world, err := comm.NewWorld(p.convRanks, o.seed(), comm.WithMachine(p.machine("Summit")))
-	if err != nil {
-		return nil, err
-	}
-	cfg := hydra.Config{
-		NodeFeatDim: ds.NodeFeatDim(),
-		EdgeFeatDim: ds.EdgeFeatDim(),
-		HiddenDim:   p.convHidden,
-		ConvLayers:  p.convConv,
-		FCLayers:    p.convFC,
-		OutputDim:   ds.OutputDim(),
-		Seed:        o.seed(),
-	}
-	var res *ddp.Result
-	var mu sync.Mutex
-	err = world.Run(func(c *comm.Comm) error {
-		st, err := core.Open(c, ds, core.Options{})
-		if err != nil {
-			return err
-		}
-		r, err := ddp.Run(c, ddp.Config{
-			Loader:     &ddp.PlaneLoader{Plane: st},
-			LocalBatch: p.convBatch,
-			Epochs:     p.convEpochs,
-			Seed:       o.seed(),
-			Model:      hydra.New(cfg),
-			LR:         1e-3,
-			Plateau:    true,
-			Eval:       true,
-		})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if c.Rank() == 0 {
-			res = r
-		}
-		mu.Unlock()
-		return nil
+	out, err := runCached(o, RunSpec{
+		Machine: p.machine("Summit"), Ranks: p.convRanks, Method: MethodDDStore,
+		Dataset: datasetFor(dsSmooth, p.convSamples, p.convBins), LocalBatch: p.convBatch,
+		Epochs: p.convEpochs, Seed: o.seed(),
+		Model: &hydra.Config{HiddenDim: p.convHidden, ConvLayers: p.convConv, FCLayers: p.convFC},
 	})
 	if err != nil {
 		return nil, err
 	}
+	res := out.Results[0]
 	r := &Report{
 		ID:      "fig13",
 		Title:   "Convergence of train/validation/test MSE (smooth UV-vis spectra)",

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"ddstore/internal/cache"
 	"ddstore/internal/cff"
 	"ddstore/internal/cluster"
 	"ddstore/internal/comm"
@@ -38,16 +39,18 @@ var AllMethods = []Method{MethodPFF, MethodCFF, MethodDDStore}
 // large containers is the ADIOS-style layout the paper describes.
 const cffParts = 6
 
-// dsKind identifies the four evaluation datasets.
-type dsKind int
+// dsKind names one of the four evaluation datasets by its datasets.ByName
+// name.
+type dsKind string
 
 const (
-	dsIsing dsKind = iota
-	dsHomoLumo
-	dsDiscrete
-	dsSmooth
+	dsIsing    dsKind = "ising"
+	dsHomoLumo dsKind = "homolumo"
+	dsDiscrete dsKind = "discrete"
+	dsSmooth   dsKind = "smooth"
 )
 
+// String is the dataset's label in the reports.
 func (k dsKind) String() string {
 	switch k {
 	case dsIsing:
@@ -59,7 +62,7 @@ func (k dsKind) String() string {
 	case dsSmooth:
 		return "AISD-Ex (Smooth)"
 	default:
-		return fmt.Sprintf("dsKind(%d)", int(k))
+		return string(k)
 	}
 }
 
@@ -75,23 +78,15 @@ var datasetCache = struct {
 }{ds: map[string]*datasets.Dataset{}, sizes: map[string][]int64{}}
 
 func datasetFor(kind dsKind, numGraphs, bins int) *datasets.Dataset {
-	key := fmt.Sprintf("%d/%d/%d", kind, numGraphs, bins)
+	key := fmt.Sprintf("%s/%d/%d", kind, numGraphs, bins)
 	datasetCache.Lock()
 	defer datasetCache.Unlock()
 	if ds, ok := datasetCache.ds[key]; ok {
 		return ds
 	}
-	cfg := datasets.Config{NumGraphs: numGraphs, SpectrumBins: bins}
-	var ds *datasets.Dataset
-	switch kind {
-	case dsIsing:
-		ds = datasets.Ising(cfg)
-	case dsHomoLumo:
-		ds = datasets.HomoLumo(cfg)
-	case dsDiscrete:
-		ds = datasets.AISDExDiscrete(cfg)
-	case dsSmooth:
-		ds = datasets.AISDExSmooth(cfg)
+	ds, err := datasets.ByName(string(kind), datasets.Config{NumGraphs: numGraphs, SpectrumBins: bins})
+	if err != nil {
+		panic(err)
 	}
 	// Generate eagerly: the at-scale runs would otherwise regenerate
 	// hundreds of thousands of samples per configuration, and on a
@@ -116,7 +111,7 @@ func ResetCaches() {
 	datasetCache.sizes = map[string][]int64{}
 	datasetCache.Unlock()
 	runCache.Lock()
-	runCache.m = map[string]*runOut{}
+	runCache.m = map[string]*RunOut{}
 	runCache.Unlock()
 	runtime.GC()
 	debug.FreeOSMemory()
@@ -140,77 +135,101 @@ func sizesFor(ds *datasets.Dataset) ([]int64, error) {
 	return s, nil
 }
 
-// runSpec describes one simulated training run.
-type runSpec struct {
-	machine    *cluster.Machine
-	ranks      int
-	method     Method
-	ds         *datasets.Dataset
-	localBatch int
-	epochs     int
-	maxSteps   int
-	width      int // DDStore only; 0 = default (single replica)
-	seed       uint64
-	keepLat    bool
+// RunSpec describes one simulated DDP training run: the paper's method
+// comparison swaps only Method and keeps the rest.
+type RunSpec struct {
+	Machine    *cluster.Machine
+	Ranks      int
+	Method     Method
+	Dataset    *datasets.Dataset
+	LocalBatch int
+	Epochs     int
+	MaxSteps   int // per epoch; 0 = full epochs
+	Width      int // DDStore only; 0 = default (single replica)
+	Seed       uint64
+	// KeepLatencies retains every rank's per-sample load latencies.
+	KeepLatencies bool
+	// LocalShuffle samples each rank's own shard instead of global
+	// shuffles (ddp.Config.LocalShuffle).
+	LocalShuffle bool
+	// Model, when set, trains a real HydraGNN of this architecture (its
+	// feature and output dimensions come from the dataset, its seed from
+	// Seed) at LR 1e-3 with evaluation and the plateau scheduler; nil
+	// charges the paper-scale model's modeled compute.
+	Model *hydra.Config
 
 	// DDStore design-ablation toggles (see core.Options).
-	framework     core.Framework
-	lockPerSample bool
-	nonBlocking   bool
+	Framework     core.Framework
+	LockPerSample bool
+	NonBlocking   bool
 
-	// Remote-sample cache (filled in from Options by runCached unless the
-	// experiment sets it explicitly).
-	cacheBytes int64
+	// CacheBytes is DDStore's per-rank remote-sample cache budget (filled
+	// in from Options by runCached unless the experiment sets it).
+	CacheBytes int64
 
 	// Observability sinks (filled in from Options by runCached). They do
 	// not affect the simulated outcome, so they are excluded from the run
 	// memoization key — a memoized hit simply records nothing new.
-	metrics   *obs.Registry
-	traceSink *obs.TraceSink
+	Metrics *obs.Registry
+	Trace   *obs.TraceSink
 }
 
-// runOut is the aggregated outcome of one run.
-type runOut struct {
-	// MeanThroughput is global samples per virtual second over the run.
-	MeanThroughput float64
-	// EpochThroughputs, one per epoch, expose run variability.
-	EpochThroughputs []float64
-	// EpochDuration is the mean virtual epoch time.
-	EpochDuration time.Duration
+// RunOut is the outcome of one run.
+type RunOut struct {
+	// Results is every rank's view of the run, in rank order.
+	Results []*ddp.Result
 	// Prof merges every rank's region profile.
 	Prof *trace.Profiler
-	// Latencies concatenates per-sample load latencies from all ranks (only
-	// if keepLat).
-	Latencies []time.Duration
+	// Cache is rank 0's remote-sample cache counters (DDStore only).
+	Cache cache.Stats
 }
 
-// runOne executes one simulated DDP training run and aggregates the
-// outcome.
-func runOne(spec runSpec) (*runOut, error) {
-	if err := validateSpec(spec); err != nil {
-		return nil, err
+// meanThroughput is global samples per virtual second over the run.
+func (o *RunOut) meanThroughput() float64 { return o.Results[0].MeanThroughput }
+
+// epochThroughputs returns one throughput per epoch, exposing run
+// variability.
+func (o *RunOut) epochThroughputs() []float64 {
+	tps := make([]float64, len(o.Results[0].Epochs))
+	for i, e := range o.Results[0].Epochs {
+		tps[i] = e.Throughput
 	}
-	world, err := comm.NewWorld(spec.ranks, spec.seed, comm.WithMachine(spec.machine))
+	return tps
+}
+
+// latencies concatenates every rank's per-sample load latencies (empty
+// unless KeepLatencies).
+func (o *RunOut) latencies() []time.Duration {
+	var lat []time.Duration
+	for _, r := range o.Results {
+		lat = append(lat, r.Latencies...)
+	}
+	return lat
+}
+
+// Run executes one simulated DDP training run. It builds the world, puts
+// the PFF/CFF baseline's files on a simulated parallel filesystem or opens
+// a DDStore on every rank, trains on every rank, and merges the ranks'
+// profiles (into spec.Metrics too, when set).
+func Run(spec RunSpec) (*RunOut, error) {
+	world, err := comm.NewWorld(spec.Ranks, spec.Seed, comm.WithMachine(spec.Machine))
 	if err != nil {
 		return nil, err
 	}
+	ds := spec.Dataset
 
 	var fs *pfs.PFS
 	var sizes []int64
 	var layout *cff.SimLayout
-	switch spec.method {
-	case MethodPFF:
-		fs = pfs.New(spec.machine, spec.ranks)
-		if sizes, err = sizesFor(spec.ds); err != nil {
+	switch spec.Method {
+	case MethodPFF, MethodCFF:
+		fs = pfs.New(spec.Machine, spec.Ranks)
+		if sizes, err = sizesFor(ds); err != nil {
 			return nil, err
 		}
-		pff.RegisterSim(fs, spec.ds, sizes)
-	case MethodCFF:
-		fs = pfs.New(spec.machine, spec.ranks)
-		if sizes, err = sizesFor(spec.ds); err != nil {
-			return nil, err
-		}
-		if layout, err = cff.RegisterSim(fs, spec.ds, sizes, cffParts); err != nil {
+		if spec.Method == MethodPFF {
+			pff.RegisterSim(fs, ds, sizes)
+		} else if layout, err = cff.RegisterSim(fs, ds, sizes, cffParts); err != nil {
 			return nil, err
 		}
 	case MethodDDStore:
@@ -218,35 +237,43 @@ func runOne(spec runSpec) (*runOut, error) {
 		// source (the paper's preload also happens once and is excluded
 		// from the steady-state comparison).
 	default:
-		return nil, fmt.Errorf("bench: unknown method %q", spec.method)
+		return nil, fmt.Errorf("bench: unknown method %q", spec.Method)
 	}
 
-	simModel := hydra.PaperConfig(spec.ds.NodeFeatDim(), spec.ds.EdgeFeatDim(), spec.ds.OutputDim())
-	out := &runOut{Prof: trace.New()}
-	var res *ddp.Result
-	var mu sync.Mutex
+	var model *hydra.Config
+	if spec.Model != nil {
+		cfg := *spec.Model
+		cfg.NodeFeatDim, cfg.EdgeFeatDim, cfg.OutputDim = ds.NodeFeatDim(), ds.EdgeFeatDim(), ds.OutputDim()
+		cfg.Seed = spec.Seed
+		model = &cfg
+	}
+	simModel := hydra.PaperConfig(ds.NodeFeatDim(), ds.EdgeFeatDim(), ds.OutputDim())
+	label := fmt.Sprintf("%s %s x%d", spec.Method, spec.Machine.Name, spec.Ranks)
+	out := &RunOut{Results: make([]*ddp.Result, spec.Ranks), Prof: trace.New()}
+	profs := make([]*trace.Profiler, spec.Ranks)
 	err = world.Run(func(c *comm.Comm) error {
-		var loader ddp.Loader
-		switch spec.method {
-		case MethodPFF:
-			loader = &ddp.SourceLoader{Source: pff.NewSim(fs, spec.ds, sizes, c.Clock(), c.RNG())}
-		case MethodCFF:
-			loader = &ddp.SourceLoader{Source: cff.NewSim(fs, spec.ds, layout, c.Clock(), c.RNG())}
-		}
 		prof := trace.New()
 		var spans *obs.SpanRing
-		if spec.traceSink != nil {
-			spans = spec.traceSink.NewRing(fmt.Sprintf("%s %s x%d", spec.method, spec.machine.Name, spec.ranks), c.Rank())
+		if spec.Trace != nil {
+			spans = spec.Trace.NewRing(label, c.Rank())
 		}
-		if spec.method == MethodDDStore {
-			st, err := core.Open(c, spec.ds, core.Options{
-				Width:         spec.width,
+		var loader ddp.Loader
+		var st *core.Store
+		switch spec.Method {
+		case MethodPFF:
+			loader = &ddp.SourceLoader{Source: pff.NewSim(fs, ds, sizes, c.Clock(), c.RNG())}
+		case MethodCFF:
+			loader = &ddp.SourceLoader{Source: cff.NewSim(fs, ds, layout, c.Clock(), c.RNG())}
+		case MethodDDStore:
+			var err error
+			st, err = core.Open(c, ds, core.Options{
+				Width:         spec.Width,
 				Profiler:      prof,
-				Framework:     spec.framework,
-				LockPerSample: spec.lockPerSample,
-				NonBlocking:   spec.nonBlocking,
-				CacheBytes:    spec.cacheBytes,
-				Metrics:       spec.metrics,
+				Framework:     spec.Framework,
+				LockPerSample: spec.LockPerSample,
+				NonBlocking:   spec.NonBlocking,
+				CacheBytes:    spec.CacheBytes,
+				Metrics:       spec.Metrics,
 				Spans:         spans,
 			})
 			if err != nil {
@@ -255,61 +282,47 @@ func runOne(spec runSpec) (*runOut, error) {
 			defer st.Close()
 			loader = &ddp.PlaneLoader{Plane: st}
 		}
-		r, err := ddp.Run(c, ddp.Config{
+		tc := ddp.Config{
 			Loader:           loader,
-			LocalBatch:       spec.localBatch,
-			Epochs:           spec.epochs,
-			MaxStepsPerEpoch: spec.maxSteps,
-			Seed:             spec.seed,
+			LocalBatch:       spec.LocalBatch,
+			Epochs:           spec.Epochs,
+			MaxStepsPerEpoch: spec.MaxSteps,
+			Seed:             spec.Seed,
+			LocalShuffle:     spec.LocalShuffle,
 			SimModel:         simModel,
 			Profiler:         prof,
-			KeepLatencies:    spec.keepLat,
+			KeepLatencies:    spec.KeepLatencies,
 			Spans:            spans,
-		})
+		}
+		if model != nil {
+			tc.Model = hydra.New(*model)
+			tc.LR, tc.Eval, tc.Plateau = 1e-3, true, true
+		}
+		r, err := ddp.Run(c, tc)
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		out.Prof.Merge(prof)
-		if spec.keepLat {
-			out.Latencies = append(out.Latencies, r.Latencies...)
+		// Each rank writes only its own slots.
+		out.Results[c.Rank()], profs[c.Rank()] = r, prof
+		if c.Rank() == 0 && st != nil {
+			out.Cache = st.CacheStats()
 		}
-		if c.Rank() == 0 {
-			res = r
-		}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if spec.metrics != nil {
+	// Merge in rank order: a profile lists regions and counters in the
+	// order they first appear, so the order ranks finished must not set it.
+	for _, prof := range profs {
+		out.Prof.Merge(prof)
+	}
+	if spec.Metrics != nil {
 		// The ranks' profilers are the one writer of region and event
-		// counts; the suite's registry accumulates them run by run.
-		obs.AddProfiler(spec.metrics, out.Prof)
-	}
-	out.MeanThroughput = res.MeanThroughput
-	var durSum time.Duration
-	for _, e := range res.Epochs {
-		out.EpochThroughputs = append(out.EpochThroughputs, e.Throughput)
-		durSum += e.Duration
-	}
-	if len(res.Epochs) > 0 {
-		out.EpochDuration = durSum / time.Duration(len(res.Epochs))
+		// counts; a registry accumulates them run by run.
+		obs.AddProfiler(spec.Metrics, out.Prof)
 	}
 	return out, nil
-}
-
-func validateSpec(spec runSpec) error {
-	if spec.ranks <= 0 {
-		return fmt.Errorf("bench: %d ranks", spec.ranks)
-	}
-	trainSamples := spec.ds.Len() * 8 / 10
-	if need := spec.ranks * spec.localBatch; trainSamples < need {
-		return fmt.Errorf("bench: dataset %q train split (%d) smaller than one global batch (%d ranks × %d)",
-			spec.ds.Name(), trainSamples, spec.ranks, spec.localBatch)
-	}
-	return nil
 }
 
 // runCache memoizes run outcomes within one process so composite
@@ -317,28 +330,34 @@ func validateSpec(spec runSpec) error {
 // configuration once.
 var runCache = struct {
 	sync.Mutex
-	m map[string]*runOut
-}{m: map[string]*runOut{}}
+	m map[string]*RunOut
+}{m: map[string]*RunOut{}}
 
-// runCached memoizes runOne, applying the suite-wide cache configuration
+// runCached memoizes Run, applying the suite-wide cache configuration
 // from Options to any spec that does not set its own.
-func runCached(o Options, spec runSpec) (*runOut, error) {
-	if spec.cacheBytes == 0 && o.CacheBytes > 0 {
-		spec.cacheBytes = o.CacheBytes
+func runCached(o Options, spec RunSpec) (*RunOut, error) {
+	if spec.CacheBytes == 0 && o.CacheBytes > 0 {
+		spec.CacheBytes = o.CacheBytes
 	}
-	spec.metrics = o.Metrics
-	spec.traceSink = o.Trace
-	key := fmt.Sprintf("%s/%d/%s/%s-%d-%d/%d/%d/%d/%d/%d/%v/%d-%v-%v/%d",
-		spec.machine.Name, spec.ranks, spec.method, spec.ds.Name(), spec.ds.Len(), spec.ds.OutputDim(),
-		spec.localBatch, spec.epochs, spec.maxSteps, spec.width, spec.seed, spec.keepLat,
-		spec.framework, spec.lockPerSample, spec.nonBlocking, spec.cacheBytes)
+	spec.Metrics = o.Metrics
+	spec.Trace = o.Trace
+	// The key is every field that sets the outcome: the pointer fields
+	// by what they point at, the rest as they are.
+	k := spec
+	k.Machine, k.Dataset, k.Model, k.Metrics, k.Trace = nil, nil, nil, nil, nil
+	model := "cost model"
+	if spec.Model != nil {
+		model = fmt.Sprintf("%+v", *spec.Model)
+	}
+	key := fmt.Sprintf("%s/%s-%d-%d/%+v/%s", spec.Machine.Name,
+		spec.Dataset.Name(), spec.Dataset.Len(), spec.Dataset.OutputDim(), k, model)
 	runCache.Lock()
 	if out, ok := runCache.m[key]; ok {
 		runCache.Unlock()
 		return out, nil
 	}
 	runCache.Unlock()
-	out, err := runOne(spec)
+	out, err := Run(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -356,6 +375,3 @@ func latencyPercentiles(lat []time.Duration) (p50, p95, p99 float64) {
 }
 
 func ms(d time.Duration) float64 { return d.Seconds() * 1e3 }
-
-// clusterLaptop is a test seam for the tiny machine.
-func clusterLaptop() *cluster.Machine { return cluster.Laptop() }

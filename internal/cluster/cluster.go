@@ -15,7 +15,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"ddstore/internal/vtime"
@@ -207,6 +209,17 @@ func Laptop() *Machine {
 		CPUBatchPerSample:   20 * time.Microsecond,
 		OptimizerPerParamNs: 0.5,
 	}
+}
+
+// ByName returns a fresh copy of the named machine model: summit,
+// perlmutter or laptop, in any case.
+func ByName(name string) (*Machine, error) {
+	for _, build := range []func() *Machine{Summit, Perlmutter, Laptop} {
+		if m := build(); strings.EqualFold(m.Name, name) {
+			return m, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown machine %q", name)
 }
 
 // NodeOf maps a rank to its node index, packing GPUsPerNode consecutive

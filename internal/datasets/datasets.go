@@ -212,6 +212,20 @@ func (c Config) numGraphs(def int) int {
 	return def
 }
 
+// byName maps each dataset's command-line name to its generator.
+var byName = map[string]func(Config) *Dataset{
+	"ising": Ising, "homolumo": HomoLumo, "discrete": AISDExDiscrete, "smooth": AISDExSmooth,
+}
+
+// ByName returns the named dataset: ising, homolumo, discrete or smooth.
+func ByName(name string, cfg Config) (*Dataset, error) {
+	build := byName[name]
+	if build == nil {
+		return nil, fmt.Errorf("unknown dataset %q", name)
+	}
+	return build(cfg), nil
+}
+
 // Scaled default sample counts: the paper's counts divided by ~100 so the
 // full suite runs on one machine. Relative dataset sizes are preserved.
 const (

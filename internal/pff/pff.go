@@ -150,7 +150,7 @@ func (s *Store) AppendSample(buf []byte, id int64) ([]byte, error) {
 
 // SampleSizes returns every sample's encoded size (generating each sample
 // once, into one reused buffer). The result is reusable across filesystems,
-// experiments and both file formats (cff.RegisterSimSizes).
+// experiments and both file formats (pff.RegisterSim, cff.RegisterSim).
 func SampleSizes(ds *datasets.Dataset) ([]int64, error) {
 	sizes := make([]int64, ds.Len())
 	var buf []byte

@@ -124,11 +124,6 @@ type Config struct {
 // ElasticConfig is Config under its former elastic-path name (benchmark/ uses it).
 type ElasticConfig = Config
 
-var synthetic = map[string]func(datasets.Config) *datasets.Dataset{
-	"ising": datasets.Ising, "homolumo": datasets.HomoLumo,
-	"discrete": datasets.AISDExDiscrete, "smooth": datasets.AISDExSmooth,
-}
-
 // openSource resolves the configured data backing and what closes it.
 func openSource(cfg Config) (SampleSource, func() error, error) {
 	switch {
@@ -147,11 +142,11 @@ func openSource(cfg Config) (SampleSource, func() error, error) {
 		}
 		return src, nil, nil
 	case cfg.Dataset != "":
-		build := synthetic[cfg.Dataset]
-		if build == nil {
-			return nil, nil, fmt.Errorf("serveboot: unknown dataset %q", cfg.Dataset)
+		ds, err := datasets.ByName(cfg.Dataset, datasets.Config{NumGraphs: cfg.N, SpectrumBins: cfg.Bins})
+		if err != nil {
+			return nil, nil, fmt.Errorf("serveboot: %w", err)
 		}
-		return build(datasets.Config{NumGraphs: cfg.N, SpectrumBins: cfg.Bins}), nil, nil
+		return ds, nil, nil
 	default:
 		return nil, nil, fmt.Errorf("serveboot: one of CFFDir, PFFDir, Dataset, or Source is required")
 	}
