@@ -82,9 +82,11 @@ type Result struct {
 	// Loading is this rank's data-loading time per epoch: the sum of the
 	// per-step load times the Profiler's CPU-Loading region receives.
 	Loading []time.Duration
-	// TotalDuration is the synchronized virtual time of the whole run.
+	// TotalDuration is the synchronized virtual time of the whole run,
+	// less its validation and test passes (Config.Eval).
 	TotalDuration time.Duration
-	// MeanThroughput is the global samples/sec over all epochs.
+	// MeanThroughput is the global samples/sec over all epochs: their
+	// samples over TotalDuration.
 	MeanThroughput float64
 }
 
@@ -187,6 +189,7 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 	var gpuDone time.Duration
 	var gradBuf []float32
 	runStart := clock.Now()
+	var evalTime time.Duration // the validation and test passes, left out of TotalDuration
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		sampler.SetEpoch(epoch)
@@ -344,12 +347,14 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 			}
 			st.TrainLoss = sum[0] / float64(c.Size())
 			if cfg.Eval {
+				evalStart := clock.Now()
 				if st.ValLoss, err = evalShard(c, cfg, split.Val); err != nil {
 					return nil, err
 				}
 				if st.TestLoss, err = evalShard(c, cfg, split.Test); err != nil {
 					return nil, err
 				}
+				evalTime += clock.Now() - evalStart
 				if sched != nil {
 					st.LRDecayed = sched.Step(st.ValLoss)
 				}
@@ -358,7 +363,7 @@ func Run(c *comm.Comm, cfg Config) (*Result, error) {
 		res.Epochs = append(res.Epochs, st)
 		res.Loading = append(res.Loading, loading)
 	}
-	res.TotalDuration = clock.Now() - runStart
+	res.TotalDuration = clock.Now() - runStart - evalTime
 	var totalSamples int
 	for _, e := range res.Epochs {
 		totalSamples += e.Samples

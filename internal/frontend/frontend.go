@@ -25,10 +25,6 @@ import (
 // Defaults applied by New when the corresponding Options field is zero.
 const (
 	DefaultQueueDepth = 64
-	// DefaultTenant is the identity of connections that never send a
-	// hello frame (old clients). Give it an explicit entry — or a "*"
-	// template — to budget anonymous traffic.
-	DefaultTenant = "default"
 	// maxTenants caps auto-created registry entries so a client cannot
 	// grow server memory by inventing tenant names.
 	maxTenants = 1024
@@ -46,7 +42,9 @@ const (
 type Options struct {
 	// Tenants are the static budgets; see ParseTenants for the flag
 	// syntax. Tenants not listed are auto-created from the "*" template
-	// entry (unlimited when there is no template).
+	// entry (unlimited when there is no template). A connection that never
+	// says hello is charged to transport.DefaultTenant: give it an entry,
+	// or a template, to budget anonymous traffic.
 	Tenants []TenantConfig
 	// MaxConns caps concurrent admitted connections. 0 = unlimited.
 	MaxConns int
@@ -183,7 +181,7 @@ func overloadedf(format string, args ...any) error {
 // tenantLocked resolves (auto-creating from the template) a tenant.
 func (fe *Frontend) tenantLocked(name string) (*tenant, error) {
 	if name == "" {
-		name = DefaultTenant
+		name = transport.DefaultTenant
 	}
 	if t, ok := fe.tenants[name]; ok {
 		return t, nil
@@ -220,7 +218,7 @@ func (fe *Frontend) AdmitConn(remoteAddr string) (transport.ConnGate, error) {
 		fe.m.connReject()
 		return nil, overloadedf("connection cap reached (%d)", fe.opts.MaxConns)
 	}
-	t, err := fe.tenantLocked(DefaultTenant)
+	t, err := fe.tenantLocked(transport.DefaultTenant)
 	if err != nil {
 		fe.m.connReject()
 		return nil, err

@@ -87,7 +87,7 @@ func TestParseTenantsErrors(t *testing.T) {
 func TestRateLimitSheds(t *testing.T) {
 	clk := newFakeClock()
 	fe := mustNew(t, Options{
-		Tenants: []TenantConfig{{Name: DefaultTenant, Rate: 2, Burst: 2}},
+		Tenants: []TenantConfig{{Name: transport.DefaultTenant, Rate: 2, Burst: 2}},
 		Workers: 4, Now: clk.Now,
 	})
 	defer fe.Close()
@@ -120,7 +120,7 @@ func TestRateLimitSheds(t *testing.T) {
 func TestByteQuotaSheds(t *testing.T) {
 	clk := newFakeClock()
 	fe := mustNew(t, Options{
-		Tenants: []TenantConfig{{Name: DefaultTenant, BytesPerSec: 100, ByteBurst: 100}},
+		Tenants: []TenantConfig{{Name: transport.DefaultTenant, BytesPerSec: 100, ByteBurst: 100}},
 		Workers: 4, Now: clk.Now,
 	})
 	defer fe.Close()
@@ -365,7 +365,7 @@ func TestCloseShedsQueuedTickets(t *testing.T) {
 func TestMetricsWiring(t *testing.T) {
 	reg := obs.NewRegistry()
 	fe := mustNew(t, Options{
-		Tenants: []TenantConfig{{Name: DefaultTenant, Rate: 1, Burst: 1}},
+		Tenants: []TenantConfig{{Name: transport.DefaultTenant, Rate: 1, Burst: 1}},
 		Workers: 2, Reg: reg,
 	})
 	gate := mustAdmitConn(t, fe)
@@ -377,13 +377,13 @@ func TestMetricsWiring(t *testing.T) {
 	if _, err := gate.Admit(transport.ClassLookup); !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("want rate shed, got %v", err)
 	}
-	if got := reg.Counter(obs.MetricTenantRequests, "tenant", DefaultTenant, "class", "lookup").Value(); got != 1 {
+	if got := reg.Counter(obs.MetricTenantRequests, "tenant", transport.DefaultTenant, "class", "lookup").Value(); got != 1 {
 		t.Errorf("tenant requests = %d, want 1", got)
 	}
-	if got := reg.Counter(obs.MetricTenantShed, "tenant", DefaultTenant, "reason", "rate").Value(); got != 1 {
+	if got := reg.Counter(obs.MetricTenantShed, "tenant", transport.DefaultTenant, "reason", "rate").Value(); got != 1 {
 		t.Errorf("tenant shed = %d, want 1", got)
 	}
-	if got := reg.Gauge(obs.MetricConnsOpen, "tenant", DefaultTenant).Value(); got != 1 {
+	if got := reg.Gauge(obs.MetricConnsOpen, "tenant", transport.DefaultTenant).Value(); got != 1 {
 		t.Errorf("conns open = %v, want 1", got)
 	}
 	fe.StartDrain()

@@ -112,7 +112,7 @@ type Config struct {
 	// shard map probes are skipped.
 	Elastic bool
 	// Trace opens a sampled distributed trace per request: clients
-	// negotiate tracing at hello, every request carries a fresh root
+	// trace (ClientOptions.Tracing), every request carries a fresh root
 	// context over the wire, and the servers' timing trailers come back
 	// as merged "server" spans (see TraceSpans). Slowest exemplars in the
 	// artifact then carry trace ids that link to spans in the Chrome trace.

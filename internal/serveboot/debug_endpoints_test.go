@@ -354,6 +354,39 @@ func TestCloseDrainsGracefully(t *testing.T) {
 	}
 }
 
+// TestRefusedConnectionCountedOnce pins that a refused connection is
+// counted where the refusal is decided, in the front end, and only there:
+// the transport server shares the registry and must not count it again.
+func TestRefusedConnectionCountedOnce(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 16})
+	c, err := BootCluster(Config{Source: ds, MaxConns: 1, DebugAddr: "127.0.0.1:0", Net: fastNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// A served get proves the first connection holds the front end's one slot.
+	held, err := transport.Dial(c.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if _, err := held.GetRaw(3); err != nil {
+		t.Fatal(err)
+	}
+	refused, err := transport.DialOptions(c.Addrs()[0], transport.ClientOptions{Policy: fastNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refused.Close()
+	if _, err := refused.GetRaw(3); !errors.Is(err, transport.ErrOverloaded) {
+		t.Fatalf("get over the connection cap = %v, want ErrOverloaded", err)
+	}
+	if got := metricValue(t, c.Registry(), obs.MetricConnRejected); got != 1 {
+		t.Fatalf("%s = %v after one refused connection, want 1", obs.MetricConnRejected, got)
+	}
+}
+
 // TestBootFlightRecDirSnapshotsOnSpike wires the spike watcher through
 // Boot: a burst of shed connections (tiny MaxConns backstop is hard to hit
 // deterministically, so we add records via the recorder the server feeds)

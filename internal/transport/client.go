@@ -82,16 +82,14 @@ type ClientOptions struct {
 	Dialer DialFunc
 	// Tenant, when non-empty, is declared to the server in a hello
 	// handshake on every (re)connect, so a multi-tenant front end can
-	// charge this client's traffic to the right quota. Servers without a
-	// front end acknowledge and ignore it.
+	// charge this client's traffic to the right quota. Every server names
+	// it in timing trailers and flight records.
 	Tenant string
-	// Tracing opts this client into distributed tracing: the hello
-	// handshake advertises the tracing feature, and when the server
-	// advertises it back, requests carrying a valid sampled trace context
-	// go out flagged as traced and return the server's timing trailer.
-	// Against an older server the feature never activates and the same
-	// calls silently run untraced. Tracing with no Tenant declares
-	// DefaultTracedTenant, since negotiation rides on hello.
+	// Tracing opts this client into distributed tracing: a request whose
+	// trace context is valid and sampled goes out flagged as traced,
+	// carrying the context, and returns the server's timing trailer. Every
+	// other request runs untraced. It needs no hello: a client with no
+	// Tenant is reported as DefaultTenant.
 	Tracing bool
 }
 
@@ -106,16 +104,15 @@ type Client struct {
 	tenant   string
 	tracing  bool
 
-	mu       sync.Mutex
-	conn     net.Conn
-	br       *bufio.Reader // buffered reads of conn; Reset by connect on every (re)dial
-	req      []byte        // request frame scratch, reused under mu
-	one      [1]int64      // a single get's id list, reused under mu: its batch of one allocates none
-	helloed  bool          // tenant declared on the current connection
-	features uint64        // server feature word from the current connection's hello
-	rng      *rand.Rand
-	closed   bool
-	call     exchange // the request in flight, from begin to finish
+	mu      sync.Mutex
+	conn    net.Conn
+	br      *bufio.Reader // buffered reads of conn; Reset by connect on every (re)dial
+	req     []byte        // request frame scratch, reused under mu
+	one     [1]int64      // a single get's id list, reused under mu: its batch of one allocates none
+	helloed bool          // tenant declared on the current connection
+	rng     *rand.Rand
+	closed  bool
+	call    exchange // the request in flight, from begin to finish
 }
 
 // exchange is one request's attempt loop, kept on the client under mu so it
@@ -123,10 +120,9 @@ type Client struct {
 // back to back; a group load runs them as one owner's Issue and Collect.
 type exchange struct {
 	op      byte
-	a, b    int64 // b: the request flags the caller asked for
+	a, b    int64 // b: the request flags, flagTraced included when tc rides along
 	ids     []int64
 	tc      tracectx.Context
-	flags   int64 // what the current attempt wrote in b: b, plus flagTraced when it carried tc
 	attempt int
 	sent    bool // the current attempt's frame is written, its reply unread
 	lastErr error
@@ -155,11 +151,6 @@ func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 		dialer:   opts.Dialer,
 		tenant:   opts.Tenant,
 		tracing:  opts.Tracing,
-	}
-	if c.tracing && c.tenant == "" {
-		// Feature negotiation rides on the hello handshake, which requires
-		// a tenant name; fall back to the front end's catch-all tenant.
-		c.tenant = DefaultTracedTenant
 	}
 	if c.counters == nil {
 		c.counters = nopCounters{}
@@ -209,7 +200,6 @@ func (c *Client) connect(attempt int) error {
 	c.conn = conn
 	c.br.Reset(conn)
 	c.helloed = false
-	c.features = 0
 	if attempt > 0 {
 		c.counters.Inc(CounterReconnects, 1)
 	}
@@ -240,12 +230,10 @@ func (c *Client) Close() error {
 // (batch ids); nil for body-less ops.
 //
 // tc is the request's trace context, and the zero Context means untraced.
-// When it is valid and sampled, the client negotiated the tracing feature
-// on this connection, and the op takes request flags, the request goes out
-// flagged as traced carrying the context, and the server's timing trailer
-// is stripped from the payload and returned. Otherwise the request runs
-// untraced and timing is nil — including mid-call, if a reconnect lands on
-// a server that does not advertise tracing.
+// When the client traces, tc is valid and sampled, and the op takes request
+// flags, the request goes out flagged as traced carrying the context, and
+// the server's timing trailer is stripped from the payload and returned.
+// Otherwise the request runs untraced and timing is nil.
 //
 // The returned payload buffer carries one reference owned by the caller.
 // Callers that consume the bytes immediately (decode, parse, copy out)
@@ -268,6 +256,9 @@ func (c *Client) do(op byte, a int64, ids []int64, tc tracectx.Context) (*bufare
 // holds c.mu until finish returns.
 func (c *Client) begin(op byte, a, b int64, ids []int64, tc tracectx.Context) {
 	r := &c.call
+	if c.tracing && opTable[op].flags&flagTraced != 0 && tc.Valid() && tc.Sampled {
+		b |= flagTraced
+	}
 	*r = exchange{op: op, a: a, b: b, ids: ids, tc: tc}
 	c.counters.Inc(CounterRoundTrips, 1)
 	if c.closed || c.conn == nil || c.tenant != "" && !c.helloed {
@@ -305,7 +296,7 @@ func (c *Client) finish() (*bufarena.Buf, *ServerTiming, error) {
 		r.sent = false
 		payload, err := c.receive()
 		if err == nil {
-			if r.flags&flagTraced == 0 {
+			if r.b&flagTraced == 0 {
 				return payload, nil, nil
 			}
 			dataLen, timing, terr := parseTimingTrailer(payload.Bytes())
@@ -326,18 +317,10 @@ func (c *Client) finish() (*bufarena.Buf, *ServerTiming, error) {
 }
 
 // send writes r's frame, declaring the tenant first on a connection that
-// has not: admission control then charges the right quota. The hello's b
-// field advertises this client's feature bits; its ack is the server's
-// feature word (empty from an older server). The traced flag is chosen per
-// attempt: negotiation is per connection, and a retry may have reconnected
-// to an older server.
+// has not: admission control then charges the right quota.
 func (c *Client) send(r *exchange) error {
 	if c.tenant != "" && !c.helloed {
-		var feats uint64
-		if c.tracing {
-			feats = featureTracing
-		}
-		c.req = appendRequest(c.req[:0], opHello, int64(len(c.tenant)), int64(feats), tracectx.Context{}, nil)
+		c.req = appendRequest(c.req[:0], opHello, int64(len(c.tenant)), 0, tracectx.Context{}, nil)
 		c.req = append(c.req, c.tenant...)
 		if err := c.write(c.req); err != nil {
 			return err
@@ -346,18 +329,10 @@ func (c *Client) send(r *exchange) error {
 		if err != nil {
 			return err
 		}
-		if ack.Len() >= 8 {
-			c.features = binary.LittleEndian.Uint64(ack.Bytes())
-		}
 		ack.Release()
 		c.helloed = true
 	}
-	r.flags = r.b
-	if opTable[r.op].flags&flagTraced != 0 && r.tc.Valid() && r.tc.Sampled &&
-		c.tracing && c.features&featureTracing != 0 {
-		r.flags |= flagTraced
-	}
-	c.req = appendRequest(c.req[:0], r.op, r.a, r.flags, r.tc, r.ids)
+	c.req = appendRequest(c.req[:0], r.op, r.a, r.b, r.tc, r.ids)
 	return c.write(c.req)
 }
 
@@ -525,11 +500,10 @@ func (c *Client) ShardMap() (*shardmap.Map, error) {
 // returned bytes are plain GC-owned memory, valid for as long as the caller
 // holds them: the payload is copied into an exact-size slice and the pooled
 // buffer goes back to its pool. tc is the request's trace context: when
-// tracing is negotiated on the connection and tc is valid and sampled, the
-// returned timing holds the server's breakdown for this request; otherwise
-// — always, for the zero Context — the request runs untraced and timing is
-// nil. On the wire it is a batch of one, flagged to be admitted as a
-// lookup.
+// the client traces and tc is valid and sampled, the returned timing holds
+// the server's breakdown for this request; otherwise — always, for the zero
+// Context — the request runs untraced and timing is nil. On the wire it is
+// a batch of one, flagged to be admitted as a lookup.
 func (c *Client) GetRawTraced(id int64, tc tracectx.Context) ([]byte, *ServerTiming, error) {
 	c.mu.Lock()
 	c.one[0] = id
@@ -560,7 +534,7 @@ func (c *Client) GetRaw(id int64) ([]byte, error) {
 // parts aliasing it. Every id must be in this server's chunk; parts is
 // aligned with ids. The caller owns the buffer's single reference and must
 // keep it (or a Retain of it) alive for as long as it reads any part, then
-// Release. tc is the request's trace context: when tracing is negotiated
+// Release. tc is the request's trace context: when the client traces
 // and tc is valid and sampled, timing holds the server's breakdown (queue
 // wait, service, chunk-source time, tenant, generation) for the whole
 // batch; otherwise — always, for the zero Context — the request runs

@@ -367,10 +367,9 @@ func (g *Group) refreshFromSurvivors(down []int) bool {
 //
 // tc is the caller's span in a distributed trace, and the zero Context
 // means untraced: each per-owner fan-out propagates a child context over
-// the wire (when the peers negotiated tracing —
-// GroupOptions.Client.Tracing), and the servers' timing trailers come back
-// as "server" category spans in the group's span ring, nested inside the
-// request window.
+// the wire (when GroupOptions.Client.Tracing is set), and the servers'
+// timing trailers come back as "server" category spans in the group's span
+// ring, nested inside the request window.
 func (g *Group) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
 	return g.engine.LoadLazy(ids, tc)
 }

@@ -136,9 +136,8 @@ func TestPipelinedRequestsAnsweredInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	feat := binary.LittleEndian.AppendUint64(nil, featureTracing)
 	one := func(id int64) []byte { return encodeBatchPayload([][]byte{chunk.Encoded[id]}) }
-	wants := [][]byte{feat, one(2), one(6), one(2),
+	wants := [][]byte{nil, one(2), one(6), one(2),
 		encodeBatchPayload([][]byte{chunk.Encoded[7], chunk.Encoded[0], chunk.Encoded[7]})}
 	for i, want := range wants {
 		status, payload := exchangeRaw(t, conn, nil)

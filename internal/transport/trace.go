@@ -9,25 +9,6 @@ import (
 	"ddstore/internal/obs/tracectx"
 )
 
-// Feature bits exchanged in the hello handshake. The client sends its
-// supported features in the hello header's b field; the server answers
-// with its own feature word as an 8-byte little-endian hello payload. A
-// feature is active only when both sides advertise it, so either side
-// running older code silently degrades: an old client ignores the ack
-// payload it never looks at, and an old server's empty ack reads as
-// "no features", keeping the client's requests untraced. Bit 0 advertised
-// the retired traced ops 7 and 8 and is never reused.
-const (
-	featureTracing = uint64(1) << 1
-)
-
-// DefaultTracedTenant is the tenant a tracing client declares when it has
-// none of its own: negotiation rides on the hello handshake, and the wire
-// protocol requires hello to carry a non-empty tenant name. It matches the
-// serving front end's catch-all tenant, and servers without a front end
-// acknowledge and ignore it.
-const DefaultTracedTenant = "default"
-
 // Timing trailer layout. Traced requests with a valid, sampled context get
 // a trailer appended to their success payload — after the op's normal
 // response bytes, inside the length/CRC frame — carrying the server-side
@@ -66,8 +47,8 @@ type ServerTiming struct {
 	Bytes int64
 	// Generation is the shard map generation the request was served under.
 	Generation uint64
-	// Tenant is the tenant queue the request was charged to ("" when the
-	// server runs no front end).
+	// Tenant is the tenant the connection declared at hello, DefaultTenant
+	// when it declared none: the queue a front end charged the request to.
 	Tenant string
 }
 

@@ -3,9 +3,9 @@ package transport_test
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,9 +109,9 @@ func TestUnsampledOrInvalidContextRunsUntraced(t *testing.T) {
 	}
 }
 
-// TestTracingOffClientAgainstNewServer pins the old-client→new-server
-// direction: a client that never asks for tracing (today's default) talks
-// to a feature-announcing server and everything behaves as before.
+// TestTracingOffClientAgainstNewServer pins a client that declares a
+// tenant and never asks for tracing (the default): its hello is acked and
+// its batch served.
 func TestTracingOffClientAgainstNewServer(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 8})
 	srv, err := transport.Serve("127.0.0.1:0", chunkFor(t, ds, 0, 8))
@@ -120,8 +120,7 @@ func TestTracingOffClientAgainstNewServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Tenant set, tracing not: the hello ack now carries a feature word the
-	// old client code released unread — same call sequence here.
+	// Tenant set, tracing not: the hello ack is released unread.
 	cl, err := transport.DialOptions(srv.Addr(), transport.ClientOptions{Tenant: "legacy"})
 	if err != nil {
 		t.Fatal(err)
@@ -136,130 +135,52 @@ func TestTracingOffClientAgainstNewServer(t *testing.T) {
 	}
 }
 
-// oldWireServer speaks an older protocol from first principles: 17-byte
-// request header, 9-byte response head, hello acked with ack (empty before
-// tracing; feature bit 0 once traced ops had their own op codes), a batch
-// whose header field b is ignored, and unknown ops answered with an error
-// status. It pins the new-client→old-server direction without depending on
-// the current server implementation.
-func oldWireServer(t *testing.T, encoded [][]byte, ack []byte) (addr string, shutdown func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// countingConn counts the writes a client makes: each request frame is one.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestTracingNeedsNoHello pins that tracing is not negotiated: a tracing
+// client that declares no tenant sends its traced request as the
+// connection's one frame, and the server names the tenant every undeclared
+// connection is charged to.
+func TestTracingNeedsNoHello(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 8})
+	srv, err := transport.Serve("127.0.0.1:0", chunkFor(t, ds, 0, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply := func(conn net.Conn, status byte, payload []byte) error {
-		head := make([]byte, 9)
-		head[0] = status
-		binary.LittleEndian.PutUint32(head[1:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(head[5:], crc32.ChecksumIEEE(payload))
-		if _, err := conn.Write(head); err != nil {
-			return err
-		}
-		_, err := conn.Write(payload)
-		return err
+	defer srv.Close()
+
+	var writes atomic.Int64
+	dial := func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		return countingConn{conn, &writes}, err
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				header := make([]byte, 17)
-				for {
-					if _, err := io.ReadFull(conn, header); err != nil {
-						return
-					}
-					op := header[0]
-					a := int64(binary.LittleEndian.Uint64(header[1:]))
-					switch op {
-					case 5: // hello: drain the name, ack the old feature word
-						if _, err := io.CopyN(io.Discard, conn, a); err != nil {
-							return
-						}
-						if reply(conn, 0, ack) != nil {
-							return
-						}
-					case 4: // getbatch
-						idb := make([]byte, 8*a)
-						if _, err := io.ReadFull(conn, idb); err != nil {
-							return
-						}
-						var payload []byte
-						for i := int64(0); i < a; i++ {
-							id := int64(binary.LittleEndian.Uint64(idb[8*i:]))
-							if id < 0 || id >= int64(len(encoded)) {
-								payload = nil
-								break
-							}
-							one := encoded[id]
-							var pre [4]byte
-							binary.LittleEndian.PutUint32(pre[:], uint32(len(one)))
-							payload = append(payload, pre[:]...)
-							payload = append(payload, one...)
-						}
-						status := byte(0)
-						if payload == nil {
-							status, payload = 1, []byte("out of range")
-						}
-						if reply(conn, status, payload) != nil {
-							return
-						}
-					default: // an old server has never heard of a trace-context flag
-						if reply(conn, 1, []byte("unknown op")) != nil {
-							return
-						}
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), func() { ln.Close() }
-}
-
-func TestTracedClientAgainstOldServerFallsBack(t *testing.T) {
-	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 8})
-	encoded := make([][]byte, 8)
-	for id := int64(0); id < 8; id++ {
-		g, _ := ds.Sample(id)
-		encoded[id] = g.Encode()
+	cl, err := transport.DialOptions(srv.Addr(), transport.ClientOptions{Tracing: true, Dialer: dial})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, ack := range map[string][]byte{
-		"pre-tracing":        nil,
-		"traced-op-code era": binary.LittleEndian.AppendUint64(nil, 1),
-	} {
-		t.Run(name, func(t *testing.T) {
-			addr, shutdown := oldWireServer(t, encoded, ack)
-			defer shutdown()
-
-			cl, err := transport.DialOptions(addr, transport.ClientOptions{Tracing: true, Tenant: "alpha"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-
-			// Neither ack advertises the tracing feature: the sampled context
-			// must not put a trace context on the wire, which the old server
-			// would read as ids.
-			tc := tracectx.New(true)
-			buf, parts, timing, err := cl.GetBatchBufsTraced([]int64{1, 6}, tc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer buf.Release()
-			if timing != nil {
-				t.Fatalf("old server produced server timing %+v", timing)
-			}
-			if len(parts) != 2 || string(parts[1]) != string(encoded[6]) {
-				t.Fatal("fallback batch returned wrong bytes")
-			}
-			raw, timing, err := cl.GetRawTraced(3, tc)
-			if err != nil || timing != nil || string(raw) != string(encoded[3]) {
-				t.Fatalf("fallback get: err=%v timing=%v", err, timing)
-			}
-		})
+	defer cl.Close()
+	buf, parts, timing, err := cl.GetBatchBufsTraced([]int64{1, 6}, tracectx.New(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer buf.Release()
+	if len(parts) != 2 {
+		t.Fatalf("got %d parts for 2 ids", len(parts))
+	}
+	if timing == nil || timing.Tenant != transport.DefaultTenant {
+		t.Fatalf("server timing %+v, want tenant %q", timing, transport.DefaultTenant)
+	}
+	if n := writes.Load(); n != 1 {
+		t.Fatalf("client wrote %d frames, want the one request", n)
 	}
 }
 

@@ -22,6 +22,7 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,7 +48,7 @@ import (
 // detected by either the length bound or the checksum.
 const (
 	opGetBatch = 4 // request a ids (listed in the body), flags in b; response: length-prefixed graphs
-	opHello    = 5 // declare tenant identity + feature bits (b); response: server feature word
+	opHello    = 5 // declare tenant identity (b ignored); response: empty
 	opShardMap = 6 // request the current shard map; response payload: encoded shardmap.Map
 	// Ops 1 (chunk range), 2 (single get), 3 (range), 7 (traced get) and
 	// 8 (traced batch) are retired — answered like any unknown op — and
@@ -68,7 +69,7 @@ const (
 // them. Any other set bit is an error on a still-aligned stream: the body
 // length depends only on the count and flagTraced.
 const (
-	flagTraced = 1 << 0 // a trace context leads the body (negotiated at hello; trace.go)
+	flagTraced = 1 << 0 // a trace context leads the body (trace.go)
 	flagLookup = 1 << 1 // admitted as ClassLookup, not the op's class: a single get
 )
 
@@ -83,6 +84,11 @@ const (
 // maxTenantName bounds the opHello body so a hostile handshake cannot make
 // the server allocate unbounded memory.
 const maxTenantName = 128
+
+// DefaultTenant is the identity of a connection that never says hello: the
+// serving front end charges its traffic to this tenant, and the server
+// names it in timing trailers and flight records.
+const DefaultTenant = "default"
 
 // Class is the priority class admission control schedules a request on.
 // The server reads it from the op table and the request's lookup flag:
@@ -115,7 +121,7 @@ type opSpec struct {
 	// when the request does not set flagLookup.
 	class Class
 	// flags is the set of request flags header field b may carry; zero when
-	// b is not a flags word (hello's is the client's feature word).
+	// b is not a flags word (hello ignores it).
 	flags int64
 	// unit and max describe a counted body: header field a carries a count
 	// in [1, max] and the body holds unit bytes per count. A count outside
@@ -197,9 +203,10 @@ type ConnGate interface {
 
 // Admission is the connection-level admission hook a serving front end
 // (internal/frontend) implements. AdmitConn runs once per accepted
-// connection; an error rejects the connection — the server answers its
-// first request with statusOverloaded and closes it, so well-behaved
-// clients back off instead of hammering a full or draining server.
+// connection; an error refuses the connection — the server answers every
+// request on it with that error, the overloaded status for an
+// ErrOverloaded one, until the client goes quiet, so well-behaved clients
+// back off instead of hammering a full or draining server.
 type Admission interface {
 	AdmitConn(remoteAddr string) (ConnGate, error)
 }
@@ -335,7 +342,6 @@ type serverMetrics struct {
 	stales      *obs.Counter
 	lat         *obs.Histogram
 	acceptRejct *obs.Counter
-	connRejects *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -349,10 +355,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		stales:      reg.Counter("ddstore_serve_stale_gen_total"),
 		lat:         obs.FetchLatencyHistogram(reg),
 		acceptRejct: reg.Counter(obs.MetricAcceptRejected),
-		connRejects: reg.Counter(obs.MetricConnRejected),
 	}
 	reg.Help(obs.MetricAcceptRejected, "Accepted connections closed because the MaxConns goroutine cap was reached.")
-	reg.Help(obs.MetricConnRejected, "Connections refused by admission control with an overloaded status.")
 	for op := range opTable {
 		if name := opTable[op].name; name != "" {
 			m.reqs[op] = reg.Counter("ddstore_serve_requests_total", "op", name)
@@ -387,9 +391,10 @@ func (m *serverMetrics) observe(op, status byte, payload int, dur time.Duration)
 // can wake idle handlers without cutting an in-flight request short.
 // Everything else belongs to the handler goroutine alone.
 type connState struct {
-	busy   atomic.Bool
-	gate   ConnGate // nil without ServerOptions.Admission
-	tenant string   // declared by the connection's most recent hello
+	busy    atomic.Bool
+	gate    ConnGate // nil without ServerOptions.Admission, or when it refused the connection
+	refused error    // why ServerOptions.Admission refused the connection: every request's answer
+	tenant  string   // declared by the connection's most recent hello; DefaultTenant before one
 
 	// Request scratch. A connection serves one request at a time and
 	// nothing here outlives the response write, so every request reuses
@@ -546,7 +551,7 @@ func (s *Server) acceptLoop() {
 				continue
 			}
 		}
-		st := &connState{}
+		st := &connState{tenant: DefaultTenant}
 		s.mu.Lock()
 		s.conns[conn] = st
 		s.mu.Unlock()
@@ -565,62 +570,20 @@ func (s *Server) acceptLoop() {
 			if s.opts.Admission != nil {
 				gate, err := s.opts.Admission.AdmitConn(conn.RemoteAddr().String())
 				if err != nil {
-					s.rejectConn(conn, st, err)
-					return
+					st.refused = err
+				} else {
+					defer gate.Close()
+					st.gate = gate
 				}
-				defer gate.Close()
-				st.gate = gate
 			}
 			s.handle(conn, st)
 		}()
 	}
 }
 
-// rejectReadTimeout bounds how long a rejected connection may dawdle over
-// its first request before the server gives up on delivering a status.
+// rejectReadTimeout bounds how long a refused connection may dawdle over
+// each request before the server gives up on delivering it a status.
 const rejectReadTimeout = 2 * time.Second
-
-// rejectConn answers a connection refused by admission control: it reads
-// requests (consuming a body when the op carries one, so each response
-// frame is unambiguous) and replies to every one with the overloaded/
-// draining status, so a client that backs off and retries on the same
-// connection keeps seeing the status instead of a broken pipe. It
-// returns — and the caller closes the connection — once the client goes
-// quiet for rejectReadTimeout or hangs up, or, as handle does, after
-// answering a count out of bounds, which leaves the stream unparseable.
-func (s *Server) rejectConn(conn net.Conn, st *connState, cause error) {
-	if s.metrics != nil {
-		s.metrics.connRejects.Inc()
-	}
-	br := bufio.NewReader(conn)
-	for {
-		conn.SetReadDeadline(time.Now().Add(rejectReadTimeout))
-		header, err := br.Peek(reqHeaderSize)
-		if err != nil {
-			return
-		}
-		op := header[0]
-		a := int64(binary.LittleEndian.Uint64(header[1:]))
-		b := int64(binary.LittleEndian.Uint64(header[9:]))
-		br.Discard(reqHeaderSize) // cannot fail: Peek buffered these bytes
-		// Drain the body without keeping it: the bytes are discarded
-		// anyway, and an error path must not allocate proportional to an
-		// attacker-supplied length.
-		sp := &opTable[op]
-		n, lerr := sp.bodyLen(a, b)
-		if lerr == nil && n > 0 {
-			if _, err := br.Discard(int(n)); err != nil {
-				return
-			}
-		}
-		if rec := s.opts.FlightRecorder; rec != nil && !sp.control {
-			rec.Add(flightrec.Record{Kind: flightrec.KindShed, Op: opName(op), Err: cause.Error()})
-		}
-		if _, werr := s.writeFrame(conn, st, cause); werr != nil || lerr != nil {
-			return
-		}
-	}
-}
 
 // serveBatch trusts the body length because the count was validated, so
 // the connection stays usable even if an id is out of range.
@@ -630,9 +593,7 @@ func serveBatch(s *Server, rq request) (int, error) {
 }
 
 // serveHello switches the connection's tenant identity and acknowledges
-// with the server's feature word, so both sides know which protocol
-// extensions are safe to use on this connection. Old clients release the
-// payload unread.
+// with an empty payload.
 func serveHello(s *Server, rq request) (int, error) {
 	name := string(rq.body)
 	if rq.st.gate != nil {
@@ -641,9 +602,6 @@ func serveHello(s *Server, rq request) (int, error) {
 		}
 	}
 	rq.st.tenant = name
-	feat := make([]byte, 8)
-	binary.LittleEndian.PutUint64(feat, featureTracing)
-	rq.st.parts = append(rq.st.parts, feat)
 	return 0, nil
 }
 
@@ -656,7 +614,15 @@ func serveShardMap(s *Server, rq request) (int, error) {
 	return 0, nil
 }
 
+// handle serves a connection's requests one at a time until the client
+// hangs up, goes idle, or sends a count out of bounds. A connection
+// admission control refused is read like any other, so each response frame
+// stays unambiguous, and every request on it is answered with st.refused.
 func (s *Server) handle(conn net.Conn, st *connState) {
+	idle := s.opts.IdleTimeout
+	if st.refused != nil {
+		idle = rejectReadTimeout
+	}
 	// One buffered reader per connection: a request's header and body (a
 	// batch's trace context and ids) arrive in one read, and
 	// pipelined requests in as few reads as the kernel delivers them in.
@@ -665,8 +631,8 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		if s.draining.Load() {
 			return
 		}
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		if idle > 0 {
+			conn.SetReadDeadline(time.Now().Add(idle))
 		}
 		header, rerr := br.Peek(reqHeaderSize)
 		if rerr != nil {
@@ -682,18 +648,23 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		// start and the trailer's parts can never sum past its whole.
 		start := time.Now()
 		sp := &opTable[op]
-		var err error
-		if sp.name == "" {
-			err = fmt.Errorf("unknown op %d", op)
-		}
 		bodyLen, cerr := sp.bodyLen(a, b)
 		if cerr != nil {
 			// The length of the request body is unknown, so the stream
 			// cannot be resynchronized: report the error, then drop the
 			// connection.
+			cerr = cmp.Or(st.refused, cerr)
 			status, _ := s.writeFrame(conn, st, cerr)
-			s.metrics.observe(op, status, 0, time.Since(start))
+			dur := time.Since(start)
+			s.metrics.observe(op, status, 0, dur)
+			if !sp.control {
+				s.recordRequest(op, status, st.tenant, tracectx.Context{}, 0, 0, 0, 0, dur, cerr)
+			}
 			return
+		}
+		err := st.refused
+		if err == nil && sp.name == "" {
+			err = fmt.Errorf("unknown op %d", op)
 		}
 		// Ops with a body consume it before validation and admission, so an
 		// error or shed response leaves the stream aligned on the next
@@ -722,7 +693,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		// The request is fully read: an idle-timeout deadline (or a Drain
 		// nudge that raced the header) must not cut the in-flight request
 		// short, e.g. while it waits in an admission queue.
-		if s.opts.IdleTimeout > 0 || s.draining.Load() {
+		if idle > 0 || s.draining.Load() {
 			conn.SetReadDeadline(time.Time{})
 		}
 		// Admission: data ops pass through the front end's rate limits and
