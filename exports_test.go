@@ -75,8 +75,9 @@ var retired = map[string]string{
 	"internal/stats.NewCDF":        cdfQuantile,
 	"internal/stats.CDF.Quantile":  cdfQuantile,
 
-	"internal/comm.Comm.Allgatherv":   "it forwarded to Allgather, which takes variable-length contributions; core.Open calls Allgather",
-	"internal/comm.Comm.GatherNoCost": "its one caller gathered every rank's profiler to rank 0 as JSON for a second copy of the merged region table; ddp.Result.Loading carries the per-epoch loading times the skew table needs",
+	"internal/comm.Comm.Allgatherv":    "it forwarded to Allgather, which takes variable-length contributions; core.Open calls Allgather",
+	"internal/comm.Comm.GatherNoCost":  "its one caller gathered every rank's profiler to rank 0 as JSON for a second copy of the merged region table; ddp.Result.Loading carries the per-epoch loading times the skew table needs",
+	"internal/comm.Comm.ShareFromRoot": "its one caller handed group rank 0's built sample index to the group; the registry is now every member's packed end offsets, which Allgather shares by reference",
 
 	"internal/transport.Client.Meta": "it asked a static server for its chunk range over op 1, now retired; every server serves a shard map, and Client.ShardMap's keyspace is the range",
 	"internal/shardmap.Map.OwnerOf":  "its one caller was core.Store's mirror map; the RMA store inverts chunkStarts in closed form, and TCP routes use Map.PreferredOwner",

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -166,19 +167,26 @@ func (c *Comm) AllreduceFloat32(in []float32, op ReduceOp) error {
 	return nil
 }
 
-// Allgather concatenates the contributions of all ranks in rank order.
+// Allgather hands every rank the contributions of all ranks in rank order.
 // They may differ in length (MPI_Allgatherv): the in-process transport
-// needs no count exchange. It is charged from the deposited contributions,
-// never from the caller's own, so the charge does not depend on which rank
+// needs no count exchange. The result is the deposited slices themselves,
+// each capacity-clipped, not copies: every rank reads rank r's contribution
+// through rank r's own backing array, so a gather at N ranks holds its
+// bytes once, not N times, as ranks of one node would through an MPI-3
+// shared-memory window. The contributions are read-only by contract, for
+// the sender as much as the receivers; an append to a received slice
+// copies, since it has no spare capacity to write into. The collective is
+// charged from the deposited contributions at 4 bytes an element, never
+// from the caller's own, so the charge does not depend on which rank
 // arrives last: the busiest receiver, the rank with the smallest
 // contribution, takes in every byte but its own.
-func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
-	var out [][]byte
+func (c *Comm) Allgather(mine []uint32) ([][]uint32, error) {
+	var out [][]uint32
 	err := c.exchange(mine, func() time.Duration {
 		m := c.world.machine
 		var sum, least int64
 		for i, s := range c.state.slots {
-			n := int64(len(s.([]byte)))
+			n := 4 * int64(len(s.([]uint32)))
 			sum += n
 			if i == 0 || n < least {
 				least = n
@@ -186,12 +194,9 @@ func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
 		}
 		return m.CollectiveLatency(c.Size()) + m.NetTransfer(sum-least, c.Size() <= m.GPUsPerNode)
 	}, func(slots []any) {
-		out = make([][]byte, len(slots))
+		out = make([][]uint32, len(slots))
 		for i, s := range slots {
-			src := s.([]byte)
-			cp := make([]byte, len(src))
-			copy(cp, src)
-			out[i] = cp
+			out[i] = slices.Clip(s.([]uint32))
 		}
 	})
 	return out, err

@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Request is a handle on a non-blocking RMA operation. The in-process
 // transport completes data movement eagerly; Wait charges the modeled
@@ -54,24 +51,4 @@ func WaitAll(reqs []*Request) {
 	for _, r := range reqs {
 		r.Wait()
 	}
-}
-
-// ShareFromRoot hands every rank of the communicator a reference to root's
-// value without copying — the in-process analogue of putting shared,
-// immutable metadata in an MPI-3 shared-memory window
-// (MPI_Win_allocate_shared) instead of replicating it per process. The
-// value must be treated as immutable by all ranks.
-func (c *Comm) ShareFromRoot(v any, root int) (any, error) {
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("comm: ShareFromRoot root %d out of range [0,%d)", root, c.Size())
-	}
-	var send any
-	if c.idx == root {
-		send = v
-	}
-	var out any
-	err := c.exchange(send, c.smallCollCost, func(slots []any) {
-		out = slots[root]
-	})
-	return out, err
 }

@@ -184,62 +184,6 @@ func BenchmarkAllreduce1MB8Ranks(b *testing.B) {
 	_ = time.Now
 }
 
-func TestShareFromRoot(t *testing.T) {
-	run(t, 4, nil, func(c *Comm) error {
-		var big []int64
-		if c.Rank() == 2 {
-			big = []int64{10, 20, 30}
-		}
-		got, err := c.ShareFromRoot(big, 2)
-		if err != nil {
-			return err
-		}
-		shared := got.([]int64)
-		if len(shared) != 3 || shared[1] != 20 {
-			return fmt.Errorf("rank %d got %v", c.Rank(), shared)
-		}
-		return nil
-	})
-}
-
-func TestShareFromRootSameBacking(t *testing.T) {
-	// The point of ShareFromRoot is zero-copy: every rank must see the
-	// root's exact slice (same backing array).
-	run(t, 3, nil, func(c *Comm) error {
-		var data []byte
-		if c.Rank() == 0 {
-			data = []byte{1, 2, 3}
-		}
-		got, err := c.ShareFromRoot(data, 0)
-		if err != nil {
-			return err
-		}
-		shared := got.([]byte)
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			data[0] = 99 // visible to everyone: shared, not copied
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if shared[0] != 99 {
-			return fmt.Errorf("rank %d got a copy, want shared backing", c.Rank())
-		}
-		return nil
-	})
-}
-
-func TestShareFromRootBadRoot(t *testing.T) {
-	run(t, 2, nil, func(c *Comm) error {
-		if _, err := c.ShareFromRoot(1, 7); err == nil {
-			return fmt.Errorf("bad root accepted")
-		}
-		return nil
-	})
-}
-
 // alltoallPart is what rank from sends rank to in the routing test: empty
 // for every third pair, else (from, to) repeated a pair-dependent number of
 // times, so lengths vary.

@@ -2,9 +2,9 @@
 //
 // A World of N ranks runs as N goroutines inside one process. The package
 // provides the MPI features DDStore depends on: communicators with the
-// collectives it calls (Barrier, Allreduce, Allgather of variable-length
-// contributions, a personalized all-to-all exchange (MPI_Alltoallv) and a
-// zero-copy share of root's value), communicator splitting (MPI_Comm_split,
+// collectives it calls (Barrier, Allreduce, a zero-copy Allgather of
+// variable-length contributions and a personalized all-to-all exchange
+// (MPI_Alltoallv)), communicator splitting (MPI_Comm_split,
 // used to form the width-w replica groups), and read-only one-sided RMA
 // windows with passive-target synchronization (MPI_Win_create /
 // MPI_Win_lock(SHARED) / MPI_Get / MPI_Rget / MPI_Win_unlock).

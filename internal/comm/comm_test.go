@@ -1,12 +1,13 @@
 package comm
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ddstore/internal/cluster"
 )
@@ -135,7 +136,7 @@ func TestAllreduceFloat32InPlace(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	for _, n := range worldSizes {
 		run(t, n, nil, func(c *Comm) error {
-			mine := []byte{byte(c.Rank()), byte(c.Rank() + 1)}
+			mine := []uint32{uint32(c.Rank()), uint32(c.Rank() + 1)}
 			all, err := c.Allgather(mine)
 			if err != nil {
 				return err
@@ -144,7 +145,7 @@ func TestAllgather(t *testing.T) {
 				return fmt.Errorf("got %d pieces", len(all))
 			}
 			for r, piece := range all {
-				if !bytes.Equal(piece, []byte{byte(r), byte(r + 1)}) {
+				if !slices.Equal(piece, []uint32{uint32(r), uint32(r + 1)}) {
 					return fmt.Errorf("piece %d = %v", r, piece)
 				}
 			}
@@ -155,18 +156,21 @@ func TestAllgather(t *testing.T) {
 
 func TestAllgathervVariableLengths(t *testing.T) {
 	run(t, 5, nil, func(c *Comm) error {
-		mine := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()) // rank r sends r bytes
+		mine := make([]uint32, c.Rank()) // rank r sends r elements
+		for i := range mine {
+			mine[i] = uint32(c.Rank())
+		}
 		all, err := c.Allgather(mine)
 		if err != nil {
 			return err
 		}
 		for r, piece := range all {
 			if len(piece) != r {
-				return fmt.Errorf("piece %d has %d bytes", r, len(piece))
+				return fmt.Errorf("piece %d has %d elements", r, len(piece))
 			}
-			for _, b := range piece {
-				if b != byte(r) {
-					return fmt.Errorf("piece %d contains %d", r, b)
+			for _, v := range piece {
+				if v != uint32(r) {
+					return fmt.Errorf("piece %d contains %d", r, v)
 				}
 			}
 		}
@@ -174,24 +178,38 @@ func TestAllgathervVariableLengths(t *testing.T) {
 	})
 }
 
-func TestAllgatherResultIsolated(t *testing.T) {
-	// Mutating the gathered result must not corrupt other ranks' data.
-	run(t, 3, nil, func(c *Comm) error {
-		mine := []byte{byte(c.Rank())}
+// TestAllgatherSharesContributions pins the gather's sharing rule: rank
+// r's slot on every rank is rank r's own slice, not a copy, and its
+// capacity is clipped to its length, so an append on a received slot
+// copies and leaves rank r's slice as it was.
+func TestAllgatherSharesContributions(t *testing.T) {
+	const n = 3
+	var sent [n][]uint32
+	run(t, n, nil, func(c *Comm) error {
+		// Spare capacity a received slot must not expose.
+		mine := append(make([]uint32, 0, 8), uint32(c.Rank()), uint32(10+c.Rank()))
+		sent[c.Rank()] = mine
 		all, err := c.Allgather(mine)
 		if err != nil {
 			return err
 		}
-		all[0][0] = 99
-		if err := c.Barrier(); err != nil {
+		if err := c.Barrier(); err != nil { // every rank has deposited
 			return err
 		}
-		all2, err := c.Allgather(mine)
-		if err != nil {
+		for r, piece := range all {
+			if unsafe.SliceData(piece) != unsafe.SliceData(sent[r]) {
+				return fmt.Errorf("rank %d got a copy of rank %d's slice", c.Rank(), r)
+			}
+			if cap(piece) != len(piece) {
+				return fmt.Errorf("rank %d's slot %d has cap %d for len %d", c.Rank(), r, cap(piece), len(piece))
+			}
+			_ = append(piece, 99)
+		}
+		if err := c.Barrier(); err != nil { // every rank has appended
 			return err
 		}
-		if all2[0][0] != 0 {
-			return fmt.Errorf("gather result aliased sender buffer: %d", all2[0][0])
+		if got := sent[c.Rank()][:cap(mine)][len(mine)]; got != 0 {
+			return fmt.Errorf("an append on a received slot wrote %d past rank %d's slice", got, c.Rank())
 		}
 		return nil
 	})
@@ -206,9 +224,9 @@ func TestAllgatherChargeIgnoresArrivalOrder(t *testing.T) {
 	var clocks [2]time.Duration
 	for last := range clocks {
 		run(t, 2, []Option{WithMachine(cluster.Perlmutter())}, func(c *Comm) error {
-			var mine []byte
+			var mine []uint32
 			if c.Rank() == 1 {
-				mine = make([]byte, 8<<20)
+				mine = make([]uint32, 2<<20) // 8 MiB
 			}
 			if c.Rank() == last {
 				waitAtBarrier(c, 1)
@@ -458,13 +476,9 @@ func TestSingleRankWorldCollectives(t *testing.T) {
 		if err != nil || out[0] != 7 {
 			return fmt.Errorf("allreduce: %v %v", out, err)
 		}
-		all, err := c.Allgather([]byte{1, 2})
+		all, err := c.Allgather([]uint32{1, 2})
 		if err != nil || len(all) != 1 || all[0][1] != 2 {
 			return fmt.Errorf("allgather: %v %v", all, err)
-		}
-		shared, err := c.ShareFromRoot(3, 0)
-		if err != nil || shared != 3 {
-			return fmt.Errorf("share: %v %v", shared, err)
 		}
 		sub, err := c.Split(0, 0)
 		if err != nil || sub.Size() != 1 {

@@ -75,18 +75,19 @@ func (p storePlane) Collect(pd *fetch.Pending, deliver fetch.Deliver) error {
 // window memory directly (nil reference — the window outlives every load),
 // so a local sample costs one header validation and zero copies.
 func (s *Store) fetchLocal(ids []int64, deliver fetch.Deliver) error {
+	owner := s.group.Rank()
 	for _, id := range ids {
 		before := clockNow(s.world)
-		e := s.index[id]
-		local := s.buf[e.offset : e.offset+int64(e.length)]
+		offset, length := s.span(owner, id)
+		local := s.buf[offset : offset+length]
 		if m := s.world.Machine(); m != nil {
-			s.world.Clock().Advance(m.LocalRead(int64(e.length)))
+			s.world.Clock().Advance(m.LocalRead(int64(length)))
 		}
 		if err := deliver(id, local, nil, clockNow(s.world)-before); err != nil {
 			return fmt.Errorf("core: decode local sample %d: %w", id, err)
 		}
 		s.stats.localReads.Add(1)
-		s.stats.bytesLocal.Add(int64(e.length))
+		s.stats.bytesLocal.Add(int64(length))
 	}
 	return nil
 }
@@ -99,16 +100,16 @@ func (s *Store) fetchLocal(ids []int64, deliver fetch.Deliver) error {
 func (s *Store) fetchSequential(owner int, ids []int64, deliver fetch.Deliver, cost time.Duration, perSample bool) error {
 	for _, id := range ids {
 		before := clockNow(s.world)
-		e := s.index[id]
+		offset, length := s.span(owner, id)
 		if perSample {
 			if err := s.lockSharedRef(owner); err != nil {
 				return err
 			}
 			s.stats.lockAcquires.Add(1)
 		}
-		buf := bufarena.Get(int(e.length))
+		buf := bufarena.Get(length)
 		dst := buf.Bytes()
-		err := s.win.Get(dst, owner, int(e.offset))
+		err := s.win.Get(dst, owner, offset)
 		if err != nil {
 			err = fmt.Errorf("core: RMA get sample %d from %d: %w", id, owner, err)
 		}
@@ -126,7 +127,7 @@ func (s *Store) fetchSequential(owner int, ids []int64, deliver fetch.Deliver, c
 		}
 		cost = 0
 		s.stats.remoteGets.Add(1)
-		s.stats.bytesRemote.Add(int64(e.length))
+		s.stats.bytesRemote.Add(int64(length))
 	}
 	return nil
 }
@@ -143,15 +144,15 @@ func (s *Store) fetchNonBlocking(owner int, ids []int64, deliver fetch.Deliver, 
 	bufs := make([]*bufarena.Buf, len(ids))
 	reqs := make([]*comm.Request, len(ids))
 	for i, id := range ids {
-		e := s.index[id]
-		bufs[i] = bufarena.Get(int(e.length))
-		req, err := s.win.GetNB(bufs[i].Bytes(), owner, int(e.offset))
+		offset, length := s.span(owner, id)
+		bufs[i] = bufarena.Get(length)
+		req, err := s.win.GetNB(bufs[i].Bytes(), owner, offset)
 		if err != nil {
 			return fmt.Errorf("core: RMA rget sample %d from %d: %w", id, owner, err)
 		}
 		reqs[i] = req
 		s.stats.remoteGets.Add(1)
-		s.stats.bytesRemote.Add(int64(e.length))
+		s.stats.bytesRemote.Add(int64(length))
 	}
 	comm.WaitAll(reqs)
 	elapsed := clockNow(s.world) - before

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,11 +111,76 @@ func TestIndexLengthsMatchEncodedSizes(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if int(s.index[id].length) != g.EncodedSize() {
+			owner, err := s.OwnerOf(id)
+			if err != nil {
+				return err
+			}
+			if _, length := s.span(owner, id); length != g.EncodedSize() {
 				return fmt.Errorf("index length %d != encoded size %d for sample %d",
-					s.index[id].length, g.EncodedSize(), id)
+					length, g.EncodedSize(), id)
 			}
 		}
 		return nil
 	})
+}
+
+// TestRegistryLocatesEverySample checks the registry over uneven chunks and
+// over datasets smaller than the width, whose last members own nothing: on
+// every rank, every id's span read through the window is the owner's own
+// bytes for it, which are the sample's encoding, and every rank of a group
+// reads each member's samples through that member's one array of end
+// offsets.
+func TestRegistryLocatesEverySample(t *testing.T) {
+	for _, tc := range []struct{ n, w, total int }{
+		{1, 1, 5}, {4, 4, 37}, {6, 3, 41}, {8, 2, 29},
+		{4, 4, 3}, {6, 3, 2}, {8, 2, 1},
+	} {
+		t.Run(fmt.Sprintf("n=%d/w=%d/total=%d", tc.n, tc.w, tc.total), func(t *testing.T) {
+			ds := datasets.HomoLumo(datasets.Config{NumGraphs: tc.total})
+			stores := make([]*Store, tc.n)
+			runWorld(t, tc.n, nil, func(c *comm.Comm) error {
+				s, err := Open(c, ds, Options{Width: tc.w})
+				if err != nil {
+					return err
+				}
+				stores[c.Rank()] = s
+				if err := c.Barrier(); err != nil { // every store is open
+					return err
+				}
+				first := c.Rank() / tc.w * tc.w // the group's world rank 0
+				if got, want := s.registryArrays(), stores[first].registryArrays(); !slices.Equal(got, want) {
+					return fmt.Errorf("rank %d holds a registry of its own", c.Rank())
+				}
+				for id := int64(0); id < int64(tc.total); id++ {
+					owner, err := s.OwnerOf(id)
+					if err != nil {
+						return err
+					}
+					want, err := stores[first+owner].LocalSampleBytes(id)
+					if err != nil {
+						return err
+					}
+					if enc, err := ds.AppendSample(nil, id); err != nil || !bytes.Equal(want, enc) {
+						return fmt.Errorf("owner %d's bytes for sample %d are not its encoding (%v)", owner, id, err)
+					}
+					offset, length := s.span(owner, id)
+					got := make([]byte, length)
+					if err := s.win.LockShared(owner); err != nil {
+						return err
+					}
+					err = s.win.Get(got, owner, offset)
+					if uerr := s.win.Unlock(owner); err == nil {
+						err = uerr
+					}
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(got, want) {
+						return fmt.Errorf("rank %d: sample %d's span [%d,+%d) is not its owner's bytes", c.Rank(), id, offset, length)
+					}
+				}
+				return nil
+			})
+		})
+	}
 }

@@ -16,13 +16,13 @@
 //     MPI_Get + MPI_Win_unlock), so the owner's CPU never participates.
 //
 // The four architecture components of paper §3.2 map to: the preloader
-// (Open reading a SampleSource), the data registry (the replica-group-wide
-// sample index built by Allgather), the data loader (LoadLazyTraced), and
-// the one-sided communication layer (internal/comm's RMA windows).
+// (Open reading a SampleSource), the data registry (every group member's
+// packed end offsets, shared across the group by one Allgather), the data
+// loader (LoadLazyTraced), and the one-sided communication layer
+// (internal/comm's RMA windows).
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -34,7 +34,6 @@ import (
 	"ddstore/internal/obs"
 	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/trace"
-	"ddstore/internal/transport"
 )
 
 // SampleSource is anything the preloader can read a dataset from: the PFF
@@ -74,19 +73,19 @@ type Options struct {
 	// Local-chunk reads bypass the cache — they are already memory reads.
 	CacheBytes int64
 	// Metrics, if set, receives the engine's fetch-latency histogram, and
-	// the cache and transport event counters when there is no Profiler to
-	// take them (see eventSink).
+	// the cache's event counters when there is no Profiler to take them
+	// (see eventSink).
 	Metrics *obs.Registry
 	// Spans, if set, receives per-owner fetch spans for the Chrome trace.
 	Spans *obs.SpanRing
 }
 
-// eventSink is the one place this store's cache and transport events are
-// counted: the rank's Profiler when there is one — whoever owns it folds it
-// into a registry when the run is over (obs.AddProfiler) — else the
-// registry's event family directly, else nowhere. Never both: an event
-// counted live and folded again would read double.
-func (o Options) eventSink() transport.Counters {
+// eventSink is the one place this store's cache events are counted: the
+// rank's Profiler when there is one — whoever owns it folds it into a
+// registry when the run is over (obs.AddProfiler) — else the registry's
+// event family directly, else nowhere. Never both: an event counted live
+// and folded again would read double.
+func (o Options) eventSink() cache.Counters {
 	switch {
 	case o.Profiler != nil:
 		return o.Profiler
@@ -94,12 +93,6 @@ func (o Options) eventSink() transport.Counters {
 		return obs.EventSink(o.Metrics)
 	}
 	return nil
-}
-
-// entry locates one sample inside its replica group.
-type entry struct {
-	offset int64
-	length int32
 }
 
 // Store is one rank's handle on a DDStore instance. Create it collectively
@@ -113,8 +106,10 @@ type Store struct {
 	width    int // w
 	replicas int // r = N/w
 
-	buf    []byte  // this rank's chunk: concatenated encoded samples
-	index  []entry // per sample id, within this rank's group
+	buf []byte // this rank's chunk: concatenated encoded samples
+	// ends is the registry: ends[g] is group rank g's packed end offsets,
+	// the very slice g packed, shared read-only by the whole group.
+	ends   [][]uint32
 	starts []int64 // chunk boundary: group rank g owns [starts[g], starts[g+1])
 	myLo   int64
 	myHi   int64
@@ -233,37 +228,20 @@ func Open(c *comm.Comm, src SampleSource, opts Options) (*Store, error) {
 		s.prof.Add(trace.RegionPreload, clockNow(c)-preloadStart)
 	}
 
-	// Registry: gather every member's sample lengths; offsets follow from
-	// prefix sums. Owners are implied by the deterministic chunk boundaries.
-	// Every member derives an identical index, so group rank 0 builds it
-	// once and the group shares the immutable result — in a real MPI
-	// deployment each process would hold its own few-MB copy (or an MPI-3
-	// shared-memory window per node); here sharing keeps a 1536-rank
+	// Registry: every member's end offsets locate its samples in its
+	// window, and owners are implied by the deterministic chunk boundaries.
+	// The gather shares each member's ends by reference — in a real MPI
+	// deployment each process would hold its own copy of a few MB (or an
+	// MPI-3 shared-memory window per node); here sharing keeps a 1536-rank
 	// simulation from replicating it 1536 times.
-	manifest := make([]byte, 4*len(packed.Ends))
-	var start uint32
-	for i, end := range packed.Ends {
-		binary.LittleEndian.PutUint32(manifest[4*i:], end-start)
-		start = end
-	}
-	all, err := group.Allgather(manifest)
-	if err != nil {
+	if s.ends, err = group.Allgather(packed.Ends); err != nil {
 		return nil, err
 	}
-	var built []entry
-	var buildErr error
-	if group.Rank() == 0 {
-		built, buildErr = buildIndex(all, s.starts, total)
+	for g, ends := range s.ends {
+		if want := s.starts[g+1] - s.starts[g]; int64(len(ends)) != want {
+			return nil, fmt.Errorf("core: member %d has %d end offsets for %d samples", g, len(ends), want)
+		}
 	}
-	shared, err := group.ShareFromRoot(indexShare{index: built, err: buildErr}, 0)
-	if err != nil {
-		return nil, err
-	}
-	is := shared.(indexShare)
-	if is.err != nil {
-		return nil, is.err
-	}
-	s.index = is.index
 
 	// Communication layer: expose the chunk via an RMA window on the group.
 	win, err := group.CreateWindow(s.buf)
@@ -300,31 +278,17 @@ func clockNow(c *comm.Comm) time.Duration {
 	return c.Clock().Now()
 }
 
-// indexShare carries the built registry (or the build error) from group
-// rank 0 to the rest of the group.
-type indexShare struct {
-	index []entry
-	err   error
-}
-
-// buildIndex converts the gathered per-member length manifests into the
-// group-wide registry.
-func buildIndex(all [][]byte, starts []int64, total int) ([]entry, error) {
-	index := make([]entry, total)
-	for g := 0; g < len(starts)-1; g++ {
-		lo, hi := starts[g], starts[g+1]
-		if int64(len(all[g])) != 4*(hi-lo) {
-			return nil, fmt.Errorf("core: member %d manifest has %d bytes for %d samples",
-				g, len(all[g]), hi-lo)
-		}
-		var offset int64
-		for id := lo; id < hi; id++ {
-			length := int32(binary.LittleEndian.Uint32(all[g][4*(id-lo):]))
-			index[id] = entry{offset: offset, length: length}
-			offset += int64(length)
-		}
+// span locates sample id, owned by group rank owner, in the owner's window:
+// it ends at the owner's end offset for it and starts at the previous one,
+// or at 0 for the owner's first sample.
+func (s *Store) span(owner int, id int64) (offset, length int) {
+	ends := s.ends[owner]
+	k := id - s.starts[owner]
+	var start uint32
+	if k > 0 {
+		start = ends[k-1]
 	}
-	return index, nil
+	return int(start), int(ends[k] - start)
 }
 
 // Len returns the dataset size in samples.
@@ -406,6 +370,6 @@ func (s *Store) LocalSampleBytes(id int64) ([]byte, error) {
 	if id < s.myLo || id >= s.myHi {
 		return nil, fmt.Errorf("core: sample %d not in local range [%d,%d)", id, s.myLo, s.myHi)
 	}
-	e := s.index[id]
-	return s.buf[e.offset : e.offset+int64(e.length)], nil
+	offset, length := s.span(s.group.Rank(), id)
+	return s.buf[offset : offset+length], nil
 }
