@@ -31,7 +31,8 @@ bench:
 # one costs no allocation), the admit that
 # never binds (frontend.Admit: nothing) and a 16-id batch over a bare
 # server (transport.OpGetBatch/batch16: the pinned response buffer, its
-# handle and its part list). A load, stated per load and not per id: the
+# handle and its part list; cold64, 64 random ids from a 64 MiB chunk, the
+# same). A load, stated per load and not per id: the
 # fetch engine over a stub plane (fetch.LoadLazy64: the load, its two
 # results, the view slab, the slot table, the index lists, the grouped ids
 # and the deliver closure, for 64 positions with or without repeats; with a
@@ -87,7 +88,7 @@ bench-allocs:
 		-v claimhit="$(CLAIMHIT_ALLOC_MAX)" -v putevict="$(PUTEVICT_ALLOC_MAX)" \
 		-v genising="$(GEN_ISING_ALLOC_MAX)" -v genmol="$(GEN_MOLECULE_ALLOC_MAX)" -v appendsample="$(APPEND_SAMPLE_ALLOC_MAX)" -v pack="$(PACK_ALLOC_MAX)" ' \
 		BEGIN { max["BenchmarkDecodeSizes"] = decode; max["BenchmarkMaterializeSizes"] = materialize; max["BenchmarkNewBatch128"] = batch; max["BenchmarkBatchFromWire128"] = batch; \
-			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16; \
+			max["BenchmarkServedGet"] = get; max["BenchmarkAdmit"] = admit; max["BenchmarkOpGetBatch/batch16"] = getbatch16; max["BenchmarkOpGetBatch/cold64"] = getbatch16; \
 			max["BenchmarkLoadLazy64"] = load; max["BenchmarkLoadLazy64/cached-cold"] = loadcold; max["BenchmarkLoadMaterialize64"] = loadmat; max["BenchmarkFetchChunk16"] = chunk16; \
 			max["BenchmarkClaimHit"] = claimhit; max["BenchmarkPutEvict"] = putevict; \
 			max["BenchmarkGenerate/ising"] = genising; max["BenchmarkGenerate/homolumo"] = genmol; \
@@ -121,7 +122,8 @@ bench-check:
 # Fuzz every decoder that reads bytes from outside the process: the graph
 # codec, the wire protocol (both ends, request framing, batch framing, the
 # timing trailer), the trace context, the shard map, and the CFF part
-# index; and drive the cache shard against its map-based reference.
+# index; hold the server's frame writer to its reference over random part
+# layouts; and drive the cache shard against its map-based reference.
 # FUZZTIME is per target; bump it for longer campaigns, e.g.
 # make fuzz FUZZTIME=10m. The -fuzz patterns are anchored because a
 # pattern matching two targets in one package is an error.
@@ -134,6 +136,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzServerRequest$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeGetBatch$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTimingTrailer$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzWriteFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/obs/tracectx
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeShardMap$$' -fuzztime=$(FUZZTIME) ./internal/shardmap
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPartIndex$$' -fuzztime=$(FUZZTIME) ./internal/cff

@@ -86,6 +86,62 @@ func BenchmarkOpGetBatch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("cold64", benchColdBatch)
+}
+
+// benchColdBatch asks for 64 seeded-random ids an op from a chunk of
+// 1,400-byte samples packed into 64 MiB, the shape of a shuffled training
+// batch against an owner's shard: the server's frame pass is the first to
+// touch each sample, and it finds it in no CPU cache.
+func benchColdBatch(b *testing.B) {
+	const sampleBytes, slabBytes, batch = 1400, 64 << 20, 64
+	rng := vtime.NewRNG(7)
+	distinct := make([][]byte, 64)
+	for i := range distinct {
+		distinct[i] = benchGraph(rng, int64(i), 10).Encode()
+		if len(distinct[i]) != sampleBytes {
+			b.Fatalf("sample of %d bytes, want %d", len(distinct[i]), sampleBytes)
+		}
+	}
+	n := slabBytes / sampleBytes
+	slab := make([]byte, 0, n*sampleBytes)
+	chunk := &MemChunk{Hi: int64(n), Encoded: make([][]byte, n)}
+	for i := range chunk.Encoded {
+		slab = append(slab, distinct[i%len(distinct)]...)
+		chunk.Encoded[i] = slab[i*sampleBytes : len(slab) : len(slab)]
+	}
+	srv, err := Serve("127.0.0.1:0", chunk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	ids := make([]int64, batch)
+	draw := func() {
+		for i := range ids {
+			ids[i] = int64(rng.Intn(n))
+		}
+	}
+	// Warm both ends' scratch and the client's buffer pool.
+	for i := 0; i < 32; i++ {
+		draw()
+		if _, err := cl.GetBatchRaw(ids); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(batch * sampleBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		draw()
+		if _, err := cl.GetBatchRaw(ids); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkFetchChunk16 measures what the group adds to a healthy 16-id

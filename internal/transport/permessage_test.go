@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"ddstore/internal/obs"
+	"ddstore/internal/obs/flightrec"
 	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/trace"
 )
@@ -337,6 +339,45 @@ func TestOversizedReplyIsAnError(t *testing.T) {
 	// body allows.
 	if c := cap(soleConnState(t, srv).parts); c > maxScratchParts {
 		t.Fatalf("connection kept a %d-entry part list", c)
+	}
+}
+
+// TestUnwrittenReplyIsAnError asks for a reply far larger than the two
+// sockets can buffer and never reads it, so the server's write runs past
+// WriteTimeout. The request is a failure: metered as an error with no bytes
+// served, and flight-recorded with the write's error.
+func TestUnwrittenReplyIsAnError(t *testing.T) {
+	reg := obs.NewRegistry()
+	rec := flightrec.New(4)
+	const n = 1024
+	srv, err := ServeWith("127.0.0.1:0", aliasChunk{n: n, sample: make([]byte, 64<<10)}, ServerOptions{
+		Metrics: reg, FlightRecorder: rec, WriteTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	if _, err := conn.Write(appendRequest(nil, opGetBatch, n, 0, tracectx.Context{}, ids)); err != nil {
+		t.Fatal(err)
+	}
+	pollFor(t, "the stalled reply's flight record", func() bool { return len(rec.Records()) == 1 })
+	if r := rec.Records()[0]; r.Kind != flightrec.KindError || !strings.Contains(r.Err, "timeout") || r.Bytes != 0 || r.Samples != n {
+		t.Fatalf("flight record %+v, want an error record of the write's timeout, no bytes and %d samples", r, n)
+	}
+	reqs := reg.Counter("ddstore_serve_requests_total", "op", "getbatch").Value()
+	errs, served := reg.Counter("ddstore_serve_errors_total").Value(), reg.Counter("ddstore_serve_bytes_total").Value()
+	if reqs != 1 || errs != 1 || served != 0 {
+		t.Fatalf("%d requests, %d errors, %d bytes served; want 1, 1 and 0", reqs, errs, served)
 	}
 }
 
