@@ -19,6 +19,7 @@ var uncalledAllowed = map[string]string{
 	"internal/vtime.RNG.Shuffle":            "the vtime, cff and core tests shuffle load orders with it",
 	"internal/bufarena.Buf.Refs":            "the buffer-lifetime tests of bufarena and transport, and graph's differential oracle (edited only to follow a signature), read the count through it",
 	"internal/hydra.Model.Save":             "checkpointing (DESIGN §4b), promised to library users through the facade's Model",
+	"internal/bufarena.Live":                "the cache-pin test in serveboot and bufarena's own tests read the live arena memory through it",
 }
 
 // pinned lists what the benchmark module calls: benchmark/ changes only on

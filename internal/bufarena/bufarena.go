@@ -1,10 +1,12 @@
 // Package bufarena provides ref-counted pooled byte buffers for the data
 // plane's hot read path. A response payload is read off the socket into a
 // pooled buffer (through the connection's buffered reader, which copies at
-// most what arrived with the response head) and then aliased — by cache
-// entries, by batch parts, by lazy graph decodes — without copying; each
-// alias holds a reference, and the buffer returns to its pool only when the
-// last reference is released.
+// most what arrived with the response head) and then aliased — by batch
+// parts, by lazy graph decodes — without copying; each alias holds a
+// reference, and the buffer returns to its pool only when the last
+// reference is released. A cache entry is the exception: it would pin a
+// whole batch reply for one part, so the fetch engine copies the part it
+// caches into a buffer of the part's own size class.
 //
 // Ownership discipline:
 //
@@ -28,9 +30,9 @@
 // buffer's whole visible payload with a fixed pattern before pooling it,
 // in every build, so any alias that outlives its reference reads garbage
 // deterministically (and races with the poison write under -race) instead
-// of silently reading recycled data. The fill is one seeded byte doubled
-// by copy, so it runs at memmove speed. The cache and transport aliasing
-// tests are built on it.
+// of silently reading recycled data. The fill is one copy from a static
+// block of poison, doubled by copy, so it runs at memmove speed. The cache
+// and transport aliasing tests are built on it.
 package bufarena
 
 import (
@@ -44,19 +46,39 @@ import (
 // buffer. Tests assert on it to prove a release happened (or didn't).
 const Poison = 0xDB
 
-// Size classes are powers of two from minClass to maxClass; larger
+// Size classes: one class up to 256 B, then four to each octave up to
+// 1 MiB, at 5/4, 6/4, 7/4 and 8/4 of the octave's lower power of two, so
+// above 256 B a pooled buffer is at most 1.25 times its length. Larger
 // requests are allocated directly and never pooled.
 const (
 	minClassBits = 8  // 256 B
 	maxClassBits = 20 // 1 MiB
-	numClasses   = maxClassBits - minClassBits + 1
+	numClasses   = 1 + 4*(maxClassBits-minClassBits)
 )
+
+// classSizes holds each class's buffer capacity.
+var classSizes = func() (sizes [numClasses]int) {
+	sizes[0] = 1 << minClassBits
+	for c := 1; c < numClasses; c++ {
+		k := minClassBits + (c-1)/4
+		sizes[c] = 1<<k + ((c-1)%4+1)<<(k-2)
+	}
+	return sizes
+}()
+
+// poisonBlock seeds the final Release's fill with one copy.
+var poisonBlock = func() (b [4096]byte) {
+	for i := range b {
+		b[i] = Poison
+	}
+	return b
+}()
 
 // Buf is one pooled, ref-counted buffer. The zero value is invalid; use
 // Get. Buf satisfies the structural Retain/Release interfaces declared by
 // the graph and cache packages.
 type Buf struct {
-	data  []byte // full class-sized capacity
+	data  []byte // full class-sized capacity (exactly n when unpooled)
 	n     int    // requested length
 	refs  atomic.Int32
 	class int // pool class index; -1 = unpooled (too large)
@@ -66,18 +88,28 @@ var pools [numClasses]sync.Pool
 
 // Stats counters, for tests and the /metrics collectors.
 var (
-	statGets     atomic.Int64 // buffers handed out
-	statNews     atomic.Int64 // handed out by allocating (pool miss or oversize)
-	statRecycles atomic.Int64 // buffers returned to a pool by a final Release
+	statGets      atomic.Int64 // buffers handed out
+	statNews      atomic.Int64 // handed out by allocating (pool miss or oversize)
+	statFinals    atomic.Int64 // final Releases, oversize buffers included
+	statOversize  atomic.Int64 // final Releases of oversize buffers
+	statLiveBytes atomic.Int64 // capacity handed out and not finally released
 )
 
 // Stats reports cumulative arena traffic: buffers handed out, buffers that
 // required a fresh allocation, and buffers recycled by a final Release.
 func Stats() (gets, news, recycles int64) {
-	return statGets.Load(), statNews.Load(), statRecycles.Load()
+	return statGets.Load(), statNews.Load(), statFinals.Load() - statOversize.Load()
 }
 
-// classFor maps a length to its size-class index, or -1 for oversize.
+// Live reports the buffers handed out and not yet finally released,
+// oversize ones included, and the capacity they hold. A buffer that is
+// never released stays live.
+func Live() (bufs, bytes int64) {
+	return statGets.Load() - statFinals.Load(), statLiveBytes.Load()
+}
+
+// classFor maps a length to its size-class index, or -1 for oversize: the
+// octave of n-1's top bit and the two bits below it.
 func classFor(n int) int {
 	if n <= 1<<minClassBits {
 		return 0
@@ -85,7 +117,18 @@ func classFor(n int) int {
 	if n > 1<<maxClassBits {
 		return -1
 	}
-	return bits.Len(uint(n-1)) - minClassBits
+	m := uint(n - 1)
+	k := bits.Len(m) - 1
+	return 1 + 4*(k-minClassBits) + int(m>>(k-2)&3)
+}
+
+// SizeFor returns the capacity Get(n) hands out: n's size class, or n
+// itself when n is too large to pool.
+func SizeFor(n int) int {
+	if c := classFor(n); c >= 0 {
+		return classSizes[c]
+	}
+	return n
 }
 
 // Get returns a buffer of length n holding one reference, owned by the
@@ -107,10 +150,11 @@ func Get(n int) *Buf {
 		statNews.Add(1)
 		size := n
 		if class >= 0 {
-			size = 1 << (minClassBits + class)
+			size = classSizes[class]
 		}
 		b = &Buf{data: make([]byte, size), class: class}
 	}
+	statLiveBytes.Add(int64(len(b.data)))
 	b.n = n
 	b.refs.Store(1)
 	return b
@@ -131,6 +175,15 @@ func (b *Buf) Len() int {
 		return 0
 	}
 	return b.n
+}
+
+// Cap returns the memory the buffer holds: its size class, or its length
+// when unpooled (0 for a nil buffer).
+func (b *Buf) Cap() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.data)
 }
 
 // Truncate shortens the buffer's visible length to n (0 <= n <= Len), so
@@ -177,18 +230,19 @@ func (b *Buf) Release() {
 		panic("bufarena: Release of a buffer with no outstanding reference")
 	}
 	// Poison the whole payload so any alias that outlives its reference
-	// reads the canary (and, under -race, races with this write). Seed one
-	// byte, then double the filled prefix with copy: the fill runs at
-	// memmove speed, not a byte per iteration.
-	if p := b.data[:b.n]; len(p) > 0 {
-		p[0] = Poison
-		for filled := 1; filled < len(p); filled *= 2 {
-			copy(p[filled:], p[:filled])
-		}
+	// reads the canary (and, under -race, races with this write). Seed up
+	// to 4 KiB with one copy from the static block, then double the filled
+	// prefix with copy: the fill runs at memmove speed, not a byte per
+	// iteration.
+	p := b.data[:b.n]
+	for filled := copy(p, poisonBlock[:]); filled < len(p); filled *= 2 {
+		copy(p[filled:], p[:filled])
 	}
+	statFinals.Add(1)
+	statLiveBytes.Add(-int64(len(b.data)))
 	if b.class < 0 {
+		statOversize.Add(1)
 		return // oversize: garbage-collected, never pooled
 	}
-	statRecycles.Add(1)
 	pools[b.class].Put(b)
 }

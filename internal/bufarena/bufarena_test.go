@@ -153,6 +153,77 @@ func TestOversizeUnpooled(t *testing.T) {
 	b.Release() // must not panic, must not pool
 }
 
+// TestClassTable walks every pooled length: each maps to the smallest
+// class that holds it, a class above 256 B is at most 1.25 times the
+// length it serves, and anything above 1 MiB stays unpooled at its own
+// length.
+func TestClassTable(t *testing.T) {
+	for c := 1; c < numClasses; c++ {
+		if classSizes[c] <= classSizes[c-1] {
+			t.Fatalf("class %d (%d B) is not above class %d (%d B)", c, classSizes[c], c-1, classSizes[c-1])
+		}
+	}
+	if last := classSizes[numClasses-1]; last != 1<<20 {
+		t.Fatalf("largest class is %d B, want 1 MiB", last)
+	}
+	for n := 1; n <= 1<<20; n++ {
+		c := classFor(n)
+		if c < 0 || classSizes[c] < n {
+			t.Fatalf("length %d maps to class %d, which does not hold it", n, c)
+		}
+		if c > 0 && classSizes[c-1] >= n {
+			t.Fatalf("length %d maps to class %d (%d B), but class %d (%d B) holds it", n, c, classSizes[c], c-1, classSizes[c-1])
+		}
+		if n > 256 && 4*classSizes[c] > 5*n {
+			t.Fatalf("length %d gets a %d B buffer, more than 1.25 times", n, classSizes[c])
+		}
+		if SizeFor(n) != classSizes[c] {
+			t.Fatalf("SizeFor(%d) = %d, want %d", n, SizeFor(n), classSizes[c])
+		}
+	}
+	for _, n := range []int{1<<20 + 1, 3 << 20} {
+		if c := classFor(n); c != -1 || SizeFor(n) != n {
+			t.Fatalf("length %d: class %d, size %d; want unpooled at its own length", n, c, SizeFor(n))
+		}
+	}
+	for _, n := range []int{0, 300, 1<<20 + 1} {
+		b := Get(n)
+		if b.Cap() != SizeFor(n) {
+			t.Fatalf("Get(%d).Cap() = %d, want %d", n, b.Cap(), SizeFor(n))
+		}
+		b.Release()
+	}
+}
+
+// TestLiveCounts drives retains, releases and oversize buffers and checks
+// Live after each step: a buffer and its capacity count from Get to its
+// final Release, whatever the references in between, and the counts come
+// back to where they started.
+func TestLiveCounts(t *testing.T) {
+	bufs0, bytes0 := Live()
+	check := func(step string, bufs, bytes int64) {
+		t.Helper()
+		if b, n := Live(); b-bufs0 != bufs || n-bytes0 != bytes {
+			t.Fatalf("%s: live %d buffers, %d bytes; want %d, %d", step, b-bufs0, n-bytes0, bufs, bytes)
+		}
+	}
+	small, big := Get(300), Get(1<<20+5)
+	small.Retain()
+	check("two gets", 2, 320+1<<20+5)
+	small.Release()
+	check("a release with a reference left", 2, 320+1<<20+5)
+	big.Retain()
+	big.Release()
+	big.Release()
+	check("oversize final release", 1, 320)
+	small.Release()
+	check("all released", 0, 0)
+	for i := 0; i < 10; i++ {
+		Get(i * 1000).Release()
+	}
+	check("get and release", 0, 0)
+}
+
 func TestConcurrentRetainRelease(t *testing.T) {
 	const workers = 8
 	b := Get(256)

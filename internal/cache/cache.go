@@ -41,6 +41,15 @@ type Ref interface {
 	Release()
 }
 
+// charge is what an entry costs the budget: the capacity its reference
+// reports, which is the memory the entry pins, or else its value's length.
+func charge(val []byte, ref Ref) int64 {
+	if c, ok := ref.(interface{ Cap() int }); ok {
+		return int64(c.Cap())
+	}
+	return int64(len(val))
+}
+
 // Counters receives cache event counts. *trace.Profiler implements it, so
 // one profiler carries region timings, network resilience counters, and
 // cache behaviour for the same run.
@@ -62,9 +71,12 @@ func (nopCounters) Inc(string, int64) {}
 
 // Options configures a Cache.
 type Options struct {
-	// MaxBytes is the total byte budget over cached values (metadata
-	// overhead is not charged). Zero or negative means nothing is retained,
-	// but request coalescing still works.
+	// MaxBytes is the total byte budget over cached entries, so it bounds
+	// the memory they pin: an entry whose reference reports its buffer's
+	// capacity (Cap() int, as *bufarena.Buf does) is charged that capacity,
+	// any other its value's length. Metadata overhead is not charged. Zero
+	// or negative means nothing is retained, but request coalescing still
+	// works.
 	MaxBytes int64
 	// Shards is the number of independently locked shards (default 8).
 	Shards int
@@ -482,7 +494,8 @@ func (s *shard) get(id int64) int32 {
 // entry leaves the cache, or immediately if the value is never cached).
 // Caller holds mu.
 func (s *shard) put(id int64, val []byte, ref Ref) {
-	if int64(len(val)) > s.max {
+	size := charge(val, ref)
+	if size > s.max {
 		// The value can never fit; caching it would just flush the shard.
 		if ref != nil {
 			ref.Release()
@@ -492,7 +505,7 @@ func (s *shard) put(id int64, val []byte, ref Ref) {
 	pos, i := s.find(id)
 	if i != 0 {
 		e := &s.slab[i]
-		s.bytes += int64(len(val)) - int64(len(e.val))
+		s.bytes += size - charge(e.val, e.ref)
 		if e.ref != nil {
 			e.ref.Release()
 		}
@@ -514,7 +527,7 @@ func (s *shard) put(id int64, val []byte, ref Ref) {
 		s.table[pos] = i
 		s.pushFront(i)
 		s.live++
-		s.bytes += int64(len(val))
+		s.bytes += size
 	}
 	s.evict()
 }
@@ -529,7 +542,7 @@ func (s *shard) evict() {
 		pos, _ := s.find(s.slab[victim].id)
 		s.remove(pos)
 		ref := s.slab[victim].ref
-		s.bytes -= int64(len(s.slab[victim].val))
+		s.bytes -= charge(s.slab[victim].val, ref)
 		s.slab[victim] = entry{next: s.free}
 		s.free = victim
 		s.live--

@@ -39,6 +39,7 @@ import (
 	"slices"
 	"time"
 
+	"ddstore/internal/bufarena"
 	"ddstore/internal/cache"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
@@ -53,9 +54,10 @@ import (
 // id this load is not waiting for): the id is still undelivered, and the
 // plane may fetch it elsewhere or give up. Either way the reference is the
 // engine's from the call on — it moves into the sample's view or is
-// released — and the engine retains more (under the cache's shard locks)
-// for cache entries and coalesced waiters, so a plane never needs to know
-// who else aliases a buffer: it drops its own handle when its loop is done.
+// released — and the engine retains more for a cache entry (or copies the
+// sample out of a larger buffer for it) and, under the cache's shard
+// locks, for coalesced waiters, so a plane never needs to know who else
+// aliases a buffer: it drops its own handle when its loop is done.
 type Deliver func(id int64, raw []byte, ref graph.Ref, lat time.Duration) error
 
 // Pending is one owner's transfer between Issue and Collect, kept in the
@@ -232,10 +234,9 @@ func (ld *load) cell(id int64) *int32 {
 }
 
 // deliver is the load's Deliver: it validates the sample's header into the
-// slot's view and completes the flight, if this load leads one. The cache
-// entry gets its own reference on the sample's backing buffer (retained
-// here, released by the cache on evict/replace/Reset), independent of the
-// one the view now owns. Refused bytes give their reference back.
+// slot's view and completes the flight, if this load leads one, with an
+// entry of the cache's own (see own). Refused bytes give their reference
+// back.
 func (ld *load) deliver(id int64, raw []byte, ref graph.Ref, lat time.Duration) error {
 	var err error
 	if c := *ld.cell(id); c == 0 || !ld.slots[c-1].ours() {
@@ -245,10 +246,7 @@ func (ld *load) deliver(id int64, raw []byte, ref graph.Ref, lat time.Duration) 
 		s.lat, s.done = lat, true
 		if f := s.flight; f != nil {
 			s.flight = nil
-			if ref != nil {
-				ref.Retain()
-			}
-			f.DeliverRef(raw, ref)
+			f.DeliverRef(own(raw, ref))
 		}
 		return nil
 	}
@@ -256,6 +254,24 @@ func (ld *load) deliver(id int64, raw []byte, ref graph.Ref, lat time.Duration) 
 		ref.Release()
 	}
 	return err
+}
+
+// own returns a cache entry for raw that pins only raw's own size class,
+// holding a reference independent of the one the view owns (released by
+// the cache on evict, replace or Reset). A part of a larger arena buffer,
+// such as one sample of a batch reply, is copied into a buffer of its
+// own, so the reply is recycled once its views release it; any other
+// buffer gains a reference.
+func own(raw []byte, ref graph.Ref) ([]byte, cache.Ref) {
+	if b, ok := ref.(*bufarena.Buf); ok && b.Cap() > bufarena.SizeFor(len(raw)) {
+		c := bufarena.Get(len(raw))
+		copy(c.Bytes(), raw)
+		return c.Bytes(), c
+	}
+	if ref != nil {
+		ref.Retain()
+	}
+	return raw, ref
 }
 
 // serve decodes bytes that needed no fetch of ours — a cache hit, or a
