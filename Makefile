@@ -176,9 +176,13 @@ fmt:
 	gofmt -w .
 
 # Non-test Go lines outside benchmark/: the count a simplicity change is
-# measured by. CI's lint job prints it on every run.
+# measured by. CI's lint job prints it on every run. The labelled lines
+# after it are the rest of what a change reports with and without
+# benchmark/: that module's non-test lines, and the test lines outside it.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'benchmark/ non-test: '; find ./benchmark -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'tests outside benchmark/: '; find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,18 +1,24 @@
 package ddstore
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// uncalledAllowed lists the exported functions and methods that no non-test
-// code calls and that stay anyway, each with its reason.
+// uncalledAllowed lists the functions, methods and exported names that no
+// non-test code uses and that stay anyway, each with its reason.
 var uncalledAllowed = map[string]string{
 	"internal/serveboot.Cluster.CrashOwner": "the elastic protocol's crash hook: the cluster tests kill owners through it, and a deterministic simulator of the protocol is to drive it",
 	"internal/tensor.SetParallelism":        "the gnn and hydra determinism tests vary the worker count across packages with it",
@@ -20,6 +26,10 @@ var uncalledAllowed = map[string]string{
 	"internal/bufarena.Buf.Refs":            "the buffer-lifetime tests of bufarena and transport, and graph's differential oracle (edited only to follow a signature), read the count through it",
 	"internal/hydra.Model.Save":             "checkpointing (DESIGN §4b), promised to library users through the facade's Model",
 	"internal/bufarena.Live":                "the cache-pin test in serveboot and bufarena's own tests read the live arena memory through it",
+	"internal/hydra.Model.Load":             "restores what Save writes: the pair of Save, promised with it",
+	"internal/graph.Lazy.Clone":             "graph's view tests and fetch's differential oracle (edited only to follow a signature) copy views with it",
+	"internal/graph.Lazy.Ref":               "fetch's differential oracle (edited only to follow a signature) and graph's tests read a view's buffer reference through it",
+	"internal/trace.Profiler.Counter":       "the tests of core, faultnet, serveboot, trace and transport read one event count through it",
 }
 
 // pinned lists what the benchmark module calls: benchmark/ changes only on
@@ -49,11 +59,9 @@ var pinned = []string{
 }
 
 // retired lists deleted functions and methods, each with why it went, so
-// that none is declared again. TestEveryExportHasACaller matches bare names,
-// and Load, Get, LatencyStats and OwnerOf are also atomic.*.Load,
-// sync.Pool.Get, each other and the planes' OwnerOf, so it could never flag
-// these as uncalled. Keys are the same
-// as exportScan.funcs, with interface methods keyed the same way.
+// that none is declared again as a second way to what stays. The type scan
+// flags a dead declaration, but not one declared again with a caller. Keys
+// are those of moduleScan.decls, interface methods keyed the same way.
 var retired = map[string]string{
 	"internal/fetch.Engine.Load":         eagerLoad,
 	"internal/core.Store.Load":           eagerLoad,
@@ -109,153 +117,190 @@ const (
 	batchFromWire  = "both loaders build their batch straight from wire bytes (graph.BatchFromWire), so the PFF/CFF baseline reads bytes (ddp.Source.AppendSampleTimed) and no reader hands out decoded Graphs for the trainer"
 )
 
-// exportScan is what one pass over the module's non-test Go files finds.
-type exportScan struct {
-	// funcs holds every exported function and method declared outside the
-	// facade and benchmark/, keyed "dir.Name" or "dir.Recv.Name", with its
-	// bare name.
-	funcs map[string]string
-	// types holds the exported top-level types declared there, keyed
-	// "dir.Name".
-	types map[string]bool
-	// ifaceMethods holds the exported methods of the exported interfaces
-	// declared there, keyed "dir.Interface.Name".
+// moduleScan is the importer that type-checks each module package from
+// source once, so that benchmark/ resolves to the same objects (the
+// standard library goes to the source importer), and what that finds:
+// decls, every function and method and every exported top-level const, var
+// and type outside the facade and benchmark/, keyed "dir.Name" or
+// "dir.Recv.Name"; ifaceMethods, the methods of the named interfaces there;
+// used, what counts as called; byCmd, what examples/ and cmd/ name.
+type moduleScan struct {
+	fset         *token.FileSet
+	std          types.Importer
+	info         *types.Info
+	pkgs         map[string]*types.Package
+	files        map[string][]*ast.File
+	decls        map[string]types.Object
 	ifaceMethods map[string]bool
-	// refs holds every identifier name referenced anywhere but in its own
-	// declaration.
-	refs map[string]bool
+	used, byCmd  map[types.Object]bool
+	facade       *types.Scope
 }
 
-// scanModule parses every non-test Go file under the module root, the
-// benchmark module included. The facade (ddstore.go) is left out on both
-// sides: a re-export is not a caller, and TestFacadeSurface pins the facade
-// itself.
-func scanModule(t *testing.T) exportScan {
-	t.Helper()
-	s := exportScan{funcs: map[string]string{}, types: map[string]bool{}, ifaceMethods: map[string]bool{}, refs: map[string]bool{}}
+// hooks are the methods the standard library calls through interfaces
+// that the module never names: fmt prints String and Error, and errors.Is
+// walks Is and Unwrap.
+const hooks = `package hooks
+type (s interface{ String() string }; e interface{ Error() string }; i interface{ Is(error) bool }; u interface{ Unwrap() error })`
+
+func (s *moduleScan) Import(path string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(path, "ddstore")
+	if !ok || dir != "" && dir[0] != '/' {
+		return s.std.Import(path)
+	}
+	if p := s.pkgs[path]; p != nil {
+		return p, nil
+	}
+	bp, err := build.ImportDir("."+dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(s.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		s.files[path] = append(s.files[path], f)
+	}
+	p, err := (&types.Config{Importer: s}).Check(path, s.fset, s.files[path], s.info)
+	s.pkgs[path] = p
+	return p, err
+}
+
+// scan type-checks every non-test Go file under the module root once per
+// test binary: every package, cmd/, examples/, the facade (ddstore.go) and
+// the benchmark module. The facade and benchmark/ are users only:
+// TestFacadeSurface pins the one, and the other changes on its own.
+var scan = sync.OnceValues(func() (*moduleScan, error) {
 	fset := token.NewFileSet()
+	s := &moduleScan{fset: fset, std: importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		pkgs: map[string]*types.Package{}, files: map[string][]*ast.File{},
+		decls: map[string]types.Object{}, ifaceMethods: map[string]bool{}, used: map[types.Object]bool{}, byCmd: map[types.Object]bool{}}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err = s.Import(strings.TrimSuffix("ddstore/"+filepath.ToSlash(path), "/.")); errors.As(err, new(*build.NoGoError)) {
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || path == "ddstore.go" {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		declares := dir != "benchmark" && !strings.HasPrefix(dir, "benchmark/")
-		own := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				own[decl.Name] = true
-				if !declares || !decl.Name.IsExported() {
-					continue
-				}
-				key := dir + "." + decl.Name.Name
-				if decl.Recv != nil {
-					key = dir + "." + recvName(decl.Recv.List[0].Type) + "." + decl.Name.Name
-				}
-				s.funcs[key] = decl.Name.Name
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok || !declares || !ts.Name.IsExported() {
-						continue
-					}
-					s.types[dir+"."+ts.Name.Name] = true
-					if it, ok := ts.Type.(*ast.InterfaceType); ok {
-						for _, m := range it.Methods.List {
-							for _, n := range m.Names {
-								if n.IsExported() {
-									s.ifaceMethods[dir+"."+ts.Name.Name+"."+n.Name] = true
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				s.refs[id.Name] = true
-			}
-			return true
-		})
-		return nil
+		return err
 	})
+	f, _ := parser.ParseFile(fset, "hooks.go", hooks, 0)
+	hookPkg, _ := (&types.Config{}).Check("hooks", fset, []*ast.File{f}, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range hookPkg.Scope().Names() {
+		s.used[hookPkg.Scope().Lookup(name).Type().Underlying().(*types.Interface).Method(0)] = true
+	}
+	s.facade = s.pkgs["ddstore"].Scope()
+	var named []*types.Named
+	for path, p := range s.pkgs {
+		dir := strings.TrimPrefix(path, "ddstore/")
+		declares := path != "ddstore" && dir != "benchmark"
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			if _, ok := obj.(*types.Func); declares && (ok && name != "main" || obj.Exported()) {
+				s.decls[dir+"."+name] = obj
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n := tn.Type().(*types.Named)
+			it, _ := n.Underlying().(*types.Interface)
+			if it == nil {
+				named = append(named, n)
+			}
+			for i := 0; declares && it != nil && i < it.NumExplicitMethods(); i++ {
+				s.ifaceMethods[dir+"."+name+"."+it.ExplicitMethod(i).Name()] = true
+			}
+			for i := 0; declares && i < n.NumMethods(); i++ {
+				s.decls[dir+"."+name+"."+n.Method(i).Name()] = n.Method(i)
+			}
+		}
+	}
+	// A use inside a function's own declaration is not a call.
+	for path, files := range s.files {
+		cmd := strings.HasPrefix(path, "ddstore/cmd/") || strings.HasPrefix(path, "ddstore/examples/")
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				var self types.Object
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self = s.info.Defs[fd.Name]
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, _ := n.(*ast.Ident)
+					obj := s.info.Uses[id]
+					if f, ok := obj.(*types.Func); ok {
+						obj = f.Origin() // a generic's instance counts for its origin
+					}
+					if obj != nil && obj != self {
+						s.used[obj], s.byCmd[obj] = true, s.byCmd[obj] || cmd
+					}
+					return true
+				})
+			}
+		}
+	}
+	// A called interface method calls the method that implements it on
+	// every module type, declared there or promoted from an embedded field.
+	for obj := range maps.Clone(s.used) {
+		var it *types.Interface
+		if m, ok := obj.(*types.Func); ok && m.Type().(*types.Signature).Recv() != nil {
+			it, _ = m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		}
+		for _, n := range named {
+			if p := types.NewPointer(n); it != nil && n.TypeParams().Len() == 0 && types.Implements(p, it) {
+				s.used[types.NewMethodSet(p).Lookup(obj.Pkg(), obj.Name()).Obj().(*types.Func).Origin()] = true
+			}
+		}
+	}
+	return s, nil
+})
+
+// TestEveryExportHasACaller keeps dead code deleted. A function, method,
+// const, var or type is called when non-test code refers to it outside its
+// own declaration; a method also when it implements a called interface
+// method, on its own type or promoted through an embedded field, and the
+// standard library's hooks (String, Error, Is, Unwrap) always are. Every
+// function and method, and every exported top-level name, must be called
+// or allowlisted; every allowlist entry must name a declared object still
+// uncalled, every pinned name must stay declared, and no retired name may
+// be declared again.
+func TestEveryExportHasACaller(t *testing.T) {
+	s, err := scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
-}
-
-// recvName is a method receiver's base type name, without pointer or type
-// parameters.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
-	}
-}
-
-// TestEveryExportHasACaller keeps dead exports deleted. An exported function
-// or method counts as called when its name is referenced anywhere in the
-// module's non-test code — any package, cmd/, examples/ or benchmark/ —
-// other than the facade. The rule matches names, not objects, so it can
-// miss dead code but never reports live code: a method shares its callers
-// with every same-named method, field and variable. Every exported name
-// must have a caller or an entry in uncalledAllowed, every allowlist entry
-// must name a declared export that still lacks a caller, and every pinned
-// name must stay declared, and no retired name may be declared again.
-func TestEveryExportHasACaller(t *testing.T) {
-	s := scanModule(t)
 	var dead []string
-	for key, name := range s.funcs {
-		if _, ok := uncalledAllowed[key]; !ok && !s.refs[name] {
+	for key, obj := range s.decls {
+		if _, ok := uncalledAllowed[key]; !ok && !s.used[obj] {
 			dead = append(dead, key)
 		}
 	}
 	sort.Strings(dead)
 	for _, key := range dead {
-		t.Errorf("%s is exported but no non-test code calls it: delete it, move it into an export_test.go, or allowlist it with a reason", key)
+		t.Errorf("%s has no caller in non-test code: delete it, move it into an export_test.go, or allowlist it with a reason", key)
 	}
 	for key := range uncalledAllowed {
-		name, ok := s.funcs[key]
-		switch {
+		switch obj, ok := s.decls[key]; {
 		case !ok:
-			t.Errorf("allowlist entry %s names no exported function or method", key)
-		case s.refs[name]:
-			t.Errorf("allowlist entry %s is stale: %s now has a caller", key, name)
+			t.Errorf("allowlist entry %s names no declared function, method or exported name", key)
+		case s.used[obj]:
+			t.Errorf("allowlist entry %s is stale: it now has a caller", key)
 		}
 	}
 	for _, key := range pinned {
-		if _, ok := s.funcs[key]; !ok && !s.types[key] {
+		if s.decls[key] == nil {
 			t.Errorf("pinned name %s is no longer declared, and the benchmark module uses it", key)
 		}
 	}
 	for key, why := range retired {
-		if _, ok := s.funcs[key]; ok || s.ifaceMethods[key] {
+		if s.decls[key] != nil || s.ifaceMethods[key] {
 			t.Errorf("retired name %s is declared again: %s", key, why)
 		}
 	}
@@ -292,65 +337,20 @@ var promised = map[string]string{
 // used by an example or a command, or is listed in promised with its reason,
 // and no promised entry is one an example or command already uses.
 func TestFacadeSurface(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "ddstore.go", nil, parser.SkipObjectResolution)
+	s, err := scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared := map[string]bool{}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			declared[decl.Name.Name] = decl.Name.IsExported()
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					declared[spec.Name.Name] = spec.Name.IsExported()
-				case *ast.ValueSpec:
-					for _, n := range spec.Names {
-						declared[n.Name] = n.IsExported()
-					}
-				}
-			}
-		}
-	}
-
-	used := map[string]bool{}
-	for _, root := range []string{"examples", "cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "ddstore" {
-						used[sel.Sel.Name] = true
-					}
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for name, exported := range declared {
-		if exported && !used[name] && promised[name] == "" {
+	for _, name := range s.facade.Names() {
+		if obj := s.facade.Lookup(name); obj.Exported() && !s.byCmd[obj] && promised[name] == "" {
 			t.Errorf("ddstore.%s is exported, but no example or command uses it and it is not promised to library users", name)
 		}
 	}
 	for name := range promised {
-		switch {
-		case !declared[name]:
+		switch obj := s.facade.Lookup(name); {
+		case obj == nil || !obj.Exported():
 			t.Errorf("promised name ddstore.%s is not exported by the facade", name)
-		case used[name]:
+		case s.byCmd[obj]:
 			t.Errorf("promised entry ddstore.%s is stale: an example or command uses it", name)
 		}
 	}

@@ -32,7 +32,7 @@ import "sync"
 // value is ordinary garbage-collected bytes with no lifecycle to manage.
 //
 // Ownership rules: PutRef and DeliverRef take ownership of one reference
-// and the cache releases it when the entry is evicted, replaced, or Reset.
+// and the cache releases it when the entry is evicted or replaced.
 // ClaimRef hits and WaitRef hand the caller its own reference (retained
 // under the shard lock), which the caller must Release when done with the
 // bytes.
@@ -166,7 +166,7 @@ func (c *Cache) shardFor(id int64) *shard {
 // PutRef inserts (or refreshes) id, evicting entries as needed to hold the
 // byte budget. The cache takes ownership of one reference on the buffer
 // backing val (nil for plain GC-owned bytes) and releases it when the entry
-// is evicted, replaced, or Reset — including immediately, if the value is
+// is evicted or replaced — including immediately, if the value is
 // larger than the shard budget and never cached at all.
 func (c *Cache) PutRef(id int64, val []byte, ref Ref) {
 	s := c.shardFor(id)
@@ -350,29 +350,6 @@ func (c *Cache) Stats() Stats {
 		s.mu.Unlock()
 	}
 	return st
-}
-
-// Reset drops every cached entry, returning the cache to its cold state
-// while keeping the configured budget and cumulative event
-// counters. In-flight coalesced fetches are untouched: their deliveries
-// land in the fresh state. Load harnesses use it to run warm-vs-cold
-// phases against one server without restarting it.
-func (c *Cache) Reset() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for i := range s.slab {
-			if r := s.slab[i].ref; r != nil {
-				r.Release()
-			}
-		}
-		// Zero the whole slab before truncating it: a slot past the new
-		// length must not keep its bytes or its reference reachable.
-		clear(s.slab)
-		s.slab = s.slab[:1]
-		clear(s.table)
-		s.free, s.live, s.bytes = 0, 0, 0
-		s.mu.Unlock()
-	}
 }
 
 // minTableBits sizes a new shard's table: 8 positions, room for 4 entries.

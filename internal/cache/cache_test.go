@@ -359,9 +359,8 @@ type pinRef struct{ _ [64]byte }
 func (*pinRef) Retain()  {}
 func (*pinRef) Release() {}
 
-// TestFreedSlotsPinNothing: a value the cache let go of — evicted, or
-// dropped by Reset — becomes garbage, along with its reference, even
-// though its slab slot stays allocated.
+// TestFreedSlotsPinNothing: a value the cache evicted becomes garbage,
+// along with its reference, even though its slab slot stays allocated.
 func TestFreedSlotsPinNothing(t *testing.T) {
 	var freed atomic.Int64
 	c := New(Options{MaxBytes: 4 * 256, Shards: 1})
@@ -371,7 +370,7 @@ func TestFreedSlotsPinNothing(t *testing.T) {
 		runtime.SetFinalizer(r, func(*pinRef) { freed.Add(1) })
 		c.PutRef(id, b[:], r)
 	}
-	for _, want := range []int64{16, 24} { // 8 evicted; then Reset drops 4 more
+	for _, want := range []int64{16, 24} { // 8 evicted; then 4 more puts evict the last 4
 		deadline := time.Now().Add(5 * time.Second)
 		for freed.Load() < want && time.Now().Before(deadline) {
 			runtime.GC()
@@ -380,7 +379,9 @@ func TestFreedSlotsPinNothing(t *testing.T) {
 		if n := freed.Load(); n != want {
 			t.Fatalf("%d values and references collected, want %d", n, want)
 		}
-		c.Reset()
+		for id := int64(12); id < 16; id++ {
+			c.PutRef(id, make([]byte, 256), nil)
+		}
 	}
 	runtime.KeepAlive(c)
 }

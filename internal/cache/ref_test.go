@@ -46,21 +46,6 @@ func TestPutRefReleasedOnReplace(t *testing.T) {
 	}
 }
 
-func TestPutRefReleasedOnReset(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20, Shards: 4})
-	refs := make([]*ctr, 10)
-	for i := range refs {
-		refs[i] = &ctr{}
-		c.PutRef(int64(i), val(int64(i), 64), refs[i])
-	}
-	c.Reset()
-	for i, r := range refs {
-		if r.live() != 0 {
-			t.Fatalf("ref %d live = %d after Reset, want 0", i, r.live())
-		}
-	}
-}
-
 func TestPutRefReleasedOnOversizeReject(t *testing.T) {
 	c := New(Options{MaxBytes: 100, Shards: 1})
 	r := &ctr{}

@@ -111,17 +111,6 @@ func (s *refShard) evict() {
 	}
 }
 
-func (s *refShard) reset() {
-	for _, e := range s.entries {
-		if e.ref != nil {
-			e.ref.Release()
-		}
-	}
-	s.entries = map[int64]*refEntry{}
-	s.head, s.tail = nil, nil
-	s.bytes = 0
-}
-
 // refCache restates Cache's flight protocol over refShards, one per shard
 // of the Cache it shadows, with the same budgets and the same shard choice.
 type refCache struct {
@@ -339,10 +328,9 @@ var errHarness = errors.New("harness failure")
 // step runs one op on both sides and checks them against each other.
 func (h *shardHarness) step(op, arg byte) {
 	id := int64(arg%48) * h.stride
-	reset := false
 	size := 1 + int(arg)*int(op/16)%250 // the op's high nibble scales it
 	switch op % 16 {
-	case 0, 1, 2, 3, 14: // put a fresh id, or refresh a live one
+	case 0, 1, 2, 3, 14, 15: // put a fresh id, or refresh a live one
 		h.put(id, size)
 	case 4: // replace a live id
 		if live, ok := h.liveID(arg); ok {
@@ -371,23 +359,13 @@ func (h *shardHarness) step(op, arg byte) {
 		if cp, ok := h.pick(arg, false); ok {
 			h.follow(cp, op%2 == 0)
 		}
-	case 15:
-		h.c.Reset()
-		for _, s := range h.m.shards {
-			s.reset()
-		}
-		reset = true
 	}
-	h.check(fmt.Sprintf("op %d arg %d", op%16, arg), reset)
+	h.check(fmt.Sprintf("op %d arg %d", op%16, arg))
 }
 
 // check compares the two sides after an op and the slab shards' tables.
-func (h *shardHarness) check(what string, reset bool) {
+func (h *shardHarness) check(what string) {
 	h.tb.Helper()
-	if reset { // Reset releases in slab order on one side, map order on the other
-		slices.Sort(h.gotLog)
-		slices.Sort(h.wantLog)
-	}
 	if !slices.Equal(h.gotLog, h.wantLog) {
 		h.tb.Fatalf("%s: released %v, reference released %v", what, h.gotLog, h.wantLog)
 	}
@@ -407,8 +385,9 @@ func (h *shardHarness) check(what string, reset bool) {
 	}
 }
 
-// finish resolves every open claim, resets both sides and requires every
-// reference either side was handed to have been given back.
+// finish resolves every open claim, replaces every cached value on both
+// sides with one that holds no reference, and requires every reference
+// either side was handed to have been given back.
 func (h *shardHarness) finish() {
 	for len(h.claims) > 0 {
 		cp := h.claims[0]
@@ -420,7 +399,18 @@ func (h *shardHarness) finish() {
 			h.follow(cp, true)
 		}
 	}
-	h.step(15, 0)
+	ids := []int64{}
+	for _, s := range h.m.shards {
+		for e := s.head; e != nil; e = e.next {
+			ids = append(ids, e.id)
+		}
+	}
+	for _, id := range ids {
+		v := make([]byte, 1)
+		h.c.PutRef(id, v, nil)
+		h.m.shardOf(id).put(id, v, nil)
+	}
+	h.check("drain")
 	for tag, tw := range h.twins {
 		if tw[0].live != 0 {
 			h.tb.Fatalf("buffer %d: %d references outlive the cache", tag, tw[0].live)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ddstore/internal/bufarena"
 	"ddstore/internal/cache"
 	"ddstore/internal/cluster"
 	"ddstore/internal/comm"
@@ -176,6 +177,45 @@ func TestCacheRepeatEpochTwoSided(t *testing.T) {
 		cs := s.CacheStats()
 		if cs.Hits != 24 || cs.Misses != 24 {
 			return fmt.Errorf("cache stats after 2 epochs: %+v", cs)
+		}
+		return c.Barrier()
+	})
+}
+
+// TestTwoSidedCacheEntriesOwnTheirBytes: a two-sided load delivers each
+// remote sample as a part of its owner's whole exchange reply, with no
+// buffer reference, so the cache keeps a copy in an arena buffer of the
+// sample's own size class and is charged that class: an entry pins its
+// own bytes, never the reply.
+func TestTwoSidedCacheEntriesOwnTheirBytes(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 32})
+	runWorld(t, 2, cluster.Laptop(), func(c *comm.Comm) error {
+		s, err := Open(c, ds, Options{Framework: FrameworkTwoSided, CacheBytes: 1 << 20})
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		other := 1 - s.group.Rank()
+		ids := []int64{s.starts[other], s.starts[other] + 1, s.starts[other+1] - 1}
+		if _, _, err := loadGraphs(s, ids); err != nil {
+			return err
+		}
+		var charged int64
+		for _, id := range ids {
+			val, ref, f := s.cache.ClaimRef(id)
+			if f != nil {
+				f.Fail(fmt.Errorf("not cached"))
+				return fmt.Errorf("sample %d is not cached after its load", id)
+			}
+			b, ok := ref.(*bufarena.Buf)
+			if !ok || b.Cap() != bufarena.SizeFor(len(val)) {
+				return fmt.Errorf("sample %d: the %d-byte entry holds %T, want an arena buffer of capacity %d", id, len(val), ref, bufarena.SizeFor(len(val)))
+			}
+			charged += int64(b.Cap())
+			ref.Release()
+		}
+		if cs := s.CacheStats(); cs.Bytes != charged {
+			return fmt.Errorf("cache charged %d bytes for entries of capacity %d", cs.Bytes, charged)
 		}
 		return c.Barrier()
 	})

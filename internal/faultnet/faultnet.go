@@ -1,9 +1,9 @@
 // Package faultnet is a deterministic, seeded fault injector for the TCP
-// data plane. It wraps net.Listener / net.Conn (and transport.ChunkSource)
-// to inject the faults a real fabric produces — connection resets, read/
-// write stalls, partial writes, corrupt payloads, and slow-start latency —
-// under the control of a Scenario, so every chaos test is reproducible:
-// the same scenario seed and operation sequence injects the same faults.
+// data plane. It wraps net.Listener / net.Conn to inject the faults a real
+// fabric produces — connection resets, read/write stalls, partial writes,
+// corrupt payloads, and slow-start latency — under the control of a
+// Scenario, so every chaos test is reproducible: the same scenario seed
+// and operation sequence injects the same faults.
 //
 // The injector sits on the accept path (Injector.Listener wrapping a
 // server's listener) or the dial path (Injector.Dialer wrapping a client's
@@ -20,8 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ddstore/internal/transport"
 )
 
 // Scenario describes one reproducible fault mix. Probabilities are checked
@@ -55,24 +53,17 @@ type Scenario struct {
 	// SlowStart adds fixed latency to the first operation of every
 	// connection, modelling cold paths (ARP, route lookup, TLS...).
 	SlowStart time.Duration
-
-	// SourceCorruptProb is P(a FaultyChunkSource read returns a copy with
-	// one byte flipped), modelling storage-level corruption *before* the
-	// wire checksum is computed — the fault wire CRCs cannot catch and
-	// end-to-end validation (graph decode, replica failover) must.
-	SourceCorruptProb float64
 }
 
 // Stats counts the faults an injector actually fired, by kind. Chaos tests
 // assert on these to prove a scenario exercised what it claims to.
 type Stats struct {
-	Resets            int64
-	Stalls            int64
-	PartialWrites     int64
-	Corruptions       int64
-	SlowStarts        int64
-	SourceCorruptions int64
-	Conns             int64
+	Resets        int64
+	Stalls        int64
+	PartialWrites int64
+	Corruptions   int64
+	SlowStarts    int64
+	Conns         int64
 }
 
 // ErrInjected marks every error produced by the injector, so tests can
@@ -83,13 +74,12 @@ var ErrInjected = errors.New("faultnet: injected fault")
 type Injector struct {
 	sc Scenario
 
-	resets            atomic.Int64
-	stalls            atomic.Int64
-	partials          atomic.Int64
-	corruptions       atomic.Int64
-	slowStarts        atomic.Int64
-	sourceCorruptions atomic.Int64
-	connSeq           atomic.Int64
+	resets      atomic.Int64
+	stalls      atomic.Int64
+	partials    atomic.Int64
+	corruptions atomic.Int64
+	slowStarts  atomic.Int64
+	connSeq     atomic.Int64
 }
 
 // New returns an injector for the scenario.
@@ -100,13 +90,12 @@ func New(sc Scenario) *Injector {
 // Stats returns a snapshot of the fault counts fired so far.
 func (in *Injector) Stats() Stats {
 	return Stats{
-		Resets:            in.resets.Load(),
-		Stalls:            in.stalls.Load(),
-		PartialWrites:     in.partials.Load(),
-		Corruptions:       in.corruptions.Load(),
-		SlowStarts:        in.slowStarts.Load(),
-		SourceCorruptions: in.sourceCorruptions.Load(),
-		Conns:             in.connSeq.Load(),
+		Resets:        in.resets.Load(),
+		Stalls:        in.stalls.Load(),
+		PartialWrites: in.partials.Load(),
+		Corruptions:   in.corruptions.Load(),
+		SlowStarts:    in.slowStarts.Load(),
+		Conns:         in.connSeq.Load(),
 	}
 }
 
@@ -235,51 +224,4 @@ func (c *conn) Write(p []byte) (int, error) {
 		return c.Conn.Write(corrupt)
 	}
 	return c.Conn.Write(p)
-}
-
-// FaultyChunkSource wraps a ChunkSource to inject storage-level payload
-// corruption: the served bytes are already wrong before the wire checksum
-// is computed, so only end-to-end validation (decode failure, failover to
-// a clean replica) catches it.
-type FaultyChunkSource struct {
-	Src transport.ChunkSource
-
-	in  *Injector
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// ChunkSource wraps src with the injector's SourceCorruptProb.
-func (in *Injector) ChunkSource(src transport.ChunkSource) *FaultyChunkSource {
-	return &FaultyChunkSource{
-		Src: src,
-		in:  in,
-		rng: rand.New(rand.NewSource(in.sc.Seed ^ 0x5DEECE66D)),
-	}
-}
-
-// LocalRange implements transport.ChunkSource.
-func (f *FaultyChunkSource) LocalRange() (int64, int64) { return f.Src.LocalRange() }
-
-// LocalSampleBytes implements transport.ChunkSource, sometimes corruptly.
-func (f *FaultyChunkSource) LocalSampleBytes(id int64) ([]byte, error) {
-	data, err := f.Src.LocalSampleBytes(id)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	hit := f.rng.Float64() < f.in.sc.SourceCorruptProb && len(data) > 0
-	var idx int
-	if hit {
-		idx = f.rng.Intn(len(data))
-	}
-	f.mu.Unlock()
-	if !hit {
-		return data, nil
-	}
-	f.in.sourceCorruptions.Add(1)
-	corrupt := make([]byte, len(data))
-	copy(corrupt, data)
-	corrupt[idx] ^= 0xFF
-	return corrupt, nil
 }

@@ -6,8 +6,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"ddstore/internal/transport"
 )
 
 // pipeOps runs a fixed read/write sequence through a wrapped pipe end and
@@ -115,38 +113,6 @@ func TestResetAbortsConnection(t *testing.T) {
 		t.Fatalf("read after reset: %v", err)
 	}
 	if in.Stats().Resets != 1 {
-		t.Fatalf("stats: %+v", in.Stats())
-	}
-}
-
-func TestFaultyChunkSourceCorruptsCopies(t *testing.T) {
-	src := &transport.MemChunk{Lo: 0, Hi: 1, Encoded: [][]byte{{1, 2, 3, 4}}}
-	in := New(Scenario{Seed: 4, SourceCorruptProb: 1})
-	faulty := in.ChunkSource(src)
-	if lo, hi := faulty.LocalRange(); lo != 0 || hi != 1 {
-		t.Fatalf("range [%d,%d)", lo, hi)
-	}
-	got, err := faulty.LocalSampleBytes(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := 0
-	for i, v := range src.Encoded[0] {
-		if got[i] != v {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("%d bytes differ, want 1", diff)
-	}
-	// The backing store must never be mutated.
-	if src.Encoded[0][0] != 1 || src.Encoded[0][3] != 4 {
-		t.Fatalf("backing store corrupted: %v", src.Encoded[0])
-	}
-	if _, err := faulty.LocalSampleBytes(9); err == nil {
-		t.Fatal("out-of-range id accepted")
-	}
-	if in.Stats().SourceCorruptions != 1 {
 		t.Fatalf("stats: %+v", in.Stats())
 	}
 }

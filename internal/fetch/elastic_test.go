@@ -231,20 +231,19 @@ func TestLatencyWindowConsistentAcrossOwnerChange(t *testing.T) {
 	p := newGenPlane(12, 3)
 	reg := obs.NewRegistry()
 	e := New(Config{Plane: p, Metrics: reg}) // no cache: the flip forces a clean refetch
-	hist := obs.FetchLatencyHistogram(reg)
 
 	ids := make([]int64, 12)
 	for i := range ids {
 		ids[i] = int64(i)
 	}
 	loadAndCheck(t, e, append(ids, 0, 5))
-	if got := hist.Count(); got != 12 {
+	if got := latencyCount(reg); got != 12 {
 		t.Fatalf("latency count after generation 1 = %d, want 12", got)
 	}
 
 	p.gen.Store(7) // generations may jump; tokens just need to be fresh
 	loadAndCheck(t, e, ids)
-	if got := hist.Count(); got != 24 {
+	if got := latencyCount(reg); got != 24 {
 		t.Fatalf("latency count after generation 7 = %d, want 24", got)
 	}
 	// Both generations' tokens were actually used for grouping: 3 member

@@ -117,6 +117,17 @@ func (p *mockPlane) fetchCount(id int64) int {
 	return p.fetched[id]
 }
 
+// latencyCount is the number of observations in reg's fetch-latency
+// histogram, as a scrape of the registry reads it.
+func latencyCount(reg *obs.Registry) uint64 {
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == obs.MetricFetchLatency {
+			return h.Count
+		}
+	}
+	return 0
+}
+
 func newCache(budget int64) *cache.Cache {
 	return cache.New(cache.Options{MaxBytes: budget, Shards: 1})
 }
@@ -409,7 +420,7 @@ func TestNewPanicsWithoutPlane(t *testing.T) {
 // TestCacheEntryRetainsDeliveredBuffer pins the reference flow of a
 // leader delivery: the cache entry gets its own retained reference, the
 // Lazy's own reference is released by Load's materialization, and the
-// cache's reference is only released when the entry leaves (Reset).
+// cache's reference is only released when the entry leaves (replaced).
 func TestCacheEntryRetainsDeliveredBuffer(t *testing.T) {
 	p := newMockPlane(10, 2)
 	c := newCache(1 << 20)
@@ -426,9 +437,9 @@ func TestCacheEntryRetainsDeliveredBuffer(t *testing.T) {
 	if n := ref.releases.Load(); n != 1 {
 		t.Errorf("releases = %d, want 1 (the Lazy's own, on materialization)", n)
 	}
-	c.Reset()
+	c.PutRef(1, []byte{0}, nil)
 	if n := ref.releases.Load(); n != 2 {
-		t.Errorf("releases after Reset = %d, want 2 (cache entry released)", n)
+		t.Errorf("releases after the entry is replaced = %d, want 2 (cache entry released)", n)
 	}
 }
 
@@ -525,7 +536,7 @@ func TestEngineMetricsAndSpans(t *testing.T) {
 	}
 
 	// Every unique id of both loads landed in the canonical histogram.
-	if got := obs.FetchLatencyHistogram(reg).Count(); got != 8 {
+	if got := latencyCount(reg); got != 8 {
 		t.Fatalf("histogram count = %d, want 8", got)
 	}
 
@@ -721,7 +732,9 @@ func TestFailedLoadStrandsNothing(t *testing.T) {
 				t.Errorf("landsFirst=%t: sample %d: hit %t, want %t", landsFirst, id, f == nil, cached)
 			}
 		}
-		c.Reset()
+		for _, id := range []int64{hitID, followedID, ledID} {
+			c.PutRef(id, []byte{0}, nil) // the cache lets go of its buffers
+		}
 		if gets, _, recycles := bufarena.Stats(); gets-gets0 != recycles-recycles0 {
 			t.Errorf("landsFirst=%t: %d arena buffers handed out, %d recycled", landsFirst, gets-gets0, recycles-recycles0)
 		}

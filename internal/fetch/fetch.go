@@ -258,19 +258,18 @@ func (ld *load) deliver(id int64, raw []byte, ref graph.Ref, lat time.Duration) 
 
 // own returns a cache entry for raw that pins only raw's own size class,
 // holding a reference independent of the one the view owns (released by
-// the cache on evict, replace or Reset). A part of a larger arena buffer,
-// such as one sample of a batch reply, is copied into a buffer of its
-// own, so the reply is recycled once its views release it; any other
-// buffer gains a reference.
+// the cache on evict or replace). A part of a larger arena buffer, such as
+// one sample of a batch reply, and bytes with no reference at all, such as
+// one sample of a two-sided exchange reply, are copied into a buffer of
+// their own, so the reply is recycled or collected once its views let go;
+// any other buffer gains a reference.
 func own(raw []byte, ref graph.Ref) ([]byte, cache.Ref) {
-	if b, ok := ref.(*bufarena.Buf); ok && b.Cap() > bufarena.SizeFor(len(raw)) {
+	if b, ok := ref.(*bufarena.Buf); ref == nil || ok && b.Cap() > bufarena.SizeFor(len(raw)) {
 		c := bufarena.Get(len(raw))
 		copy(c.Bytes(), raw)
 		return c.Bytes(), c
 	}
-	if ref != nil {
-		ref.Retain()
-	}
+	ref.Retain()
 	return raw, ref
 }
 

@@ -499,8 +499,11 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		}
 
 		// Every reference the load was handed or took is back once its views
-		// are released and the cache is emptied: no failed load strands one.
-		got.cache.Reset()
+		// are released and every cached id's entry is replaced by one that
+		// holds no reference: no failed load strands one.
+		for id := int64(0); id < 48; id++ {
+			got.cache.PutRef(id, []byte{0}, nil)
+		}
 		for i, ref := range got.plane.refs {
 			if ref.releases.Load() != ref.retains.Load()+1 {
 				t.Fatalf("seed %d (err %v): buffer %d has %d retains and %d releases outstanding",

@@ -43,8 +43,8 @@ func TestGINSumAggregation(t *testing.T) {
 	_, cache := layer.Forward(x, b)
 	want := []float32{1, 10, 111} // node 2 receives 1 + 10
 	for i, w := range want {
-		if cache.agg.At(i, 0) != w {
-			t.Fatalf("agg[%d] = %v, want %v", i, cache.agg.At(i, 0), w)
+		if cache.agg.Data[i] != w {
+			t.Fatalf("agg[%d] = %v, want %v", i, cache.agg.Data[i], w)
 		}
 	}
 }

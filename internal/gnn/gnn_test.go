@@ -184,7 +184,7 @@ func TestMeanPoolKnown(t *testing.T) {
 	b, _ := graph.NewBatch([]*graph.Graph{g1, g2})
 	x := tensor.FromData(3, 1, []float32{2, 4, 10})
 	out := MeanPool(x, b)
-	if out.At(0, 0) != 3 || out.At(1, 0) != 10 {
+	if out.Data[0] != 3 || out.Data[1] != 10 {
 		t.Fatalf("MeanPool = %v", out.Data)
 	}
 	dOut := tensor.FromData(2, 1, []float32{6, 5})

@@ -121,13 +121,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
 // snapshot returns cumulative bucket counts, sum, and count.
 func (h *Histogram) snapshot() (cum []uint64, sum float64, total uint64) {
 	h.mu.Lock()

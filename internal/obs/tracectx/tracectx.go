@@ -54,11 +54,6 @@ type Context struct {
 // Valid reports whether the context carries a trace.
 func (c Context) Valid() bool { return c.TraceID != 0 }
 
-// Encode renders the context into its 24-byte wire form.
-func (c Context) Encode() []byte {
-	return c.AppendTo(make([]byte, 0, Size))
-}
-
 // AppendTo appends the 24-byte wire form to dst and returns the extended
 // slice — the allocation-free path for request assembly.
 func (c Context) AppendTo(dst []byte) []byte {

@@ -11,7 +11,7 @@ func TestRoundTrip(t *testing.T) {
 	if !c.Valid() {
 		t.Fatal("New returned an invalid context")
 	}
-	enc := c.Encode()
+	enc := c.AppendTo(nil)
 	if len(enc) != Size {
 		t.Fatalf("encoded length %d, want %d", len(enc), Size)
 	}
@@ -24,7 +24,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	c2 := New(false)
-	got2, ok := Decode(c2.Encode())
+	got2, ok := Decode(c2.AppendTo(nil))
 	if !ok || got2.Sampled {
 		t.Fatalf("unsampled round trip: got %+v ok=%v", got2, ok)
 	}
@@ -32,7 +32,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestDecodeIgnoresTrailingBytes(t *testing.T) {
 	c := New(true)
-	body := append(c.Encode(), []byte{1, 2, 3, 4, 5, 6, 7, 8}...)
+	body := append(c.AppendTo(nil), []byte{1, 2, 3, 4, 5, 6, 7, 8}...)
 	got, ok := Decode(body)
 	if !ok || got != c {
 		t.Fatalf("Decode with trailing bytes: got %+v ok=%v", got, ok)
@@ -41,7 +41,7 @@ func TestDecodeIgnoresTrailingBytes(t *testing.T) {
 
 func TestDecodeRejects(t *testing.T) {
 	c := New(true)
-	enc := c.Encode()
+	enc := c.AppendTo(nil)
 
 	cases := map[string][]byte{
 		"nil":           nil,

@@ -20,6 +20,7 @@ import (
 	"ddstore/internal/faultnet"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
+	"ddstore/internal/trace"
 	"ddstore/internal/transport"
 )
 
@@ -66,14 +67,22 @@ func bootTestCluster(t *testing.T, owners, n int, mut func(*Config)) *Cluster {
 
 func elasticGroup(t *testing.T, c *Cluster) *transport.Group {
 	t.Helper()
+	g, _ := countedGroup(t, c)
+	return g
+}
+
+// countedGroup is elasticGroup with the group's event counts in a profiler.
+func countedGroup(t *testing.T, c *Cluster) (*transport.Group, *trace.Profiler) {
+	t.Helper()
+	prof := trace.New()
 	g, err := transport.NewElasticGroup(c.Addrs(), transport.GroupOptions{
-		Client: transport.ClientOptions{Policy: fastNet()},
+		Client: transport.ClientOptions{Policy: fastNet(), Counters: prof},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.Close)
-	return g
+	return g, prof
 }
 
 // loadAll loads every sample through the group and checks identity.
@@ -187,7 +196,7 @@ func TestLiveReshardUnderLoadZeroHardErrors(t *testing.T) {
 	// refreshes and failovers are fine, hard errors are not.
 	const n = 300
 	c := bootTestCluster(t, 2, n, nil)
-	g := elasticGroup(t, c)
+	g, prof := countedGroup(t, c)
 	loadAll(t, g, n) // warm bootstrap
 
 	var hardErrs atomic.Int64
@@ -246,10 +255,11 @@ func TestLiveReshardUnderLoadZeroHardErrors(t *testing.T) {
 	if got := c.OwnerCount(); got != 3 {
 		t.Fatalf("owner count %d, want 3", got)
 	}
-	// The group refreshed to the published generation.
+	// The group refreshed to the published generation: it adopted one
+	// newer map, and generation 2 is the only one.
 	loadAll(t, g, n)
-	if got := g.Generation(); got != 2 {
-		t.Fatalf("client generation %d after reshard traffic, want 2", got)
+	if got := prof.Counter(transport.CounterStaleRefreshes); got != 1 {
+		t.Fatalf("client adopted %d newer maps after reshard traffic, want 1: generation 2", got)
 	}
 }
 
@@ -258,7 +268,7 @@ func TestCrashOwnerHealsFromDurableSource(t *testing.T) {
 	// surviving replica), so healing must re-read them from the backing
 	// source. Nothing is lost and clients keep loading.
 	c := bootTestCluster(t, 3, 150, nil)
-	g := elasticGroup(t, c)
+	g, prof := countedGroup(t, c)
 	loadAll(t, g, 150)
 
 	victim := c.OwnerIDs()[1]
@@ -276,8 +286,8 @@ func TestCrashOwnerHealsFromDurableSource(t *testing.T) {
 		t.Fatalf("%d samples resident after crash heal, want 150", total)
 	}
 	loadAll(t, g, 150)
-	if got := g.Generation(); got != 2 {
-		t.Fatalf("client generation %d after crash heal, want 2", got)
+	if got := prof.Counter(transport.CounterStaleRefreshes); got != 1 {
+		t.Fatalf("client adopted %d newer maps after crash heal, want 1: generation 2", got)
 	}
 }
 
@@ -821,20 +831,23 @@ func TestLazyClusterReshards(t *testing.T) {
 		t.Fatalf("the lazy gainer holds %d samples of its own, want 0 (the cache is the cluster's)", r)
 	}
 	// What the gainer now owns, read cold: every sample is a miss it
-	// faults in itself.
+	// faults in itself. Reading the rest first, several times what the
+	// budget holds, evicts every one of them.
 	c.mu.Lock()
-	var gained []int64
+	var gained, rest []int64
 	mi := c.cur.MemberIndex(gainer)
 	for id := int64(0); id < n; id++ {
 		if c.cur.OwnedBy(id, mi) {
 			gained = append(gained, id)
+		} else {
+			rest = append(rest, id)
 		}
 	}
 	c.mu.Unlock()
 	if len(gained) == 0 {
 		t.Fatal("the reshard moved nothing onto the new owner")
 	}
-	c.hot.Reset()
+	readAll(rest)
 	before, _ := c.CacheStats()
 	reads := src.reads.Load()
 	readAll(gained)

@@ -152,17 +152,6 @@ func (m *Map) OwnedBy(id int64, mi int) bool {
 	return false
 }
 
-// Clone returns a deep copy safe to mutate while building the next
-// generation.
-func (m *Map) Clone() *Map {
-	c := &Map{Gen: m.Gen, Members: append([]Member(nil), m.Members...)}
-	c.Shards = make([]Shard, len(m.Shards))
-	for i, sh := range m.Shards {
-		c.Shards[i] = Shard{Lo: sh.Lo, Hi: sh.Hi, Owners: append([]int(nil), sh.Owners...)}
-	}
-	return c
-}
-
 // Validate checks the structural invariants: at least one member and one
 // shard, shards sorted and tiling a contiguous non-empty keyspace, every
 // shard with at least one owner, all owner indexes in range with no

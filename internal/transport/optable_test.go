@@ -75,7 +75,7 @@ func TestStreamStaysAligned(t *testing.T) {
 	frame := func(op byte, a, b int64, body ...[]byte) []byte {
 		return bytes.Join(append([][]byte{reqBytes(op, a, b)}, body...), nil)
 	}
-	ctx := tracectx.New(true).Encode()
+	ctx := tracectx.New(true).AppendTo(nil)
 	ids := wire.AppendIDs(nil, []int64{12, 17})
 	sample := func(id int64) []byte { return chunk.Encoded[id-chunk.Lo] }
 	pair := encodeBatchPayload([][]byte{sample(12), sample(17)})
