@@ -126,7 +126,8 @@ bench-check:
 # codec, the wire protocol (both ends, request framing, batch framing, the
 # timing trailer), the trace context, the shard map, and the CFF part
 # index; hold the server's frame writer to its reference over random part
-# layouts; and drive the cache shard against its map-based reference.
+# layouts; drive the cache shard against its map-based reference; and walk
+# the reshard planner through random joins, leaves and crashes.
 # FUZZTIME is per target; bump it for longer campaigns, e.g.
 # make fuzz FUZZTIME=10m. The -fuzz patterns are anchored because a
 # pattern matching two targets in one package is an error.
@@ -142,6 +143,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzWriteFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/obs/tracectx
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeShardMap$$' -fuzztime=$(FUZZTIME) ./internal/shardmap
+	$(GO) test -run='^$$' -fuzz='^FuzzPlannerWalk$$' -fuzztime=$(FUZZTIME) ./internal/shardmap
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPartIndex$$' -fuzztime=$(FUZZTIME) ./internal/cff
 	$(GO) test -run='^$$' -fuzz='^FuzzShardOps$$' -fuzztime=$(FUZZTIME) ./internal/cache
 
