@@ -3,7 +3,6 @@ package ddp
 import (
 	"time"
 
-	"ddstore/internal/cache"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
 	"ddstore/internal/obs/tracectx"
@@ -27,7 +26,6 @@ type Loader interface {
 type DataPlane interface {
 	Len() int
 	LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error)
-	CacheStats() cache.Stats
 }
 
 // PlaneLoader serves batches from either DDStore data plane. It replaces

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ddstore/internal/cache"
 	"ddstore/internal/comm"
 	"ddstore/internal/core"
 	"ddstore/internal/datasets"
@@ -20,12 +21,19 @@ import (
 	"ddstore/internal/transport"
 )
 
+// statsPlane is ddp.DataPlane plus the cache counters both planes report,
+// which the suite reads to check dedup and caching.
+type statsPlane interface {
+	ddp.DataPlane
+	CacheStats() cache.Stats
+}
+
 // confPlane is one adapter under test. Both planes satisfy ddp.DataPlane —
 // that shared surface is itself part of what this suite locks down.
 type confPlane struct {
 	name  string
 	ds    *datasets.Dataset
-	plane ddp.DataPlane
+	plane statsPlane
 	// [localLo, localHi) is the id range served from this process's own
 	// memory, which bypasses the cache (RMA only; empty for TCP).
 	localLo, localHi int64

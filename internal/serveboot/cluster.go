@@ -350,14 +350,11 @@ func (c *Cluster) listen(addr string) (net.Listener, shardmap.Member, error) {
 // front end when configured — that checks every request against the
 // owner's live generation. The listener is the owner's from here on.
 func (c *Cluster) startOwner(ln net.Listener, id string) error {
-	st, err := shardmap.NewStore(c.cur, 0)
+	st, err := shardmap.NewStore(c.cur)
 	if err != nil {
 		ln.Close()
 		return err
 	}
-	// Metrics bridge: shardmap stays stdlib-only; every applied
-	// generation lands on the shared gauge here.
-	st.OnApply = func(m *shardmap.Map, _ int) { c.gen.Set(float64(m.Gen)) }
 	ch := &chunk{lo: c.lo, hi: c.hi, src: c.src, hot: c.hot, bounds: c.cur}
 	if c.hot == nil {
 		ch.shards = make([]*graph.Packed, len(c.cur.Shards))
@@ -415,8 +412,9 @@ func (c *Cluster) AddOwner() (string, error) {
 }
 
 // RemoveOwner drains an owner out of the cluster gracefully: its shards
-// migrate to the survivors (pulled from it while it still serves), the
-// next generation excludes it, and only then does it shut down.
+// migrate to the survivors, pulled from their live current owners (it
+// among them, still serving) before the durable source, the next
+// generation excludes it, and only then does it shut down.
 func (c *Cluster) RemoveOwner(id string) error { return c.leave(id, false) }
 
 // CrashOwner kills an owner abruptly (no drain, no handoff) and then
@@ -525,6 +523,7 @@ func (c *Cluster) transition(members []shardmap.Member) error {
 		}
 	}
 	c.cur = next
+	c.gen.Set(float64(next.Gen))
 	for id, o := range c.owners {
 		if mi := next.MemberIndex(id); mi >= 0 {
 			o.chunk.retainOwned(next, mi)
@@ -536,23 +535,16 @@ func (c *Cluster) transition(members []shardmap.Member) error {
 	return nil
 }
 
-// pullMove copies one moved shard onto its gaining owner, preferring the
-// planned source owner, then any other live owner of the shard under the
-// current generation, and finally the durable backing source (the only
-// choice when every holder crashed, From = -1).
+// pullMove copies one moved shard onto its gaining owner, pulling from the
+// shard's live owners under the current generation, in their order, and
+// from the durable backing source for any batch none of them answers (the
+// only choice when every holder crashed). The gainer is never among them:
+// a move goes to a member that does not own the shard yet.
 func (c *Cluster) pullMove(mv shardmap.Move, gainer *Owner) (int64, error) {
 	var from []*Owner
-	tried := map[string]bool{gainer.ID: true}
-	consider := func(id string) {
-		if o := c.owners[id]; o != nil && !tried[id] && !o.crashed.Load() {
+	for _, oi := range c.cur.Shards[mv.Shard].Owners {
+		if o := c.owners[c.cur.Members[oi].ID]; o != nil && !o.crashed.Load() {
 			from = append(from, o)
-		}
-		tried[id] = true
-	}
-	consider(mv.FromID)
-	if sh, err := c.cur.ShardOf(mv.Lo); err == nil {
-		for _, oi := range sh.Owners {
-			consider(c.cur.Members[oi].ID)
 		}
 	}
 	var pk graph.Packer

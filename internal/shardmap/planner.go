@@ -2,21 +2,17 @@ package shardmap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Move is one chunk transfer the next generation requires: shard
-// [Lo, Hi) must be copied to member To (an index into the NEXT map's
-// member list). From is the member to pull it from — an index into the
-// NEXT map's member list of a surviving current owner — or -1 when no
-// current owner survives and the chunk must be re-read from the durable
-// backing source.
+// Move is one chunk transfer the next generation requires: member ToID
+// owns shard Shard, [Lo, Hi), in the next generation and not in the
+// current one. A move is a fact about the two maps alone; where its bytes
+// come from is the migrating side's choice.
 type Move struct {
-	Shard    int
-	Lo, Hi   int64
-	From, To int
-	ToID     string
-	FromID   string
+	Shard  int
+	Lo, Hi int64
+	ToID   string
 }
 
 // Planner derives the next generation from a membership change.
@@ -28,8 +24,9 @@ type Planner struct {
 }
 
 // Next plans the generation after cur for the given member set, returning
-// the new map (Gen = cur.Gen+1) and the chunk moves it requires. The plan
-// is deterministic and minimizes moved chunks:
+// the new map (Gen = cur.Gen+1) and the chunk moves it requires, which are
+// diff(cur, next): Next decides ownership, and the moves follow from the
+// two maps. The plan is deterministic and minimizes moved chunks:
 //
 //  1. every shard keeps its surviving owners — a departed primary is
 //     replaced by its first surviving replica before any data moves;
@@ -43,15 +40,12 @@ type Planner struct {
 //     the bytes), or trimmed from the tail (no data moves).
 //
 // Members carried over from cur are matched by Member.ID, so indexes may
-// differ between the generations; Move indexes are all in next's space.
+// differ between the generations.
 func (p Planner) Next(cur *Map, members []Member) (*Map, []Move, error) {
 	if len(members) == 0 {
 		return nil, nil, fmt.Errorf("shardmap: cannot plan a generation with no members")
 	}
 	next := &Map{Gen: cur.Gen + 1, Members: append([]Member(nil), members...)}
-	if err := validateMembers(next.Members); err != nil {
-		return nil, nil, err
-	}
 
 	// Remap current owners into next's member index space; departed
 	// members drop out of every owner list.
@@ -74,29 +68,12 @@ func (p Planner) Next(cur *Map, members []Member) (*Map, []Move, error) {
 		}
 	}
 
-	var moves []Move
-	addMove := func(shard, to int) {
-		sh := &next.Shards[shard]
-		from := -1
-		if len(sh.Owners) > 0 {
-			from = sh.Owners[0]
-		}
-		mv := Move{Shard: shard, Lo: sh.Lo, Hi: sh.Hi, From: from, To: to, ToID: members[to].ID}
-		if from >= 0 {
-			mv.FromID = members[from].ID
-		}
-		moves = append(moves, mv)
-	}
 	// leastLoaded picks the member with the fewest primaries that is not
 	// already an owner of shard i (lowest index on ties — deterministic).
 	leastLoaded := func(i int) int {
-		owned := make(map[int]bool, len(next.Shards[i].Owners))
-		for _, o := range next.Shards[i].Owners {
-			owned[o] = true
-		}
 		best := -1
 		for mi := range members {
-			if owned[mi] {
+			if slices.Contains(next.Shards[i].Owners, mi) {
 				continue
 			}
 			if best < 0 || load[mi] < load[best] {
@@ -112,7 +89,6 @@ func (p Planner) Next(cur *Map, members []Member) (*Map, []Move, error) {
 			continue
 		}
 		to := leastLoaded(i)
-		addMove(i, to)
 		next.Shards[i].Owners = []int{to}
 		load[to]++
 	}
@@ -148,7 +124,7 @@ func (p Planner) Next(cur *Map, members []Member) (*Map, []Move, error) {
 			if next.Shards[i].Owners[0] != don {
 				continue
 			}
-			if containsOwner(next.Shards[i].Owners, rec) {
+			if slices.Contains(next.Shards[i].Owners, rec) {
 				shard = i // free promotion
 				break
 			}
@@ -158,9 +134,6 @@ func (p Planner) Next(cur *Map, members []Member) (*Map, []Move, error) {
 		}
 		if shard < 0 {
 			break
-		}
-		if !containsOwner(next.Shards[shard].Owners, rec) {
-			addMove(shard, rec)
 		}
 		next.Shards[shard].Owners = promoteOwner(next.Shards[shard].Owners, rec)
 		load[don]--
@@ -180,11 +153,6 @@ func (p Planner) Next(cur *Map, members []Member) (*Map, []Move, error) {
 		to := leastLoaded(i)
 		if to < 0 || load[to] >= ceiling {
 			continue
-		}
-		// The new primary may already hold a replica of the shard — a
-		// promotion, not a data move.
-		if !containsOwner(next.Shards[i].Owners, to) {
-			addMove(i, to)
 		}
 		next.Shards[i].Owners = promoteOwner(next.Shards[i].Owners, to)
 		load[primary]--
@@ -210,7 +178,6 @@ func (p Planner) Next(cur *Map, members []Member) (*Map, []Move, error) {
 			if to < 0 {
 				break
 			}
-			addMove(i, to)
 			sh.Owners = append(sh.Owners, to)
 		}
 		if len(sh.Owners) > want {
@@ -221,21 +188,17 @@ func (p Planner) Next(cur *Map, members []Member) (*Map, []Move, error) {
 	if err := next.Validate(); err != nil {
 		return nil, nil, err
 	}
-	sort.Slice(moves, func(a, b int) bool {
-		if moves[a].Shard != moves[b].Shard {
-			return moves[a].Shard < moves[b].Shard
-		}
-		return moves[a].To < moves[b].To
-	})
+	moves, err := diff(cur, next)
+	if err != nil {
+		return nil, nil, err
+	}
 	return next, moves, nil
 }
 
-// Diff returns the chunk moves required to go from cur to next: every
+// diff returns the chunk moves required to go from cur to next: every
 // (shard, owner) pair in next whose member (by ID) does not own the
-// shard's range in cur. The shard geometry must match; Diff is the
-// planner-independent way to meter "chunks moved" between two
-// generations.
-func Diff(cur, next *Map) ([]Move, error) {
+// shard's range in cur, in shard order. The shard geometry must match.
+func diff(cur, next *Map) ([]Move, error) {
 	if len(cur.Shards) != len(next.Shards) {
 		return nil, fmt.Errorf("shardmap: diff across different shard counts (%d vs %d)", len(cur.Shards), len(next.Shards))
 	}
@@ -245,49 +208,15 @@ func Diff(cur, next *Map) ([]Move, error) {
 		if ns.Lo != cs.Lo || ns.Hi != cs.Hi {
 			return nil, fmt.Errorf("shardmap: shard %d geometry changed ([%d,%d) vs [%d,%d))", i, cs.Lo, cs.Hi, ns.Lo, ns.Hi)
 		}
-		curIDs := make(map[string]bool, len(cs.Owners))
-		for _, o := range cs.Owners {
-			curIDs[cur.Members[o].ID] = true
-		}
 		for _, o := range ns.Owners {
-			id := next.Members[o].ID
-			if curIDs[id] {
-				continue
+			// A member new to the cluster has index -1 in cur, which no
+			// owner list holds.
+			if id := next.Members[o].ID; !slices.Contains(cs.Owners, cur.MemberIndex(id)) {
+				moves = append(moves, Move{Shard: i, Lo: ns.Lo, Hi: ns.Hi, ToID: id})
 			}
-			from, fromID := -1, ""
-			for _, co := range cs.Owners {
-				if ni := next.MemberIndex(cur.Members[co].ID); ni >= 0 {
-					from, fromID = ni, cur.Members[co].ID
-					break
-				}
-			}
-			moves = append(moves, Move{Shard: i, Lo: ns.Lo, Hi: ns.Hi, From: from, To: o, ToID: id, FromID: fromID})
 		}
 	}
 	return moves, nil
-}
-
-func validateMembers(members []Member) error {
-	seen := make(map[string]bool, len(members))
-	for i, m := range members {
-		if m.ID == "" {
-			return fmt.Errorf("shardmap: member %d has an empty ID", i)
-		}
-		if seen[m.ID] {
-			return fmt.Errorf("shardmap: duplicate member ID %q", m.ID)
-		}
-		seen[m.ID] = true
-	}
-	return nil
-}
-
-func containsOwner(owners []int, mi int) bool {
-	for _, o := range owners {
-		if o == mi {
-			return true
-		}
-	}
-	return false
 }
 
 // promoteOwner makes mi the primary, keeping the rest of the preference

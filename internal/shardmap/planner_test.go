@@ -2,6 +2,7 @@ package shardmap
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,14 @@ func ownersByID(m *Map) [][]string {
 		}
 	}
 	return out
+}
+
+// survivingHolder reports whether some current owner of shard i is still
+// a member in next: a live source the moved bytes can be pulled from.
+func survivingHolder(cur, next *Map, i int) bool {
+	return slices.ContainsFunc(cur.Shards[i].Owners, func(o int) bool {
+		return next.MemberIndex(cur.Members[o].ID) >= 0
+	})
 }
 
 func primaryLoad(m *Map) map[string]int {
@@ -49,22 +58,14 @@ func TestPlannerJoinMovesMinimally(t *testing.T) {
 			t.Fatalf("member %s load = %d, want 2 (load: %v)", id, load[id], load)
 		}
 	}
-	// Every move has a surviving source and targets c.
+	// Every move targets c, and its shard has a current owner that stays.
 	for _, mv := range moves {
 		if mv.ToID != "c" {
 			t.Fatalf("move to %s, want c", mv.ToID)
 		}
-		if mv.From < 0 || (mv.FromID != "a" && mv.FromID != "b") {
-			t.Fatalf("move from %q (%d), want a surviving owner", mv.FromID, mv.From)
+		if !survivingHolder(cur, next, mv.Shard) {
+			t.Fatalf("move %+v: no current owner of the shard survives", mv)
 		}
-	}
-	// Diff agrees with the planner's move count.
-	dmoves, err := Diff(cur, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dmoves) != len(moves) {
-		t.Fatalf("Diff found %d moves, planner reported %d", len(dmoves), len(moves))
 	}
 }
 
@@ -93,10 +94,11 @@ func TestPlannerLeaveReplicaPromotionZeroCopiesAtWidth2(t *testing.T) {
 			t.Fatalf("shard %d width = %d, want 2", i, len(ids))
 		}
 	}
-	// Promotions are free; only genuine top-ups (one survivor) move data.
+	// Promotions are free; only genuine top-ups (one survivor) move data,
+	// and each copies from a survivor.
 	for _, mv := range moves {
-		if mv.From < 0 {
-			t.Fatalf("move %+v has no surviving source despite width 2", mv)
+		if !survivingHolder(cur, next, mv.Shard) {
+			t.Fatalf("move %+v has no surviving holder despite width 2", mv)
 		}
 	}
 	if err := next.Validate(); err != nil {
@@ -106,8 +108,9 @@ func TestPlannerLeaveReplicaPromotionZeroCopiesAtWidth2(t *testing.T) {
 
 func TestPlannerCrashOrphansFallBackToSource(t *testing.T) {
 	// Width 1: a crash orphans the dead member's shards entirely. The
-	// planner must still produce a valid map, with From = -1 (re-read
-	// from the durable backing source).
+	// planner must still produce a valid map, in which no current owner of
+	// an orphaned shard survives: the bytes are re-read from the durable
+	// backing source.
 	cur, err := Uniform(0, 100, members("a", "b"), UniformOptions{ShardsPerMember: 2, Width: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +123,8 @@ func TestPlannerCrashOrphansFallBackToSource(t *testing.T) {
 		t.Fatalf("moves = %d, want 2 (b's two shards)", len(moves))
 	}
 	for _, mv := range moves {
-		if mv.From != -1 || mv.FromID != "" {
-			t.Fatalf("orphan move %+v should have From = -1", mv)
+		if survivingHolder(cur, next, mv.Shard) {
+			t.Fatalf("orphan move %+v: a current owner of the shard survives", mv)
 		}
 		if mv.ToID != "a" {
 			t.Fatalf("orphan move to %s, want a", mv.ToID)
@@ -243,13 +246,13 @@ func TestDiffGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Diff(a, b); err == nil || !strings.Contains(err.Error(), "shard counts") {
-		t.Fatalf("Diff err = %v, want shard-count mismatch", err)
+	if _, err := diff(a, b); err == nil || !strings.Contains(err.Error(), "shard counts") {
+		t.Fatalf("diff err = %v, want shard-count mismatch", err)
 	}
 	c := a.Clone()
 	c.Shards[0].Hi++
 	c.Shards[1].Lo++
-	if _, err := Diff(a, c); err == nil || !strings.Contains(err.Error(), "geometry") {
-		t.Fatalf("Diff err = %v, want geometry mismatch", err)
+	if _, err := diff(a, c); err == nil || !strings.Contains(err.Error(), "geometry") {
+		t.Fatalf("diff err = %v, want geometry mismatch", err)
 	}
 }

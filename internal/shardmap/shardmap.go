@@ -19,15 +19,17 @@
 //     load balance are reassigned;
 //   - a Store holds the live generation and a bounded history, so a fetch
 //     that started under generation g can keep resolving against g while
-//     g+1 is being migrated, and publishes every applied generation to
-//     subscribers.
+//     g+1 is being migrated.
 //
 // Maps are immutable once built (the Planner and Store copy, never
 // mutate), so a *Map handed out by Store.Current or Store.At is safe to
 // read from any goroutine forever.
 package shardmap
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Member is one owner process of the cluster. ID is the stable identity
 // membership transitions are keyed on (two generations refer to the same
@@ -141,15 +143,7 @@ func (m *Map) MemberIndex(id string) int {
 // generation (primary or replica).
 func (m *Map) OwnedBy(id int64, mi int) bool {
 	sh, err := m.ShardOf(id)
-	if err != nil {
-		return false
-	}
-	for _, o := range sh.Owners {
-		if o == mi {
-			return true
-		}
-	}
-	return false
+	return err == nil && slices.Contains(sh.Owners, mi)
 }
 
 // Validate checks the structural invariants: at least one member and one

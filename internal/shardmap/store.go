@@ -5,13 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// DefaultHistory is how many past generations a Store keeps resolvable
-// by default, so fetches pinned to a recent generation can still decode
+// keepGenerations is how many recent generations a Store keeps
+// resolvable, so fetches pinned to a recent generation can still decode
 // their owner tokens while the map advances under them.
-const DefaultHistory = 8
+const keepGenerations = 8
 
-// Store holds the live shard map generation plus a bounded history of
-// recent ones. All methods are safe for concurrent use; the *Map values
+// Store holds the live shard map generation plus the last keepGenerations
+// generations. All methods are safe for concurrent use; the *Map values
 // handed out are immutable.
 type Store struct {
 	// cur is the live generation again, where Current can read it without
@@ -20,31 +20,15 @@ type Store struct {
 	mu      sync.Mutex
 	history []*Map // ascending by Gen; last is current
 	encoded []byte // cached Encode of current, built lazily
-	keep    int
-
-	// OnApply, when set before the first ApplyIfNewer, is called
-	// synchronously (outside the store lock) with every newly applied
-	// generation and the number of chunk moves it took relative to its
-	// predecessor.
-	// This is the metrics hook: shardmap stays a stdlib-only leaf, and
-	// the caller bridges to its metrics registry here.
-	OnApply func(m *Map, moved int)
 }
 
 // NewStore builds a Store seeded with the given map as the live
-// generation. history bounds how many generations stay resolvable via
-// At (values < 1 mean DefaultHistory).
-func NewStore(initial *Map, history int) (*Store, error) {
+// generation.
+func NewStore(initial *Map) (*Store, error) {
 	if err := initial.Validate(); err != nil {
 		return nil, err
 	}
-	if history < 1 {
-		history = DefaultHistory
-	}
-	s := &Store{
-		history: []*Map{initial},
-		keep:    history,
-	}
+	s := &Store{history: []*Map{initial}}
 	s.cur.Store(initial)
 	return s, nil
 }
@@ -85,36 +69,17 @@ func (s *Store) ApplyIfNewer(next *Map) (bool, error) {
 		return false, err
 	}
 	s.mu.Lock()
-	cur := s.history[len(s.history)-1]
-	if next.Gen <= cur.Gen {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if next.Gen <= s.history[len(s.history)-1].Gen {
 		return false, nil
 	}
-	moved := s.applyLocked(next)
-	hook := s.OnApply
-	s.mu.Unlock()
-	if hook != nil {
-		hook(next, moved)
-	}
-	return true, nil
-}
-
-// applyLocked installs next as current, trims history, and returns the
-// move count vs the prior generation (0 when the geometry changed and Diff
-// cannot meter it).
-func (s *Store) applyLocked(next *Map) int {
-	prev := s.history[len(s.history)-1]
 	s.history = append(s.history, next)
-	s.cur.Store(next)
-	if len(s.history) > s.keep {
-		s.history = s.history[len(s.history)-s.keep:]
+	if len(s.history) > keepGenerations {
+		s.history = s.history[len(s.history)-keepGenerations:]
 	}
 	s.encoded = nil
-	moved := 0
-	if moves, err := Diff(prev, next); err == nil {
-		moved = len(moves)
-	}
-	return moved
+	s.cur.Store(next)
+	return true, nil
 }
 
 // Encoded returns the wire encoding of the live generation, cached until

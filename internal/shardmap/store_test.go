@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-func newTestStore(t *testing.T, n int) *Store {
+func newTestStore(t *testing.T) *Store {
 	t.Helper()
 	m, err := Uniform(0, 100, members("a", "b"), UniformOptions{ShardsPerMember: 2, Width: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStore(m, n)
+	st, err := NewStore(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func advance(t *testing.T, st *Store, mems []Member) *Map {
 }
 
 func TestStoreApplyAndHistory(t *testing.T) {
-	st := newTestStore(t, 2)
+	st := newTestStore(t)
 	if st.Generation() != 1 {
 		t.Fatalf("Generation = %d, want 1", st.Generation())
 	}
@@ -43,13 +43,22 @@ func TestStoreApplyAndHistory(t *testing.T) {
 	if st.At(1) == nil || st.At(2) != g2 {
 		t.Fatal("history should hold generations 1 and 2")
 	}
-	advance(t, st, members("a", "b", "c", "d"))
-	// keep=2: generation 1 aged out.
-	if st.At(1) != nil {
-		t.Fatal("generation 1 should have aged out of a 2-deep history")
+	// Advance to keepGenerations+1: generation 1 ages out, and exactly the
+	// last keepGenerations stay resolvable.
+	for gen := 3; gen <= keepGenerations+1; gen++ {
+		if gen%2 == 1 {
+			advance(t, st, members("a", "b"))
+		} else {
+			advance(t, st, members("a", "b", "c"))
+		}
 	}
-	if st.At(2) == nil || st.At(3) == nil {
-		t.Fatal("generations 2 and 3 should be resolvable")
+	if st.At(1) != nil {
+		t.Fatalf("generation 1 should have aged out of a %d-deep history", keepGenerations)
+	}
+	for gen := uint64(2); gen <= keepGenerations+1; gen++ {
+		if m := st.At(gen); m == nil || m.Gen != gen {
+			t.Fatalf("generation %d should be resolvable", gen)
+		}
 	}
 	if st.At(99) != nil {
 		t.Fatal("future generation resolvable")
@@ -57,7 +66,7 @@ func TestStoreApplyAndHistory(t *testing.T) {
 }
 
 func TestStoreApplyIfNewer(t *testing.T) {
-	st := newTestStore(t, 4)
+	st := newTestStore(t)
 	// A refresh can jump multiple generations forward.
 	jump := st.Current().Clone()
 	jump.Gen = 7
@@ -85,25 +94,8 @@ func TestStoreApplyIfNewer(t *testing.T) {
 	}
 }
 
-func TestStoreOnApplyHook(t *testing.T) {
-	st := newTestStore(t, 4)
-	var gens []uint64
-	var movedTotal int
-	st.OnApply = func(m *Map, moved int) {
-		gens = append(gens, m.Gen)
-		movedTotal += moved
-	}
-	advance(t, st, members("a", "b", "c"))
-	if len(gens) != 1 || gens[0] != 2 {
-		t.Fatalf("hook gens = %v, want [2]", gens)
-	}
-	if movedTotal == 0 {
-		t.Fatal("join should have reported moved chunks")
-	}
-}
-
 func TestStoreEncodedCachedPerGeneration(t *testing.T) {
-	st := newTestStore(t, 4)
+	st := newTestStore(t)
 	b1, err := st.Encoded()
 	if err != nil {
 		t.Fatal(err)
@@ -133,13 +125,13 @@ func TestStoreEncodedCachedPerGeneration(t *testing.T) {
 }
 
 func TestNewStoreRejectsInvalid(t *testing.T) {
-	if _, err := NewStore(&Map{Gen: 1}, 4); err == nil {
+	if _, err := NewStore(&Map{Gen: 1}); err == nil {
 		t.Fatal("invalid seed map accepted")
 	}
 }
 
 func TestStoreConcurrentReadersAndAppliers(t *testing.T) {
-	st := newTestStore(t, 8)
+	st := newTestStore(t)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {

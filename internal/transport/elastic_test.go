@@ -71,7 +71,7 @@ func elasticPair(t *testing.T) (a, b *Server, stores [2]*shardmap.Store, apply f
 		{Lo: 50, Hi: 100, Owners: []int{1}},
 	}}
 	for i, id := range []string{"a", "b"} {
-		st, err := shardmap.NewStore(m, 0)
+		st, err := shardmap.NewStore(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func (c *cutoverChunk) LocalSampleBytes(id int64) ([]byte, error) {
 func TestSampleDroppedAfterOwnershipCheckIsStale(t *testing.T) {
 	m := &shardmap.Map{Gen: 1, Members: []shardmap.Member{{ID: "a", Addr: "a:1"}, {ID: "b", Addr: "b:1"}},
 		Shards: []shardmap.Shard{{Lo: 0, Hi: 50, Owners: []int{0}}, {Lo: 50, Hi: 100, Owners: []int{1}}}}
-	st, err := shardmap.NewStore(m, 0)
+	st, err := shardmap.NewStore(m)
 	if err != nil {
 		t.Fatal(err)
 	}

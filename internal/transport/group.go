@@ -176,7 +176,7 @@ func NewGroupReplicas(replicas [][]string, opts GroupOptions) (*Group, error) {
 		g.Close()
 		return nil, err
 	}
-	g.maps, err = shardmap.NewStore(m, 0)
+	g.maps, err = shardmap.NewStore(m)
 	if err != nil {
 		g.Close()
 		return nil, err
@@ -259,7 +259,7 @@ func NewElasticGroup(seeds []string, opts GroupOptions) (*Group, error) {
 			lastErr = err
 			continue
 		}
-		st, err := shardmap.NewStore(m, 0)
+		st, err := shardmap.NewStore(m)
 		if err != nil {
 			lastErr = err
 			continue
